@@ -12,7 +12,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Protocol, Sequence
 
 import requests
@@ -64,18 +64,6 @@ class SamplingParams:
         if self.min_new_tokens > self.max_new_tokens:
             raise ValueError("min_new_tokens must not exceed max_new_tokens")
 
-    def to_payload(self) -> dict:
-        return {
-            "mode": self.mode,
-            "num_beams": self.num_beams,
-            "top_p": self.top_p,
-            "temperature": self.temperature,
-            "length_penalty": self.length_penalty,
-            "repetition_penalty": self.repetition_penalty,
-            "max_new_tokens": self.max_new_tokens,
-            "min_new_tokens": self.min_new_tokens,
-        }
-
 
 def default_params(purpose: str) -> SamplingParams:
     """Sampling defaults for the two call purposes.
@@ -85,26 +73,10 @@ def default_params(purpose: str) -> SamplingParams:
     10 tokens with a length penalty of -1.
     """
     if purpose == "decompose":
-        return SamplingParams(
-            mode="multinomial_beam",
-            num_beams=5,
-            top_p=0.95,
-            temperature=1.0,
-            length_penalty=1.0,
-            repetition_penalty=1.0,
-            max_new_tokens=50,
-            min_new_tokens=1,
-        )
+        return SamplingParams(mode="multinomial_beam", top_p=0.95)
     if purpose == "answer":
         return SamplingParams(
-            mode="deterministic_beam",
-            num_beams=5,
-            top_p=1.0,
-            temperature=1.0,
-            length_penalty=-1.0,
-            repetition_penalty=1.0,
-            max_new_tokens=10,
-            min_new_tokens=1,
+            mode="deterministic_beam", length_penalty=-1.0, max_new_tokens=10
         )
     raise ValueError(f"unknown purpose: {purpose!r}")
 
@@ -162,13 +134,10 @@ def confidence_of(result: InferenceResult) -> float:
 @dataclass(frozen=True)
 class BackendRole:
     role: str  # "decomposer" | "recomposer"
-    modality: str = "image_text"  # "text" | "image_text"
 
     def __post_init__(self) -> None:
         if self.role not in ("decomposer", "recomposer"):
             raise ValueError(f"unknown role: {self.role!r}")
-        if self.modality not in ("text", "image_text"):
-            raise ValueError(f"unknown modality: {self.modality!r}")
 
 
 class Backend(Protocol):
@@ -186,14 +155,7 @@ def _with_retries(
     for attempt in range(attempts):
         try:
             result = fn()
-            if attempt:
-                result = InferenceResult(
-                    text=result.text,
-                    token_logprobs=result.token_logprobs,
-                    cumulative_logprob=result.cumulative_logprob,
-                    retries=attempt,
-                )
-            return result
+            return replace(result, retries=attempt) if attempt else result
         except TransportError as exc:
             last = exc
             if attempt + 1 < attempts:
@@ -230,7 +192,7 @@ class HTTPBackend:
         body = {
             "prompt": request.prompt,
             "image": request.image,
-            "params": request.params.to_payload(),
+            "params": asdict(request.params),
         }
 
         def attempt() -> InferenceResult:
@@ -325,24 +287,3 @@ class MockBackend:
             with self._lock:
                 self._in_flight -= 1
 
-
-@dataclass
-class FlakyBackend:
-    """Test helper: fails with transport errors a fixed number of times
-    before delegating. Lets retry behavior be exercised without a server."""
-
-    inner: Backend
-    failures_before_success: int
-    attempts: int = DEFAULT_RETRY_ATTEMPTS
-    base_delay: float = 0.0
-    _failed: dict = field(default_factory=dict)
-
-    def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
-        def attempt() -> InferenceResult:
-            seen = self._failed.get(request.request_id, 0)
-            if seen < self.failures_before_success:
-                self._failed[request.request_id] = seen + 1
-                raise TransportError("injected transport fault")
-            return self.inner.complete(request, role)
-
-        return _with_retries(attempt, self.attempts, self.base_delay, lambda _: None)

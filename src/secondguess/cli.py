@@ -13,11 +13,13 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
 import click
 
-from . import __version__, dataset, evaluation, pipeline, simulator
+from . import __version__, dataset, evaluation, pipeline, prompts, simulator
 from .backend import (
     BackendError,
     DEFAULT_RETRY_ATTEMPTS,
@@ -31,21 +33,27 @@ EXIT_CONFIG = 2
 EXIT_DATASET = 3
 EXIT_BACKEND = 4
 
-CONFIG_KEYS = {
-    "dataset",
-    "recomposer_url",
-    "decomposer_url",
-    "mock_script",
-    "mode",
-    "tau",
-    "tau_percentile",
-    "seed",
-    "concurrency",
-    "retry_budget",
-    "out",
-    "scoring",
-    "decomposer_prompt_style",
-}
+RUN_COMMANDS = ("run", "sweep", "oracle")
+
+# Every run option, written once: (config key, type, default, commands that
+# take it as --key-with-dashes). A type is int, float, str, or a tuple of the
+# allowed strings. Flags win over --config file values, which win over the
+# defaults; file values are checked against the same types.
+OPTIONS = (
+    ("dataset", str, None, RUN_COMMANDS),
+    ("recomposer_url", str, None, RUN_COMMANDS),
+    ("decomposer_url", str, None, RUN_COMMANDS),
+    ("mock_script", str, None, RUN_COMMANDS),
+    ("mode", pipeline.MODES, "direct", ("run",)),
+    ("tau", float, None, RUN_COMMANDS),
+    ("tau_percentile", float, None, RUN_COMMANDS),
+    ("seed", int, 0, RUN_COMMANDS),
+    ("concurrency", int, 1, RUN_COMMANDS),
+    ("retry_budget", int, DEFAULT_RETRY_ATTEMPTS, ()),
+    ("out", str, "out", RUN_COMMANDS),
+    ("scoring", ("exact", "vqa_consensus"), "exact", RUN_COMMANDS),
+    ("decomposer_prompt_style", prompts.DECOMPOSE_STYLES, "decompose_default", ()),
+)
 
 DEFAULT_PERCENTILES = [float(p) for p in range(0, 101, 5)]
 
@@ -55,74 +63,103 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _load_config(config_path, overrides: dict) -> dict:
-    cfg = {}
+def _run_options(command: str):
+    """Decorate a command with --config and its flags from OPTIONS."""
+
+    def decorate(fn):
+        for key, kind, _, commands in reversed(OPTIONS):
+            if command in commands:
+                click_type = click.Choice(kind) if isinstance(kind, tuple) else kind
+                flag = "--" + key.replace("_", "-")
+                fn = click.option(flag, key, type=click_type, default=None)(fn)
+        return click.option("--config", "config_path", type=click.Path(exists=True))(fn)
+
+    return decorate
+
+
+def _checked(key: str, kind, value):
+    """A config-file value of the option's type, or exit 2."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        _fail(EXIT_CONFIG, f"config key {key!r} must be one of {list(kind)}, got {value!r}")
+    # bool is an int subclass, but true/false is no number.
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool):
+        _fail(EXIT_CONFIG, f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _load_config(config_path, flags: dict) -> dict:
+    """Resolve every option from flags, the --config file and the defaults."""
+    file_cfg = {}
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             _fail(EXIT_CONFIG, f"cannot read config file: {exc}")
-        unknown = set(cfg) - CONFIG_KEYS
+        if not isinstance(file_cfg, dict):
+            _fail(EXIT_CONFIG, "config file must hold a JSON object")
+        unknown = set(file_cfg) - {key for key, *_ in OPTIONS}
         if unknown:
             _fail(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
+    cfg = {}
+    for key, kind, default, _ in OPTIONS:
+        value = flags.get(key)
+        if value is None and file_cfg.get(key) is not None:
+            value = _checked(key, kind, file_cfg[key])
+        if value is None:
+            value = default
         if value is not None:
             cfg[key] = value
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("concurrency", 1)
-    cfg.setdefault("scoring", "exact")
-    return cfg
-
-
-def _retry_budget(cfg: dict) -> int:
     env = os.environ.get("SECONDGUESS_RETRY_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            cfg["retry_budget"] = int(env)
         except ValueError:
             _fail(EXIT_CONFIG, "SECONDGUESS_RETRY_BUDGET must be an integer")
-    return int(cfg.get("retry_budget", DEFAULT_RETRY_ATTEMPTS))
+    return cfg
 
 
 def _build_engine(cfg: dict) -> Engine:
-    attempts = _retry_budget(cfg)
-    style = cfg.get("decomposer_prompt_style", "decompose_default")
+    style = cfg["decomposer_prompt_style"]
     if cfg.get("mock_script"):
-        mock = MockBackend.from_script(cfg["mock_script"])
+        try:
+            mock = MockBackend.from_script(cfg["mock_script"])
+        except (OSError, ValueError) as exc:
+            _fail(EXIT_CONFIG, f"cannot read mock script: {exc}")
         return Engine(recomposer=mock, decomposer=mock, decomposer_prompt_style=style)
     if not cfg.get("recomposer_url"):
         _fail(EXIT_CONFIG, "one of mock_script / recomposer_url is required")
-    recomposer = HTTPBackend(cfg["recomposer_url"], attempts=attempts)
-    decomposer = None
+    recomposer = HTTPBackend(cfg["recomposer_url"], attempts=cfg["retry_budget"])
+    decomposer = recomposer
     if cfg.get("decomposer_url"):
-        decomposer = HTTPBackend(cfg["decomposer_url"], attempts=attempts)
+        decomposer = HTTPBackend(cfg["decomposer_url"], attempts=cfg["retry_budget"])
     return Engine(
-        recomposer=recomposer,
-        decomposer=decomposer or recomposer,
-        decomposer_prompt_style=style,
+        recomposer=recomposer, decomposer=decomposer, decomposer_prompt_style=style
     )
 
 
 def _pipeline_config(cfg: dict) -> PipelineConfig:
     try:
         return PipelineConfig(
-            mode=cfg.get("mode", "direct"),
+            mode=cfg["mode"],
             tau=cfg.get("tau"),
             tau_percentile=cfg.get("tau_percentile"),
-            seed=int(cfg["seed"]),
-            concurrency=int(cfg["concurrency"]),
+            seed=cfg["seed"],
+            concurrency=cfg["concurrency"],
             scoring=cfg["scoring"],
         )
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
 
-def _load_questions(cfg: dict):
-    if not cfg.get("dataset"):
+def _load_questions(path):
+    if not path:
         _fail(EXIT_CONFIG, "dataset path is required")
     try:
-        return dataset.load_dataset(cfg["dataset"])
+        return dataset.load_dataset(path)[0]
     except (OSError, DatasetError) as exc:
         _fail(EXIT_DATASET, str(exc))
 
@@ -133,14 +170,12 @@ def _write_manifest(out_dir: Path, cfg: dict, started: str, extra: dict) -> None
         "tool_version": __version__,
         "config": cfg,
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "seed": cfg.get("seed", 0),
+        "seed": cfg["seed"],
         "started_at": started,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     manifest.update(extra)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -149,51 +184,20 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _shared_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True))(fn)
-    fn = click.option("--out", type=click.Path(), default="out")(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--concurrency", type=int, default=None)(fn)
-    fn = click.option("--dataset", "dataset_path", type=click.Path(), default=None)(fn)
-    fn = click.option("--recomposer-url", default=None)(fn)
-    fn = click.option("--decomposer-url", default=None)(fn)
-    fn = click.option("--mock-script", type=click.Path(), default=None)(fn)
-    fn = click.option("--tau", type=float, default=None)(fn)
-    fn = click.option("--tau-percentile", type=float, default=None)(fn)
-    fn = click.option(
-        "--scoring", type=click.Choice(["exact", "vqa_consensus"]), default=None
-    )(fn)
-    return fn
-
-
-def _gather(kwargs) -> tuple:
-    overrides = {
-        "out": kwargs["out"],
-        "seed": kwargs["seed"],
-        "concurrency": kwargs["concurrency"],
-        "dataset": kwargs["dataset_path"],
-        "recomposer_url": kwargs["recomposer_url"],
-        "decomposer_url": kwargs["decomposer_url"],
-        "mock_script": kwargs["mock_script"],
-        "tau": kwargs["tau"],
-        "tau_percentile": kwargs["tau_percentile"],
-        "scoring": kwargs["scoring"],
-    }
-    return kwargs["config_path"], overrides
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
     """Selective question decomposition runner and evaluation harness."""
 
 
-def _execute_run(cfg: dict) -> int:
+def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    questions, _ = _load_questions(cfg)
+    questions = _load_questions(cfg.get("dataset"))
     pcfg = _pipeline_config(cfg)
+    if pcfg.mode in pipeline.ORACLE_MODES and not any(q.oracle_sub_qas for q in questions):
+        _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
     engine = _build_engine(cfg)
-    out_dir = Path(cfg.get("out", "out"))
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     episodes_path = out_dir / "episodes.jsonl"
     try:
@@ -202,21 +206,11 @@ def _execute_run(cfg: dict) -> int:
         _fail(EXIT_BACKEND, str(exc))
     episodes = pipeline.read_episode_log(episodes_path)
     qtype_map = {q.id: q.qtype for q in questions}
-    report = evaluation.compute_report(episodes, tau=summary.tau, qtype_map=qtype_map)
-    _write_json(out_dir / "metrics.json", report.to_obj())
-    _write_manifest(
-        out_dir,
-        cfg,
-        started,
-        {
-            "episodes": summary.episodes,
-            "new_episodes": summary.new_episodes,
-            "failures": summary.failures,
-            "backend_calls": summary.backend_calls,
-            "skipped_missing_oracle": summary.skipped_missing_oracle,
-            "resolved_tau": summary.tau,
-        },
+    report = evaluation.compute_report(
+        episodes, tau=summary.resolved_tau, qtype_map=qtype_map
     )
+    _write_json(out_dir / "metrics.json", {**asdict(report), **(report_extra or {})})
+    _write_manifest(out_dir, cfg, started, asdict(summary))
     click.echo(
         f"run complete: {summary.episodes} episodes "
         f"({summary.failures} failures) -> {episodes_path}"
@@ -225,33 +219,24 @@ def _execute_run(cfg: dict) -> int:
 
 
 @main.command("run")
-@_shared_options
-@click.option(
-    "--mode",
-    type=click.Choice(list(pipeline.MODES)),
-    default=None,
-)
-def cmd_run(**kwargs) -> None:
+@_run_options("run")
+def cmd_run(config_path, **flags) -> None:
     """Execute a pipeline run and write episodes, metrics, and a manifest."""
-    config_path, overrides = _gather(kwargs)
-    overrides["mode"] = kwargs["mode"]
-    cfg = _load_config(config_path, overrides)
-    sys.exit(_execute_run(cfg))
+    sys.exit(_execute_run(_load_config(config_path, flags)))
 
 
 @main.command("sweep")
-@_shared_options
+@_run_options("sweep")
 @click.option("--log", "log_path", type=click.Path(), default=None)
 @click.option("--percentiles", default=None, help="comma-separated percentiles")
-def cmd_sweep(log_path, percentiles, **kwargs) -> None:
+def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
     """Offline threshold sweep over a decompose-all episode log.
 
     If --log is not given, a decompose-all run is executed first using the
     provided config; the sweep itself issues no model calls.
     """
-    config_path, overrides = _gather(kwargs)
-    cfg = _load_config(config_path, overrides)
-    out_dir = Path(cfg.get("out", "out"))
+    cfg = _load_config(config_path, flags)
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if log_path is None:
         cfg["mode"] = "decompose_all"
@@ -278,28 +263,18 @@ def cmd_sweep(log_path, percentiles, **kwargs) -> None:
 
 
 @main.command("oracle")
-@_shared_options
+@_run_options("oracle")
 @click.option(
     "--condition",
-    type=click.Choice(["oracle", "self_answer", "no_answer", "scrambled"]),
+    type=click.Choice([mode.removeprefix("oracle_") for mode in pipeline.ORACLE_MODES]),
     required=True,
 )
-def cmd_oracle(condition, **kwargs) -> None:
+def cmd_oracle(config_path, condition, **flags) -> None:
     """Run one oracle-consumption condition and emit a per-qtype report."""
-    config_path, overrides = _gather(kwargs)
-    cfg = _load_config(config_path, overrides)
+    cfg = _load_config(config_path, flags)
     cfg["mode"] = f"oracle_{condition}"
-    questions, _ = _load_questions(cfg)
-    if not any(q.oracle_sub_qas for q in questions):
-        _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
-    code = _execute_run(cfg)
-    out_dir = Path(cfg.get("out", "out"))
-    with open(out_dir / "metrics.json", "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    report["condition"] = condition
-    report["answers_present"] = condition != "no_answer"
-    _write_json(out_dir / "metrics.json", report)
-    sys.exit(code)
+    extra = {"condition": condition, "answers_present": condition != "no_answer"}
+    sys.exit(_execute_run(cfg, extra))
 
 
 @main.command("convert")
@@ -327,11 +302,8 @@ def cmd_convert(input_path, output_path) -> None:
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
 def cmd_stats(dataset_path) -> None:
     """Print item count and average question length for a dataset."""
-    try:
-        questions, manifest = dataset.load_dataset(dataset_path)
-    except DatasetError as exc:
-        _fail(EXIT_DATASET, str(exc))
-    computed = dataset.stats(questions, name=manifest.name)
+    questions = _load_questions(dataset_path)
+    computed = dataset.stats(questions, name=dataset_path)
     images = len({q.image for q in questions})
     click.echo(
         json.dumps(
@@ -360,8 +332,10 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     if tau_grid:
         try:
             taus = [float(t) for t in tau_grid.split(",")]
+            if not all(0.0 <= t <= 1.0 for t in taus):
+                raise ValueError
         except ValueError:
-            _fail(EXIT_CONFIG, "tau-grid must be comma-separated numbers")
+            _fail(EXIT_CONFIG, "tau-grid must be comma-separated numbers in [0, 1]")
     try:
         cfg = simulator.SimConfig(
             base_accuracy=acc, e_cr=ecr, e_ic=eic, trials=trials, seed=seed
@@ -400,15 +374,14 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     episodes = pipeline.read_episode_log(log_path)
     qtype_map = None
     if dataset_path:
-        questions, _ = dataset.load_dataset(dataset_path)
-        qtype_map = {q.id: q.qtype for q in questions}
+        qtype_map = {q.id: q.qtype for q in _load_questions(dataset_path)}
     try:
         report = evaluation.compute_report(episodes, tau=tau, qtype_map=qtype_map)
     except ValueError as exc:
         _fail(EXIT_DATASET, str(exc))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "metrics.json", report.to_obj())
+    _write_json(out_dir / "metrics.json", asdict(report))
     points = evaluation.sweep(episodes, DEFAULT_PERCENTILES)
     evaluation.write_sweep_csv(points, out_dir / "sweep.csv")
     click.echo(f"wrote metrics.json and sweep.csv -> {out_dir}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, List, Optional, Union
 
 from .evaluation import normalize_answer
@@ -49,26 +49,41 @@ class VisualQuestion:
 class DatasetManifest:
     name: str
     items: int = 0
-    domain_tag: str = "natural"
-    sources: List[str] = field(default_factory=list)
     avg_question_length: Optional[float] = None
-    warnings: int = 0
 
 
-def _question_from_obj(obj: dict, where: str) -> VisualQuestion:
+def _is_sub_qa(pair) -> bool:
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and (pair[1] is None or isinstance(pair[1], str))
+    )
+
+
+def _question_from_obj(obj, where: str) -> VisualQuestion:
+    if not isinstance(obj, dict):
+        raise DatasetError(f"{where}: expected a JSON object")
     for key in ("id", "image", "question", "answers"):
         if key not in obj:
             raise DatasetError(f"{where}: missing field {key!r}")
-    sub_qas = None
-    if obj.get("sub_qas") is not None:
-        sub_qas = tuple(
-            SubQA(question=pair[0], answer=pair[1]) for pair in obj["sub_qas"]
-        )
+        if key != "answers" and not isinstance(obj[key], str):
+            raise DatasetError(f"{where}: field {key!r} must be a string")
+    answers = obj["answers"]
+    if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
+        raise DatasetError(f"{where}: 'answers' must be a list of strings")
+    sub_qas = obj.get("sub_qas")
+    if sub_qas is not None:
+        if not (isinstance(sub_qas, list) and all(map(_is_sub_qa, sub_qas))):
+            raise DatasetError(
+                f"{where}: 'sub_qas' must be a list of [question, answer] pairs"
+            )
+        sub_qas = tuple(SubQA(question=q, answer=a) for q, a in sub_qas)
     return VisualQuestion(
         id=obj["id"],
         image=obj["image"],
         question=obj["question"],
-        answers=tuple(obj["answers"]),
+        answers=tuple(answers),
         qtype=obj.get("qtype", "other"),
         oracle_sub_qas=sub_qas,
     )
@@ -97,10 +112,7 @@ def load_dataset(path, name: Optional[str] = None):
                 raise DatasetError(f"{where}: duplicate id {q.id!r}")
             seen.add(q.id)
             questions.append(q)
-    manifest = DatasetManifest(
-        name=name or str(path), items=len(questions), sources=[str(path)]
-    )
-    return questions, manifest
+    return questions, DatasetManifest(name=name or str(path), items=len(questions))
 
 
 def question_to_obj(q: VisualQuestion) -> dict:

@@ -124,15 +124,6 @@ class SweepPoint:
     eta: float
     accuracy: float
 
-    def to_obj(self) -> dict:
-        return {
-            "percentile": self.percentile,
-            "tau": self.tau,
-            "surprisal": self.surprisal,
-            "eta": self.eta,
-            "accuracy": self.accuracy,
-        }
-
 
 def sweep(episodes: Sequence[dict], percentiles: Sequence[float]) -> List[SweepPoint]:
     """Offline threshold sweep over a decompose-all episode log.
@@ -208,23 +199,6 @@ class MetricsReport:
     surprisal: Optional[float] = None
     failures: int = 0
     per_qtype: Dict[str, dict] = field(default_factory=dict)
-
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "accuracy_before": self.accuracy_before,
-            "accuracy_after": self.accuracy_after,
-            "net_gain": self.net_gain,
-            "e_cr": self.e_cr,
-            "e_cr_denominator": self.e_cr_denominator,
-            "e_ic": self.e_ic,
-            "e_ic_denominator": self.e_ic_denominator,
-            "eta": self.eta,
-            "tau": self.tau,
-            "surprisal": self.surprisal,
-            "failures": self.failures,
-            "per_qtype": self.per_qtype,
-        }
 
 
 def compute_report(

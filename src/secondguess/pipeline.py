@@ -82,14 +82,14 @@ class AnswerOutcome:
     retries: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EpisodeRecord:
     id: str
     initial: AnswerOutcome
-    gate: str  # "kept" | "second_guessed"
-    subquestion: Optional[str]
-    subanswer: Optional[str]
-    subanswer_provenance: Optional[str]  # "oracle" | "model" | None
+    gate: str = "kept"  # "kept" | "second_guessed"
+    subquestion: Optional[str] = None
+    subanswer: Optional[str] = None
+    subanswer_provenance: Optional[str] = None  # "oracle" | "model" | None
     final: AnswerOutcome
     correct_before: bool
     correct_after: bool
@@ -123,12 +123,16 @@ class RunSummary:
     failures: int = 0
     backend_calls: int = 0
     skipped_missing_oracle: int = 0
-    tau: Optional[float] = None
+    resolved_tau: Optional[float] = None
 
 
 def _scramble_seed(root_seed: int, question_id: str) -> int:
     digest = hashlib.sha256(f"{root_seed}:{question_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+RECOMPOSER = BackendRole("recomposer")
+DECOMPOSER = BackendRole("decomposer")
 
 
 class Engine:
@@ -140,42 +144,39 @@ class Engine:
         recomposer: Backend,
         decomposer: Optional[Backend] = None,
         decomposer_prompt_style: str = "decompose_default",
-        recomposer_role: Optional[BackendRole] = None,
-        decomposer_role: Optional[BackendRole] = None,
     ) -> None:
         self.recomposer = recomposer
         self.decomposer = decomposer
         self.decomposer_prompt_style = decomposer_prompt_style
-        self.recomposer_role = recomposer_role or BackendRole("recomposer")
-        self.decomposer_role = decomposer_role or BackendRole("decomposer", "text")
         self._lock = threading.Lock()
-        self.call_count = 0
         self.recomposer_calls = 0
         self.decomposer_calls = 0
 
     def _call(self, backend: Backend, request: InferenceRequest, role: BackendRole) -> InferenceResult:
         with self._lock:
-            self.call_count += 1
-            if role.role == "recomposer":
+            if role is RECOMPOSER:
                 self.recomposer_calls += 1
             else:
                 self.decomposer_calls += 1
         return backend.complete(request, role)
 
-    def answer_direct(self, question: VisualQuestion) -> AnswerOutcome:
+    def answer(self, question: VisualQuestion, stage: str, prompt: str) -> AnswerOutcome:
+        """One recomposer call about the question's image; ``stage`` is the
+        request-id suffix: initial, suba<i> or recompose."""
         request = InferenceRequest(
-            prompt=prompts.render_direct_qa(question.question),
+            prompt=prompt,
             params=default_params("answer"),
-            request_id=f"{question.id}#initial",
+            request_id=f"{question.id}#{stage}",
             image=question.image,
         )
-        result = self._call(self.recomposer, request, self.recomposer_role)
+        result = self._call(self.recomposer, request, RECOMPOSER)
         return AnswerOutcome(result.text, confidence_of(result), result.retries)
 
     def generate_subquestion(self, question: VisualQuestion):
         """Returns (subquestion text, malformed flag, retries). The raw
         generation is truncated at the first newline; empty or
-        non-question-shaped output is flagged malformed but still used."""
+        non-question-shaped output is flagged malformed but still used.
+        The decomposer is text-only, so no image is sent."""
         if self.decomposer is None:
             raise ConfigError("decomposer backend not configured")
         request = InferenceRequest(
@@ -184,36 +185,11 @@ class Engine:
             ),
             params=default_params("decompose"),
             request_id=f"{question.id}#subq",
-            image=question.image if self.decomposer_role.modality == "image_text" else None,
         )
-        result = self._call(self.decomposer, request, self.decomposer_role)
+        result = self._call(self.decomposer, request, DECOMPOSER)
         text = result.text.split("\n", 1)[0]
         malformed = not text.strip() or not text.rstrip().endswith("?")
         return text, malformed, result.retries
-
-    def answer_subquestion(
-        self, question: VisualQuestion, subquestion: str, index: int = 0
-    ) -> AnswerOutcome:
-        request = InferenceRequest(
-            prompt=prompts.render_direct_qa(subquestion),
-            params=default_params("answer"),
-            request_id=f"{question.id}#suba{index}",
-            image=question.image,
-        )
-        result = self._call(self.recomposer, request, self.recomposer_role)
-        return AnswerOutcome(result.text, confidence_of(result), result.retries)
-
-    def recompose(
-        self, question: VisualQuestion, ctx: DecompositionContext
-    ) -> AnswerOutcome:
-        request = InferenceRequest(
-            prompt=prompts.render_recompose(question.question, ctx),
-            params=default_params("answer"),
-            request_id=f"{question.id}#recompose",
-            image=question.image,
-        )
-        result = self._call(self.recomposer, request, self.recomposer_role)
-        return AnswerOutcome(result.text, confidence_of(result), result.retries)
 
 
 def _correct(outcome: AnswerOutcome, question: VisualQuestion, scoring: str) -> bool:
@@ -227,10 +203,6 @@ def _kept_episode(
     return EpisodeRecord(
         id=question.id,
         initial=initial,
-        gate="kept",
-        subquestion=None,
-        subanswer=None,
-        subanswer_provenance=None,
         final=initial,
         correct_before=correct,
         correct_after=correct,
@@ -243,10 +215,6 @@ def _failed_episode(question: VisualQuestion) -> EpisodeRecord:
     return EpisodeRecord(
         id=question.id,
         initial=empty,
-        gate="kept",
-        subquestion=None,
-        subanswer=None,
-        subanswer_provenance=None,
         final=empty,
         correct_before=False,
         correct_after=False,
@@ -260,7 +228,7 @@ def _second_guess_generated(
     subq, malformed, subq_retries = engine.generate_subquestion(question)
     retries = initial.retries + subq_retries
     if subq.strip():
-        sub_outcome = engine.answer_subquestion(question, subq)
+        sub_outcome = engine.answer(question, "suba0", prompts.render_direct_qa(subq))
         retries += sub_outcome.retries
         ctx = DecompositionContext([SubQA(subq, sub_outcome.text)])
         subanswer: Optional[str] = sub_outcome.text
@@ -268,7 +236,9 @@ def _second_guess_generated(
         # Degenerate generation: skip sub-answering, recompose answerless.
         ctx = DecompositionContext([SubQA(subq, None)])
         subanswer = None
-    final = engine.recompose(question, ctx)
+    final = engine.answer(
+        question, "recompose", prompts.render_recompose(question.question, ctx)
+    )
     retries += final.retries
     return EpisodeRecord(
         id=question.id,
@@ -308,7 +278,9 @@ def _oracle_context(
     if mode == "oracle_self_answer":
         answered = []
         for index, qa in enumerate(ctx.sub_qas):
-            outcome = engine.answer_subquestion(question, qa.question, index)
+            outcome = engine.answer(
+                question, f"suba{index}", prompts.render_direct_qa(qa.question)
+            )
             retries += outcome.retries
             answered.append(SubQA(qa.question, outcome.text))
         return DecompositionContext(answered), "model", retries
@@ -322,9 +294,13 @@ def _oracle_episode(
     seed: int,
     scoring: str,
 ) -> EpisodeRecord:
-    initial = engine.answer_direct(question)
+    initial = engine.answer(
+        question, "initial", prompts.render_direct_qa(question.question)
+    )
     ctx, provenance, retries = _oracle_context(engine, question, mode, seed)
-    final = engine.recompose(question, ctx)
+    final = engine.answer(
+        question, "recompose", prompts.render_recompose(question.question, ctx)
+    )
     answers = [qa.answer for qa in ctx.sub_qas]
     return EpisodeRecord(
         id=question.id,
@@ -381,7 +357,7 @@ def run(
         # Phase 1: initial answers for everyone.
         def initial_one(q: VisualQuestion):
             try:
-                return engine.answer_direct(q)
+                return engine.answer(q, "initial", prompts.render_direct_qa(q.question))
             except BackendError:
                 return None
 
@@ -398,7 +374,7 @@ def run(
             if not confidences:
                 raise ConfigError("no successful initial answers to resolve percentile")
             tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-        summary.tau = tau
+        summary.resolved_tau = tau
 
         def second_one(pair) -> EpisodeRecord:
             q, initial = pair
@@ -452,7 +428,7 @@ def run_batch(
     summary = RunSummary(episodes=len(existing))
     episodes = run(pending, cfg, engine, summary)
     summary.new_episodes = len(episodes)
-    summary.backend_calls = engine.call_count
+    summary.backend_calls = engine.recomposer_calls + engine.decomposer_calls
 
     order = {q.id: i for i, q in enumerate(questions)}
     episodes.sort(key=lambda ep: order[ep.id])

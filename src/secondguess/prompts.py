@@ -11,34 +11,38 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-DIRECT_QA_TEMPLATE = "Question: {question} Short Answer:"
-
-DECOMPOSE_DEFAULT_TEMPLATE = (
-    "Reasoning Question: is the banana ripe enough to eat? "
-    "Perception Question: is the banana yellow?\n"
-    "Reasoning Question: is it cold outside? "
-    "Perception Question: are any people wearing jackets?\n"
-    "Reasoning Question: {question} Perception Question:"
-)
-
-DECOMPOSE_GALACTICA_TEMPLATE = (
-    "Below is an instruction that describes a task. "
-    "Write a response that appropriately completes the request.\n\n"
-    "### Instruction:\n"
-    "Write a simpler perception question that can help to answer: {question}\n\n"
-    "### Response:"
-)
-
 RECOMPOSE_EXEMPLAR = (
     "Context: is the sky blue? no. are there clouds in the sky? yes. "
     "Question: what weather is likely? Short answer: rain"
 )
 
-PROMPT_KINDS = (
-    "direct_qa",
-    "decompose_default",
-    "decompose_galactica_instruct",
-    "recompose",
+# Every prompt kind and its template; the golden files under prompts/ hold
+# the same bytes. The recompose template shows one sub-QA; render_recompose
+# fills its context slot with any number of them.
+TEMPLATES = {
+    "direct_qa": "Question: {question} Short Answer:",
+    "decompose_default": (
+        "Reasoning Question: is the banana ripe enough to eat? "
+        "Perception Question: is the banana yellow?\n"
+        "Reasoning Question: is it cold outside? "
+        "Perception Question: are any people wearing jackets?\n"
+        "Reasoning Question: {question} Perception Question:"
+    ),
+    "decompose_galactica_instruct": (
+        "Below is an instruction that describes a task. "
+        "Write a response that appropriately completes the request.\n\n"
+        "### Instruction:\n"
+        "Write a simpler perception question that can help to answer: {question}\n\n"
+        "### Response:"
+    ),
+    "recompose": RECOMPOSE_EXEMPLAR
+    + "Context: {subquestion}? {subanswer}. Question: {question}? Short answer:",
+}
+
+DECOMPOSE_STYLES = tuple(kind for kind in TEMPLATES if kind.startswith("decompose_"))
+
+_RECOMPOSE_HEAD, _RECOMPOSE_TAIL = TEMPLATES["recompose"].split(
+    "{subquestion}? {subanswer}."
 )
 
 
@@ -66,17 +70,15 @@ class DecompositionContext:
 def render_direct_qa(question: str) -> str:
     if not question:
         raise ValueError("question must be non-empty")
-    return DIRECT_QA_TEMPLATE.replace("{question}", question)
+    return TEMPLATES["direct_qa"].replace("{question}", question)
 
 
 def render_decompose(question: str, style: str = "decompose_default") -> str:
     if not question:
         raise ValueError("question must be non-empty")
-    if style == "decompose_default":
-        return DECOMPOSE_DEFAULT_TEMPLATE.replace("{question}", question)
-    if style == "decompose_galactica_instruct":
-        return DECOMPOSE_GALACTICA_TEMPLATE.replace("{question}", question)
-    raise ValueError(f"not a decompose prompt kind: {style!r}")
+    if style not in DECOMPOSE_STYLES:
+        raise ValueError(f"not a decompose prompt kind: {style!r}")
+    return TEMPLATES[style].replace("{question}", question)
 
 
 def _strip_one_question_mark(text: str) -> str:
@@ -95,10 +97,9 @@ def render_recompose(question: str, ctx: DecompositionContext) -> str:
             segment += f" {qa.answer}."
         segments.append(segment)
     return (
-        RECOMPOSE_EXEMPLAR
-        + "Context: "
+        _RECOMPOSE_HEAD
         + " ".join(segments)
-        + f" Question: {_strip_one_question_mark(question)}? Short answer:"
+        + _RECOMPOSE_TAIL.replace("{question}", _strip_one_question_mark(question))
     )
 
 
@@ -124,18 +125,3 @@ def perturb_scramble(ctx: DecompositionContext, seed: int) -> DecompositionConte
     random.Random(seed).shuffle(tokens)
     return DecompositionContext([SubQA(question=" ".join(tokens), answer=None)])
 
-
-def template_for(kind: str) -> str:
-    if kind == "direct_qa":
-        return DIRECT_QA_TEMPLATE
-    if kind == "decompose_default":
-        return DECOMPOSE_DEFAULT_TEMPLATE
-    if kind == "decompose_galactica_instruct":
-        return DECOMPOSE_GALACTICA_TEMPLATE
-    if kind == "recompose":
-        return (
-            RECOMPOSE_EXEMPLAR
-            + "Context: {subquestion}? {subanswer}. "
-            + "Question: {question}? Short answer:"
-        )
-    raise ValueError(f"unknown prompt kind: {kind!r}")

@@ -133,12 +133,6 @@ def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
     )
 
 
-def predicted_optimal_tau(cfg: SimConfig, taus: Sequence[float]) -> tuple:
-    """(tau, accuracy) maximizing simulated accuracy over the grid."""
-    curve = simulate(cfg, taus)
-    return curve.optimal_tau, curve.optimal_accuracy
-
-
 def trials_to_episodes(trials: SimTrials) -> List[dict]:
     """Express the synthetic population as a decompose-all episode log so
     the evaluation module can replay the gate independently."""

@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import pytest
 
-from secondguess.backend import MockBackend, MockEntry
+from secondguess.backend import (
+    DEFAULT_RETRY_ATTEMPTS,
+    Backend,
+    BackendRole,
+    InferenceRequest,
+    InferenceResult,
+    MockBackend,
+    MockEntry,
+    TransportError,
+    _with_retries,
+)
 from secondguess.dataset import VisualQuestion
 
 
@@ -78,6 +88,28 @@ def spec_entries(specs: Sequence[QSpec]) -> List[MockEntry]:
             )
         )
     return entries
+
+
+@dataclass
+class FlakyBackend:
+    """Fails with transport errors a fixed number of times per request
+    before delegating, so retry behavior is exercised without a server."""
+
+    inner: Backend
+    failures_before_success: int
+    attempts: int = DEFAULT_RETRY_ATTEMPTS
+    base_delay: float = 0.0
+    _failed: dict = field(default_factory=dict)
+
+    def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
+        def attempt() -> InferenceResult:
+            seen = self._failed.get(request.request_id, 0)
+            if seen < self.failures_before_success:
+                self._failed[request.request_id] = seen + 1
+                raise TransportError("injected transport fault")
+            return self.inner.complete(request, role)
+
+        return _with_retries(attempt, self.attempts, self.base_delay, lambda _: None)
 
 
 def spec_backend(specs: Sequence[QSpec]) -> MockBackend:

@@ -102,9 +102,9 @@ def synthetic_log(rng, n):
 @criterion(1, "prompt templates match golden fixtures byte-for-byte")
 def test_c01_prompt_goldens():
     start = time.perf_counter()
-    for kind in prompts.PROMPT_KINDS:
+    for kind, template in prompts.TEMPLATES.items():
         golden = (GOLDEN_DIR / f"{kind}.txt").read_bytes()
-        assert prompts.template_for(kind).encode("utf-8") == golden, kind
+        assert template.encode("utf-8") == golden, kind
     assert time.perf_counter() - start < 1.0
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FlakyBackend
 from secondguess.backend import (
     BackendRole,
-    FlakyBackend,
     HTTPBackend,
     InferenceRequest,
     InferenceResult,

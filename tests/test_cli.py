@@ -378,3 +378,126 @@ def test_retry_budget_env_override(runner, workspace, monkeypatch):
     )
     assert result.exit_code == 2
     assert "SECONDGUESS_RETRY_BUDGET" in result.output + result.stderr
+
+
+def test_config_file_out_and_values_apply(runner, workspace, monkeypatch):
+    tmp, data, script = workspace
+    monkeypatch.chdir(tmp)
+    config = tmp / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "dataset": str(data),
+                "mock_script": str(script),
+                "mode": "selective",
+                "tau": 1,  # an int is a valid float
+                "out": str(tmp / "cfgout"),
+            }
+        )
+    )
+    result = run_cli(runner, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert (tmp / "cfgout" / "episodes.jsonl").exists()
+    assert not (tmp / "out").exists()
+    assert json.loads((tmp / "cfgout" / "metrics.json").read_text())["tau"] == 1.0
+    # Flags win over the file.
+    result = run_cli(
+        runner, ["run", "--config", str(config), "--out", str(tmp / "flagout")]
+    )
+    assert result.exit_code == 0, result.output
+    assert (tmp / "flagout" / "episodes.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"seed": "abc"},
+        {"tau": "0.3", "mode": "selective"},
+        {"retry_budget": "x"},
+        {"decomposer_prompt_style": "bogus"},
+        {"concurrency": True},
+        {"mode": "bogus"},
+    ],
+    ids=["seed", "tau", "retry_budget", "prompt_style", "bool_int", "mode"],
+)
+def test_config_value_type_exits_2(runner, workspace, bad):
+    tmp, data, script = workspace
+    out = tmp / "out"
+    config = tmp / "config.json"
+    base = {
+        "dataset": str(data),
+        "mock_script": str(script),
+        "mode": "decompose_all",
+        "out": str(out),
+    }
+    config.write_text(json.dumps({**base, **bad}))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    key = next(iter(bad))
+    assert key in result.output + result.stderr
+    assert not out.exists()  # rejected before any backend call
+
+
+def test_run_oracle_mode_without_subqas_exits_3(runner, workspace):
+    tmp, data, script = workspace
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--mode", "oracle_oracle",
+            "--dataset", str(data),
+            "--mock-script", str(script),
+            "--out", str(tmp / "out"),
+        ],
+    )
+    assert result.exit_code == 3
+    assert "sub_qas" in result.output + result.stderr
+
+
+def test_metrics_malformed_dataset_exits_3(runner, workspace):
+    tmp, data, script = workspace
+    out = tmp / "out"
+    run_cli(
+        runner,
+        [
+            "run",
+            "--dataset", str(data),
+            "--mock-script", str(script),
+            "--mode", "direct",
+            "--out", str(out),
+        ],
+    )
+    bad = tmp / "bad.jsonl"
+    bad.write_text("5\n")
+    result = runner.invoke(
+        main,
+        ["metrics", "--log", str(out / "episodes.jsonl"), "--dataset", str(bad),
+         "--out", str(tmp / "recount")],
+    )
+    assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("grid", ["0.5,1.5", "-0.1,0.5", "0.5,nan"])
+def test_simulate_tau_grid_out_of_range_exits_2(runner, tmp_path, grid):
+    result = runner.invoke(
+        main,
+        ["simulate", "--acc", "0.8", "--ecr", "0.1", "--eic", "0.1",
+         "--trials", "100", "--tau-grid", grid, "--out", str(tmp_path / "sim")],
+    )
+    assert result.exit_code == 2
+    assert "tau-grid" in result.output + result.stderr
+
+
+@pytest.mark.parametrize("content", [None, "{not json\n"], ids=["missing", "malformed"])
+def test_run_bad_mock_script_exits_2(runner, workspace, content):
+    tmp, data, _ = workspace
+    script = tmp / "bad_script.jsonl"
+    if content is not None:
+        script.write_text(content)
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script),
+         "--out", str(tmp / "out")],
+    )
+    assert result.exit_code == 2
+    assert "mock script" in result.output + result.stderr

@@ -52,6 +52,25 @@ def test_empty_answers_rejected(tmp_path):
         dataset.load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        {**GOOD, "id": "q2", "answers": "yes"},
+        5,
+        ["q2", "img.jpg"],
+        {**GOOD, "id": "q2", "sub_qas": [["is it wet"]]},
+        {**GOOD, "id": "q2", "sub_qas": "is it wet"},
+        {**GOOD, "id": "q2", "question": 7},
+    ],
+    ids=["answers_string", "number", "array", "short_sub_qa", "sub_qas_string", "question_number"],
+)
+def test_malformed_record_names_line(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [GOOD, line])
+    with pytest.raises(DatasetError, match=":2"):
+        dataset.load_dataset(path)
+
+
 def test_boolean_qtype_requires_yes_no():
     with pytest.raises(DatasetError):
         VisualQuestion(

@@ -19,10 +19,10 @@ from secondguess.prompts import (
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "prompts"
 
 
-@pytest.mark.parametrize("kind", prompts.PROMPT_KINDS)
+@pytest.mark.parametrize("kind", prompts.TEMPLATES)
 def test_templates_match_golden_files(kind):
     golden = (GOLDEN_DIR / f"{kind}.txt").read_bytes().decode("utf-8")
-    assert prompts.template_for(kind) == golden
+    assert prompts.TEMPLATES[kind] == golden
 
 
 def test_render_direct_qa():

@@ -6,7 +6,6 @@ from secondguess.simulator import (
     accuracy_at_tau,
     closed_form_decompose_all,
     generate_trials,
-    predicted_optimal_tau,
     simulate,
     trials_to_episodes,
 )
@@ -55,9 +54,9 @@ def test_eta_monotone_in_tau():
 
 def test_optimal_tau_zero_when_decomposition_only_hurts():
     cfg = SimConfig(0.7, 0.0, 0.3, trials=50_000, seed=1)
-    tau, acc = predicted_optimal_tau(cfg, TAU_GRID)
-    assert tau == 0.0
-    assert acc == cfg.base_accuracy
+    curve = simulate(cfg, TAU_GRID)
+    assert curve.optimal_tau == 0.0
+    assert curve.optimal_accuracy == cfg.base_accuracy
 
 
 def test_full_gate_optimal_when_decomposition_only_helps():
@@ -98,9 +97,9 @@ def test_rise_then_fall_with_separated_calibration():
 
 def test_tie_breaks_toward_smaller_tau():
     cfg = SimConfig(1.0, 0.0, 0.0, trials=1_000, seed=0)  # flat curve at 1.0
-    tau, acc = predicted_optimal_tau(cfg, TAU_GRID)
-    assert tau == 0.0
-    assert acc == 1.0
+    curve = simulate(cfg, TAU_GRID)
+    assert curve.optimal_tau == 0.0
+    assert curve.optimal_accuracy == 1.0
 
 
 def test_sweep_cross_validation_exact():
