@@ -1,8 +1,9 @@
 """Command-line entry point wiring datasets, backends, pipeline, metrics,
 and simulator into reproducible runs.
 
-Exit codes: 0 success, 2 config validation, 3 dataset error, 4 irrecoverable
-backend error. All outputs go under --out; every run directory gets a
+Exit codes: 0 success, 1 completed with failed episodes (no metrics.json if
+all failed), 2 config validation, 3 dataset error, 4 irrecoverable backend
+error. All outputs go under --out; every run directory gets a
 manifest recording the resolved config, its hash, the seed, and timestamps.
 """
 
@@ -61,6 +62,19 @@ DEFAULT_PERCENTILES = [float(p) for p in range(0, 101, 5)]
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _numbers(text: Optional[str], name: str, high: float, default: list) -> list:
+    """Comma-separated numbers, each in [0, high], or exit 2; default if unset."""
+    if not text:
+        return default
+    try:
+        values = [float(v) for v in text.split(",")]
+        if not all(0.0 <= v <= high for v in values):
+            raise ValueError
+    except ValueError:
+        _fail(EXIT_CONFIG, f"{name} must be comma-separated numbers in [0, {high:g}]")
+    return values
 
 
 def _run_options(command: str):
@@ -202,15 +216,20 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
     episodes_path = out_dir / "episodes.jsonl"
     try:
         summary = pipeline.run_batch(questions, pcfg, engine, episodes_path)
+        episodes = pipeline.read_episode_log(episodes_path)
     except BackendError as exc:
         _fail(EXIT_BACKEND, str(exc))
-    episodes = pipeline.read_episode_log(episodes_path)
-    qtype_map = {q.id: q.qtype for q in questions}
-    report = evaluation.compute_report(
-        episodes, tau=summary.resolved_tau, qtype_map=qtype_map
-    )
-    _write_json(out_dir / "metrics.json", {**asdict(report), **(report_extra or {})})
+    except DatasetError as exc:
+        _fail(EXIT_DATASET, str(exc))
     _write_manifest(out_dir, cfg, started, asdict(summary))
+    qtype_map = {q.id: q.qtype for q in questions}
+    try:
+        report = evaluation.compute_report(
+            episodes, tau=summary.resolved_tau, qtype_map=qtype_map
+        )
+    except ValueError as exc:  # every episode failed
+        _fail(1, str(exc))
+    _write_json(out_dir / "metrics.json", {**asdict(report), **(report_extra or {})})
     click.echo(
         f"run complete: {summary.episodes} episodes "
         f"({summary.failures} failures) -> {episodes_path}"
@@ -235,31 +254,28 @@ def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
     If --log is not given, a decompose-all run is executed first using the
     provided config; the sweep itself issues no model calls.
     """
+    grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
     cfg = _load_config(config_path, flags)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    code = 0
     if log_path is None:
         cfg["mode"] = "decompose_all"
         cfg.pop("tau", None)
         cfg.pop("tau_percentile", None)
-        _execute_run(cfg)
+        code = _execute_run(cfg)
         log_path = out_dir / "episodes.jsonl"
     if not Path(log_path).exists():
         _fail(EXIT_DATASET, f"episode log not found: {log_path}")
-    grid = DEFAULT_PERCENTILES
-    if percentiles:
-        try:
-            grid = [float(p) for p in percentiles.split(",")]
-        except ValueError:
-            _fail(EXIT_CONFIG, "percentiles must be comma-separated numbers")
-    episodes = pipeline.read_episode_log(log_path)
     try:
+        episodes = pipeline.read_episode_log(log_path)
         points = evaluation.sweep(episodes, grid)
-    except ValueError as exc:
+    except (DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
     csv_path = out_dir / "sweep.csv"
     evaluation.write_sweep_csv(points, csv_path)
     click.echo(f"wrote {len(points)} sweep points -> {csv_path}")
+    sys.exit(code)
 
 
 @main.command("oracle")
@@ -328,14 +344,7 @@ def cmd_stats(dataset_path) -> None:
 @click.option("--out", type=click.Path(), default="out")
 def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     """Simulate the accuracy-vs-threshold curve and write the sweep CSV."""
-    taus = [i / 20 for i in range(21)]
-    if tau_grid:
-        try:
-            taus = [float(t) for t in tau_grid.split(",")]
-            if not all(0.0 <= t <= 1.0 for t in taus):
-                raise ValueError
-        except ValueError:
-            _fail(EXIT_CONFIG, "tau-grid must be comma-separated numbers in [0, 1]")
+    taus = _numbers(tau_grid, "tau-grid", 1.0, [i / 20 for i in range(21)])
     try:
         cfg = simulator.SimConfig(
             base_accuracy=acc, e_cr=ecr, e_ic=eic, trials=trials, seed=seed
@@ -371,13 +380,15 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
 @click.option("--out", type=click.Path(), default="out")
 def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     """Recompute the metrics report (and sweep CSV) from an episode log."""
-    episodes = pipeline.read_episode_log(log_path)
+    if tau is not None and not 0.0 <= tau <= 1.0:
+        _fail(EXIT_CONFIG, "tau must be in [0, 1]")
     qtype_map = None
     if dataset_path:
         qtype_map = {q.id: q.qtype for q in _load_questions(dataset_path)}
     try:
+        episodes = pipeline.read_episode_log(log_path)
         report = evaluation.compute_report(episodes, tau=tau, qtype_map=qtype_map)
-    except ValueError as exc:
+    except (DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

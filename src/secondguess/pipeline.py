@@ -1,10 +1,14 @@
-"""Two-step selective-decomposition orchestration over a question stream.
+"""Selective decomposition over a question stream: one chain per question.
 
-Per question: solicit an initial answer with its confidence; if the
-confidence is at or below the threshold, generate a subquestion, answer it,
-and re-answer the main question with the answered subquestion as context.
-Oracle modes replace the generated decomposition with human-written sub-QAs
-(optionally perturbed). Every question yields one auditable EpisodeRecord.
+Every mode runs the same chain. Phase 1 asks every question for an initial
+answer and its confidence. Phase 2 gates each answer and, if it is
+second-guessed, builds a decomposition and re-answers the question with it
+as context. The modes differ only in the gate and in where the sub-QAs come
+from: ``direct`` keeps every answer; ``decompose_all`` and ``selective``
+(confidence at or below tau) use a model-written subquestion answered by the
+model; the oracle modes second-guess every question with its human-written
+sub-QAs, as given, stripped, scrambled or self-answered. Every question
+yields one auditable EpisodeRecord.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .backend import (
     confidence_of,
     default_params,
 )
-from .dataset import VisualQuestion
+from .dataset import DatasetError, VisualQuestion
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -196,20 +200,6 @@ def _correct(outcome: AnswerOutcome, question: VisualQuestion, scoring: str) -> 
     return evaluation.is_match(outcome.text, list(question.answers), scoring=scoring)
 
 
-def _kept_episode(
-    question: VisualQuestion, initial: AnswerOutcome, scoring: str
-) -> EpisodeRecord:
-    correct = _correct(initial, question, scoring)
-    return EpisodeRecord(
-        id=question.id,
-        initial=initial,
-        final=initial,
-        correct_before=correct,
-        correct_after=correct,
-        retries=initial.retries,
-    )
-
-
 def _failed_episode(question: VisualQuestion) -> EpisodeRecord:
     empty = AnswerOutcome(text="", confidence=0.0)
     return EpisodeRecord(
@@ -222,85 +212,70 @@ def _failed_episode(question: VisualQuestion) -> EpisodeRecord:
     )
 
 
-def _second_guess_generated(
-    engine: Engine, question: VisualQuestion, initial: AnswerOutcome, scoring: str
-) -> EpisodeRecord:
-    subq, malformed, subq_retries = engine.generate_subquestion(question)
-    retries = initial.retries + subq_retries
-    if subq.strip():
-        sub_outcome = engine.answer(question, "suba0", prompts.render_direct_qa(subq))
-        retries += sub_outcome.retries
-        ctx = DecompositionContext([SubQA(subq, sub_outcome.text)])
-        subanswer: Optional[str] = sub_outcome.text
-    else:
-        # Degenerate generation: skip sub-answering, recompose answerless.
+def _self_answer(engine: Engine, question: VisualQuestion, ctx: DecompositionContext):
+    """Answer each subquestion with the recomposer (stage suba<i>).
+    Returns (answered ctx, retries)."""
+    answered, retries = [], 0
+    for index, qa in enumerate(ctx.sub_qas):
+        outcome = engine.answer(
+            question, f"suba{index}", prompts.render_direct_qa(qa.question)
+        )
+        retries += outcome.retries
+        answered.append(SubQA(qa.question, outcome.text))
+    return DecompositionContext(answered), retries
+
+
+def _context(engine: Engine, question: VisualQuestion, cfg: PipelineConfig):
+    """(ctx, provenance, malformed, retries) to recompose the question from."""
+    if cfg.mode not in ORACLE_MODES:
+        subq, malformed, retries = engine.generate_subquestion(question)
         ctx = DecompositionContext([SubQA(subq, None)])
-        subanswer = None
-    final = engine.answer(
-        question, "recompose", prompts.render_recompose(question.question, ctx)
-    )
-    retries += final.retries
-    return EpisodeRecord(
-        id=question.id,
-        initial=initial,
-        gate="second_guessed",
-        subquestion=subq,
-        subanswer=subanswer,
-        subanswer_provenance="model" if subanswer is not None else None,
-        final=final,
-        correct_before=_correct(initial, question, scoring),
-        correct_after=_correct(final, question, scoring),
-        malformed_subquestion=malformed,
-        retries=retries,
-    )
-
-
-def _oracle_context(
-    engine: Engine,
-    question: VisualQuestion,
-    mode: str,
-    seed: int,
-):
-    """Build the decomposition context for one oracle condition.
-
-    Returns (ctx, provenance, extra retries).
-    """
-    assert question.oracle_sub_qas
+        if not subq.strip():
+            # Degenerate generation: skip sub-answering, recompose answerless.
+            return ctx, None, malformed, retries
+        ctx, suba_retries = _self_answer(engine, question, ctx)
+        return ctx, "model", malformed, retries + suba_retries
     ctx = DecompositionContext(list(question.oracle_sub_qas))
-    retries = 0
-    if mode == "oracle_oracle":
-        return ctx, "oracle", retries
-    if mode == "oracle_no_answer":
-        return prompts.perturb_strip_answers(ctx), "oracle", retries
-    if mode == "oracle_scrambled":
-        scrambled = prompts.perturb_scramble(ctx, _scramble_seed(seed, question.id))
-        return scrambled, "oracle", retries
-    if mode == "oracle_self_answer":
-        answered = []
-        for index, qa in enumerate(ctx.sub_qas):
-            outcome = engine.answer(
-                question, f"suba{index}", prompts.render_direct_qa(qa.question)
-            )
-            retries += outcome.retries
-            answered.append(SubQA(qa.question, outcome.text))
-        return DecompositionContext(answered), "model", retries
-    raise ConfigError(f"not an oracle mode: {mode!r}")
+    if cfg.mode == "oracle_self_answer":
+        ctx, retries = _self_answer(engine, question, ctx)
+        return ctx, "model", False, retries
+    if cfg.mode == "oracle_no_answer":
+        ctx = prompts.perturb_strip_answers(ctx)
+    elif cfg.mode == "oracle_scrambled":
+        ctx = prompts.perturb_scramble(ctx, _scramble_seed(cfg.seed, question.id))
+    return ctx, "oracle", False, 0
 
 
-def _oracle_episode(
+def _episode(
     engine: Engine,
     question: VisualQuestion,
-    mode: str,
-    seed: int,
-    scoring: str,
+    initial: Optional[AnswerOutcome],
+    cfg: PipelineConfig,
+    tau: Optional[float],
 ) -> EpisodeRecord:
-    initial = engine.answer(
-        question, "initial", prompts.render_direct_qa(question.question)
-    )
-    ctx, provenance, retries = _oracle_context(engine, question, mode, seed)
-    final = engine.answer(
-        question, "recompose", prompts.render_recompose(question.question, ctx)
-    )
+    """Gate one initial answer and second-guess it if needed. A backend
+    failure anywhere in the question's chain yields a failed record."""
+    if initial is None:
+        return _failed_episode(question)
+    correct_before = _correct(initial, question, cfg.scoring)
+    # Gate: keep iff strictly above tau; ties are second-guessed. Oracle
+    # modes have no tau and second-guess every question.
+    if cfg.mode == "direct" or (tau is not None and initial.confidence > tau):
+        return EpisodeRecord(
+            id=question.id,
+            initial=initial,
+            final=initial,
+            correct_before=correct_before,
+            correct_after=correct_before,
+            retries=initial.retries,
+        )
+    try:
+        ctx, provenance, malformed, retries = _context(engine, question, cfg)
+        final = engine.answer(
+            question, "recompose", prompts.render_recompose(question.question, ctx)
+        )
+    except BackendError:
+        return _failed_episode(question)
     answers = [qa.answer for qa in ctx.sub_qas]
     return EpisodeRecord(
         id=question.id,
@@ -312,8 +287,9 @@ def _oracle_episode(
         else " | ".join(a or "" for a in answers),
         subanswer_provenance=provenance,
         final=final,
-        correct_before=_correct(initial, question, scoring),
-        correct_after=_correct(final, question, scoring),
+        correct_before=correct_before,
+        correct_after=_correct(final, question, cfg.scoring),
+        malformed_subquestion=malformed,
         retries=initial.retries + retries + final.retries,
     )
 
@@ -337,60 +313,34 @@ def run(
     dataset/config problems abort the run.
     """
     summary = summary if summary is not None else RunSummary()
-
     if cfg.mode in ORACLE_MODES:
-        usable = []
-        for q in questions:
-            if q.oracle_sub_qas:
-                usable.append(q)
-            else:
-                summary.skipped_missing_oracle += 1
+        usable = [q for q in questions if q.oracle_sub_qas]
+        summary.skipped_missing_oracle += len(questions) - len(usable)
+        questions = usable
 
-        def oracle_one(q: VisualQuestion) -> EpisodeRecord:
-            try:
-                return _oracle_episode(engine, q, cfg.mode, cfg.seed, cfg.scoring)
-            except BackendError:
-                return _failed_episode(q)
+    # Phase 1: initial answers for everyone.
+    def initial_one(q: VisualQuestion) -> Optional[AnswerOutcome]:
+        try:
+            return engine.answer(q, "initial", prompts.render_direct_qa(q.question))
+        except BackendError:
+            return None
 
-        episodes = _map_concurrent(oracle_one, usable, cfg.concurrency)
-    else:
-        # Phase 1: initial answers for everyone.
-        def initial_one(q: VisualQuestion):
-            try:
-                return engine.answer(q, "initial", prompts.render_direct_qa(q.question))
-            except BackendError:
-                return None
+    initials = _map_concurrent(initial_one, list(questions), cfg.concurrency)
 
-        initials = _map_concurrent(initial_one, list(questions), cfg.concurrency)
+    tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
+    if cfg.tau_percentile is not None:
+        confidences = [o.confidence for o in initials if o is not None]
+        if not confidences:
+            raise ConfigError("no successful initial answers to resolve percentile")
+        tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
+    summary.resolved_tau = tau
 
-        if cfg.mode == "direct":
-            tau: Optional[float] = None
-        elif cfg.mode == "decompose_all":
-            tau = 1.0
-        elif cfg.tau is not None:
-            tau = cfg.tau
-        else:
-            confidences = [o.confidence for o in initials if o is not None]
-            if not confidences:
-                raise ConfigError("no successful initial answers to resolve percentile")
-            tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-        summary.resolved_tau = tau
-
-        def second_one(pair) -> EpisodeRecord:
-            q, initial = pair
-            if initial is None:
-                return _failed_episode(q)
-            # Gate: keep iff strictly above tau; ties are second-guessed.
-            if cfg.mode == "direct" or initial.confidence > tau:
-                return _kept_episode(q, initial, cfg.scoring)
-            try:
-                return _second_guess_generated(engine, q, initial, cfg.scoring)
-            except BackendError:
-                return _failed_episode(q)
-
-        episodes = _map_concurrent(
-            second_one, list(zip(questions, initials)), cfg.concurrency
-        )
+    # Phase 2: gate, decompose and recompose.
+    episodes = _map_concurrent(
+        lambda pair: _episode(engine, pair[0], pair[1], cfg, tau),
+        list(zip(questions, initials)),
+        cfg.concurrency,
+    )
 
     summary.episodes += len(episodes)
     summary.failures += sum(1 for ep in episodes if ep.failed)
@@ -398,12 +348,20 @@ def run(
 
 
 def read_episode_log(path) -> List[dict]:
+    """The episodes of a JSONL log; a line that is no JSON object raises
+    DatasetError naming ``path:line``."""
     episodes = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                episodes.append(json.loads(line))
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                episode = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(episode, dict):
+                raise DatasetError(f"{path}:{lineno}: expected a JSON object")
+            episodes.append(episode)
     return episodes
 
 

@@ -501,3 +501,92 @@ def test_run_bad_mock_script_exits_2(runner, workspace, content):
     )
     assert result.exit_code == 2
     assert "mock script" in result.output + result.stderr
+
+
+def test_run_all_failed_exits_1_without_metrics(runner, workspace):
+    tmp, data, _ = workspace
+    script = tmp / "nomatch.jsonl"
+    script.write_text(
+        json.dumps(
+            {
+                "match": {"prompt_contains": "no prompt holds this", "role": "recomposer"},
+                "response": {"text": "yes", "token_logprobs": [-0.1]},
+            }
+        )
+        + "\n"
+    )
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script),
+         "--mode", "direct", "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert "error: no scorable episodes" in result.output + result.stderr
+    assert (out / "manifest.json").exists()
+    assert not (out / "metrics.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["failures"] == 8
+
+
+def test_sweep_run_keeps_exit_code(runner, tmp_path):
+    specs = FOUR_EPISODE_SPECS[:2]
+    data = tmp_path / "dataset.jsonl"
+    dataset.save_dataset(spec_questions(specs), data)
+    script = tmp_path / "script.jsonl"
+    write_script(specs[:1], script)  # the second question's chain fails
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["sweep", "--dataset", str(data), "--mock-script", str(script),
+         "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert (out / "sweep.csv").exists()
+
+
+def write_malformed_log(tmp):
+    log = tmp / "torn.jsonl"
+    log.write_text('{"id": "q1"}\n{"id": "x"\n')
+    return log
+
+
+@pytest.mark.parametrize("command", ["metrics", "sweep", "run"])
+def test_malformed_episode_log_exits_3(runner, workspace, command):
+    tmp, data, script = workspace
+    log = write_malformed_log(tmp)
+    out = tmp / "out"
+    if command == "run":
+        out.mkdir()
+        log = log.rename(out / "episodes.jsonl")
+        args = ["run", "--dataset", str(data), "--mock-script", str(script),
+                "--mode", "direct"]
+    else:
+        args = [command, "--log", str(log)]
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert errors == [errors[0]] and errors[0].startswith("error: ")
+    assert f"{log}:2" in errors[0]
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["metrics", "--tau", "1.5"],
+        ["metrics", "--tau", "-0.5"],
+        ["metrics", "--tau", "nan"],
+        ["sweep", "--percentiles", "150"],
+        ["sweep", "--percentiles", "10,-1"],
+        ["sweep", "--percentiles", "50,nan"],
+    ],
+    ids=["tau_high", "tau_negative", "tau_nan", "pct_high", "pct_negative", "pct_nan"],
+)
+def test_flag_out_of_range_exits_2(runner, tmp_path, flags):
+    # A malformed log would exit 3, so exit 2 shows the flag is checked first.
+    log = write_malformed_log(tmp_path)
+    out = tmp_path / "out"
+    result = runner.invoke(main, flags + ["--log", str(log), "--out", str(out)])
+    assert result.exit_code == 2
+    assert flags[1].lstrip("-") in result.output + result.stderr
+    assert not (out / "metrics.json").exists()

@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from conftest import FOUR_EPISODE_SPECS, QSpec, spec_backend, spec_questions
+from conftest import FOUR_EPISODE_SPECS, FlakyBackend, QSpec, spec_backend, spec_questions
 from secondguess import evaluation, pipeline
-from secondguess.backend import MockEntry
+from secondguess.backend import MockBackend, MockEntry
 from secondguess.dataset import VisualQuestion
 from secondguess.pipeline import ConfigError, Engine, PipelineConfig
 from secondguess.prompts import SubQA
@@ -344,3 +345,74 @@ def test_episode_schema_field_order():
         "retries",
     ]
     assert list(obj["initial"]) == ["text", "confidence"]
+
+
+CHAIN_SPECS = [
+    QSpec("q1", "is the sky blue?", "yes", "yes", 0.9, final_text="yes"),
+    QSpec("q2", "is it raining?", "no", "yes", 0.2, final_text="no"),
+    QSpec("q3", "is the cat asleep?", "yes", "yes", 0.7, final_text="yes"),
+    QSpec("q4", "is the door open?", "no", "no", 0.4, final_text="no"),
+]
+CHAIN_TAU = 0.5
+
+
+def chain_fixture(drop_recompose_of=None):
+    """Questions with two oracle sub-QAs each, and a mock whose recompose
+    entry for a question matches only that question's recompose prompt."""
+    questions, entries = [], []
+    for spec, q in zip(CHAIN_SPECS, spec_questions(CHAIN_SPECS)):
+        sub_qas = (SubQA(f"is {q.id} near", "yes"), SubQA(f"is {q.id} far", "no"))
+        questions.append(replace(q, oracle_sub_qas=sub_qas))
+        if q.id != drop_recompose_of:
+            entries.append(
+                MockEntry(f"Question: {q.question} Short answer:", "recomposer",
+                          spec.final_text, (-0.2,))
+            )
+        entries.append(
+            MockEntry(f"Question: {q.question} Short Answer:", "recomposer",
+                      spec.initial_text, (math.log(spec.initial_conf),))
+        )
+    entries.append(MockEntry("Short Answer:", "recomposer", "yes", (-0.3,)))
+    entries.append(MockEntry("Perception Question:", "decomposer", "is it lit?", (-0.4,)))
+    return questions, MockBackend(entries)
+
+
+def expected_chain(mode, spec):
+    if mode == "direct" or (mode == "selective" and spec.initial_conf > CHAIN_TAU):
+        return ["initial"]
+    if mode == "oracle_self_answer":
+        return ["initial", "suba0", "suba1", "recompose"]
+    if mode in pipeline.ORACLE_MODES:
+        return ["initial", "recompose"]
+    return ["initial", "subq", "suba0", "recompose"]
+
+
+def run_chain(mode, concurrency, drop_recompose_of=None):
+    questions, mock = chain_fixture(drop_recompose_of)
+    # Every request fails once with a transport error before it succeeds.
+    flaky = FlakyBackend(mock, failures_before_success=1)
+    threshold = {"tau": CHAIN_TAU} if mode == "selective" else {}
+    cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
+    engine = Engine(recomposer=flaky, decomposer=flaky)
+    return pipeline.run(questions, cfg, engine), mock
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_every_mode_runs_one_chain(mode, concurrency):
+    chains = {spec.qid: expected_chain(mode, spec) for spec in CHAIN_SPECS}
+    episodes, mock = run_chain(mode, concurrency)
+    stages = {qid: [] for qid in chains}
+    for request_id, _, _ in mock.call_log:
+        qid, stage = request_id.split("#")
+        stages[qid].append(stage)
+    assert stages == chains
+    assert not any(ep.failed for ep in episodes)
+    # One injected retry per call: an episode's retries count its calls.
+    assert {ep.id: ep.retries for ep in episodes} == {
+        qid: len(chain) for qid, chain in chains.items()
+    }
+
+    episodes, _ = run_chain(mode, concurrency, drop_recompose_of="q2")
+    failed = {ep.id for ep in episodes if ep.failed}
+    assert failed == ({"q2"} if "recompose" in chains["q2"] else set())
