@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Protocol, Sequence
@@ -228,16 +227,12 @@ class MockBackend:
 
     The script is a JSONL file of {"match": {"prompt_contains", "role"},
     "response": {"text", "token_logprobs"}} entries, applied
-    first-match-wins in file order. The backend is thread-safe and tracks
-    the peak number of in-flight requests for concurrency assertions.
+    first-match-wins in file order. ``complete`` only reads the entries, so
+    concurrent calls need no lock.
     """
 
     def __init__(self, entries: Sequence[MockEntry]) -> None:
         self.entries = list(entries)
-        self._lock = threading.Lock()
-        self._in_flight = 0
-        self.max_in_flight = 0
-        self.call_log: list = []  # (request_id, role, prompt)
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
@@ -266,24 +261,16 @@ class MockBackend:
         return cls(entries)
 
     def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
-        with self._lock:
-            self._in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self._in_flight)
-            self.call_log.append((request.request_id, role.role, request.prompt))
-        try:
-            for entry in self.entries:
-                if entry.role == role.role and entry.prompt_contains in request.prompt:
-                    return InferenceResult.from_payload(
-                        {
-                            "text": entry.text,
-                            "token_logprobs": list(entry.token_logprobs),
-                            "cumulative_logprob": sum(entry.token_logprobs),
-                        }
-                    )
-            raise ScriptMissError(
-                f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
-            )
-        finally:
-            with self._lock:
-                self._in_flight -= 1
+        for entry in self.entries:
+            if entry.role == role.role and entry.prompt_contains in request.prompt:
+                return InferenceResult.from_payload(
+                    {
+                        "text": entry.text,
+                        "token_logprobs": list(entry.token_logprobs),
+                        "cumulative_logprob": sum(entry.token_logprobs),
+                    }
+                )
+        raise ScriptMissError(
+            f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
+        )
 

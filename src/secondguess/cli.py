@@ -354,18 +354,8 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     curve = simulator.simulate(cfg, taus)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = [
-        evaluation.SweepPoint(
-            percentile=p.eta * 100.0,
-            tau=p.tau,
-            surprisal=evaluation.surprisal(p.tau) if p.tau > 0 else float("inf"),
-            eta=p.eta,
-            accuracy=p.accuracy,
-        )
-        for p in curve.points
-    ]
     csv_path = out_dir / "simulated_sweep.csv"
-    evaluation.write_sweep_csv(points, csv_path)
+    evaluation.write_sweep_csv(curve.points, csv_path)
     click.echo(
         f"decompose-all accuracy {curve.decompose_all_accuracy:.4f}, "
         f"optimal tau {curve.optimal_tau} "

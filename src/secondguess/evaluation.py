@@ -2,7 +2,8 @@
 induction rates, threshold sweeps, surprisal, and the scaling regression.
 
 All functions here are pure post-processing over immutable episode logs
-(sequences of dicts in the episode JSONL schema); nothing issues model calls.
+(sequences of dicts in the episode JSONL schema), or, for ``replay``, over
+their outcome columns; nothing issues model calls.
 """
 
 from __future__ import annotations
@@ -11,8 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 _ARTICLES = ("a", "an", "the")
 _TERMINAL_PUNCT = ".,!?"
+# The soft consensus score at which vqa_consensus scoring counts a match.
+CONSENSUS_THRESHOLD = 0.5
 
 
 def normalize_answer(raw: str) -> str:
@@ -33,23 +38,18 @@ def vqa_consensus_score(predicted: str, answers: Sequence[str]) -> float:
     return min(matches / 3.0, 1.0)
 
 
-def is_match(
-    predicted: str,
-    answers: Sequence[str],
-    scoring: str = "exact",
-    consensus_threshold: float = 0.5,
-) -> bool:
+def is_match(predicted: str, answers: Sequence[str], scoring: str = "exact") -> bool:
     """True when the prediction counts as correct against the ground truth.
 
     Default is normalized exact match against any answer. In
     ``vqa_consensus`` mode, logs with >= 3 annotator answers are scored
-    with the soft consensus and thresholded; smaller answer lists fall
-    back to exact match.
+    with the soft consensus and thresholded at CONSENSUS_THRESHOLD; smaller
+    answer lists fall back to exact match.
     """
     if not answers:
         raise ValueError("answers must be non-empty")
     if scoring == "vqa_consensus" and len(answers) >= 3:
-        return vqa_consensus_score(predicted, answers) >= consensus_threshold
+        return vqa_consensus_score(predicted, answers) >= CONSENSUS_THRESHOLD
     pred = normalize_answer(predicted)
     return any(pred == normalize_answer(ans) for ans in answers)
 
@@ -98,6 +98,16 @@ def surprisal(tau: float) -> float:
     return math.log2(1.0 / tau)
 
 
+def _nearest_rank(ordered: Sequence[float], percentile: float) -> float:
+    """Nearest-rank quantile of sorted confidences; 0.0 at percentile 0."""
+    if not (0.0 <= percentile <= 100.0):
+        raise ValueError("percentile must be in [0, 100]")
+    if percentile == 0:
+        return 0.0
+    rank = math.ceil(percentile / 100.0 * len(ordered))
+    return float(ordered[rank - 1])
+
+
 def percentile_to_tau(confidences: Sequence[float], percentile: float) -> float:
     """Nearest-rank empirical quantile of the confidence distribution.
 
@@ -107,13 +117,7 @@ def percentile_to_tau(confidences: Sequence[float], percentile: float) -> float:
     """
     if not confidences:
         raise ValueError("confidences must be non-empty")
-    if not (0.0 <= percentile <= 100.0):
-        raise ValueError("percentile must be in [0, 100]")
-    if percentile == 0:
-        return 0.0
-    ordered = sorted(confidences)
-    rank = math.ceil(percentile / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(confidences), percentile)
 
 
 @dataclass
@@ -125,36 +129,54 @@ class SweepPoint:
     accuracy: float
 
 
+def replay(
+    confidence: np.ndarray,
+    correct_before: np.ndarray,
+    correct_after: np.ndarray,
+    taus: Sequence[float],
+    percentiles: Optional[Sequence[float]] = None,
+) -> List[SweepPoint]:
+    """Replay the confidence gate at each tau in [0, 1] over one outcome per
+    answer, with zero model calls.
+
+    An answer is second-guessed iff its confidence <= tau and then scores
+    ``correct_after``, else ``correct_before``; eta is the gated share. A
+    point's percentile is the given one, or 100 * eta without percentiles.
+    """
+    n = confidence.size
+    points = []
+    for i, tau in enumerate(taus):
+        gated = confidence <= tau
+        correct = np.where(gated, correct_after, correct_before)
+        eta = int(np.count_nonzero(gated)) / n
+        points.append(
+            SweepPoint(
+                percentile=eta * 100.0 if percentiles is None else percentiles[i],
+                tau=tau,
+                surprisal=surprisal(tau) if tau > 0 else math.inf,
+                eta=eta,
+                accuracy=int(np.count_nonzero(correct)) / n,
+            )
+        )
+    return points
+
+
 def sweep(episodes: Sequence[dict], percentiles: Sequence[float]) -> List[SweepPoint]:
     """Offline threshold sweep over a decompose-all episode log.
 
     Every episode must carry the initial confidence, initial correctness,
-    and post-decomposition correctness; the gate is then replayed per
-    percentile with zero extra model calls.
+    and post-decomposition correctness; each percentile resolves to its
+    nearest-rank tau, and the gate is replayed there.
     """
     valid = _valid(episodes)
     if not valid:
         raise ValueError("no episodes to sweep")
-    confidences = [ep["initial"]["confidence"] for ep in valid]
-    points = []
-    for percentile in percentiles:
-        tau = percentile_to_tau(confidences, percentile)
-        gated = [ep["initial"]["confidence"] <= tau for ep in valid]
-        correct = sum(
-            1
-            for ep, g in zip(valid, gated)
-            if (ep["correct_after"] if g else ep["correct_before"])
-        )
-        points.append(
-            SweepPoint(
-                percentile=percentile,
-                tau=tau,
-                surprisal=surprisal(tau) if tau > 0 else math.inf,
-                eta=sum(gated) / len(valid),
-                accuracy=correct / len(valid),
-            )
-        )
-    return points
+    confidence = np.array([ep["initial"]["confidence"] for ep in valid], dtype=float)
+    before = np.array([ep["correct_before"] for ep in valid], dtype=bool)
+    after = np.array([ep["correct_after"] for ep in valid], dtype=bool)
+    ordered = np.sort(confidence)
+    taus = [_nearest_rank(ordered, p) for p in percentiles]
+    return replay(confidence, before, after, taus, percentiles)
 
 
 def linear_fit(points: Sequence[Tuple[float, float]]) -> dict:

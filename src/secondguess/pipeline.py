@@ -347,9 +347,32 @@ def run(
     return episodes
 
 
+def _episode_problem(episode) -> Optional[str]:
+    """Why a log record is no episode the evaluation can read, or None."""
+    if not isinstance(episode, dict):
+        return "expected a JSON object"
+    if not isinstance(episode.get("id"), str):
+        return "id must be a string"
+    initial = episode.get("initial")
+    confidence = initial.get("confidence") if isinstance(initial, dict) else None
+    # bool is an int subclass, but true/false is no confidence.
+    if (
+        isinstance(confidence, bool)
+        or not isinstance(confidence, (int, float))
+        or not 0.0 <= confidence <= 1.0
+    ):
+        return "initial.confidence must be a number in [0, 1]"
+    if episode.get("gate") not in ("kept", "second_guessed"):
+        return "gate must be 'kept' or 'second_guessed'"
+    for key in ("correct_before", "correct_after"):
+        if not isinstance(episode.get(key), bool):
+            return f"{key} must be true or false"
+    return None
+
+
 def read_episode_log(path) -> List[dict]:
-    """The episodes of a JSONL log; a line that is no JSON object raises
-    DatasetError naming ``path:line``."""
+    """The episodes of a JSONL log; a line that is no JSON object, or lacks
+    a field the evaluation reads, raises DatasetError naming ``path:line``."""
     episodes = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -359,8 +382,9 @@ def read_episode_log(path) -> List[dict]:
                 episode = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(episode, dict):
-                raise DatasetError(f"{path}:{lineno}: expected a JSON object")
+            problem = _episode_problem(episode)
+            if problem:
+                raise DatasetError(f"{path}:{lineno}: {problem}")
             episodes.append(episode)
     return episodes
 

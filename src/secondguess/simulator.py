@@ -4,18 +4,20 @@ Each synthetic trial is one question: correctness is assigned from the base
 accuracy, a confidence is drawn from the matching calibration distribution,
 and a decompose-all flip outcome is drawn once (correction with the
 configured rate if wrong, induction if correct). Gating at any threshold is
-then pure post-processing over the same trials, which is exactly the
-semantics of the evaluation module's offline sweep; the two computations
-serve as independent oracles for each other.
+then pure post-processing over the same trials: ``simulate`` replays the
+gate through ``evaluation.replay``, the one replay behind the offline sweep.
+The independent oracles for that replay (a brute-force recount over episode
+dicts and a per-threshold reference over the trials) live in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
+
+from . import evaluation
 
 
 @dataclass(frozen=True)
@@ -52,16 +54,8 @@ class SimTrials:
 
 
 @dataclass
-class SimPoint:
-    tau: float
-    accuracy: float
-    eta: float
-    stderr: float
-
-
-@dataclass
 class SimCurve:
-    points: List[SimPoint]
+    points: List[evaluation.SweepPoint]  # percentile = 100 * eta
     decompose_all_accuracy: float
     optimal_tau: float
     optimal_accuracy: float
@@ -100,16 +94,6 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     return SimTrials(confidence, correct_before, correct_after)
 
 
-def accuracy_at_tau(trials: SimTrials, tau: float) -> tuple:
-    """(accuracy, eta, stderr) when gating the frozen trials at tau."""
-    gated = trials.confidence <= tau
-    outcome = np.where(gated, trials.correct_after, trials.correct_before)
-    n = outcome.size
-    acc = float(outcome.mean())
-    stderr = math.sqrt(acc * (1.0 - acc) / n)
-    return acc, float(gated.mean()), stderr
-
-
 def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
     """Evaluate the accuracy-vs-threshold curve on one synthetic population.
 
@@ -119,40 +103,13 @@ def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
     if not taus:
         raise ValueError("tau grid must be non-empty")
     trials = generate_trials(cfg)
-    points = []
-    for tau in taus:
-        acc, eta, stderr = accuracy_at_tau(trials, tau)
-        points.append(SimPoint(tau=tau, accuracy=acc, eta=eta, stderr=stderr))
-    decompose_all_acc, _, _ = accuracy_at_tau(trials, 1.0)
+    columns = (trials.confidence, trials.correct_before, trials.correct_after)
+    points = evaluation.replay(*columns, taus)
+    (decompose_all,) = evaluation.replay(*columns, [1.0])
     best = max(points, key=lambda p: (p.accuracy, -p.tau))
     return SimCurve(
         points=points,
-        decompose_all_accuracy=decompose_all_acc,
+        decompose_all_accuracy=decompose_all.accuracy,
         optimal_tau=best.tau,
         optimal_accuracy=best.accuracy,
     )
-
-
-def trials_to_episodes(trials: SimTrials) -> List[dict]:
-    """Express the synthetic population as a decompose-all episode log so
-    the evaluation module can replay the gate independently."""
-    episodes = []
-    for i in range(trials.confidence.size):
-        before = bool(trials.correct_before[i])
-        after = bool(trials.correct_after[i])
-        episodes.append(
-            {
-                "id": f"sim{i:07d}",
-                "initial": {"text": "", "confidence": float(trials.confidence[i])},
-                "gate": "second_guessed",
-                "subquestion": None,
-                "subanswer": None,
-                "subanswer_provenance": None,
-                "final": {"text": "", "confidence": float(trials.confidence[i])},
-                "correct_before": before,
-                "correct_after": after,
-                "malformed_subquestion": False,
-                "retries": 0,
-            }
-        )
-    return episodes

@@ -1,12 +1,15 @@
-"""Shared fixtures: scripted mock backends and brute-force metric recounts."""
+"""Shared fixtures: scripted mock backends, test-only backend wrappers and
+brute-force metric recounts."""
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+import numpy as np
 import pytest
 
 from secondguess.backend import (
@@ -21,6 +24,7 @@ from secondguess.backend import (
     _with_retries,
 )
 from secondguess.dataset import VisualQuestion
+from secondguess.simulator import SimTrials
 
 
 @dataclass
@@ -112,6 +116,29 @@ class FlakyBackend:
         return _with_retries(attempt, self.attempts, self.base_delay, lambda _: None)
 
 
+class RecordingBackend:
+    """Delegates to ``inner`` and records each call as (request_id, role,
+    prompt), and the peak number of calls in flight at once."""
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+        self.call_log: list = []
+        self.max_in_flight = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
+        with self._lock:
+            self._in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self._in_flight)
+            self.call_log.append((request.request_id, role.role, request.prompt))
+        try:
+            return self.inner.complete(request, role)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
 def spec_backend(specs: Sequence[QSpec]) -> MockBackend:
     return MockBackend(spec_entries(specs))
 
@@ -195,3 +222,41 @@ def brute_sweep_accuracy(episodes, tau):
         else:
             correct += ep["correct_before"]
     return correct / len(valid)
+
+
+# Per-threshold references over the simulator's frozen trials, independent
+# of evaluation.replay.
+
+def accuracy_at_tau(trials: SimTrials, tau: float) -> tuple:
+    """(accuracy, eta, stderr) when gating the frozen trials at tau."""
+    gated = trials.confidence <= tau
+    outcome = np.where(gated, trials.correct_after, trials.correct_before)
+    n = outcome.size
+    acc = float(outcome.mean())
+    stderr = math.sqrt(acc * (1.0 - acc) / n)
+    return acc, float(gated.mean()), stderr
+
+
+def trials_to_episodes(trials: SimTrials) -> List[dict]:
+    """Express the synthetic population as a decompose-all episode log so
+    the evaluation module can replay the gate independently."""
+    episodes = []
+    for i in range(trials.confidence.size):
+        before = bool(trials.correct_before[i])
+        after = bool(trials.correct_after[i])
+        episodes.append(
+            {
+                "id": f"sim{i:07d}",
+                "initial": {"text": "", "confidence": float(trials.confidence[i])},
+                "gate": "second_guessed",
+                "subquestion": None,
+                "subanswer": None,
+                "subanswer_provenance": None,
+                "final": {"text": "", "confidence": float(trials.confidence[i])},
+                "correct_before": before,
+                "correct_after": after,
+                "malformed_subquestion": False,
+                "retries": 0,
+            }
+        )
+    return episodes

@@ -6,6 +6,7 @@ per-criterion lines on a passing suite.
 
 import functools
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -15,10 +16,13 @@ from click.testing import CliRunner
 from conftest import (
     FOUR_EPISODE_SPECS,
     QSpec,
+    RecordingBackend,
+    accuracy_at_tau,
     brute_accuracy,
     brute_sweep_accuracy,
     spec_backend,
     spec_questions,
+    trials_to_episodes,
     write_script,
 )
 from secondguess import dataset, evaluation, pipeline, prompts, simulator
@@ -232,7 +236,8 @@ def test_c06_simulator_closed_form():
         expected = simulator.closed_form_decompose_all(cfg)
         curve = simulator.simulate(cfg, [1.0])
         point = curve.points[0]
-        assert abs(point.accuracy - expected) <= 3 * point.stderr
+        stderr = math.sqrt(point.accuracy * (1.0 - point.accuracy) / cfg.trials)
+        assert abs(point.accuracy - expected) <= 3 * stderr
         assert abs(point.accuracy - expected) <= 0.005
     assert simulator.closed_form_decompose_all(reference) == (
         0.8276
@@ -244,11 +249,11 @@ def test_c06_simulator_closed_form():
 def test_c07_simulator_sweep_cross_validation():
     cfg = SimConfig(0.65, 0.5, 0.2, trials=20_000, seed=21)
     trials = simulator.generate_trials(cfg)
-    episodes = simulator.trials_to_episodes(trials)
+    episodes = trials_to_episodes(trials)
     points = sweep(episodes, [0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0])
     for point in points:
-        sim_acc, sim_eta, _ = simulator.accuracy_at_tau(trials, point.tau)
-        assert point.accuracy == sim_acc
+        sim_acc, sim_eta, _ = accuracy_at_tau(trials, point.tau)
+        assert point.accuracy == sim_acc == brute_sweep_accuracy(episodes, point.tau)
         assert point.eta == sim_eta
 
 
@@ -336,7 +341,7 @@ def test_c12_concurrency_and_resume(tmp_path):
         QSpec(f"c{i:02d}", f"is item {i} red?", "yes", "yes", 0.9)
         for i in range(20)
     ]
-    backend = spec_backend(specs)
+    backend = RecordingBackend(spec_backend(specs))
     engine = Engine(recomposer=backend, decomposer=backend)
     cfg = PipelineConfig(mode="direct", concurrency=4)
     questions = spec_questions(specs)

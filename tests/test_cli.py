@@ -544,16 +544,57 @@ def test_sweep_run_keeps_exit_code(runner, tmp_path):
     assert (out / "sweep.csv").exists()
 
 
-def write_malformed_log(tmp):
+GOOD_EPISODE = {
+    "id": "q1",
+    "initial": {"text": "yes", "confidence": 0.9},
+    "gate": "kept",
+    "subquestion": None,
+    "subanswer": None,
+    "subanswer_provenance": None,
+    "final": {"text": "yes", "confidence": 0.9},
+    "correct_before": True,
+    "correct_after": True,
+    "malformed_subquestion": False,
+    "retries": 0,
+}
+
+
+def bad_episode(**fields):
+    return json.dumps({**GOOD_EPISODE, "id": "x", **fields})
+
+
+# Line 2 of a log whose line 1 is a complete episode; "torn" is cut short.
+MALFORMED_LINES = {
+    "torn": '{"id": "x"',
+    "missing_fields": '{"id": "x"}',
+    "id_number": bad_episode(id=5),
+    "initial_string": bad_episode(initial="yes"),
+    "confidence_string": bad_episode(initial={"text": "", "confidence": "0.5"}),
+    "confidence_bool": bad_episode(initial={"text": "", "confidence": True}),
+    "confidence_high": bad_episode(initial={"text": "", "confidence": 1.5}),
+    "gate_unknown": bad_episode(gate="maybe"),
+    "correct_before_int": bad_episode(correct_before=1),
+    "correct_after_null": bad_episode(correct_after=None),
+}
+
+
+def write_malformed_log(tmp, content=MALFORMED_LINES["torn"]):
     log = tmp / "torn.jsonl"
-    log.write_text('{"id": "q1"}\n{"id": "x"\n')
+    log.write_text(json.dumps(GOOD_EPISODE) + "\n" + content + "\n")
     return log
 
 
-@pytest.mark.parametrize("command", ["metrics", "sweep", "run"])
-def test_malformed_episode_log_exits_3(runner, workspace, command):
+@pytest.mark.parametrize(
+    "command,content",
+    [
+        pytest.param(command, content, id=command if case == "torn" else f"{command}-{case}")
+        for case, content in MALFORMED_LINES.items()
+        for command in ("metrics", "sweep", "run")
+    ],
+)
+def test_malformed_episode_log_exits_3(runner, workspace, command, content):
     tmp, data, script = workspace
-    log = write_malformed_log(tmp)
+    log = write_malformed_log(tmp, content)
     out = tmp / "out"
     if command == "run":
         out.mkdir()

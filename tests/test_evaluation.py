@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_accuracy, brute_ecr, brute_eic, brute_sweep_accuracy
@@ -249,6 +249,37 @@ def test_sweep_eta_nondecreasing_surprisal_nonincreasing():
     for prev, cur in zip(points, points[1:]):
         assert cur.eta >= prev.eta
         assert cur.surprisal <= prev.surprisal
+
+
+# Confidences from a small set, so that many answers tie at a threshold.
+tied_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
+        st.booleans(),  # correct_before
+        st.booleans(),  # correct_after
+        st.sampled_from([False, False, False, True]),  # failed
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=100)
+@given(tied_rows)
+def test_sweep_replay_matches_brute_force(rows):
+    assume(not all(failed for *_, failed in rows))
+    episodes = [
+        episode(f"e{i}", conf, before, after, failed=failed)
+        for i, (conf, before, after, failed) in enumerate(rows)
+    ]
+    valid = [ep for ep in episodes if not ep.get("failed")]
+    confidences = [ep["initial"]["confidence"] for ep in valid]
+    points = sweep(episodes, [float(p) for p in range(101)])
+    for point in points:
+        assert point.tau == percentile_to_tau(confidences, point.percentile)
+        assert point.accuracy == brute_sweep_accuracy(episodes, point.tau)
+        gated = sum(1 for conf in confidences if conf <= point.tau)
+        assert point.eta == gated / len(valid)
 
 
 # --- regression ----------------------------------------------------------

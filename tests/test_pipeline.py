@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FOUR_EPISODE_SPECS, FlakyBackend, QSpec, spec_backend, spec_questions
+from conftest import (
+    FOUR_EPISODE_SPECS,
+    FlakyBackend,
+    QSpec,
+    RecordingBackend,
+    spec_backend,
+    spec_questions,
+)
 from secondguess import evaluation, pipeline
 from secondguess.backend import MockBackend, MockEntry
 from secondguess.dataset import VisualQuestion
@@ -13,8 +20,9 @@ from secondguess.prompts import SubQA
 
 
 def make_engine(specs, extra_entries=(), **kwargs):
-    backend = spec_backend(specs)
-    backend.entries = list(extra_entries) + backend.entries
+    mock = spec_backend(specs)
+    mock.entries = list(extra_entries) + mock.entries
+    backend = RecordingBackend(mock)
     return Engine(recomposer=backend, decomposer=backend, **kwargs), backend
 
 
@@ -189,14 +197,15 @@ def oracle_questions():
 
 
 def oracle_engine():
-    backend = spec_backend(oracle_specs())
+    mock = spec_backend(oracle_specs())
     # Catch-all recomposer entries for oracle recompositions and sub-answers.
-    backend.entries.extend(
+    mock.entries.extend(
         [
             MockEntry("Context: ", "recomposer", "yes", (-0.3,)),
             MockEntry("Question: ", "recomposer", "maybe", (-0.5,)),
         ]
     )
+    backend = RecordingBackend(mock)
     return Engine(recomposer=backend, decomposer=backend), backend
 
 
@@ -278,8 +287,8 @@ def test_episode_failure_is_isolated():
     specs = FOUR_EPISODE_SPECS[:2]
     engine, backend = make_engine(specs)
     # Remove q2's initial entry so its chain fails with a script miss.
-    backend.entries = [
-        e for e in backend.entries if "is it raining?" not in e.prompt_contains
+    backend.inner.entries = [
+        e for e in backend.inner.entries if "is it raining?" not in e.prompt_contains
     ]
     cfg = PipelineConfig(mode="direct")
     episodes = pipeline.run(spec_questions(specs), cfg, engine)
@@ -389,21 +398,22 @@ def expected_chain(mode, spec):
 
 def run_chain(mode, concurrency, drop_recompose_of=None):
     questions, mock = chain_fixture(drop_recompose_of)
+    recorder = RecordingBackend(mock)
     # Every request fails once with a transport error before it succeeds.
-    flaky = FlakyBackend(mock, failures_before_success=1)
+    flaky = FlakyBackend(recorder, failures_before_success=1)
     threshold = {"tau": CHAIN_TAU} if mode == "selective" else {}
     cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
     engine = Engine(recomposer=flaky, decomposer=flaky)
-    return pipeline.run(questions, cfg, engine), mock
+    return pipeline.run(questions, cfg, engine), recorder
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_every_mode_runs_one_chain(mode, concurrency):
     chains = {spec.qid: expected_chain(mode, spec) for spec in CHAIN_SPECS}
-    episodes, mock = run_chain(mode, concurrency)
+    episodes, recorder = run_chain(mode, concurrency)
     stages = {qid: [] for qid in chains}
-    for request_id, _, _ in mock.call_log:
+    for request_id, _, _ in recorder.call_log:
         qid, stage = request_id.split("#")
         stages[qid].append(stage)
     assert stages == chains

@@ -1,13 +1,16 @@
-import pytest
+import math
 
-from secondguess import evaluation, simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import accuracy_at_tau, trials_to_episodes
+from secondguess import evaluation
 from secondguess.simulator import (
     SimConfig,
-    accuracy_at_tau,
     closed_form_decompose_all,
     generate_trials,
     simulate,
-    trials_to_episodes,
 )
 
 TAU_GRID = [i / 20 for i in range(21)]
@@ -34,7 +37,8 @@ def test_open_gate_matches_closed_form():
     curve = simulate(cfg, [1.0])
     point = curve.points[0]
     expected = closed_form_decompose_all(cfg)
-    assert abs(point.accuracy - expected) <= 3 * point.stderr
+    stderr = math.sqrt(point.accuracy * (1.0 - point.accuracy) / cfg.trials)
+    assert abs(point.accuracy - expected) <= 3 * stderr
     assert point.eta == 1.0
 
 
@@ -114,6 +118,34 @@ def test_sweep_cross_validation_exact():
         sim_acc, sim_eta, _ = accuracy_at_tau(trials, point.tau)
         assert point.accuracy == sim_acc
         assert point.eta == sim_eta
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    unit,
+    unit,
+    unit,
+    st.integers(min_value=1, max_value=2_000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit), min_size=1, max_size=8),
+)
+def test_simulate_matches_reference(acc, ecr, eic, n, seed, taus):
+    cfg = SimConfig(acc, ecr, eic, trials=n, seed=seed)
+    curve = simulate(cfg, taus)
+    trials = generate_trials(cfg)
+    assert [p.tau for p in curve.points] == taus
+    for point in curve.points:
+        ref_acc, ref_eta, _ = accuracy_at_tau(trials, point.tau)
+        assert (point.accuracy, point.eta) == (ref_acc, ref_eta)
+        assert point.percentile == ref_eta * 100.0
+        expected = math.log2(1.0 / point.tau) if point.tau > 0 else math.inf
+        assert point.surprisal == expected
+        # write_sweep_csv writes repr(), which spells numpy scalars out.
+        assert all(type(v) is float for v in (point.accuracy, point.eta, point.percentile))
+    assert curve.decompose_all_accuracy == accuracy_at_tau(trials, 1.0)[0]
 
 
 def test_config_validation():
