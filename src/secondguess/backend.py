@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 import requests
 
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
+ROLES = ("decomposer", "recomposer")
+# Length of the prompt slices that index a mock script (see MockBackend).
+ANCHOR = 8
 
 
 class BackendError(Exception):
@@ -126,8 +131,12 @@ class InferenceResult:
 
 
 def confidence_of(result: InferenceResult) -> float:
-    """Joint sequence probability exp(cumulative log-prob), in (0, 1]."""
-    return math.exp(result.cumulative_logprob)
+    """Joint sequence probability exp(cumulative log-prob), in (0, 1].
+
+    A log-prob below about -745 underflows exp to 0.0; it is floored at the
+    smallest normal float, so that tau = 0 still gates no answer.
+    """
+    return max(math.exp(result.cumulative_logprob), sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ class BackendRole:
     role: str  # "decomposer" | "recomposer"
 
     def __post_init__(self) -> None:
-        if self.role not in ("decomposer", "recomposer"):
+        if self.role not in ROLES:
             raise ValueError(f"unknown role: {self.role!r}")
 
 
@@ -227,12 +236,37 @@ class MockBackend:
 
     The script is a JSONL file of {"match": {"prompt_contains", "role"},
     "response": {"text", "token_logprobs"}} entries, applied
-    first-match-wins in file order. ``complete`` only reads the entries, so
-    concurrent calls need no lock.
+    first-match-wins in file order. ``entries`` is a tuple, indexed once at
+    construction so a call costs O(prompt length) rather than O(entries);
+    ``complete`` only reads the index, so concurrent calls need no lock.
     """
 
     def __init__(self, entries: Sequence[MockEntry]) -> None:
-        self.entries = list(entries)
+        self.entries = tuple(entries)
+        # Per role: the indices of patterns shorter than ANCHOR, scanned in
+        # order, and {ANCHOR-slice: indices} for the rest. Such a pattern is
+        # filed under the slice at offset 0, ANCHOR, 2*ANCHOR, ... that is
+        # rarest among all patterns' slices; _offsets[index] is its offset.
+        self._short: Dict[str, List[int]] = {}
+        self._anchored: Dict[str, Dict[str, List[int]]] = {}
+        self._offsets = [0] * len(self.entries)
+        counts = Counter(
+            pattern[off : off + ANCHOR]
+            for pattern in {entry.prompt_contains for entry in self.entries}
+            for off in range(0, len(pattern) - ANCHOR + 1, ANCHOR)
+        )
+        for index, entry in enumerate(self.entries):
+            pattern = entry.prompt_contains
+            if len(pattern) < ANCHOR:
+                self._short.setdefault(entry.role, []).append(index)
+                continue
+            off = min(
+                range(0, len(pattern) - ANCHOR + 1, ANCHOR),
+                key=lambda o: counts[pattern[o : o + ANCHOR]],
+            )
+            self._offsets[index] = off
+            table = self._anchored.setdefault(entry.role, {})
+            table.setdefault(pattern[off : off + ANCHOR], []).append(index)
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
@@ -244,33 +278,72 @@ class MockBackend:
                     continue
                 try:
                     obj = json.loads(line)
-                    match = obj["match"]
-                    response = obj["response"]
-                    entries.append(
-                        MockEntry(
-                            prompt_contains=match["prompt_contains"],
-                            role=match["role"],
-                            text=response["text"],
-                            token_logprobs=tuple(
-                                float(x) for x in response["token_logprobs"]
-                            ),
-                        )
-                    )
+                    entries.append(_script_entry(obj["match"], obj["response"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
         return cls(entries)
 
+    def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
+        """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""
+        entries = self.entries
+        best = len(entries)
+        for index in self._short.get(role, ()):
+            if entries[index].prompt_contains in prompt:
+                best = index
+                break
+        table = self._anchored.get(role)
+        if table:
+            offsets = self._offsets
+            for pos in range(len(prompt) - ANCHOR + 1):
+                hits = table.get(prompt[pos : pos + ANCHOR])
+                if hits is None:
+                    continue
+                # Hits are in file order, so the first verified one is the
+                # lowest in its bucket. A start below 0 makes startswith read
+                # only the last offset - pos characters, fewer than the
+                # pattern has, so it cannot match.
+                for index in hits:
+                    if index >= best:
+                        break
+                    start = pos - offsets[index]
+                    if prompt.startswith(entries[index].prompt_contains, start):
+                        best = index
+                        break
+        return entries[best] if best < len(entries) else None
+
     def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
-        for entry in self.entries:
-            if entry.role == role.role and entry.prompt_contains in request.prompt:
-                return InferenceResult.from_payload(
-                    {
-                        "text": entry.text,
-                        "token_logprobs": list(entry.token_logprobs),
-                        "cumulative_logprob": sum(entry.token_logprobs),
-                    }
-                )
-        raise ScriptMissError(
-            f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
+        entry = self._first_match(request.prompt, role.role)
+        if entry is None:
+            raise ScriptMissError(
+                f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
+            )
+        return InferenceResult.from_payload(
+            {
+                "text": entry.text,
+                "token_logprobs": list(entry.token_logprobs),
+                "cumulative_logprob": sum(entry.token_logprobs),
+            }
         )
 
+
+def _script_entry(match: dict, response: dict) -> MockEntry:
+    """One script line's entry; a field of the wrong type raises ValueError."""
+    pattern, role, text = match["prompt_contains"], match["role"], response["text"]
+    logprobs = response["token_logprobs"]
+    if not isinstance(pattern, str):
+        raise ValueError(f"prompt_contains must be a string, got {pattern!r}")
+    if role not in ROLES:
+        raise ValueError(f"role must be one of {list(ROLES)}, got {role!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {text!r}")
+    # bool is an int subclass, but true/false is no log-probability.
+    if not isinstance(logprobs, list) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in logprobs
+    ):
+        raise ValueError(f"token_logprobs must be a list of numbers, got {logprobs!r}")
+    return MockEntry(
+        prompt_contains=pattern,
+        role=role,
+        text=text,
+        token_logprobs=tuple(float(x) for x in logprobs),
+    )

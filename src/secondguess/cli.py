@@ -210,12 +210,16 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
     pcfg = _pipeline_config(cfg)
     if pcfg.mode in pipeline.ORACLE_MODES and not any(q.oracle_sub_qas for q in questions):
         _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
+    # Built before out/ exists, so a bad backend config writes nothing.
     engine = _build_engine(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     episodes_path = out_dir / "episodes.jsonl"
     try:
         summary = pipeline.run_batch(questions, pcfg, engine, episodes_path)
+        # Free the backends (a mock's script and index) before the log is
+        # read back.
+        del engine
         episodes = pipeline.read_episode_log(episodes_path)
     except BackendError as exc:
         _fail(EXIT_BACKEND, str(exc))

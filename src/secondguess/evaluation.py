@@ -112,8 +112,9 @@ def percentile_to_tau(confidences: Sequence[float], percentile: float) -> float:
     """Nearest-rank empirical quantile of the confidence distribution.
 
     Percentile 0 returns the sentinel 0.0 (strictly below every confidence,
-    so nothing is gated); percentile 100 returns the maximum (everything
-    satisfies confidence <= tau).
+    which ``backend.confidence_of`` floors above 0, so nothing is gated);
+    percentile 100 returns the maximum (everything satisfies
+    confidence <= tau).
     """
     if not confidences:
         raise ValueError("confidences must be non-empty")

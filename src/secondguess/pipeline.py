@@ -362,6 +362,9 @@ def _episode_problem(episode) -> Optional[str]:
         or not 0.0 <= confidence <= 1.0
     ):
         return "initial.confidence must be a number in [0, 1]"
+    # Only a failed record's confidence is 0: tau = 0 must gate no answer.
+    if confidence == 0.0 and not episode.get("failed"):
+        return "initial.confidence must be above 0 unless the episode failed"
     if episode.get("gate") not in ("kept", "second_guessed"):
         return "gate must be 'kept' or 'second_guessed'"
     for key in ("correct_before", "correct_after"):

@@ -143,6 +143,15 @@ def spec_backend(specs: Sequence[QSpec]) -> MockBackend:
     return MockBackend(spec_entries(specs))
 
 
+def linear_first_match(entries: Sequence[MockEntry], prompt: str, role: str):
+    """The first entry of ``role`` whose pattern is in ``prompt``, or None:
+    a scan of every entry, the reference for MockBackend's index."""
+    for entry in entries:
+        if entry.role == role and entry.prompt_contains in prompt:
+            return entry
+    return None
+
+
 def write_script(specs: Sequence[QSpec], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for entry in spec_entries(specs):

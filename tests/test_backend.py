@@ -1,11 +1,21 @@
 import math
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FlakyBackend
+from conftest import (
+    FlakyBackend,
+    QSpec,
+    RecordingBackend,
+    linear_first_match,
+    spec_entries,
+    spec_questions,
+)
+from secondguess import pipeline
 from secondguess.backend import (
+    ROLES,
     BackendRole,
     HTTPBackend,
     InferenceRequest,
@@ -19,6 +29,7 @@ from secondguess.backend import (
     confidence_of,
     default_params,
 )
+from secondguess.pipeline import Engine, PipelineConfig
 
 RECOMPOSER = BackendRole("recomposer")
 
@@ -247,3 +258,81 @@ def test_mock_script_roundtrip(tmp_path):
     result = backend.complete(request(), RECOMPOSER)
     assert result.text == "yes"
     assert result.cumulative_logprob == pytest.approx(-0.105)
+
+
+def test_mock_entries_are_immutable():
+    backend = MockBackend([MockEntry("hello", "recomposer", "yes", (-0.1,))])
+    assert isinstance(backend.entries, tuple)
+
+
+@st.composite
+def mock_scripts(draw):
+    """(entries, [(prompt, role)]) over a 2-4 letter alphabet: patterns of
+    length 0..20 on both sides of ANCHOR, with duplicates and overlaps, and
+    prompts stitched from random text and patterns."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    base = draw(st.lists(st.text(alphabet, max_size=20), min_size=1, max_size=6))
+    pieces = st.builds(lambda s, i, n: s[i : i + n], st.sampled_from(base),
+                       st.integers(0, 20), st.integers(0, 20))
+    patterns = base + draw(
+        st.lists(st.one_of(st.sampled_from(base), pieces), max_size=10)
+    )
+    patterns = draw(st.permutations(patterns))
+    roles = st.sampled_from(ROLES)
+    entries = [
+        MockEntry(pattern, draw(roles), f"entry {i}", (-0.1,))
+        for i, pattern in enumerate(patterns)
+    ]
+    prompt = st.lists(
+        st.one_of(st.text(alphabet, max_size=12), st.sampled_from(patterns)),
+        min_size=1,
+        max_size=5,
+    ).map("".join).filter(bool)
+    calls = draw(st.lists(st.tuples(prompt, roles), min_size=1, max_size=5))
+    return entries, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(mock_scripts())
+def test_mock_index_matches_linear_scan(script):
+    entries, calls = script
+    backend = MockBackend(entries)
+    for prompt, role in calls:
+        expected = linear_first_match(entries, prompt, role)
+        if expected is None:
+            with pytest.raises(ScriptMissError):
+                backend.complete(request(prompt), BackendRole(role))
+        else:
+            result = backend.complete(request(prompt), BackendRole(role))
+            assert result.text == expected.text
+
+
+def test_mock_call_cost_does_not_grow_with_script_size():
+    specs = [
+        QSpec(f"q{i}", f"is thing {i} red?", "yes", "yes", 0.5, f"is thing {i} lit?")
+        for i in range(25)
+    ]
+    base = spec_entries(specs)
+    recorder = RecordingBackend(MockBackend(base))
+    engine = Engine(recomposer=recorder, decomposer=recorder)
+    pipeline.run(spec_questions(specs), PipelineConfig(mode="decompose_all"), engine)
+    calls = [(request(prompt), BackendRole(role)) for _, role, prompt in recorder.call_log]
+    # Non-matching filler ahead of the script: a scan passes all of it.
+    filler = [
+        MockEntry(f"no prompt holds filler line {i:05d}", ROLES[i % 2], "x", (-0.1,))
+        for i in range(16 * len(base))
+    ]
+    small, large = MockBackend(base), MockBackend(filler + base)
+
+    def per_call(backend):
+        start = time.perf_counter()
+        for _ in range(5):
+            for req, role in calls:
+                backend.complete(req, role)
+        return time.perf_counter() - start
+
+    # Interleaved, best of seven, so a slow phase of the machine hits both.
+    timings = [(per_call(small), per_call(large)) for _ in range(7)]
+    small_s = min(t for t, _ in timings)
+    large_s = min(t for _, t in timings)
+    assert large_s < 3 * small_s, (small_s, large_s)

@@ -488,19 +488,93 @@ def test_simulate_tau_grid_out_of_range_exits_2(runner, tmp_path, grid):
     assert "tau-grid" in result.output + result.stderr
 
 
-@pytest.mark.parametrize("content", [None, "{not json\n"], ids=["missing", "malformed"])
+def script_line(**fields):
+    """One mock script line whose match or response fields are replaced."""
+    match = {"prompt_contains": "Short Answer:", "role": "recomposer"}
+    response = {"text": "yes", "token_logprobs": [-0.1]}
+    for key, value in fields.items():
+        (match if key in match else response)[key] = value
+    return json.dumps({"match": match, "response": response}) + "\n"
+
+
+BAD_SCRIPTS = {
+    "missing": None,
+    "malformed": "{not json\n",
+    "pattern_number": script_line(prompt_contains=5),
+    "text_number": script_line(text=7),
+    "role_typo": script_line(role="recomposr"),
+    "logprobs_scalar": script_line(token_logprobs=-0.1),
+    "logprob_string": script_line(token_logprobs=["-0.1"]),
+    "logprob_bool": script_line(token_logprobs=[True]),
+}
+
+
+@pytest.mark.parametrize("content", BAD_SCRIPTS.values(), ids=BAD_SCRIPTS.keys())
 def test_run_bad_mock_script_exits_2(runner, workspace, content):
     tmp, data, _ = workspace
     script = tmp / "bad_script.jsonl"
     if content is not None:
         script.write_text(content)
+    out = tmp / "out"
     result = runner.invoke(
         main,
         ["run", "--dataset", str(data), "--mock-script", str(script),
-         "--out", str(tmp / "out")],
+         "--out", str(out)],
     )
     assert result.exit_code == 2
-    assert "mock script" in result.output + result.stderr
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: cannot read mock script: ")
+    assert content is None or "bad mock script line 1" in errors[0]
+    assert not out.exists()
+
+
+def test_tau_percentile_0_keeps_underflowed_confidence(runner, workspace):
+    tmp, data, script = workspace
+    # q1's initial answer: a log-prob of -800 underflows exp() to 0.0.
+    lines = script.read_text().splitlines()
+    initial = json.loads(lines[2])
+    assert initial["match"]["prompt_contains"] == "Question: is the sky blue? Short Answer:"
+    initial["response"]["token_logprobs"] = [-800.0]
+    lines[2] = json.dumps(initial)
+    script.write_text("\n".join(lines) + "\n")
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script),
+         "--mode", "selective", "--tau-percentile", "0", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    episodes = [json.loads(line) for line in (out / "episodes.jsonl").read_text().splitlines()]
+    assert episodes[0]["id"] == "q1"
+    assert 0.0 < episodes[0]["initial"]["confidence"]
+    assert all(ep["gate"] == "kept" for ep in episodes)
+    result = runner.invoke(
+        main,
+        ["sweep", "--log", str(out / "episodes.jsonl"), "--percentiles", "0,100",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[1].split(",")[3] == "0.0"  # eta at percentile 0
+    assert rows[2].split(",")[3] == "1.0"
+
+
+def test_sweep_percentile_0_gates_nothing(runner, tmp_path):
+    log = tmp_path / "episodes.jsonl"
+    smallest = {**GOOD_EPISODE, "id": "q0", "initial": {"text": "no", "confidence": 5e-324}}
+    failed = {**GOOD_EPISODE, "id": "q2", "initial": {"text": "", "confidence": 0.0},
+              "failed": True}
+    log.write_text(
+        "".join(json.dumps(ep) + "\n" for ep in (smallest, GOOD_EPISODE, failed))
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["sweep", "--log", str(log), "--percentiles", "0,50", "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["0.0", "0.5"]
 
 
 def test_run_all_failed_exits_1_without_metrics(runner, workspace):
@@ -572,6 +646,7 @@ MALFORMED_LINES = {
     "confidence_string": bad_episode(initial={"text": "", "confidence": "0.5"}),
     "confidence_bool": bad_episode(initial={"text": "", "confidence": True}),
     "confidence_high": bad_episode(initial={"text": "", "confidence": 1.5}),
+    "confidence_zero": bad_episode(initial={"text": "", "confidence": 0.0}),
     "gate_unknown": bad_episode(gate="maybe"),
     "correct_before_int": bad_episode(correct_before=1),
     "correct_after_null": bad_episode(correct_after=None),

@@ -9,7 +9,7 @@ from conftest import (
     FlakyBackend,
     QSpec,
     RecordingBackend,
-    spec_backend,
+    spec_entries,
     spec_questions,
 )
 from secondguess import evaluation, pipeline
@@ -20,9 +20,12 @@ from secondguess.prompts import SubQA
 
 
 def make_engine(specs, extra_entries=(), **kwargs):
-    mock = spec_backend(specs)
-    mock.entries = list(extra_entries) + mock.entries
-    backend = RecordingBackend(mock)
+    return engine_over(list(extra_entries) + spec_entries(specs), **kwargs)
+
+
+def engine_over(entries, **kwargs):
+    """An engine over one recorded mock of ``entries``."""
+    backend = RecordingBackend(MockBackend(entries))
     return Engine(recomposer=backend, decomposer=backend, **kwargs), backend
 
 
@@ -197,16 +200,14 @@ def oracle_questions():
 
 
 def oracle_engine():
-    mock = spec_backend(oracle_specs())
     # Catch-all recomposer entries for oracle recompositions and sub-answers.
-    mock.entries.extend(
-        [
+    return engine_over(
+        spec_entries(oracle_specs())
+        + [
             MockEntry("Context: ", "recomposer", "yes", (-0.3,)),
             MockEntry("Question: ", "recomposer", "maybe", (-0.5,)),
         ]
     )
-    backend = RecordingBackend(mock)
-    return Engine(recomposer=backend, decomposer=backend), backend
 
 
 def test_oracle_oracle_uses_human_subqas_verbatim():
@@ -285,11 +286,10 @@ def test_oracle_skips_questions_without_subqas():
 
 def test_episode_failure_is_isolated():
     specs = FOUR_EPISODE_SPECS[:2]
-    engine, backend = make_engine(specs)
     # Remove q2's initial entry so its chain fails with a script miss.
-    backend.inner.entries = [
-        e for e in backend.inner.entries if "is it raining?" not in e.prompt_contains
-    ]
+    engine, _ = engine_over(
+        [e for e in spec_entries(specs) if "is it raining?" not in e.prompt_contains]
+    )
     cfg = PipelineConfig(mode="direct")
     episodes = pipeline.run(spec_questions(specs), cfg, engine)
     assert len(episodes) == 2
