@@ -69,20 +69,13 @@ class SamplingParams:
             raise ValueError("min_new_tokens must not exceed max_new_tokens")
 
 
-def default_params(purpose: str) -> SamplingParams:
-    """Sampling defaults for the two call purposes.
-
-    ``decompose``: multinomial beam search, 5 beams, top-p 0.95.
-    ``answer``: deterministic beam search, 5 beams, answers capped at
-    10 tokens with a length penalty of -1.
-    """
-    if purpose == "decompose":
-        return SamplingParams(mode="multinomial_beam", top_p=0.95)
-    if purpose == "answer":
-        return SamplingParams(
-            mode="deterministic_beam", length_penalty=-1.0, max_new_tokens=10
-        )
-    raise ValueError(f"unknown purpose: {purpose!r}")
+# Decompose calls: multinomial beam search, 5 beams, top-p 0.95.
+DECOMPOSE_PARAMS = SamplingParams(mode="multinomial_beam", top_p=0.95)
+# Answer calls: deterministic beam search, 5 beams, answers capped at 10
+# tokens with a length penalty of -1.
+ANSWER_PARAMS = SamplingParams(
+    mode="deterministic_beam", length_penalty=-1.0, max_new_tokens=10
+)
 
 
 @dataclass(frozen=True)
@@ -107,13 +100,23 @@ class InferenceResult:
     @classmethod
     def from_payload(cls, payload: dict, retries: int = 0) -> "InferenceResult":
         try:
-            text = payload["text"]
-            token_logprobs = tuple(float(x) for x in payload["token_logprobs"])
-            cumulative = float(payload["cumulative_logprob"])
-        except (KeyError, TypeError, ValueError) as exc:
+            text, logprobs = payload["text"], payload["token_logprobs"]
+            cumulative = payload["cumulative_logprob"]
+        except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed response payload: {exc}") from exc
-        if not text:
-            raise ProtocolError("empty generated text")
+        if not isinstance(text, str) or not text:
+            raise ProtocolError(f"generated text must be a non-empty string, got {text!r}")
+        # bool is an int subclass, but true/false is no log-probability; a
+        # NaN would pass every check below and reach the episode log.
+        if not isinstance(logprobs, list) or any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) or math.isnan(x)
+            for x in (*logprobs, cumulative)
+        ):
+            raise ProtocolError(
+                "token_logprobs must be a list of numbers, cumulative_logprob a number"
+            )
+        token_logprobs = tuple(float(x) for x in logprobs)
+        cumulative = float(cumulative)
         if any(lp > 0 for lp in token_logprobs):
             raise ProtocolError("token log-probability above zero")
         if cumulative > 0:
@@ -190,7 +193,7 @@ class HTTPBackend:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
-        self.attempts = max(1, attempts)
+        self.attempts = attempts
         self.base_delay = base_delay
         self.timeout = timeout
         self._session = session or requests.Session()
@@ -236,9 +239,11 @@ class MockBackend:
 
     The script is a JSONL file of {"match": {"prompt_contains", "role"},
     "response": {"text", "token_logprobs"}} entries, applied
-    first-match-wins in file order. ``entries`` is a tuple, indexed once at
-    construction so a call costs O(prompt length) rather than O(entries);
-    ``complete`` only reads the index, so concurrent calls need no lock.
+    first-match-wins in file order. ``from_script`` checks each response
+    once, as a backend response; entries built directly are taken as they
+    are. ``entries`` is a tuple, indexed once at construction so a call
+    costs O(prompt length) rather than O(entries); ``complete`` only reads
+    the index, so concurrent calls need no lock.
     """
 
     def __init__(self, entries: Sequence[MockEntry]) -> None:
@@ -317,33 +322,23 @@ class MockBackend:
             raise ScriptMissError(
                 f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
             )
-        return InferenceResult.from_payload(
-            {
-                "text": entry.text,
-                "token_logprobs": list(entry.token_logprobs),
-                "cumulative_logprob": sum(entry.token_logprobs),
-            }
-        )
+        return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
 
 
 def _script_entry(match: dict, response: dict) -> MockEntry:
-    """One script line's entry; a field of the wrong type raises ValueError."""
-    pattern, role, text = match["prompt_contains"], match["role"], response["text"]
+    """One script line's entry. The response must pass the checks of a
+    backend response; a field of the wrong type or value raises ValueError."""
+    pattern, role = match["prompt_contains"], match["role"]
     logprobs = response["token_logprobs"]
     if not isinstance(pattern, str):
         raise ValueError(f"prompt_contains must be a string, got {pattern!r}")
     if role not in ROLES:
         raise ValueError(f"role must be one of {list(ROLES)}, got {role!r}")
-    if not isinstance(text, str):
-        raise ValueError(f"text must be a string, got {text!r}")
-    # bool is an int subclass, but true/false is no log-probability.
-    if not isinstance(logprobs, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in logprobs
-    ):
-        raise ValueError(f"token_logprobs must be a list of numbers, got {logprobs!r}")
-    return MockEntry(
-        prompt_contains=pattern,
-        role=role,
-        text=text,
-        token_logprobs=tuple(float(x) for x in logprobs),
-    )
+    try:
+        result = InferenceResult.from_payload(
+            {"text": response["text"], "token_logprobs": logprobs,
+             "cumulative_logprob": sum(logprobs)}
+        )
+    except ProtocolError as exc:
+        raise ValueError(str(exc)) from exc
+    return MockEntry(pattern, role, result.text, result.token_logprobs)

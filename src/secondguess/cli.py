@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -133,6 +134,8 @@ def _load_config(config_path, flags: dict) -> dict:
             cfg["retry_budget"] = int(env)
         except ValueError:
             _fail(EXIT_CONFIG, "SECONDGUESS_RETRY_BUDGET must be an integer")
+    if cfg["retry_budget"] < 1:
+        _fail(EXIT_CONFIG, "retry_budget (or SECONDGUESS_RETRY_BUDGET) must be at least 1")
     return cfg
 
 
@@ -173,7 +176,7 @@ def _load_questions(path):
     if not path:
         _fail(EXIT_CONFIG, "dataset path is required")
     try:
-        return dataset.load_dataset(path)[0]
+        return dataset.load_dataset(path)
     except (OSError, DatasetError) as exc:
         _fail(EXIT_DATASET, str(exc))
 
@@ -302,18 +305,21 @@ def cmd_oracle(config_path, condition, **flags) -> None:
 @click.option("--output", "output_path", type=click.Path(), required=True)
 def cmd_convert(input_path, output_path) -> None:
     """Convert winoground-style records into the canonical VQA schema."""
-    records = []
-    try:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(json.loads(line))
-        questions, warnings = dataset.convert_winoground(records)
-    except (json.JSONDecodeError, DatasetError) as exc:
-        _fail(EXIT_DATASET, str(exc))
+    questions, warnings, records = [], 0, 0
+    with open(input_path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                converted, warned = dataset.convert_winoground([json.loads(line)])
+            except (json.JSONDecodeError, DatasetError) as exc:
+                _fail(EXIT_DATASET, f"{input_path}:{lineno}: {exc}")
+            questions += converted
+            warnings += warned
+            records += 1
     dataset.save_dataset(questions, output_path)
     click.echo(
-        f"converted {len(records)} records into {len(questions)} questions "
+        f"converted {records} records into {len(questions)} questions "
         f"({warnings} caption warnings) -> {output_path}"
     )
 
@@ -322,20 +328,8 @@ def cmd_convert(input_path, output_path) -> None:
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
 def cmd_stats(dataset_path) -> None:
     """Print item count and average question length for a dataset."""
-    questions = _load_questions(dataset_path)
-    computed = dataset.stats(questions, name=dataset_path)
-    images = len({q.image for q in questions})
-    click.echo(
-        json.dumps(
-            {
-                "name": computed.name,
-                "items": computed.items,
-                "images": images,
-                "avg_question_length": computed.avg_question_length,
-            },
-            indent=2,
-        )
-    )
+    stats = dataset.stats(_load_questions(dataset_path))
+    click.echo(json.dumps({"name": dataset_path, **stats}, indent=2))
 
 
 @main.command("simulate")
@@ -361,10 +355,42 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     csv_path = out_dir / "simulated_sweep.csv"
     evaluation.write_sweep_csv(curve.points, csv_path)
     click.echo(
-        f"decompose-all accuracy {curve.decompose_all_accuracy:.4f}, "
+        f"decompose-all accuracy {curve.decompose_all_accuracy:.4f} "
+        f"(closed form {simulator.closed_form_decompose_all(cfg):.4f}), "
         f"optimal tau {curve.optimal_tau} "
         f"(accuracy {curve.optimal_accuracy:.4f}) -> {csv_path}"
     )
+
+
+@main.command("fit")
+@click.argument("run_dirs", nargs=-1, required=True, type=click.Path())
+def cmd_fit(run_dirs) -> None:
+    """Regress net gain on threshold surprisal across runs' metrics.json.
+
+    Runs without a surprisal (no tau, or tau 0) are left out; fewer than two
+    runs with one, or all at one surprisal, exit 3.
+    """
+    points = []
+    for run_dir in run_dirs:
+        path = Path(run_dir) / "metrics.json"
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                metrics = json.load(fh)
+            point = (metrics["surprisal"], metrics["net_gain"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _fail(EXIT_DATASET, f"cannot read surprisal and net_gain from {path}: {exc!r}")
+        if point[0] is None:
+            continue
+        # bool is an int subclass, but true/false is no number.
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in point):
+            _fail(EXIT_DATASET, f"{path}: surprisal and net_gain must be finite numbers")
+        points.append(point)
+    try:
+        fit = evaluation.linear_fit(points)
+    except ValueError as exc:
+        _fail(EXIT_DATASET, f"{len(points)} runs with a surprisal: {exc}")
+    click.echo(json.dumps({"runs": len(points), **fit}, indent=2))
 
 
 @main.command("metrics")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from .evaluation import normalize_answer
 from .prompts import SubQA
@@ -43,13 +43,6 @@ class VisualQuestion:
                     raise DatasetError(
                         f"boolean question {self.id!r} has non-boolean answer {ans!r}"
                     )
-
-
-@dataclass
-class DatasetManifest:
-    name: str
-    items: int = 0
-    avg_question_length: Optional[float] = None
 
 
 def _is_sub_qa(pair) -> bool:
@@ -89,11 +82,11 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
     )
 
 
-def load_dataset(path, name: Optional[str] = None):
+def load_dataset(path) -> List[VisualQuestion]:
     """Load a canonical JSONL dataset.
 
-    Returns (questions, manifest). Parse failures name the offending line;
-    duplicate ids and empty answer lists are rejected.
+    Parse failures name the offending line; duplicate ids and empty answer
+    lists are rejected.
     """
     questions: List[VisualQuestion] = []
     seen = set()
@@ -112,7 +105,7 @@ def load_dataset(path, name: Optional[str] = None):
                 raise DatasetError(f"{where}: duplicate id {q.id!r}")
             seen.add(q.id)
             questions.append(q)
-    return questions, DatasetManifest(name=name or str(path), items=len(questions))
+    return questions
 
 
 def question_to_obj(q: VisualQuestion) -> dict:
@@ -128,19 +121,11 @@ def question_to_obj(q: VisualQuestion) -> dict:
     return obj
 
 
-def save_dataset(questions: Iterable[VisualQuestion], sink: Union[str, IO]) -> int:
-    """Serialize questions in canonical field order; returns the item count."""
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    fh = open(sink, "w", encoding="utf-8") if own else sink
-    count = 0
-    try:
+def save_dataset(questions: Iterable[VisualQuestion], path) -> None:
+    """Write questions as canonical JSONL, fields in canonical order."""
+    with open(path, "w", encoding="utf-8") as fh:
         for q in questions:
             fh.write(json.dumps(question_to_obj(q), ensure_ascii=False) + "\n")
-            count += 1
-    finally:
-        if own:
-            fh.close()
-    return count
 
 
 def convert_winoground(records: Iterable[dict]):
@@ -155,9 +140,13 @@ def convert_winoground(records: Iterable[dict]):
     questions: List[VisualQuestion] = []
     warnings = 0
     for record in records:
+        if not isinstance(record, dict):
+            raise DatasetError("winoground record must be a JSON object")
         for key in ("id", "image_0", "image_1", "caption_0", "caption_1"):
             if key not in record:
                 raise DatasetError(f"winoground record missing field {key!r}")
+            if not isinstance(record[key], str):
+                raise DatasetError(f"winoground field {key!r} must be a string")
         if record["caption_0"] == record["caption_1"]:
             warnings += 1
             logger.warning(
@@ -179,44 +168,12 @@ def convert_winoground(records: Iterable[dict]):
     return questions, warnings
 
 
-def extract_introspect(records: Iterable[dict]):
-    """Extract reasoning questions with their human-written perception
-    sub-QAs. Records with zero sub-QAs are skipped and tallied.
-
-    When a subquestion carries multiple annotator answers, the first listed
-    answer is used.
-    """
-    questions: List[VisualQuestion] = []
-    skipped = 0
-    for record in records:
-        sub_qas = record.get("sub_qas") or []
-        if not sub_qas:
-            skipped += 1
-            continue
-        collapsed = []
-        for pair in sub_qas:
-            sub_q, sub_a = pair[0], pair[1]
-            if isinstance(sub_a, (list, tuple)):
-                sub_a = sub_a[0] if sub_a else None
-            collapsed.append(SubQA(question=sub_q, answer=sub_a))
-        questions.append(
-            VisualQuestion(
-                id=record["id"],
-                image=record["image"],
-                question=record["question"],
-                answers=tuple(record["answers"]),
-                qtype=record.get("qtype", "other"),
-                oracle_sub_qas=tuple(collapsed),
-            )
-        )
-    return questions, skipped
-
-
-def stats(questions: List[VisualQuestion], name: str = "dataset") -> DatasetManifest:
-    """Item count plus mean whitespace-token question length."""
-    manifest = DatasetManifest(name=name, items=len(questions))
-    if questions:
-        manifest.avg_question_length = sum(
-            len(q.question.split()) for q in questions
-        ) / len(questions)
-    return manifest
+def stats(questions: List[VisualQuestion]) -> dict:
+    """Item and distinct-image counts plus the mean whitespace-token
+    question length (None without questions)."""
+    words = [len(q.question.split()) for q in questions]
+    return {
+        "items": len(questions),
+        "images": len({q.image for q in questions}),
+        "avg_question_length": sum(words) / len(words) if words else None,
+    }

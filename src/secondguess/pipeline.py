@@ -23,13 +23,14 @@ from typing import List, Optional, Sequence
 
 from . import evaluation, prompts
 from .backend import (
+    ANSWER_PARAMS,
+    DECOMPOSE_PARAMS,
     Backend,
     BackendError,
     BackendRole,
     InferenceRequest,
     InferenceResult,
     confidence_of,
-    default_params,
 )
 from .dataset import DatasetError, VisualQuestion
 from .prompts import DecompositionContext, SubQA
@@ -169,7 +170,7 @@ class Engine:
         request-id suffix: initial, suba<i> or recompose."""
         request = InferenceRequest(
             prompt=prompt,
-            params=default_params("answer"),
+            params=ANSWER_PARAMS,
             request_id=f"{question.id}#{stage}",
             image=question.image,
         )
@@ -187,7 +188,7 @@ class Engine:
             prompt=prompts.render_decompose(
                 question.question, self.decomposer_prompt_style
             ),
-            params=default_params("decompose"),
+            params=DECOMPOSE_PARAMS,
             request_id=f"{question.id}#subq",
         )
         result = self._call(self.decomposer, request, DECOMPOSER)

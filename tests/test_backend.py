@@ -15,6 +15,8 @@ from conftest import (
 )
 from secondguess import pipeline
 from secondguess.backend import (
+    ANSWER_PARAMS,
+    DECOMPOSE_PARAMS,
     ROLES,
     BackendRole,
     HTTPBackend,
@@ -27,7 +29,6 @@ from secondguess.backend import (
     ScriptMissError,
     TransportError,
     confidence_of,
-    default_params,
 )
 from secondguess.pipeline import Engine, PipelineConfig
 
@@ -36,7 +37,7 @@ RECOMPOSER = BackendRole("recomposer")
 
 def request(prompt="hello", request_id="r1"):
     return InferenceRequest(
-        prompt=prompt, params=default_params("answer"), request_id=request_id
+        prompt=prompt, params=ANSWER_PARAMS, request_id=request_id
     )
 
 
@@ -88,6 +89,19 @@ def test_positive_logprob_is_protocol_violation():
         )
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"text": 5}, {"text": None}, {"token_logprobs": ["-0.1"]}, {"token_logprobs": [False]},
+     {"token_logprobs": {}}, {"cumulative_logprob": "-0.1"}, {"cumulative_logprob": math.nan}],
+    ids=["text_number", "text_null", "logprob_string", "logprob_bool", "logprobs_object",
+         "cumulative_string", "cumulative_nan"],
+)
+def test_mistyped_payload_is_protocol_violation(fields):
+    payload = {"text": "yes", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    with pytest.raises(ProtocolError):
+        InferenceResult.from_payload({**payload, **fields})
+
+
 def test_confidence_edge_values():
     zero = InferenceResult("a", (), 0.0)
     assert confidence_of(zero) == 1.0
@@ -114,8 +128,8 @@ def test_confidence_order_preserving(a, b):
         assert confidence_of(ra) >= confidence_of(rb)
 
 
-def test_default_params_decompose():
-    params = default_params("decompose")
+def test_decompose_params():
+    params = DECOMPOSE_PARAMS
     assert params.mode == "multinomial_beam"
     assert params.num_beams == 5
     assert params.top_p == 0.95
@@ -124,8 +138,8 @@ def test_default_params_decompose():
     assert params.repetition_penalty == 1.0
 
 
-def test_default_params_answer():
-    params = default_params("answer")
+def test_answer_params():
+    params = ANSWER_PARAMS
     assert params.mode == "deterministic_beam"
     assert params.num_beams == 5
     assert params.max_new_tokens == 10
@@ -144,7 +158,7 @@ def test_sampling_params_validation():
 
 def test_empty_prompt_rejected():
     with pytest.raises(ValueError):
-        InferenceRequest(prompt="", params=default_params("answer"), request_id="x")
+        InferenceRequest(prompt="", params=ANSWER_PARAMS, request_id="x")
 
 
 def test_flaky_backend_retries_then_succeeds():

@@ -6,6 +6,8 @@ from click.testing import CliRunner
 from conftest import FOUR_EPISODE_SPECS, QSpec, spec_questions, write_script
 from secondguess import dataset
 from secondguess.cli import main
+from secondguess.evaluation import linear_fit
+from secondguess.simulator import SimConfig, closed_form_decompose_all
 
 
 @pytest.fixture
@@ -313,6 +315,87 @@ def test_convert_and_stats(runner, tmp_path):
     assert stats["avg_question_length"] > 0
 
 
+WINOGROUND_LINE = json.dumps(
+    {"id": "w0", "image_0": "a.png", "image_1": "b.png", "caption_0": "x", "caption_1": "y"}
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["5", "{not json", WINOGROUND_LINE.replace('"a.png"', "7")],
+    ids=["not_object", "torn", "image_number"],
+)
+def test_convert_malformed_record_exits_3(runner, tmp_path, line):
+    source = tmp_path / "winoground.jsonl"
+    source.write_text(WINOGROUND_LINE + "\n" + line + "\n")
+    converted = tmp_path / "converted.jsonl"
+    result = runner.invoke(
+        main, ["convert", "--input", str(source), "--output", str(converted)]
+    )
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {source}:2: ")
+    assert not converted.exists()
+
+
+def test_simulate_prints_closed_form(runner, tmp_path):
+    # c06's reference operating point, whose closed form is 0.8276.
+    args = ["--acc", "0.7793", "--ecr", "0.5151", "--eic", "0.0839"]
+    result = run_cli(
+        runner, ["simulate", *args, "--trials", "1000", "--out", str(tmp_path / "sim")]
+    )
+    assert result.exit_code == 0
+    expected = closed_form_decompose_all(SimConfig(0.7793, 0.5151, 0.0839))
+    assert f"(closed form {expected:.4f})" in result.output
+    assert "(closed form 0.8276)" in result.output
+
+
+def write_metrics(run_dir, metrics):
+    """A run directory holding ``metrics`` as its metrics.json text."""
+    run_dir.mkdir()
+    if metrics is not None:
+        text = metrics if isinstance(metrics, str) else json.dumps(metrics)
+        (run_dir / "metrics.json").write_text(text)
+    return str(run_dir)
+
+
+def test_fit_matches_linear_fit(runner, tmp_path):
+    points = [(0.5, 1.25), (1.7, 3.5), (4.0, 4.75)]
+    runs = [
+        write_metrics(tmp_path / f"run{i}", {"n": 8, "surprisal": x, "net_gain": y})
+        for i, (x, y) in enumerate(points)
+    ]
+    # A run without a threshold has no surprisal and is left out.
+    runs.append(write_metrics(tmp_path / "direct", {"surprisal": None, "net_gain": 0.0}))
+    result = run_cli(runner, ["fit", *runs])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"runs": 3, **linear_fit(points)}
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        {"surprisal": None, "net_gain": 2.0},
+        {"surprisal": 1.0, "net_gain": 2.0},
+        None,
+        '{"surprisal": 2.0',
+        [2.0, 1.0],
+        {"surprisal": 2.0},
+        {"surprisal": 2.0, "net_gain": "1.0"},
+        {"surprisal": True, "net_gain": 1.0},
+    ],
+    ids=["one_surprisal", "equal_surprisal", "missing", "torn", "not_object",
+         "no_net_gain", "net_gain_string", "surprisal_bool"],
+)
+def test_fit_exits_3(runner, tmp_path, second):
+    first = write_metrics(tmp_path / "a", {"surprisal": 1.0, "net_gain": 1.0})
+    result = runner.invoke(main, ["fit", first, write_metrics(tmp_path / "b", second)])
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
 def test_simulate_flat_curve_without_corrections(runner, tmp_path):
     out = tmp_path / "sim"
     result = run_cli(
@@ -365,19 +448,22 @@ def test_metrics_command(runner, workspace):
 
 def test_retry_budget_env_override(runner, workspace, monkeypatch):
     tmp, data, script = workspace
-    monkeypatch.setenv("SECONDGUESS_RETRY_BUDGET", "not-a-number")
-    result = runner.invoke(
-        main,
-        [
-            "run",
-            "--dataset", str(data),
-            "--mock-script", str(script),
-            "--mode", "direct",
-            "--out", str(tmp / "out"),
-        ],
-    )
-    assert result.exit_code == 2
-    assert "SECONDGUESS_RETRY_BUDGET" in result.output + result.stderr
+    out = tmp / "out"
+    for value in ("not-a-number", "-4", "0"):
+        monkeypatch.setenv("SECONDGUESS_RETRY_BUDGET", value)
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--dataset", str(data),
+                "--mock-script", str(script),
+                "--mode", "direct",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "SECONDGUESS_RETRY_BUDGET" in result.output + result.stderr
+        assert not out.exists()
 
 
 def test_config_file_out_and_values_apply(runner, workspace, monkeypatch):
@@ -417,8 +503,9 @@ def test_config_file_out_and_values_apply(runner, workspace, monkeypatch):
         {"decomposer_prompt_style": "bogus"},
         {"concurrency": True},
         {"mode": "bogus"},
+        {"retry_budget": 0},
     ],
-    ids=["seed", "tau", "retry_budget", "prompt_style", "bool_int", "mode"],
+    ids=["seed", "tau", "retry_budget", "prompt_style", "bool_int", "mode", "retry_budget_0"],
 )
 def test_config_value_type_exits_2(runner, workspace, bad):
     tmp, data, script = workspace
@@ -506,6 +593,9 @@ BAD_SCRIPTS = {
     "logprobs_scalar": script_line(token_logprobs=-0.1),
     "logprob_string": script_line(token_logprobs=["-0.1"]),
     "logprob_bool": script_line(token_logprobs=[True]),
+    "text_empty": script_line(text=""),
+    "logprob_positive": script_line(token_logprobs=[0.5]),
+    "logprob_nan": script_line(token_logprobs=[float("nan")]),
 }
 
 

@@ -17,8 +17,8 @@ GOOD = {"id": "q1", "image": "img.jpg", "question": "is it raining?", "answers":
 def test_load_single_item(tmp_path):
     path = tmp_path / "data.jsonl"
     write_lines(path, [GOOD])
-    questions, manifest = dataset.load_dataset(path)
-    assert manifest.items == 1
+    questions = dataset.load_dataset(path)
+    assert len(questions) == 1
     assert questions[0].id == "q1"
     assert questions[0].answers == ("no",)
     assert questions[0].qtype == "other"
@@ -91,11 +91,11 @@ def test_roundtrip_is_stable(tmp_path):
             {**GOOD, "id": "q2", "qtype": "other"},
         ],
     )
-    questions, _ = dataset.load_dataset(original)
+    questions = dataset.load_dataset(original)
     first = tmp_path / "b.jsonl"
     second = tmp_path / "c.jsonl"
     dataset.save_dataset(questions, first)
-    reloaded, _ = dataset.load_dataset(first)
+    reloaded = dataset.load_dataset(first)
     dataset.save_dataset(reloaded, second)
     assert first.read_bytes() == second.read_bytes()
 
@@ -150,41 +150,14 @@ def test_convert_winoground_missing_field():
         dataset.convert_winoground([{k: v for k, v in WINOGROUND[0].items() if k != "caption_1"}])
 
 
-INTROSPECT = [
-    {
-        "id": "r1",
-        "image": "a.jpg",
-        "question": "can i eat this banana?",
-        "answers": ["yes"],
-        "sub_qas": [
-            ["what is the color of the banana", ["yellow", "gold"]],
-            ["is the banana bruised", "no"],
-            ["is the peel intact", "yes"],
-        ],
-    },
-    {
-        "id": "r2",
-        "image": "b.jpg",
-        "question": "is it winter?",
-        "answers": ["no"],
-        "sub_qas": [],
-    },
-]
-
-
-def test_extract_introspect_passthrough_and_skip():
-    questions, skipped = dataset.extract_introspect(INTROSPECT)
-    assert skipped == 1
-    assert len(questions) == 1
-    sub_qas = questions[0].oracle_sub_qas
-    assert [qa.question for qa in sub_qas] == [
-        "what is the color of the banana",
-        "is the banana bruised",
-        "is the peel intact",
-    ]
-    # First annotator answer wins; present answers stay, absent stay absent.
-    assert sub_qas[0].answer == "yellow"
-    assert sub_qas[1].answer == "no"
+@pytest.mark.parametrize(
+    "record, problem",
+    [(5, "JSON object"), (["w0"], "JSON object"), (dict(WINOGROUND[0], image_0=7), "'image_0'"),
+     (dict(WINOGROUND[0], id=None), "'id'"), (dict(WINOGROUND[0], caption_1=[]), "'caption_1'")],
+)
+def test_convert_winoground_rejects_mistyped_record(record, problem):
+    with pytest.raises(DatasetError, match=problem):
+        dataset.convert_winoground([record])
 
 
 def test_stats_mean_question_length():
@@ -192,12 +165,8 @@ def test_stats_mean_question_length():
         VisualQuestion(id="a", image="i", question="a b", answers=("x",)),
         VisualQuestion(id="b", image="i", question="a b c d", answers=("x",)),
     ]
-    manifest = dataset.stats(questions)
-    assert manifest.items == 2
-    assert manifest.avg_question_length == 3.0
+    assert dataset.stats(questions) == {"items": 2, "images": 1, "avg_question_length": 3.0}
 
 
 def test_stats_empty_stream():
-    manifest = dataset.stats([])
-    assert manifest.items == 0
-    assert manifest.avg_question_length is None
+    assert dataset.stats([]) == {"items": 0, "images": 0, "avg_question_length": None}
