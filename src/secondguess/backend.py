@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -192,6 +193,9 @@ class HTTPBackend:
         session: Optional[requests.Session] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend URL {base_url!r} needs an http or https scheme and a host")
         self.base_url = base_url.rstrip("/")
         self.attempts = attempts
         self.base_delay = base_delay

@@ -149,10 +149,13 @@ def _build_engine(cfg: dict) -> Engine:
         return Engine(recomposer=mock, decomposer=mock, decomposer_prompt_style=style)
     if not cfg.get("recomposer_url"):
         _fail(EXIT_CONFIG, "one of mock_script / recomposer_url is required")
-    recomposer = HTTPBackend(cfg["recomposer_url"], attempts=cfg["retry_budget"])
-    decomposer = recomposer
-    if cfg.get("decomposer_url"):
-        decomposer = HTTPBackend(cfg["decomposer_url"], attempts=cfg["retry_budget"])
+    try:
+        recomposer = HTTPBackend(cfg["recomposer_url"], attempts=cfg["retry_budget"])
+        decomposer = recomposer
+        if cfg.get("decomposer_url"):
+            decomposer = HTTPBackend(cfg["decomposer_url"], attempts=cfg["retry_budget"])
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     return Engine(
         recomposer=recomposer, decomposer=decomposer, decomposer_prompt_style=style
     )
@@ -277,7 +280,7 @@ def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
     try:
         episodes = pipeline.read_episode_log(log_path)
         points = evaluation.sweep(episodes, grid)
-    except (DatasetError, ValueError) as exc:
+    except (OSError, DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
     csv_path = out_dir / "sweep.csv"
     evaluation.write_sweep_csv(points, csv_path)
@@ -306,17 +309,17 @@ def cmd_oracle(config_path, condition, **flags) -> None:
 def cmd_convert(input_path, output_path) -> None:
     """Convert winoground-style records into the canonical VQA schema."""
     questions, warnings, records = [], 0, 0
-    with open(input_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    try:
+        for lineno, record in dataset.read_jsonl(input_path):
             try:
-                converted, warned = dataset.convert_winoground([json.loads(line)])
-            except (json.JSONDecodeError, DatasetError) as exc:
+                converted, warned = dataset.convert_winoground([record])
+            except DatasetError as exc:
                 _fail(EXIT_DATASET, f"{input_path}:{lineno}: {exc}")
             questions += converted
             warnings += warned
             records += 1
+    except (OSError, DatasetError) as exc:  # unreadable, or a line is no JSON
+        _fail(EXIT_DATASET, str(exc))
     dataset.save_dataset(questions, output_path)
     click.echo(
         f"converted {records} records into {len(questions)} questions "
@@ -408,7 +411,7 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     try:
         episodes = pipeline.read_episode_log(log_path)
         report = evaluation.compute_report(episodes, tau=tau, qtype_map=qtype_map)
-    except (DatasetError, ValueError) as exc:
+    except (OSError, DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

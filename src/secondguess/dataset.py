@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .evaluation import normalize_answer
 from .prompts import SubQA
@@ -82,6 +82,20 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
     )
 
 
+def read_jsonl(path) -> Iterator[Tuple[int, object]]:
+    """Yield (line number, parsed value) for each non-blank line of a JSONL
+    file; a line that is no JSON raises DatasetError naming ``path:line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            yield lineno, obj
+
+
 def load_dataset(path) -> List[VisualQuestion]:
     """Load a canonical JSONL dataset.
 
@@ -90,21 +104,12 @@ def load_dataset(path) -> List[VisualQuestion]:
     """
     questions: List[VisualQuestion] = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: invalid JSON ({exc.msg})") from exc
-            q = _question_from_obj(obj, where)
-            if q.id in seen:
-                raise DatasetError(f"{where}: duplicate id {q.id!r}")
-            seen.add(q.id)
-            questions.append(q)
+    for lineno, obj in read_jsonl(path):
+        q = _question_from_obj(obj, f"{path}:{lineno}")
+        if q.id in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate id {q.id!r}")
+        seen.add(q.id)
+        questions.append(q)
     return questions
 
 

@@ -2,14 +2,17 @@
 induction rates, threshold sweeps, surprisal, and the scaling regression.
 
 All functions here are pure post-processing over immutable episode logs
-(sequences of dicts in the episode JSONL schema), or, for ``replay``, over
-their outcome columns; nothing issues model calls.
+(sequences of dicts in the episode JSONL schema); nothing issues model calls.
+``compute_report`` and ``sweep`` read a log once into the outcome columns of
+its scorable episodes (``_columns``) and count with boolean masks over them;
+``replay`` gates those columns at each threshold.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,41 +57,21 @@ def is_match(predicted: str, answers: Sequence[str], scoring: str = "exact") -> 
     return any(pred == normalize_answer(ans) for ans in answers)
 
 
-def _valid(episodes: Sequence[dict]) -> List[dict]:
-    return [ep for ep in episodes if not ep.get("failed")]
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
 
 
-def _decomposed(episodes: Sequence[dict]) -> List[dict]:
-    return [ep for ep in _valid(episodes) if ep["gate"] == "second_guessed"]
-
-
-def accuracy(episodes: Sequence[dict], phase: str) -> float:
-    if phase not in ("before", "after"):
-        raise ValueError(f"unknown phase {phase!r}")
-    valid = _valid(episodes)
-    if not valid:
-        raise ValueError("no episodes to score")
-    key = f"correct_{phase}"
-    return sum(1 for ep in valid if ep[key]) / len(valid)
-
-
-def error_correction_rate(episodes: Sequence[dict]) -> Optional[float]:
-    """Fraction of initially wrong, decomposed answers flipped to correct.
-
-    Returns None (undefined) when no decomposed episode was initially wrong.
-    """
-    denom = [ep for ep in _decomposed(episodes) if not ep["correct_before"]]
-    if not denom:
-        return None
-    return sum(1 for ep in denom if ep["correct_after"]) / len(denom)
-
-
-def error_induction_rate(episodes: Sequence[dict]) -> Optional[float]:
-    """Fraction of initially correct, decomposed answers flipped to wrong."""
-    denom = [ep for ep in _decomposed(episodes) if ep["correct_before"]]
-    if not denom:
-        return None
-    return sum(1 for ep in denom if not ep["correct_after"]) / len(denom)
+def _columns(episodes: Sequence[dict]):
+    """(ids, confidence, second_guessed, correct_before, correct_after) of
+    the episodes that did not fail: a list of ids, then numpy columns."""
+    valid = [ep for ep in episodes if not ep.get("failed")]
+    return (
+        [ep["id"] for ep in valid],
+        np.array([ep["initial"]["confidence"] for ep in valid], dtype=float),
+        np.array([ep["gate"] == "second_guessed" for ep in valid], dtype=bool),
+        np.array([ep["correct_before"] for ep in valid], dtype=bool),
+        np.array([ep["correct_after"] for ep in valid], dtype=bool),
+    )
 
 
 def surprisal(tau: float) -> float:
@@ -149,14 +132,14 @@ def replay(
     for i, tau in enumerate(taus):
         gated = confidence <= tau
         correct = np.where(gated, correct_after, correct_before)
-        eta = int(np.count_nonzero(gated)) / n
+        eta = _count(gated) / n
         points.append(
             SweepPoint(
                 percentile=eta * 100.0 if percentiles is None else percentiles[i],
                 tau=tau,
                 surprisal=surprisal(tau) if tau > 0 else math.inf,
                 eta=eta,
-                accuracy=int(np.count_nonzero(correct)) / n,
+                accuracy=_count(correct) / n,
             )
         )
     return points
@@ -169,12 +152,9 @@ def sweep(episodes: Sequence[dict], percentiles: Sequence[float]) -> List[SweepP
     and post-decomposition correctness; each percentile resolves to its
     nearest-rank tau, and the gate is replayed there.
     """
-    valid = _valid(episodes)
-    if not valid:
+    _, confidence, _, before, after = _columns(episodes)
+    if not confidence.size:
         raise ValueError("no episodes to sweep")
-    confidence = np.array([ep["initial"]["confidence"] for ep in valid], dtype=float)
-    before = np.array([ep["correct_before"] for ep in valid], dtype=bool)
-    after = np.array([ep["correct_after"] for ep in valid], dtype=bool)
     ordered = np.sort(confidence)
     taus = [_nearest_rank(ordered, p) for p in percentiles]
     return replay(confidence, before, after, taus, percentiles)
@@ -235,56 +215,48 @@ def compute_report(
     count. ``qtype_map`` (question id -> qtype) enables the per-qtype
     breakdown when the originating dataset is available.
     """
-    valid = _valid(episodes)
-    if not valid:
+    ids, _, second_guessed, before, after = _columns(episodes)
+    n = len(ids)
+    if not n:
         raise ValueError("no scorable episodes")
-    decomposed = _decomposed(episodes)
-    acc_before = accuracy(episodes, "before")
-    acc_after = accuracy(episodes, "after")
+    # Decomposed answers that were wrong (E_CR's pool) or right (E_IC's).
+    wrong = second_guessed & ~before
+    right = second_guessed & before
+    wrong_n, right_n = _count(wrong), _count(right)
+    acc_before = _count(before) / n
+    acc_after = _count(after) / n
     report = MetricsReport(
-        n=len(valid),
+        n=n,
         accuracy_before=acc_before,
         accuracy_after=acc_after,
         net_gain=(acc_after - acc_before) * 100.0,
-        e_cr=error_correction_rate(episodes),
-        e_cr_denominator=sum(1 for ep in decomposed if not ep["correct_before"]),
-        e_ic=error_induction_rate(episodes),
-        e_ic_denominator=sum(1 for ep in decomposed if ep["correct_before"]),
-        eta=len(decomposed) / len(valid),
+        e_cr=_count(wrong & after) / wrong_n if wrong_n else None,
+        e_cr_denominator=wrong_n,
+        e_ic=_count(right & ~after) / right_n if right_n else None,
+        e_ic_denominator=right_n,
+        eta=_count(second_guessed) / n,
         tau=tau,
         surprisal=surprisal(tau) if tau is not None and tau > 0 else None,
-        failures=len(episodes) - len(valid),
+        failures=len(episodes) - n,
     )
     if qtype_map is not None:
-        groups: Dict[str, List[dict]] = {}
-        for ep in valid:
-            groups.setdefault(qtype_map.get(ep["id"], "other"), []).append(ep)
+        qtypes = np.array([qtype_map.get(i, "other") for i in ids])
         for qtype in ("overall", "boolean", "number", "other"):
-            subset = valid if qtype == "overall" else groups.get(qtype, [])
-            if not subset:
-                continue
-            report.per_qtype[qtype] = {
-                "n": len(subset),
-                "accuracy_before": accuracy(subset, "before"),
-                "accuracy_after": accuracy(subset, "after"),
-            }
+            mask = np.full(n, True) if qtype == "overall" else qtypes == qtype
+            size = _count(mask)
+            if size:
+                report.per_qtype[qtype] = {
+                    "n": size,
+                    "accuracy_before": _count(before & mask) / size,
+                    "accuracy_after": _count(after & mask) / size,
+                }
     return report
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
     """Emit the shared SweepPoint CSV schema for external plotting."""
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["percentile", "tau", "surprisal", "eta", "accuracy"])
+        writer.writerow(f.name for f in fields(SweepPoint))
         for p in points:
-            writer.writerow(
-                [
-                    repr(p.percentile),
-                    repr(p.tau),
-                    repr(p.surprisal),
-                    repr(p.eta),
-                    repr(p.accuracy),
-                ]
-            )
+            writer.writerow(map(repr, astuple(p)))

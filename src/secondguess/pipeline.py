@@ -32,7 +32,7 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import DatasetError, VisualQuestion
+from .dataset import DatasetError, VisualQuestion, read_jsonl
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -147,7 +147,7 @@ class Engine:
     def __init__(
         self,
         recomposer: Backend,
-        decomposer: Optional[Backend] = None,
+        decomposer: Backend,
         decomposer_prompt_style: str = "decompose_default",
     ) -> None:
         self.recomposer = recomposer
@@ -182,8 +182,6 @@ class Engine:
         generation is truncated at the first newline; empty or
         non-question-shaped output is flagged malformed but still used.
         The decomposer is text-only, so no image is sent."""
-        if self.decomposer is None:
-            raise ConfigError("decomposer backend not configured")
         request = InferenceRequest(
             prompt=prompts.render_decompose(
                 question.question, self.decomposer_prompt_style
@@ -378,18 +376,10 @@ def read_episode_log(path) -> List[dict]:
     """The episodes of a JSONL log; a line that is no JSON object, or lacks
     a field the evaluation reads, raises DatasetError naming ``path:line``."""
     episodes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                episode = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            problem = _episode_problem(episode)
-            if problem:
-                raise DatasetError(f"{path}:{lineno}: {problem}")
-            episodes.append(episode)
+    for lineno, episode in read_jsonl(path):
+        if problem := _episode_problem(episode):
+            raise DatasetError(f"{path}:{lineno}: {problem}")
+        episodes.append(episode)
     return episodes
 
 

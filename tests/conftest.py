@@ -221,6 +221,41 @@ def brute_eic(episodes):
     return sum(1 for ep in right if not ep["correct_after"]) / len(right)
 
 
+def brute_report(episodes, qtype_map):
+    """Every MetricsReport field but tau and surprisal; ids missing from
+    ``qtype_map`` count as "other"."""
+    valid = [ep for ep in episodes if not ep.get("failed")]
+    decomposed = [ep for ep in valid if ep["gate"] == "second_guessed"]
+    before = brute_accuracy(episodes, "before")
+    after = brute_accuracy(episodes, "after")
+    per_qtype = {}
+    for qtype in ("overall", "boolean", "number", "other"):
+        subset = [
+            ep
+            for ep in valid
+            if qtype == "overall" or qtype_map.get(ep["id"], "other") == qtype
+        ]
+        if subset:
+            per_qtype[qtype] = {
+                "n": len(subset),
+                "accuracy_before": brute_accuracy(subset, "before"),
+                "accuracy_after": brute_accuracy(subset, "after"),
+            }
+    return {
+        "n": len(valid),
+        "accuracy_before": before,
+        "accuracy_after": after,
+        "net_gain": (after - before) * 100.0,
+        "e_cr": brute_ecr(episodes),
+        "e_cr_denominator": sum(1 for ep in decomposed if not ep["correct_before"]),
+        "e_ic": brute_eic(episodes),
+        "e_ic_denominator": sum(1 for ep in decomposed if ep["correct_before"]),
+        "eta": len(decomposed) / len(valid),
+        "failures": len(episodes) - len(valid),
+        "per_qtype": per_qtype,
+    }
+
+
 def brute_sweep_accuracy(episodes, tau):
     """Gate replay by direct enumeration, independent of evaluation.sweep."""
     valid = [ep for ep in episodes if not ep.get("failed")]

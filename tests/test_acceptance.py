@@ -28,8 +28,7 @@ from conftest import (
 from secondguess import dataset, evaluation, pipeline, prompts, simulator
 from secondguess.cli import main as cli_main
 from secondguess.evaluation import (
-    error_correction_rate,
-    error_induction_rate,
+    compute_report,
     linear_fit,
     surprisal,
     sweep,
@@ -118,14 +117,11 @@ def test_c02_metric_oracle_equivalence():
     for seed in range(200):
         rng = random.Random(seed)
         episodes = synthetic_log(rng, rng.randint(1, 200))
-        assert error_correction_rate(episodes) == _brute_rate(episodes, False)
-        assert error_induction_rate(episodes) == _brute_rate(episodes, True)
-        assert evaluation.accuracy(episodes, "before") == brute_accuracy(
-            episodes, "before"
-        )
-        assert evaluation.accuracy(episodes, "after") == brute_accuracy(
-            episodes, "after"
-        )
+        report = compute_report(episodes)
+        assert report.e_cr == _brute_rate(episodes, False)
+        assert report.e_ic == _brute_rate(episodes, True)
+        assert report.accuracy_before == brute_accuracy(episodes, "before")
+        assert report.accuracy_after == brute_accuracy(episodes, "after")
     assert time.perf_counter() - start < 10.0
 
 
@@ -158,9 +154,8 @@ def test_c03_accounting_identity():
             1 for ep in episodes if ep["correct_before"] and not ep["correct_after"]
         )
         assert after - before == corrections - inductions
-        delta = evaluation.accuracy(episodes, "after") - evaluation.accuracy(
-            episodes, "before"
-        )
+        report = compute_report(episodes)
+        delta = report.accuracy_after - report.accuracy_before
         assert round(delta * n) == corrections - inductions
 
 
@@ -169,13 +164,14 @@ def test_c04_gate_endpoints():
     baseline, _ = run_mode(EIGHT_SPECS, "direct")
     closed, engine = run_mode(EIGHT_SPECS, "selective", tau_percentile=0.0)
     assert engine.decomposer_calls == 0
-    assert evaluation.accuracy(closed, "after") == evaluation.accuracy(
-        baseline, "after"
+    assert (
+        compute_report(closed).accuracy_after
+        == compute_report(baseline).accuracy_after
     )
 
     everything, _ = run_mode(EIGHT_SPECS, "decompose_all")
     (point,) = sweep(everything, [100.0])
-    assert point.accuracy == evaluation.accuracy(everything, "after")
+    assert point.accuracy == compute_report(everything).accuracy_after
     assert point.eta == 1.0
 
 
@@ -217,8 +213,8 @@ def test_c05_curve_shape():
             synthetic_episode(f"hc{i}", 0.7, True, i % 2 != 0, "second_guessed")
         )
     acc = brute_accuracy(harmful, "before")
-    e_cr = error_correction_rate(harmful)
-    e_ic = error_induction_rate(harmful)
+    report = compute_report(harmful)
+    e_cr, e_ic = report.e_cr, report.e_ic
     assert acc * e_ic > (1 - acc) * e_cr
     (full,) = sweep(harmful, [100.0])
     assert full.accuracy < acc

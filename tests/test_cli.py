@@ -776,6 +776,41 @@ def test_malformed_episode_log_exits_3(runner, workspace, command, content):
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["metrics", "sweep", "convert"])
+def test_unreadable_input_exits_3(runner, tmp_path, command):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    out = tmp_path / "out"
+    if command == "convert":
+        args = ["convert", "--input", str(directory), "--output", str(out / "x.jsonl")]
+    else:
+        args = [command, "--log", str(directory), "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("url", ["notaurl", "ftp://x", "http://"])
+@pytest.mark.parametrize("flag", ["--recomposer-url", "--decomposer-url"])
+def test_run_malformed_backend_url_exits_2(runner, workspace, flag, url):
+    tmp, data, _ = workspace
+    # A well-formed recomposer URL is never dialled: the run stops first.
+    urls = {"--recomposer-url": "http://localhost:9", flag: url}
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), *(x for kv in urls.items() for x in kv),
+         "--out", str(out)],
+    )
+    assert result.exit_code == 2
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: backend URL ") and repr(url) in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

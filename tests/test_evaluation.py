@@ -1,16 +1,20 @@
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_accuracy, brute_ecr, brute_eic, brute_sweep_accuracy
+from conftest import (
+    brute_accuracy,
+    brute_ecr,
+    brute_eic,
+    brute_report,
+    brute_sweep_accuracy,
+)
 from secondguess import evaluation
 from secondguess.evaluation import (
-    accuracy,
     compute_report,
-    error_correction_rate,
-    error_induction_rate,
     is_match,
     linear_fit,
     normalize_answer,
@@ -88,7 +92,7 @@ def test_ecr_manual_enumeration():
         episode("d", 0.4, False, False),
         episode("e", 0.5, True, True),
     ]
-    assert error_correction_rate(episodes) == 0.25
+    assert compute_report(episodes).e_cr == 0.25
 
 
 def test_eic_manual_enumeration():
@@ -97,19 +101,19 @@ def test_eic_manual_enumeration():
         episode("b", 0.2, True, True),
         episode("c", 0.3, False, False),
     ]
-    assert error_induction_rate(episodes) == 0.5
+    assert compute_report(episodes).e_ic == 0.5
 
 
 def test_rates_undefined_are_none():
     all_correct = [episode("a", 0.5, True, True)]
-    assert error_correction_rate(all_correct) is None
+    assert compute_report(all_correct).e_cr is None
     all_wrong = [episode("a", 0.5, False, False)]
-    assert error_induction_rate(all_wrong) is None
+    assert compute_report(all_wrong).e_ic is None
 
 
 def test_eic_zero_when_nothing_changes():
     episodes = [episode("a", 0.5, True, True), episode("b", 0.5, True, True)]
-    assert error_induction_rate(episodes) == 0.0
+    assert compute_report(episodes).e_ic == 0.0
 
 
 def test_kept_episodes_excluded_from_rate_denominators():
@@ -117,7 +121,7 @@ def test_kept_episodes_excluded_from_rate_denominators():
         episode("a", 0.9, False, False, gate="kept"),
         episode("b", 0.1, False, True),
     ]
-    assert error_correction_rate(episodes) == 1.0
+    assert compute_report(episodes).e_cr == 1.0
 
 
 def test_failed_episodes_excluded():
@@ -125,8 +129,8 @@ def test_failed_episodes_excluded():
         episode("a", 0.5, True, True),
         episode("x", 0.0, False, False, failed=True),
     ]
-    assert accuracy(episodes, "before") == 1.0
     report = compute_report(episodes)
+    assert report.accuracy_before == 1.0
     assert report.n == 1
     assert report.failures == 1
 
@@ -135,10 +139,39 @@ def test_failed_episodes_excluded():
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=200))
 def test_rates_match_brute_force_recount(seed, n):
     episodes = random_log(random.Random(seed), n)
-    assert error_correction_rate(episodes) == brute_ecr(episodes)
-    assert error_induction_rate(episodes) == brute_eic(episodes)
-    assert accuracy(episodes, "before") == brute_accuracy(episodes, "before")
-    assert accuracy(episodes, "after") == brute_accuracy(episodes, "after")
+    report = compute_report(episodes)
+    assert report.e_cr == brute_ecr(episodes)
+    assert report.e_ic == brute_eic(episodes)
+    assert report.accuracy_before == brute_accuracy(episodes, "before")
+    assert report.accuracy_after == brute_accuracy(episodes, "after")
+
+
+# One episode: failed, confidence, gate, correct_before, correct_after, and
+# its qtype in the dataset (None: the id is missing from the qtype map).
+EPISODE_ROWS = st.tuples(
+    st.booleans(),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.sampled_from(["kept", "second_guessed"]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["boolean", "number", "other", None]),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(EPISODE_ROWS, min_size=1, max_size=60))
+def test_compute_report_matches_plain_loop_recount(rows):
+    assume(not all(row[0] for row in rows))
+    # Failed rows keep arbitrary gates and outcomes, so counting one
+    # anywhere changes a field.
+    episodes = [
+        episode(f"e{i}", conf, before, after, gate, failed=failed)
+        for i, (failed, conf, gate, before, after, _) in enumerate(rows)
+    ]
+    qtype_map = {f"e{i}": row[5] for i, row in enumerate(rows) if row[5] is not None}
+    fields = asdict(compute_report(episodes, qtype_map=qtype_map))
+    assert fields.pop("tau") is None and fields.pop("surprisal") is None
+    assert fields == brute_report(episodes, qtype_map)
 
 
 @settings(max_examples=50)
@@ -156,8 +189,9 @@ def test_streaming_recount_agrees(seed, n):
         else:
             cr_den += 1
             cr_num += ep["correct_after"]
-    assert error_correction_rate(episodes) == (cr_num / cr_den if cr_den else None)
-    assert error_induction_rate(episodes) == (ic_num / ic_den if ic_den else None)
+    report = compute_report(episodes)
+    assert report.e_cr == (cr_num / cr_den if cr_den else None)
+    assert report.e_ic == (ic_num / ic_den if ic_den else None)
 
 
 @settings(max_examples=50)

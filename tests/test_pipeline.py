@@ -77,9 +77,8 @@ def test_low_confidence_flip_raises_accuracy_by_one_quarter():
     # q3 is wrong at confidence 0.2 and its recomposition answers correctly.
     episodes, _, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.3)
     objs = [ep.to_obj() for ep in episodes]
-    before = evaluation.accuracy(objs, "before")
-    after = evaluation.accuracy(objs, "after")
-    assert after - before == 0.25
+    report = evaluation.compute_report(objs)
+    assert report.accuracy_after - report.accuracy_before == 0.25
     assert [ep.gate for ep in episodes] == ["kept", "kept", "second_guessed", "kept"]
 
 
