@@ -11,17 +11,18 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
-
-import requests
 
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
 ROLES = ("decomposer", "recomposer")
+_JSON_HEADERS = {"Content-Type": "application/json"}
 # Length of the prompt slices that index a mock script (see MockBackend).
 ANCHOR = 8
 
@@ -182,6 +183,10 @@ class HTTPBackend:
     POST {base_url}/v1/generate with {"prompt", "image", "params"};
     transport faults are retried with bounded exponential backoff,
     protocol violations are surfaced immediately.
+
+    Each calling thread keeps one connection open and reuses it across
+    calls. A reused connection that the server has dropped is reopened
+    once, and that is no retry. ``close`` closes every connection opened.
     """
 
     def __init__(
@@ -190,18 +195,61 @@ class HTTPBackend:
         attempts: int = DEFAULT_RETRY_ATTEMPTS,
         base_delay: float = 0.5,
         timeout: float = 120.0,
-        session: Optional[requests.Session] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         url = urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"backend URL {base_url!r} needs an http or https scheme and a host")
+        # The client sends no credentials, and the manifest records the URL.
+        if url.username is not None:
+            raise ValueError(f"backend URL {base_url!r} must not hold credentials")
         self.base_url = base_url.rstrip("/")
         self.attempts = attempts
         self.base_delay = base_delay
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._sleep = sleep
+        try:
+            self._address = (url.hostname, url.port)
+        except ValueError as exc:  # a port that is no number in range
+            raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
+        self._connection_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._path = url.path.rstrip("/") + "/v1/generate"
+        self._local = threading.local()
+        self._opened: List[HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connection(self) -> HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(*self._address, timeout=self.timeout)
+            with self._lock:
+                self._opened.append(conn)
+            self._local.conn = conn
+        return conn
+
+    def _exchange(self, conn: HTTPConnection, data: bytes) -> Tuple[int, bytes]:
+        conn.request("POST", self._path, body=data, headers=_JSON_HEADERS)
+        response = conn.getresponse()
+        return response.status, response.read()
+
+    def _post(self, data: bytes) -> Tuple[int, bytes]:
+        """(status, body) of one POST on this thread's connection."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                return self._exchange(conn, data)
+            # RemoteDisconnected is a ConnectionResetError: the server closed
+            # an idle keep-alive socket before or while this request used it.
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                conn.close()
+                return self._exchange(conn, data)
+        except (OSError, HTTPException) as exc:  # timeouts are OSErrors
+            # A half-read exchange leaves the connection unusable.
+            conn.close()
+            raise TransportError(f"{self.base_url}: {exc!r}") from exc
 
     def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
         body = {
@@ -209,25 +257,27 @@ class HTTPBackend:
             "image": request.image,
             "params": asdict(request.params),
         }
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
 
         def attempt() -> InferenceResult:
+            status, raw = self._post(data)
+            if status >= 500:
+                raise TransportError(f"server error {status}")
+            if status != 200:
+                raise ProtocolError(f"unexpected status {status}")
             try:
-                resp = self._session.post(
-                    f"{self.base_url}/v1/generate", json=body, timeout=self.timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                raise TransportError(str(exc)) from exc
-            if resp.status_code >= 500:
-                raise TransportError(f"server error {resp.status_code}")
-            if resp.status_code != 200:
-                raise ProtocolError(f"unexpected status {resp.status_code}")
-            try:
-                payload = resp.json()
+                payload = json.loads(raw)
             except ValueError as exc:
                 raise ProtocolError("response is not valid JSON") from exc
             return InferenceResult.from_payload(payload)
 
         return _with_retries(attempt, self.attempts, self.base_delay, self._sleep)
+
+    def close(self) -> None:
+        """Close every connection opened; a later call opens its thread's anew."""
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
+# numpy's OpenBLAS threads busy-wait after load; no command does BLAS work.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 
 from . import __version__, dataset, evaluation, pipeline, prompts, simulator
@@ -222,7 +225,12 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     episodes_path = out_dir / "episodes.jsonl"
     try:
-        summary = pipeline.run_batch(questions, pcfg, engine, episodes_path)
+        try:
+            summary = pipeline.run_batch(questions, pcfg, engine, episodes_path)
+        finally:
+            for backend in (engine.recomposer, engine.decomposer):
+                if isinstance(backend, HTTPBackend):
+                    backend.close()
         # Free the backends (a mock's script and index) before the log is
         # read back.
         del engine
@@ -267,7 +275,6 @@ def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
     grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
     cfg = _load_config(config_path, flags)
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     code = 0
     if log_path is None:
         cfg["mode"] = "decompose_all"
@@ -282,6 +289,7 @@ def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
         points = evaluation.sweep(episodes, grid)
     except (OSError, DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     evaluation.write_sweep_csv(points, csv_path)
     click.echo(f"wrote {len(points)} sweep points -> {csv_path}")

@@ -72,14 +72,17 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
                 f"{where}: 'sub_qas' must be a list of [question, answer] pairs"
             )
         sub_qas = tuple(SubQA(question=q, answer=a) for q, a in sub_qas)
-    return VisualQuestion(
-        id=obj["id"],
-        image=obj["image"],
-        question=obj["question"],
-        answers=tuple(answers),
-        qtype=obj.get("qtype", "other"),
-        oracle_sub_qas=sub_qas,
-    )
+    try:
+        return VisualQuestion(
+            id=obj["id"],
+            image=obj["image"],
+            question=obj["question"],
+            answers=tuple(answers),
+            qtype=obj.get("qtype", "other"),
+            oracle_sub_qas=sub_qas,
+        )
+    except DatasetError as exc:
+        raise DatasetError(f"{where}: {exc}") from exc
 
 
 def read_jsonl(path) -> Iterator[Tuple[int, object]]:

@@ -293,11 +293,10 @@ def _episode(
     )
 
 
-def _map_concurrent(fn, items: Sequence, concurrency: int) -> List:
-    if concurrency <= 1 or len(items) <= 1:
+def _map_concurrent(fn, items: Sequence, pool: Optional[ThreadPoolExecutor]) -> List:
+    if pool is None or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(fn, items))
+    return list(pool.map(fn, items))
 
 
 def run(
@@ -324,22 +323,26 @@ def run(
         except BackendError:
             return None
 
-    initials = _map_concurrent(initial_one, list(questions), cfg.concurrency)
+    # One pool serves both phases: a run uses at most `concurrency` worker
+    # threads, and an HTTP backend keeps one connection per thread.
+    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+        workers = pool if cfg.concurrency > 1 else None
+        initials = _map_concurrent(initial_one, list(questions), workers)
 
-    tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
-    if cfg.tau_percentile is not None:
-        confidences = [o.confidence for o in initials if o is not None]
-        if not confidences:
-            raise ConfigError("no successful initial answers to resolve percentile")
-        tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-    summary.resolved_tau = tau
+        tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
+        if cfg.tau_percentile is not None:
+            confidences = [o.confidence for o in initials if o is not None]
+            if not confidences:
+                raise ConfigError("no successful initial answers to resolve percentile")
+            tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
+        summary.resolved_tau = tau
 
-    # Phase 2: gate, decompose and recompose.
-    episodes = _map_concurrent(
-        lambda pair: _episode(engine, pair[0], pair[1], cfg, tau),
-        list(zip(questions, initials)),
-        cfg.concurrency,
-    )
+        # Phase 2: gate, decompose and recompose.
+        episodes = _map_concurrent(
+            lambda pair: _episode(engine, pair[0], pair[1], cfg, tau),
+            list(zip(questions, initials)),
+            workers,
+        )
 
     summary.episodes += len(episodes)
     summary.failures += sum(1 for ep in episodes if ep.failed)

@@ -1,5 +1,5 @@
-"""Shared fixtures: scripted mock backends, test-only backend wrappers and
-brute-force metric recounts."""
+"""Shared fixtures: scripted mock backends, test-only backend wrappers, a
+loopback generation server and brute-force metric recounts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -185,6 +186,107 @@ FOUR_EPISODE_SPECS = [
 @pytest.fixture
 def four_specs():
     return FOUR_EPISODE_SPECS
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted outcome of a LoopbackServer POST. After waiting ``delay``
+    seconds, send ``status`` with ``body`` (a JSON value, or raw bytes) and
+    close the socket if ``close``; a ``status`` of None closes it unanswered."""
+
+    status: Optional[int] = 200
+    body: object = None
+    close: bool = False
+    delay: float = 0.0
+
+
+class LoopbackServer:
+    """A generation endpoint on 127.0.0.1 for HTTPBackend tests.
+
+    POSTs are answered from the ``outcomes`` queue, and once it is empty by
+    ``respond(request JSON)``, a payload sent with status 200. Each reply
+    goes out in one write on a TCP_NODELAY socket, so Nagle's algorithm and
+    delayed ACKs add no latency. ``received`` holds (path, content type, raw
+    body) per POST received; ``connections`` counts accepted connections.
+    """
+
+    def __init__(self, outcomes: Sequence[Reply] = (), respond: Optional[Callable] = None):
+        self.outcomes = list(outcomes)
+        self.respond = respond
+        self.received: list = []
+        self.connections = 0
+        self._lock = threading.Lock()
+        self._stopped = threading.Event()
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
+        self._server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}
+        )
+        self._thread.start()
+
+    def _next(self, path: str, content_type: str, raw: bytes) -> Reply:
+        with self._lock:
+            self.received.append((path, content_type, raw))
+            if self.outcomes:
+                return self.outcomes.pop(0)
+        return Reply(200, self.respond(json.loads(raw)))
+
+    def _handler(self):
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def setup(self) -> None:
+                super().setup()
+                with server._lock:
+                    server.connections += 1
+
+            def do_POST(self) -> None:
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
+                reply = server._next(self.path, self.headers["Content-Type"], raw)
+                # A stop during the delay ends the exchange unanswered.
+                if server._stopped.wait(reply.delay) or reply.status is None:
+                    self.close_connection = True
+                    return
+                body = reply.body
+                if not isinstance(body, bytes):
+                    body = json.dumps(body).encode("utf-8")
+                head = (
+                    f"HTTP/1.1 {reply.status} {self.responses[reply.status][0]}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n"
+                ).encode("ascii")
+                self.wfile.write(head + body)
+                self.close_connection = reply.close
+
+            def log_message(self, *args) -> None:
+                pass
+
+        return Handler
+
+    def stop(self) -> None:
+        self._stopped.set()
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
+@pytest.fixture
+def loopback():
+    """Start LoopbackServers with ``loopback(outcomes, respond)``; each is
+    stopped when the test ends."""
+    servers = []
+
+    def start(outcomes: Sequence[Reply] = (), respond: Optional[Callable] = None):
+        servers.append(LoopbackServer(outcomes, respond))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
 
 
 # Independent brute-force recounts used as oracles against the evaluation

@@ -1,5 +1,11 @@
+import json
 import math
+import socket
+import sys
+import threading
 import time
+from contextlib import closing
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +15,7 @@ from conftest import (
     FlakyBackend,
     QSpec,
     RecordingBackend,
+    Reply,
     linear_first_match,
     spec_entries,
     spec_questions,
@@ -176,50 +183,24 @@ def test_flaky_backend_exhausts_budget():
         flaky.complete(request(), RECOMPOSER)
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
-
-
-class FakeSession:
-    """Replays a queue of responses/exceptions for HTTPBackend tests."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, json=None, timeout=None):
-        self.requests.append((url, json))
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def http_backend(outcomes, attempts=3):
-    return HTTPBackend(
-        "http://model:8000",
-        attempts=attempts,
-        session=FakeSession(outcomes),
-        sleep=lambda _: None,
-    )
+def http_backend(url, **kwargs):
+    """An HTTPBackend that does not sleep between retries, closed on leaving
+    the ``with`` block: an unclosed socket would fail the test."""
+    return closing(HTTPBackend(url, sleep=lambda _: None, **kwargs))
 
 
 GOOD_PAYLOAD = {"text": "yes", "token_logprobs": [-0.1, -0.2], "cumulative_logprob": -0.3}
 
 
-def test_http_backend_success_and_wire_format():
-    backend = http_backend([FakeResponse(200, GOOD_PAYLOAD)])
-    result = backend.complete(request(prompt="Question: x Short Answer:"), RECOMPOSER)
+def test_http_backend_success_and_wire_format(loopback):
+    server = loopback([Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        result = backend.complete(request(prompt="Question: x Short Answer:"), RECOMPOSER)
     assert result.text == "yes"
-    url, body = backend._session.requests[0]
-    assert url == "http://model:8000/v1/generate"
+    path, content_type, raw = server.received[0]
+    assert path == "/v1/generate"
+    assert content_type == "application/json"
+    body = json.loads(raw)
     assert set(body) == {"prompt", "image", "params"}
     assert set(body["params"]) == {
         "mode",
@@ -233,33 +214,147 @@ def test_http_backend_success_and_wire_format():
     }
 
 
-def test_http_backend_retries_transport_faults():
-    import requests as requests_lib
-
-    backend = http_backend(
-        [
-            requests_lib.ConnectionError("down"),
-            FakeResponse(503),
-            FakeResponse(200, GOOD_PAYLOAD),
-        ]
+def test_http_backend_wire_bytes_and_path_prefix(loopback):
+    server = loopback([Reply(200, GOOD_PAYLOAD)])
+    req = InferenceRequest(
+        prompt="Question: is the café open? Short Answer:",
+        params=DECOMPOSE_PARAMS,
+        request_id="q1#initial",
+        image="aW1n",
     )
-    result = backend.complete(request(), RECOMPOSER)
+    with http_backend(server.url + "/api/") as backend:
+        backend.complete(req, RECOMPOSER)
+    path, _, raw = server.received[0]
+    assert path == "/api/v1/generate"
+    body = {"prompt": req.prompt, "image": req.image, "params": asdict(req.params)}
+    assert raw == json.dumps(body, allow_nan=False).encode("utf-8")
+
+
+def test_http_backend_retries_transport_faults(loopback):
+    server = loopback([Reply(None), Reply(503), Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        result = backend.complete(request(), RECOMPOSER)
     assert result.text == "yes"
     assert result.retries == 2
 
 
-def test_http_backend_gives_up_after_budget():
-    backend = http_backend([FakeResponse(500)] * 3, attempts=3)
-    with pytest.raises(TransportError):
-        backend.complete(request(), RECOMPOSER)
-    assert len(backend._session.requests) == 3
+def test_http_backend_retries_503_then_succeeds(loopback):
+    server = loopback([Reply(503), Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        result = backend.complete(request(), RECOMPOSER)
+    assert result.retries == 1
+    assert len(server.received) == 2
+    assert server.connections == 1
 
 
-def test_http_backend_protocol_error_not_retried():
-    backend = http_backend([FakeResponse(400), FakeResponse(200, GOOD_PAYLOAD)])
-    with pytest.raises(ProtocolError):
+def test_http_backend_gives_up_after_budget(loopback):
+    server = loopback([Reply(500)] * 3)
+    with http_backend(server.url, attempts=3) as backend:
+        with pytest.raises(TransportError):
+            backend.complete(request(), RECOMPOSER)
+    assert len(server.received) == 3
+
+
+def test_http_backend_connection_refused_uses_every_attempt():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    delays = []
+    backend = HTTPBackend(
+        f"http://127.0.0.1:{port}", attempts=3, base_delay=0.5, sleep=delays.append
+    )
+    with closing(backend):
+        with pytest.raises(TransportError, match="ConnectionRefusedError"):
+            backend.complete(request(), RECOMPOSER)
+    assert delays == [0.5, 1.0]
+
+
+def test_http_backend_protocol_error_not_retried(loopback):
+    server = loopback([Reply(400), Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        with pytest.raises(ProtocolError):
+            backend.complete(request(), RECOMPOSER)
+    assert len(server.received) == 1
+
+
+@pytest.mark.parametrize("status", [302, 404, 422])
+def test_http_backend_non_200_is_protocol_error(loopback, status):
+    server = loopback([Reply(status, {}), Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        with pytest.raises(ProtocolError, match=f"unexpected status {status}"):
+            backend.complete(request(), RECOMPOSER)
+    assert len(server.received) == 1
+
+
+def test_http_backend_malformed_body_not_retried(loopback):
+    server = loopback([Reply(200, b"not json"), Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            backend.complete(request(), RECOMPOSER)
+    assert len(server.received) == 1
+
+
+def test_http_backend_reopens_dropped_keepalive_once(loopback):
+    server = loopback(
+        [
+            Reply(200, GOOD_PAYLOAD),
+            Reply(200, GOOD_PAYLOAD, close=True),
+            Reply(200, GOOD_PAYLOAD),
+            Reply(200, GOOD_PAYLOAD, close=True),
+            Reply(None),
+            Reply(200, GOOD_PAYLOAD),
+        ]
+    )
+    with http_backend(server.url) as backend:
         backend.complete(request(), RECOMPOSER)
-    assert len(backend._session.requests) == 1
+        backend.complete(request(), RECOMPOSER)
+        assert server.connections == 1  # kept alive
+        # The server closed the socket after its last reply: reopened, no retry.
+        assert backend.complete(request(), RECOMPOSER).retries == 0
+        assert server.connections == 2
+        backend.complete(request(), RECOMPOSER)
+        # Reopened once more, and the new connection fails too: that is a
+        # transport fault, retried on a fourth connection.
+        assert backend.complete(request(), RECOMPOSER).retries == 1
+        assert server.connections == 4
+    assert len(server.received) == 6
+
+
+def test_http_backend_read_timeout_is_transport_error(loopback):
+    server = loopback([Reply(200, GOOD_PAYLOAD, delay=10.0)])
+    with http_backend(server.url, attempts=1, timeout=0.2) as backend:
+        start = time.perf_counter()
+        with pytest.raises(TransportError, match="TimeoutError"):
+            backend.complete(request(), RECOMPOSER)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_http_backend_keeps_one_connection_per_thread(loopback):
+    threads, calls = 8, 5
+    server = loopback([Reply(200, GOOD_PAYLOAD)] * (threads * calls))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with http_backend(server.url) as backend:
+            start = threading.Barrier(threads)
+
+            def work():
+                start.wait(timeout=10)
+                results.extend(backend.complete(request(), RECOMPOSER) for _ in range(calls))
+
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+            assert not any(worker.is_alive() for worker in workers)
+            opened = list(backend._opened)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == threads * calls and all(r.retries == 0 for r in results)
+    assert server.connections == len(opened) == threads
+    assert all(conn.sock is None for conn in opened)
 
 
 def test_mock_script_roundtrip(tmp_path):

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import FOUR_EPISODE_SPECS, QSpec, spec_questions, write_script
+import secondguess
 from secondguess import dataset
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
@@ -792,7 +798,9 @@ def test_unreadable_input_exits_3(runner, tmp_path, command):
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("url", ["notaurl", "ftp://x", "http://"])
+@pytest.mark.parametrize(
+    "url", ["notaurl", "ftp://x", "http://", "http://u:pw@host", "http://host:99999"]
+)
 @pytest.mark.parametrize("flag", ["--recomposer-url", "--decomposer-url"])
 def test_run_malformed_backend_url_exits_2(runner, workspace, flag, url):
     tmp, data, _ = workspace
@@ -831,3 +839,93 @@ def test_flag_out_of_range_exits_2(runner, tmp_path, flags):
     assert result.exit_code == 2
     assert flags[1].lstrip("-") in result.output + result.stderr
     assert not (out / "metrics.json").exists()
+
+
+def answer_from_prompt(req):
+    """A valid generation payload that depends only on the prompt."""
+    digest = hashlib.sha256(req["prompt"].encode("utf-8")).digest()
+    if req["prompt"].endswith("Perception Question:"):
+        text = f"is the thing number {digest[0] % 5} visible?"
+    else:
+        text = ("yes", "no")[digest[0] % 2]
+    logprob = -(digest[1] + 1) / 256.0
+    return {"text": text, "token_logprobs": [logprob], "cumulative_logprob": logprob}
+
+
+def test_run_over_http_keeps_one_connection_per_worker(runner, workspace, loopback):
+    tmp, data, _ = workspace
+    logs = []
+    for concurrency in (1, 2):
+        server = loopback(respond=answer_from_prompt)
+        out = tmp / f"out{concurrency}"
+        result = run_cli(
+            runner,
+            [
+                "run",
+                "--dataset", str(data),
+                "--recomposer-url", server.url,
+                "--mode", "decompose_all",
+                "--concurrency", str(concurrency),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert 1 <= server.connections <= concurrency
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["backend_calls"] == len(server.received) == 8 * 4
+        logs.append((out / "episodes.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+
+
+def test_import_loads_no_http_stack_or_blas_threads():
+    # OpenBLAS takes its thread count from the first of these that is set.
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(Path(secondguess.__file__).parents[1])
+    code = (
+        "import os, sys\n"
+        "import secondguess.cli\n"
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n"
+        "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["[]", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["--dataset", "{data}", "--recomposer-url", "notaurl"], 2),
+        (["--log", "{tmp}/missing.jsonl"], 3),
+    ],
+    ids=["bad_url", "missing_log"],
+)
+def test_sweep_failing_early_leaves_no_out(runner, workspace, args, code):
+    tmp, data, _ = workspace
+    out = tmp / "out"
+    args = [arg.format(data=data, tmp=tmp) for arg in args]
+    result = runner.invoke(main, ["sweep", *args, "--out", str(out)])
+    assert result.exit_code == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"answers": []}, "has no ground-truth answers"),
+        ({"qtype": "colour"}, "has unknown qtype 'colour'"),
+        ({"qtype": "boolean", "answers": ["maybe"]}, "has non-boolean answer 'maybe'"),
+    ],
+    ids=["no_answers", "unknown_qtype", "non_boolean_answer"],
+)
+def test_stats_invalid_question_names_line(runner, tmp_path, fields, message):
+    good = {"id": "a", "image": "a.jpg", "question": "is it?", "answers": ["yes"]}
+    data = tmp_path / "dataset.jsonl"
+    data.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **fields}) + "\n")
+    result = runner.invoke(main, ["stats", "--dataset", str(data)])
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {data}:2: ") and message in errors[0]
