@@ -234,7 +234,7 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
         # Free the backends (a mock's script and index) before the log is
         # read back.
         del engine
-        episodes = pipeline.read_episode_log(episodes_path)
+        log = pipeline.read_episode_log(episodes_path)
     except BackendError as exc:
         _fail(EXIT_BACKEND, str(exc))
     except DatasetError as exc:
@@ -243,7 +243,7 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
     qtype_map = {q.id: q.qtype for q in questions}
     try:
         report = evaluation.compute_report(
-            episodes, tau=summary.resolved_tau, qtype_map=qtype_map
+            log, tau=summary.resolved_tau, qtype_map=qtype_map
         )
     except ValueError as exc:  # every episode failed
         _fail(1, str(exc))
@@ -285,8 +285,7 @@ def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
     if not Path(log_path).exists():
         _fail(EXIT_DATASET, f"episode log not found: {log_path}")
     try:
-        episodes = pipeline.read_episode_log(log_path)
-        points = evaluation.sweep(episodes, grid)
+        points = evaluation.sweep(pipeline.read_episode_log(log_path), grid)
     except (OSError, DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -417,14 +416,14 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     if dataset_path:
         qtype_map = {q.id: q.qtype for q in _load_questions(dataset_path)}
     try:
-        episodes = pipeline.read_episode_log(log_path)
-        report = evaluation.compute_report(episodes, tau=tau, qtype_map=qtype_map)
+        log = pipeline.read_episode_log(log_path)
+        report = evaluation.compute_report(log, tau=tau, qtype_map=qtype_map)
     except (OSError, DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "metrics.json", asdict(report))
-    points = evaluation.sweep(episodes, DEFAULT_PERCENTILES)
+    points = evaluation.sweep(log, DEFAULT_PERCENTILES)
     evaluation.write_sweep_csv(points, out_dir / "sweep.csv")
     click.echo(f"wrote metrics.json and sweep.csv -> {out_dir}")
 

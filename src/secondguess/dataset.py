@@ -89,14 +89,20 @@ def read_jsonl(path) -> Iterator[Tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line of a JSONL
     file; a line that is no JSON raises DatasetError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            yield lineno, obj
+        yield from parse_jsonl_lines(path, enumerate(fh, start=1))
+
+
+def parse_jsonl_lines(path, numbered_lines) -> Iterator[Tuple[int, object]]:
+    """``read_jsonl`` over (line number, line) pairs already read from
+    ``path``."""
+    for lineno, line in numbered_lines:
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        yield lineno, obj
 
 
 def load_dataset(path) -> List[VisualQuestion]:

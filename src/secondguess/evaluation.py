@@ -1,11 +1,11 @@
 """Answer matching and the metric suite: accuracy, error correction and
 induction rates, threshold sweeps, surprisal, and the scaling regression.
 
-All functions here are pure post-processing over immutable episode logs
-(sequences of dicts in the episode JSONL schema); nothing issues model calls.
-``compute_report`` and ``sweep`` read a log once into the outcome columns of
-its scorable episodes (``_columns``) and count with boolean masks over them;
-``replay`` gates those columns at each threshold.
+All functions here are pure post-processing over immutable episode logs;
+nothing issues model calls. A log is read as ``EpisodeColumns``, one entry
+per record; ``compute_report`` and ``sweep`` mask out its failed records and
+count with boolean masks over the rest; ``replay`` gates those columns at
+each threshold.
 """
 
 from __future__ import annotations
@@ -61,17 +61,17 @@ def _count(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _columns(episodes: Sequence[dict]):
-    """(ids, confidence, second_guessed, correct_before, correct_after) of
-    the episodes that did not fail: a list of ids, then numpy columns."""
-    valid = [ep for ep in episodes if not ep.get("failed")]
-    return (
-        [ep["id"] for ep in valid],
-        np.array([ep["initial"]["confidence"] for ep in valid], dtype=float),
-        np.array([ep["gate"] == "second_guessed" for ep in valid], dtype=bool),
-        np.array([ep["correct_before"] for ep in valid], dtype=bool),
-        np.array([ep["correct_after"] for ep in valid], dtype=bool),
-    )
+@dataclass(eq=False)  # numpy columns have no one truth value to compare
+class EpisodeColumns:
+    """The fields of an episode log that the evaluation reads, one entry per
+    record, failed records included: a list of ids, then numpy columns."""
+
+    ids: List[str]
+    failed: np.ndarray
+    confidence: np.ndarray
+    second_guessed: np.ndarray
+    correct_before: np.ndarray
+    correct_after: np.ndarray
 
 
 def surprisal(tau: float) -> float:
@@ -145,19 +145,21 @@ def replay(
     return points
 
 
-def sweep(episodes: Sequence[dict], percentiles: Sequence[float]) -> List[SweepPoint]:
+def sweep(log: EpisodeColumns, percentiles: Sequence[float]) -> List[SweepPoint]:
     """Offline threshold sweep over a decompose-all episode log.
 
-    Every episode must carry the initial confidence, initial correctness,
-    and post-decomposition correctness; each percentile resolves to its
-    nearest-rank tau, and the gate is replayed there.
+    Failed records are left out; each percentile resolves to its
+    nearest-rank tau over the rest, and the gate is replayed there.
     """
-    _, confidence, _, before, after = _columns(episodes)
+    valid = ~log.failed
+    confidence = log.confidence[valid]
     if not confidence.size:
         raise ValueError("no episodes to sweep")
     ordered = np.sort(confidence)
     taus = [_nearest_rank(ordered, p) for p in percentiles]
-    return replay(confidence, before, after, taus, percentiles)
+    return replay(
+        confidence, log.correct_before[valid], log.correct_after[valid], taus, percentiles
+    )
 
 
 def linear_fit(points: Sequence[Tuple[float, float]]) -> dict:
@@ -205,7 +207,7 @@ class MetricsReport:
 
 
 def compute_report(
-    episodes: Sequence[dict],
+    log: EpisodeColumns,
     tau: Optional[float] = None,
     qtype_map: Optional[Dict[str, str]] = None,
 ) -> MetricsReport:
@@ -215,8 +217,10 @@ def compute_report(
     count. ``qtype_map`` (question id -> qtype) enables the per-qtype
     breakdown when the originating dataset is available.
     """
-    ids, _, second_guessed, before, after = _columns(episodes)
-    n = len(ids)
+    valid = ~log.failed
+    second_guessed = log.second_guessed[valid]
+    before, after = log.correct_before[valid], log.correct_after[valid]
+    n = second_guessed.size
     if not n:
         raise ValueError("no scorable episodes")
     # Decomposed answers that were wrong (E_CR's pool) or right (E_IC's).
@@ -237,10 +241,10 @@ def compute_report(
         eta=_count(second_guessed) / n,
         tau=tau,
         surprisal=surprisal(tau) if tau is not None and tau > 0 else None,
-        failures=len(episodes) - n,
+        failures=len(log.ids) - n,
     )
     if qtype_map is not None:
-        qtypes = np.array([qtype_map.get(i, "other") for i in ids])
+        qtypes = np.array([qtype_map.get(i, "other") for i in log.ids])[valid]
         for qtype in ("overall", "boolean", "number", "other"):
             mask = np.full(n, True) if qtype == "overall" else qtypes == qtype
             size = _count(mask)

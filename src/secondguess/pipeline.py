@@ -14,12 +14,15 @@ yields one auditable EpisodeRecord.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from . import evaluation, prompts
 from .backend import (
@@ -32,7 +35,7 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import DatasetError, VisualQuestion, read_jsonl
+from .dataset import DatasetError, VisualQuestion, parse_jsonl_lines
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -349,12 +352,21 @@ def run(
     return episodes
 
 
+# Log lines that read_episode_log parses with one json.loads call: enough to
+# amortise the call, few enough that their dicts stay a few MiB.
+_CHUNK_LINES = 4096
+_GATES = ("kept", "second_guessed")
+
+
 def _episode_problem(episode) -> Optional[str]:
     """Why a log record is no episode the evaluation can read, or None."""
     if not isinstance(episode, dict):
         return "expected a JSON object"
     if not isinstance(episode.get("id"), str):
         return "id must be a string"
+    failed = episode.get("failed", False)
+    if not isinstance(failed, bool):
+        return "failed must be true or false"
     initial = episode.get("initial")
     confidence = initial.get("confidence") if isinstance(initial, dict) else None
     # bool is an int subclass, but true/false is no confidence.
@@ -365,9 +377,9 @@ def _episode_problem(episode) -> Optional[str]:
     ):
         return "initial.confidence must be a number in [0, 1]"
     # Only a failed record's confidence is 0: tau = 0 must gate no answer.
-    if confidence == 0.0 and not episode.get("failed"):
+    if confidence == 0.0 and not failed:
         return "initial.confidence must be above 0 unless the episode failed"
-    if episode.get("gate") not in ("kept", "second_guessed"):
+    if episode.get("gate") not in _GATES:
         return "gate must be 'kept' or 'second_guessed'"
     for key in ("correct_before", "correct_after"):
         if not isinstance(episode.get(key), bool):
@@ -375,15 +387,98 @@ def _episode_problem(episode) -> Optional[str]:
     return None
 
 
-def read_episode_log(path) -> List[dict]:
-    """The episodes of a JSONL log; a line that is no JSON object, or lacks
-    a field the evaluation reads, raises DatasetError naming ``path:line``."""
-    episodes = []
-    for lineno, episode in read_jsonl(path):
-        if problem := _episode_problem(episode):
+def _chunk_columns(records: list, seen: set):
+    """The EpisodeColumns fields of a chunk of parsed log records, as a tuple,
+    or None if any record fails ``_episode_problem`` or repeats an id of the
+    chunk or of ``seen``. The chunk is checked as a whole: the type sets of
+    its fields, then numpy ranges."""
+    if not set(map(type, records)) <= {dict}:
+        return None
+    ids = [r.get("id") for r in records]
+    failed = [r.get("failed", False) for r in records]
+    initials = [r.get("initial") for r in records]
+    gates = [r.get("gate") for r in records]
+    before = [r.get("correct_before") for r in records]
+    after = [r.get("correct_after") for r in records]
+    if not (
+        set(map(type, ids)) <= {str}
+        and set(map(type, initials)) <= {dict}
+        and set(map(type, gates)) <= {str}
+        and set(gates).issubset(_GATES)
+        and set(map(type, itertools.chain(failed, before, after))) <= {bool}
+    ):
+        return None
+    confidence = [i.get("confidence") for i in initials]
+    # bool is an int subclass, but true/false is no confidence.
+    if not set(map(type, confidence)) <= {int, float}:
+        return None
+    try:
+        confidence = np.array(confidence, dtype=float)
+    except OverflowError:  # an integer beyond any float, so out of range
+        return None
+    failed = np.array(failed, dtype=bool)
+    # NaN fails both comparisons. Only a failed record's confidence is 0.
+    in_range = (confidence >= 0.0) & (confidence <= 1.0) & ((confidence > 0.0) | failed)
+    if not in_range.all():
+        return None
+    fresh = set(ids)
+    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
+        return None
+    seen |= fresh
+    return (
+        ids,
+        failed,
+        confidence,
+        np.array([gate == "second_guessed" for gate in gates], dtype=bool),
+        np.array(before, dtype=bool),
+        np.array(after, dtype=bool),
+    )
+
+
+def _read_chunk(path, start: int, lines: List[str], seen: set):
+    """``_chunk_columns`` of the log lines numbered from ``start``, their
+    non-blank ones parsed by one json.loads. A chunk that fails is re-read
+    line by line, raising the DatasetError of its first bad line."""
+    values = [line for line in lines if not line.isspace()]
+    try:
+        records = json.loads("[" + ",".join(values) + "]")
+    except json.JSONDecodeError:
+        records = None
+    # A line that holds two values, or a torn line the next one completes,
+    # changes the count. (A log crafted to do both at once, into records
+    # that pass every check, is read as the records it parses to.)
+    if records is not None and len(records) == len(values):
+        columns = _chunk_columns(records, seen)
+        if columns is not None:
+            return columns
+    ids = set()
+    for lineno, episode in parse_jsonl_lines(path, enumerate(lines, start)):
+        problem = _episode_problem(episode)
+        if problem is None and (episode["id"] in seen or episode["id"] in ids):
+            problem = f"duplicate id {episode['id']!r}"
+        if problem:
             raise DatasetError(f"{path}:{lineno}: {problem}")
-        episodes.append(episode)
-    return episodes
+        ids.add(episode["id"])
+    raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
+
+
+def read_episode_log(path) -> evaluation.EpisodeColumns:
+    """The columns of a JSONL episode log, read _CHUNK_LINES lines at a time
+    with no dict kept per episode. A line that is no JSON object, lacks a
+    field the evaluation reads, or repeats an id raises DatasetError naming
+    ``path:line``, for the first such line in the file."""
+    chunks, seen = [], set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for start in itertools.count(1, _CHUNK_LINES):
+            lines = list(itertools.islice(fh, _CHUNK_LINES))
+            # The last chunk is partly full, or empty: typed empty columns.
+            chunks.append(_read_chunk(path, start, lines, seen))
+            if len(lines) < _CHUNK_LINES:
+                break
+    ids, *columns = zip(*chunks)
+    return evaluation.EpisodeColumns(
+        list(itertools.chain.from_iterable(ids)), *map(np.concatenate, columns)
+    )
 
 
 def run_batch(
@@ -401,7 +496,7 @@ def run_batch(
     sink_path = Path(sink_path)
     existing = set()
     if sink_path.exists():
-        existing = {ep["id"] for ep in read_episode_log(sink_path)}
+        existing = set(read_episode_log(sink_path).ids)
     pending = [q for q in questions if q.id not in existing]
 
     summary = RunSummary(episodes=len(existing))

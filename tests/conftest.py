@@ -1,13 +1,16 @@
 """Shared fixtures: scripted mock backends, test-only backend wrappers, a
-loopback generation server and brute-force metric recounts."""
+loopback generation server, a line-by-line episode log reader and
+brute-force metric recounts."""
 
 from __future__ import annotations
 
 import json
 import math
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +27,9 @@ from secondguess.backend import (
     TransportError,
     _with_retries,
 )
-from secondguess.dataset import VisualQuestion
+from secondguess.dataset import DatasetError, VisualQuestion
+from secondguess.evaluation import EpisodeColumns
+from secondguess.pipeline import _episode_problem, read_episode_log
 from secondguess.simulator import SimTrials
 
 
@@ -287,6 +292,52 @@ def loopback():
     yield start
     for server in servers:
         server.stop()
+
+
+# Episode logs on disk: the reader every ported evaluation test goes through,
+# and its reference.
+
+def log_columns(episodes) -> EpisodeColumns:
+    """The episode dicts written as a JSONL log and read back with
+    ``read_episode_log``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "episodes.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for ep in episodes:
+                fh.write(json.dumps(ep) + "\n")
+        return read_episode_log(path)
+
+
+def read_log_by_line(path) -> EpisodeColumns:
+    """``read_episode_log``'s reference: one json.loads and one
+    ``_episode_problem`` per non-blank line, every dict kept, then a column
+    per field. Raises the same DatasetError for the first bad line."""
+    episodes, seen = [], set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                ep = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            problem = _episode_problem(ep)
+            if problem is None and ep["id"] in seen:
+                problem = f"duplicate id {ep['id']!r}"
+            if problem:
+                raise DatasetError(f"{path}:{lineno}: {problem}")
+            seen.add(ep["id"])
+            episodes.append(ep)
+    return EpisodeColumns(
+        ids=[ep["id"] for ep in episodes],
+        failed=np.array([ep.get("failed", False) for ep in episodes], dtype=bool),
+        confidence=np.array([ep["initial"]["confidence"] for ep in episodes], dtype=float),
+        second_guessed=np.array(
+            [ep["gate"] == "second_guessed" for ep in episodes], dtype=bool
+        ),
+        correct_before=np.array([ep["correct_before"] for ep in episodes], dtype=bool),
+        correct_after=np.array([ep["correct_after"] for ep in episodes], dtype=bool),
+    )
 
 
 # Independent brute-force recounts used as oracles against the evaluation

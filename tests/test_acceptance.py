@@ -20,6 +20,7 @@ from conftest import (
     accuracy_at_tau,
     brute_accuracy,
     brute_sweep_accuracy,
+    log_columns,
     spec_backend,
     spec_questions,
     trials_to_episodes,
@@ -117,7 +118,7 @@ def test_c02_metric_oracle_equivalence():
     for seed in range(200):
         rng = random.Random(seed)
         episodes = synthetic_log(rng, rng.randint(1, 200))
-        report = compute_report(episodes)
+        report = compute_report(log_columns(episodes))
         assert report.e_cr == _brute_rate(episodes, False)
         assert report.e_ic == _brute_rate(episodes, True)
         assert report.accuracy_before == brute_accuracy(episodes, "before")
@@ -154,7 +155,7 @@ def test_c03_accounting_identity():
             1 for ep in episodes if ep["correct_before"] and not ep["correct_after"]
         )
         assert after - before == corrections - inductions
-        report = compute_report(episodes)
+        report = compute_report(log_columns(episodes))
         delta = report.accuracy_after - report.accuracy_before
         assert round(delta * n) == corrections - inductions
 
@@ -165,13 +166,13 @@ def test_c04_gate_endpoints():
     closed, engine = run_mode(EIGHT_SPECS, "selective", tau_percentile=0.0)
     assert engine.decomposer_calls == 0
     assert (
-        compute_report(closed).accuracy_after
-        == compute_report(baseline).accuracy_after
+        compute_report(log_columns(closed)).accuracy_after
+        == compute_report(log_columns(baseline)).accuracy_after
     )
 
     everything, _ = run_mode(EIGHT_SPECS, "decompose_all")
-    (point,) = sweep(everything, [100.0])
-    assert point.accuracy == compute_report(everything).accuracy_after
+    (point,) = sweep(log_columns(everything), [100.0])
+    assert point.accuracy == compute_report(log_columns(everything)).accuracy_after
     assert point.eta == 1.0
 
 
@@ -189,7 +190,7 @@ def test_c05_curve_shape():
         episodes.append(
             synthetic_episode(f"c{i}", 0.60 + i * 0.01, True, i % 3 != 0, "second_guessed")
         )
-    points = sweep(episodes, [float(p) for p in range(0, 101, 5)])
+    points = sweep(log_columns(episodes), [float(p) for p in range(0, 101, 5)])
     baseline = brute_accuracy(episodes, "before")
     best = max(p.accuracy for p in points)
     assert best > baseline
@@ -213,10 +214,10 @@ def test_c05_curve_shape():
             synthetic_episode(f"hc{i}", 0.7, True, i % 2 != 0, "second_guessed")
         )
     acc = brute_accuracy(harmful, "before")
-    report = compute_report(harmful)
+    report = compute_report(log_columns(harmful))
     e_cr, e_ic = report.e_cr, report.e_ic
     assert acc * e_ic > (1 - acc) * e_cr
-    (full,) = sweep(harmful, [100.0])
+    (full,) = sweep(log_columns(harmful), [100.0])
     assert full.accuracy < acc
     assert time.perf_counter() - start < 5.0
 
@@ -246,7 +247,7 @@ def test_c07_simulator_sweep_cross_validation():
     cfg = SimConfig(0.65, 0.5, 0.2, trials=20_000, seed=21)
     trials = simulator.generate_trials(cfg)
     episodes = trials_to_episodes(trials)
-    points = sweep(episodes, [0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0])
+    points = sweep(log_columns(episodes), [0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0])
     for point in points:
         sim_acc, sim_eta, _ = accuracy_at_tau(trials, point.tau)
         assert point.accuracy == sim_acc == brute_sweep_accuracy(episodes, point.tau)

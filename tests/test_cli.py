@@ -746,6 +746,8 @@ MALFORMED_LINES = {
     "gate_unknown": bad_episode(gate="maybe"),
     "correct_before_int": bad_episode(correct_before=1),
     "correct_after_null": bad_episode(correct_after=None),
+    "failed_string": bad_episode(failed="false"),
+    "failed_int": bad_episode(failed=1),
 }
 
 
@@ -779,6 +781,26 @@ def test_malformed_episode_log_exits_3(runner, workspace, command, content):
     errors = [line for line in result.stderr.splitlines() if line]
     assert errors == [errors[0]] and errors[0].startswith("error: ")
     assert f"{log}:2" in errors[0]
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "sweep", "run"])
+def test_duplicate_episode_id_exits_3(runner, workspace, command):
+    """A log that holds one record twice, such as two logs concatenated,
+    names the second occurrence."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    out.mkdir()
+    log = out / "episodes.jsonl"
+    log.write_text("".join(json.dumps({**GOOD_EPISODE, "id": i}) + "\n" for i in "aba"))
+    if command == "run":
+        args = ["run", "--dataset", str(data), "--mock-script", str(script),
+                "--mode", "direct"]
+    else:
+        args = [command, "--log", str(log)]
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr.splitlines() == [f"error: {log}:3: duplicate id 'a'"]
     assert not (out / "metrics.json").exists()
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     brute_eic,
     brute_report,
     brute_sweep_accuracy,
+    log_columns,
 )
 from secondguess import evaluation
 from secondguess.evaluation import (
@@ -92,7 +94,7 @@ def test_ecr_manual_enumeration():
         episode("d", 0.4, False, False),
         episode("e", 0.5, True, True),
     ]
-    assert compute_report(episodes).e_cr == 0.25
+    assert compute_report(log_columns(episodes)).e_cr == 0.25
 
 
 def test_eic_manual_enumeration():
@@ -101,19 +103,19 @@ def test_eic_manual_enumeration():
         episode("b", 0.2, True, True),
         episode("c", 0.3, False, False),
     ]
-    assert compute_report(episodes).e_ic == 0.5
+    assert compute_report(log_columns(episodes)).e_ic == 0.5
 
 
 def test_rates_undefined_are_none():
     all_correct = [episode("a", 0.5, True, True)]
-    assert compute_report(all_correct).e_cr is None
+    assert compute_report(log_columns(all_correct)).e_cr is None
     all_wrong = [episode("a", 0.5, False, False)]
-    assert compute_report(all_wrong).e_ic is None
+    assert compute_report(log_columns(all_wrong)).e_ic is None
 
 
 def test_eic_zero_when_nothing_changes():
     episodes = [episode("a", 0.5, True, True), episode("b", 0.5, True, True)]
-    assert compute_report(episodes).e_ic == 0.0
+    assert compute_report(log_columns(episodes)).e_ic == 0.0
 
 
 def test_kept_episodes_excluded_from_rate_denominators():
@@ -121,7 +123,7 @@ def test_kept_episodes_excluded_from_rate_denominators():
         episode("a", 0.9, False, False, gate="kept"),
         episode("b", 0.1, False, True),
     ]
-    assert compute_report(episodes).e_cr == 1.0
+    assert compute_report(log_columns(episodes)).e_cr == 1.0
 
 
 def test_failed_episodes_excluded():
@@ -129,7 +131,7 @@ def test_failed_episodes_excluded():
         episode("a", 0.5, True, True),
         episode("x", 0.0, False, False, failed=True),
     ]
-    report = compute_report(episodes)
+    report = compute_report(log_columns(episodes))
     assert report.accuracy_before == 1.0
     assert report.n == 1
     assert report.failures == 1
@@ -139,7 +141,7 @@ def test_failed_episodes_excluded():
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=200))
 def test_rates_match_brute_force_recount(seed, n):
     episodes = random_log(random.Random(seed), n)
-    report = compute_report(episodes)
+    report = compute_report(log_columns(episodes))
     assert report.e_cr == brute_ecr(episodes)
     assert report.e_ic == brute_eic(episodes)
     assert report.accuracy_before == brute_accuracy(episodes, "before")
@@ -169,7 +171,7 @@ def test_compute_report_matches_plain_loop_recount(rows):
         for i, (failed, conf, gate, before, after, _) in enumerate(rows)
     ]
     qtype_map = {f"e{i}": row[5] for i, row in enumerate(rows) if row[5] is not None}
-    fields = asdict(compute_report(episodes, qtype_map=qtype_map))
+    fields = asdict(compute_report(log_columns(episodes), qtype_map=qtype_map))
     assert fields.pop("tau") is None and fields.pop("surprisal") is None
     assert fields == brute_report(episodes, qtype_map)
 
@@ -189,7 +191,7 @@ def test_streaming_recount_agrees(seed, n):
         else:
             cr_den += 1
             cr_num += ep["correct_after"]
-    report = compute_report(episodes)
+    report = compute_report(log_columns(episodes))
     assert report.e_cr == (cr_num / cr_den if cr_den else None)
     assert report.e_ic == (ic_num / ic_den if ic_den else None)
 
@@ -254,7 +256,7 @@ def rise_fall_log():
 
 def test_sweep_endpoints_exact():
     episodes = rise_fall_log()
-    points = sweep(episodes, [0.0, 100.0])
+    points = sweep(log_columns(episodes), [0.0, 100.0])
     assert points[0].accuracy == brute_accuracy(episodes, "before")
     assert points[0].eta == 0.0
     assert points[1].accuracy == brute_accuracy(episodes, "after")
@@ -264,7 +266,7 @@ def test_sweep_endpoints_exact():
 def test_sweep_rise_then_fall_against_exhaustive_enumeration():
     episodes = rise_fall_log()
     percentiles = list(range(0, 101, 5))
-    points = sweep(episodes, [float(p) for p in percentiles])
+    points = sweep(log_columns(episodes), [float(p) for p in percentiles])
     baseline = brute_accuracy(episodes, "before")
     # Exhaustive oracle: try every observed confidence as a threshold.
     all_taus = [0.0] + sorted(ep["initial"]["confidence"] for ep in episodes)
@@ -279,16 +281,18 @@ def test_sweep_rise_then_fall_against_exhaustive_enumeration():
 
 def test_sweep_eta_nondecreasing_surprisal_nonincreasing():
     episodes = rise_fall_log()
-    points = sweep(episodes, [float(p) for p in range(0, 101, 5)])
+    points = sweep(log_columns(episodes), [float(p) for p in range(0, 101, 5)])
     for prev, cur in zip(points, points[1:]):
         assert cur.eta >= prev.eta
         assert cur.surprisal <= prev.surprisal
 
 
-# Confidences from a small set, so that many answers tie at a threshold.
+# Confidences from a small set, so that many answers tie at a threshold. The
+# lowest is the floor of backend.confidence_of: a log holds 0 only on a
+# failed record.
 tied_rows = st.lists(
     st.tuples(
-        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
+        st.sampled_from([sys.float_info.min, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
         st.booleans(),  # correct_before
         st.booleans(),  # correct_after
         st.sampled_from([False, False, False, True]),  # failed
@@ -308,7 +312,7 @@ def test_sweep_replay_matches_brute_force(rows):
     ]
     valid = [ep for ep in episodes if not ep.get("failed")]
     confidences = [ep["initial"]["confidence"] for ep in valid]
-    points = sweep(episodes, [float(p) for p in range(101)])
+    points = sweep(log_columns(episodes), [float(p) for p in range(101)])
     for point in points:
         assert point.tau == percentile_to_tau(confidences, point.percentile)
         assert point.accuracy == brute_sweep_accuracy(episodes, point.tau)
@@ -340,7 +344,7 @@ def test_linear_fit_degenerate_x():
 
 def test_compute_report_identity_and_eta():
     episodes = rise_fall_log() + [episode("k", 0.99, True, True, gate="kept")]
-    report = compute_report(episodes, tau=0.5)
+    report = compute_report(log_columns(episodes), tau=0.5)
     n = report.n
     corrections = sum(
         1 for ep in episodes if not ep["correct_before"] and ep["correct_after"]
@@ -364,7 +368,7 @@ def test_compute_report_per_qtype():
         episode("o1", 0.5, False, False),
     ]
     report = compute_report(
-        episodes, qtype_map={"b1": "boolean", "b2": "boolean", "o1": "other"}
+        log_columns(episodes), qtype_map={"b1": "boolean", "b2": "boolean", "o1": "other"}
     )
     assert report.per_qtype["overall"]["n"] == 3
     assert report.per_qtype["boolean"]["accuracy_after"] == 1.0

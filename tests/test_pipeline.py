@@ -1,20 +1,27 @@
+import itertools
 import json
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FOUR_EPISODE_SPECS,
     FlakyBackend,
     QSpec,
     RecordingBackend,
+    log_columns,
+    read_log_by_line,
     spec_entries,
     spec_questions,
 )
 from secondguess import evaluation, pipeline
 from secondguess.backend import MockBackend, MockEntry
-from secondguess.dataset import VisualQuestion
+from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.pipeline import ConfigError, Engine, PipelineConfig
 from secondguess.prompts import SubQA
 
@@ -77,7 +84,7 @@ def test_low_confidence_flip_raises_accuracy_by_one_quarter():
     # q3 is wrong at confidence 0.2 and its recomposition answers correctly.
     episodes, _, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.3)
     objs = [ep.to_obj() for ep in episodes]
-    report = evaluation.compute_report(objs)
+    report = evaluation.compute_report(log_columns(objs))
     assert report.accuracy_after - report.accuracy_before == 0.25
     assert [ep.gate for ep in episodes] == ["kept", "kept", "second_guessed", "kept"]
 
@@ -307,8 +314,7 @@ def test_run_batch_resume_no_duplicates(tmp_path):
 
     engine2, _ = make_engine(FOUR_EPISODE_SPECS)
     summary = pipeline.run_batch(questions, cfg, engine2, sink)
-    episodes = pipeline.read_episode_log(sink)
-    assert [ep["id"] for ep in episodes] == ["q1", "q2", "q3", "q4"]
+    assert pipeline.read_episode_log(sink).ids == ["q1", "q2", "q3", "q4"]
     assert summary.new_episodes == 2
     # Only the two missing questions hit the backend on resume.
     assert engine2.recomposer_calls == 2 * 3
@@ -425,3 +431,159 @@ def test_every_mode_runs_one_chain(mode, concurrency):
     episodes, _ = run_chain(mode, concurrency, drop_recompose_of="q2")
     failed = {ep.id for ep in episodes if ep.failed}
     assert failed == ({"q2"} if "recompose" in chains["q2"] else set())
+
+
+# --- episode log reader ---------------------------------------------------
+
+# A valid record: failed (with confidence 0, as a run writes it) or a
+# confidence in (0, 1]; a gate; correct_before; correct_after.
+LOG_ROWS = st.tuples(
+    st.one_of(st.just(None), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    st.sampled_from(["kept", "second_guessed"]),
+    st.booleans(),
+    st.booleans(),
+)
+
+# Fields that make a record no episode, and lines that hold no record.
+BAD_FIELDS = [
+    {"id": 5},
+    {"id": None},
+    {"failed": "false"},
+    {"failed": 1},
+    {"failed": None},
+    {"initial": "yes"},
+    {"initial": {}},
+    {"initial": {"confidence": "0.5"}},
+    {"initial": {"confidence": True}},
+    {"initial": {"confidence": 1.5}},
+    {"initial": {"confidence": -0.5}},
+    {"initial": {"confidence": 10**400}},
+    {"initial": {"confidence": 0}},
+    {"gate": "maybe"},
+    {"gate": ["kept"]},
+    {"correct_before": 1},
+    {"correct_after": None},
+]
+NON_RECORDS = ["[1, 2]", "5", '"x"', "null", "{}"]
+LOG_NUMBERS = itertools.count()
+
+
+def log_record(eid, confidence, gate, before, after) -> dict:
+    record = {
+        "id": eid,
+        "initial": {"text": "", "confidence": 0.0 if confidence is None else confidence},
+        "gate": gate,
+        "correct_before": before,
+        "correct_after": after,
+    }
+    if confidence is None:
+        record["failed"] = True
+    return record
+
+
+@st.composite
+def episode_logs(draw):
+    """The text of a log of valid records, blank lines among them, and at
+    most one corrupted line anywhere: torn, two values on one line, a wrong
+    type or value, a repeated id, or a NaN confidence."""
+    rows = draw(st.lists(LOG_ROWS, max_size=12))
+    records = [log_record(f"e{i}", *row) for i, row in enumerate(rows)]
+    lines = [json.dumps(record) for record in records]
+    kind = draw(st.sampled_from([None, "torn", "two_values", "field", "non_record", "duplicate", "nan"]))
+    if kind and lines:
+        at = draw(st.integers(0, len(lines) - 1))
+        record, line = records[at], lines[at]
+        if kind == "torn":
+            lines[at] = line[: draw(st.integers(1, len(line) - 1))]
+        elif kind == "two_values":
+            lines[at] = line + " " + line
+        elif kind == "field":
+            lines[at] = json.dumps({**record, **draw(st.sampled_from(BAD_FIELDS))})
+        elif kind == "non_record":
+            lines[at] = draw(st.sampled_from(NON_RECORDS))
+        elif kind == "duplicate":
+            lines[at] = json.dumps({**record, "id": f"e{draw(st.integers(0, len(lines) - 1))}"})
+        else:
+            lines[at] = json.dumps({**record, "initial": {"text": "", "confidence": math.nan}})
+    text = "".join(draw(st.sampled_from(["", "\n", "  \n"])) + line + "\n" for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def assert_reads_like_oracle(path):
+    """read_episode_log gives the oracle's columns, or raises its error."""
+    try:
+        expected = read_log_by_line(path)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as raised:
+            pipeline.read_episode_log(path)
+        assert str(raised.value) == str(exc)
+        return
+    log = pipeline.read_episode_log(path)
+    for field in fields(log):
+        got, want = getattr(log, field.name), getattr(expected, field.name)
+        if field.name == "ids":
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(episode_logs())
+def test_read_episode_log_equals_line_by_line_oracle(tmp_path, monkeypatch, text):
+    # Three lines a chunk: a bad line lands first, inside or last in a
+    # chunk, and the last chunk is often partly full.
+    monkeypatch.setattr(pipeline, "_CHUNK_LINES", 3)
+    path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_oracle(path)
+
+
+def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
+    """Every bad field and line, at every line of a log of three chunks of
+    three, failed and scorable records alternating."""
+    monkeypatch.setattr(pipeline, "_CHUNK_LINES", 3)
+    records = [
+        log_record(f"e{i}", None if i % 2 else 0.5, "kept", True, False) for i in range(7)
+    ]
+    nan = {"initial": {"text": "", "confidence": math.nan}}
+    for at, record in enumerate(records):
+        bad_lines = [json.dumps({**record, **bad}) for bad in BAD_FIELDS + [nan]]
+        for bad_line in bad_lines + NON_RECORDS:
+            lines = [json.dumps(r) for r in records]
+            lines[at] = bad_line
+            path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert_reads_like_oracle(path)
+
+
+def test_read_episode_log_keeps_no_dict_per_episode(tmp_path):
+    """20,000 episodes read with a traced peak under 12 MiB; a dict kept per
+    episode would take about 2 KiB each."""
+    path = tmp_path / "episodes.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(20_000):
+            outcome = pipeline.AnswerOutcome(text="yes", confidence=(i + 1) / 20_001)
+            record = pipeline.EpisodeRecord(
+                id=f"q{i:06d}",
+                initial=outcome,
+                gate="second_guessed",
+                subquestion="is there a cat in the picture?",
+                subanswer="yes",
+                subanswer_provenance="model",
+                final=outcome,
+                correct_before=i % 2 == 0,
+                correct_after=i % 3 == 0,
+            )
+            fh.write(json.dumps(record.to_obj()) + "\n")
+    tracemalloc.start()
+    try:
+        log = pipeline.read_episode_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.ids) == log.confidence.size == 20_000
+    assert peak < 12 * 2**20

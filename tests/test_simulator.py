@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accuracy_at_tau, trials_to_episodes
+from conftest import accuracy_at_tau, log_columns, trials_to_episodes
 from secondguess import evaluation
 from secondguess.simulator import (
     SimConfig,
@@ -113,7 +113,7 @@ def test_sweep_cross_validation_exact():
     trials = generate_trials(cfg)
     episodes = trials_to_episodes(trials)
     percentiles = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0]
-    points = evaluation.sweep(episodes, percentiles)
+    points = evaluation.sweep(log_columns(episodes), percentiles)
     for point in points:
         sim_acc, sim_eta, _ = accuracy_at_tau(trials, point.tau)
         assert point.accuracy == sim_acc
