@@ -267,7 +267,7 @@ class HTTPBackend:
                 raise ProtocolError(f"unexpected status {status}")
             try:
                 payload = json.loads(raw)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ProtocolError("response is not valid JSON") from exc
             return InferenceResult.from_payload(payload)
 
@@ -338,7 +338,7 @@ class MockBackend:
                 try:
                     obj = json.loads(line)
                     entries.append(_script_entry(obj["match"], obj["response"]))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
         return cls(entries)
 

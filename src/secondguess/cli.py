@@ -56,7 +56,7 @@ OPTIONS = (
     ("concurrency", int, 1, RUN_COMMANDS),
     ("retry_budget", int, DEFAULT_RETRY_ATTEMPTS, ()),
     ("out", str, "out", RUN_COMMANDS),
-    ("scoring", ("exact", "vqa_consensus"), "exact", RUN_COMMANDS),
+    ("scoring", pipeline.SCORINGS, "exact", RUN_COMMANDS),
     ("decomposer_prompt_style", prompts.DECOMPOSE_STYLES, "decompose_default", ()),
 )
 
@@ -115,7 +115,7 @@ def _load_config(config_path, flags: dict) -> dict:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             _fail(EXIT_CONFIG, f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             _fail(EXIT_CONFIG, "config file must hold a JSON object")
@@ -387,7 +387,7 @@ def cmd_fit(run_dirs) -> None:
             with open(path, "r", encoding="utf-8") as fh:
                 metrics = json.load(fh)
             point = (metrics["surprisal"], metrics["net_gain"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             _fail(EXIT_DATASET, f"cannot read surprisal and net_gain from {path}: {exc!r}")
         if point[0] is None:
             continue

@@ -87,7 +87,8 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
 
 def read_jsonl(path) -> Iterator[Tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line of a JSONL
-    file; a line that is no JSON raises DatasetError naming ``path:line``."""
+    file; a line that is no JSON, or nests too deep to parse, raises
+    DatasetError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         yield from parse_jsonl_lines(path, enumerate(fh, start=1))
 
@@ -102,6 +103,8 @@ def parse_jsonl_lines(path, numbered_lines) -> Iterator[Tuple[int, object]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
         yield lineno, obj
 
 

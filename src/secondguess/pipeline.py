@@ -48,6 +48,7 @@ MODES = (
     "oracle_scrambled",
 )
 ORACLE_MODES = MODES[3:]
+SCORINGS = ("exact", "vqa_consensus")
 
 
 class ConfigError(Exception):
@@ -79,7 +80,7 @@ class PipelineConfig:
             raise ConfigError(f"mode {self.mode!r} does not take a threshold")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be positive")
-        if self.scoring not in ("exact", "vqa_consensus"):
+        if self.scoring not in SCORINGS:
             raise ConfigError(f"unknown scoring {self.scoring!r}")
 
 
@@ -358,72 +359,51 @@ _CHUNK_LINES = 4096
 _GATES = ("kept", "second_guessed")
 
 
-def _episode_problem(episode) -> Optional[str]:
-    """Why a log record is no episode the evaluation can read, or None."""
-    if not isinstance(episode, dict):
-        return "expected a JSON object"
-    if not isinstance(episode.get("id"), str):
-        return "id must be a string"
-    failed = episode.get("failed", False)
-    if not isinstance(failed, bool):
-        return "failed must be true or false"
-    initial = episode.get("initial")
-    confidence = initial.get("confidence") if isinstance(initial, dict) else None
-    # bool is an int subclass, but true/false is no confidence.
-    if (
-        isinstance(confidence, bool)
-        or not isinstance(confidence, (int, float))
-        or not 0.0 <= confidence <= 1.0
-    ):
-        return "initial.confidence must be a number in [0, 1]"
-    # Only a failed record's confidence is 0: tau = 0 must gate no answer.
-    if confidence == 0.0 and not failed:
-        return "initial.confidence must be above 0 unless the episode failed"
-    if episode.get("gate") not in _GATES:
-        return "gate must be 'kept' or 'second_guessed'"
-    for key in ("correct_before", "correct_after"):
-        if not isinstance(episode.get(key), bool):
-            return f"{key} must be true or false"
-    return None
-
-
 def _chunk_columns(records: list, seen: set):
     """The EpisodeColumns fields of a chunk of parsed log records, as a tuple,
-    or None if any record fails ``_episode_problem`` or repeats an id of the
-    chunk or of ``seen``. The chunk is checked as a whole: the type sets of
-    its fields, then numpy ranges."""
+    or the message of the first rule that a record breaks, in the order
+    checked below. The last rule is that no id repeats one of the chunk or
+    of ``seen``; a chunk that passes adds its ids to ``seen``. Each rule is
+    checked over the whole chunk at once, so the message describes a record
+    only when the chunk is that one record."""
     if not set(map(type, records)) <= {dict}:
-        return None
+        return "expected a JSON object"
     ids = [r.get("id") for r in records]
+    if not set(map(type, ids)) <= {str}:
+        return "id must be a string"
     failed = [r.get("failed", False) for r in records]
+    if not set(map(type, failed)) <= {bool}:
+        return "failed must be true or false"
+    out_of_range = "initial.confidence must be a number in [0, 1]"
     initials = [r.get("initial") for r in records]
-    gates = [r.get("gate") for r in records]
-    before = [r.get("correct_before") for r in records]
-    after = [r.get("correct_after") for r in records]
-    if not (
-        set(map(type, ids)) <= {str}
-        and set(map(type, initials)) <= {dict}
-        and set(map(type, gates)) <= {str}
-        and set(gates).issubset(_GATES)
-        and set(map(type, itertools.chain(failed, before, after))) <= {bool}
-    ):
-        return None
+    if not set(map(type, initials)) <= {dict}:
+        return out_of_range
     confidence = [i.get("confidence") for i in initials]
     # bool is an int subclass, but true/false is no confidence.
     if not set(map(type, confidence)) <= {int, float}:
-        return None
+        return out_of_range
     try:
         confidence = np.array(confidence, dtype=float)
     except OverflowError:  # an integer beyond any float, so out of range
-        return None
+        return out_of_range
+    # NaN fails both comparisons.
+    if not ((confidence >= 0.0) & (confidence <= 1.0)).all():
+        return out_of_range
     failed = np.array(failed, dtype=bool)
-    # NaN fails both comparisons. Only a failed record's confidence is 0.
-    in_range = (confidence >= 0.0) & (confidence <= 1.0) & ((confidence > 0.0) | failed)
-    if not in_range.all():
-        return None
+    # Only a failed record's confidence is 0: tau = 0 must gate no answer.
+    if not ((confidence > 0.0) | failed).all():
+        return "initial.confidence must be above 0 unless the episode failed"
+    gates = [r.get("gate") for r in records]
+    if not (set(map(type, gates)) <= {str} and set(gates).issubset(_GATES)):
+        return "gate must be 'kept' or 'second_guessed'"
+    before = [r.get("correct_before") for r in records]
+    after = [r.get("correct_after") for r in records]
+    for key, column in (("correct_before", before), ("correct_after", after)):
+        if not set(map(type, column)) <= {bool}:
+            return f"{key} must be true or false"
     fresh = set(ids)
     if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
-        return None
+        return f"duplicate id {ids[0]!r}"
     seen |= fresh
     return (
         ids,
@@ -438,27 +418,25 @@ def _chunk_columns(records: list, seen: set):
 def _read_chunk(path, start: int, lines: List[str], seen: set):
     """``_chunk_columns`` of the log lines numbered from ``start``, their
     non-blank ones parsed by one json.loads. A chunk that fails is re-read
-    line by line, raising the DatasetError of its first bad line."""
+    line by line, each record checked alone, raising the DatasetError of its
+    first bad line."""
     values = [line for line in lines if not line.isspace()]
     try:
         records = json.loads("[" + ",".join(values) + "]")
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         records = None
     # A line that holds two values, or a torn line the next one completes,
     # changes the count. (A log crafted to do both at once, into records
     # that pass every check, is read as the records it parses to.)
     if records is not None and len(records) == len(values):
         columns = _chunk_columns(records, seen)
-        if columns is not None:
+        if not isinstance(columns, str):
             return columns
-    ids = set()
-    for lineno, episode in parse_jsonl_lines(path, enumerate(lines, start)):
-        problem = _episode_problem(episode)
-        if problem is None and (episode["id"] in seen or episode["id"] in ids):
-            problem = f"duplicate id {episode['id']!r}"
-        if problem:
+    line_seen = set(seen)
+    for lineno, record in parse_jsonl_lines(path, enumerate(lines, start)):
+        problem = _chunk_columns([record], line_seen)
+        if isinstance(problem, str):
             raise DatasetError(f"{path}:{lineno}: {problem}")
-        ids.add(episode["id"])
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
 
 

@@ -29,8 +29,14 @@ from secondguess.backend import (
 )
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.evaluation import EpisodeColumns
-from secondguess.pipeline import _episode_problem, read_episode_log
+from secondguess.pipeline import read_episode_log
 from secondguess.simulator import SimTrials
+
+
+# JSON nested far deeper than the decoder's recursion limit: every reader of
+# outside input must reject it with its documented error, not a traceback.
+# Short enough for hypothesis to print a failing log that holds it.
+NESTED_TOO_DEEP = "[" * 20_000
 
 
 @dataclass
@@ -308,9 +314,39 @@ def log_columns(episodes) -> EpisodeColumns:
         return read_episode_log(path)
 
 
+def episode_problem(episode) -> Optional[str]:
+    """Why a log record is no episode the evaluation can read, or None: the
+    reference reader's own rules, written apart from the package's."""
+    if not isinstance(episode, dict):
+        return "expected a JSON object"
+    if not isinstance(episode.get("id"), str):
+        return "id must be a string"
+    failed = episode.get("failed", False)
+    if not isinstance(failed, bool):
+        return "failed must be true or false"
+    initial = episode.get("initial")
+    confidence = initial.get("confidence") if isinstance(initial, dict) else None
+    # bool is an int subclass, but true/false is no confidence.
+    if (
+        isinstance(confidence, bool)
+        or not isinstance(confidence, (int, float))
+        or not 0.0 <= confidence <= 1.0
+    ):
+        return "initial.confidence must be a number in [0, 1]"
+    # Only a failed record's confidence is 0: tau = 0 must gate no answer.
+    if confidence == 0.0 and not failed:
+        return "initial.confidence must be above 0 unless the episode failed"
+    if episode.get("gate") not in ("kept", "second_guessed"):
+        return "gate must be 'kept' or 'second_guessed'"
+    for key in ("correct_before", "correct_after"):
+        if not isinstance(episode.get(key), bool):
+            return f"{key} must be true or false"
+    return None
+
+
 def read_log_by_line(path) -> EpisodeColumns:
     """``read_episode_log``'s reference: one json.loads and one
-    ``_episode_problem`` per non-blank line, every dict kept, then a column
+    ``episode_problem`` per non-blank line, every dict kept, then a column
     per field. Raises the same DatasetError for the first bad line."""
     episodes, seen = [], set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -321,7 +357,9 @@ def read_log_by_line(path) -> EpisodeColumns:
                 ep = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            problem = _episode_problem(ep)
+            except RecursionError as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+            problem = episode_problem(ep)
             if problem is None and ep["id"] in seen:
                 problem = f"duplicate id {ep['id']!r}"
             if problem:

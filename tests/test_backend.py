@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FlakyBackend,
+    NESTED_TOO_DEEP,
     QSpec,
     RecordingBackend,
     Reply,
@@ -287,11 +288,12 @@ def test_http_backend_non_200_is_protocol_error(loopback, status):
 
 
 def test_http_backend_malformed_body_not_retried(loopback):
-    server = loopback([Reply(200, b"not json"), Reply(200, GOOD_PAYLOAD)])
-    with http_backend(server.url) as backend:
-        with pytest.raises(ProtocolError, match="not valid JSON"):
-            backend.complete(request(), RECOMPOSER)
-    assert len(server.received) == 1
+    for body in (b"not json", NESTED_TOO_DEEP.encode("ascii")):
+        server = loopback([Reply(200, body), Reply(200, GOOD_PAYLOAD)])
+        with http_backend(server.url) as backend:
+            with pytest.raises(ProtocolError, match="not valid JSON"):
+                backend.complete(request(), RECOMPOSER)
+        assert len(server.received) == 1
 
 
 def test_http_backend_reopens_dropped_keepalive_once(loopback):

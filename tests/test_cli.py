@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import FOUR_EPISODE_SPECS, QSpec, spec_questions, write_script
+from conftest import (
+    FOUR_EPISODE_SPECS,
+    NESTED_TOO_DEEP,
+    QSpec,
+    spec_questions,
+    write_script,
+)
 import secondguess
 from secondguess import dataset
 from secondguess.cli import main
@@ -94,6 +100,14 @@ def test_run_unknown_config_key_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 2
     assert "frobnicate" in result.output + result.stderr
+
+
+def test_run_nested_too_deep_config_exits_2(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(NESTED_TOO_DEEP)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: cannot read config file: ")
 
 
 def test_run_missing_dataset_exits_3(runner, workspace):
@@ -328,8 +342,8 @@ WINOGROUND_LINE = json.dumps(
 
 @pytest.mark.parametrize(
     "line",
-    ["5", "{not json", WINOGROUND_LINE.replace('"a.png"', "7")],
-    ids=["not_object", "torn", "image_number"],
+    ["5", "{not json", WINOGROUND_LINE.replace('"a.png"', "7"), NESTED_TOO_DEEP],
+    ids=["not_object", "torn", "image_number", "nested_too_deep"],
 )
 def test_convert_malformed_record_exits_3(runner, tmp_path, line):
     source = tmp_path / "winoground.jsonl"
@@ -390,9 +404,10 @@ def test_fit_matches_linear_fit(runner, tmp_path):
         {"surprisal": 2.0},
         {"surprisal": 2.0, "net_gain": "1.0"},
         {"surprisal": True, "net_gain": 1.0},
+        NESTED_TOO_DEEP,
     ],
     ids=["one_surprisal", "equal_surprisal", "missing", "torn", "not_object",
-         "no_net_gain", "net_gain_string", "surprisal_bool"],
+         "no_net_gain", "net_gain_string", "surprisal_bool", "nested_too_deep"],
 )
 def test_fit_exits_3(runner, tmp_path, second):
     first = write_metrics(tmp_path / "a", {"surprisal": 1.0, "net_gain": 1.0})
@@ -602,6 +617,7 @@ BAD_SCRIPTS = {
     "text_empty": script_line(text=""),
     "logprob_positive": script_line(token_logprobs=[0.5]),
     "logprob_nan": script_line(token_logprobs=[float("nan")]),
+    "nested_too_deep": NESTED_TOO_DEEP + "\n",
 }
 
 
@@ -748,6 +764,7 @@ MALFORMED_LINES = {
     "correct_after_null": bad_episode(correct_after=None),
     "failed_string": bad_episode(failed="false"),
     "failed_int": bad_episode(failed=1),
+    "nested_too_deep": NESTED_TOO_DEEP,
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     FOUR_EPISODE_SPECS,
     FlakyBackend,
+    NESTED_TOO_DEEP,
     QSpec,
     RecordingBackend,
     log_columns,
@@ -464,7 +465,7 @@ BAD_FIELDS = [
     {"correct_before": 1},
     {"correct_after": None},
 ]
-NON_RECORDS = ["[1, 2]", "5", '"x"', "null", "{}"]
+NON_RECORDS = ["[1, 2]", "5", '"x"', "null", "{}", NESTED_TOO_DEEP]
 LOG_NUMBERS = itertools.count()
 
 
@@ -484,8 +485,8 @@ def log_record(eid, confidence, gate, before, after) -> dict:
 @st.composite
 def episode_logs(draw):
     """The text of a log of valid records, blank lines among them, and at
-    most one corrupted line anywhere: torn, two values on one line, a wrong
-    type or value, a repeated id, or a NaN confidence."""
+    most one corrupted line anywhere: torn, two values on one line, one or
+    two wrong types or values, a repeated id, or a NaN confidence."""
     rows = draw(st.lists(LOG_ROWS, max_size=12))
     records = [log_record(f"e{i}", *row) for i, row in enumerate(rows)]
     lines = [json.dumps(record) for record in records]
@@ -498,7 +499,9 @@ def episode_logs(draw):
         elif kind == "two_values":
             lines[at] = line + " " + line
         elif kind == "field":
-            lines[at] = json.dumps({**record, **draw(st.sampled_from(BAD_FIELDS))})
+            for bad in draw(st.lists(st.sampled_from(BAD_FIELDS), min_size=1, max_size=2)):
+                record = {**record, **bad}
+            lines[at] = json.dumps(record)
         elif kind == "non_record":
             lines[at] = draw(st.sampled_from(NON_RECORDS))
         elif kind == "duplicate":
@@ -551,7 +554,13 @@ def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
     ]
     nan = {"initial": {"text": "", "confidence": math.nan}}
     for at, record in enumerate(records):
+        # Each bad field alone, and with the one listed before it: a record
+        # that breaks two rules is named by the rule checked first.
         bad_lines = [json.dumps({**record, **bad}) for bad in BAD_FIELDS + [nan]]
+        bad_lines += [
+            json.dumps({**record, **first, **second})
+            for first, second in zip(BAD_FIELDS, BAD_FIELDS[1:])
+        ]
         for bad_line in bad_lines + NON_RECORDS:
             lines = [json.dumps(r) for r in records]
             lines[at] = bad_line
