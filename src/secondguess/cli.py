@@ -1,10 +1,11 @@
 """Command-line entry point wiring datasets, backends, pipeline, metrics,
 and simulator into reproducible runs.
 
-Exit codes: 0 success, 1 completed with failed episodes (no metrics.json if
-all failed), 2 config validation, 3 dataset error, 4 irrecoverable backend
-error. All outputs go under --out; every run directory gets a
-manifest recording the resolved config, its hash, the seed, and timestamps.
+Exit codes: 0 success, 1 completed with failed episodes in the whole log
+(no metrics.json if all failed), 2 config validation, 3 dataset error, 4
+irrecoverable backend error. All outputs go under --out; every run
+directory gets a manifest recording the resolved config, its hash, the seed,
+and timestamps.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
     episodes_path = out_dir / "episodes.jsonl"
     try:
         try:
-            summary = pipeline.run_batch(questions, pcfg, engine, episodes_path)
+            summary = pipeline.run(questions, pcfg, engine, episodes_path)
         finally:
             for backend in (engine.recomposer, engine.decomposer):
                 if isinstance(backend, HTTPBackend):

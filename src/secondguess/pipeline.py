@@ -1,14 +1,16 @@
 """Selective decomposition over a question stream: one chain per question.
 
-Every mode runs the same chain. Phase 1 asks every question for an initial
-answer and its confidence. Phase 2 gates each answer and, if it is
-second-guessed, builds a decomposition and re-answers the question with it
-as context. The modes differ only in the gate and in where the sub-QAs come
-from: ``direct`` keeps every answer; ``decompose_all`` and ``selective``
-(confidence at or below tau) use a model-written subquestion answered by the
-model; the oracle modes second-guess every question with its human-written
-sub-QAs, as given, stripped, scrambled or self-answered. Every question
-yields one auditable EpisodeRecord.
+Every mode runs the same chain, one task per question: the question is asked
+for an initial answer and its confidence, the gate keeps the answer or
+second-guesses it, and a second-guessed question gets a decomposition and is
+re-answered with it as context. Only a percentile tau waits for every initial
+answer before it gates any. The modes differ only in the gate and in where
+the sub-QAs come from: ``direct`` keeps every answer; ``decompose_all`` and
+``selective`` (confidence at or below tau) use a model-written subquestion
+answered by the model; the oracle modes second-guess every question with its
+human-written sub-QAs, as given, stripped, scrambled or self-answered. Every
+question yields one auditable EpisodeRecord, and the log is written once, at
+the end of the run.
 """
 
 from __future__ import annotations
@@ -297,62 +299,6 @@ def _episode(
     )
 
 
-def _map_concurrent(fn, items: Sequence, pool: Optional[ThreadPoolExecutor]) -> List:
-    if pool is None or len(items) <= 1:
-        return [fn(item) for item in items]
-    return list(pool.map(fn, items))
-
-
-def run(
-    questions: Sequence[VisualQuestion],
-    cfg: PipelineConfig,
-    engine: Engine,
-    summary: Optional[RunSummary] = None,
-) -> List[EpisodeRecord]:
-    """Execute one pipeline mode over the questions, in dataset order.
-
-    Per-episode backend failures are isolated into failed records; only
-    dataset/config problems abort the run.
-    """
-    summary = summary if summary is not None else RunSummary()
-    if cfg.mode in ORACLE_MODES:
-        usable = [q for q in questions if q.oracle_sub_qas]
-        summary.skipped_missing_oracle += len(questions) - len(usable)
-        questions = usable
-
-    # Phase 1: initial answers for everyone.
-    def initial_one(q: VisualQuestion) -> Optional[AnswerOutcome]:
-        try:
-            return engine.answer(q, "initial", prompts.render_direct_qa(q.question))
-        except BackendError:
-            return None
-
-    # One pool serves both phases: a run uses at most `concurrency` worker
-    # threads, and an HTTP backend keeps one connection per thread.
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        workers = pool if cfg.concurrency > 1 else None
-        initials = _map_concurrent(initial_one, list(questions), workers)
-
-        tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
-        if cfg.tau_percentile is not None:
-            confidences = [o.confidence for o in initials if o is not None]
-            if not confidences:
-                raise ConfigError("no successful initial answers to resolve percentile")
-            tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-        summary.resolved_tau = tau
-
-        # Phase 2: gate, decompose and recompose.
-        episodes = _map_concurrent(
-            lambda pair: _episode(engine, pair[0], pair[1], cfg, tau),
-            list(zip(questions, initials)),
-            workers,
-        )
-
-    summary.episodes += len(episodes)
-    summary.failures += sum(1 for ep in episodes if ep.failed)
-    return episodes
-
-
 # Log lines that read_episode_log parses with one json.loads call: enough to
 # amortise the call, few enough that their dicts stay a few MiB.
 _CHUNK_LINES = 4096
@@ -459,31 +405,69 @@ def read_episode_log(path) -> evaluation.EpisodeColumns:
     )
 
 
-def run_batch(
+def _initial(engine: Engine, question: VisualQuestion) -> Optional[AnswerOutcome]:
+    """The question's initial answer, or None if its call failed."""
+    try:
+        return engine.answer(
+            question, "initial", prompts.render_direct_qa(question.question)
+        )
+    except BackendError:
+        return None
+
+
+def run(
     questions: Sequence[VisualQuestion],
     cfg: PipelineConfig,
     engine: Engine,
     sink_path,
 ) -> RunSummary:
-    """Run with a resumable JSONL sink.
+    """Run one pipeline mode over the questions into a resumable JSONL sink.
 
-    Episodes are written in dataset (question-id) order regardless of
-    completion order. On restart, ids already present in the sink are
-    skipped, so the finished log holds exactly one episode per question.
+    Questions whose ids the sink already holds are skipped, so the finished
+    log holds one episode per question; the summary counts the whole log.
+    Each pending question's chain is one task, and the new episodes are
+    appended in dataset order once the last one is done. Per-episode backend
+    failures are isolated into failed records; only dataset/config problems
+    abort the run.
     """
     sink_path = Path(sink_path)
-    existing = set()
+    summary = RunSummary()
     if sink_path.exists():
-        existing = set(read_episode_log(sink_path).ids)
-    pending = [q for q in questions if q.id not in existing]
+        log = read_episode_log(sink_path)
+        summary.episodes, summary.failures = len(log.ids), int(log.failed.sum())
+        done = set(log.ids)
+        questions = [q for q in questions if q.id not in done]
+    if cfg.mode in ORACLE_MODES:
+        usable = [q for q in questions if q.oracle_sub_qas]
+        summary.skipped_missing_oracle = len(questions) - len(usable)
+        questions = usable
 
-    summary = RunSummary(episodes=len(existing))
-    episodes = run(pending, cfg, engine, summary)
+    tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
+    # One pool serves the run: at most `concurrency` worker threads, and an
+    # HTTP backend keeps one connection per thread. At concurrency 1 the
+    # tasks run inline, cheaper than a thread handoff.
+    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+        map_ = pool.map if cfg.concurrency > 1 else map
+        if cfg.tau_percentile is None:
+            episodes = list(
+                map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau), questions)
+            )
+        else:
+            # The one barrier: a percentile tau needs every initial confidence.
+            # With none, tau stays None and every chain is a failed record.
+            initials = list(map_(lambda q: _initial(engine, q), questions))
+            confidences = [o.confidence for o in initials if o is not None]
+            if confidences:
+                tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
+            episodes = list(
+                map_(lambda q, o: _episode(engine, q, o, cfg, tau), questions, initials)
+            )
+
+    summary.resolved_tau = tau
     summary.new_episodes = len(episodes)
+    summary.episodes += len(episodes)
+    summary.failures += sum(ep.failed for ep in episodes)
     summary.backend_calls = engine.recomposer_calls + engine.decomposer_calls
-
-    order = {q.id: i for i, q in enumerate(questions)}
-    episodes.sort(key=lambda ep: order[ep.id])
     with open(sink_path, "a", encoding="utf-8") as fh:
         for ep in episodes:
             fh.write(json.dumps(ep.to_obj(), ensure_ascii=False) + "\n")

@@ -1,6 +1,6 @@
 """Shared fixtures: scripted mock backends, test-only backend wrappers, a
-loopback generation server, a line-by-line episode log reader and
-brute-force metric recounts."""
+pipeline run that returns its records, a loopback generation server, a
+line-by-line episode log reader and brute-force metric recounts."""
 
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 import pytest
 
+from secondguess import pipeline
 from secondguess.backend import (
     DEFAULT_RETRY_ATTEMPTS,
     Backend,
@@ -24,12 +25,13 @@ from secondguess.backend import (
     InferenceResult,
     MockBackend,
     MockEntry,
+    SamplingParams,
     TransportError,
     _with_retries,
 )
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.evaluation import EpisodeColumns
-from secondguess.pipeline import read_episode_log
+from secondguess.pipeline import Engine, PipelineConfig, read_episode_log
 from secondguess.simulator import SimTrials
 
 
@@ -128,9 +130,19 @@ class FlakyBackend:
         return _with_retries(attempt, self.attempts, self.base_delay, lambda _: None)
 
 
+class Call(NamedTuple):
+    """One request a RecordingBackend passed on."""
+
+    request_id: str
+    role: str
+    prompt: str
+    image: Optional[str]
+    params: SamplingParams
+
+
 class RecordingBackend:
-    """Delegates to ``inner`` and records each call as (request_id, role,
-    prompt), and the peak number of calls in flight at once."""
+    """Delegates to ``inner`` and records each call as a Call, and the peak
+    number of calls in flight at once."""
 
     def __init__(self, inner: Backend) -> None:
         self.inner = inner
@@ -143,7 +155,10 @@ class RecordingBackend:
         with self._lock:
             self._in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self._in_flight)
-            self.call_log.append((request.request_id, role.role, request.prompt))
+            self.call_log.append(
+                Call(request.request_id, role.role, request.prompt, request.image,
+                     request.params)
+            )
         try:
             return self.inner.complete(request, role)
         finally:
@@ -153,6 +168,28 @@ class RecordingBackend:
 
 def spec_backend(specs: Sequence[QSpec]) -> MockBackend:
     return MockBackend(spec_entries(specs))
+
+
+def read_records(path) -> List[dict]:
+    """The records of a JSONL episode log, as dicts."""
+    return [json.loads(line) for line in Path(path).read_text("utf-8").splitlines()]
+
+
+def run_records(questions, cfg: PipelineConfig, engine: Engine) -> List[dict]:
+    """The records ``pipeline.run`` writes into a fresh sink, as dicts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "episodes.jsonl"
+        pipeline.run(questions, cfg, engine, path)
+        return read_records(path)
+
+
+def run_mode(specs: Sequence[QSpec], mode: str, **cfg_kwargs):
+    """Run one mode over scripted questions; returns (episode dicts, engine)
+    for accuracy and call-count inspection."""
+    backend = spec_backend(specs)
+    engine = Engine(recomposer=backend, decomposer=backend)
+    cfg = PipelineConfig(mode=mode, **cfg_kwargs)
+    return run_records(spec_questions(specs), cfg, engine), engine
 
 
 def linear_first_match(entries: Sequence[MockEntry], prompt: str, role: str):

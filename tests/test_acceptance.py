@@ -21,6 +21,7 @@ from conftest import (
     brute_accuracy,
     brute_sweep_accuracy,
     log_columns,
+    run_mode,
     spec_backend,
     spec_questions,
     trials_to_episodes,
@@ -61,17 +62,6 @@ def criterion(num, label):
         return inner
 
     return wrap
-
-
-def run_mode(specs, mode, **cfg_kwargs):
-    """Execute one pipeline mode over scripted questions; returns
-    (episode dicts, engine) for accuracy and call-count inspection."""
-    backend = spec_backend(specs)
-    engine = Engine(recomposer=backend, decomposer=backend)
-    questions = spec_questions(specs)
-    cfg = PipelineConfig(mode=mode, **cfg_kwargs)
-    episodes = pipeline.run(questions, cfg, engine)
-    return [ep.to_obj() for ep in episodes], engine
 
 
 def synthetic_episode(eid, conf, before, after, gate):
@@ -343,13 +333,13 @@ def test_c12_concurrency_and_resume(tmp_path):
     cfg = PipelineConfig(mode="direct", concurrency=4)
     questions = spec_questions(specs)
     sink = tmp_path / "episodes.jsonl"
-    pipeline.run_batch(questions, cfg, engine, sink)
+    pipeline.run(questions, cfg, engine, sink)
     assert backend.max_in_flight <= 4
 
     # Drop the second half of the log and resume; ids must stay unique.
     lines = sink.read_text().splitlines()
     sink.write_text("".join(line + "\n" for line in lines[:10]))
-    pipeline.run_batch(questions, cfg, engine, sink)
+    pipeline.run(questions, cfg, engine, sink)
     ids = [json.loads(line)["id"] for line in sink.read_text().splitlines()]
     assert len(ids) == 20
     assert len(set(ids)) == 20

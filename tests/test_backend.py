@@ -18,10 +18,10 @@ from conftest import (
     RecordingBackend,
     Reply,
     linear_first_match,
+    run_records,
     spec_entries,
     spec_questions,
 )
-from secondguess import pipeline
 from secondguess.backend import (
     ANSWER_PARAMS,
     DECOMPOSE_PARAMS,
@@ -426,8 +426,8 @@ def test_mock_call_cost_does_not_grow_with_script_size():
     base = spec_entries(specs)
     recorder = RecordingBackend(MockBackend(base))
     engine = Engine(recomposer=recorder, decomposer=recorder)
-    pipeline.run(spec_questions(specs), PipelineConfig(mode="decompose_all"), engine)
-    calls = [(request(prompt), BackendRole(role)) for _, role, prompt in recorder.call_log]
+    run_records(spec_questions(specs), PipelineConfig(mode="decompose_all"), engine)
+    calls = [(request(call.prompt), BackendRole(call.role)) for call in recorder.call_log]
     # Non-matching filler ahead of the script: a scan passes all of it.
     filler = [
         MockEntry(f"no prompt holds filler line {i:05d}", ROLES[i % 2], "x", (-0.1,))

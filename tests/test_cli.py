@@ -714,6 +714,67 @@ def test_run_all_failed_exits_1_without_metrics(runner, workspace):
     assert json.loads((out / "manifest.json").read_text())["failures"] == 8
 
 
+def test_tau_percentile_without_initial_answers_writes_failed_records(runner, workspace):
+    tmp, data, _ = workspace
+    script = tmp / "decomposer_only.jsonl"
+    script.write_text(
+        json.dumps(
+            {
+                "match": {"prompt_contains": "Perception Question:", "role": "decomposer"},
+                "response": {"text": "is it lit?", "token_logprobs": [-0.1]},
+            }
+        )
+        + "\n"
+    )
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script),
+         "--mode", "selective", "--tau-percentile", "50", "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert "error: no scorable episodes" in result.output + result.stderr
+    episodes = [json.loads(line) for line in (out / "episodes.jsonl").read_text().splitlines()]
+    assert len(episodes) == 8 and all(ep["failed"] for ep in episodes)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == 8
+    assert manifest["resolved_tau"] is None
+    assert not (out / "metrics.json").exists()
+
+
+def test_tau_percentile_onto_complete_log_makes_no_call(runner, workspace):
+    tmp, data, script = workspace
+    out = tmp / "out"
+    args = ["run", "--dataset", str(data), "--mock-script", str(script),
+            "--mode", "selective", "--tau-percentile", "50", "--out", str(out)]
+    assert runner.invoke(main, args).exit_code == 0
+    log = (out / "episodes.jsonl").read_bytes()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert (out / "episodes.jsonl").read_bytes() == log
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["backend_calls"] == manifest["new_episodes"] == 0
+    assert manifest["episodes"] == 8
+    assert json.loads((out / "metrics.json").read_text())["tau"] is None
+
+
+def test_resumed_run_counts_failures_of_the_whole_log(runner, tmp_path):
+    specs = FOUR_EPISODE_SPECS[:2]
+    data = tmp_path / "dataset.jsonl"
+    dataset.save_dataset(spec_questions(specs), data)
+    script = tmp_path / "script.jsonl"
+    write_script(specs[:1], script)  # the second question's chain fails
+    out = tmp_path / "out"
+    args = ["run", "--dataset", str(data), "--mock-script", str(script),
+            "--mode", "direct", "--out", str(out)]
+    for _ in range(2):  # the second run resumes onto the complete log
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "run complete: 2 episodes (1 failures)" in result.output
+        assert json.loads((out / "manifest.json").read_text())["failures"] == 1
+        assert json.loads((out / "metrics.json").read_text())["failures"] == 1
+
+
 def test_sweep_run_keeps_exit_code(runner, tmp_path):
     specs = FOUR_EPISODE_SPECS[:2]
     data = tmp_path / "dataset.jsonl"

@@ -1,6 +1,9 @@
+import collections
+import hashlib
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -17,6 +20,9 @@ from conftest import (
     RecordingBackend,
     log_columns,
     read_log_by_line,
+    read_records,
+    run_mode,
+    run_records,
     spec_entries,
     spec_questions,
 )
@@ -37,13 +43,6 @@ def engine_over(entries, **kwargs):
     return Engine(recomposer=backend, decomposer=backend, **kwargs), backend
 
 
-def run_mode(specs, mode, **cfg_kwargs):
-    engine, backend = make_engine(specs)
-    cfg = PipelineConfig(mode=mode, **cfg_kwargs)
-    episodes = pipeline.run(spec_questions(specs), cfg, engine)
-    return episodes, engine, backend
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(mode="selective")  # no threshold
@@ -58,18 +57,18 @@ def test_config_validation():
 
 
 def test_tau_zero_everything_kept():
-    episodes, engine, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.0)
-    assert all(ep.gate == "kept" for ep in episodes)
+    episodes, engine = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.0)
+    assert all(ep["gate"] == "kept" for ep in episodes)
     assert engine.decomposer_calls == 0
-    direct, _, _ = run_mode(FOUR_EPISODE_SPECS, "direct")
-    assert [ep.to_obj() for ep in episodes] == [ep.to_obj() for ep in direct]
+    direct, _ = run_mode(FOUR_EPISODE_SPECS, "direct")
+    assert episodes == direct
 
 
 def test_tau_one_equals_decompose_all():
-    selective, _, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=1.0)
-    decompose_all, _, _ = run_mode(FOUR_EPISODE_SPECS, "decompose_all")
-    assert all(ep.gate == "second_guessed" for ep in selective)
-    assert [ep.to_obj() for ep in selective] == [ep.to_obj() for ep in decompose_all]
+    selective, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=1.0)
+    decompose_all, _ = run_mode(FOUR_EPISODE_SPECS, "decompose_all")
+    assert all(ep["gate"] == "second_guessed" for ep in selective)
+    assert selective == decompose_all
 
 
 def test_gate_tie_is_second_guessed():
@@ -77,34 +76,33 @@ def test_gate_tie_is_second_guessed():
     engine, backend = make_engine(specs)
     # Force the initial confidence to be exactly tau.
     cfg = PipelineConfig(mode="selective", tau=math.exp(math.log(0.5)))
-    episodes = pipeline.run(spec_questions(specs), cfg, engine)
-    assert episodes[0].gate == "second_guessed"
+    episodes = run_records(spec_questions(specs), cfg, engine)
+    assert episodes[0]["gate"] == "second_guessed"
 
 
 def test_low_confidence_flip_raises_accuracy_by_one_quarter():
     # q3 is wrong at confidence 0.2 and its recomposition answers correctly.
-    episodes, _, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.3)
-    objs = [ep.to_obj() for ep in episodes]
-    report = evaluation.compute_report(log_columns(objs))
+    episodes, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.3)
+    report = evaluation.compute_report(log_columns(episodes))
     assert report.accuracy_after - report.accuracy_before == 0.25
-    assert [ep.gate for ep in episodes] == ["kept", "kept", "second_guessed", "kept"]
+    assert [ep["gate"] for ep in episodes] == ["kept", "kept", "second_guessed", "kept"]
 
 
 def test_call_count_law():
     specs = FOUR_EPISODE_SPECS
-    episodes, engine, _ = run_mode(specs, "selective", tau=0.3)
-    second_guessed = sum(1 for ep in episodes if ep.gate == "second_guessed")
+    episodes, engine = run_mode(specs, "selective", tau=0.3)
+    second_guessed = sum(1 for ep in episodes if ep["gate"] == "second_guessed")
     assert engine.decomposer_calls == second_guessed
     assert engine.recomposer_calls == len(specs) + 2 * second_guessed
 
 
 def test_percentile_threshold_two_phase():
-    episodes, engine, _ = run_mode(
+    episodes, engine = run_mode(
         FOUR_EPISODE_SPECS, "selective", tau_percentile=50.0
     )
     # Confidences {0.9, 0.8, 0.2, 0.7}: the 50th nearest-rank value is 0.7,
     # so q3 (0.2) and q4 (0.7, a tie) are second-guessed.
-    gates = {ep.id: ep.gate for ep in episodes}
+    gates = {ep["id"]: ep["gate"] for ep in episodes}
     assert gates == {
         "q1": "kept",
         "q2": "kept",
@@ -127,11 +125,11 @@ def test_subquestion_newline_truncation_and_routing():
     ]
     engine, backend = make_engine(specs, extra_entries=entries)
     cfg = PipelineConfig(mode="decompose_all")
-    episodes = pipeline.run(spec_questions(specs), cfg, engine)
-    assert episodes[0].subquestion == "is it a rose?"
-    assert not episodes[0].malformed_subquestion
+    episodes = run_records(spec_questions(specs), cfg, engine)
+    assert episodes[0]["subquestion"] == "is it a rose?"
+    assert not episodes[0]["malformed_subquestion"]
     # The subquestion is answered by the recomposer, not the decomposer.
-    roles = [role for _, role, prompt in backend.call_log if "rose" in prompt]
+    roles = [call.role for call in backend.call_log if "rose" in call.prompt]
     assert roles.count("recomposer") >= 1
 
 
@@ -148,14 +146,14 @@ def test_gibberish_subquestion_flagged_but_used():
         MockEntry("Context: sky blue sky the?", "recomposer", "yes", (-0.2,)),
     ]
     engine, _ = make_engine(specs, extra_entries=entries)
-    episodes = pipeline.run(
+    episodes = run_records(
         spec_questions(specs), PipelineConfig(mode="decompose_all"), engine
     )
     ep = episodes[0]
-    assert ep.malformed_subquestion
-    assert ep.subquestion == "sky blue sky the"
-    assert ep.final.text == "yes"
-    assert ep.correct_after
+    assert ep["malformed_subquestion"]
+    assert ep["subquestion"] == "sky blue sky the"
+    assert ep["final"]["text"] == "yes"
+    assert ep["correct_after"]
 
 
 def test_empty_subquestion_skips_subanswer():
@@ -170,12 +168,12 @@ def test_empty_subquestion_skips_subanswer():
         MockEntry("Context: ? Question: is it red?", "recomposer", "yes", (-0.2,)),
     ]
     engine, backend = make_engine(specs, extra_entries=entries)
-    episodes = pipeline.run(
+    episodes = run_records(
         spec_questions(specs), PipelineConfig(mode="decompose_all"), engine
     )
     ep = episodes[0]
-    assert ep.subanswer is None
-    assert ep.malformed_subquestion
+    assert ep["subanswer"] is None
+    assert ep["malformed_subquestion"]
     # Chain is initial + subquestion + recompose: no sub-answer call.
     assert engine.recomposer_calls == 2
     assert engine.decomposer_calls == 1
@@ -220,11 +218,11 @@ def oracle_engine():
 def test_oracle_oracle_uses_human_subqas_verbatim():
     engine, backend = oracle_engine()
     cfg = PipelineConfig(mode="oracle_oracle")
-    episodes = pipeline.run(oracle_questions(), cfg, engine)
-    assert all(ep.gate == "second_guessed" for ep in episodes)
-    assert episodes[0].subanswer_provenance == "oracle"
+    episodes = run_records(oracle_questions(), cfg, engine)
+    assert all(ep["gate"] == "second_guessed" for ep in episodes)
+    assert episodes[0]["subanswer_provenance"] == "oracle"
     recompose_prompts = [
-        prompt for _, _, prompt in backend.call_log if "#recompose" not in prompt and "Context: is the banana yellow" in prompt
+        call.prompt for call in backend.call_log if "#recompose" not in call.prompt and "Context: is the banana yellow" in call.prompt
     ]
     assert any(
         "Context: is the banana yellow? yes. is the banana bruised? no." in prompt
@@ -236,12 +234,12 @@ def test_oracle_oracle_uses_human_subqas_verbatim():
 def test_oracle_no_answer_prompt_has_no_subanswers():
     engine, backend = oracle_engine()
     cfg = PipelineConfig(mode="oracle_no_answer")
-    episodes = pipeline.run(oracle_questions(), cfg, engine)
-    assert episodes[0].subanswer is None
+    episodes = run_records(oracle_questions(), cfg, engine)
+    assert episodes[0]["subanswer"] is None
     prompt = next(
-        prompt
-        for _, _, prompt in backend.call_log
-        if "Context: is the banana yellow" in prompt
+        call.prompt
+        for call in backend.call_log
+        if "Context: is the banana yellow" in call.prompt
     )
     assert "yes." not in prompt.split("rain", 1)[1]
     assert "Context: is the banana yellow? is the banana bruised? Question:" in prompt
@@ -252,9 +250,9 @@ def test_oracle_scrambled_deterministic():
     for _ in range(2):
         engine, backend = oracle_engine()
         cfg = PipelineConfig(mode="oracle_scrambled", seed=7)
-        pipeline.run(oracle_questions(), cfg, engine)
+        run_records(oracle_questions(), cfg, engine)
         prompts_by_run.append(
-            sorted(prompt for _, _, prompt in backend.call_log)
+            sorted(call.prompt for call in backend.call_log)
         )
     assert prompts_by_run[0] == prompts_by_run[1]
 
@@ -262,8 +260,8 @@ def test_oracle_scrambled_deterministic():
 def test_oracle_scrambled_preserves_tokens():
     engine, backend = oracle_engine()
     cfg = PipelineConfig(mode="oracle_scrambled", seed=7)
-    episodes = pipeline.run(oracle_questions(), cfg, engine)
-    tokens = sorted(episodes[0].subquestion.split())
+    episodes = run_records(oracle_questions(), cfg, engine)
+    tokens = sorted(episodes[0]["subquestion"].split())
     assert tokens == sorted(
         "is the banana yellow yes is the banana bruised no".split()
     )
@@ -272,22 +270,22 @@ def test_oracle_scrambled_preserves_tokens():
 def test_oracle_self_answer_replaces_answers():
     engine, backend = oracle_engine()
     cfg = PipelineConfig(mode="oracle_self_answer")
-    episodes = pipeline.run(oracle_questions(), cfg, engine)
+    episodes = run_records(oracle_questions(), cfg, engine)
     ep = episodes[0]
-    assert ep.subanswer_provenance == "model"
+    assert ep["subanswer_provenance"] == "model"
     # Both sub-answers come from the catch-all recomposer entry.
-    assert ep.subanswer == "maybe | maybe"
+    assert ep["subanswer"] == "maybe | maybe"
 
 
-def test_oracle_skips_questions_without_subqas():
+def test_oracle_skips_questions_without_subqas(tmp_path):
     engine, _ = oracle_engine()
     questions = oracle_questions() + spec_questions(
         [QSpec("q3", "is it wet?", "no", "no", 0.5)]
     )
     cfg = PipelineConfig(mode="oracle_oracle")
-    summary = pipeline.RunSummary()
-    episodes = pipeline.run(questions, cfg, engine, summary)
-    assert len(episodes) == 2
+    sink = tmp_path / "episodes.jsonl"
+    summary = pipeline.run(questions, cfg, engine, sink)
+    assert len(read_records(sink)) == summary.episodes == 2
     assert summary.skipped_missing_oracle == 1
 
 
@@ -298,37 +296,36 @@ def test_episode_failure_is_isolated():
         [e for e in spec_entries(specs) if "is it raining?" not in e.prompt_contains]
     )
     cfg = PipelineConfig(mode="direct")
-    episodes = pipeline.run(spec_questions(specs), cfg, engine)
+    episodes = run_records(spec_questions(specs), cfg, engine)
     assert len(episodes) == 2
-    assert not episodes[0].failed
-    assert episodes[1].failed
-    assert episodes[1].to_obj()["failed"] is True
+    assert "failed" not in episodes[0]
+    assert episodes[1]["failed"] is True
 
 
-def test_run_batch_resume_no_duplicates(tmp_path):
+def test_run_resume_no_duplicates(tmp_path):
     sink = tmp_path / "episodes.jsonl"
     questions = spec_questions(FOUR_EPISODE_SPECS)
     cfg = PipelineConfig(mode="decompose_all")
 
     engine1, _ = make_engine(FOUR_EPISODE_SPECS)
-    pipeline.run_batch(questions[:2], cfg, engine1, sink)  # interrupted run
+    pipeline.run(questions[:2], cfg, engine1, sink)  # interrupted run
 
     engine2, _ = make_engine(FOUR_EPISODE_SPECS)
-    summary = pipeline.run_batch(questions, cfg, engine2, sink)
+    summary = pipeline.run(questions, cfg, engine2, sink)
     assert pipeline.read_episode_log(sink).ids == ["q1", "q2", "q3", "q4"]
     assert summary.new_episodes == 2
     # Only the two missing questions hit the backend on resume.
     assert engine2.recomposer_calls == 2 * 3
 
 
-def test_run_batch_deterministic_bytes(tmp_path):
+def test_run_deterministic_bytes(tmp_path):
     questions = spec_questions(FOUR_EPISODE_SPECS)
     cfg = PipelineConfig(mode="selective", tau=0.3, seed=11, concurrency=3)
     logs = []
     for name in ("a.jsonl", "b.jsonl"):
         engine, _ = make_engine(FOUR_EPISODE_SPECS)
         sink = tmp_path / name
-        pipeline.run_batch(questions, cfg, engine, sink)
+        pipeline.run(questions, cfg, engine, sink)
         logs.append(sink.read_bytes())
     assert logs[0] == logs[1]
 
@@ -339,13 +336,13 @@ def test_concurrency_bound_respected(tmp_path):
     ]
     engine, backend = make_engine(specs)
     cfg = PipelineConfig(mode="direct", concurrency=4)
-    pipeline.run_batch(spec_questions(specs), cfg, engine, tmp_path / "log.jsonl")
+    pipeline.run(spec_questions(specs), cfg, engine, tmp_path / "log.jsonl")
     assert backend.max_in_flight <= 4
 
 
 def test_episode_schema_field_order():
-    episodes, _, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.3)
-    obj = episodes[0].to_obj()
+    episodes, _ = run_mode(FOUR_EPISODE_SPECS, "selective", tau=0.3)
+    obj = episodes[0]
     assert list(obj) == [
         "id",
         "initial",
@@ -402,36 +399,97 @@ def expected_chain(mode, spec):
     return ["initial", "subq", "suba0", "recompose"]
 
 
-def run_chain(mode, concurrency, drop_recompose_of=None):
+def run_chain(sink, mode, concurrency, drop_recompose_of=None, **threshold):
+    """Run ``mode`` over the chain fixture into ``sink``, selective at
+    CHAIN_TAU unless given a threshold; returns the RecordingBackend."""
     questions, mock = chain_fixture(drop_recompose_of)
     recorder = RecordingBackend(mock)
     # Every request fails once with a transport error before it succeeds.
     flaky = FlakyBackend(recorder, failures_before_success=1)
-    threshold = {"tau": CHAIN_TAU} if mode == "selective" else {}
+    if mode == "selective" and not threshold:
+        threshold = {"tau": CHAIN_TAU}
     cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
     engine = Engine(recomposer=flaky, decomposer=flaky)
-    return pipeline.run(questions, cfg, engine), recorder
+    pipeline.run(questions, cfg, engine, sink)
+    return recorder
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 @pytest.mark.parametrize("mode", pipeline.MODES)
-def test_every_mode_runs_one_chain(mode, concurrency):
+def test_every_mode_runs_one_chain(tmp_path, mode, concurrency):
     chains = {spec.qid: expected_chain(mode, spec) for spec in CHAIN_SPECS}
-    episodes, recorder = run_chain(mode, concurrency)
+    recorder = run_chain(tmp_path / "all.jsonl", mode, concurrency)
+    episodes = read_records(tmp_path / "all.jsonl")
     stages = {qid: [] for qid in chains}
-    for request_id, _, _ in recorder.call_log:
-        qid, stage = request_id.split("#")
+    for call in recorder.call_log:
+        qid, stage = call.request_id.split("#")
         stages[qid].append(stage)
     assert stages == chains
-    assert not any(ep.failed for ep in episodes)
+    assert not any(ep.get("failed", False) for ep in episodes)
     # One injected retry per call: an episode's retries count its calls.
-    assert {ep.id: ep.retries for ep in episodes} == {
+    assert {ep["id"]: ep["retries"] for ep in episodes} == {
         qid: len(chain) for qid, chain in chains.items()
     }
 
-    episodes, _ = run_chain(mode, concurrency, drop_recompose_of="q2")
-    failed = {ep.id for ep in episodes if ep.failed}
+    run_chain(tmp_path / "dropped.jsonl", mode, concurrency, drop_recompose_of="q2")
+    episodes = read_records(tmp_path / "dropped.jsonl")
+    failed = {ep["id"] for ep in episodes if ep.get("failed", False)}
     assert failed == ({"q2"} if "recompose" in chains["q2"] else set())
+
+
+# The sha256 of the chain fixture's episodes.jsonl in every mode, as the
+# two-phase scheduler wrote it before each question became one task.
+PINNED_CHAIN_LOGS = [
+    ("direct", {}, "8618fba1aa03643e1005780d01998183ccad1cfcc23c4eebfc47ad369d198c55"),
+    ("decompose_all", {}, "a2fa13bc111a1970bbed2d8d398004a82305f5646571febbbad6453df0171d16"),
+    ("selective", {}, "934006c17f2cbb3925291790096515a73ac2f45bcd83dd88a6047cf4e58ea283"),
+    ("selective", {"tau_percentile": 75.0},
+     "70bb75787a489c2a6557619a0f70b7e9371b7c088d57b100eda8b8bd97705064"),
+    ("oracle_oracle", {}, "09c70abb852ca9c12a7348a2b1905a5774962c9f9c72efc0d619499d3567663d"),
+    ("oracle_self_answer", {},
+     "69cf45418b84d271367fdc660d5782a920be9e90f8d578586724c5b2273579f8"),
+    ("oracle_no_answer", {}, "5a620930bfc019bc5d12ca5680f6f6542a9b5c6429e791d8053a926dd5b4872e"),
+    ("oracle_scrambled", {}, "b0d5a81c7f669b5bf49c959b74a4925933ccd23492409e24a087a2b875b58eb2"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, threshold, digest",
+    PINNED_CHAIN_LOGS,
+    ids=[mode + "_percentile" * bool(t) for mode, t, _ in PINNED_CHAIN_LOGS],
+)
+def test_chain_log_pinned_at_every_concurrency(tmp_path, mode, threshold, digest):
+    calls = []
+    for concurrency in (1, 4):
+        sink = tmp_path / f"episodes{concurrency}.jsonl"
+        recorder = run_chain(sink, mode, concurrency, **threshold)
+        assert hashlib.sha256(sink.read_bytes()).hexdigest() == digest
+        calls.append(collections.Counter(recorder.call_log))
+    # The same requests (id, role, prompt, image, params), in any order.
+    assert calls[0] == calls[1]
+
+
+def test_no_barrier_without_percentile_tau():
+    """q1's initial call waits for q2's recompose call, which comes only if
+    q2's whole chain runs while q1's first call is in flight."""
+    questions, mock = chain_fixture()
+    q2_recomposed = threading.Event()
+    waits = []
+
+    class Waiting:
+        def complete(self, request, role):
+            if request.request_id == "q1#initial":
+                waits.append(q2_recomposed.wait(timeout=2))
+            result = mock.complete(request, role)
+            if request.request_id == "q2#recompose":
+                q2_recomposed.set()
+            return result
+
+    engine = Engine(recomposer=Waiting(), decomposer=Waiting())
+    cfg = PipelineConfig(mode="decompose_all", concurrency=2)
+    episodes = run_records(questions[:2], cfg, engine)
+    assert waits == [True]
+    assert not any(ep.get("failed", False) for ep in episodes)
 
 
 # --- episode log reader ---------------------------------------------------
