@@ -100,7 +100,7 @@ class InferenceResult:
     retries: int = 0
 
     @classmethod
-    def from_payload(cls, payload: dict, retries: int = 0) -> "InferenceResult":
+    def from_payload(cls, payload: dict) -> "InferenceResult":
         try:
             text, logprobs = payload["text"], payload["token_logprobs"]
             cumulative = payload["cumulative_logprob"]
@@ -127,12 +127,7 @@ class InferenceResult:
             raise ProtocolError(
                 "cumulative_logprob does not match the sum of token_logprobs"
             )
-        return cls(
-            text=text,
-            token_logprobs=token_logprobs,
-            cumulative_logprob=cumulative,
-            retries=retries,
-        )
+        return cls(text=text, token_logprobs=token_logprobs, cumulative_logprob=cumulative)
 
 
 def confidence_of(result: InferenceResult) -> float:

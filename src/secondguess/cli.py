@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 completed with failed episodes in the whole log
 (no metrics.json if all failed), 2 config validation, 3 dataset error, 4
 irrecoverable backend error. All outputs go under --out; every run
 directory gets a manifest recording the resolved config, its hash, the seed,
-and timestamps.
+timestamps, the whole log's episode and failure counts, and this
+invocation's backend calls and transport retries.
 """
 
 from __future__ import annotations

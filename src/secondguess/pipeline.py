@@ -90,7 +90,6 @@ class PipelineConfig:
 class AnswerOutcome:
     text: str
     confidence: float
-    retries: int = 0
 
 
 @dataclass(kw_only=True)
@@ -105,26 +104,16 @@ class EpisodeRecord:
     correct_before: bool
     correct_after: bool
     malformed_subquestion: bool = False
-    retries: int = 0
     failed: bool = False
 
-    def to_obj(self) -> dict:
-        obj = {
-            "id": self.id,
-            "initial": {"text": self.initial.text, "confidence": self.initial.confidence},
-            "gate": self.gate,
-            "subquestion": self.subquestion,
-            "subanswer": self.subanswer,
-            "subanswer_provenance": self.subanswer_provenance,
-            "final": {"text": self.final.text, "confidence": self.final.confidence},
-            "correct_before": self.correct_before,
-            "correct_after": self.correct_after,
-            "malformed_subquestion": self.malformed_subquestion,
-            "retries": self.retries,
-        }
-        if self.failed:
-            obj["failed"] = True
-        return obj
+    def to_json(self) -> str:
+        """The record's log line: its fields in order, ``failed`` only when
+        true, and each AnswerOutcome as its own fields."""
+        return json.dumps(
+            {k: v for k, v in vars(self).items() if k != "failed" or v},
+            ensure_ascii=False,
+            default=vars,
+        )
 
 
 @dataclass
@@ -133,6 +122,7 @@ class RunSummary:
     new_episodes: int = 0
     failures: int = 0
     backend_calls: int = 0
+    retries: int = 0
     skipped_missing_oracle: int = 0
     resolved_tau: Optional[float] = None
 
@@ -162,6 +152,7 @@ class Engine:
         self._lock = threading.Lock()
         self.recomposer_calls = 0
         self.decomposer_calls = 0
+        self.retries = 0  # transport retries of the calls that returned
 
     def _call(self, backend: Backend, request: InferenceRequest, role: BackendRole) -> InferenceResult:
         with self._lock:
@@ -169,7 +160,10 @@ class Engine:
                 self.recomposer_calls += 1
             else:
                 self.decomposer_calls += 1
-        return backend.complete(request, role)
+        result = backend.complete(request, role)
+        with self._lock:
+            self.retries += result.retries
+        return result
 
     def answer(self, question: VisualQuestion, stage: str, prompt: str) -> AnswerOutcome:
         """One recomposer call about the question's image; ``stage`` is the
@@ -181,10 +175,10 @@ class Engine:
             image=question.image,
         )
         result = self._call(self.recomposer, request, RECOMPOSER)
-        return AnswerOutcome(result.text, confidence_of(result), result.retries)
+        return AnswerOutcome(result.text, confidence_of(result))
 
     def generate_subquestion(self, question: VisualQuestion):
-        """Returns (subquestion text, malformed flag, retries). The raw
+        """Returns (subquestion text, malformed flag). The raw
         generation is truncated at the first newline; empty or
         non-question-shaped output is flagged malformed but still used.
         The decomposer is text-only, so no image is sent."""
@@ -198,7 +192,7 @@ class Engine:
         result = self._call(self.decomposer, request, DECOMPOSER)
         text = result.text.split("\n", 1)[0]
         malformed = not text.strip() or not text.rstrip().endswith("?")
-        return text, malformed, result.retries
+        return text, malformed
 
 
 def _correct(outcome: AnswerOutcome, question: VisualQuestion, scoring: str) -> bool:
@@ -218,37 +212,33 @@ def _failed_episode(question: VisualQuestion) -> EpisodeRecord:
 
 
 def _self_answer(engine: Engine, question: VisualQuestion, ctx: DecompositionContext):
-    """Answer each subquestion with the recomposer (stage suba<i>).
-    Returns (answered ctx, retries)."""
-    answered, retries = [], 0
+    """Answer each subquestion with the recomposer (stage suba<i>)."""
+    answered = []
     for index, qa in enumerate(ctx.sub_qas):
         outcome = engine.answer(
             question, f"suba{index}", prompts.render_direct_qa(qa.question)
         )
-        retries += outcome.retries
         answered.append(SubQA(qa.question, outcome.text))
-    return DecompositionContext(answered), retries
+    return DecompositionContext(answered)
 
 
 def _context(engine: Engine, question: VisualQuestion, cfg: PipelineConfig):
-    """(ctx, provenance, malformed, retries) to recompose the question from."""
+    """(ctx, provenance, malformed) to recompose the question from."""
     if cfg.mode not in ORACLE_MODES:
-        subq, malformed, retries = engine.generate_subquestion(question)
+        subq, malformed = engine.generate_subquestion(question)
         ctx = DecompositionContext([SubQA(subq, None)])
         if not subq.strip():
             # Degenerate generation: skip sub-answering, recompose answerless.
-            return ctx, None, malformed, retries
-        ctx, suba_retries = _self_answer(engine, question, ctx)
-        return ctx, "model", malformed, retries + suba_retries
+            return ctx, None, malformed
+        return _self_answer(engine, question, ctx), "model", malformed
     ctx = DecompositionContext(list(question.oracle_sub_qas))
     if cfg.mode == "oracle_self_answer":
-        ctx, retries = _self_answer(engine, question, ctx)
-        return ctx, "model", False, retries
+        return _self_answer(engine, question, ctx), "model", False
     if cfg.mode == "oracle_no_answer":
         ctx = prompts.perturb_strip_answers(ctx)
     elif cfg.mode == "oracle_scrambled":
         ctx = prompts.perturb_scramble(ctx, _scramble_seed(cfg.seed, question.id))
-    return ctx, "oracle", False, 0
+    return ctx, "oracle", False
 
 
 def _episode(
@@ -272,10 +262,9 @@ def _episode(
             final=initial,
             correct_before=correct_before,
             correct_after=correct_before,
-            retries=initial.retries,
         )
     try:
-        ctx, provenance, malformed, retries = _context(engine, question, cfg)
+        ctx, provenance, malformed = _context(engine, question, cfg)
         final = engine.answer(
             question, "recompose", prompts.render_recompose(question.question, ctx)
         )
@@ -295,7 +284,6 @@ def _episode(
         correct_before=correct_before,
         correct_after=_correct(final, question, cfg.scoring),
         malformed_subquestion=malformed,
-        retries=initial.retries + retries + final.retries,
     )
 
 
@@ -468,7 +456,8 @@ def run(
     summary.episodes += len(episodes)
     summary.failures += sum(ep.failed for ep in episodes)
     summary.backend_calls = engine.recomposer_calls + engine.decomposer_calls
+    summary.retries = engine.retries
     with open(sink_path, "a", encoding="utf-8") as fh:
         for ep in episodes:
-            fh.write(json.dumps(ep.to_obj(), ensure_ascii=False) + "\n")
+            fh.write(ep.to_json() + "\n")
     return summary

@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import pytest
@@ -110,20 +110,26 @@ def spec_entries(specs: Sequence[QSpec]) -> List[MockEntry]:
 
 @dataclass
 class FlakyBackend:
-    """Fails with transport errors a fixed number of times per request
-    before delegating, so retry behavior is exercised without a server."""
+    """Fails with transport errors before delegating, so retry behavior is
+    exercised without a server: ``failures_before_success`` times for every
+    request, or, given a mapping, as many times as it holds for the request
+    id (none for an id it lacks). ``injected`` counts faults per request id."""
 
     inner: Backend
-    failures_before_success: int
+    failures_before_success: Union[int, Mapping[str, int]]
     attempts: int = DEFAULT_RETRY_ATTEMPTS
     base_delay: float = 0.0
-    _failed: dict = field(default_factory=dict)
+    injected: dict = field(default_factory=dict)
 
     def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
+        failures = self.failures_before_success
+        if not isinstance(failures, int):
+            failures = failures.get(request.request_id, 0)
+
         def attempt() -> InferenceResult:
-            seen = self._failed.get(request.request_id, 0)
-            if seen < self.failures_before_success:
-                self._failed[request.request_id] = seen + 1
+            seen = self.injected.get(request.request_id, 0)
+            if seen < failures:
+                self.injected[request.request_id] = seen + 1
                 raise TransportError("injected transport fault")
             return self.inner.complete(request, role)
 
@@ -252,10 +258,11 @@ class LoopbackServer:
     """A generation endpoint on 127.0.0.1 for HTTPBackend tests.
 
     POSTs are answered from the ``outcomes`` queue, and once it is empty by
-    ``respond(request JSON)``, a payload sent with status 200. Each reply
-    goes out in one write on a TCP_NODELAY socket, so Nagle's algorithm and
-    delayed ACKs add no latency. ``received`` holds (path, content type, raw
-    body) per POST received; ``connections`` counts accepted connections.
+    ``respond(request JSON)``: a Reply, or a payload sent with status 200.
+    Each reply goes out in one write on a TCP_NODELAY socket, so Nagle's
+    algorithm and delayed ACKs add no latency. ``received`` holds (path,
+    content type, raw body) per POST received; ``connections`` counts
+    accepted connections.
     """
 
     def __init__(self, outcomes: Sequence[Reply] = (), respond: Optional[Callable] = None):
@@ -278,7 +285,8 @@ class LoopbackServer:
             self.received.append((path, content_type, raw))
             if self.outcomes:
                 return self.outcomes.pop(0)
-        return Reply(200, self.respond(json.loads(raw)))
+        reply = self.respond(json.loads(raw))
+        return reply if isinstance(reply, Reply) else Reply(200, reply)
 
     def _handler(self):
         server = self

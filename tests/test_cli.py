@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -12,11 +13,13 @@ from conftest import (
     FOUR_EPISODE_SPECS,
     NESTED_TOO_DEEP,
     QSpec,
+    Reply,
     spec_questions,
     write_script,
 )
 import secondguess
-from secondguess import dataset
+from secondguess import cli, dataset
+from secondguess.backend import HTTPBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
 from secondguess.simulator import SimConfig, closed_form_decompose_all
@@ -975,6 +978,54 @@ def test_run_over_http_keeps_one_connection_per_worker(runner, workspace, loopba
         assert manifest["backend_calls"] == len(server.received) == 8 * 4
         logs.append((out / "episodes.jsonl").read_bytes())
     assert logs[0] == logs[1]
+
+
+class NoSleepHTTPBackend(HTTPBackend):
+    """An HTTPBackend that does not sleep between retries."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, sleep=lambda _: None, **kwargs)
+
+
+def replies_at(replies):
+    """A LoopbackServer ``respond``: the Reply that ``replies`` holds for a
+    POST's number (from 0), else answer_from_prompt's payload."""
+    posts = itertools.count()
+    return lambda req: replies.get(next(posts)) or answer_from_prompt(req)
+
+
+def test_retried_transport_faults_leave_the_log_unchanged(
+    runner, workspace, loopback, monkeypatch
+):
+    """A dropped connection and a 503 are each absorbed by a retry: the run
+    writes the fault-free run's episodes.jsonl and metrics.json, and its
+    manifest counts the two retries."""
+    monkeypatch.setattr(cli, "HTTPBackend", NoSleepHTTPBackend)
+    tmp, data, _ = workspace
+    # At concurrency 1 POST 0 is the run's first, on a fresh connection; a
+    # kept-alive connection that the server drops is reopened once without
+    # a retry, so the drop goes there.
+    runs = []
+    for name, replies in (("clean", {}), ("faulty", {0: Reply(None), 9: Reply(503)})):
+        server = loopback(respond=replies_at(replies))
+        out = tmp / name
+        result = run_cli(
+            runner,
+            [
+                "run",
+                "--dataset", str(data),
+                "--recomposer-url", server.url,
+                "--mode", "decompose_all",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["backend_calls"] == 8 * 4
+        assert len(server.received) == 8 * 4 + len(replies)
+        assert manifest["retries"] == len(replies)
+        runs.append([(out / f).read_bytes() for f in ("episodes.jsonl", "metrics.json")])
+    assert runs[0] == runs[1]
 
 
 def test_import_loads_no_http_stack_or_blas_threads():

@@ -27,7 +27,7 @@ from conftest import (
     spec_questions,
 )
 from secondguess import evaluation, pipeline
-from secondguess.backend import MockBackend, MockEntry
+from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, MockBackend, MockEntry
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.pipeline import ConfigError, Engine, PipelineConfig
 from secondguess.prompts import SubQA
@@ -354,7 +354,6 @@ def test_episode_schema_field_order():
         "correct_before",
         "correct_after",
         "malformed_subquestion",
-        "retries",
     ]
     assert list(obj["initial"]) == ["text", "confidence"]
 
@@ -399,37 +398,35 @@ def expected_chain(mode, spec):
     return ["initial", "subq", "suba0", "recompose"]
 
 
-def run_chain(sink, mode, concurrency, drop_recompose_of=None, **threshold):
+def run_chain(sink, mode, concurrency, drop_recompose_of=None, failures=1, **threshold):
     """Run ``mode`` over the chain fixture into ``sink``, selective at
-    CHAIN_TAU unless given a threshold; returns the RecordingBackend."""
+    CHAIN_TAU unless given a threshold, each request failing with transport
+    errors as FlakyBackend's ``failures_before_success`` says (by default
+    once). Returns the RunSummary and the FlakyBackend, whose inner backend
+    is a RecordingBackend."""
     questions, mock = chain_fixture(drop_recompose_of)
-    recorder = RecordingBackend(mock)
-    # Every request fails once with a transport error before it succeeds.
-    flaky = FlakyBackend(recorder, failures_before_success=1)
+    flaky = FlakyBackend(RecordingBackend(mock), failures_before_success=failures)
     if mode == "selective" and not threshold:
         threshold = {"tau": CHAIN_TAU}
     cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
     engine = Engine(recomposer=flaky, decomposer=flaky)
-    pipeline.run(questions, cfg, engine, sink)
-    return recorder
+    return pipeline.run(questions, cfg, engine, sink), flaky
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_every_mode_runs_one_chain(tmp_path, mode, concurrency):
     chains = {spec.qid: expected_chain(mode, spec) for spec in CHAIN_SPECS}
-    recorder = run_chain(tmp_path / "all.jsonl", mode, concurrency)
+    summary, flaky = run_chain(tmp_path / "all.jsonl", mode, concurrency)
     episodes = read_records(tmp_path / "all.jsonl")
     stages = {qid: [] for qid in chains}
-    for call in recorder.call_log:
+    for call in flaky.inner.call_log:
         qid, stage = call.request_id.split("#")
         stages[qid].append(stage)
     assert stages == chains
     assert not any(ep.get("failed", False) for ep in episodes)
-    # One injected retry per call: an episode's retries count its calls.
-    assert {ep["id"]: ep["retries"] for ep in episodes} == {
-        qid: len(chain) for qid, chain in chains.items()
-    }
+    # One injected retry per call: the run's retries count its calls.
+    assert summary.retries == summary.backend_calls == sum(map(len, chains.values()))
 
     run_chain(tmp_path / "dropped.jsonl", mode, concurrency, drop_recompose_of="q2")
     episodes = read_records(tmp_path / "dropped.jsonl")
@@ -437,19 +434,22 @@ def test_every_mode_runs_one_chain(tmp_path, mode, concurrency):
     assert failed == ({"q2"} if "recompose" in chains["q2"] else set())
 
 
-# The sha256 of the chain fixture's episodes.jsonl in every mode, as the
-# two-phase scheduler wrote it before each question became one task.
+# The sha256 of the chain fixture's episodes.jsonl in every mode. Each is
+# the digest of the log written by the code that kept a "retries" key in
+# every record (the two-phase scheduler's bytes, one injected retry per
+# call), with only its ``, "retries": N`` bytes removed: dropping the key
+# moved no other byte.
 PINNED_CHAIN_LOGS = [
-    ("direct", {}, "8618fba1aa03643e1005780d01998183ccad1cfcc23c4eebfc47ad369d198c55"),
-    ("decompose_all", {}, "a2fa13bc111a1970bbed2d8d398004a82305f5646571febbbad6453df0171d16"),
-    ("selective", {}, "934006c17f2cbb3925291790096515a73ac2f45bcd83dd88a6047cf4e58ea283"),
+    ("direct", {}, "3eb12afa35d8b3081ada0a30503b848e9ff61c4c05a14ac3e84a8499c82256fe"),
+    ("decompose_all", {}, "94ca8ae5f3c26429deaf5c64258552c2fc9fe3c407cad81148d19188c2c9deb5"),
+    ("selective", {}, "a54d23a5f373ad6f2bc7a331b5d48682d9b225bd1c28bfb5cd71240fcefefb9f"),
     ("selective", {"tau_percentile": 75.0},
-     "70bb75787a489c2a6557619a0f70b7e9371b7c088d57b100eda8b8bd97705064"),
-    ("oracle_oracle", {}, "09c70abb852ca9c12a7348a2b1905a5774962c9f9c72efc0d619499d3567663d"),
+     "5173dea339a74841697c80dad5cfd617b0b5645905b5baf69076080253fe4cdf"),
+    ("oracle_oracle", {}, "809ff7e696b8e7cbdee71cc050fa86ba71b3388ee66523c835944bc0fa0a71b9"),
     ("oracle_self_answer", {},
-     "69cf45418b84d271367fdc660d5782a920be9e90f8d578586724c5b2273579f8"),
-    ("oracle_no_answer", {}, "5a620930bfc019bc5d12ca5680f6f6542a9b5c6429e791d8053a926dd5b4872e"),
-    ("oracle_scrambled", {}, "b0d5a81c7f669b5bf49c959b74a4925933ccd23492409e24a087a2b875b58eb2"),
+     "586eb474c9e55ddd1997025f160a0fabe7d9bfa36f660471cd7623c0e0705a7a"),
+    ("oracle_no_answer", {}, "21a27d752017dd70064c3e6a56af7ca846295f757bd010944a3f043b5e2a268d"),
+    ("oracle_scrambled", {}, "ea3bb27db6f37c7d68437320468074eed45d8b2f1e9009035752bce60cb9335c"),
 ]
 
 
@@ -462,11 +462,54 @@ def test_chain_log_pinned_at_every_concurrency(tmp_path, mode, threshold, digest
     calls = []
     for concurrency in (1, 4):
         sink = tmp_path / f"episodes{concurrency}.jsonl"
-        recorder = run_chain(sink, mode, concurrency, **threshold)
+        _, flaky = run_chain(sink, mode, concurrency, **threshold)
         assert hashlib.sha256(sink.read_bytes()).hexdigest() == digest
-        calls.append(collections.Counter(recorder.call_log))
+        calls.append(collections.Counter(flaky.inner.call_log))
     # The same requests (id, role, prompt, image, params), in any order.
     assert calls[0] == calls[1]
+
+
+CHAIN_REQUESTS = [
+    f"{spec.qid}#{stage}"
+    for spec in CHAIN_SPECS
+    for stage in ("initial", "subq", "suba0", "suba1", "recompose")
+]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    config=st.sampled_from([(mode, t) for mode, t, _ in PINNED_CHAIN_LOGS]),
+    drop_recompose_of=st.sampled_from([None, "q2"]),
+    concurrency=st.sampled_from([1, 4]),
+    faults=st.dictionaries(
+        st.sampled_from(CHAIN_REQUESTS), st.integers(0, DEFAULT_RETRY_ATTEMPTS - 1)
+    ),
+)
+def test_transport_faults_change_no_log_byte(
+    tmp_path, config, drop_recompose_of, concurrency, faults
+):
+    """Up to attempts - 1 transport faults at any calls leave episodes.jsonl
+    byte-identical to a fault-free run, and the run's retries count them."""
+    mode, threshold = config
+    sink = tmp_path / "episodes.jsonl"
+    logs = []
+    for failures in (0, faults):
+        sink.unlink(missing_ok=True)
+        summary, flaky = run_chain(
+            sink, mode, concurrency, drop_recompose_of, failures, **threshold
+        )
+        logs.append(sink.read_bytes())
+    assert logs[0] == logs[1]
+    called = {call.request_id for call in flaky.inner.call_log}
+    assert flaky.injected == {r: n for r, n in faults.items() if n and r in called}
+    # A call that fails in the end returns no result, so its faults count in
+    # no total: with its recompose entry dropped, q2's recompose is that call.
+    failed_call = f"{drop_recompose_of}#recompose"
+    assert summary.retries == sum(n for r, n in flaky.injected.items() if r != failed_call)
 
 
 def test_no_barrier_without_percentile_tau():
@@ -605,11 +648,25 @@ def test_read_episode_log_equals_line_by_line_oracle(tmp_path, monkeypatch, text
 
 def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
     """Every bad field and line, at every line of a log of three chunks of
-    three, failed and scorable records alternating."""
+    three, failed and scorable records alternating, the last one in the old
+    schema, which kept each record's transport retries."""
     monkeypatch.setattr(pipeline, "_CHUNK_LINES", 3)
     records = [
         log_record(f"e{i}", None if i % 2 else 0.5, "kept", True, False) for i in range(7)
     ]
+    records.append({
+        "id": "e7",
+        "initial": {"text": "no", "confidence": 0.25},
+        "gate": "second_guessed",
+        "subquestion": "is it lit?",
+        "subanswer": "yes",
+        "subanswer_provenance": "model",
+        "final": {"text": "yes", "confidence": 0.8},
+        "correct_before": False,
+        "correct_after": True,
+        "malformed_subquestion": False,
+        "retries": 2,
+    })
     nan = {"initial": {"text": "", "confidence": math.nan}}
     for at, record in enumerate(records):
         # Each bad field alone, and with the one listed before it: a record
@@ -645,7 +702,7 @@ def test_read_episode_log_keeps_no_dict_per_episode(tmp_path):
                 correct_before=i % 2 == 0,
                 correct_after=i % 3 == 0,
             )
-            fh.write(json.dumps(record.to_obj()) + "\n")
+            fh.write(record.to_json() + "\n")
     tracemalloc.start()
     try:
         log = pipeline.read_episode_log(path)
