@@ -1,12 +1,13 @@
 """Command-line entry point wiring datasets, backends, pipeline, metrics,
 and simulator into reproducible runs.
 
-Exit codes: 0 success, 1 completed with failed episodes in the whole log
-(no metrics.json if all failed), 2 config validation, 3 dataset error, 4
-irrecoverable backend error. All outputs go under --out; every run
-directory gets a manifest recording the resolved config, its hash, the seed,
-timestamps, the whole log's episode and failure counts, and this
-invocation's backend calls and transport retries.
+`run` is the one command that runs the chain and writes an episode log, in
+any of the seven modes; `metrics` and `sweep` only read a log. Exit codes: 0
+success, 1 completed with failed episodes in the whole log (no metrics.json
+if all failed), 2 config validation, 3 dataset error. All outputs go under
+--out; every run directory gets a manifest recording the resolved config, its
+hash, the seed, timestamps, the whole log's episode and failure counts, and
+this invocation's backend calls and transport retries.
 """
 
 from __future__ import annotations
@@ -27,39 +28,32 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 
 from . import __version__, dataset, evaluation, pipeline, prompts, simulator
-from .backend import (
-    BackendError,
-    DEFAULT_RETRY_ATTEMPTS,
-    HTTPBackend,
-    MockBackend,
-)
+from .backend import DEFAULT_RETRY_ATTEMPTS, HTTPBackend, MockBackend
 from .dataset import DatasetError
 from .pipeline import ConfigError, Engine, PipelineConfig
 
 EXIT_CONFIG = 2
 EXIT_DATASET = 3
-EXIT_BACKEND = 4
 
-RUN_COMMANDS = ("run", "sweep", "oracle")
-
-# Every run option, written once: (config key, type, default, commands that
-# take it as --key-with-dashes). A type is int, float, str, or a tuple of the
-# allowed strings. Flags win over --config file values, which win over the
-# defaults; file values are checked against the same types.
+# Every run option, written once: (config key, type, default, whether `run`
+# takes it as --key-with-dashes; if not, it is config-file only). A type is
+# int, float, str, or a tuple of the allowed strings. Flags win over --config
+# file values, which win over the defaults; file values are checked against
+# the same types.
 OPTIONS = (
-    ("dataset", str, None, RUN_COMMANDS),
-    ("recomposer_url", str, None, RUN_COMMANDS),
-    ("decomposer_url", str, None, RUN_COMMANDS),
-    ("mock_script", str, None, RUN_COMMANDS),
-    ("mode", pipeline.MODES, "direct", ("run",)),
-    ("tau", float, None, RUN_COMMANDS),
-    ("tau_percentile", float, None, RUN_COMMANDS),
-    ("seed", int, 0, RUN_COMMANDS),
-    ("concurrency", int, 1, RUN_COMMANDS),
-    ("retry_budget", int, DEFAULT_RETRY_ATTEMPTS, ()),
-    ("out", str, "out", RUN_COMMANDS),
-    ("scoring", pipeline.SCORINGS, "exact", RUN_COMMANDS),
-    ("decomposer_prompt_style", prompts.DECOMPOSE_STYLES, "decompose_default", ()),
+    ("dataset", str, None, True),
+    ("recomposer_url", str, None, True),
+    ("decomposer_url", str, None, True),
+    ("mock_script", str, None, True),
+    ("mode", pipeline.MODES, "direct", True),
+    ("tau", float, None, True),
+    ("tau_percentile", float, None, True),
+    ("seed", int, 0, True),
+    ("concurrency", int, 1, True),
+    ("retry_budget", int, DEFAULT_RETRY_ATTEMPTS, False),
+    ("out", str, "out", True),
+    ("scoring", pipeline.SCORINGS, "exact", True),
+    ("decomposer_prompt_style", prompts.DECOMPOSE_STYLES, "decompose_default", False),
 )
 
 DEFAULT_PERCENTILES = [float(p) for p in range(0, 101, 5)]
@@ -83,18 +77,14 @@ def _numbers(text: Optional[str], name: str, high: float, default: list) -> list
     return values
 
 
-def _run_options(command: str):
-    """Decorate a command with --config and its flags from OPTIONS."""
-
-    def decorate(fn):
-        for key, kind, _, commands in reversed(OPTIONS):
-            if command in commands:
-                click_type = click.Choice(kind) if isinstance(kind, tuple) else kind
-                flag = "--" + key.replace("_", "-")
-                fn = click.option(flag, key, type=click_type, default=None)(fn)
-        return click.option("--config", "config_path", type=click.Path(exists=True))(fn)
-
-    return decorate
+def _run_options(fn):
+    """Decorate `run` with --config and its flags from OPTIONS."""
+    for key, kind, _, is_flag in reversed(OPTIONS):
+        if is_flag:
+            click_type = click.Choice(kind) if isinstance(kind, tuple) else kind
+            flag = "--" + key.replace("_", "-")
+            fn = click.option(flag, key, type=click_type, default=None)(fn)
+    return click.option("--config", "config_path", type=click.Path(exists=True))(fn)
 
 
 def _checked(key: str, kind, value):
@@ -133,14 +123,8 @@ def _load_config(config_path, flags: dict) -> dict:
             value = default
         if value is not None:
             cfg[key] = value
-    env = os.environ.get("SECONDGUESS_RETRY_BUDGET")
-    if env is not None:
-        try:
-            cfg["retry_budget"] = int(env)
-        except ValueError:
-            _fail(EXIT_CONFIG, "SECONDGUESS_RETRY_BUDGET must be an integer")
     if cfg["retry_budget"] < 1:
-        _fail(EXIT_CONFIG, "retry_budget (or SECONDGUESS_RETRY_BUDGET) must be at least 1")
+        _fail(EXIT_CONFIG, "retry_budget must be at least 1")
     return cfg
 
 
@@ -215,7 +199,11 @@ def main() -> None:
     """Selective question decomposition runner and evaluation harness."""
 
 
-def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
+@main.command("run")
+@_run_options
+def cmd_run(config_path, **flags) -> None:
+    """Execute a pipeline run and write episodes, metrics, and a manifest."""
+    cfg = _load_config(config_path, flags)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     questions = _load_questions(cfg.get("dataset"))
     pcfg = _pipeline_config(cfg)
@@ -237,8 +225,6 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
         # read back.
         del engine
         log = pipeline.read_episode_log(episodes_path)
-    except BackendError as exc:
-        _fail(EXIT_BACKEND, str(exc))
     except DatasetError as exc:
         _fail(EXIT_DATASET, str(exc))
     _write_manifest(out_dir, cfg, started, asdict(summary))
@@ -249,67 +235,33 @@ def _execute_run(cfg: dict, report_extra: Optional[dict] = None) -> int:
         )
     except ValueError as exc:  # every episode failed
         _fail(1, str(exc))
-    _write_json(out_dir / "metrics.json", {**asdict(report), **(report_extra or {})})
+    _write_json(out_dir / "metrics.json", asdict(report))
     click.echo(
         f"run complete: {summary.episodes} episodes "
         f"({summary.failures} failures) -> {episodes_path}"
     )
-    return 0 if summary.failures == 0 else 1
-
-
-@main.command("run")
-@_run_options("run")
-def cmd_run(config_path, **flags) -> None:
-    """Execute a pipeline run and write episodes, metrics, and a manifest."""
-    sys.exit(_execute_run(_load_config(config_path, flags)))
+    sys.exit(0 if summary.failures == 0 else 1)
 
 
 @main.command("sweep")
-@_run_options("sweep")
-@click.option("--log", "log_path", type=click.Path(), default=None)
+@click.option("--log", "log_path", type=click.Path(), required=True)
 @click.option("--percentiles", default=None, help="comma-separated percentiles")
-def cmd_sweep(config_path, log_path, percentiles, **flags) -> None:
-    """Offline threshold sweep over a decompose-all episode log.
-
-    If --log is not given, a decompose-all run is executed first using the
-    provided config; the sweep itself issues no model calls.
-    """
+@click.option("--out", type=click.Path(), default="out")
+def cmd_sweep(log_path, percentiles, out) -> None:
+    """Offline threshold sweep over a decompose-all episode log; no model
+    calls."""
     grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
-    cfg = _load_config(config_path, flags)
-    out_dir = Path(cfg["out"])
-    code = 0
-    if log_path is None:
-        cfg["mode"] = "decompose_all"
-        cfg.pop("tau", None)
-        cfg.pop("tau_percentile", None)
-        code = _execute_run(cfg)
-        log_path = out_dir / "episodes.jsonl"
     if not Path(log_path).exists():
         _fail(EXIT_DATASET, f"episode log not found: {log_path}")
     try:
         points = evaluation.sweep(pipeline.read_episode_log(log_path), grid)
     except (OSError, DatasetError, ValueError) as exc:
         _fail(EXIT_DATASET, str(exc))
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     evaluation.write_sweep_csv(points, csv_path)
     click.echo(f"wrote {len(points)} sweep points -> {csv_path}")
-    sys.exit(code)
-
-
-@main.command("oracle")
-@_run_options("oracle")
-@click.option(
-    "--condition",
-    type=click.Choice([mode.removeprefix("oracle_") for mode in pipeline.ORACLE_MODES]),
-    required=True,
-)
-def cmd_oracle(config_path, condition, **flags) -> None:
-    """Run one oracle-consumption condition and emit a per-qtype report."""
-    cfg = _load_config(config_path, flags)
-    cfg["mode"] = f"oracle_{condition}"
-    extra = {"condition": condition, "answers_present": condition != "no_answer"}
-    sys.exit(_execute_run(cfg, extra))
 
 
 @main.command("convert")

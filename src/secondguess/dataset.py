@@ -50,6 +50,7 @@ def _is_sub_qa(pair) -> bool:
         isinstance(pair, list)
         and len(pair) == 2
         and isinstance(pair[0], str)
+        and pair[0] != ""
         and (pair[1] is None or isinstance(pair[1], str))
     )
 
@@ -62,6 +63,8 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
             raise DatasetError(f"{where}: missing field {key!r}")
         if key != "answers" and not isinstance(obj[key], str):
             raise DatasetError(f"{where}: field {key!r} must be a string")
+    if not obj["question"]:
+        raise DatasetError(f"{where}: field 'question' must not be empty")
     answers = obj["answers"]
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
         raise DatasetError(f"{where}: 'answers' must be a list of strings")
@@ -70,6 +73,7 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
         if not (isinstance(sub_qas, list) and all(map(_is_sub_qa, sub_qas))):
             raise DatasetError(
                 f"{where}: 'sub_qas' must be a list of [question, answer] pairs"
+                " with a non-empty question"
             )
         sub_qas = tuple(SubQA(question=q, answer=a) for q, a in sub_qas)
     try:

@@ -154,12 +154,13 @@ class Engine:
         self.decomposer_calls = 0
         self.retries = 0  # transport retries of the calls that returned
 
-    def _call(self, backend: Backend, request: InferenceRequest, role: BackendRole) -> InferenceResult:
+    def _call(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
         with self._lock:
             if role is RECOMPOSER:
                 self.recomposer_calls += 1
             else:
                 self.decomposer_calls += 1
+        backend = self.recomposer if role is RECOMPOSER else self.decomposer
         result = backend.complete(request, role)
         with self._lock:
             self.retries += result.retries
@@ -174,7 +175,7 @@ class Engine:
             request_id=f"{question.id}#{stage}",
             image=question.image,
         )
-        result = self._call(self.recomposer, request, RECOMPOSER)
+        result = self._call(request, RECOMPOSER)
         return AnswerOutcome(result.text, confidence_of(result))
 
     def generate_subquestion(self, question: VisualQuestion):
@@ -189,7 +190,7 @@ class Engine:
             params=DECOMPOSE_PARAMS,
             request_id=f"{question.id}#subq",
         )
-        result = self._call(self.decomposer, request, DECOMPOSER)
+        result = self._call(request, DECOMPOSER)
         text = result.text.split("\n", 1)[0]
         malformed = not text.strip() or not text.rstrip().endswith("?")
         return text, malformed
