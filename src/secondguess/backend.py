@@ -108,6 +108,11 @@ class InferenceResult:
             raise ProtocolError(f"malformed response payload: {exc}") from exc
         if not isinstance(text, str) or not text:
             raise ProtocolError(f"generated text must be a non-empty string, got {text!r}")
+        # JSON may escape an unpaired surrogate, which the UTF-8 log cannot hold.
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(f"generated text {text!r} is not valid Unicode") from exc
         # bool is an int subclass, but true/false is no log-probability; a
         # NaN would pass every check below and reach the episode log.
         if not isinstance(logprobs, list) or any(

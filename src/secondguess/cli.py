@@ -358,7 +358,7 @@ def cmd_fit(run_dirs) -> None:
 
 
 @main.command("metrics")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+@click.option("--log", "log_path", type=click.Path(), required=True)
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True), default=None)
 @click.option("--tau", type=float, default=None)
 @click.option("--out", type=click.Path(), default="out")
@@ -366,6 +366,8 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     """Recompute the metrics report (and sweep CSV) from an episode log."""
     if tau is not None and not 0.0 <= tau <= 1.0:
         _fail(EXIT_CONFIG, "tau must be in [0, 1]")
+    if not Path(log_path).exists():
+        _fail(EXIT_DATASET, f"episode log not found: {log_path}")
     qtype_map = None
     if dataset_path:
         qtype_map = {q.id: q.qtype for q in _load_questions(dataset_path)}

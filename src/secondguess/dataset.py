@@ -91,8 +91,8 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
 
 def read_jsonl(path) -> Iterator[Tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line of a JSONL
-    file; a line that is no JSON, or nests too deep to parse, raises
-    DatasetError naming ``path:line``."""
+    file; a line that is no JSON, nests too deep to parse, or holds a string
+    that UTF-8 cannot encode raises DatasetError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         yield from parse_jsonl_lines(path, enumerate(fh, start=1))
 
@@ -105,11 +105,26 @@ def parse_jsonl_lines(path, numbered_lines) -> Iterator[Tuple[int, object]]:
             continue
         try:
             obj = json.loads(line)
+            check_encodable(line, obj)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         except RecursionError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+        except UnicodeEncodeError as exc:
+            raise DatasetError(
+                f"{path}:{lineno}: a string holds the unpaired surrogate"
+                f" {exc.object[exc.start]!r}"
+            ) from exc
         yield lineno, obj
+
+
+def check_encodable(text: str, value) -> None:
+    """Raise UnicodeEncodeError if ``value``, parsed from the JSON ``text``,
+    holds a string that UTF-8 cannot encode: one with an unpaired surrogate.
+    Only a \\ud escape decodes to a surrogate, so text without one is not
+    re-encoded; most text holds no backslash, and that search is cheap."""
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
 
 
 def load_dataset(path) -> List[VisualQuestion]:

@@ -81,11 +81,13 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     correct_before = np.zeros(n, dtype=bool)
     correct_before[:n_correct] = True
 
-    conf_c = rng.beta(*cfg.conf_correct, size=n)
-    conf_i = rng.beta(*cfg.conf_incorrect, size=n)
-    confidence = np.where(correct_before, conf_c, conf_i)
+    # Drawn in place, so no more than two arrays of n floats are alive at
+    # once. Both draws are of size n, so the stream that `flip` reads is
+    # the same whatever the base accuracy.
+    confidence = rng.beta(*cfg.conf_correct, size=n)
+    confidence[n_correct:] = rng.beta(*cfg.conf_incorrect, size=n)[n_correct:]
     # Beta draws live in (0, 1); nudge exact zeros into the open interval.
-    confidence = np.maximum(confidence, np.finfo(float).tiny)
+    np.maximum(confidence, np.finfo(float).tiny, out=confidence)
 
     flip = rng.random(n)
     corrected = ~correct_before & (flip < cfg.e_cr)

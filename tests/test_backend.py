@@ -110,6 +110,15 @@ def test_mistyped_payload_is_protocol_violation(fields):
         InferenceResult.from_payload({**payload, **fields})
 
 
+def test_unpaired_surrogate_text_is_protocol_violation():
+    # json.loads turns the escape "ye\\ud800s" into this text.
+    payload = {"text": "ye\ud800s", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    with pytest.raises(ProtocolError, match="not valid Unicode"):
+        InferenceResult.from_payload(payload)
+    paired = json.loads('"\\ud83d\\ude00"')
+    assert InferenceResult.from_payload({**payload, "text": paired}).text == paired
+
+
 def test_confidence_edge_values():
     zero = InferenceResult("a", (), 0.0)
     assert confidence_of(zero) == 1.0

@@ -329,8 +329,9 @@ WINOGROUND_LINE = json.dumps(
 
 @pytest.mark.parametrize(
     "line",
-    ["5", "{not json", WINOGROUND_LINE.replace('"a.png"', "7"), NESTED_TOO_DEEP],
-    ids=["not_object", "torn", "image_number", "nested_too_deep"],
+    ["5", "{not json", WINOGROUND_LINE.replace('"a.png"', "7"), NESTED_TOO_DEEP,
+     WINOGROUND_LINE.replace('"y"', '"y\\uDC00"')],
+    ids=["not_object", "torn", "image_number", "nested_too_deep", "unpaired_surrogate"],
 )
 def test_convert_malformed_record_exits_3(runner, tmp_path, line):
     source = tmp_path / "winoground.jsonl"
@@ -976,6 +977,53 @@ def test_retried_transport_faults_leave_the_log_unchanged(
     assert runs[0] == runs[1]
 
 
+def test_run_over_http_unpaired_surrogate_reply_fails_its_question(
+    runner, workspace, loopback
+):
+    """A reply whose text JSON-escapes an unpaired surrogate breaks the
+    protocol: it is not retried, its question gets a failed record, and the
+    run writes the whole log and exits 1."""
+    tmp, data, _ = workspace
+    reply = {"text": "ye\ud800s", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    # POST 0 is q1's initial answer; a failed initial ends q1's chain.
+    server = loopback(respond=replies_at({0: reply}))
+    out = tmp / "out"
+    result = run_cli(
+        runner,
+        [
+            "run",
+            "--dataset", str(data),
+            "--recomposer-url", server.url,
+            "--mode", "decompose_all",
+            "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    episodes = [json.loads(line) for line in (out / "episodes.jsonl").read_text().splitlines()]
+    assert [ep["id"] for ep in episodes] == [f"q{i}" for i in range(1, 9)]
+    assert [ep.get("failed", False) for ep in episodes] == [True] + [False] * 7
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["backend_calls"] == len(server.received) == 8 * 4 - 3
+    assert manifest["retries"] == 0
+
+
+def test_run_mock_script_unpaired_surrogate_exits_2(runner, workspace):
+    tmp, data, script = workspace
+    lines = script.read_text().splitlines()
+    entry = json.loads(lines[1])
+    entry["response"]["text"] = "ye\ud800s"
+    lines[1] = json.dumps(entry)
+    script.write_text("\n".join(lines) + "\n")
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out)],
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: cannot read mock script: bad mock script line 2: ")
+    assert not out.exists()
+
+
 def test_import_loads_no_http_stack_or_blas_threads():
     # OpenBLAS takes its thread count from the first of these that is set.
     blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -1046,6 +1094,41 @@ def test_run_empty_question_exits_3_before_out(runner, workspace):
     )
     assert result.exit_code == 3
     assert result.stderr.startswith(f"error: {data}:2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["id", "answers"])
+def test_run_unpaired_surrogate_exits_3_before_out(runner, workspace, field):
+    """A string that UTF-8 cannot encode would crash the log write after
+    every call was made; the dataset check names its line before out/
+    exists."""
+    tmp, _, script = workspace
+    good = {"id": "a", "image": "a.jpg", "question": "is it?", "answers": ["yes"]}
+    bad = {**good, "id": "b", field: ["MARK"] if field == "answers" else "MARK"}
+    data = tmp / "surrogate.jsonl"
+    data.write_text(json.dumps(good) + "\n" + json.dumps(bad).replace("MARK", "b\\ud800") + "\n")
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script), "--mode", "direct",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 3
+    assert result.stderr.startswith(
+        f"error: {data}:2: a string holds the unpaired surrogate '\\ud800'"
+    )
+    assert not out.exists()
+
+
+def test_metrics_missing_log_exits_3_before_out(runner, workspace):
+    tmp, data, _ = workspace
+    out = tmp / "out"
+    log = tmp / "missing.jsonl"
+    result = runner.invoke(
+        main, ["metrics", "--log", str(log), "--dataset", str(data), "--out", str(out)]
+    )
+    assert result.exit_code == 3
+    assert result.stderr == f"error: episode log not found: {log}\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import NOT_UNPAIRED, UNPAIRED
 from secondguess import dataset
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.evaluation import is_match
@@ -69,6 +70,26 @@ def test_malformed_record_names_line(tmp_path, line):
     write_lines(path, [GOOD, line])
     with pytest.raises(DatasetError, match=":2"):
         dataset.load_dataset(path)
+
+
+@pytest.mark.parametrize("escape", UNPAIRED)
+@pytest.mark.parametrize("field", ["id", "question", "answers"])
+def test_unpaired_surrogate_names_line(tmp_path, field, escape):
+    path = tmp_path / "data.jsonl"
+    record = {**GOOD, "id": "q2", field: ["MARK"] if field == "answers" else "MARK"}
+    line = json.dumps(record).replace("MARK", f"x{escape}")
+    path.write_text(json.dumps(GOOD) + "\n" + line + "\n")
+    with pytest.raises(DatasetError, match=r":2: a string holds the unpaired surrogate"):
+        dataset.load_dataset(path)
+
+
+@pytest.mark.parametrize("escape", NOT_UNPAIRED)
+def test_paired_surrogates_and_escaped_backslash_load(tmp_path, escape):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(GOOD).replace('"q1"', f'"q{escape}"') + "\n")
+    (question,) = dataset.load_dataset(path)
+    assert question.id == json.loads(f'"q{escape}"')
+    question.id.encode("utf-8")
 
 
 def test_boolean_qtype_requires_yes_no():

@@ -16,8 +16,10 @@ from conftest import (
     FOUR_EPISODE_SPECS,
     FlakyBackend,
     NESTED_TOO_DEEP,
+    NOT_UNPAIRED,
     QSpec,
     RecordingBackend,
+    UNPAIRED,
     log_columns,
     read_log_by_line,
     read_records,
@@ -587,11 +589,14 @@ def log_record(eid, confidence, gate, before, after) -> dict:
 def episode_logs(draw):
     """The text of a log of valid records, blank lines among them, and at
     most one corrupted line anywhere: torn, two values on one line, one or
-    two wrong types or values, a repeated id, or a NaN confidence."""
+    two wrong types or values, a repeated id, a NaN confidence, or a \\ud
+    escape in a string, which may leave an unpaired surrogate."""
     rows = draw(st.lists(LOG_ROWS, max_size=12))
     records = [log_record(f"e{i}", *row) for i, row in enumerate(rows)]
     lines = [json.dumps(record) for record in records]
-    kind = draw(st.sampled_from([None, "torn", "two_values", "field", "non_record", "duplicate", "nan"]))
+    kind = draw(st.sampled_from(
+        [None, "torn", "two_values", "field", "non_record", "duplicate", "nan", "surrogate"]
+    ))
     if kind and lines:
         at = draw(st.integers(0, len(lines) - 1))
         record, line = records[at], lines[at]
@@ -607,6 +612,10 @@ def episode_logs(draw):
             lines[at] = draw(st.sampled_from(NON_RECORDS))
         elif kind == "duplicate":
             lines[at] = json.dumps({**record, "id": f"e{draw(st.integers(0, len(lines) - 1))}"})
+        elif kind == "surrogate":
+            escape = draw(st.sampled_from(UNPAIRED + NOT_UNPAIRED))
+            field = draw(st.sampled_from(['"id": "', '"text": "']))
+            lines[at] = line.replace(field, field + escape, 1)
         else:
             lines[at] = json.dumps({**record, "initial": {"text": "", "confidence": math.nan}})
     text = "".join(draw(st.sampled_from(["", "\n", "  \n"])) + line + "\n" for line in lines)

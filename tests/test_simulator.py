@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,44 @@ def test_sweep_cross_validation_exact():
         sim_acc, sim_eta, _ = accuracy_at_tau(trials, point.tau)
         assert point.accuracy == sim_acc
         assert point.eta == sim_eta
+
+
+# The sha256 of the confidence, correct_before and correct_after bytes of
+# 1,000 trials (e_cr 0.5, e_ic 0.2) per base accuracy and seed. Each digest
+# was taken from the code that drew both Beta samples whole and merged them
+# with np.where, before the trials were drawn in place.
+PINNED_TRIALS = [
+    (0.0, 0, "5b3e184eb2c2f73f28b8fa3865acdfdb92c9f194b46fa0a666bac486d832bf04"),
+    (0.0, 7, "e4f486d6e86e7e8e58bda8c273616bea1f68005afbba5b6cb9ea1e794c80e402"),
+    (0.0, 2**32 - 1, "5d5c1ebe2274ccaea3775b51e9ba0a78c707ecbcc53d9889b8fcebe747565396"),
+    (0.65, 0, "64bf53254011db800815ea8ff357430bdc9cfbff4dac0dba7b88871e3b1aff50"),
+    (0.65, 7, "ebf4dcf78646aee60fd849fda71fde1ff9a965092957cfe0508ca48dc8241665"),
+    (0.65, 2**32 - 1, "bc1c72d688d9433e04da1f6f1c5fc8dfeda2e87654d2f5ddf0480473a78b58e3"),
+    (1.0, 0, "d017ed05184dc8277a435fdade6e2bfae6118062b9afb26d702961bad4de4ab1"),
+    (1.0, 7, "696554ac4ce479a0714a86f2cdd9e4a52331bdd35ab123fc9c3618a5066d0ece"),
+    (1.0, 2**32 - 1, "3ad64708cbb7ea240e6e35d7ce4c2b51a0c15d5e470f5f897e46d553b6c54b8b"),
+]
+
+
+@pytest.mark.parametrize("acc, seed, digest", PINNED_TRIALS)
+def test_trial_stream_pinned(acc, seed, digest):
+    trials = generate_trials(SimConfig(acc, 0.5, 0.2, trials=1_000, seed=seed))
+    h = hashlib.sha256()
+    for column in (trials.confidence, trials.correct_before, trials.correct_after):
+        h.update(column.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_generate_trials_memory_per_trial():
+    """Drawn in place, 200,000 trials peak below 30 traced bytes each: the
+    three columns take 10, and one more array of floats while drawing."""
+    tracemalloc.start()
+    try:
+        generate_trials(SimConfig(0.65, 0.5, 0.2, trials=200_000, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 200_000 < 30
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
