@@ -94,37 +94,42 @@ def read_jsonl(path) -> Iterator[Tuple[int, object]]:
     file; a line that is no JSON, nests too deep to parse, or holds a string
     that UTF-8 cannot encode raises DatasetError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from parse_jsonl_lines(path, enumerate(fh, start=1))
+        yield from parse_jsonl_lines(path, _encodable_lines(path, enumerate(fh, start=1)))
+
+
+def _encodable_lines(path, numbered_lines) -> Iterator[Tuple[int, str]]:
+    """The (line number, line) pairs, raising DatasetError naming
+    ``path:line`` for a line with a string that holds an unpaired surrogate:
+    JSON may escape one, but a UTF-8 file written from it cannot hold it.
+    Only a \\ud escape decodes to a surrogate, so only a line holding one
+    is parsed here; one that is no JSON is left to ``parse_jsonl_lines``."""
+    for lineno, line in numbered_lines:
+        if "\\ud" in line or "\\uD" in line:
+            try:
+                json.dumps(json.loads(line), ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(
+                    f"{path}:{lineno}: a string holds the unpaired surrogate"
+                    f" {exc.object[exc.start]!r}"
+                ) from exc
+            except (ValueError, RecursionError):
+                pass
+        yield lineno, line
 
 
 def parse_jsonl_lines(path, numbered_lines) -> Iterator[Tuple[int, object]]:
     """``read_jsonl`` over (line number, line) pairs already read from
-    ``path``."""
+    ``path``, less its surrogate check."""
     for lineno, line in numbered_lines:
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            check_encodable(line, obj)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         except RecursionError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
-        except UnicodeEncodeError as exc:
-            raise DatasetError(
-                f"{path}:{lineno}: a string holds the unpaired surrogate"
-                f" {exc.object[exc.start]!r}"
-            ) from exc
         yield lineno, obj
-
-
-def check_encodable(text: str, value) -> None:
-    """Raise UnicodeEncodeError if ``value``, parsed from the JSON ``text``,
-    holds a string that UTF-8 cannot encode: one with an unpaired surrogate.
-    Only a \\ud escape decodes to a surrogate, so text without one is not
-    re-encoded; most text holds no backslash, and that search is cheap."""
-    if "\\" in text and ("\\ud" in text or "\\uD" in text):
-        json.dumps(value, ensure_ascii=False).encode("utf-8")
 
 
 def load_dataset(path) -> List[VisualQuestion]:

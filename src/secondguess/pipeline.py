@@ -37,7 +37,7 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import DatasetError, VisualQuestion, check_encodable, parse_jsonl_lines
+from .dataset import DatasetError, VisualQuestion, parse_jsonl_lines
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -361,12 +361,9 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
     line by line, each record checked alone, raising the DatasetError of its
     first bad line."""
     values = [line for line in lines if not line.isspace()]
-    text = "[" + ",".join(values) + "]"
     try:
-        records = json.loads(text)
-        # The line-by-line re-read rejects an unpaired surrogate; so does this.
-        check_encodable(text, records)
-    except (json.JSONDecodeError, RecursionError, UnicodeEncodeError):
+        records = json.loads("[" + ",".join(values) + "]")
+    except (json.JSONDecodeError, RecursionError):
         records = None
     # A line that holds two values, or a torn line the next one completes,
     # changes the count. (A log crafted to do both at once, into records
@@ -386,9 +383,8 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
 def read_episode_log(path) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read _CHUNK_LINES lines at a time
     with no dict kept per episode. A line that is no JSON object, lacks a
-    field the evaluation reads, repeats an id or holds an unpaired surrogate
-    raises DatasetError naming ``path:line``, for the first such line in the
-    file."""
+    field the evaluation reads, or repeats an id raises DatasetError naming
+    ``path:line``, for the first such line in the file."""
     chunks, seen = [], set()
     with open(path, "r", encoding="utf-8") as fh:
         for start in itertools.count(1, _CHUNK_LINES):

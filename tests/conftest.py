@@ -394,11 +394,11 @@ def episode_problem(episode) -> Optional[str]:
 UNPAIRED = ["\\ud800", "\\uDFFF", "\\ude00\\ud83d"]
 NOT_UNPAIRED = ["\\ud83d\\ude00", "\\uD83D\\uDE00", "\\\\ud800"]
 
+
 def read_log_by_line(path) -> EpisodeColumns:
     """``read_episode_log``'s reference: one json.loads and one
     ``episode_problem`` per non-blank line, every dict kept, then a column
-    per field. Raises the same DatasetError for the first bad line, a line
-    with an unpaired surrogate among them."""
+    per field. Raises the same DatasetError for the first bad line."""
     episodes, seen = [], set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -410,11 +410,6 @@ def read_log_by_line(path) -> EpisodeColumns:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
-            unpaired = [c for c in json.dumps(ep, ensure_ascii=False) if "\ud800" <= c <= "\udfff"]
-            if unpaired:
-                raise DatasetError(
-                    f"{path}:{lineno}: a string holds the unpaired surrogate {unpaired[0]!r}"
-                )
             problem = episode_problem(ep)
             if problem is None and ep["id"] in seen:
                 problem = f"duplicate id {ep['id']!r}"

@@ -590,7 +590,8 @@ def episode_logs(draw):
     """The text of a log of valid records, blank lines among them, and at
     most one corrupted line anywhere: torn, two values on one line, one or
     two wrong types or values, a repeated id, a NaN confidence, or a \\ud
-    escape in a string, which may leave an unpaired surrogate."""
+    escape in a string, which may leave an unpaired surrogate (a log's
+    strings are not checked for one)."""
     rows = draw(st.lists(LOG_ROWS, max_size=12))
     records = [log_record(f"e{i}", *row) for i, row in enumerate(rows)]
     lines = [json.dumps(record) for record in records]
