@@ -19,6 +19,8 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from .dataset import utf8_prefix
+
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
 ROLES = ("decomposer", "recomposer")
@@ -329,18 +331,13 @@ class MockBackend:
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
-        entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    entries.append(_script_entry(obj["match"], obj["response"]))
-                except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
-        return cls(entries)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls(_script_entries(fh))
+        except UnicodeDecodeError:
+            lines, problem = utf8_prefix(path)
+        _script_entries(lines)  # names a bad line before that one
+        raise ValueError(f"bad mock script line {len(lines) + 1}: {problem}")
 
     def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
         """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""
@@ -377,6 +374,22 @@ class MockBackend:
                 f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
             )
         return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
+
+
+def _script_entries(lines) -> List[MockEntry]:
+    """The entries of a mock script's lines; a bad line raises ValueError
+    naming it."""
+    entries = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            entries.append(_script_entry(obj["match"], obj["response"]))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
+    return entries
 
 
 def _script_entry(match: dict, response: dict) -> MockEntry:

@@ -107,7 +107,13 @@ def _load_config(config_path, flags: dict) -> dict:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except UnicodeDecodeError:
+            lines, problem = dataset.utf8_prefix(config_path)
+            where = f"{config_path}:{len(lines) + 1}"
+            _fail(EXIT_CONFIG, f"cannot read config file: {where}: {problem}")
+        # A ValueError is bad JSON, or an integer past the interpreter's
+        # int-string conversion limit.
+        except (OSError, ValueError, RecursionError) as exc:
             _fail(EXIT_CONFIG, f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             _fail(EXIT_CONFIG, "config file must hold a JSON object")

@@ -91,10 +91,47 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
 
 def read_jsonl(path) -> Iterator[Tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line of a JSONL
-    file; a line that is no JSON, nests too deep to parse, or holds a string
-    that UTF-8 cannot encode raises DatasetError naming ``path:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from parse_jsonl_lines(path, _encodable_lines(path, enumerate(fh, start=1)))
+    file; a line that is no JSON, nests too deep to parse, holds a string
+    that UTF-8 cannot encode or a byte that is not UTF-8 raises DatasetError
+    naming ``path:line``."""
+    yield from parse_jsonl_lines(path, _encodable_lines(path, _numbered_lines(path)))
+
+
+def _numbered_lines(path) -> Iterator[Tuple[int, str]]:
+    """The (line number, line) pairs of a UTF-8 file. A byte that is not
+    UTF-8 raises DatasetError naming its line, once every line before it is
+    yielded."""
+    done = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for done, line in enumerate(fh, start=1):
+                yield done, line
+        return
+    except UnicodeDecodeError:
+        pass
+    lines, problem = utf8_prefix(path)
+    yield from enumerate(lines[done:], start=done + 1)
+    raise DatasetError(f"{path}:{len(lines) + 1}: {problem}")
+
+
+def utf8_prefix(path) -> Tuple[List[str], str]:
+    """The lines of ``path`` before the first one with a byte that is not
+    UTF-8, and what is wrong with that line, number ``len(lines) + 1``.
+
+    A file opened as UTF-8 decodes ahead of the line it returns, so its
+    UnicodeDecodeError cannot name the line: readers call this on that
+    error path.
+    """
+    lines = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # surrogateescape decodes the byte b as the code point U+DC00 + b.
+                return lines, f"byte {ord(line[exc.start]) - 0xDC00:#04x} is not UTF-8"
+            lines.append(line)
+    raise AssertionError(f"{path}: a decode failed but every line is UTF-8")
 
 
 def _encodable_lines(path, numbered_lines) -> Iterator[Tuple[int, str]]:
@@ -127,6 +164,8 @@ def parse_jsonl_lines(path, numbered_lines) -> Iterator[Tuple[int, object]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # an integer past the int-string conversion limit
+            raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
         yield lineno, obj

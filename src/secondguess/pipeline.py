@@ -22,7 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import DatasetError, VisualQuestion, parse_jsonl_lines
+from .dataset import DatasetError, VisualQuestion, parse_jsonl_lines, utf8_prefix
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -361,9 +361,11 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
     line by line, each record checked alone, raising the DatasetError of its
     first bad line."""
     values = [line for line in lines if not line.isspace()]
+    # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
+    # int-string conversion limit a plain ValueError.
     try:
         records = json.loads("[" + ",".join(values) + "]")
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         records = None
     # A line that holds two values, or a torn line the next one completes,
     # changes the count. (A log crafted to do both at once, into records
@@ -383,16 +385,27 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
 def read_episode_log(path) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read _CHUNK_LINES lines at a time
     with no dict kept per episode. A line that is no JSON object, lacks a
-    field the evaluation reads, or repeats an id raises DatasetError naming
-    ``path:line``, for the first such line in the file."""
+    field the evaluation reads, repeats an id or holds a byte that is not
+    UTF-8 raises DatasetError naming ``path:line``, for the first such line
+    in the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_lines(path, fh)
+    except UnicodeDecodeError:
+        lines, problem = utf8_prefix(path)
+    _read_lines(path, iter(lines))  # names a bad line before that one
+    raise DatasetError(f"{path}:{len(lines) + 1}: {problem}")
+
+
+def _read_lines(path, lines: Iterator[str]) -> evaluation.EpisodeColumns:
+    """``read_episode_log`` of the log's lines."""
     chunks, seen = [], set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for start in itertools.count(1, _CHUNK_LINES):
-            lines = list(itertools.islice(fh, _CHUNK_LINES))
-            # The last chunk is partly full, or empty: typed empty columns.
-            chunks.append(_read_chunk(path, start, lines, seen))
-            if len(lines) < _CHUNK_LINES:
-                break
+    for start in itertools.count(1, _CHUNK_LINES):
+        chunk = list(itertools.islice(lines, _CHUNK_LINES))
+        # The last chunk is partly full, or empty: typed empty columns.
+        chunks.append(_read_chunk(path, start, chunk, seen))
+        if len(chunk) < _CHUNK_LINES:
+            break
     ids, *columns = zip(*chunks)
     return evaluation.EpisodeColumns(
         list(itertools.chain.from_iterable(ids)), *map(np.concatenate, columns)

@@ -19,6 +19,10 @@ import numpy as np
 
 from . import evaluation
 
+# Trials per block of the discarded Beta stream and of the flip stream, so
+# that drawing them holds one block of floats rather than n.
+_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -81,18 +85,23 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     correct_before = np.zeros(n, dtype=bool)
     correct_before[:n_correct] = True
 
-    # Drawn in place, so no more than two arrays of n floats are alive at
-    # once. Both draws are of size n, so the stream that `flip` reads is
-    # the same whatever the base accuracy.
+    # The stream is that of two whole Beta draws of size n and one of n
+    # uniforms, whatever the base accuracy; the Generator draws the same
+    # values block by block, so only the confidence column is drawn whole.
     confidence = rng.beta(*cfg.conf_correct, size=n)
-    confidence[n_correct:] = rng.beta(*cfg.conf_incorrect, size=n)[n_correct:]
+    for start in range(0, n, _BLOCK):
+        block = rng.beta(*cfg.conf_incorrect, size=min(_BLOCK, n - start))
+        first = max(n_correct, start)
+        confidence[first : start + block.size] = block[first - start :]
     # Beta draws live in (0, 1); nudge exact zeros into the open interval.
     np.maximum(confidence, np.finfo(float).tiny, out=confidence)
 
-    flip = rng.random(n)
-    corrected = ~correct_before & (flip < cfg.e_cr)
-    induced = correct_before & (flip < cfg.e_ic)
-    correct_after = (correct_before | corrected) & ~induced
+    # A correct trial stays correct unless induced; a wrong one is corrected.
+    correct_after = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        flip = rng.random(min(_BLOCK, n - start))
+        block = slice(start, start + flip.size)
+        correct_after[block] = np.where(correct_before[block], flip >= cfg.e_ic, flip < cfg.e_cr)
     return SimTrials(confidence, correct_before, correct_after)
 
 
@@ -105,13 +114,14 @@ def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
     if not taus:
         raise ValueError("tau grid must be non-empty")
     trials = generate_trials(cfg)
-    columns = (trials.confidence, trials.correct_before, trials.correct_after)
-    points = evaluation.replay(*columns, taus)
-    (decompose_all,) = evaluation.replay(*columns, [1.0])
+    points = evaluation.replay(
+        trials.confidence, trials.correct_before, trials.correct_after, taus
+    )
     best = max(points, key=lambda p: (p.accuracy, -p.tau))
     return SimCurve(
         points=points,
-        decompose_all_accuracy=decompose_all.accuracy,
+        # Every confidence is at most 1, so tau = 1 gates every trial.
+        decompose_all_accuracy=np.count_nonzero(trials.correct_after) / cfg.trials,
         optimal_tau=best.tau,
         optimal_accuracy=best.accuracy,
     )

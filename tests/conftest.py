@@ -39,6 +39,17 @@ from secondguess.simulator import SimTrials
 # outside input must reject it with its documented error, not a traceback.
 # Short enough for hypothesis to print a failing log that holds it.
 NESTED_TOO_DEEP = "[" * 20_000
+# Two more such inputs. ``raw`` writes NOT_UTF8, a lone surrogate, as the
+# byte 0xff, which no UTF-8 text holds; LONG_INTEGER is a JSON integer past
+# the interpreter's 4,300-digit int-string conversion limit.
+NOT_UTF8 = "\udcff"
+LONG_INTEGER = "1" * 5_000
+
+
+def raw(text: str) -> bytes:
+    """The file bytes of JSON ``text`` that holds the inputs above: a quoted
+    LONG_INTEGER loses its quotes, and NOT_UTF8 becomes the byte 0xff."""
+    return text.replace(f'"{LONG_INTEGER}"', LONG_INTEGER).encode("utf-8", "surrogateescape")
 
 
 @dataclass
@@ -400,14 +411,21 @@ def read_log_by_line(path) -> EpisodeColumns:
     ``episode_problem`` per non-blank line, every dict kept, then a column
     per field. Raises the same DatasetError for the first bad line."""
     episodes, seen = [], set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                raise DatasetError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from exc
             if not line.strip():
                 continue
             try:
                 ep = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an integer past the int-string limit
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             except RecursionError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
             problem = episode_problem(ep)

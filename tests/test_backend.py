@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from conftest import (
     FlakyBackend,
     NESTED_TOO_DEEP,
+    NOT_UTF8,
     QSpec,
     RecordingBackend,
     Reply,
     linear_first_match,
+    raw,
     run_records,
     spec_entries,
     spec_questions,
@@ -378,6 +380,25 @@ def test_mock_script_roundtrip(tmp_path):
     result = backend.complete(request(), RECOMPOSER)
     assert result.text == "yes"
     assert result.cumulative_logprob == pytest.approx(-0.105)
+
+
+def test_mock_script_byte_not_utf8_is_named_after_every_line_before_it(tmp_path):
+    """The file decodes ahead of the line it returns; a bad line before the
+    byte's line is still named first."""
+    line = (
+        '{"match": {"prompt_contains": "hello", "role": "recomposer"}, '
+        '"response": {"text": "yes", "token_logprobs": [-0.105]}}\n'
+    )
+    lines = [line] * 40
+    lines[30] = line.replace("yes", "yes" + NOT_UTF8)
+    script = tmp_path / "script.jsonl"
+    script.write_bytes(raw("".join(lines)))
+    with pytest.raises(ValueError, match=r"^bad mock script line 31: byte 0xff is not UTF-8$"):
+        MockBackend.from_script(script)
+    lines[3] = "{not json\n"
+    script.write_bytes(raw("".join(lines)))
+    with pytest.raises(ValueError, match=r"^bad mock script line 4: "):
+        MockBackend.from_script(script)
 
 
 def test_mock_entries_are_immutable():

@@ -12,9 +12,12 @@ from click.testing import CliRunner
 
 from conftest import (
     FOUR_EPISODE_SPECS,
+    LONG_INTEGER,
     NESTED_TOO_DEEP,
+    NOT_UTF8,
     QSpec,
     Reply,
+    raw,
     spec_questions,
     write_script,
 )
@@ -106,12 +109,20 @@ def test_run_unknown_config_key_exits_2(runner, tmp_path):
     assert "frobnicate" in result.output + result.stderr
 
 
-def test_run_nested_too_deep_config_exits_2(runner, tmp_path):
+@pytest.mark.parametrize(
+    "content, where",
+    [(NESTED_TOO_DEEP, ""), ('{\n"out": "x' + NOT_UTF8 + '"\n}\n', "{config}:2: "),
+     ('{"seed": "' + LONG_INTEGER + '"}', "")],
+    ids=["nested_too_deep", "not_utf8", "long_integer"],
+)
+def test_run_unreadable_config_exits_2(runner, tmp_path, content, where):
     config = tmp_path / "config.json"
-    config.write_text(NESTED_TOO_DEEP)
+    config.write_bytes(raw(content))
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: cannot read config file: ")
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: cannot read config file: " + where.format(config=config))
 
 
 def test_run_missing_dataset_exits_3(runner, workspace):
@@ -330,12 +341,15 @@ WINOGROUND_LINE = json.dumps(
 @pytest.mark.parametrize(
     "line",
     ["5", "{not json", WINOGROUND_LINE.replace('"a.png"', "7"), NESTED_TOO_DEEP,
-     WINOGROUND_LINE.replace('"y"', '"y\\uDC00"')],
-    ids=["not_object", "torn", "image_number", "nested_too_deep", "unpaired_surrogate"],
+     WINOGROUND_LINE.replace('"y"', '"y\\uDC00"'),
+     WINOGROUND_LINE.replace('"y"', '"y' + NOT_UTF8 + '"'),
+     WINOGROUND_LINE.replace('"a.png"', f'"{LONG_INTEGER}"')],
+    ids=["not_object", "torn", "image_number", "nested_too_deep", "unpaired_surrogate",
+         "not_utf8", "long_integer"],
 )
 def test_convert_malformed_record_exits_3(runner, tmp_path, line):
     source = tmp_path / "winoground.jsonl"
-    source.write_text(WINOGROUND_LINE + "\n" + line + "\n")
+    source.write_bytes(raw(WINOGROUND_LINE + "\n" + line + "\n"))
     converted = tmp_path / "converted.jsonl"
     result = runner.invoke(
         main, ["convert", "--input", str(source), "--output", str(converted)]
@@ -570,7 +584,7 @@ def script_line(**fields):
     response = {"text": "yes", "token_logprobs": [-0.1]}
     for key, value in fields.items():
         (match if key in match else response)[key] = value
-    return json.dumps({"match": match, "response": response}) + "\n"
+    return json.dumps({"match": match, "response": response}, ensure_ascii=False) + "\n"
 
 
 BAD_SCRIPTS = {
@@ -586,6 +600,7 @@ BAD_SCRIPTS = {
     "logprob_positive": script_line(token_logprobs=[0.5]),
     "logprob_nan": script_line(token_logprobs=[float("nan")]),
     "nested_too_deep": NESTED_TOO_DEEP + "\n",
+    "not_utf8": script_line(text="yes" + NOT_UTF8),
 }
 
 
@@ -594,7 +609,7 @@ def test_run_bad_mock_script_exits_2(runner, workspace, content):
     tmp, data, _ = workspace
     script = tmp / "bad_script.jsonl"
     if content is not None:
-        script.write_text(content)
+        script.write_bytes(raw(content))
     out = tmp / "out"
     result = runner.invoke(
         main,
@@ -759,7 +774,7 @@ GOOD_EPISODE = {
 
 
 def bad_episode(**fields):
-    return json.dumps({**GOOD_EPISODE, "id": "x", **fields})
+    return json.dumps({**GOOD_EPISODE, "id": "x", **fields}, ensure_ascii=False)
 
 
 # Line 2 of a log whose line 1 is a complete episode; "torn" is cut short.
@@ -778,12 +793,14 @@ MALFORMED_LINES = {
     "failed_string": bad_episode(failed="false"),
     "failed_int": bad_episode(failed=1),
     "nested_too_deep": NESTED_TOO_DEEP,
+    "not_utf8": bad_episode(id="x" + NOT_UTF8),
+    "long_integer": bad_episode(n=LONG_INTEGER),
 }
 
 
 def write_malformed_log(tmp, content=MALFORMED_LINES["torn"]):
     log = tmp / "torn.jsonl"
-    log.write_text(json.dumps(GOOD_EPISODE) + "\n" + content + "\n")
+    log.write_bytes(raw(json.dumps(GOOD_EPISODE) + "\n" + content + "\n"))
     return log
 
 
@@ -1065,14 +1082,17 @@ def test_sweep_failing_early_leaves_no_out(runner, workspace, args, code):
         ({"qtype": "boolean", "answers": ["maybe"]}, "has non-boolean answer 'maybe'"),
         ({"question": ""}, "field 'question' must not be empty"),
         ({"sub_qas": [["", "yes"]]}, "pairs with a non-empty question"),
+        ({"image": "b" + NOT_UTF8}, "byte 0xff is not UTF-8"),
+        ({"image": LONG_INTEGER}, "invalid JSON (Exceeds the limit"),
     ],
     ids=["no_answers", "unknown_qtype", "non_boolean_answer", "empty_question",
-         "empty_sub_question"],
+         "empty_sub_question", "not_utf8", "long_integer"],
 )
 def test_stats_invalid_question_names_line(runner, tmp_path, fields, message):
     good = {"id": "a", "image": "a.jpg", "question": "is it?", "answers": ["yes"]}
     data = tmp_path / "dataset.jsonl"
-    data.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **fields}) + "\n")
+    bad = json.dumps({**good, "id": "b", **fields}, ensure_ascii=False)
+    data.write_bytes(raw(json.dumps(good) + "\n" + bad + "\n"))
     result = runner.invoke(main, ["stats", "--dataset", str(data)])
     assert result.exit_code == 3
     errors = [line for line in result.stderr.splitlines() if line]
@@ -1097,16 +1117,26 @@ def test_run_empty_question_exits_3_before_out(runner, workspace):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["id", "answers"])
-def test_run_unpaired_surrogate_exits_3_before_out(runner, workspace, field):
+SURROGATE = "a string holds the unpaired surrogate '\\ud800'"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("id", "b\\ud800", SURROGATE), ("answers", "b\\ud800", SURROGATE),
+     ("id", "b" + NOT_UTF8, "byte 0xff is not UTF-8"),
+     ("image", LONG_INTEGER, "invalid JSON (Exceeds the limit")],
+    ids=["surrogate_id", "surrogate_answers", "not_utf8", "long_integer"],
+)
+def test_run_unreadable_dataset_line_exits_3_before_out(runner, workspace, field, value, message):
     """A string that UTF-8 cannot encode would crash the log write after
-    every call was made; the dataset check names its line before out/
-    exists."""
+    every call was made; it and a line that cannot be read are named before
+    out/ exists."""
     tmp, _, script = workspace
     good = {"id": "a", "image": "a.jpg", "question": "is it?", "answers": ["yes"]}
     bad = {**good, "id": "b", field: ["MARK"] if field == "answers" else "MARK"}
-    data = tmp / "surrogate.jsonl"
-    data.write_text(json.dumps(good) + "\n" + json.dumps(bad).replace("MARK", "b\\ud800") + "\n")
+    bad_line = json.dumps(bad, ensure_ascii=False).replace("MARK", value)
+    data = tmp / "unreadable.jsonl"
+    data.write_bytes(raw(json.dumps(good) + "\n" + bad_line + "\n"))
     out = tmp / "out"
     result = runner.invoke(
         main,
@@ -1114,9 +1144,7 @@ def test_run_unpaired_surrogate_exits_3_before_out(runner, workspace, field):
          "--out", str(out)],
     )
     assert result.exit_code == 3
-    assert result.stderr.startswith(
-        f"error: {data}:2: a string holds the unpaired surrogate '\\ud800'"
-    )
+    assert result.stderr.startswith(f"error: {data}:2: {message}")
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import NOT_UNPAIRED, UNPAIRED
+from conftest import NOT_UNPAIRED, NOT_UTF8, UNPAIRED, raw
 from secondguess import dataset
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.evaluation import is_match
@@ -69,6 +69,21 @@ def test_malformed_record_names_line(tmp_path, line):
     path = tmp_path / "data.jsonl"
     write_lines(path, [GOOD, line])
     with pytest.raises(DatasetError, match=":2"):
+        dataset.load_dataset(path)
+
+
+def test_byte_not_utf8_is_named_after_every_line_before_it(tmp_path):
+    """The file decodes ahead of the line it returns; a bad line before the
+    byte's line is still named first."""
+    path = tmp_path / "data.jsonl"
+    lines = [json.dumps({**GOOD, "id": f"q{i}"}) for i in range(40)]
+    lines[30] = lines[30].replace("raining", "rain" + NOT_UTF8)
+    path.write_bytes(raw("\n".join(lines) + "\n"))
+    with pytest.raises(DatasetError, match=r"data.jsonl:31: byte 0xff is not UTF-8$"):
+        dataset.load_dataset(path)
+    lines[3] = lines[2]
+    path.write_bytes(raw("\n".join(lines) + "\n"))
+    with pytest.raises(DatasetError, match=r"data.jsonl:4: duplicate id 'q2'$"):
         dataset.load_dataset(path)
 
 

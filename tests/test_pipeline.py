@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from conftest import (
     FOUR_EPISODE_SPECS,
     FlakyBackend,
+    LONG_INTEGER,
     NESTED_TOO_DEEP,
     NOT_UNPAIRED,
+    NOT_UTF8,
     QSpec,
     RecordingBackend,
     UNPAIRED,
     log_columns,
+    raw,
     read_log_by_line,
     read_records,
     run_mode,
@@ -568,7 +571,8 @@ BAD_FIELDS = [
     {"correct_before": 1},
     {"correct_after": None},
 ]
-NON_RECORDS = ["[1, 2]", "5", '"x"', "null", "{}", NESTED_TOO_DEEP]
+NON_RECORDS = ["[1, 2]", "5", '"x"', "null", "{}", NESTED_TOO_DEEP, LONG_INTEGER,
+               f'"x{NOT_UTF8}"']
 LOG_NUMBERS = itertools.count()
 
 
@@ -652,7 +656,7 @@ def test_read_episode_log_equals_line_by_line_oracle(tmp_path, monkeypatch, text
     # chunk, and the last chunk is often partly full.
     monkeypatch.setattr(pipeline, "_CHUNK_LINES", 3)
     path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(raw(text))
     assert_reads_like_oracle(path)
 
 
@@ -690,8 +694,23 @@ def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
             lines = [json.dumps(r) for r in records]
             lines[at] = bad_line
             path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            path.write_bytes(raw("\n".join(lines) + "\n"))
             assert_reads_like_oracle(path)
+
+
+def test_read_episode_log_names_a_bad_line_before_a_byte_not_utf8(tmp_path):
+    """The log decodes ahead of the lines a chunk takes; a bad line before
+    the byte's line is still named first."""
+    lines = [json.dumps(log_record(f"e{i}", 0.5, "kept", True, True)) for i in range(40)]
+    lines[30] = f'"x{NOT_UTF8}"'
+    path = tmp_path / "episodes.jsonl"
+    path.write_bytes(raw("\n".join(lines) + "\n"))
+    with pytest.raises(DatasetError, match=r"episodes.jsonl:31: byte 0xff is not UTF-8$"):
+        pipeline.read_episode_log(path)
+    lines[3] = lines[2]
+    path.write_bytes(raw("\n".join(lines) + "\n"))
+    with pytest.raises(DatasetError, match=r"episodes.jsonl:4: duplicate id 'e2'$"):
+        pipeline.read_episode_log(path)
 
 
 def test_read_episode_log_keeps_no_dict_per_episode(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import accuracy_at_tau, log_columns, trials_to_episodes
 from secondguess import evaluation
 from secondguess.simulator import (
+    _BLOCK,
     SimConfig,
     closed_form_decompose_all,
     generate_trials,
@@ -148,19 +150,74 @@ def test_trial_stream_pinned(acc, seed, digest):
     assert h.hexdigest() == digest
 
 
-def test_generate_trials_memory_per_trial():
-    """Drawn in place, 200,000 trials peak below 30 traced bytes each: the
-    three columns take 10, and one more array of floats while drawing."""
-    tracemalloc.start()
-    try:
-        generate_trials(SimConfig(0.65, 0.5, 0.2, trials=200_000, seed=1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / 200_000 < 30
+def whole_array_trials(cfg: SimConfig) -> tuple:
+    """The reference draw: both Beta samples and the flips drawn whole, as
+    generate_trials drew them before it drew in blocks."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.trials
+    n_correct = int(round(cfg.base_accuracy * n))
+    correct_before = np.zeros(n, dtype=bool)
+    correct_before[:n_correct] = True
+    confidence = rng.beta(*cfg.conf_correct, size=n)
+    confidence[n_correct:] = rng.beta(*cfg.conf_incorrect, size=n)[n_correct:]
+    np.maximum(confidence, np.finfo(float).tiny, out=confidence)
+    flip = rng.random(n)
+    corrected = ~correct_before & (flip < cfg.e_cr)
+    induced = correct_before & (flip < cfg.e_ic)
+    correct_after = (correct_before | corrected) & ~induced
+    return confidence, correct_before, correct_after
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
+# Below 1 both shapes draw by Johnk's method, else by a ratio of gammas.
+beta_shape = st.tuples(*[st.one_of(st.floats(0.1, 0.99), st.floats(1.0, 20.0))] * 2)
+
+
+@st.composite
+def block_configs(draw) -> SimConfig:
+    """Trial counts below, at, one past and at multiples of the block size;
+    base accuracies 0, 1, random, and with n_correct on a block boundary."""
+    sizes = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK, 3 * _BLOCK + 1]
+    n = draw(st.one_of(st.sampled_from(sizes), st.integers(1, 4 * _BLOCK)))
+    on_boundary = st.integers(0, n // _BLOCK).map(lambda k: k * _BLOCK / n)
+    acc = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit, on_boundary))
+    return SimConfig(
+        acc,
+        draw(unit),
+        draw(unit),
+        conf_correct=draw(beta_shape),
+        conf_incorrect=draw(beta_shape),
+        trials=n,
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_configs())
+def test_block_draw_equals_whole_array_draw(cfg):
+    trials = generate_trials(cfg)
+    expected = whole_array_trials(cfg)
+    got = (trials.confidence, trials.correct_before, trials.correct_after)
+    for column, reference in zip(got, expected):
+        assert column.dtype == reference.dtype
+        assert column.tobytes() == reference.tobytes()
+
+
+def test_generate_trials_memory_per_trial():
+    """Drawn in blocks, 200,000 trials peak below 13 traced bytes each: the
+    three columns take 10, and one block of floats while drawing. The draw
+    before tracing keeps one-time imports out of the count."""
+    cfg = SimConfig(0.65, 0.5, 0.2, trials=200_000, seed=1)
+    generate_trials(cfg)
+    tracemalloc.start()
+    try:
+        generate_trials(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 200_000 < 13
+
+
 
 
 @settings(max_examples=50, deadline=None)
