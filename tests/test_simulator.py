@@ -169,7 +169,8 @@ def whole_array_trials(cfg: SimConfig) -> tuple:
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
-# Below 1 both shapes draw by Johnk's method, else by a ratio of gammas.
+# numpy draws a Beta by Johnk's method when both shapes are at most 1, else
+# as a ratio of gammas; each shape here falls on either side of 1.
 beta_shape = st.tuples(*[st.one_of(st.floats(0.1, 0.99), st.floats(1.0, 20.0))] * 2)
 
 
@@ -216,8 +217,6 @@ def test_generate_trials_memory_per_trial():
     finally:
         tracemalloc.stop()
     assert peak / 200_000 < 13
-
-
 
 
 @settings(max_examples=50, deadline=None)
