@@ -25,8 +25,6 @@ LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
 ROLES = ("decomposer", "recomposer")
 _JSON_HEADERS = {"Content-Type": "application/json"}
-# Length of the prompt slices that index a mock script (see MockBackend).
-ANCHOR = 8
 
 
 class BackendError(Exception):
@@ -55,22 +53,6 @@ class SamplingParams:
     repetition_penalty: float = 1.0
     max_new_tokens: int = 50
     min_new_tokens: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("multinomial_beam", "deterministic_beam"):
-            raise ValueError(f"unknown sampling mode: {self.mode!r}")
-        if self.num_beams < 1:
-            raise ValueError("num_beams must be positive")
-        if not (0.0 < self.top_p <= 1.0):
-            raise ValueError("top_p must be in (0, 1]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.repetition_penalty <= 0:
-            raise ValueError("repetition_penalty must be positive")
-        if self.max_new_tokens < 1 or self.min_new_tokens < 1:
-            raise ValueError("token limits must be positive")
-        if self.min_new_tokens > self.max_new_tokens:
-            raise ValueError("min_new_tokens must not exceed max_new_tokens")
 
 
 # Decompose calls: multinomial beam search, 5 beams, top-p 0.95.
@@ -290,6 +272,14 @@ class MockEntry:
     token_logprobs: tuple
 
 
+def _interior_words(pattern: str) -> List[str]:
+    """The tokens of ``pattern.split()`` with whitespace on both sides inside
+    ``pattern``. A prompt that holds ``pattern`` holds each of them as a whole
+    token of ``prompt.split()``: split and isspace share one whitespace test."""
+    words = pattern.split()
+    return words[0 if pattern[:1].isspace() else 1 : None if pattern[-1:].isspace() else -1]
+
+
 class MockBackend:
     """Deterministic scripted backend for tests and desk-scale runs.
 
@@ -297,37 +287,31 @@ class MockBackend:
     "response": {"text", "token_logprobs"}} entries, applied
     first-match-wins in file order. ``from_script`` checks each response
     once, as a backend response; entries built directly are taken as they
-    are. ``entries`` is a tuple, indexed once at construction so a call
-    costs O(prompt length) rather than O(entries); ``complete`` only reads
-    the index, so concurrent calls need no lock.
+    are. ``entries`` is a tuple, indexed once at construction by whole
+    words, so a call costs one lookup per whitespace token of the prompt
+    rather than O(entries); ``complete`` only reads the index, so
+    concurrent calls need no lock.
     """
 
     def __init__(self, entries: Sequence[MockEntry]) -> None:
         self.entries = tuple(entries)
-        # Per role: the indices of patterns shorter than ANCHOR, scanned in
-        # order, and {ANCHOR-slice: indices} for the rest. Such a pattern is
-        # filed under the slice at offset 0, ANCHOR, 2*ANCHOR, ... that is
-        # rarest among all patterns' slices; _offsets[index] is its offset.
-        self._short: Dict[str, List[int]] = {}
+        # Per role: the indices of patterns with no interior word, scanned in
+        # order, and {word: indices} for the rest, each filed in file order
+        # under its interior word that is rarest among the distinct patterns.
+        self._unanchored: Dict[str, List[int]] = {}
         self._anchored: Dict[str, Dict[str, List[int]]] = {}
-        self._offsets = [0] * len(self.entries)
         counts = Counter(
-            pattern[off : off + ANCHOR]
+            word
             for pattern in {entry.prompt_contains for entry in self.entries}
-            for off in range(0, len(pattern) - ANCHOR + 1, ANCHOR)
+            for word in _interior_words(pattern)
         )
         for index, entry in enumerate(self.entries):
-            pattern = entry.prompt_contains
-            if len(pattern) < ANCHOR:
-                self._short.setdefault(entry.role, []).append(index)
+            words = _interior_words(entry.prompt_contains)
+            if not words:
+                self._unanchored.setdefault(entry.role, []).append(index)
                 continue
-            off = min(
-                range(0, len(pattern) - ANCHOR + 1, ANCHOR),
-                key=lambda o: counts[pattern[o : o + ANCHOR]],
-            )
-            self._offsets[index] = off
             table = self._anchored.setdefault(entry.role, {})
-            table.setdefault(pattern[off : off + ANCHOR], []).append(index)
+            table.setdefault(min(words, key=counts.__getitem__), []).append(index)
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
@@ -343,26 +327,19 @@ class MockBackend:
         """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""
         entries = self.entries
         best = len(entries)
-        for index in self._short.get(role, ()):
+        for index in self._unanchored.get(role, ()):
             if entries[index].prompt_contains in prompt:
                 best = index
                 break
         table = self._anchored.get(role)
         if table:
-            offsets = self._offsets
-            for pos in range(len(prompt) - ANCHOR + 1):
-                hits = table.get(prompt[pos : pos + ANCHOR])
-                if hits is None:
-                    continue
-                # Hits are in file order, so the first verified one is the
-                # lowest in its bucket. A start below 0 makes startswith read
-                # only the last offset - pos characters, fewer than the
-                # pattern has, so it cannot match.
-                for index in hits:
+            # Buckets are in file order, so the first verified entry is the
+            # lowest in its bucket; the words come in no particular order.
+            for word in table.keys() & prompt.split():
+                for index in table[word]:
                     if index >= best:
                         break
-                    start = pos - offsets[index]
-                    if prompt.startswith(entries[index].prompt_contains, start):
+                    if entries[index].prompt_contains in prompt:
                         best = index
                         break
         return entries[best] if best < len(entries) else None

@@ -35,7 +35,6 @@ from secondguess.backend import (
     MockBackend,
     MockEntry,
     ProtocolError,
-    SamplingParams,
     ScriptMissError,
     TransportError,
     confidence_of,
@@ -164,15 +163,6 @@ def test_answer_params():
     assert params.max_new_tokens == 10
     assert params.min_new_tokens == 1
     assert params.length_penalty == -1.0
-
-
-def test_sampling_params_validation():
-    with pytest.raises(ValueError):
-        SamplingParams(mode="greedy")
-    with pytest.raises(ValueError):
-        SamplingParams(mode="deterministic_beam", min_new_tokens=5, max_new_tokens=2)
-    with pytest.raises(ValueError):
-        SamplingParams(mode="multinomial_beam", top_p=0.0)
 
 
 def test_empty_prompt_rejected():
@@ -406,12 +396,18 @@ def test_mock_entries_are_immutable():
     assert isinstance(backend.entries, tuple)
 
 
+# Alphabets with no whitespace test only the unindexed path of MockBackend;
+# the others put runs of spaces, tabs and the non-ASCII whitespace that
+# str.split also splits on inside, around and at the ends of patterns.
+MOCK_ALPHABETS = ["ab", "abc", "abcd", "a ", "ab ", "ab \t", "a\u3000b\x1f", "ab \t\u3000\x1f"]
+
+
 @st.composite
 def mock_scripts(draw):
-    """(entries, [(prompt, role)]) over a 2-4 letter alphabet: patterns of
-    length 0..20 on both sides of ANCHOR, with duplicates and overlaps, and
-    prompts stitched from random text and patterns."""
-    alphabet = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    """(entries, [(prompt, role)]) over a small alphabet: patterns of length
+    0..20, with duplicates and overlaps, and prompts stitched from random
+    text and patterns."""
+    alphabet = draw(st.sampled_from(MOCK_ALPHABETS))
     base = draw(st.lists(st.text(alphabet, max_size=20), min_size=1, max_size=6))
     pieces = st.builds(lambda s, i, n: s[i : i + n], st.sampled_from(base),
                        st.integers(0, 20), st.integers(0, 20))
@@ -437,15 +433,57 @@ def mock_scripts(draw):
 @given(mock_scripts())
 def test_mock_index_matches_linear_scan(script):
     entries, calls = script
-    backend = MockBackend(entries)
     for prompt, role in calls:
-        expected = linear_first_match(entries, prompt, role)
-        if expected is None:
-            with pytest.raises(ScriptMissError):
-                backend.complete(request(prompt), BackendRole(role))
-        else:
+        # Check the whole script, then drop each first match in turn: a short
+        # pattern early in the script would otherwise hide every later one.
+        remaining = entries
+        while True:
+            backend = MockBackend(remaining)
+            expected = linear_first_match(remaining, prompt, role)
+            if expected is None:
+                with pytest.raises(ScriptMissError):
+                    backend.complete(request(prompt), BackendRole(role))
+                break
             result = backend.complete(request(prompt), BackendRole(role))
             assert result.text == expected.text
+            remaining = [entry for entry in remaining if entry is not expected]
+
+
+@pytest.mark.parametrize(
+    "patterns, prompt, expected",
+    [
+        # The pattern is not in the prompt, which holds a word from inside
+        # it only inside a longer token, or only as a token elsewhere.
+        (["a red cup"], "a reddish cup", None),
+        (["a red cup"], "red a redcup", None),
+        (["a red cup"], "a red mug", None),
+        # The first and last words may sit inside longer prompt tokens.
+        (["ing the red"], "seeing the red light", "ing the red"),
+        (["the re"], "is the red cup?", "the re"),
+        (["\tthe\u3000red\x1f"], "x\tthe\u3000red\x1fy", "\tthe\u3000red\x1f"),
+        # At the very start and the very end of the prompt, and the whole of it.
+        ([" is the"], " is the red cup", " is the"),
+        (["red cup\t"], "is the red cup\t", "red cup\t"),
+        (["\tred\t"], "\tred\t", "\tred\t"),
+        # First match wins among duplicates, unindexed before anchored and
+        # anchored before unindexed.
+        (["the red cup", "the red cup"], "is the red cup?", "the red cup"),
+        (["red", "the red cup"], "is the red cup?", "red"),
+        (["the red cup", "red"], "is the red cup?", "the red cup"),
+        (["the blue cup", "the red cup", "red"], "is the red cup?", "the red cup"),
+        (["a red cup", "the red cup"], "is the red cup?", "the red cup"),
+    ],
+)
+def test_mock_index_edges(patterns, prompt, expected):
+    entries = [MockEntry(p, "recomposer", str(i), (-0.1,)) for i, p in enumerate(patterns)]
+    reference = linear_first_match(entries, prompt, "recomposer")
+    assert (reference and reference.prompt_contains) == expected
+    if expected is None:
+        with pytest.raises(ScriptMissError):
+            MockBackend(entries).complete(request(prompt), RECOMPOSER)
+    else:
+        result = MockBackend(entries).complete(request(prompt), RECOMPOSER)
+        assert result.text == reference.text
 
 
 def test_mock_call_cost_does_not_grow_with_script_size():
