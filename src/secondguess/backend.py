@@ -8,6 +8,7 @@ normalization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from .dataset import utf8_prefix
@@ -71,10 +72,6 @@ class InferenceRequest:
     request_id: str
     image: Optional[str] = None  # base64 payload or URL, opaque here
 
-    def __post_init__(self) -> None:
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -97,17 +94,21 @@ class InferenceResult:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ProtocolError(f"generated text {text!r} is not valid Unicode") from exc
-        # bool is an int subclass, but true/false is no log-probability; a
-        # NaN would pass every check below and reach the episode log.
+        # bool is an int subclass, but true/false is no log-probability.
+        numbers = "token_logprobs must be a list of numbers, cumulative_logprob a number"
         if not isinstance(logprobs, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) or math.isnan(x)
+            isinstance(x, bool) or not isinstance(x, (int, float))
             for x in (*logprobs, cumulative)
         ):
-            raise ProtocolError(
-                "token_logprobs must be a list of numbers, cumulative_logprob a number"
-            )
-        token_logprobs = tuple(float(x) for x in logprobs)
-        cumulative = float(cumulative)
+            raise ProtocolError(numbers)
+        try:
+            token_logprobs = tuple(float(x) for x in logprobs)
+            cumulative = float(cumulative)
+        except OverflowError as exc:  # an integer of hundreds of digits
+            raise ProtocolError("log-probability beyond float range") from exc
+        # A NaN would pass every check below and reach the episode log.
+        if any(math.isnan(x) for x in (*token_logprobs, cumulative)):
+            raise ProtocolError(numbers)
         if any(lp > 0 for lp in token_logprobs):
             raise ProtocolError("token log-probability above zero")
         if cumulative > 0:
@@ -301,9 +302,9 @@ class MockBackend:
         self._unanchored: Dict[str, List[int]] = {}
         self._anchored: Dict[str, Dict[str, List[int]]] = {}
         counts = Counter(
-            word
-            for pattern in {entry.prompt_contains for entry in self.entries}
-            for word in _interior_words(pattern)
+            itertools.chain.from_iterable(
+                map(_interior_words, {entry.prompt_contains for entry in self.entries})
+            )
         )
         for index, entry in enumerate(self.entries):
             words = _interior_words(entry.prompt_contains)
@@ -317,7 +318,7 @@ class MockBackend:
     def from_script(cls, path) -> "MockBackend":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls(_script_entries(fh))
+                return cls(_read_script(fh))
         except UnicodeDecodeError:
             lines, problem = utf8_prefix(path)
         _script_entries(lines)  # names a bad line before that one
@@ -353,11 +354,79 @@ class MockBackend:
         return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
 
 
-def _script_entries(lines) -> List[MockEntry]:
-    """The entries of a mock script's lines; a bad line raises ValueError
-    naming it."""
+# Script lines that from_script checks at once. Only one chunk's lines and
+# parsed values are held at a time, so memory grows with the entries, not
+# with the file.
+_SCRIPT_CHUNK = 256
+# json.loads less its type and whitespace handling: lines come stripped.
+_decode = json.JSONDecoder().raw_decode
+
+
+def _read_script(lines: Iterator[str]) -> List[MockEntry]:
+    """``_script_entries`` of a mock script's lines, read _SCRIPT_CHUNK lines
+    at a time. A chunk that ``_chunk_entries`` does not accept is re-read
+    line by line, which raises the ValueError of its first bad line."""
+    entries: List[MockEntry] = []
+    for start in itertools.count(1, _SCRIPT_CHUNK):
+        chunk = list(itertools.islice(lines, _SCRIPT_CHUNK))
+        checked = _chunk_entries(chunk)
+        entries += _script_entries(chunk, start) if checked is None else checked
+        if len(chunk) < _SCRIPT_CHUNK:
+            return entries
+
+
+def _chunk_entries(lines: List[str]) -> Optional[List[MockEntry]]:
+    """The entries of a chunk of script lines, or None. Each non-blank line
+    is parsed on its own, and each field is checked over the whole chunk at
+    once. The checks are those of ``_script_entry``, except that a
+    log-probability must be a float: integers, which ``sum`` adds exactly
+    before it rounds, are left to ``_script_entry``'s sum check. So a chunk
+    accepted here gives the entries that ``_script_entries`` gives."""
+    stripped = [line for line in map(str.strip, lines) if line]
+    try:
+        parsed = list(map(_decode, stripped))
+    # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
+    # int-string conversion limit a plain ValueError.
+    except (ValueError, RecursionError):
+        return None
+    # raw_decode stops after one value, so a line that holds more ends early.
+    if [end for _, end in parsed] != list(map(len, stripped)):
+        return None
+    try:
+        matches = [obj["match"] for obj, _ in parsed]
+        responses = [obj["response"] for obj, _ in parsed]
+        patterns = [match["prompt_contains"] for match in matches]
+        roles = [match["role"] for match in matches]
+        texts = [response["text"] for response in responses]
+        logprobs = [response["token_logprobs"] for response in responses]
+    except (KeyError, TypeError):
+        return None
+    if not (
+        set(map(type, patterns)) <= {str}
+        # list.count compares with ==, as `in ROLES` does, and hashes nothing.
+        and sum(map(roles.count, ROLES)) == len(roles)
+        and set(map(type, texts)) <= {str}
+        and all(texts)
+        and set(map(type, logprobs)) <= {list}
+    ):
+        return None
+    values = list(itertools.chain.from_iterable(logprobs))
+    # 0.0 >= x is false for a NaN and for a log-probability above zero.
+    if not (set(map(type, values)) <= {float} and all(map((0.0).__ge__, values))):
+        return None
+    # JSON may escape an unpaired surrogate, which the UTF-8 log cannot hold.
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+    return list(map(MockEntry, patterns, roles, texts, map(tuple, logprobs)))
+
+
+def _script_entries(lines, start: int = 1) -> List[MockEntry]:
+    """The entries of a mock script's lines, numbered from ``start``; a bad
+    line raises ValueError naming it."""
     entries = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue

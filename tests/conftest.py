@@ -1,6 +1,7 @@
 """Shared fixtures: scripted mock backends, test-only backend wrappers, a
-pipeline run that returns its records, a loopback generation server, a
-line-by-line episode log reader and brute-force metric recounts."""
+pipeline run that returns its records, a loopback generation server,
+line-by-line readers of episode logs and mock scripts, and brute-force
+metric recounts."""
 
 from __future__ import annotations
 
@@ -445,6 +446,65 @@ def read_log_by_line(path) -> EpisodeColumns:
         correct_before=np.array([ep["correct_before"] for ep in episodes], dtype=bool),
         correct_after=np.array([ep["correct_after"] for ep in episodes], dtype=bool),
     )
+
+
+# Mock scripts on disk: the reference reader of MockBackend.from_script.
+
+def script_entry(obj) -> MockEntry:
+    """The entry of one parsed mock script line: the reference reader's own
+    rules, written apart from the package's, checked in the package's order.
+    A broken rule raises KeyError or TypeError (a missing field, a value
+    that is no object, a ``token_logprobs`` that ``sum`` cannot add) or a
+    ValueError, each with the package's message."""
+    match, response = obj["match"], obj["response"]
+    pattern, role = match["prompt_contains"], match["role"]
+    logprobs = response["token_logprobs"]
+    if not isinstance(pattern, str):
+        raise ValueError(f"prompt_contains must be a string, got {pattern!r}")
+    if role not in ("decomposer", "recomposer"):
+        raise ValueError(f"role must be one of ['decomposer', 'recomposer'], got {role!r}")
+    text, total = response["text"], sum(logprobs)
+    if not isinstance(text, str) or not text:
+        raise ValueError(f"generated text must be a non-empty string, got {text!r}")
+    if any(0xD800 <= ord(char) <= 0xDFFF for char in text):
+        raise ValueError(f"generated text {text!r} is not valid Unicode")
+    numbers = [*logprobs, total] if isinstance(logprobs, list) else [None]
+    if any(type(x) not in (int, float) for x in numbers):
+        raise ValueError("token_logprobs must be a list of numbers, cumulative_logprob a number")
+    try:
+        *floats, cumulative = map(float, numbers)
+    except OverflowError:
+        raise ValueError("log-probability beyond float range") from None
+    if any(x != x for x in (*floats, cumulative)):
+        raise ValueError("token_logprobs must be a list of numbers, cumulative_logprob a number")
+    if any(x > 0 for x in floats):
+        raise ValueError("token log-probability above zero")
+    if cumulative > 0:
+        raise ValueError("cumulative log-probability above zero")
+    if abs(cumulative - sum(floats)) > 1e-6:
+        raise ValueError("cumulative_logprob does not match the sum of token_logprobs")
+    return MockEntry(pattern, role, text, tuple(floats))
+
+
+def read_script_by_line(path) -> List[MockEntry]:
+    """``MockBackend.from_script``'s reference: each line decoded, parsed and
+    checked alone, in file order, every entry kept. Raises the same
+    ValueError for the first bad line."""
+    entries = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                raise ValueError(f"bad mock script line {lineno}: byte {byte:#04x} is not UTF-8") from exc
+            if not line.strip():
+                continue
+            try:
+                entries.append(script_entry(json.loads(line.strip())))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
+    return entries
 
 
 # Independent brute-force recounts used as oracles against the evaluation

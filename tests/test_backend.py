@@ -1,10 +1,14 @@
 import json
 import math
+import random
 import socket
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 from contextlib import closing
+from pathlib import Path
 from dataclasses import asdict
 
 import pytest
@@ -20,6 +24,7 @@ from conftest import (
     Reply,
     linear_first_match,
     raw,
+    read_script_by_line,
     run_records,
     spec_entries,
     spec_questions,
@@ -165,11 +170,6 @@ def test_answer_params():
     assert params.length_penalty == -1.0
 
 
-def test_empty_prompt_rejected():
-    with pytest.raises(ValueError):
-        InferenceRequest(prompt="", params=ANSWER_PARAMS, request_id="x")
-
-
 def test_flaky_backend_retries_then_succeeds():
     inner = MockBackend([MockEntry("hello", "recomposer", "yes", (-0.1,))])
     flaky = FlakyBackend(inner=inner, failures_before_success=2, attempts=3)
@@ -297,6 +297,18 @@ def test_http_backend_malformed_body_not_retried(loopback):
         assert len(server.received) == 1
 
 
+def test_http_backend_logprob_beyond_float_not_retried(loopback):
+    # JSON holds a 400-digit integer, under the int-string conversion limit,
+    # that no float can.
+    huge = -(10 ** 399)
+    body = {"text": "yes", "token_logprobs": [huge], "cumulative_logprob": huge}
+    server = loopback([Reply(200, body), Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url) as backend:
+        with pytest.raises(ProtocolError, match="beyond float range"):
+            backend.complete(request(), RECOMPOSER)
+    assert len(server.received) == 1
+
+
 def test_http_backend_reopens_dropped_keepalive_once(loopback):
     server = loopback(
         [
@@ -389,6 +401,136 @@ def test_mock_script_byte_not_utf8_is_named_after_every_line_before_it(tmp_path)
     script.write_bytes(raw("".join(lines)))
     with pytest.raises(ValueError, match=r"^bad mock script line 4: "):
         MockBackend.from_script(script)
+
+
+GOOD_LINE = (
+    '{"match": {"prompt_contains": "hello", "role": "recomposer"}, '
+    '"response": {"text": "yes", "token_logprobs": [-0.105]}}'
+)
+TOO_FAR = -(2 ** 53 + 1)  # rounds to a float 1 away
+# Script lines, as the file holds them once ``raw`` has written them, that
+# the chunked reader must read as the line-by-line reference does. Those
+# named in GOOD_EDGES are good lines, the others bad.
+SCRIPT_LINE_EDGES = {
+    "bom": "\ufeff" + GOOD_LINE,
+    "nan": GOOD_LINE.replace("[-0.105]", "[NaN]"),
+    "infinity": GOOD_LINE.replace("[-0.105]", "[Infinity]"),
+    "logprob_true": GOOD_LINE.replace("[-0.105]", "[true]"),
+    "logprob_positive": GOOD_LINE.replace("[-0.105]", "[-0.5, 0.25]"),
+    "logprobs_scalar": GOOD_LINE.replace("[-0.105]", "-0.105"),
+    "int_400_digits": GOOD_LINE.replace("[-0.105]", f"[{-(10 ** 399)}]"),
+    "int_4301_digits": GOOD_LINE.replace("[-0.105]", "[-" + "1" * 4301 + "]"),
+    "int_sum_off_by_4": GOOD_LINE.replace("[-0.105]", f"[{TOO_FAR}, {TOO_FAR}, {TOO_FAR}]"),
+    "nested_too_deep": NESTED_TOO_DEEP,
+    "surrogate_escape": GOOD_LINE.replace('"yes"', '"ye\\ud800s"'),
+    "text_empty": GOOD_LINE.replace('"yes"', '""'),
+    "role_unknown": GOOD_LINE.replace('"recomposer"', '"recomposr"'),
+    "role_list": GOOD_LINE.replace('"recomposer"', '["recomposer"]'),
+    "pattern_number": GOOD_LINE.replace('"hello"', "5"),
+    "no_response": '{"match": {"prompt_contains": "hello", "role": "recomposer"}}',
+    "not_object": "[1, 2]",
+    "extra_data": GOOD_LINE + " x",
+    "two_objects": GOOD_LINE + GOOD_LINE,
+    "not_utf8": GOOD_LINE.replace("yes", "yes" + NOT_UTF8),
+    "ints": GOOD_LINE.replace("[-0.105]", "[0, -3]"),
+    "minus_infinity": GOOD_LINE.replace("[-0.105]", "[-Infinity, -1e308]"),
+    "floats_to_minus_infinity": GOOD_LINE.replace("[-0.105]", "[-1e308, -1e308]"),
+}
+GOOD_EDGES = {"ints", "minus_infinity", "floats_to_minus_infinity"}
+BLANK_LINES = ["", "  ", "\t", " \u3000\x1f "]
+
+
+def random_script_line(rng: random.Random, ints: bool) -> str:
+    """A good script line, or a blank one: patterns with whitespace inside
+    and at the ends, texts outside ASCII, log-probabilities of -0.0 and of
+    sums that overflow to -inf, and integers only if ``ints``."""
+    if rng.random() < 0.1:
+        return rng.choice(BLANK_LINES)
+    words = ["is", "the", "red", "cup", "\u00e9t\u00e9", "?", "\t", " "]
+    pattern = "".join(rng.choice(words) + rng.choice(["", " "]) for _ in range(rng.randint(0, 6)))
+    choices = [-0.0, -1e-300, -0.105, -2.5, -1e308] + ([0, -3] if ints else [])
+    logprobs = [rng.choice(choices) for _ in range(rng.randint(0, 3))]
+    entry = {
+        "match": {"prompt_contains": pattern, "role": rng.choice(ROLES)},
+        "response": {"text": rng.choice(["yes", "no", "a cup", "\U0001f600"]),
+                     "token_logprobs": logprobs},
+    }
+    if rng.random() < 0.1:
+        entry["match"]["note"] = "ignored"
+    line = json.dumps(entry, ensure_ascii=rng.random() < 0.5)
+    return rng.choice(["", " ", "\u3000"]) + line + rng.choice(["", " \t"])
+
+
+def read_both(lines):
+    """(from_script's entries or ValueError message, the reference's) for a
+    script of ``lines``, written with ``raw``. Each entry comes with the repr
+    of its log-probabilities, which tells 0 from 0.0 and from -0.0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "script.jsonl"
+        path.write_bytes(raw("".join(line + "\n" for line in lines)))
+        outcomes = []
+        for read in (lambda p: MockBackend.from_script(p).entries, read_script_by_line):
+            try:
+                outcomes.append([(e, repr(e.token_logprobs)) for e in read(path)])
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", SCRIPT_LINE_EDGES)
+def test_mock_script_edge_line_reads_as_by_line(name):
+    rng = random.Random(0)
+    lines = [random_script_line(rng, ints=False) for _ in range(300)]
+    # The first line of the first and of the second chunk, and the last
+    # line of each.
+    for position in (1, 256, 257, 300):
+        script = lines[: position - 1] + [SCRIPT_LINE_EDGES[name]] + lines[position:]
+        chunked, by_line = read_both(script)
+        assert chunked == by_line
+        if name not in GOOD_EDGES:
+            assert chunked.startswith(f"bad mock script line {position}: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2 ** 32), st.booleans(), st.data())
+def test_mock_script_reads_as_by_line(n, seed, ints, data):
+    """Scripts of up to 600 lines, blank lines among them, with up to two
+    edge lines at chunk boundaries, the last line or anywhere. The good
+    lines come from a seeded generator, since hypothesis draws too little
+    data for one example to draw 600 lines one by one."""
+    rng = random.Random(seed)
+    lines = [random_script_line(rng, ints) for _ in range(n)]
+    positions = st.one_of(st.sampled_from([1, 256, 257, n]), st.integers(1, n))
+    for _ in range(data.draw(st.integers(0, 2))):
+        position = min(data.draw(positions), n)
+        lines[position - 1] = data.draw(st.sampled_from(list(SCRIPT_LINE_EDGES.values())))
+    chunked, by_line = read_both(lines)
+    assert chunked == by_line
+
+
+def test_mock_script_memory_per_entry(tmp_path):
+    """4,000 script lines, each with a 1,000-character field that the reader
+    ignores, peak below 900 traced bytes per entry: the entries take about
+    580 and building their index about 90 more. Holding every line of the
+    file would take over 1,000 more. The load before tracing keeps one-time
+    imports out of the count."""
+    script = tmp_path / "script.jsonl"
+    with open(script, "w", encoding="utf-8") as fh:
+        for i in range(4_000):
+            pattern = f"Question: is the red door number {i} on the left? Short Answer:"
+            entry = {"comment": "x" * 1_000,
+                     "match": {"prompt_contains": pattern, "role": ROLES[i % 2]},
+                     "response": {"text": "yes", "token_logprobs": [-0.1 * (i % 7)]}}
+            fh.write(json.dumps(entry) + "\n")
+    MockBackend.from_script(script)
+    tracemalloc.start()
+    try:
+        backend = MockBackend.from_script(script)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(backend.entries) == 4_000
+    assert peak / 4_000 < 900
 
 
 def test_mock_entries_are_immutable():

@@ -599,6 +599,8 @@ BAD_SCRIPTS = {
     "text_empty": script_line(text=""),
     "logprob_positive": script_line(token_logprobs=[0.5]),
     "logprob_nan": script_line(token_logprobs=[float("nan")]),
+    # 400 digits: under the int-string conversion limit, beyond any float.
+    "logprob_beyond_float": script_line(token_logprobs=[-(10 ** 399)]),
     "nested_too_deep": NESTED_TOO_DEEP + "\n",
     "not_utf8": script_line(text="yes" + NOT_UTF8),
 }
