@@ -17,10 +17,10 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
-from .dataset import utf8_prefix
+from .dataset import CHUNK_LINES, DatasetError, parse_jsonl_lines, read_chunks
 
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
@@ -132,10 +132,6 @@ def confidence_of(result: InferenceResult) -> float:
 @dataclass(frozen=True)
 class BackendRole:
     role: str  # "decomposer" | "recomposer"
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role: {self.role!r}")
 
 
 class Backend(Protocol):
@@ -316,13 +312,15 @@ class MockBackend:
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls(_read_script(fh))
-        except UnicodeDecodeError:
-            lines, problem = utf8_prefix(path)
-        _script_entries(lines)  # names a bad line before that one
-        raise ValueError(f"bad mock script line {len(lines) + 1}: {problem}")
+        """The backend of the script at ``path``, read CHUNK_LINES lines at a
+        time, so that memory grows with the entries, not with the file. A
+        chunk that ``_chunk_entries`` does not accept is re-read line by
+        line, which raises the DatasetError of its first bad ``path:line``."""
+        entries: List[MockEntry] = []
+        for start, lines in read_chunks(path, CHUNK_LINES):
+            checked = _chunk_entries(lines)
+            entries += _script_entries(path, start, lines) if checked is None else checked
+        return cls(entries)
 
     def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
         """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""
@@ -354,25 +352,8 @@ class MockBackend:
         return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
 
 
-# Script lines that from_script checks at once. Only one chunk's lines and
-# parsed values are held at a time, so memory grows with the entries, not
-# with the file.
-_SCRIPT_CHUNK = 256
 # json.loads less its type and whitespace handling: lines come stripped.
 _decode = json.JSONDecoder().raw_decode
-
-
-def _read_script(lines: Iterator[str]) -> List[MockEntry]:
-    """``_script_entries`` of a mock script's lines, read _SCRIPT_CHUNK lines
-    at a time. A chunk that ``_chunk_entries`` does not accept is re-read
-    line by line, which raises the ValueError of its first bad line."""
-    entries: List[MockEntry] = []
-    for start in itertools.count(1, _SCRIPT_CHUNK):
-        chunk = list(itertools.islice(lines, _SCRIPT_CHUNK))
-        checked = _chunk_entries(chunk)
-        entries += _script_entries(chunk, start) if checked is None else checked
-        if len(chunk) < _SCRIPT_CHUNK:
-            return entries
 
 
 def _chunk_entries(lines: List[str]) -> Optional[List[MockEntry]]:
@@ -422,19 +403,16 @@ def _chunk_entries(lines: List[str]) -> Optional[List[MockEntry]]:
     return list(map(MockEntry, patterns, roles, texts, map(tuple, logprobs)))
 
 
-def _script_entries(lines, start: int = 1) -> List[MockEntry]:
-    """The entries of a mock script's lines, numbered from ``start``; a bad
-    line raises ValueError naming it."""
+def _script_entries(path, start: int, lines: List[str]) -> List[MockEntry]:
+    """The entries of script lines numbered from ``start``, each parsed and
+    checked alone; a bad line raises DatasetError naming ``path:line``. A
+    line may hold any whitespace that str.strip removes around its JSON."""
     entries = []
-    for lineno, line in enumerate(lines, start=start):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, obj in parse_jsonl_lines(path, start, map(str.strip, lines)):
         try:
-            obj = json.loads(line)
             entries.append(_script_entry(obj["match"], obj["response"]))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     return entries
 
 
@@ -448,9 +426,12 @@ def _script_entry(match: dict, response: dict) -> MockEntry:
     if role not in ROLES:
         raise ValueError(f"role must be one of {list(ROLES)}, got {role!r}")
     try:
+        total = sum(logprobs)
+    except OverflowError as exc:  # a float plus an integer beyond float range
+        raise ValueError("log-probability beyond float range") from exc
+    try:
         result = InferenceResult.from_payload(
-            {"text": response["text"], "token_logprobs": logprobs,
-             "cumulative_logprob": sum(logprobs)}
+            {"text": response["text"], "token_logprobs": logprobs, "cumulative_logprob": total}
         )
     except ProtocolError as exc:
         raise ValueError(str(exc)) from exc

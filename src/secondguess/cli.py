@@ -105,15 +105,8 @@ def _load_config(config_path, flags: dict) -> dict:
     file_cfg = {}
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except UnicodeDecodeError:
-            lines, problem = dataset.utf8_prefix(config_path)
-            where = f"{config_path}:{len(lines) + 1}"
-            _fail(EXIT_CONFIG, f"cannot read config file: {where}: {problem}")
-        # A ValueError is bad JSON, or an integer past the interpreter's
-        # int-string conversion limit.
-        except (OSError, ValueError, RecursionError) as exc:
+            file_cfg = dataset.read_json(config_path)
+        except (OSError, DatasetError) as exc:
             _fail(EXIT_CONFIG, f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             _fail(EXIT_CONFIG, "config file must hold a JSON object")
@@ -139,7 +132,7 @@ def _build_engine(cfg: dict) -> Engine:
     if cfg.get("mock_script"):
         try:
             mock = MockBackend.from_script(cfg["mock_script"])
-        except (OSError, ValueError) as exc:
+        except (OSError, DatasetError) as exc:
             _fail(EXIT_CONFIG, f"cannot read mock script: {exc}")
         return Engine(recomposer=mock, decomposer=mock, decomposer_prompt_style=style)
     if not cfg.get("recomposer_url"):
@@ -344,10 +337,9 @@ def cmd_fit(run_dirs) -> None:
     for run_dir in run_dirs:
         path = Path(run_dir) / "metrics.json"
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                metrics = json.load(fh)
+            metrics = dataset.read_json(path)
             point = (metrics["surprisal"], metrics["net_gain"])
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (OSError, DatasetError, KeyError, TypeError) as exc:
             _fail(EXIT_DATASET, f"cannot read surprisal and net_gain from {path}: {exc!r}")
         if point[0] is None:
             continue

@@ -6,6 +6,7 @@ Canonical format is JSONL, one object per line:
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -89,75 +90,78 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
         raise DatasetError(f"{where}: {exc}") from exc
 
 
+# Lines per chunk of every JSONL reader. The episode-log reader parses a
+# chunk with one json.loads call, and while it checks the chunk holds about
+# three dicts per line. At 4,096 lines that many set off a full (gen-2)
+# garbage collection in a cold process; at 256 they stay in cache and are
+# freed before the cyclic GC promotes them. On a 2-vCPU VM with Python 3.11,
+# two cold reads of an 8,000-line log took a median 33 ms at 256 lines and
+# 49 ms at 4,096 (128 to 1,024 lines: 33 to 41 ms).
+CHUNK_LINES = 256
+
+
+def read_chunks(path, size: int) -> Iterator[Tuple[int, List[str]]]:
+    """(first line's number, lines) for each run of ``size`` lines of a file,
+    the last run partly full: the one reader of input files. A strict decode
+    runs ahead of the lines it returns and cannot name a line, so each run
+    is checked once. A byte that is not UTF-8 raises DatasetError naming
+    ``path:line`` once the lines before it are yielded, for a reader to name
+    an earlier bad line first."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for start in itertools.count(1, size):
+            lines = list(itertools.islice(fh, size))
+            if not lines:
+                return
+            text = "".join(lines)
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = text.count("\n", 0, exc.start)
+                # surrogateescape decodes the byte b as the code point U+DC00 + b.
+                problem = f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8"
+                yield start, lines[:bad]
+                raise DatasetError(f"{path}:{start + bad}: {problem}") from exc
+            yield start, lines
+
+
+def read_json(path):
+    """The value of a JSON file, read by ``read_chunks``. A file that is no
+    JSON, nests too deep or holds an integer past the int-string conversion
+    limit raises DatasetError with the decoder's message."""
+    lines = itertools.chain.from_iterable(lines for _, lines in read_chunks(path, CHUNK_LINES))
+    try:
+        return json.loads("".join(lines))
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(str(exc)) from exc
+
+
 def read_jsonl(path) -> Iterator[Tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line of a JSONL
     file; a line that is no JSON, nests too deep to parse, holds a string
     that UTF-8 cannot encode or a byte that is not UTF-8 raises DatasetError
     naming ``path:line``."""
-    yield from parse_jsonl_lines(path, _encodable_lines(path, _numbered_lines(path)))
+    for start, lines in read_chunks(path, CHUNK_LINES):
+        # JSON may escape an unpaired surrogate, which a UTF-8 file written
+        # from the value cannot hold. Only a \ud escape decodes to one.
+        escaped = any("\\ud" in line or "\\uD" in line for line in lines)
+        for lineno, obj in parse_jsonl_lines(path, start, lines):
+            if escaped:
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DatasetError(
+                        f"{path}:{lineno}: a string holds the unpaired surrogate"
+                        f" {exc.object[exc.start]!r}"
+                    ) from exc
+            yield lineno, obj
 
 
-def _numbered_lines(path) -> Iterator[Tuple[int, str]]:
-    """The (line number, line) pairs of a UTF-8 file. A byte that is not
-    UTF-8 raises DatasetError naming its line, once every line before it is
-    yielded."""
-    done = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for done, line in enumerate(fh, start=1):
-                yield done, line
-        return
-    except UnicodeDecodeError:
-        pass
-    lines, problem = utf8_prefix(path)
-    yield from enumerate(lines[done:], start=done + 1)
-    raise DatasetError(f"{path}:{len(lines) + 1}: {problem}")
-
-
-def utf8_prefix(path) -> Tuple[List[str], str]:
-    """The lines of ``path`` before the first one with a byte that is not
-    UTF-8, and what is wrong with that line, number ``len(lines) + 1``.
-
-    A file opened as UTF-8 decodes ahead of the line it returns, so its
-    UnicodeDecodeError cannot name the line: readers call this on that
-    error path.
-    """
-    lines = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line in fh:
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                # surrogateescape decodes the byte b as the code point U+DC00 + b.
-                return lines, f"byte {ord(line[exc.start]) - 0xDC00:#04x} is not UTF-8"
-            lines.append(line)
-    raise AssertionError(f"{path}: a decode failed but every line is UTF-8")
-
-
-def _encodable_lines(path, numbered_lines) -> Iterator[Tuple[int, str]]:
-    """The (line number, line) pairs, raising DatasetError naming
-    ``path:line`` for a line with a string that holds an unpaired surrogate:
-    JSON may escape one, but a UTF-8 file written from it cannot hold it.
-    Only a \\ud escape decodes to a surrogate, so only a line holding one
-    is parsed here; one that is no JSON is left to ``parse_jsonl_lines``."""
-    for lineno, line in numbered_lines:
-        if "\\ud" in line or "\\uD" in line:
-            try:
-                json.dumps(json.loads(line), ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DatasetError(
-                    f"{path}:{lineno}: a string holds the unpaired surrogate"
-                    f" {exc.object[exc.start]!r}"
-                ) from exc
-            except (ValueError, RecursionError):
-                pass
-        yield lineno, line
-
-
-def parse_jsonl_lines(path, numbered_lines) -> Iterator[Tuple[int, object]]:
-    """``read_jsonl`` over (line number, line) pairs already read from
-    ``path``, less its surrogate check."""
-    for lineno, line in numbered_lines:
+def parse_jsonl_lines(path, start: int, lines: Iterable[str]) -> Iterator[Tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of ``lines``, read
+    from ``path`` and numbered from ``start``. A line that is no JSON, nests
+    too deep to parse or holds an integer past the interpreter's int-string
+    conversion limit raises DatasetError naming ``path:line``."""
+    for lineno, line in enumerate(lines, start):
         if not line.strip():
             continue
         try:

@@ -22,7 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import DatasetError, VisualQuestion, parse_jsonl_lines, utf8_prefix
+from .dataset import CHUNK_LINES, DatasetError, VisualQuestion, parse_jsonl_lines, read_chunks
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -288,14 +288,6 @@ def _episode(
     )
 
 
-# Log lines that read_episode_log parses with one json.loads call. While a
-# chunk is checked it holds about three dicts per line. At 4,096 lines that
-# many set off a full (gen-2) garbage collection in a cold process; at 256
-# they stay in cache and are freed before the cyclic GC promotes them. On a
-# 2-vCPU VM with Python 3.11, two cold reads of an 8,000-line log took a
-# median 33 ms at 256 lines and 49 ms at 4,096 (128 to 1,024 lines: 33 to
-# 41 ms).
-_CHUNK_LINES = 256
 _GATES = ("kept", "second_guessed")
 
 
@@ -357,9 +349,9 @@ def _chunk_columns(records: list, seen: set):
 
 def _read_chunk(path, start: int, lines: List[str], seen: set):
     """``_chunk_columns`` of the log lines numbered from ``start``, their
-    non-blank ones parsed by one json.loads. A chunk that fails is re-read
-    line by line, each record checked alone, raising the DatasetError of its
-    first bad line."""
+    non-blank ones parsed by one json.loads (``dataset.CHUNK_LINES`` gives
+    the chunk size and why). A chunk that fails is re-read line by line, each
+    record checked alone, raising the DatasetError of its first bad line."""
     values = [line for line in lines if not line.isspace()]
     # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
     # int-string conversion limit a plain ValueError.
@@ -375,7 +367,7 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
         if not isinstance(columns, str):
             return columns
     line_seen = set(seen)
-    for lineno, record in parse_jsonl_lines(path, enumerate(lines, start)):
+    for lineno, record in parse_jsonl_lines(path, start, lines):
         problem = _chunk_columns([record], line_seen)
         if isinstance(problem, str):
             raise DatasetError(f"{path}:{lineno}: {problem}")
@@ -383,30 +375,15 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
 
 
 def read_episode_log(path) -> evaluation.EpisodeColumns:
-    """The columns of a JSONL episode log, read _CHUNK_LINES lines at a time
+    """The columns of a JSONL episode log, read CHUNK_LINES lines at a time
     with no dict kept per episode. A line that is no JSON object, lacks a
     field the evaluation reads, repeats an id or holds a byte that is not
     UTF-8 raises DatasetError naming ``path:line``, for the first such line
     in the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_lines(path, fh)
-    except UnicodeDecodeError:
-        lines, problem = utf8_prefix(path)
-    _read_lines(path, iter(lines))  # names a bad line before that one
-    raise DatasetError(f"{path}:{len(lines) + 1}: {problem}")
-
-
-def _read_lines(path, lines: Iterator[str]) -> evaluation.EpisodeColumns:
-    """``read_episode_log`` of the log's lines."""
-    chunks, seen = [], set()
-    for start in itertools.count(1, _CHUNK_LINES):
-        chunk = list(itertools.islice(lines, _CHUNK_LINES))
-        # The last chunk is partly full, or empty: typed empty columns.
-        chunks.append(_read_chunk(path, start, chunk, seen))
-        if len(chunk) < _CHUNK_LINES:
-            break
-    ids, *columns = zip(*chunks)
+    seen = set()
+    chunks = [_read_chunk(path, start, lines, seen) for start, lines in read_chunks(path, CHUNK_LINES)]
+    # An empty chunk types the columns of an empty log.
+    ids, *columns = zip(_read_chunk(path, 1, [], seen), *chunks)
     return evaluation.EpisodeColumns(
         list(itertools.chain.from_iterable(ids)), *map(np.concatenate, columns)
     )

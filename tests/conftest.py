@@ -463,7 +463,10 @@ def script_entry(obj) -> MockEntry:
         raise ValueError(f"prompt_contains must be a string, got {pattern!r}")
     if role not in ("decomposer", "recomposer"):
         raise ValueError(f"role must be one of ['decomposer', 'recomposer'], got {role!r}")
-    text, total = response["text"], sum(logprobs)
+    try:
+        text, total = response["text"], sum(logprobs)
+    except OverflowError:  # a float plus an integer beyond any float
+        raise ValueError("log-probability beyond float range") from None
     if not isinstance(text, str) or not text:
         raise ValueError(f"generated text must be a non-empty string, got {text!r}")
     if any(0xD800 <= ord(char) <= 0xDFFF for char in text):
@@ -489,7 +492,7 @@ def script_entry(obj) -> MockEntry:
 def read_script_by_line(path) -> List[MockEntry]:
     """``MockBackend.from_script``'s reference: each line decoded, parsed and
     checked alone, in file order, every entry kept. Raises the same
-    ValueError for the first bad line."""
+    DatasetError for the first bad line."""
     entries = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -497,13 +500,21 @@ def read_script_by_line(path) -> List[MockEntry]:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
                 byte = exc.object[exc.start]
-                raise ValueError(f"bad mock script line {lineno}: byte {byte:#04x} is not UTF-8") from exc
+                raise DatasetError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from exc
             if not line.strip():
                 continue
             try:
-                entries.append(script_entry(json.loads(line.strip())))
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ValueError(f"bad mock script line {lineno}: {exc}") from exc
+                obj = json.loads(line.strip())
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an integer past the int-string limit
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            except RecursionError as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+            try:
+                entries.append(script_entry(obj))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     return entries
 
 

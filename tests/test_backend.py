@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import socket
 import sys
 import tempfile
@@ -44,6 +45,7 @@ from secondguess.backend import (
     TransportError,
     confidence_of,
 )
+from secondguess.dataset import DatasetError
 from secondguess.pipeline import Engine, PipelineConfig
 
 RECOMPOSER = BackendRole("recomposer")
@@ -385,22 +387,29 @@ def test_mock_script_roundtrip(tmp_path):
 
 
 def test_mock_script_byte_not_utf8_is_named_after_every_line_before_it(tmp_path):
-    """The file decodes ahead of the line it returns; a bad line before the
-    byte's line is still named first."""
+    """The file decodes ahead of the lines a chunk takes, and the byte's line
+    is found by counting newlines: on the first and the last line of a
+    chunk, and on a last line with no newline. A bad line before the byte's
+    line, in its chunk or the one before, is still named first."""
     line = (
         '{"match": {"prompt_contains": "hello", "role": "recomposer"}, '
-        '"response": {"text": "yes", "token_logprobs": [-0.105]}}\n'
+        '"response": {"text": "yes", "token_logprobs": [-0.105]}}'
     )
-    lines = [line] * 40
-    lines[30] = line.replace("yes", "yes" + NOT_UTF8)
     script = tmp_path / "script.jsonl"
-    script.write_bytes(raw("".join(lines)))
-    with pytest.raises(ValueError, match=r"^bad mock script line 31: byte 0xff is not UTF-8$"):
-        MockBackend.from_script(script)
-    lines[3] = "{not json\n"
-    script.write_bytes(raw("".join(lines)))
-    with pytest.raises(ValueError, match=r"^bad mock script line 4: "):
-        MockBackend.from_script(script)
+    for position in (1, 31, 256, 257, 300):
+        lines = [line] * 300
+        lines[position - 1] = line.replace("yes", "yes" + NOT_UTF8)
+        end = "\n" if position < len(lines) else ""
+        script.write_bytes(raw("\n".join(lines) + end))
+        where = re.escape(f"{script}:{position}: ")
+        with pytest.raises(DatasetError, match=f"^{where}byte 0xff is not UTF-8$"):
+            MockBackend.from_script(script)
+        if position > 1:
+            lines[position - 2] = "{not json"
+            script.write_bytes(raw("\n".join(lines) + end))
+            where = re.escape(f"{script}:{position - 1}: ")
+            with pytest.raises(DatasetError, match=f"^{where}invalid JSON \\("):
+                MockBackend.from_script(script)
 
 
 GOOD_LINE = (
@@ -421,6 +430,7 @@ SCRIPT_LINE_EDGES = {
     "int_400_digits": GOOD_LINE.replace("[-0.105]", f"[{-(10 ** 399)}]"),
     "int_4301_digits": GOOD_LINE.replace("[-0.105]", "[-" + "1" * 4301 + "]"),
     "int_sum_off_by_4": GOOD_LINE.replace("[-0.105]", f"[{TOO_FAR}, {TOO_FAR}, {TOO_FAR}]"),
+    "float_plus_int_beyond_float": GOOD_LINE.replace("[-0.105]", f"[-1e308, {-(10 ** 399)}]"),
     "nested_too_deep": NESTED_TOO_DEEP,
     "surrogate_escape": GOOD_LINE.replace('"yes"', '"ye\\ud800s"'),
     "text_empty": GOOD_LINE.replace('"yes"', '""'),
@@ -462,7 +472,7 @@ def random_script_line(rng: random.Random, ints: bool) -> str:
 
 
 def read_both(lines):
-    """(from_script's entries or ValueError message, the reference's) for a
+    """(from_script's entries or DatasetError message, the reference's) for a
     script of ``lines``, written with ``raw``. Each entry comes with the repr
     of its log-probabilities, which tells 0 from 0.0 and from -0.0."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -472,7 +482,7 @@ def read_both(lines):
         for read in (lambda p: MockBackend.from_script(p).entries, read_script_by_line):
             try:
                 outcomes.append([(e, repr(e.token_logprobs)) for e in read(path)])
-            except ValueError as exc:
+            except DatasetError as exc:
                 outcomes.append(str(exc))
     return outcomes
 
@@ -488,7 +498,7 @@ def test_mock_script_edge_line_reads_as_by_line(name):
         chunked, by_line = read_both(script)
         assert chunked == by_line
         if name not in GOOD_EDGES:
-            assert chunked.startswith(f"bad mock script line {position}: ")
+            assert chunked.partition(": ")[0].endswith(f"script.jsonl:{position}")
 
 
 @settings(max_examples=100, deadline=None)

@@ -52,3 +52,30 @@ def test_every_private_name_has_a_caller():
         lambda node: node.name.startswith("_") and not node.name.startswith("__")
     )
     assert not uncalled, "no caller in the package: " + ", ".join(uncalled)
+
+
+def _opens_for_reading(call) -> bool:
+    """An ``open(...)`` or ``x.open(...)`` call with no mode, or with a mode
+    that is not a string constant holding "w", "a" or "x"."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "open":
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > 1:
+        mode = call.args[1]
+    writes = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return not (writes and any(c in mode.value for c in "wax"))
+
+
+def test_only_dataset_opens_files_for_reading():
+    """Every input file is read through ``dataset.read_chunks``, so a check
+    of input bytes has one place to live."""
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _opens_for_reading(node)
+    )
+    assert not readers, "opens a file for reading: " + ", ".join(readers)

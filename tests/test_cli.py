@@ -378,8 +378,12 @@ def write_metrics(run_dir, metrics):
     run_dir.mkdir()
     if metrics is not None:
         text = metrics if isinstance(metrics, str) else json.dumps(metrics)
-        (run_dir / "metrics.json").write_text(text)
+        (run_dir / "metrics.json").write_bytes(raw(text))
     return str(run_dir)
+
+
+# A metrics.json whose third line holds a byte that is not UTF-8.
+METRICS_NOT_UTF8 = '{\n"surprisal": 2.0,\n"net_gain": 1.0, "x": "' + NOT_UTF8 + '"\n}\n'
 
 
 def test_fit_matches_linear_fit(runner, tmp_path):
@@ -407,9 +411,10 @@ def test_fit_matches_linear_fit(runner, tmp_path):
         {"surprisal": 2.0, "net_gain": "1.0"},
         {"surprisal": True, "net_gain": 1.0},
         NESTED_TOO_DEEP,
+        METRICS_NOT_UTF8,
     ],
     ids=["one_surprisal", "equal_surprisal", "missing", "torn", "not_object",
-         "no_net_gain", "net_gain_string", "surprisal_bool", "nested_too_deep"],
+         "no_net_gain", "net_gain_string", "surprisal_bool", "nested_too_deep", "not_utf8"],
 )
 def test_fit_exits_3(runner, tmp_path, second):
     first = write_metrics(tmp_path / "a", {"surprisal": 1.0, "net_gain": 1.0})
@@ -417,6 +422,8 @@ def test_fit_exits_3(runner, tmp_path, second):
     assert result.exit_code == 3
     errors = [line for line in result.stderr.splitlines() if line]
     assert len(errors) == 1 and errors[0].startswith("error: ")
+    if second == METRICS_NOT_UTF8:
+        assert f"{tmp_path / 'b' / 'metrics.json'}:3: byte 0xff is not UTF-8" in errors[0]
 
 
 def test_simulate_flat_curve_without_corrections(runner, tmp_path):
@@ -601,6 +608,8 @@ BAD_SCRIPTS = {
     "logprob_nan": script_line(token_logprobs=[float("nan")]),
     # 400 digits: under the int-string conversion limit, beyond any float.
     "logprob_beyond_float": script_line(token_logprobs=[-(10 ** 399)]),
+    # A float, then an integer that no float can be added to.
+    "logprob_sum_beyond_float": script_line(token_logprobs=[-1e308, -(10 ** 399)]),
     "nested_too_deep": NESTED_TOO_DEEP + "\n",
     "not_utf8": script_line(text="yes" + NOT_UTF8),
 }
@@ -622,7 +631,7 @@ def test_run_bad_mock_script_exits_2(runner, workspace, content):
     errors = [line for line in result.stderr.splitlines() if line]
     assert len(errors) == 1
     assert errors[0].startswith("error: cannot read mock script: ")
-    assert content is None or "bad mock script line 1" in errors[0]
+    assert content is None or errors[0].startswith(f"error: cannot read mock script: {script}:1: ")
     assert not out.exists()
 
 
@@ -1039,7 +1048,7 @@ def test_run_mock_script_unpaired_surrogate_exits_2(runner, workspace):
         ["run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out)],
     )
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: cannot read mock script: bad mock script line 2: ")
+    assert result.stderr.startswith(f"error: cannot read mock script: {script}:2: ")
     assert not out.exists()
 
 

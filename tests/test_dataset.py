@@ -73,18 +73,23 @@ def test_malformed_record_names_line(tmp_path, line):
 
 
 def test_byte_not_utf8_is_named_after_every_line_before_it(tmp_path):
-    """The file decodes ahead of the line it returns; a bad line before the
-    byte's line is still named first."""
+    """The file decodes ahead of the lines a chunk takes, and the byte's line
+    is found by counting newlines: on the first and the last line of a
+    chunk, and on a last line with no newline. A bad line before the byte's
+    line, in its chunk or the one before, is still named first."""
     path = tmp_path / "data.jsonl"
-    lines = [json.dumps({**GOOD, "id": f"q{i}"}) for i in range(40)]
-    lines[30] = lines[30].replace("raining", "rain" + NOT_UTF8)
-    path.write_bytes(raw("\n".join(lines) + "\n"))
-    with pytest.raises(DatasetError, match=r"data.jsonl:31: byte 0xff is not UTF-8$"):
-        dataset.load_dataset(path)
-    lines[3] = lines[2]
-    path.write_bytes(raw("\n".join(lines) + "\n"))
-    with pytest.raises(DatasetError, match=r"data.jsonl:4: duplicate id 'q2'$"):
-        dataset.load_dataset(path)
+    for position in (1, 31, 256, 257, 300):
+        lines = [json.dumps({**GOOD, "id": f"q{i}"}) for i in range(300)]
+        lines[position - 1] = lines[position - 1].replace("raining", "rain" + NOT_UTF8)
+        end = "\n" if position < len(lines) else ""
+        path.write_bytes(raw("\n".join(lines) + end))
+        with pytest.raises(DatasetError, match=rf"data.jsonl:{position}: byte 0xff is not UTF-8$"):
+            dataset.load_dataset(path)
+        if position > 1:
+            lines[position - 2] = "{not json"
+            path.write_bytes(raw("\n".join(lines) + end))
+            with pytest.raises(DatasetError, match=rf"data.jsonl:{position - 1}: invalid JSON \("):
+                dataset.load_dataset(path)
 
 
 @pytest.mark.parametrize("escape", UNPAIRED)

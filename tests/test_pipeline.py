@@ -654,7 +654,7 @@ def assert_reads_like_oracle(path):
 def test_read_episode_log_equals_line_by_line_oracle(tmp_path, monkeypatch, text):
     # Three lines a chunk: a bad line lands first, inside or last in a
     # chunk, and the last chunk is often partly full.
-    monkeypatch.setattr(pipeline, "_CHUNK_LINES", 3)
+    monkeypatch.setattr(pipeline, "CHUNK_LINES", 3)
     path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
     path.write_bytes(raw(text))
     assert_reads_like_oracle(path)
@@ -664,7 +664,7 @@ def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
     """Every bad field and line, at every line of a log of three chunks of
     three, failed and scorable records alternating, the last one in the old
     schema, which kept each record's transport retries."""
-    monkeypatch.setattr(pipeline, "_CHUNK_LINES", 3)
+    monkeypatch.setattr(pipeline, "CHUNK_LINES", 3)
     records = [
         log_record(f"e{i}", None if i % 2 else 0.5, "kept", True, False) for i in range(7)
     ]
@@ -699,18 +699,23 @@ def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
 
 
 def test_read_episode_log_names_a_bad_line_before_a_byte_not_utf8(tmp_path):
-    """The log decodes ahead of the lines a chunk takes; a bad line before
-    the byte's line is still named first."""
-    lines = [json.dumps(log_record(f"e{i}", 0.5, "kept", True, True)) for i in range(40)]
-    lines[30] = f'"x{NOT_UTF8}"'
-    path = tmp_path / "episodes.jsonl"
-    path.write_bytes(raw("\n".join(lines) + "\n"))
-    with pytest.raises(DatasetError, match=r"episodes.jsonl:31: byte 0xff is not UTF-8$"):
-        pipeline.read_episode_log(path)
-    lines[3] = lines[2]
-    path.write_bytes(raw("\n".join(lines) + "\n"))
-    with pytest.raises(DatasetError, match=r"episodes.jsonl:4: duplicate id 'e2'$"):
-        pipeline.read_episode_log(path)
+    """The log decodes ahead of the lines a chunk takes, and the byte's line
+    is found by counting newlines: on the first and the last line of a
+    chunk, and on a last line with no newline. A bad line before the byte's
+    line, in its chunk or the one before, is still named first."""
+    for position in (1, 31, 256, 257, 300):
+        lines = [json.dumps(log_record(f"e{i}", 0.5, "kept", True, True)) for i in range(300)]
+        lines[position - 1] = f'"x{NOT_UTF8}"'
+        path = tmp_path / "episodes.jsonl"
+        end = "\n" if position < len(lines) else ""
+        path.write_bytes(raw("\n".join(lines) + end))
+        with pytest.raises(DatasetError, match=rf"episodes.jsonl:{position}: byte 0xff is not UTF-8$"):
+            pipeline.read_episode_log(path)
+        if position > 1:
+            lines[position - 2] = lines[0]
+            path.write_bytes(raw("\n".join(lines) + end))
+            with pytest.raises(DatasetError, match=rf"episodes.jsonl:{position - 1}: duplicate id"):
+                pipeline.read_episode_log(path)
 
 
 def test_read_episode_log_keeps_no_dict_per_episode(tmp_path):
