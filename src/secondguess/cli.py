@@ -2,7 +2,8 @@
 and simulator into reproducible runs.
 
 `run` is the one command that runs the chain and writes an episode log, in
-any of the seven modes; `metrics` and `sweep` only read a log. Exit codes: 0
+any of the seven modes; `metrics` and `sweep` only read a log, whose columns
+``pipeline.read_episode_log`` caches next to it. Exit codes: 0
 success, 1 completed with failed episodes in the whole log (no metrics.json
 if all failed), 2 config validation, 3 dataset error. All outputs go under
 --out; every run directory gets a manifest recording the resolved config, its
@@ -172,6 +173,18 @@ def _load_questions(path):
         _fail(EXIT_DATASET, str(exc))
 
 
+def _from_log(log_path, compute):
+    """``compute`` of the columns of the episode log at ``log_path``, or exit
+    3 when the log is missing or cannot be read, or ``compute`` raises
+    ValueError (no episode to count)."""
+    if not Path(log_path).exists():
+        _fail(EXIT_DATASET, f"episode log not found: {log_path}")
+    try:
+        return compute(pipeline.read_episode_log(log_path))
+    except (OSError, DatasetError, ValueError) as exc:
+        _fail(EXIT_DATASET, str(exc))
+
+
 def _write_manifest(out_dir: Path, cfg: dict, started: str, extra: dict) -> None:
     canonical = json.dumps(cfg, sort_keys=True)
     manifest = {
@@ -215,15 +228,11 @@ def cmd_run(config_path, **flags) -> None:
     episodes_path = out_dir / "episodes.jsonl"
     try:
         try:
-            summary = pipeline.run(questions, pcfg, engine, episodes_path)
+            summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
         finally:
             for backend in (engine.recomposer, engine.decomposer):
                 if isinstance(backend, HTTPBackend):
                     backend.close()
-        # Free the backends (a mock's script and index) before the log is
-        # read back.
-        del engine
-        log = pipeline.read_episode_log(episodes_path)
     except DatasetError as exc:
         _fail(EXIT_DATASET, str(exc))
     _write_manifest(out_dir, cfg, started, asdict(summary))
@@ -250,12 +259,7 @@ def cmd_sweep(log_path, percentiles, out) -> None:
     """Offline threshold sweep over a decompose-all episode log; no model
     calls."""
     grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
-    if not Path(log_path).exists():
-        _fail(EXIT_DATASET, f"episode log not found: {log_path}")
-    try:
-        points = evaluation.sweep(pipeline.read_episode_log(log_path), grid)
-    except (OSError, DatasetError, ValueError) as exc:
-        _fail(EXIT_DATASET, str(exc))
+    points = _from_log(log_path, lambda log: evaluation.sweep(log, grid))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
@@ -364,20 +368,16 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     """Recompute the metrics report (and sweep CSV) from an episode log."""
     if tau is not None and not 0.0 <= tau <= 1.0:
         _fail(EXIT_CONFIG, "tau must be in [0, 1]")
-    if not Path(log_path).exists():
-        _fail(EXIT_DATASET, f"episode log not found: {log_path}")
     qtype_map = None
     if dataset_path:
         qtype_map = {q.id: q.qtype for q in _load_questions(dataset_path)}
-    try:
-        log = pipeline.read_episode_log(log_path)
-        report = evaluation.compute_report(log, tau=tau, qtype_map=qtype_map)
-    except (OSError, DatasetError, ValueError) as exc:
-        _fail(EXIT_DATASET, str(exc))
+    report, points = _from_log(log_path, lambda log: (
+        evaluation.compute_report(log, tau=tau, qtype_map=qtype_map),
+        evaluation.sweep(log, DEFAULT_PERCENTILES),
+    ))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "metrics.json", asdict(report))
-    points = evaluation.sweep(log, DEFAULT_PERCENTILES)
     evaluation.write_sweep_csv(points, out_dir / "sweep.csv")
     click.echo(f"wrote metrics.json and sweep.csv -> {out_dir}")
 

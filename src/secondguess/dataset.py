@@ -100,13 +100,15 @@ def _question_from_obj(obj, where: str) -> VisualQuestion:
 CHUNK_LINES = 256
 
 
-def read_chunks(path, size: int) -> Iterator[Tuple[int, List[str]]]:
+def read_chunks(path, size: int, digest=None) -> Iterator[Tuple[int, List[str]]]:
     """(first line's number, lines) for each run of ``size`` lines of a file,
     the last run partly full: the one reader of input files. A strict decode
     runs ahead of the lines it returns and cannot name a line, so each run
-    is checked once. A byte that is not UTF-8 raises DatasetError naming
-    ``path:line`` once the lines before it are yielded, for a reader to name
-    an earlier bad line first."""
+    is checked once, by encoding it. A byte that is not UTF-8 raises
+    DatasetError naming ``path:line`` once the lines before it are yielded,
+    for a reader to name an earlier bad line first. A ``digest`` (a hashlib
+    object) is updated with each run's encoded bytes before the run is
+    yielded: at the end of a file it holds the digest of the file's text."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for start in itertools.count(1, size):
             lines = list(itertools.islice(fh, size))
@@ -114,13 +116,15 @@ def read_chunks(path, size: int) -> Iterator[Tuple[int, List[str]]]:
                 return
             text = "".join(lines)
             try:
-                text.encode("utf-8")
+                data = text.encode("utf-8")
             except UnicodeEncodeError as exc:
                 bad = text.count("\n", 0, exc.start)
                 # surrogateescape decodes the byte b as the code point U+DC00 + b.
                 problem = f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8"
                 yield start, lines[:bad]
                 raise DatasetError(f"{path}:{start + bad}: {problem}") from exc
+            if digest is not None:
+                digest.update(data)
             yield start, lines
 
 

@@ -9,20 +9,30 @@ the sub-QAs come from: ``direct`` keeps every answer; ``decompose_all`` and
 ``selective`` (confidence at or below tau) use a model-written subquestion
 answered by the model; the oracle modes second-guess every question with its
 human-written sub-QAs, as given, stripped, scrambled or self-answered. Every
-question yields one auditable EpisodeRecord, and the log is written once, at
-the end of the run.
+question yields one auditable EpisodeRecord; ``run`` appends a run's new
+records to the log once, at the end of the run, and returns the whole log's
+columns.
+
+``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``,
+parsing each line on its own, and caches the columns in a file next to the
+log, keyed by the digest of the log's text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import threading
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,23 +357,30 @@ def _chunk_columns(records: list, seen: set):
     )
 
 
+# The whitespace json.loads allows around a value. str.strip would also take
+# characters such as \x1f or \u3000, which json.loads rejects.
+_JSON_WHITESPACE = " \t\r\n"
+# json.loads's scanner without its whitespace handling: the value that
+# starts at an index, and the index after it.
+_scan = json.JSONDecoder().scan_once
+
+
 def _read_chunk(path, start: int, lines: List[str], seen: set):
-    """``_chunk_columns`` of the log lines numbered from ``start``, their
-    non-blank ones parsed by one json.loads (``dataset.CHUNK_LINES`` gives
-    the chunk size and why). A chunk that fails is re-read line by line, each
-    record checked alone, raising the DatasetError of its first bad line."""
-    values = [line for line in lines if not line.isspace()]
-    # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
-    # int-string conversion limit a plain ValueError.
+    """``_chunk_columns`` of the log lines numbered from ``start``, each
+    non-blank one parsed on its own (``dataset.CHUNK_LINES`` gives the chunk
+    size and why). A chunk that fails is re-read line by line, each record
+    checked alone, raising the DatasetError of its first bad line."""
+    values = [line.strip(_JSON_WHITESPACE) for line in lines if not line.isspace()]
+    # A comprehension, as map would end early at a StopIteration. A line with
+    # no value raises StopIteration, bad JSON a JSONDecodeError, an integer
+    # past the interpreter's int-string conversion limit a plain ValueError.
     try:
-        records = json.loads("[" + ",".join(values) + "]")
-    except (ValueError, RecursionError):
-        records = None
-    # A line that holds two values, or a torn line the next one completes,
-    # changes the count. (A log crafted to do both at once, into records
-    # that pass every check, is read as the records it parses to.)
-    if records is not None and len(records) == len(values):
-        columns = _chunk_columns(records, seen)
+        parsed = [_scan(value, 0) for value in values]
+    except (StopIteration, ValueError, RecursionError):
+        parsed = None
+    # The scanner stops after one value, so a line that holds more ends early.
+    if parsed is not None and [end for _, end in parsed] == list(map(len, values)):
+        columns = _chunk_columns([record for record, _ in parsed], seen)
         if not isinstance(columns, str):
             return columns
     line_seen = set(seen)
@@ -374,19 +391,117 @@ def _read_chunk(path, start: int, lines: List[str], seen: set):
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
 
 
-def read_episode_log(path) -> evaluation.EpisodeColumns:
-    """The columns of a JSONL episode log, read CHUNK_LINES lines at a time
-    with no dict kept per episode. A line that is no JSON object, lacks a
-    field the evaluation reads, repeats an id or holds a byte that is not
-    UTF-8 raises DatasetError naming ``path:line``, for the first such line
-    in the file."""
-    seen = set()
-    chunks = [_read_chunk(path, start, lines, seen) for start, lines in read_chunks(path, CHUNK_LINES)]
-    # An empty chunk types the columns of an empty log.
-    ids, *columns = zip(_read_chunk(path, 1, [], seen), *chunks)
+def _joined(chunks) -> evaluation.EpisodeColumns:
+    """One EpisodeColumns of ``_chunk_columns`` tuples, in order."""
+    # An empty chunk types the columns of no chunks.
+    ids, *columns = zip(_chunk_columns([], set()), *chunks)
     return evaluation.EpisodeColumns(
         list(itertools.chain.from_iterable(ids)), *map(np.concatenate, columns)
     )
+
+
+def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
+    """The columns of a JSONL episode log, read CHUNK_LINES lines at a time
+    with no dict kept per episode; ``digest`` as in ``dataset.read_chunks``."""
+    seen = set()
+    return _joined(
+        _read_chunk(path, start, lines, seen)
+        for start, lines in read_chunks(path, CHUNK_LINES, digest)
+    )
+
+
+# A log's columns are cached in a file next to it, under a key: this format,
+# then the SHA-256 of the log's text. Change the format whenever what the
+# columns hold, or which logs ``_parse_log`` accepts, changes.
+_CACHE_FORMAT = "secondguess-columns-1"
+_BOOL_COLUMNS = ("failed", "second_guessed", "correct_before", "correct_after")
+
+
+def _cache_key(digest) -> bytes:
+    return f"{_CACHE_FORMAT} {digest.hexdigest()}".encode("ascii")
+
+
+def _cached(cache: Path):
+    """(key, EpisodeColumns) from a cache file, or None when there is none or
+    it is no cache ``_write_cache`` wrote: unreadable, not a zip of arrays
+    (a pickle is never loaded), or holding columns of the wrong length or
+    dtype."""
+    try:
+        # Read whole, as np.load leaves a file open when its zip is damaged.
+        with np.load(io.BytesIO(cache.read_bytes()), allow_pickle=False) as npz:
+            # A zip member that is no .npy file loads as bytes.
+            key, ids, confidence, *flags = (
+                np.asarray(npz[name]) for name in ("key", "ids", "confidence", *_BOOL_COLUMNS)
+            )
+        ids = json.loads(ids.tobytes())
+    # What a damaged file raises, from zipfile, zlib, numpy or json: a .npy
+    # file loads as one array, which is no context manager (TypeError); a
+    # damaged zip header can name an unsupported feature (NotImplementedError,
+    # a RuntimeError) and deep JSON nesting raises RecursionError (another).
+    except (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
+            zipfile.BadZipFile, zlib.error):
+        return None
+    if not (isinstance(ids, list) and set(map(type, ids)) <= {str}):
+        return None
+    dtypes = [(confidence, np.float64)] + [(flag, np.bool_) for flag in flags]
+    if not all(a.dtype == dtype and a.shape == (len(ids),) for a, dtype in dtypes):
+        return None
+    return key.tobytes(), evaluation.EpisodeColumns(
+        ids=ids, confidence=confidence, **dict(zip(_BOOL_COLUMNS, flags))
+    )
+
+
+def _write_cache(cache: Path, key: bytes, log: evaluation.EpisodeColumns) -> None:
+    """Write the columns to the cache file through a temporary file, or
+    nothing when the directory cannot be written. The ids are stored as the
+    bytes of one json.dumps: a numpy string array would drop an id's
+    trailing NULs and hold four bytes per character."""
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                key=np.frombuffer(key, dtype=np.uint8),
+                ids=np.frombuffer(json.dumps(log.ids).encode("utf-8"), dtype=np.uint8),
+                confidence=log.confidence,
+                **{name: getattr(log, name) for name in _BOOL_COLUMNS},
+            )
+        os.replace(tmp, cache)
+    except OSError:
+        # A read-only file system refuses even to unlink a missing file.
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def read_episode_log(path) -> evaluation.EpisodeColumns:
+    """The columns of a JSONL episode log. A line that is no JSON object,
+    lacks a field the evaluation reads, repeats an id or holds a byte that is
+    not UTF-8 raises DatasetError naming ``path:line``, for the first such
+    line in the file.
+
+    The columns of a log that reads without error are cached next to it, in
+    ``<log>.columns.npz``, and a later read of the same text returns them: a
+    cache is checked by reading the log once for its digest, and a log
+    without a matching cache is parsed and hashed in one read. A missing,
+    stale or broken cache, or a directory that cannot be written, only
+    costs the parse."""
+    cache = Path(f"{path}.columns.npz")
+    cached = _cached(cache)
+    if cached is not None:
+        digest = hashlib.sha256()
+        try:
+            for _ in read_chunks(path, CHUNK_LINES, digest):
+                pass
+        except DatasetError:  # the parse below names the first bad line
+            pass
+        else:
+            key, log = cached
+            if key == _cache_key(digest):
+                return log
+    digest = hashlib.sha256()
+    log = _parse_log(path, digest)
+    _write_cache(cache, _cache_key(digest), log)
+    return log
 
 
 def _initial(engine: Engine, question: VisualQuestion) -> Optional[AnswerOutcome]:
@@ -404,7 +519,7 @@ def run(
     cfg: PipelineConfig,
     engine: Engine,
     sink_path,
-) -> RunSummary:
+) -> Tuple[RunSummary, evaluation.EpisodeColumns]:
     """Run one pipeline mode over the questions into a resumable JSONL sink.
 
     Questions whose ids the sink already holds are skipped, so the finished
@@ -412,15 +527,15 @@ def run(
     Each pending question's chain is one task, and the new episodes are
     appended in dataset order once the last one is done. Per-episode backend
     failures are isolated into failed records; only dataset/config problems
-    abort the run.
+    abort the run. Returns the summary and the whole log's columns: those
+    of the log as the run found it, then the new episodes'.
     """
     sink_path = Path(sink_path)
-    summary = RunSummary()
-    if sink_path.exists():
-        log = read_episode_log(sink_path)
-        summary.episodes, summary.failures = len(log.ids), int(log.failed.sum())
-        done = set(log.ids)
-        questions = [q for q in questions if q.id not in done]
+    # The run appends to the log, so its columns are not cached.
+    log = _parse_log(sink_path) if sink_path.exists() else _joined([])
+    summary = RunSummary(episodes=len(log.ids), failures=int(log.failed.sum()))
+    done = set(log.ids)
+    questions = [q for q in questions if q.id not in done]
     if cfg.mode in ORACLE_MODES:
         usable = [q for q in questions if q.oracle_sub_qas]
         summary.skipped_missing_oracle = len(questions) - len(usable)
@@ -456,4 +571,13 @@ def run(
     with open(sink_path, "a", encoding="utf-8") as fh:
         for ep in episodes:
             fh.write(ep.to_json() + "\n")
-    return summary
+    new = (
+        [ep.id for ep in episodes],
+        np.array([ep.failed for ep in episodes], dtype=bool),
+        np.array([ep.initial.confidence for ep in episodes], dtype=float),
+        np.array([ep.gate == "second_guessed" for ep in episodes], dtype=bool),
+        np.array([ep.correct_before for ep in episodes], dtype=bool),
+        np.array([ep.correct_after for ep in episodes], dtype=bool),
+    )
+    # vars holds a dataclass's fields in their order.
+    return summary, _joined([vars(log).values(), new])

@@ -1,12 +1,16 @@
+import errno
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -22,7 +26,7 @@ from conftest import (
     write_script,
 )
 import secondguess
-from secondguess import cli, dataset
+from secondguess import cli, dataset, pipeline
 from secondguess.backend import HTTPBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
@@ -769,6 +773,128 @@ def test_resumed_run_counts_failures_of_the_whole_log(runner, tmp_path):
         assert json.loads((out / "metrics.json").read_text())["failures"] == 1
 
 
+def metrics_outputs(runner, log, out):
+    """The bytes of metrics.json and sweep.csv that `metrics --log` writes."""
+    result = runner.invoke(main, ["metrics", "--log", str(log), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return (out / "metrics.json").read_bytes(), (out / "sweep.csv").read_bytes()
+
+
+def test_run_metrics_are_metrics_of_its_log(runner, workspace):
+    """A fresh run and one that resumes it write the metrics.json that
+    `metrics --log` computes from a copy of the log, and a run directory
+    holds only the run's three files: no cache of the log's columns."""
+    tmp, data, script = workspace
+    half = tmp / "half.jsonl"
+    dataset.save_dataset(dataset.load_dataset(data)[:4], half)
+    out = tmp / "out"
+    for number, questions in enumerate((half, data)):
+        result = run_cli(runner, ["run", "--dataset", str(questions), "--mock-script",
+                                  str(script), "--mode", "selective", "--tau", "0.3",
+                                  "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sorted(os.listdir(out)) == ["episodes.jsonl", "manifest.json", "metrics.json"]
+        copy = tmp / f"copy{number}"
+        copy.mkdir()
+        shutil.copy(out / "episodes.jsonl", copy)
+        recount = run_cli(runner, ["metrics", "--log", str(copy / "episodes.jsonl"),
+                                   "--dataset", str(questions), "--tau", "0.3",
+                                   "--out", str(copy)])
+        assert recount.exit_code == 0, recount.output
+        assert (copy / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+    assert json.loads((out / "metrics.json").read_text())["n"] == 8
+
+
+class Trap:
+    """Unpickling it creates the file ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return Path.touch, (self.path,)
+
+
+def damage_cache(cache, kind, trap):
+    """Replace a cache written for its log by a damaged one of ``kind``."""
+    whole = cache.read_bytes()
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    cache.unlink()
+    if kind == "truncated":
+        cache.write_bytes(whole[:-100])
+    elif kind == "not_a_zip":
+        cache.write_text("not a zip\n")
+    elif kind == "pickle":
+        cache.write_bytes(pickle.dumps({"arrays": arrays, "trap": Trap(trap)}))
+    elif kind == "npy_of_objects":
+        with open(cache, "wb") as fh:
+            np.save(fh, np.array([Trap(trap)], dtype=object), allow_pickle=True)
+    elif kind == "directory":
+        cache.mkdir()
+    else:
+        # The key of the log's text, with one column that is no column of it.
+        if kind == "objects":
+            arrays["ids"] = np.array([Trap(trap)], dtype=object)
+        elif kind == "short":
+            arrays["correct_after"] = arrays["correct_after"][:-1]
+        elif kind == "float32":
+            arrays["confidence"] = arrays["confidence"].astype(np.float32)
+        else:
+            arrays["failed"] = arrays["failed"].astype(np.int8)
+        with open(cache, "wb") as fh:
+            np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["truncated", "not_a_zip", "pickle", "npy_of_objects", "directory", "objects", "short",
+     "float32", "int8_flags"],
+)
+def test_metrics_reads_past_a_damaged_cache(runner, tmp_path, kind):
+    """`metrics --log` over a log whose cache is damaged writes what it
+    writes over the log alone, loads no pickle, and replaces a cache file."""
+    log = tmp_path / "episodes.jsonl"
+    log.write_text("".join(json.dumps({**GOOD_EPISODE, "id": f"q{i}", "correct_after": i % 2 == 0})
+                           + "\n" for i in range(5)))
+    expected = metrics_outputs(runner, log, tmp_path / "fresh")
+    cache = Path(f"{log}.columns.npz")
+    trap = tmp_path / "unpickled"
+    damage_cache(cache, kind, trap)
+    assert metrics_outputs(runner, log, tmp_path / "out") == expected
+    assert not trap.exists()
+    assert sorted(os.listdir(tmp_path)) == ["episodes.jsonl", "episodes.jsonl.columns.npz",
+                                            "fresh", "out"]
+    assert cache.is_dir() == (kind == "directory")
+    if kind != "directory":
+        with np.load(cache) as npz:
+            assert npz["ids"].dtype == np.uint8 and npz["confidence"].dtype == np.float64
+
+
+def test_metrics_over_a_read_only_directory_writes_no_cache(runner, tmp_path, monkeypatch):
+    """A log in a directory that cannot be written reads as it does with a
+    cache, every time, and no file is left next to it."""
+    log_dir = tmp_path / "logs"
+    log_dir.mkdir()
+    log = log_dir / "episodes.jsonl"
+    log.write_text("".join(json.dumps({**GOOD_EPISODE, "id": f"q{i}"}) + "\n" for i in range(3)))
+    expected = metrics_outputs(runner, log, tmp_path / "fresh")
+    Path(f"{log}.columns.npz").unlink()
+    log_dir.chmod(0o555)
+    try:
+        if os.access(log_dir, os.W_OK):
+            # Root writes whatever the mode says: refuse the cache's write.
+            def refuse(path, *args, **kwargs):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+            monkeypatch.setattr(pipeline, "open", refuse, raising=False)
+        for out in ("out", "again"):
+            assert metrics_outputs(runner, log, tmp_path / out) == expected
+            assert os.listdir(log_dir) == ["episodes.jsonl"]
+    finally:
+        log_dir.chmod(0o755)
+
+
 GOOD_EPISODE = {
     "id": "q1",
     "initial": {"text": "yes", "confidence": 0.9},
@@ -806,6 +932,8 @@ MALFORMED_LINES = {
     "nested_too_deep": NESTED_TOO_DEEP,
     "not_utf8": bad_episode(id="x" + NOT_UTF8),
     "long_integer": bad_episode(n=LONG_INTEGER),
+    # No JSON alone, but comma-joined with line 3 it is two valid records.
+    "crafted_pair": bad_episode()[:-1] + ', "y": [1\n2]}, ' + bad_episode(id="z"),
 }
 
 
@@ -834,12 +962,15 @@ def test_malformed_episode_log_exits_3(runner, workspace, command, content):
                 "--mode", "direct"]
     else:
         args = [command, "--log", str(log)]
-    result = runner.invoke(main, args + ["--out", str(out)])
-    assert result.exit_code == 3
-    errors = [line for line in result.stderr.splitlines() if line]
-    assert errors == [errors[0]] and errors[0].startswith("error: ")
-    assert f"{log}:2" in errors[0]
-    assert not (out / "metrics.json").exists()
+    # The log leaves no cache, so a second read finds the same line.
+    for _ in range(2):
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 3
+        errors = [line for line in result.stderr.splitlines() if line]
+        assert errors == [errors[0]] and errors[0].startswith("error: ")
+        assert f"{log}:2" in errors[0]
+        assert not (out / "metrics.json").exists()
+        assert not Path(f"{log}.columns.npz").exists()
 
 
 @pytest.mark.parametrize("command", ["metrics", "sweep", "run"])

@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import threading
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,7 +291,7 @@ def test_oracle_skips_questions_without_subqas(tmp_path):
     )
     cfg = PipelineConfig(mode="oracle_oracle")
     sink = tmp_path / "episodes.jsonl"
-    summary = pipeline.run(questions, cfg, engine, sink)
+    summary, _ = pipeline.run(questions, cfg, engine, sink)
     assert len(read_records(sink)) == summary.episodes == 2
     assert summary.skipped_missing_oracle == 1
 
@@ -316,8 +318,8 @@ def test_run_resume_no_duplicates(tmp_path):
     pipeline.run(questions[:2], cfg, engine1, sink)  # interrupted run
 
     engine2, _ = make_engine(FOUR_EPISODE_SPECS)
-    summary = pipeline.run(questions, cfg, engine2, sink)
-    assert pipeline.read_episode_log(sink).ids == ["q1", "q2", "q3", "q4"]
+    summary, log = pipeline.run(questions, cfg, engine2, sink)
+    assert log.ids == pipeline.read_episode_log(sink).ids == ["q1", "q2", "q3", "q4"]
     assert summary.new_episodes == 2
     # Only the two missing questions hit the backend on resume.
     assert engine2.recomposer_calls == 2 * 3
@@ -415,7 +417,8 @@ def run_chain(sink, mode, concurrency, drop_recompose_of=None, failures=1, **thr
         threshold = {"tau": CHAIN_TAU}
     cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
     engine = Engine(recomposer=flaky, decomposer=flaky)
-    return pipeline.run(questions, cfg, engine, sink), flaky
+    summary, _ = pipeline.run(questions, cfg, engine, sink)
+    return summary, flaky
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
@@ -589,18 +592,29 @@ def log_record(eid, confidence, gate, before, after) -> dict:
     return record
 
 
+# Id endings a numpy string array would drop or a JSON line escapes: a NUL,
+# a newline and an unpaired surrogate.
+ID_ENDINGS = ["", "\x00", "\n", "\ud800"]
+# Characters str.strip takes from a line but json.loads rejects around a value.
+NOT_JSON_WHITESPACE = ["\x1f", "\x0b", "\u3000"]
+
+
 @st.composite
 def episode_logs(draw):
     """The text of a log of valid records, blank lines among them, and at
     most one corrupted line anywhere: torn, two values on one line, one or
-    two wrong types or values, a repeated id, a NaN confidence, or a \\ud
+    two wrong types or values, a repeated id, a NaN confidence, a \\ud
     escape in a string, which may leave an unpaired surrogate (a log's
-    strings are not checked for one)."""
+    strings are not checked for one), a character that is no JSON whitespace
+    before the value, or a crafted pair of lines that are no JSON alone but
+    join, comma-separated, into two valid records."""
     rows = draw(st.lists(LOG_ROWS, max_size=12))
-    records = [log_record(f"e{i}", *row) for i, row in enumerate(rows)]
+    ids = [f"e{i}" + draw(st.sampled_from(ID_ENDINGS)) for i in range(len(rows))]
+    records = [log_record(eid, *row) for eid, row in zip(ids, rows)]
     lines = [json.dumps(record) for record in records]
     kind = draw(st.sampled_from(
-        [None, "torn", "two_values", "field", "non_record", "duplicate", "nan", "surrogate"]
+        [None, "torn", "two_values", "field", "non_record", "duplicate", "nan", "surrogate",
+         "padded", "crafted_pair"]
     ))
     if kind and lines:
         at = draw(st.integers(0, len(lines) - 1))
@@ -616,11 +630,18 @@ def episode_logs(draw):
         elif kind == "non_record":
             lines[at] = draw(st.sampled_from(NON_RECORDS))
         elif kind == "duplicate":
-            lines[at] = json.dumps({**record, "id": f"e{draw(st.integers(0, len(lines) - 1))}"})
+            lines[at] = json.dumps({**record, "id": ids[draw(st.integers(0, len(lines) - 1))]})
         elif kind == "surrogate":
             escape = draw(st.sampled_from(UNPAIRED + NOT_UNPAIRED))
             field = draw(st.sampled_from(['"id": "', '"text": "']))
             lines[at] = line.replace(field, field + escape, 1)
+        elif kind == "padded":
+            lines[at] = draw(st.sampled_from(NOT_JSON_WHITESPACE)) + line
+        elif kind == "crafted_pair":
+            if len(lines) > 1:
+                first = min(at, len(lines) - 2)
+                lines[first] = lines[first][:-1] + ', "y": [1'
+                lines[first + 1] = "2]}, " + lines[first + 1]
         else:
             lines[at] = json.dumps({**record, "initial": {"text": "", "confidence": math.nan}})
     text = "".join(draw(st.sampled_from(["", "\n", "  \n"])) + line + "\n" for line in lines)
@@ -628,21 +649,32 @@ def episode_logs(draw):
 
 
 def assert_reads_like_oracle(path):
-    """read_episode_log gives the oracle's columns, or raises its error."""
+    """read_episode_log gives the oracle's columns, or raises its error, on a
+    first read and on a second. A log that reads leaves a cache file, which
+    the second read takes as it is; a log that does not leaves none."""
+    cache = Path(f"{path}.columns.npz")
     try:
         expected = read_log_by_line(path)
     except DatasetError as exc:
-        with pytest.raises(DatasetError) as raised:
-            pipeline.read_episode_log(path)
-        assert str(raised.value) == str(exc)
+        for _ in range(2):
+            with pytest.raises(DatasetError) as raised:
+                pipeline.read_episode_log(path)
+            assert str(raised.value) == str(exc)
+            assert not cache.exists()
         return
-    log = pipeline.read_episode_log(path)
-    for field in fields(log):
-        got, want = getattr(log, field.name), getattr(expected, field.name)
-        if field.name == "ids":
-            assert got == want
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    written = None
+    for _ in range(2):
+        log = pipeline.read_episode_log(path)
+        for field in fields(log):
+            got, want = getattr(log, field.name), getattr(expected, field.name)
+            if field.name == "ids":
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        # A rewrite replaces the file, whose inode then changes.
+        stat = cache.stat()
+        assert written in (None, (stat.st_ino, stat.st_mtime_ns))
+        written = (stat.st_ino, stat.st_mtime_ns)
 
 
 @settings(
@@ -716,6 +748,45 @@ def test_read_episode_log_names_a_bad_line_before_a_byte_not_utf8(tmp_path):
             path.write_bytes(raw("\n".join(lines) + end))
             with pytest.raises(DatasetError, match=rf"episodes.jsonl:{position - 1}: duplicate id"):
                 pipeline.read_episode_log(path)
+
+
+def test_read_episode_log_serves_no_stale_cache(tmp_path):
+    """A log appended to, or edited at equal length with its times put
+    back, after its columns were cached is read as it is now."""
+    path = tmp_path / "episodes.jsonl"
+    lines = [json.dumps(log_record(f"e{i}", 0.5, "kept", True, False)) for i in range(3)]
+    path.write_text("".join(line + "\n" for line in lines))
+    assert_reads_like_oracle(path)
+    times = path.stat()
+    path.write_text("".join(line.replace("0.5", "0.7") + "\n" for line in lines))
+    os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
+    assert path.stat().st_size == times.st_size
+    assert_reads_like_oracle(path)
+    assert pipeline.read_episode_log(path).confidence.tolist() == [0.7] * 3
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(log_record("e3", 0.25, "kept", False, True)) + "\n")
+    assert_reads_like_oracle(path)
+    assert pipeline.read_episode_log(path).ids == ["e0", "e1", "e2", "e3"]
+
+
+def test_read_episode_log_reads_past_a_damaged_cache(tmp_path):
+    """A cache cut short at every 13th length, or with every 17th byte
+    changed, is read as the log's columns or as no cache."""
+    path = tmp_path / "episodes.jsonl"
+    path.write_text("".join(
+        json.dumps(log_record(f"e{i}\x00", 0.5, "kept", True, i % 2 == 0)) + "\n"
+        for i in range(3)
+    ))
+    cache = Path(f"{path}.columns.npz")
+    assert_reads_like_oracle(path)
+    whole = cache.read_bytes()
+    damaged = [whole[:size] for size in range(0, len(whole), 13)]
+    damaged += [
+        whole[:at] + bytes([whole[at] ^ 0xFF]) + whole[at + 1:] for at in range(0, len(whole), 17)
+    ]
+    for blob in damaged:
+        cache.write_bytes(blob)
+        assert_reads_like_oracle(path)
 
 
 def test_read_episode_log_keeps_no_dict_per_episode(tmp_path):
