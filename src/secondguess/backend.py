@@ -20,7 +20,7 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
-from .dataset import CHUNK_LINES, DatasetError, parse_jsonl_lines, read_chunks
+from .dataset import CHUNK_LINES, parse_chunk, read_chunks
 
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
@@ -30,6 +30,8 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 
 class BackendError(Exception):
     """Base class for backend failures."""
+
+    retries = 0  # the failed call's transport retries before it raised
 
 
 class TransportError(BackendError):
@@ -145,17 +147,15 @@ def _with_retries(
     base_delay: float,
     sleep: Callable[[float], None],
 ) -> InferenceResult:
-    last: Optional[TransportError] = None
-    for attempt in range(attempts):
+    for attempt in itertools.count():
         try:
             result = fn()
             return replace(result, retries=attempt) if attempt else result
-        except TransportError as exc:
-            last = exc
-            if attempt + 1 < attempts:
-                sleep(base_delay * (2 ** attempt))
-    assert last is not None
-    raise last
+        except BackendError as exc:
+            exc.retries = attempt
+            if not isinstance(exc, TransportError) or attempt + 1 >= attempts:
+                raise
+            sleep(base_delay * (2 ** attempt))
 
 
 class HTTPBackend:
@@ -313,13 +313,14 @@ class MockBackend:
     @classmethod
     def from_script(cls, path) -> "MockBackend":
         """The backend of the script at ``path``, read CHUNK_LINES lines at a
-        time, so that memory grows with the entries, not with the file. A
-        chunk that ``_chunk_entries`` does not accept is re-read line by
-        line, which raises the DatasetError of its first bad ``path:line``."""
+        time, so that memory grows with the entries, not with the file. Each
+        chunk goes through ``dataset.parse_chunk`` with ``_chunk_entries`` as
+        its check, which raises the DatasetError of the first bad
+        ``path:line``. The lines are passed stripped, so a line may hold any
+        whitespace that str.strip removes around its JSON."""
         entries: List[MockEntry] = []
         for start, lines in read_chunks(path, CHUNK_LINES):
-            checked = _chunk_entries(lines)
-            entries += _script_entries(path, start, lines) if checked is None else checked
+            entries += parse_chunk(path, start, [line.strip() for line in lines], _chunk_entries)
         return cls(entries)
 
     def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
@@ -352,30 +353,15 @@ class MockBackend:
         return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
 
 
-# json.loads less its type and whitespace handling: lines come stripped.
-_decode = json.JSONDecoder().raw_decode
-
-
-def _chunk_entries(lines: List[str]) -> Optional[List[MockEntry]]:
-    """The entries of a chunk of script lines, or None. Each non-blank line
-    is parsed on its own, and each field is checked over the whole chunk at
-    once. The checks are those of ``_script_entry``, except that a
-    log-probability must be a float: integers, which ``sum`` adds exactly
-    before it rounds, are left to ``_script_entry``'s sum check. So a chunk
-    accepted here gives the entries that ``_script_entries`` gives."""
-    stripped = [line for line in map(str.strip, lines) if line]
+def _float_entries(objs: list) -> Optional[List[MockEntry]]:
+    """The entries of parsed script lines, or None. Each field is checked
+    over all the lines at once, with the checks of ``_script_entry`` except
+    that a log-probability must be a float: integers, which ``sum`` adds
+    exactly before it rounds, are left to ``_script_entry``'s sum check. So
+    lines accepted here give the entries that ``_script_entry`` gives."""
     try:
-        parsed = list(map(_decode, stripped))
-    # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
-    # int-string conversion limit a plain ValueError.
-    except (ValueError, RecursionError):
-        return None
-    # raw_decode stops after one value, so a line that holds more ends early.
-    if [end for _, end in parsed] != list(map(len, stripped)):
-        return None
-    try:
-        matches = [obj["match"] for obj, _ in parsed]
-        responses = [obj["response"] for obj, _ in parsed]
+        matches = [obj["match"] for obj in objs]
+        responses = [obj["response"] for obj in objs]
         patterns = [match["prompt_contains"] for match in matches]
         roles = [match["role"] for match in matches]
         texts = [response["text"] for response in responses]
@@ -403,17 +389,14 @@ def _chunk_entries(lines: List[str]) -> Optional[List[MockEntry]]:
     return list(map(MockEntry, patterns, roles, texts, map(tuple, logprobs)))
 
 
-def _script_entries(path, start: int, lines: List[str]) -> List[MockEntry]:
-    """The entries of script lines numbered from ``start``, each parsed and
-    checked alone; a bad line raises DatasetError naming ``path:line``. A
-    line may hold any whitespace that str.strip removes around its JSON."""
-    entries = []
-    for lineno, obj in parse_jsonl_lines(path, start, map(str.strip, lines)):
-        try:
-            entries.append(_script_entry(obj["match"], obj["response"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    return entries
+def _chunk_entries(objs: list):
+    """``from_script``'s check: the entries of parsed script lines, from
+    ``_float_entries`` or else from ``_script_entry`` line by line, or the
+    problem (a string) of the first line that ``_script_entry`` rejects."""
+    try:
+        return _float_entries(objs) or [_script_entry(o["match"], o["response"]) for o in objs]
+    except (KeyError, TypeError, ValueError) as exc:
+        return str(exc)
 
 
 def _script_entry(match: dict, response: dict) -> MockEntry:

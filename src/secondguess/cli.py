@@ -3,12 +3,13 @@ and simulator into reproducible runs.
 
 `run` is the one command that runs the chain and writes an episode log, in
 any of the seven modes; `metrics` and `sweep` only read a log, whose columns
-``pipeline.read_episode_log`` caches next to it. Exit codes: 0
-success, 1 completed with failed episodes in the whole log (no metrics.json
-if all failed), 2 config validation, 3 dataset error. All outputs go under
---out; every run directory gets a manifest recording the resolved config, its
-hash, the seed, timestamps, the whole log's episode and failure counts, and
-this invocation's backend calls and transport retries.
+``pipeline.read_episode_log`` caches next to it. Exit codes: 0 success, 1
+completed with failed episodes in the whole log (no metrics.json if all
+failed), 2 config validation (a ConfigError), 3 dataset error (a
+DatasetError). All outputs go under --out; every run directory gets a
+manifest recording the resolved config, its hash, the seed, timestamps, the
+whole log's episode and failure counts, and this invocation's backend calls
+and transport retries.
 """
 
 from __future__ import annotations
@@ -101,14 +102,20 @@ def _checked(key: str, kind, value):
     return kind(value)
 
 
+def _read_setting(read, path, what: str):
+    """``read(path)`` for a file that configures a run; its DatasetError is
+    raised again as a ConfigError that says the ``what`` cannot be read."""
+    try:
+        return read(path)
+    except DatasetError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def _load_config(config_path, flags: dict) -> dict:
     """Resolve every option from flags, the --config file and the defaults."""
     file_cfg = {}
     if config_path:
-        try:
-            file_cfg = dataset.read_json(config_path)
-        except (OSError, DatasetError) as exc:
-            _fail(EXIT_CONFIG, f"cannot read config file: {exc}")
+        file_cfg = _read_setting(dataset.read_json, config_path, "config file")
         if not isinstance(file_cfg, dict):
             _fail(EXIT_CONFIG, "config file must hold a JSON object")
         unknown = set(file_cfg) - {key for key, *_ in OPTIONS}
@@ -131,10 +138,7 @@ def _load_config(config_path, flags: dict) -> dict:
 def _build_engine(cfg: dict) -> Engine:
     style = cfg["decomposer_prompt_style"]
     if cfg.get("mock_script"):
-        try:
-            mock = MockBackend.from_script(cfg["mock_script"])
-        except (OSError, DatasetError) as exc:
-            _fail(EXIT_CONFIG, f"cannot read mock script: {exc}")
+        mock = _read_setting(MockBackend.from_script, cfg["mock_script"], "mock script")
         return Engine(recomposer=mock, decomposer=mock, decomposer_prompt_style=style)
     if not cfg.get("recomposer_url"):
         _fail(EXIT_CONFIG, "one of mock_script / recomposer_url is required")
@@ -150,38 +154,22 @@ def _build_engine(cfg: dict) -> Engine:
     )
 
 
-def _pipeline_config(cfg: dict) -> PipelineConfig:
-    try:
-        return PipelineConfig(
-            mode=cfg["mode"],
-            tau=cfg.get("tau"),
-            tau_percentile=cfg.get("tau_percentile"),
-            seed=cfg["seed"],
-            concurrency=cfg["concurrency"],
-            scoring=cfg["scoring"],
-        )
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-
 def _load_questions(path):
     if not path:
         _fail(EXIT_CONFIG, "dataset path is required")
-    try:
-        return dataset.load_dataset(path)
-    except (OSError, DatasetError) as exc:
-        _fail(EXIT_DATASET, str(exc))
+    return dataset.load_dataset(path)
 
 
 def _from_log(log_path, compute):
     """``compute`` of the columns of the episode log at ``log_path``, or exit
-    3 when the log is missing or cannot be read, or ``compute`` raises
-    ValueError (no episode to count)."""
+    3 when the log is missing or ``compute`` raises ValueError (no episode to
+    count)."""
     if not Path(log_path).exists():
         _fail(EXIT_DATASET, f"episode log not found: {log_path}")
+    log = pipeline.read_episode_log(log_path)
     try:
-        return compute(pipeline.read_episode_log(log_path))
-    except (OSError, DatasetError, ValueError) as exc:
+        return compute(log)
+    except ValueError as exc:
         _fail(EXIT_DATASET, str(exc))
 
 
@@ -205,7 +193,17 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps a ConfigError of any command to exit 2, a DatasetError to 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, DatasetError) as exc:
+            _fail(EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATASET, str(exc))
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main() -> None:
     """Selective question decomposition runner and evaluation harness."""
@@ -218,7 +216,14 @@ def cmd_run(config_path, **flags) -> None:
     cfg = _load_config(config_path, flags)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     questions = _load_questions(cfg.get("dataset"))
-    pcfg = _pipeline_config(cfg)
+    pcfg = PipelineConfig(
+        mode=cfg["mode"],
+        tau=cfg.get("tau"),
+        tau_percentile=cfg.get("tau_percentile"),
+        seed=cfg["seed"],
+        concurrency=cfg["concurrency"],
+        scoring=cfg["scoring"],
+    )
     if pcfg.mode in pipeline.ORACLE_MODES and not any(q.oracle_sub_qas for q in questions):
         _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
     # Built before out/ exists, so a bad backend config writes nothing.
@@ -227,14 +232,11 @@ def cmd_run(config_path, **flags) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     episodes_path = out_dir / "episodes.jsonl"
     try:
-        try:
-            summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
-        finally:
-            for backend in (engine.recomposer, engine.decomposer):
-                if isinstance(backend, HTTPBackend):
-                    backend.close()
-    except DatasetError as exc:
-        _fail(EXIT_DATASET, str(exc))
+        summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
+    finally:
+        for backend in (engine.recomposer, engine.decomposer):
+            if isinstance(backend, HTTPBackend):
+                backend.close()
     _write_manifest(out_dir, cfg, started, asdict(summary))
     qtype_map = {q.id: q.qtype for q in questions}
     try:
@@ -272,18 +274,12 @@ def cmd_sweep(log_path, percentiles, out) -> None:
 @click.option("--output", "output_path", type=click.Path(), required=True)
 def cmd_convert(input_path, output_path) -> None:
     """Convert winoground-style records into the canonical VQA schema."""
-    questions, warnings, records = [], 0, 0
-    try:
-        for lineno, record in dataset.read_jsonl(input_path):
-            try:
-                converted, warned = dataset.convert_winoground([record])
-            except DatasetError as exc:
-                _fail(EXIT_DATASET, f"{input_path}:{lineno}: {exc}")
-            questions += converted
-            warnings += warned
-            records += 1
-    except (OSError, DatasetError) as exc:  # unreadable, or a line is no JSON
-        _fail(EXIT_DATASET, str(exc))
+    questions, warnings = [], 0
+    for start, lines in dataset.read_chunks(input_path, dataset.CHUNK_LINES):
+        converted, warned = dataset.parse_chunk(input_path, start, lines, dataset.winoground_chunk)
+        questions += converted
+        warnings += warned
+    records = len(questions) // 4  # four questions a record
     dataset.save_dataset(questions, output_path)
     click.echo(
         f"converted {records} records into {len(questions)} questions "
@@ -343,7 +339,7 @@ def cmd_fit(run_dirs) -> None:
         try:
             metrics = dataset.read_json(path)
             point = (metrics["surprisal"], metrics["net_gain"])
-        except (OSError, DatasetError, KeyError, TypeError) as exc:
+        except (DatasetError, KeyError, TypeError) as exc:
             _fail(EXIT_DATASET, f"cannot read surprisal and net_gain from {path}: {exc!r}")
         if point[0] is None:
             continue

@@ -1,4 +1,5 @@
-"""Dataset ingestion and conversion into the canonical question stream.
+"""Dataset ingestion and conversion into the canonical question stream, and
+the one reader and parser of input files.
 
 Canonical format is JSONL, one object per line:
 {"id", "image", "question", "answers", "qtype"?, "sub_qas"?}.
@@ -56,47 +57,44 @@ def _is_sub_qa(pair) -> bool:
     )
 
 
-def _question_from_obj(obj, where: str) -> VisualQuestion:
+def _question_from_obj(obj) -> VisualQuestion:
     if not isinstance(obj, dict):
-        raise DatasetError(f"{where}: expected a JSON object")
+        raise DatasetError("expected a JSON object")
     for key in ("id", "image", "question", "answers"):
         if key not in obj:
-            raise DatasetError(f"{where}: missing field {key!r}")
+            raise DatasetError(f"missing field {key!r}")
         if key != "answers" and not isinstance(obj[key], str):
-            raise DatasetError(f"{where}: field {key!r} must be a string")
+            raise DatasetError(f"field {key!r} must be a string")
     if not obj["question"]:
-        raise DatasetError(f"{where}: field 'question' must not be empty")
+        raise DatasetError("field 'question' must not be empty")
     answers = obj["answers"]
     if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
-        raise DatasetError(f"{where}: 'answers' must be a list of strings")
+        raise DatasetError("'answers' must be a list of strings")
     sub_qas = obj.get("sub_qas")
     if sub_qas is not None:
         if not (isinstance(sub_qas, list) and all(map(_is_sub_qa, sub_qas))):
             raise DatasetError(
-                f"{where}: 'sub_qas' must be a list of [question, answer] pairs"
+                "'sub_qas' must be a list of [question, answer] pairs"
                 " with a non-empty question"
             )
         sub_qas = tuple(SubQA(question=q, answer=a) for q, a in sub_qas)
-    try:
-        return VisualQuestion(
-            id=obj["id"],
-            image=obj["image"],
-            question=obj["question"],
-            answers=tuple(answers),
-            qtype=obj.get("qtype", "other"),
-            oracle_sub_qas=sub_qas,
-        )
-    except DatasetError as exc:
-        raise DatasetError(f"{where}: {exc}") from exc
+    return VisualQuestion(
+        id=obj["id"],
+        image=obj["image"],
+        question=obj["question"],
+        answers=tuple(answers),
+        qtype=obj.get("qtype", "other"),
+        oracle_sub_qas=sub_qas,
+    )
 
 
-# Lines per chunk of every JSONL reader. The episode-log reader parses a
-# chunk with one json.loads call, and while it checks the chunk holds about
-# three dicts per line. At 4,096 lines that many set off a full (gen-2)
-# garbage collection in a cold process; at 256 they stay in cache and are
-# freed before the cyclic GC promotes them. On a 2-vCPU VM with Python 3.11,
-# two cold reads of an 8,000-line log took a median 33 ms at 256 lines and
-# 49 ms at 4,096 (128 to 1,024 lines: 33 to 41 ms).
+# Lines per chunk of every JSONL reader. While a chunk is checked it holds
+# about three dicts per episode-log line. At 4,096 lines that many set off a
+# full (gen-2) garbage collection in a cold process; at 256 they are freed
+# before the cyclic GC promotes them. On a 2-vCPU VM with Python 3.11, two
+# cold reads of an 8,000-line log, parsing each chunk with one json.loads
+# call, took a median 33 ms at 256 lines and 49 ms at 4,096 (128 to 1,024
+# lines: 33 to 41 ms); ``parse_chunk``'s per-line parse was not timed so.
 CHUNK_LINES = 256
 
 
@@ -108,24 +106,28 @@ def read_chunks(path, size: int, digest=None) -> Iterator[Tuple[int, List[str]]]
     DatasetError naming ``path:line`` once the lines before it are yielded,
     for a reader to name an earlier bad line first. A ``digest`` (a hashlib
     object) is updated with each run's encoded bytes before the run is
-    yielded: at the end of a file it holds the digest of the file's text."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for start in itertools.count(1, size):
-            lines = list(itertools.islice(fh, size))
-            if not lines:
-                return
-            text = "".join(lines)
-            try:
-                data = text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                bad = text.count("\n", 0, exc.start)
-                # surrogateescape decodes the byte b as the code point U+DC00 + b.
-                problem = f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8"
-                yield start, lines[:bad]
-                raise DatasetError(f"{path}:{start + bad}: {problem}") from exc
-            if digest is not None:
-                digest.update(data)
-            yield start, lines
+    yielded: at the end of a file it holds the digest of the file's text. An
+    OSError from opening or reading is raised as a DatasetError."""
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for start in itertools.count(1, size):
+                lines = list(itertools.islice(fh, size))
+                if not lines:
+                    return
+                text = "".join(lines)
+                try:
+                    data = text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    bad = text.count("\n", 0, exc.start)
+                    # surrogateescape decodes the byte b as the code point U+DC00 + b.
+                    problem = f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8"
+                    yield start, lines[:bad]
+                    raise DatasetError(f"{path}:{start + bad}: {problem}") from exc
+                if digest is not None:
+                    digest.update(data)
+                yield start, lines
+    except OSError as exc:
+        raise DatasetError(str(exc)) from exc
 
 
 def read_json(path):
@@ -139,44 +141,78 @@ def read_json(path):
         raise DatasetError(str(exc)) from exc
 
 
-def read_jsonl(path) -> Iterator[Tuple[int, object]]:
-    """Yield (line number, parsed value) for each non-blank line of a JSONL
-    file; a line that is no JSON, nests too deep to parse, holds a string
-    that UTF-8 cannot encode or a byte that is not UTF-8 raises DatasetError
-    naming ``path:line``."""
-    for start, lines in read_chunks(path, CHUNK_LINES):
-        # JSON may escape an unpaired surrogate, which a UTF-8 file written
-        # from the value cannot hold. Only a \ud escape decodes to one.
-        escaped = any("\\ud" in line or "\\uD" in line for line in lines)
-        for lineno, obj in parse_jsonl_lines(path, start, lines):
-            if escaped:
-                try:
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise DatasetError(
-                        f"{path}:{lineno}: a string holds the unpaired surrogate"
-                        f" {exc.object[exc.start]!r}"
-                    ) from exc
-            yield lineno, obj
+# The whitespace json.loads allows around a value. str.strip would also take
+# characters such as \x1f or \u3000, which json.loads rejects.
+_JSON_WHITESPACE = " \t\r\n"
+# json.loads's scanner without its whitespace handling: the value that
+# starts at an index, and the index after it.
+_scan = json.JSONDecoder().scan_once
 
 
-def parse_jsonl_lines(path, start: int, lines: Iterable[str]) -> Iterator[Tuple[int, object]]:
-    """(line number, parsed value) for each non-blank line of ``lines``, read
-    from ``path`` and numbered from ``start``. A line that is no JSON, nests
-    too deep to parse or holds an integer past the interpreter's int-string
-    conversion limit raises DatasetError naming ``path:line``."""
+def parse_chunk(path, start: int, lines: List[str], check):
+    """``check(values)`` of the values of the non-blank JSONL ``lines`` read
+    from ``path`` and numbered from ``start``, each line parsed on its own.
+    ``check`` returns a result, or a problem as a string: then, as when a
+    line is no JSON, each line is parsed and checked alone, in order, and
+    the first bad one raises DatasetError naming ``path:line``."""
+    values = [line.strip(_JSON_WHITESPACE) for line in lines if line and not line.isspace()]
+    # A comprehension, as map would end early at a StopIteration. A line with
+    # no value raises StopIteration, bad JSON a JSONDecodeError, an integer
+    # past the interpreter's int-string conversion limit a plain ValueError.
+    try:
+        parsed = [_scan(value, 0) for value in values]
+    except (StopIteration, ValueError, RecursionError):
+        parsed = None
+    # The scanner stops after one value, so a line that holds more ends early.
+    if parsed is not None and [end for _, end in parsed] == list(map(len, values)):
+        result = check([value for value, _ in parsed])
+        if not isinstance(result, str):
+            return result
     for lineno, line in enumerate(lines, start):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            obj = json.loads(line)
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         except ValueError as exc:  # an integer past the int-string conversion limit
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
-        yield lineno, obj
+        problem = check([value])
+        if isinstance(problem, str):
+            raise DatasetError(f"{path}:{lineno}: {problem}")
+    raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
+
+
+def _no_unpaired_surrogate(values) -> None:
+    """JSON may escape an unpaired surrogate, which a UTF-8 file written from
+    ``values`` cannot hold: a string that holds one raises DatasetError."""
+    try:
+        json.dumps(values, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        problem = f"a string holds the unpaired surrogate {exc.object[exc.start]!r}"
+        raise DatasetError(problem) from exc
+    # The encoder runs a few frames deeper than the parse that took the value.
+    except RecursionError as exc:
+        raise DatasetError("invalid JSON (nested too deeply)") from exc
+
+
+def _questions(values: list, seen: set):
+    """The questions of parsed dataset lines, or the problem of the first
+    rule one breaks: no unpaired surrogate, a question's fields, no id
+    repeated here or from ``seen``, which then takes the new ids."""
+    try:
+        _no_unpaired_surrogate(values)
+        questions = [_question_from_obj(obj) for obj in values]
+    except DatasetError as exc:
+        return str(exc)
+    ids = [q.id for q in questions]
+    fresh = set(ids)
+    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
+        return f"duplicate id {ids[0]!r}"
+    seen |= fresh
+    return questions
 
 
 def load_dataset(path) -> List[VisualQuestion]:
@@ -187,12 +223,8 @@ def load_dataset(path) -> List[VisualQuestion]:
     """
     questions: List[VisualQuestion] = []
     seen = set()
-    for lineno, obj in read_jsonl(path):
-        q = _question_from_obj(obj, f"{path}:{lineno}")
-        if q.id in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate id {q.id!r}")
-        seen.add(q.id)
-        questions.append(q)
+    for start, lines in read_chunks(path, CHUNK_LINES):
+        questions += parse_chunk(path, start, lines, lambda values: _questions(values, seen))
     return questions
 
 
@@ -216,17 +248,17 @@ def save_dataset(questions: Iterable[VisualQuestion], path) -> None:
             fh.write(json.dumps(question_to_obj(q), ensure_ascii=False) + "\n")
 
 
-def convert_winoground(records: Iterable[dict]):
+def convert_winoground(records: list):
     """Reformulate caption-matching records as boolean VQA.
 
     Each record contributes four questions: every (image, caption) pairing
     is asked 'does "<caption>" describe the image?', labeled "yes" when the
     indices match and "no" otherwise. Records whose two captions are
     identical get contradictory labels; they are kept but counted as
-    warnings so dataset arithmetic stays intact.
+    warnings so dataset arithmetic stays intact. Every record is checked
+    before any is converted, so a list that raises DatasetError logs no
+    warning.
     """
-    questions: List[VisualQuestion] = []
-    warnings = 0
     for record in records:
         if not isinstance(record, dict):
             raise DatasetError("winoground record must be a JSON object")
@@ -235,6 +267,9 @@ def convert_winoground(records: Iterable[dict]):
                 raise DatasetError(f"winoground record missing field {key!r}")
             if not isinstance(record[key], str):
                 raise DatasetError(f"winoground field {key!r} must be a string")
+    questions: List[VisualQuestion] = []
+    warnings = 0
+    for record in records:
         if record["caption_0"] == record["caption_1"]:
             warnings += 1
             logger.warning(
@@ -254,6 +289,16 @@ def convert_winoground(records: Iterable[dict]):
                     )
                 )
     return questions, warnings
+
+
+def winoground_chunk(values: list):
+    """``convert_winoground`` of parsed caption-matching lines, with no
+    unpaired surrogate, or the problem of the first bad one."""
+    try:
+        _no_unpaired_surrogate(values)
+        return convert_winoground(values)
+    except DatasetError as exc:
+        return str(exc)
 
 
 def stats(questions: List[VisualQuestion]) -> dict:

@@ -13,9 +13,10 @@ question yields one auditable EpisodeRecord; ``run`` appends a run's new
 records to the log once, at the end of the run, and returns the whole log's
 columns.
 
-``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``,
-parsing each line on its own, and caches the columns in a file next to the
-log, keyed by the digest of the log's text.
+``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``
+through ``dataset.parse_chunk``, the one parse of JSONL input, with
+``_chunk_columns`` as the check of each chunk, and caches the columns in a
+file next to the log, keyed by the digest of the log's text.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import CHUNK_LINES, DatasetError, VisualQuestion, parse_jsonl_lines, read_chunks
+from .dataset import CHUNK_LINES, DatasetError, VisualQuestion, parse_chunk, read_chunks
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -162,7 +163,7 @@ class Engine:
         self._lock = threading.Lock()
         self.recomposer_calls = 0
         self.decomposer_calls = 0
-        self.retries = 0  # transport retries of the calls that returned
+        self.retries = 0  # transport retries of every call, failed or not
 
     def _call(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
         with self._lock:
@@ -171,7 +172,12 @@ class Engine:
             else:
                 self.decomposer_calls += 1
         backend = self.recomposer if role is RECOMPOSER else self.decomposer
-        result = backend.complete(request, role)
+        try:
+            result = backend.complete(request, role)
+        except BackendError as exc:
+            with self._lock:
+                self.retries += exc.retries
+            raise
         with self._lock:
             self.retries += result.retries
         return result
@@ -357,40 +363,6 @@ def _chunk_columns(records: list, seen: set):
     )
 
 
-# The whitespace json.loads allows around a value. str.strip would also take
-# characters such as \x1f or \u3000, which json.loads rejects.
-_JSON_WHITESPACE = " \t\r\n"
-# json.loads's scanner without its whitespace handling: the value that
-# starts at an index, and the index after it.
-_scan = json.JSONDecoder().scan_once
-
-
-def _read_chunk(path, start: int, lines: List[str], seen: set):
-    """``_chunk_columns`` of the log lines numbered from ``start``, each
-    non-blank one parsed on its own (``dataset.CHUNK_LINES`` gives the chunk
-    size and why). A chunk that fails is re-read line by line, each record
-    checked alone, raising the DatasetError of its first bad line."""
-    values = [line.strip(_JSON_WHITESPACE) for line in lines if not line.isspace()]
-    # A comprehension, as map would end early at a StopIteration. A line with
-    # no value raises StopIteration, bad JSON a JSONDecodeError, an integer
-    # past the interpreter's int-string conversion limit a plain ValueError.
-    try:
-        parsed = [_scan(value, 0) for value in values]
-    except (StopIteration, ValueError, RecursionError):
-        parsed = None
-    # The scanner stops after one value, so a line that holds more ends early.
-    if parsed is not None and [end for _, end in parsed] == list(map(len, values)):
-        columns = _chunk_columns([record for record, _ in parsed], seen)
-        if not isinstance(columns, str):
-            return columns
-    line_seen = set(seen)
-    for lineno, record in parse_jsonl_lines(path, start, lines):
-        problem = _chunk_columns([record], line_seen)
-        if isinstance(problem, str):
-            raise DatasetError(f"{path}:{lineno}: {problem}")
-    raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
-
-
 def _joined(chunks) -> evaluation.EpisodeColumns:
     """One EpisodeColumns of ``_chunk_columns`` tuples, in order."""
     # An empty chunk types the columns of no chunks.
@@ -402,10 +374,12 @@ def _joined(chunks) -> evaluation.EpisodeColumns:
 
 def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read CHUNK_LINES lines at a time
-    with no dict kept per episode; ``digest`` as in ``dataset.read_chunks``."""
+    with no dict kept per episode, each chunk by ``dataset.parse_chunk`` with
+    ``_chunk_columns`` as its check; ``digest`` as in
+    ``dataset.read_chunks``."""
     seen = set()
     return _joined(
-        _read_chunk(path, start, lines, seen)
+        parse_chunk(path, start, lines, lambda records: _chunk_columns(records, seen))
         for start, lines in read_chunks(path, CHUNK_LINES, digest)
     )
 

@@ -79,3 +79,23 @@ def test_only_dataset_opens_files_for_reading():
         if isinstance(node, ast.Call) and _opens_for_reading(node)
     )
     assert not readers, "opens a file for reading: " + ", ".join(readers)
+
+
+# The names through which json builds a parser of its own.
+PARSER_NAMES = {"JSONDecoder", "scan_once", "raw_decode"}
+
+
+def test_only_dataset_builds_a_json_parser():
+    """JSONL input is parsed by ``dataset.parse_chunk`` alone, so line
+    numbers, the parse and its errors have one place to live. Whole-value
+    ``json.loads`` calls (a response body, a cache's ids) are no JSONL
+    parse."""
+    parsers = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        in PARSER_NAMES
+    })
+    assert not parsers, "builds a JSON parser: " + ", ".join(parsers)

@@ -365,6 +365,27 @@ def test_convert_malformed_record_exits_3(runner, tmp_path, line):
     assert not converted.exists()
 
 
+@pytest.mark.parametrize("field_at, json_at", [(2, 5), (256, 257)], ids=["one_chunk", "two_chunks"])
+def test_convert_names_a_field_error_before_later_bad_json(runner, tmp_path, field_at, json_at):
+    """A record with a bad field is named before a later line that is no
+    JSON: in one chunk, and on the last line of a chunk before the next
+    chunk's first."""
+    source = tmp_path / "winoground.jsonl"
+    lines = [WINOGROUND_LINE.replace('"w0"', f'"w{i}"') for i in range(300)]
+    lines[field_at - 1] = WINOGROUND_LINE.replace('"a.png"', "7")
+    lines[json_at - 1] = "{not json"
+    source.write_text("".join(line + "\n" for line in lines))
+    converted = tmp_path / "converted.jsonl"
+    result = runner.invoke(
+        main, ["convert", "--input", str(source), "--output", str(converted)]
+    )
+    assert result.exit_code == 3
+    assert result.stderr == (
+        f"error: {source}:{field_at}: winoground field 'image_0' must be a string\n"
+    )
+    assert not converted.exists()
+
+
 def test_simulate_prints_closed_form(runner, tmp_path):
     # c06's reference operating point, whose closed form is 0.8276.
     args = ["--acc", "0.7793", "--ecr", "0.5151", "--eic", "0.0839"]
@@ -1009,6 +1030,22 @@ def test_unreadable_input_exits_3(runner, tmp_path, command):
     assert not (out / "metrics.json").exists()
 
 
+def test_run_over_an_unreadable_log_exits_3(runner, workspace):
+    """An episodes.jsonl that cannot be read is a dataset error of `run` as
+    of `metrics` and `sweep`, not a traceback."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    (out / "episodes.jsonl").mkdir(parents=True)
+    result = runner.invoke(
+        main, ["run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out)]
+    )
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert str(out / "episodes.jsonl") in errors[0]
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "url", ["notaurl", "ftp://x", "http://", "http://u:pw@host", "http://host:99999"]
 )
@@ -1299,6 +1336,24 @@ def test_metrics_missing_log_exits_3_before_out(runner, workspace):
     )
     assert result.exit_code == 3
     assert result.stderr == f"error: episode log not found: {log}\n"
+    assert not out.exists()
+
+
+def test_metrics_missing_log_and_bad_dataset_names_the_dataset_line(runner, workspace):
+    """The dataset is read before the log is looked for, so its bad line is
+    what a run with both faults names."""
+    tmp, data, _ = workspace
+    out = tmp / "out"
+    bad = tmp / "bad.jsonl"
+    bad.write_text(data.read_text() + "{not json\n")
+    lineno = len(data.read_text().splitlines()) + 1
+    result = runner.invoke(
+        main,
+        ["metrics", "--log", str(tmp / "missing.jsonl"), "--dataset", str(bad),
+         "--out", str(out)],
+    )
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"error: {bad}:{lineno}: invalid JSON (")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -90,6 +91,37 @@ def test_byte_not_utf8_is_named_after_every_line_before_it(tmp_path):
             path.write_bytes(raw("\n".join(lines) + end))
             with pytest.raises(DatasetError, match=rf"data.jsonl:{position - 1}: invalid JSON \("):
                 dataset.load_dataset(path)
+
+
+@pytest.mark.parametrize("field_at, json_at", [(2, 5), (256, 257)], ids=["one_chunk", "two_chunks"])
+def test_field_error_is_named_before_later_bad_json(tmp_path, field_at, json_at):
+    """A record with a bad field is named before a later line that is no
+    JSON: in one chunk, and on the last line of a chunk before the next
+    chunk's first."""
+    path = tmp_path / "data.jsonl"
+    lines = [json.dumps({**GOOD, "id": f"q{i}"}) for i in range(300)]
+    lines[field_at - 1] = json.dumps({**GOOD, "id": "bad", "answers": "yes"})
+    lines[json_at - 1] = "{not json"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(
+        DatasetError, match=rf"data.jsonl:{field_at}: 'answers' must be a list of strings$"
+    ):
+        dataset.load_dataset(path)
+
+
+def test_nesting_near_the_recursion_limit_loads_or_is_named(tmp_path):
+    """A value nested up to and past what the interpreter can parse or
+    encode back loads, or is named as nested too deeply: it never ends in a
+    RecursionError."""
+    path = tmp_path / "data.jsonl"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit // 2, limit + 5):
+        nested = "[" * depth + "]" * depth
+        path.write_text(json.dumps(GOOD)[:-1] + f', "x": {nested}}}\n')
+        try:
+            dataset.load_dataset(path)
+        except DatasetError as exc:
+            assert str(exc) == f"{path}:1: invalid JSON (nested too deeply)"
 
 
 @pytest.mark.parametrize("escape", UNPAIRED)

@@ -514,10 +514,22 @@ def test_transport_faults_change_no_log_byte(
     assert logs[0] == logs[1]
     called = {call.request_id for call in flaky.inner.call_log}
     assert flaky.injected == {r: n for r, n in faults.items() if n and r in called}
-    # A call that fails in the end returns no result, so its faults count in
-    # no total: with its recompose entry dropped, q2's recompose is that call.
-    failed_call = f"{drop_recompose_of}#recompose"
-    assert summary.retries == sum(n for r, n in flaky.injected.items() if r != failed_call)
+    # With its recompose entry dropped, q2's recompose call fails in the end
+    # (a script miss after its faults), and its retries count too.
+    assert summary.retries == sum(flaky.injected.values())
+
+
+@pytest.mark.parametrize("stage", ["initial", "recompose"])
+def test_spent_retry_budget_counts_its_retries(tmp_path, stage):
+    """A call whose every attempt fails makes attempts - 1 retries, which
+    the run counts although the call returns no result."""
+    summary, flaky = run_chain(
+        tmp_path / "episodes.jsonl", "decompose_all", 1,
+        failures={f"q1#{stage}": DEFAULT_RETRY_ATTEMPTS},
+    )
+    assert flaky.injected == {f"q1#{stage}": DEFAULT_RETRY_ATTEMPTS}
+    assert summary.failures == 1
+    assert summary.retries == DEFAULT_RETRY_ATTEMPTS - 1
 
 
 def test_no_barrier_without_percentile_tau():
