@@ -7,11 +7,14 @@ Canonical format is JSONL, one object per line:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
+
+import orjson
 
 from .evaluation import normalize_answer
 from .prompts import SubQA
@@ -94,22 +97,26 @@ def _question_from_obj(obj) -> VisualQuestion:
 # before the cyclic GC promotes them. On a 2-vCPU VM with Python 3.11, two
 # cold reads of an 8,000-line log, parsing each chunk with one json.loads
 # call, took a median 33 ms at 256 lines and 49 ms at 4,096 (128 to 1,024
-# lines: 33 to 41 ms); ``parse_chunk``'s per-line parse was not timed so.
+# lines: 33 to 41 ms). The per-line orjson parse of ``parse_chunk`` was not
+# timed at other sizes.
 CHUNK_LINES = 256
 
 
 def read_chunks(path, size: int, digest=None) -> Iterator[Tuple[int, List[str]]]:
     """(first line's number, lines) for each run of ``size`` lines of a file,
-    the last run partly full: the one reader of input files. A strict decode
-    runs ahead of the lines it returns and cannot name a line, so each run
-    is checked once, by encoding it. A byte that is not UTF-8 raises
-    DatasetError naming ``path:line`` once the lines before it are yielded,
-    for a reader to name an earlier bad line first. A ``digest`` (a hashlib
-    object) is updated with each run's encoded bytes before the run is
-    yielded: at the end of a file it holds the digest of the file's text. An
-    OSError from opening or reading is raised as a DatasetError."""
+    the last run partly full: the one reader of input files. Each line keeps
+    its end as the file holds it: LF, CR LF or CR. A strict decode runs
+    ahead of the lines it returns and cannot name a line, so each run is
+    checked once, by encoding it. A byte that is not UTF-8 raises DatasetError
+    naming ``path:line`` once the lines before it are yielded, for a reader
+    to name an earlier bad line first. A ``digest`` (a hashlib object) is
+    updated with each run's encoded bytes before the run is yielded: at the
+    end of a file it holds the digest of the file's bytes, as ``hash_file``
+    does. An OSError from opening or reading is raised as a DatasetError."""
     try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # newline="" splits lines as text mode does but keeps their ends, so
+        # a run's encoded bytes are the file's.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             for start in itertools.count(1, size):
                 lines = list(itertools.islice(fh, size))
                 if not lines:
@@ -118,7 +125,8 @@ def read_chunks(path, size: int, digest=None) -> Iterator[Tuple[int, List[str]]]
                 try:
                     data = text.encode("utf-8")
                 except UnicodeEncodeError as exc:
-                    bad = text.count("\n", 0, exc.start)
+                    ends = list(itertools.accumulate(map(len, lines)))
+                    bad = bisect.bisect_right(ends, exc.start)
                     # surrogateescape decodes the byte b as the code point U+DC00 + b.
                     problem = f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8"
                     yield start, lines[:bad]
@@ -130,56 +138,102 @@ def read_chunks(path, size: int, digest=None) -> Iterator[Tuple[int, List[str]]]
         raise DatasetError(str(exc)) from exc
 
 
+def hash_file(path, digest) -> None:
+    """Update ``digest`` (a hashlib object) with the bytes of the file at
+    ``path``, read in blocks with no decode: for a file that is UTF-8, the
+    digest ``read_chunks`` gives it. An OSError raises DatasetError."""
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise DatasetError(str(exc)) from exc
+
+
 def read_json(path):
     """The value of a JSON file, read by ``read_chunks``. A file that is no
     JSON, nests too deep or holds an integer past the int-string conversion
     limit raises DatasetError with the decoder's message."""
-    lines = itertools.chain.from_iterable(lines for _, lines in read_chunks(path, CHUNK_LINES))
+    chunks = read_chunks(path, CHUNK_LINES)
+    text = "".join(itertools.chain.from_iterable(lines for _, lines in chunks))
     try:
-        return json.loads("".join(lines))
+        # Line ends as text mode reads them, which the message's positions count.
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:
         raise DatasetError(str(exc)) from exc
 
 
-# The whitespace json.loads allows around a value. str.strip would also take
-# characters such as \x1f or \u3000, which json.loads rejects.
-_JSON_WHITESPACE = " \t\r\n"
-# json.loads's scanner without its whitespace handling: the value that
-# starts at an index, and the index after it.
-_scan = json.JSONDecoder().scan_once
+# orjson parses a JSON line to the value json.loads gives, or rejects it,
+# except in two cases, whose lines go to json.loads instead:
+# - It reads an integer past 64 bits as a float, and every such integer has
+#   19 digits or more. A run of digits after a "." is a fraction, which
+#   orjson reads as json.loads does, however long.
+# - It parses nesting on the C stack, up to 164 bytes a level: some 51,000
+#   levels of objects overflow an 8 MiB stack and kill the process. A line
+#   of at most _ORJSON_LINE characters nests deep enough for under 0.3 MiB.
+# Balanced nesting past the recursion limit, where json.loads raises
+# RecursionError, parses.
+_ORJSON_LINE = 8192
+_DIGIT_RUN = b"0" * 19
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _orjson_agrees(lines: List[str]) -> bool:
+    """Whether orjson parses each of ``lines`` to json.loads's value or
+    rejects it: no line is long, and no integer has 19 digits."""
+    if max(map(len, lines), default=0) > _ORJSON_LINE:
+        return False
+    digits = "".join(lines).encode("utf-8").translate(_DIGITS_TO_ZERO)
+    at = digits.find(_DIGIT_RUN)
+    # A run found after a digit is the end of one found before.
+    while at > 0 and digits[at - 1] in b".0":
+        at = digits.find(_DIGIT_RUN, at + 1)
+    return at == -1
+
+
+def _orjson_or_json(line: str):
+    """json.loads(line) for a line that ``_orjson_agrees`` with."""
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError:  # so the error, or the value, is json's
+        return json.loads(line)
+
+
+def _load(line: str):
+    """json.loads(line), by orjson where it agrees."""
+    return _orjson_or_json(line) if _orjson_agrees([line]) else json.loads(line)
 
 
 def parse_chunk(path, start: int, lines: List[str], check):
     """``check(values)`` of the values of the non-blank JSONL ``lines`` read
-    from ``path`` and numbered from ``start``, each line parsed on its own.
-    ``check`` returns a result, or a problem as a string: then, as when a
-    line is no JSON, each line is parsed and checked alone, in order, and
-    the first bad one raises DatasetError naming ``path:line``."""
-    values = [line.strip(_JSON_WHITESPACE) for line in lines if line and not line.isspace()]
-    # A comprehension, as map would end early at a StopIteration. A line with
-    # no value raises StopIteration, bad JSON a JSONDecodeError, an integer
-    # past the interpreter's int-string conversion limit a plain ValueError.
+    from ``path`` and numbered from ``start``, each line parsed on its own to
+    the value json.loads gives it. ``check`` returns a result, or a problem
+    as a string; it raises only RecursionError, on a value nested too deep
+    for it. On a problem, as when a line is no JSON, each line is parsed and
+    checked alone, in order, and the first bad one raises DatasetError
+    naming ``path:line``."""
+    values = [line for line in lines if line and not line.isspace()]
+    load = _orjson_or_json if _orjson_agrees(values) else _load
+    # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
+    # int-string conversion limit a plain ValueError, and deep nesting
+    # RecursionError, from json.loads or from a check that walks the value.
     try:
-        parsed = [_scan(value, 0) for value in values]
-    except (StopIteration, ValueError, RecursionError):
-        parsed = None
-    # The scanner stops after one value, so a line that holds more ends early.
-    if parsed is not None and [end for _, end in parsed] == list(map(len, values)):
-        result = check([value for value, _ in parsed])
-        if not isinstance(result, str):
-            return result
+        result = check([load(value) for value in values])
+    except (ValueError, RecursionError):
+        result = ""
+    if not isinstance(result, str):
+        return result
     for lineno, line in enumerate(lines, start):
         if not line or line.isspace():
             continue
         try:
-            value = json.loads(line)
+            problem = check([_load(line)])
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         except ValueError as exc:  # an integer past the int-string conversion limit
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
-        problem = check([value])
         if isinstance(problem, str):
             raise DatasetError(f"{path}:{lineno}: {problem}")
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
@@ -189,13 +243,15 @@ def _no_unpaired_surrogate(values) -> None:
     """JSON may escape an unpaired surrogate, which a UTF-8 file written from
     ``values`` cannot hold: a string that holds one raises DatasetError."""
     try:
-        json.dumps(values, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        problem = f"a string holds the unpaired surrogate {exc.object[exc.start]!r}"
-        raise DatasetError(problem) from exc
-    # The encoder runs a few frames deeper than the parse that took the value.
-    except RecursionError as exc:
-        raise DatasetError("invalid JSON (nested too deeply)") from exc
+        # Raises on any surrogate, but also on an integer past 64 bits and
+        # on nesting past 254 levels, which json.dumps then tells apart.
+        orjson.dumps(values)
+    except orjson.JSONEncodeError:
+        try:
+            json.dumps(values, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            problem = f"a string holds the unpaired surrogate {exc.object[exc.start]!r}"
+            raise DatasetError(problem) from exc
 
 
 def _questions(values: list, seen: set):

@@ -16,7 +16,7 @@ columns.
 ``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``
 through ``dataset.parse_chunk``, the one parse of JSONL input, with
 ``_chunk_columns`` as the check of each chunk, and caches the columns in a
-file next to the log, keyed by the digest of the log's text.
+file next to the log, keyed by the digest of the log's bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,14 @@ from .backend import (
     InferenceResult,
     confidence_of,
 )
-from .dataset import CHUNK_LINES, DatasetError, VisualQuestion, parse_chunk, read_chunks
+from .dataset import (
+    CHUNK_LINES,
+    DatasetError,
+    VisualQuestion,
+    hash_file,
+    parse_chunk,
+    read_chunks,
+)
 from .prompts import DecompositionContext, SubQA
 
 MODES = (
@@ -385,9 +392,9 @@ def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
 
 
 # A log's columns are cached in a file next to it, under a key: this format,
-# then the SHA-256 of the log's text. Change the format whenever what the
+# then the SHA-256 of the log's bytes. Change the format whenever what the
 # columns hold, or which logs ``_parse_log`` accepts, changes.
-_CACHE_FORMAT = "secondguess-columns-1"
+_CACHE_FORMAT = "secondguess-columns-2"
 _BOOL_COLUMNS = ("failed", "second_guessed", "correct_before", "correct_after")
 
 
@@ -454,19 +461,20 @@ def read_episode_log(path) -> evaluation.EpisodeColumns:
     line in the file.
 
     The columns of a log that reads without error are cached next to it, in
-    ``<log>.columns.npz``, and a later read of the same text returns them: a
-    cache is checked by reading the log once for its digest, and a log
-    without a matching cache is parsed and hashed in one read. A missing,
-    stale or broken cache, or a directory that cannot be written, only
-    costs the parse."""
+    ``<log>.columns.npz``, and a later read of the same bytes returns them.
+    A log without a matching cache is parsed and hashed in one read, with
+    ``read_chunks``; a cache is checked by hashing the log's bytes alone,
+    with ``hash_file``. The two digests are equal, as a cache is only
+    written for a log that reads, which is UTF-8. A missing, stale or
+    broken cache, or a directory that cannot be written, only costs the
+    parse."""
     cache = Path(f"{path}.columns.npz")
     cached = _cached(cache)
     if cached is not None:
         digest = hashlib.sha256()
         try:
-            for _ in read_chunks(path, CHUNK_LINES, digest):
-                pass
-        except DatasetError:  # the parse below names the first bad line
+            hash_file(path, digest)
+        except DatasetError:  # the parse below raises it again
             pass
         else:
             key, log = cached

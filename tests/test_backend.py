@@ -432,6 +432,7 @@ SCRIPT_LINE_EDGES = {
     "int_sum_off_by_4": GOOD_LINE.replace("[-0.105]", f"[{TOO_FAR}, {TOO_FAR}, {TOO_FAR}]"),
     "float_plus_int_beyond_float": GOOD_LINE.replace("[-0.105]", f"[-1e308, {-(10 ** 399)}]"),
     "nested_too_deep": NESTED_TOO_DEEP,
+    "pattern_nested_too_deep": GOOD_LINE.replace('"hello"', "[" * 2_000 + "]" * 2_000),
     "surrogate_escape": GOOD_LINE.replace('"yes"', '"ye\\ud800s"'),
     "text_empty": GOOD_LINE.replace('"yes"', '""'),
     "role_unknown": GOOD_LINE.replace('"recomposer"', '"recomposr"'),

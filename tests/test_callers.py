@@ -81,8 +81,8 @@ def test_only_dataset_opens_files_for_reading():
     assert not readers, "opens a file for reading: " + ", ".join(readers)
 
 
-# The names through which json builds a parser of its own.
-PARSER_NAMES = {"JSONDecoder", "scan_once", "raw_decode"}
+# The names through which json builds a parser of its own, and orjson.
+PARSER_NAMES = {"JSONDecoder", "scan_once", "raw_decode", "orjson"}
 
 
 def test_only_dataset_builds_a_json_parser():

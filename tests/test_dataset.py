@@ -1,7 +1,11 @@
 import json
+import re
+import struct
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NOT_UNPAIRED, NOT_UTF8, UNPAIRED, raw
 from secondguess import dataset
@@ -122,6 +126,115 @@ def test_nesting_near_the_recursion_limit_loads_or_is_named(tmp_path):
             dataset.load_dataset(path)
         except DatasetError as exc:
             assert str(exc) == f"{path}:1: invalid JSON (nested too deeply)"
+
+
+# JSON text that parsers read differently or that is easy to get wrong:
+# integers past 64 bits, constants json.loads takes that JSON lacks, floats
+# beyond float range or past 19 digits, in repr, %.17g and exponent forms,
+# unpaired and paired surrogate escapes, and objects with repeated keys.
+NUMBERS = st.one_of(
+    st.integers(-(10 ** 25), 10 ** 25).map(str),
+    st.integers(2 ** 64 - 2, 2 ** 64 + 2).map(str),
+    st.integers(-(2 ** 63) - 2, -(2 ** 63) + 2).map(str),
+    st.sampled_from([
+        "-0", "9" * 19, "NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+        "1e-400", "4.9e-324", "1.7976931348623159e308", "0.1000000000000000055511151231257827",
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([repr(x), "%.17g" % x, "%.20e" % x, "%E" % x])
+    ),
+)
+STRINGS = st.lists(
+    st.one_of(
+        st.text(max_size=4).map(lambda text: json.dumps(text, ensure_ascii=False)[1:-1]),
+        st.sampled_from(UNPAIRED + NOT_UNPAIRED + ["\\u00e9", "\\n", "12345678901234567890"]),
+    ),
+    max_size=3,
+).map(lambda parts: '"' + "".join(parts) + '"')
+VALUES = st.recursive(
+    st.one_of(st.sampled_from(["null", "true", "false"]), NUMBERS, STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(st.tuples(st.sampled_from(['"a"', '"b"', '"\\u0061"']), inner), max_size=4).map(
+            lambda pairs: "{" + ", ".join(f"{key}: {value}" for key, value in pairs) + "}"
+        ),
+    ),
+    max_leaves=10,
+)
+# A good line, a value with JSON whitespace around it, and an odd one: one
+# with a byte order mark or other text around its value, torn, or blank.
+GOOD_LINES = st.tuples(
+    st.sampled_from(["", " ", "\t", "\r"]), VALUES, st.sampled_from(["", " \t"])
+).map("".join)
+ODD_LINES = st.one_of(
+    st.tuples(st.sampled_from(["\ufeff", "\x0c", "\u3000"]), VALUES).map("".join),
+    st.tuples(VALUES, st.sampled_from([" 1", "]"])).map("".join),
+    VALUES.filter(lambda text: len(text) > 1).flatmap(
+        lambda text: st.integers(1, len(text) - 1).map(lambda cut: text[:cut])
+    ),
+    st.sampled_from(["", " ", "\u3000\x1f"]),
+)
+
+
+@st.composite
+def jsonl_chunks(draw) -> list:
+    """Up to eight good lines with up to two odd ones among them, each
+    ending in LF, CR LF or nothing."""
+    lines = draw(st.lists(GOOD_LINES, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(ODD_LINES))
+    return [line + draw(st.sampled_from(["\n", "\r\n", ""])) for line in lines]
+
+
+def same(a, b) -> bool:
+    """Equal, and of one type all through: floats to the bit and dicts in
+    key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(map(same, a.values(), b.values()))
+    return a == b
+
+
+def json_loads_lines(path, lines) -> list:
+    """json.loads of each non-blank line, or the DatasetError that
+    ``parse_chunk`` names the first bad one with."""
+    values = []
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.isspace():
+            continue
+        try:
+            values.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(jsonl_chunks())
+def test_parse_chunk_gives_json_loads_values_and_errors(lines):
+    try:
+        expected = json_loads_lines("chunk", lines)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as raised:
+            dataset.parse_chunk("chunk", 1, lines, lambda values: values)
+        assert str(raised.value) == str(exc)
+    else:
+        assert same(dataset.parse_chunk("chunk", 1, lines, lambda values: values), expected)
+
+
+def test_read_json_counts_positions_as_text_mode_reads_line_ends(tmp_path):
+    path = tmp_path / "config.json"
+    for end in ("\r\n", "\r"):
+        path.write_bytes(f'{{{end}"a": 1,{end}"b": x{end}}}'.encode("utf-8"))
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads('{\n"a": 1,\n"b": x\n}')
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(expected.value))}$"):
+            dataset.read_json(path)
 
 
 @pytest.mark.parametrize("escape", UNPAIRED)

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import re
+import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -760,6 +762,52 @@ def test_read_episode_log_names_a_bad_line_before_a_byte_not_utf8(tmp_path):
             path.write_bytes(raw("\n".join(lines) + end))
             with pytest.raises(DatasetError, match=rf"episodes.jsonl:{position - 1}: duplicate id"):
                 pipeline.read_episode_log(path)
+
+
+def test_read_episode_log_hits_its_cache_at_any_line_end(tmp_path):
+    """A log whose lines end in CR LF or in CR reads like the oracle, and
+    from its cache the second time: the digest of the bytes the parse read
+    is the digest of the file. A byte that is not UTF-8 after such lines is
+    named at its line."""
+    lines = [json.dumps(log_record(f"e{i}", 0.5, "kept", True, False)) for i in range(5)]
+    for end in ("\r\n", "\r"):
+        path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
+        path.write_bytes((end.join(lines) + end).encode("utf-8"))
+        assert_reads_like_oracle(path)
+        path.write_bytes(raw(end.join(lines[:3] + [f'"x{NOT_UTF8}"'] + lines[3:])))
+        with pytest.raises(DatasetError, match=rf"{path.name}:4: byte 0xff is not UTF-8$"):
+            pipeline.read_episode_log(path)
+
+
+def test_read_episode_log_loads_deep_nesting_no_check_reads(tmp_path):
+    """Balanced nesting past the recursion limit, which json.loads cannot
+    parse, loads in a field that no check reads, in a line of at most 8,192
+    characters, which orjson parses. In a field a check reads, that check
+    names the line. A longer line, which orjson could nest deep enough to
+    overflow the C stack, is named as nested too deeply."""
+    records = [log_record(f"e{i}", 0.5, "kept", True, False) for i in range(3)]
+    path = tmp_path / "episodes.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    expected = read_log_by_line(path)
+    past_limit = sys.getrecursionlimit() + 100
+    cases = [
+        ("x", past_limit, None),
+        ("gate", past_limit, "gate must be 'kept' or 'second_guessed'"),
+        ("x", 5_000, "invalid JSON (nested too deeply)"),
+    ]
+    for field, depth, problem in cases:
+        nested = "[" * depth + "]" * depth
+        lines = [json.dumps(record) for record in records]
+        lines[1] = json.dumps({**records[1], field: "NESTED"}).replace('"NESTED"', nested)
+        path.write_text("".join(line + "\n" for line in lines))
+        if problem:
+            with pytest.raises(DatasetError, match=re.escape(f"episodes.jsonl:2: {problem}") + "$"):
+                pipeline.read_episode_log(path)
+            continue
+        log = pipeline.read_episode_log(path)
+        assert log.ids == expected.ids
+        for name in ("failed", "confidence", "second_guessed", "correct_before", "correct_after"):
+            assert np.array_equal(getattr(log, name), getattr(expected, name))
 
 
 def test_read_episode_log_serves_no_stale_cache(tmp_path):
