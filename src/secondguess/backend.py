@@ -316,11 +316,11 @@ class MockBackend:
         time, so that memory grows with the entries, not with the file. Each
         chunk goes through ``dataset.parse_chunk`` with ``_chunk_entries`` as
         its check, which raises the DatasetError of the first bad
-        ``path:line``. The lines are passed stripped, so a line may hold any
+        ``path:line``. The lines are parsed stripped, so a line may hold any
         whitespace that str.strip removes around its JSON."""
         entries: List[MockEntry] = []
-        for start, lines in read_chunks(path, CHUNK_LINES):
-            entries += parse_chunk(path, start, [line.strip() for line in lines], _chunk_entries)
+        for chunk in read_chunks(path, CHUNK_LINES):
+            entries += parse_chunk(path, chunk, _chunk_entries, strip=True)
         return cls(entries)
 
     def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:

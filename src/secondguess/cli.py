@@ -275,8 +275,8 @@ def cmd_sweep(log_path, percentiles, out) -> None:
 def cmd_convert(input_path, output_path) -> None:
     """Convert winoground-style records into the canonical VQA schema."""
     questions, warnings = [], 0
-    for start, lines in dataset.read_chunks(input_path, dataset.CHUNK_LINES):
-        converted, warned = dataset.parse_chunk(input_path, start, lines, dataset.winoground_chunk)
+    for chunk in dataset.read_chunks(input_path, dataset.CHUNK_LINES):
+        converted, warned = dataset.parse_chunk(input_path, chunk, dataset.winoground_chunk)
         questions += converted
         warnings += warned
     records = len(questions) // 4  # four questions a record
@@ -340,7 +340,9 @@ def cmd_fit(run_dirs) -> None:
             metrics = dataset.read_json(path)
             point = (metrics["surprisal"], metrics["net_gain"])
         except (DatasetError, KeyError, TypeError) as exc:
-            _fail(EXIT_DATASET, f"cannot read surprisal and net_gain from {path}: {exc!r}")
+            # str(KeyError("k")) is the key's repr.
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            _fail(EXIT_DATASET, f"cannot read surprisal and net_gain from {path}: {problem}")
         if point[0] is None:
             continue
         # bool is an int subclass, but true/false is no number.

@@ -12,7 +12,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import orjson
 
@@ -91,57 +91,68 @@ def _question_from_obj(obj) -> VisualQuestion:
     )
 
 
-# Lines per chunk of every JSONL reader. While a chunk is checked it holds
-# about three dicts per episode-log line. At 4,096 lines that many set off a
-# full (gen-2) garbage collection in a cold process; at 256 they are freed
-# before the cyclic GC promotes them. On a 2-vCPU VM with Python 3.11, two
-# cold reads of an 8,000-line log, parsing each chunk with one json.loads
-# call, took a median 33 ms at 256 lines and 49 ms at 4,096 (128 to 1,024
-# lines: 33 to 41 ms). The per-line orjson parse of ``parse_chunk`` was not
-# timed at other sizes.
+# Lines per chunk of every JSONL reader: a chunk's bytes and parsed lines,
+# about three dicts per episode-log line, are freed before the next chunk
+# is read. ``pipeline._parse_log`` pauses the cyclic GC, so a larger chunk
+# no longer sets off more collections, but it holds more memory. On the
+# offline-eval benchmark (2-vCPU VM, Python 3.11, 6 alternating pairs),
+# 1,024 lines read a median 1.7 % fewer episodes a second than 256, within
+# the runs' spread, at a 0.8 MiB higher peak RSS in every pair.
 CHUNK_LINES = 256
 
 
-def read_chunks(path, size: int, digest=None) -> Iterator[Tuple[int, List[str]]]:
-    """(first line's number, lines) for each run of ``size`` lines of a file,
-    the last run partly full: the one reader of input files. Each line keeps
-    its end as the file holds it: LF, CR LF or CR. A strict decode runs
-    ahead of the lines it returns and cannot name a line, so each run is
-    checked once, by encoding it. A byte that is not UTF-8 raises DatasetError
-    naming ``path:line`` once the lines before it are yielded, for a reader
-    to name an earlier bad line first. A ``digest`` (a hashlib object) is
-    updated with each run's encoded bytes before the run is yielded: at the
-    end of a file it holds the digest of the file's bytes, as ``hash_file``
-    does. An OSError from opening or reading is raised as a DatasetError."""
+class Chunk(NamedTuple):
+    """A run of lines that ``read_chunks`` read: the first line's number,
+    the lines as bytes, each with its end as the file holds it, and their
+    bytes joined."""
+
+    start: int
+    lines: List[bytes]
+    data: bytes
+
+
+def read_chunks(path, size: int, digest=None) -> Iterator[Chunk]:
+    """The Chunk of each run of ``size`` lines of a file, the last run
+    partly full: the one reader of input files. The file is read as bytes,
+    split into lines as text mode with ``newline=""`` splits them: at LF, CR
+    LF or a lone CR. A run holds ``size`` LF-ended stretches of the file, so
+    a lone CR adds a line to its run, and a file whose lines all end in a
+    lone CR is one run. Each run is checked for UTF-8 once, by ``isascii``
+    or a decode. A byte that is not UTF-8 raises DatasetError naming
+    ``path:line`` once the lines before it are yielded, for a reader to name
+    an earlier bad line first. A ``digest`` (a hashlib object) is updated
+    with each run's bytes before the run is yielded: at the end of a file it
+    holds the digest of the file's bytes, as ``hash_file`` does. An OSError
+    from opening or reading is raised as a DatasetError."""
     try:
-        # newline="" splits lines as text mode does but keeps their ends, so
-        # a run's encoded bytes are the file's.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            for start in itertools.count(1, size):
-                lines = list(itertools.islice(fh, size))
-                if not lines:
-                    return
-                text = "".join(lines)
-                try:
-                    data = text.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    ends = list(itertools.accumulate(map(len, lines)))
-                    bad = bisect.bisect_right(ends, exc.start)
-                    # surrogateescape decodes the byte b as the code point U+DC00 + b.
-                    problem = f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8"
-                    yield start, lines[:bad]
-                    raise DatasetError(f"{path}:{start + bad}: {problem}") from exc
+        with open(path, "rb") as fh:
+            start = 1
+            # A binary file splits lines at LF alone.
+            while lines := list(itertools.islice(fh, size)):
+                data = b"".join(lines)
+                if b"\r" in data:
+                    lines = data.splitlines(keepends=True)
+                if not data.isascii():
+                    try:
+                        data.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        ends = list(itertools.accumulate(map(len, lines)))
+                        bad = bisect.bisect_right(ends, exc.start)
+                        yield Chunk(start, lines[:bad], b"".join(lines[:bad]))
+                        problem = f"byte {data[exc.start]:#04x} is not UTF-8"
+                        raise DatasetError(f"{path}:{start + bad}: {problem}") from exc
                 if digest is not None:
                     digest.update(data)
-                yield start, lines
+                yield Chunk(start, lines, data)
+                start += len(lines)
     except OSError as exc:
         raise DatasetError(str(exc)) from exc
 
 
 def hash_file(path, digest) -> None:
     """Update ``digest`` (a hashlib object) with the bytes of the file at
-    ``path``, read in blocks with no decode: for a file that is UTF-8, the
-    digest ``read_chunks`` gives it. An OSError raises DatasetError."""
+    ``path``, read in blocks: the digest ``read_chunks`` gives a file that
+    is UTF-8. An OSError raises DatasetError."""
     try:
         with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 16), b""):
@@ -154,8 +165,7 @@ def read_json(path):
     """The value of a JSON file, read by ``read_chunks``. A file that is no
     JSON, nests too deep or holds an integer past the int-string conversion
     limit raises DatasetError with the decoder's message."""
-    chunks = read_chunks(path, CHUNK_LINES)
-    text = "".join(itertools.chain.from_iterable(lines for _, lines in chunks))
+    text = b"".join(chunk.data for chunk in read_chunks(path, CHUNK_LINES)).decode("utf-8")
     try:
         # Line ends as text mode reads them, which the message's positions count.
         return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
@@ -178,12 +188,16 @@ _DIGIT_RUN = b"0" * 19
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 
 
-def _orjson_agrees(lines: List[str]) -> bool:
+def _orjson_agrees(lines: List[bytes], data: bytes) -> bool:
     """Whether orjson parses each of ``lines`` to json.loads's value or
-    rejects it: no line is long, and no integer has 19 digits."""
-    if max(map(len, lines), default=0) > _ORJSON_LINE:
+    rejects it: no line is long, and no integer in ``data``, the lines'
+    bytes, has 19 digits."""
+    # The limit counts characters, which a line's bytes never fall short of.
+    if max(map(len, lines), default=0) > _ORJSON_LINE and any(
+        len(line.decode("utf-8")) > _ORJSON_LINE for line in lines
+    ):
         return False
-    digits = "".join(lines).encode("utf-8").translate(_DIGITS_TO_ZERO)
+    digits = data.translate(_DIGITS_TO_ZERO)
     at = digits.find(_DIGIT_RUN)
     # A run found after a digit is the end of one found before.
     while at > 0 and digits[at - 1] in b".0":
@@ -191,39 +205,56 @@ def _orjson_agrees(lines: List[str]) -> bool:
     return at == -1
 
 
-def _orjson_or_json(line: str):
-    """json.loads(line) for a line that ``_orjson_agrees`` with."""
-    try:
-        return orjson.loads(line)
-    except orjson.JSONDecodeError:  # so the error, or the value, is json's
-        return json.loads(line)
-
-
 def _load(line: str):
     """json.loads(line), by orjson where it agrees."""
-    return _orjson_or_json(line) if _orjson_agrees([line]) else json.loads(line)
+    data = line.encode("utf-8")
+    if _orjson_agrees([data], data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:  # so the error, or the value, is json's
+            pass
+    return json.loads(line)
 
 
-def parse_chunk(path, start: int, lines: List[str], check):
-    """``check(values)`` of the values of the non-blank JSONL ``lines`` read
-    from ``path`` and numbered from ``start``, each line parsed on its own to
-    the value json.loads gives it. ``check`` returns a result, or a problem
+def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
+    """``check(values)`` of the values of the non-blank JSONL lines of a
+    chunk read from ``path``, each line parsed on its own to the value
+    json.loads gives its text, with the whitespace that str.strip removes
+    taken off first if ``strip``. ``check`` returns a result, or a problem
     as a string; it raises only RecursionError, on a value nested too deep
     for it. On a problem, as when a line is no JSON, each line is parsed and
     checked alone, in order, and the first bad one raises DatasetError
-    naming ``path:line``."""
+    naming ``path:line``.
+
+    orjson parses the lines' bytes, JSON whitespace around a value and all.
+    A chunk it cannot take goes to the text of its lines, each parsed by
+    ``_load``: one where it rejects a line, ``_orjson_agrees`` does not
+    hold, a line is blank only by str.isspace, or the check returns a
+    problem."""
+    values = [line for line in chunk.lines if not line.isspace()]
+    if _orjson_agrees(values, chunk.data):
+        # Bad JSON raises orjson.JSONDecodeError, a ValueError, and deep
+        # nesting RecursionError, from a check that walks the value.
+        try:
+            result = check(list(map(orjson.loads, values)))
+        except (ValueError, RecursionError):
+            result = ""
+        if not isinstance(result, str):
+            return result
+    lines = [line.decode("utf-8") for line in chunk.lines]
+    if strip:
+        lines = [line.strip() for line in lines]
     values = [line for line in lines if line and not line.isspace()]
-    load = _orjson_or_json if _orjson_agrees(values) else _load
     # Bad JSON raises a JSONDecodeError, an integer past the interpreter's
     # int-string conversion limit a plain ValueError, and deep nesting
     # RecursionError, from json.loads or from a check that walks the value.
     try:
-        result = check([load(value) for value in values])
+        result = check(list(map(_load, values)))
     except (ValueError, RecursionError):
         result = ""
     if not isinstance(result, str):
         return result
-    for lineno, line in enumerate(lines, start):
+    for lineno, line in enumerate(lines, chunk.start):
         if not line or line.isspace():
             continue
         try:
@@ -279,8 +310,8 @@ def load_dataset(path) -> List[VisualQuestion]:
     """
     questions: List[VisualQuestion] = []
     seen = set()
-    for start, lines in read_chunks(path, CHUNK_LINES):
-        questions += parse_chunk(path, start, lines, lambda values: _questions(values, seen))
+    for chunk in read_chunks(path, CHUNK_LINES):
+        questions += parse_chunk(path, chunk, lambda values: _questions(values, seen))
     return questions
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +21,9 @@ _ARTICLES = ("a", "an", "the")
 _TERMINAL_PUNCT = ".,!?"
 # The soft consensus score at which vqa_consensus scoring counts a match.
 CONSENSUS_THRESHOLD = 0.5
+# Entries per block of the arrays that ``replay`` bins and ``simulator``
+# draws, so that a pass holds one block of temporaries rather than n.
+BLOCK = 2**14
 
 
 def normalize_answer(raw: str) -> str:
@@ -126,20 +129,34 @@ def replay(
     An answer is second-guessed iff its confidence <= tau and then scores
     ``correct_after``, else ``correct_before``; eta is the gated share. A
     point's percentile is the given one, or 100 * eta without percentiles.
+
+    One pass, BLOCK answers at a time, counts every tau: with the distinct
+    taus sorted, an answer's bin is the first tau at or above its
+    confidence, so the answers gated at the j-th tau are those of bins 0 to
+    j; a last bin holds the answers above every tau.
     """
     n = confidence.size
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    edges = np.array(sorted(set(taus)), dtype=float)
+    bins = edges.size + 1
+    gated, before, after = (np.zeros(bins, dtype=np.int64) for _ in range(3))
+    for start in range(0, n, BLOCK):
+        block = slice(start, start + BLOCK)
+        where = np.searchsorted(edges, confidence[block], side="left")
+        gated += np.bincount(where, minlength=bins)
+        before += np.bincount(where[correct_before[block]], minlength=bins)
+        after += np.bincount(where[correct_after[block]], minlength=bins)
+    gated, before, after = (np.cumsum(counts).tolist() for counts in (gated, before, after))
     points = []
-    for i, tau in enumerate(taus):
-        gated = confidence <= tau
-        correct = np.where(gated, correct_after, correct_before)
-        eta = _count(gated) / n
+    for i, (tau, j) in enumerate(zip(taus, np.searchsorted(edges, taus).tolist())):
+        eta = gated[j] / n
         points.append(
             SweepPoint(
                 percentile=eta * 100.0 if percentiles is None else percentiles[i],
                 tau=tau,
                 surprisal=surprisal(tau) if tau > 0 else math.inf,
                 eta=eta,
-                accuracy=_count(correct) / n,
+                accuracy=(before[-1] - before[j] + after[j]) / n,
             )
         )
     return points
@@ -262,5 +279,5 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(f.name for f in fields(SweepPoint))
-        for p in points:
-            writer.writerow(map(repr, astuple(p)))
+        # vars holds a dataclass's fields in their order.
+        writer.writerows(map(repr, vars(p).values()) for p in points)

@@ -22,10 +22,12 @@ file next to the log, keyed by the digest of the log's bytes.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import threading
 import zipfile
@@ -312,6 +314,9 @@ def _episode(
 
 
 _GATES = ("kept", "second_guessed")
+# The fields a record must hold, beyond the optional ``failed``.
+_REQUIRED = ("id", "initial", "gate", "correct_before", "correct_after")
+_required = operator.itemgetter(*_REQUIRED)
 
 
 def _chunk_columns(records: list, seen: set):
@@ -323,14 +328,17 @@ def _chunk_columns(records: list, seen: set):
     only when the chunk is that one record."""
     if not set(map(type, records)) <= {dict}:
         return "expected a JSON object"
-    ids = [r.get("id") for r in records]
+    try:
+        columns = list(zip(*map(_required, records))) or [()] * len(_REQUIRED)
+    except KeyError:  # a missing field reads as None, which its rule rejects
+        columns = [[r.get(key) for r in records] for key in _REQUIRED]
+    ids, initials, gates, before, after = columns
     if not set(map(type, ids)) <= {str}:
         return "id must be a string"
     failed = [r.get("failed", False) for r in records]
     if not set(map(type, failed)) <= {bool}:
         return "failed must be true or false"
     out_of_range = "initial.confidence must be a number in [0, 1]"
-    initials = [r.get("initial") for r in records]
     if not set(map(type, initials)) <= {dict}:
         return out_of_range
     confidence = [i.get("confidence") for i in initials]
@@ -348,11 +356,8 @@ def _chunk_columns(records: list, seen: set):
     # Only a failed record's confidence is 0: tau = 0 must gate no answer.
     if not ((confidence > 0.0) | failed).all():
         return "initial.confidence must be above 0 unless the episode failed"
-    gates = [r.get("gate") for r in records]
     if not (set(map(type, gates)) <= {str} and set(gates).issubset(_GATES)):
         return "gate must be 'kept' or 'second_guessed'"
-    before = [r.get("correct_before") for r in records]
-    after = [r.get("correct_after") for r in records]
     for key, column in (("correct_before", before), ("correct_after", after)):
         if not set(map(type, column)) <= {bool}:
             return f"{key} must be true or false"
@@ -383,12 +388,20 @@ def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read CHUNK_LINES lines at a time
     with no dict kept per episode, each chunk by ``dataset.parse_chunk`` with
     ``_chunk_columns`` as its check; ``digest`` as in
-    ``dataset.read_chunks``."""
+    ``dataset.read_chunks``. The cyclic GC is paused meanwhile: the parse
+    makes no reference cycles, and the containers it allocates would set off
+    collections, full ones included, that walk all it has kept so far."""
     seen = set()
-    return _joined(
-        parse_chunk(path, start, lines, lambda records: _chunk_columns(records, seen))
-        for start, lines in read_chunks(path, CHUNK_LINES, digest)
-    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _joined(
+            parse_chunk(path, chunk, lambda records: _chunk_columns(records, seen))
+            for chunk in read_chunks(path, CHUNK_LINES, digest)
+        )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # A log's columns are cached in a file next to it, under a key: this format,

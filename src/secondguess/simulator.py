@@ -19,11 +19,6 @@ import numpy as np
 
 from . import evaluation
 
-# Trials per block of the discarded Beta stream and of the flip stream, so
-# that drawing them holds one block of floats rather than n.
-_BLOCK = 2**14
-
-
 @dataclass(frozen=True)
 class SimConfig:
     base_accuracy: float
@@ -89,8 +84,8 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     # uniforms, whatever the base accuracy; the Generator draws the same
     # values block by block, so only the confidence column is drawn whole.
     confidence = rng.beta(*cfg.conf_correct, size=n)
-    for start in range(0, n, _BLOCK):
-        block = rng.beta(*cfg.conf_incorrect, size=min(_BLOCK, n - start))
+    for start in range(0, n, evaluation.BLOCK):
+        block = rng.beta(*cfg.conf_incorrect, size=min(evaluation.BLOCK, n - start))
         first = max(n_correct, start)
         confidence[first : start + block.size] = block[first - start :]
     # Beta draws live in (0, 1); nudge exact zeros into the open interval.
@@ -98,8 +93,8 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
 
     # A correct trial stays correct unless induced; a wrong one is corrected.
     correct_after = np.empty(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        flip = rng.random(min(_BLOCK, n - start))
+    for start in range(0, n, evaluation.BLOCK):
+        flip = rng.random(min(evaluation.BLOCK, n - start))
         block = slice(start, start + flip.size)
         correct_after[block] = np.where(correct_before[block], flip >= cfg.e_ic, flip < cfg.e_cr)
     return SimTrials(confidence, correct_before, correct_after)

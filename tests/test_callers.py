@@ -2,6 +2,10 @@
 package: code only tests reach does not belong in ``src/``."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import secondguess
@@ -99,3 +103,38 @@ def test_only_dataset_builds_a_json_parser():
         in PARSER_NAMES
     })
     assert not parsers, "builds a JSON parser: " + ", ".join(parsers)
+
+
+# A cold process of each offline command: metrics with no cache, sweep on a
+# cache hit, then simulate. Prints the numpy.ma modules loaded.
+OFFLINE_COMMANDS = """
+import sys
+from secondguess.cli import main
+log, out = sys.argv[1:]
+for args in (["metrics", "--log", log, "--out", out],
+             ["sweep", "--log", log, "--out", out],
+             ["simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "3000",
+              "--out", out]):
+    main(args, standalone_mode=False)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_offline_commands_do_not_import_numpy_ma(tmp_path):
+    """``numpy.ma``, which ``np.unique`` and some other numpy functions
+    import on first use, costs a cold process about 15 ms: metrics, sweep
+    and simulate never load it."""
+    log = tmp_path / "episodes.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"e{i}", "initial": {"text": "", "confidence": (i + 1) / 8},
+                    "gate": "second_guessed", "correct_before": i % 2 == 0,
+                    "correct_after": i % 3 == 0}) + "\n"
+        for i in range(8)
+    ))
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", OFFLINE_COMMANDS, str(log), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -451,6 +451,21 @@ def test_fit_exits_3(runner, tmp_path, second):
         assert f"{tmp_path / 'b' / 'metrics.json'}:3: byte 0xff is not UTF-8" in errors[0]
 
 
+def test_fit_names_a_missing_file_and_a_missing_key(runner, tmp_path):
+    first = write_metrics(tmp_path / "a", {"surprisal": 1.0, "net_gain": 1.0})
+    missing = tmp_path / "b" / "metrics.json"
+    no_key = write_metrics(tmp_path / "c", {"net_gain": 1.0})
+    for run_dir, problem in (
+        (write_metrics(tmp_path / "b", None),
+         f"[Errno {errno.ENOENT}] No such file or directory: {str(missing)!r}"),
+        (no_key, "missing key 'surprisal'"),
+    ):
+        result = runner.invoke(main, ["fit", first, run_dir])
+        assert result.exit_code == 3
+        path = Path(run_dir) / "metrics.json"
+        assert result.stderr == f"error: cannot read surprisal and net_gain from {path}: {problem}\n"
+
+
 def test_simulate_flat_curve_without_corrections(runner, tmp_path):
     out = tmp_path / "sim"
     result = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -217,14 +218,74 @@ def json_loads_lines(path, lines) -> list:
 @settings(max_examples=300, deadline=None)
 @given(jsonl_chunks())
 def test_parse_chunk_gives_json_loads_values_and_errors(lines):
+    encoded = [line.encode("utf-8") for line in lines]
+    chunk = dataset.Chunk(1, encoded, b"".join(encoded))
     try:
         expected = json_loads_lines("chunk", lines)
     except DatasetError as exc:
         with pytest.raises(DatasetError) as raised:
-            dataset.parse_chunk("chunk", 1, lines, lambda values: values)
+            dataset.parse_chunk("chunk", chunk, lambda values: values)
         assert str(raised.value) == str(exc)
     else:
-        assert same(dataset.parse_chunk("chunk", 1, lines, lambda values: values), expected)
+        assert same(dataset.parse_chunk("chunk", chunk, lambda values: values), expected)
+
+
+# Line ends, and line texts: JSON, text with blanks that only str.isspace
+# calls blank (\x1c, U+3000), multi-byte UTF-8, and bytes that are not
+# UTF-8 (a lone 0xff, a sequence cut short, an encoded surrogate).
+LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+LINE_TEXTS = [b'{"a": 1}', b"", b" ", "\x1c".encode(), "\u3000".encode(), "\u00e9t\u00e9".encode()]
+NOT_UTF8_BYTES = [b"\xff", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@st.composite
+def byte_files(draw) -> bytes:
+    """Up to 600 lines, each ending in LF, CR LF or CR (the last maybe in
+    nothing); perhaps a lone CR at the end of line 256, so that a line is
+    split at a 256-line chunk boundary, and perhaps a byte that is not UTF-8
+    in some line."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 520, rng.randint(2, 600)]))
+    lines = [rng.choice(LINE_TEXTS) + rng.choice(LINE_ENDS) for _ in range(n)]
+    if n >= 257 and draw(st.booleans()):
+        lines[255] = b'{"a": 1}\r'
+    if n and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    if n and draw(st.booleans()):
+        at = draw(st.sampled_from([0, n - 1, rng.randrange(n)]))
+        lines[at] = draw(st.sampled_from(NOT_UTF8_BYTES)) + lines[at]
+    return b"".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(byte_files(), st.sampled_from([1, 3, 256]))
+def test_read_chunks_splits_and_names_bytes_as_text_mode(tmp_path_factory, data, size):
+    """``read_chunks`` gives the lines, numbers and first bad byte that
+    reading the file in text mode gives, and the file's SHA-256."""
+    path = tmp_path_factory.mktemp("read") / "data.jsonl"
+    path.write_bytes(data)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        text_lines = list(fh)
+    expected, problem = [], None
+    for lineno, line in enumerate(text_lines, 1):
+        # surrogateescape reads the byte b as the code point U+DC00 + b.
+        bad = [ord(c) - 0xDC00 for c in line if 0xDC80 <= ord(c) <= 0xDCFF]
+        if bad:
+            problem = f"{path}:{lineno}: byte {bad[0]:#04x} is not UTF-8"
+            break
+        expected.append((lineno, line.encode("utf-8")))
+    digest = hashlib.sha256()
+    got = []
+    try:
+        for chunk in dataset.read_chunks(path, size, digest):
+            assert chunk.data == b"".join(chunk.lines)
+            got += enumerate(chunk.lines, chunk.start)
+    except DatasetError as exc:
+        assert str(exc) == problem
+    else:
+        assert problem is None
+        assert digest.digest() == hashlib.sha256(data).digest()
+    assert got == expected
 
 
 def test_read_json_counts_positions_as_text_mode_reads_line_ends(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import accuracy_at_tau, log_columns, trials_to_episodes
 from secondguess import evaluation
+from secondguess.evaluation import BLOCK
 from secondguess.simulator import (
-    _BLOCK,
     SimConfig,
     closed_form_decompose_all,
     generate_trials,
@@ -178,9 +178,9 @@ beta_shape = st.tuples(*[st.one_of(st.floats(0.1, 0.99), st.floats(1.0, 20.0))] 
 def block_configs(draw) -> SimConfig:
     """Trial counts below, at, one past and at multiples of the block size;
     base accuracies 0, 1, random, and with n_correct on a block boundary."""
-    sizes = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK, 3 * _BLOCK + 1]
-    n = draw(st.one_of(st.sampled_from(sizes), st.integers(1, 4 * _BLOCK)))
-    on_boundary = st.integers(0, n // _BLOCK).map(lambda k: k * _BLOCK / n)
+    sizes = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK, 3 * BLOCK + 1]
+    n = draw(st.one_of(st.sampled_from(sizes), st.integers(1, 4 * BLOCK)))
+    on_boundary = st.integers(0, n // BLOCK).map(lambda k: k * BLOCK / n)
     acc = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit, on_boundary))
     return SimConfig(
         acc,
@@ -242,6 +242,33 @@ def test_simulate_matches_reference(acc, ecr, eic, n, seed, taus):
         # write_sweep_csv writes repr(), which spells numpy scalars out.
         assert all(type(v) is float for v in (point.accuracy, point.eta, point.percentile))
     assert curve.decompose_all_accuracy == accuracy_at_tau(trials, 1.0)[0]
+
+
+def test_replay_across_blocks_equals_per_tau_recount():
+    """``replay`` bins the trials BLOCK at a time: past two block
+    boundaries, an unsorted tau list with repeats, 0, the extreme
+    confidences and confidences from the first and a later block gives the
+    points of one mask per tau, with percentiles given and omitted."""
+    trials = generate_trials(SimConfig(0.65, 0.3, 0.1, trials=40_000, seed=23))
+    conf = trials.confidence
+    assert conf.size > 2 * BLOCK
+    taus = [0.5, 0.0, float(conf[3]), 1.0, float(conf[BLOCK + 5]), 0.5, float(conf.max()),
+            float(conf[3]), float(conf.min()), 0.25, float(conf[-1]), 0.0]
+    for percentiles in (None, [float(p) for p in range(50, 50 + len(taus))]):
+        points = evaluation.replay(
+            conf, trials.correct_before, trials.correct_after, taus, percentiles
+        )
+        expected = []
+        for i, tau in enumerate(taus):
+            accuracy, eta, _ = accuracy_at_tau(trials, tau)
+            expected.append(evaluation.SweepPoint(
+                percentile=eta * 100.0 if percentiles is None else percentiles[i],
+                tau=tau,
+                surprisal=math.log2(1.0 / tau) if tau > 0 else math.inf,
+                eta=eta,
+                accuracy=accuracy,
+            ))
+        assert points == expected
 
 
 def test_config_validation():
