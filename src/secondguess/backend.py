@@ -89,37 +89,53 @@ class InferenceResult:
             cumulative = payload["cumulative_logprob"]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed response payload: {exc}") from exc
-        if not isinstance(text, str) or not text:
-            raise ProtocolError(f"generated text must be a non-empty string, got {text!r}")
-        # JSON may escape an unpaired surrogate, which the UTF-8 log cannot hold.
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ProtocolError(f"generated text {text!r} is not valid Unicode") from exc
-        # bool is an int subclass, but true/false is no log-probability.
-        numbers = "token_logprobs must be a list of numbers, cumulative_logprob a number"
-        if not isinstance(logprobs, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float))
-            for x in (*logprobs, cumulative)
-        ):
-            raise ProtocolError(numbers)
-        try:
-            token_logprobs = tuple(float(x) for x in logprobs)
-            cumulative = float(cumulative)
-        except OverflowError as exc:  # an integer of hundreds of digits
-            raise ProtocolError("log-probability beyond float range") from exc
-        # A NaN would pass every check below and reach the episode log.
-        if any(math.isnan(x) for x in (*token_logprobs, cumulative)):
-            raise ProtocolError(numbers)
-        if any(lp > 0 for lp in token_logprobs):
-            raise ProtocolError("token log-probability above zero")
-        if cumulative > 0:
-            raise ProtocolError("cumulative log-probability above zero")
-        if abs(cumulative - sum(token_logprobs)) > LOGPROB_SUM_TOLERANCE:
-            raise ProtocolError(
-                "cumulative_logprob does not match the sum of token_logprobs"
-            )
-        return cls(text=text, token_logprobs=token_logprobs, cumulative_logprob=cumulative)
+        rows = _responses([text], [logprobs], [cumulative])
+        if isinstance(rows, str):
+            raise ProtocolError(rows)
+        return cls(text=text, token_logprobs=rows[0], cumulative_logprob=float(cumulative))
+
+
+def _responses(texts: list, logprobs: list, cumulatives: Optional[list] = None):
+    """Each response's token log-probabilities as a tuple of floats, or the
+    message of the first rule that a response breaks, each rule checked over
+    the whole column in the order below. An integer is taken as its float.
+    ``cumulatives``, given for HTTP responses only, pass the number rules
+    and must each match its row's sum within LOGPROB_SUM_TOLERANCE."""
+    if not (set(map(type, texts)) <= {str} and all(texts)):
+        text = next(t for t in texts if type(t) is not str or not t)
+        return f"generated text must be a non-empty string, got {text!r}"
+    # JSON may escape an unpaired surrogate, which the UTF-8 log cannot hold.
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        text = next(t for t in texts if t.encode("utf-8", "replace").decode("utf-8") != t)
+        return f"generated text {text!r} is not valid Unicode"
+    numbers = "token_logprobs must be a list of numbers, cumulative_logprob a number"
+    if not set(map(type, logprobs)) <= {list}:
+        return numbers
+    values = [*itertools.chain.from_iterable(logprobs), *(cumulatives or ())]
+    types = set(map(type, values))
+    # bool is an int subclass, but true/false is no log-probability.
+    if not types <= {float, int}:
+        return numbers
+    rows = [*map(tuple, logprobs)]
+    try:
+        if int in types:  # converting floats too would double the check's time
+            rows = [tuple(map(float, row)) for row in rows]
+        totals = list(map(float, cumulatives or ()))
+    except OverflowError:  # an integer of hundreds of digits
+        return "log-probability beyond float range"
+    # 0.0 >= x is false for a NaN and for a log-probability above zero; a
+    # NaN would pass every check below and reach the episode log.
+    if not all(map((0.0).__ge__, values)):
+        if any(x != x for x in values):
+            return numbers
+        if any(x > 0 for x in itertools.chain.from_iterable(rows)):
+            return "token log-probability above zero"
+        return "cumulative log-probability above zero"
+    if any(abs(total - sum(row)) > LOGPROB_SUM_TOLERANCE for total, row in zip(totals, rows)):
+        return "cumulative_logprob does not match the sum of token_logprobs"
+    return rows
 
 
 def confidence_of(result: InferenceResult) -> float:
@@ -283,10 +299,11 @@ class MockBackend:
     The script is a JSONL file of {"match": {"prompt_contains", "role"},
     "response": {"text", "token_logprobs"}} entries, applied
     first-match-wins in file order. ``from_script`` checks each response
-    once, as a backend response; entries built directly are taken as they
-    are. ``entries`` is a tuple, indexed once at construction by whole
-    words, so a call costs one lookup per whitespace token of the prompt
-    rather than O(entries); ``complete`` only reads the index, so
+    once by an HTTP response's rules (``_responses``) save the sum rule, as
+    a line has no cumulative log-probability; entries built directly are
+    taken as they are. ``entries`` is a tuple, indexed once at construction
+    by whole words, so a call costs one lookup per whitespace token of the
+    prompt rather than O(entries); ``complete`` only reads the index, so
     concurrent calls need no lock.
     """
 
@@ -353,69 +370,27 @@ class MockBackend:
         return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
 
 
-def _float_entries(objs: list) -> Optional[List[MockEntry]]:
-    """The entries of parsed script lines, or None. Each field is checked
-    over all the lines at once, with the checks of ``_script_entry`` except
-    that a log-probability must be a float: integers, which ``sum`` adds
-    exactly before it rounds, are left to ``_script_entry``'s sum check. So
-    lines accepted here give the entries that ``_script_entry`` gives."""
+def _chunk_entries(objs: list):
+    """``from_script``'s check: the entries of parsed script lines, or the
+    problem (a string) of the first rule that a line breaks, each field
+    checked over all the lines at once, the responses by ``_responses``."""
     try:
         matches = [obj["match"] for obj in objs]
         responses = [obj["response"] for obj in objs]
         patterns = [match["prompt_contains"] for match in matches]
         roles = [match["role"] for match in matches]
-        texts = [response["text"] for response in responses]
         logprobs = [response["token_logprobs"] for response in responses]
-    except (KeyError, TypeError):
-        return None
-    if not (
-        set(map(type, patterns)) <= {str}
+        if not set(map(type, patterns)) <= {str}:
+            pattern = next(p for p in patterns if type(p) is not str)
+            return f"prompt_contains must be a string, got {pattern!r}"
         # list.count compares with ==, as `in ROLES` does, and hashes nothing.
-        and sum(map(roles.count, ROLES)) == len(roles)
-        and set(map(type, texts)) <= {str}
-        and all(texts)
-        and set(map(type, logprobs)) <= {list}
-    ):
-        return None
-    values = list(itertools.chain.from_iterable(logprobs))
-    # 0.0 >= x is false for a NaN and for a log-probability above zero.
-    if not (set(map(type, values)) <= {float} and all(map((0.0).__ge__, values))):
-        return None
-    # JSON may escape an unpaired surrogate, which the UTF-8 log cannot hold.
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError:
-        return None
-    return list(map(MockEntry, patterns, roles, texts, map(tuple, logprobs)))
-
-
-def _chunk_entries(objs: list):
-    """``from_script``'s check: the entries of parsed script lines, from
-    ``_float_entries`` or else from ``_script_entry`` line by line, or the
-    problem (a string) of the first line that ``_script_entry`` rejects."""
-    try:
-        return _float_entries(objs) or [_script_entry(o["match"], o["response"]) for o in objs]
-    except (KeyError, TypeError, ValueError) as exc:
+        if sum(map(roles.count, ROLES)) != len(roles):
+            role = next(r for r in roles if r not in ROLES)
+            return f"role must be one of {list(ROLES)}, got {role!r}"
+        texts = [response["text"] for response in responses]
+    except (KeyError, TypeError) as exc:
         return str(exc)
-
-
-def _script_entry(match: dict, response: dict) -> MockEntry:
-    """One script line's entry. The response must pass the checks of a
-    backend response; a field of the wrong type or value raises ValueError."""
-    pattern, role = match["prompt_contains"], match["role"]
-    logprobs = response["token_logprobs"]
-    if not isinstance(pattern, str):
-        raise ValueError(f"prompt_contains must be a string, got {pattern!r}")
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {list(ROLES)}, got {role!r}")
-    try:
-        total = sum(logprobs)
-    except OverflowError as exc:  # a float plus an integer beyond float range
-        raise ValueError("log-probability beyond float range") from exc
-    try:
-        result = InferenceResult.from_payload(
-            {"text": response["text"], "token_logprobs": logprobs, "cumulative_logprob": total}
-        )
-    except ProtocolError as exc:
-        raise ValueError(str(exc)) from exc
-    return MockEntry(pattern, role, result.text, result.token_logprobs)
+    rows = _responses(texts, logprobs)
+    if isinstance(rows, str):
+        return rows
+    return list(map(MockEntry, patterns, roles, texts, rows))

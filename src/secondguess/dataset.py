@@ -37,18 +37,6 @@ class VisualQuestion:
     qtype: str = "other"
     oracle_sub_qas: Optional[tuple] = None
 
-    def __post_init__(self) -> None:
-        if not self.answers:
-            raise DatasetError(f"question {self.id!r} has no ground-truth answers")
-        if self.qtype not in QTYPES:
-            raise DatasetError(f"question {self.id!r} has unknown qtype {self.qtype!r}")
-        if self.qtype == "boolean":
-            for ans in self.answers:
-                if normalize_answer(ans) not in ("yes", "no"):
-                    raise DatasetError(
-                        f"boolean question {self.id!r} has non-boolean answer {ans!r}"
-                    )
-
 
 def _is_sub_qa(pair) -> bool:
     return (
@@ -81,12 +69,21 @@ def _question_from_obj(obj) -> VisualQuestion:
                 " with a non-empty question"
             )
         sub_qas = tuple(SubQA(question=q, answer=a) for q, a in sub_qas)
+    qid, qtype = obj["id"], obj.get("qtype", "other")
+    if not answers:
+        raise DatasetError(f"question {qid!r} has no ground-truth answers")
+    if qtype not in QTYPES:
+        raise DatasetError(f"question {qid!r} has unknown qtype {qtype!r}")
+    if qtype == "boolean":
+        for ans in answers:
+            if normalize_answer(ans) not in ("yes", "no"):
+                raise DatasetError(f"boolean question {qid!r} has non-boolean answer {ans!r}")
     return VisualQuestion(
-        id=obj["id"],
+        id=qid,
         image=obj["image"],
         question=obj["question"],
         answers=tuple(answers),
-        qtype=obj.get("qtype", "other"),
+        qtype=qtype,
         oracle_sub_qas=sub_qas,
     )
 

@@ -454,8 +454,9 @@ def script_entry(obj) -> MockEntry:
     """The entry of one parsed mock script line: the reference reader's own
     rules, written apart from the package's, checked in the package's order.
     A broken rule raises KeyError or TypeError (a missing field, a value
-    that is no object, a ``token_logprobs`` that ``sum`` cannot add) or a
-    ValueError, each with the package's message."""
+    that is no object) or a ValueError, each with the package's message. A
+    line has no cumulative log-probability, so no sum rule applies, and an
+    integer log-probability is taken as its float."""
     match, response = obj["match"], obj["response"]
     pattern, role = match["prompt_contains"], match["role"]
     logprobs = response["token_logprobs"]
@@ -463,29 +464,22 @@ def script_entry(obj) -> MockEntry:
         raise ValueError(f"prompt_contains must be a string, got {pattern!r}")
     if role not in ("decomposer", "recomposer"):
         raise ValueError(f"role must be one of ['decomposer', 'recomposer'], got {role!r}")
-    try:
-        text, total = response["text"], sum(logprobs)
-    except OverflowError:  # a float plus an integer beyond any float
-        raise ValueError("log-probability beyond float range") from None
+    text = response["text"]
     if not isinstance(text, str) or not text:
         raise ValueError(f"generated text must be a non-empty string, got {text!r}")
     if any(0xD800 <= ord(char) <= 0xDFFF for char in text):
         raise ValueError(f"generated text {text!r} is not valid Unicode")
-    numbers = [*logprobs, total] if isinstance(logprobs, list) else [None]
-    if any(type(x) not in (int, float) for x in numbers):
-        raise ValueError("token_logprobs must be a list of numbers, cumulative_logprob a number")
+    numbers = "token_logprobs must be a list of numbers, cumulative_logprob a number"
+    if not isinstance(logprobs, list) or any(type(x) not in (int, float) for x in logprobs):
+        raise ValueError(numbers)
     try:
-        *floats, cumulative = map(float, numbers)
+        floats = [float(x) for x in logprobs]
     except OverflowError:
         raise ValueError("log-probability beyond float range") from None
-    if any(x != x for x in (*floats, cumulative)):
-        raise ValueError("token_logprobs must be a list of numbers, cumulative_logprob a number")
+    if any(x != x for x in floats):
+        raise ValueError(numbers)
     if any(x > 0 for x in floats):
         raise ValueError("token log-probability above zero")
-    if cumulative > 0:
-        raise ValueError("cumulative log-probability above zero")
-    if abs(cumulative - sum(floats)) > 1e-6:
-        raise ValueError("cumulative_logprob does not match the sum of token_logprobs")
     return MockEntry(pattern, role, text, tuple(floats))
 
 

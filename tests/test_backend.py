@@ -13,7 +13,7 @@ from pathlib import Path
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -84,38 +84,54 @@ def test_mock_role_respected():
     assert backend.complete(request(), BackendRole("decomposer")).text == "sub?"
 
 
-def test_empty_text_is_protocol_violation():
-    with pytest.raises(ProtocolError):
-        InferenceResult.from_payload(
-            {"text": "", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
-        )
+DROP = object()
 
 
-def test_cumulative_sum_mismatch_is_protocol_violation():
-    with pytest.raises(ProtocolError):
-        InferenceResult.from_payload(
-            {"text": "yes", "token_logprobs": [-0.2, -0.3], "cumulative_logprob": -0.6}
-        )
+def payload(**fields):
+    """A response payload with ``fields`` replaced; a field set to DROP is
+    left out."""
+    base = {"text": "yes", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    return {k: v for k, v in {**base, **fields}.items() if v is not DROP}
 
 
-def test_positive_logprob_is_protocol_violation():
-    with pytest.raises(ProtocolError):
-        InferenceResult.from_payload(
-            {"text": "yes", "token_logprobs": [0.1], "cumulative_logprob": 0.1}
-        )
+NUMBERS = "token_logprobs must be a list of numbers, cumulative_logprob a number"
+HUGE = -(10 ** 399)  # a JSON integer under the int-string limit, beyond any float
+# Each rule of a wire-protocol response, with the exact message it raises.
+PAYLOAD_RULES = {
+    "missing_key": (payload(cumulative_logprob=DROP),
+                    "malformed response payload: 'cumulative_logprob'"),
+    "not_object": (["yes", [-0.1], -0.1],
+                   "malformed response payload: list indices must be integers or slices, not str"),
+    "text_empty": (payload(text=""), "generated text must be a non-empty string, got ''"),
+    "text_number": (payload(text=5), "generated text must be a non-empty string, got 5"),
+    "text_null": (payload(text=None), "generated text must be a non-empty string, got None"),
+    "text_surrogate": (payload(text="ye\ud800s"),
+                       "generated text 'ye\\ud800s' is not valid Unicode"),
+    "logprob_string": (payload(token_logprobs=["-0.1"]), NUMBERS),
+    "logprob_bool": (payload(token_logprobs=[False]), NUMBERS),
+    "logprobs_object": (payload(token_logprobs={}), NUMBERS),
+    "logprobs_scalar": (payload(token_logprobs=-0.1), NUMBERS),
+    "cumulative_string": (payload(cumulative_logprob="-0.1"), NUMBERS),
+    "logprob_nan": (payload(token_logprobs=[math.nan]), NUMBERS),
+    "cumulative_nan": (payload(cumulative_logprob=math.nan), NUMBERS),
+    "logprob_positive": (payload(token_logprobs=[0.1], cumulative_logprob=0.1),
+                         "token log-probability above zero"),
+    "cumulative_positive": (payload(cumulative_logprob=0.1),
+                            "cumulative log-probability above zero"),
+    "sum_mismatch": (payload(token_logprobs=[-0.2, -0.3], cumulative_logprob=-0.6),
+                     "cumulative_logprob does not match the sum of token_logprobs"),
+    "logprob_beyond_float": (payload(token_logprobs=[HUGE], cumulative_logprob=HUGE),
+                             "log-probability beyond float range"),
+    "cumulative_beyond_float": (payload(cumulative_logprob=HUGE),
+                                "log-probability beyond float range"),
+}
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [{"text": 5}, {"text": None}, {"token_logprobs": ["-0.1"]}, {"token_logprobs": [False]},
-     {"token_logprobs": {}}, {"cumulative_logprob": "-0.1"}, {"cumulative_logprob": math.nan}],
-    ids=["text_number", "text_null", "logprob_string", "logprob_bool", "logprobs_object",
-         "cumulative_string", "cumulative_nan"],
-)
-def test_mistyped_payload_is_protocol_violation(fields):
-    payload = {"text": "yes", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
-    with pytest.raises(ProtocolError):
-        InferenceResult.from_payload({**payload, **fields})
+@pytest.mark.parametrize("body, message", PAYLOAD_RULES.values(), ids=PAYLOAD_RULES.keys())
+def test_mistyped_payload_is_protocol_violation(body, message):
+    with pytest.raises(ProtocolError) as raised:
+        InferenceResult.from_payload(body)
+    assert str(raised.value) == message
 
 
 def test_unpaired_surrogate_text_is_protocol_violation():
@@ -447,7 +463,7 @@ SCRIPT_LINE_EDGES = {
     "minus_infinity": GOOD_LINE.replace("[-0.105]", "[-Infinity, -1e308]"),
     "floats_to_minus_infinity": GOOD_LINE.replace("[-0.105]", "[-1e308, -1e308]"),
 }
-GOOD_EDGES = {"ints", "minus_infinity", "floats_to_minus_infinity"}
+GOOD_EDGES = {"ints", "int_sum_off_by_4", "minus_infinity", "floats_to_minus_infinity"}
 BLANK_LINES = ["", "  ", "\t", " \u3000\x1f "]
 
 
@@ -517,6 +533,50 @@ def test_mock_script_reads_as_by_line(n, seed, ints, data):
         lines[position - 1] = data.draw(st.sampled_from(list(SCRIPT_LINE_EDGES.values())))
     chunked, by_line = read_both(lines)
     assert chunked == by_line
+
+
+def line_payload(line: str):
+    """The wire-protocol payload of a script line's response, its cumulative
+    log-probability the sum of its log-probabilities as floats, or None for
+    a line that is no JSON, has no response or breaks a rule of its match."""
+    try:
+        obj = json.loads(line.strip())
+        match, response = obj["match"], obj["response"]
+        text, logprobs = response["text"], response["token_logprobs"]
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return None
+    if not isinstance(match["prompt_contains"], str) or match["role"] not in ROLES:
+        return None
+    try:
+        cumulative = sum(map(float, logprobs))
+    except (TypeError, ValueError, OverflowError):
+        cumulative = 0.0  # the log-probabilities themselves break a rule
+    return {"text": text, "token_logprobs": logprobs, "cumulative_logprob": cumulative}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sampled_from(list(SCRIPT_LINE_EDGES.values())),
+    st.integers(0, 2 ** 32).map(lambda seed: random_script_line(random.Random(seed), ints=True)),
+))
+def test_script_line_reads_as_http_payload(line):
+    """One rule set for a response: the mock script reads a line iff the HTTP
+    client accepts its response, to the same log-probabilities."""
+    body = line_payload(line)
+    assume(body is not None)
+    try:
+        expected = repr(InferenceResult.from_payload(body).token_logprobs)
+    except ProtocolError:
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "script.jsonl"
+        path.write_bytes(raw(line + "\n"))
+        try:
+            (entry,) = MockBackend.from_script(path).entries
+            read = repr(entry.token_logprobs)
+        except DatasetError:
+            read = None
+    assert read == expected
 
 
 def test_mock_script_memory_per_entry(tmp_path):

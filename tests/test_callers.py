@@ -138,3 +138,38 @@ def test_offline_commands_do_not_import_numpy_ma(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+# Messages of rules a backend response must keep, HTTP or mock script alike.
+RESPONSE_RULES = (
+    "token log-probability above zero",
+    "generated text must be a non-empty string",
+    "log-probability beyond float range",
+)
+
+
+def _literal_holders(message: str) -> list:
+    """"file:function" of each innermost function in the package, or "file"
+    outside any, that holds a string literal containing ``message``."""
+    holders = set()
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition(':')[0]}:{node.name}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value:
+            holders.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    return sorted(holders)
+
+
+def test_one_function_holds_each_response_rule():
+    """A generation is valid by one rule set, ``backend._responses``, for the
+    HTTP client and the mock script: a second copy of a rule, which could
+    drift from the first, puts its message in a second function."""
+    for message in RESPONSE_RULES:
+        holders = _literal_holders(message)
+        assert len(holders) == 1 and holders[0].startswith("backend.py:"), (message, holders)

@@ -318,15 +318,14 @@ def test_paired_surrogates_and_escaped_backslash_load(tmp_path, escape):
     question.id.encode("utf-8")
 
 
-def test_boolean_qtype_requires_yes_no():
-    with pytest.raises(DatasetError):
-        VisualQuestion(
-            id="q", image="i.jpg", question="x?", answers=("blue",), qtype="boolean"
-        )
+def test_boolean_qtype_requires_yes_no(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [{**GOOD, "answers": ["blue"], "qtype": "boolean"}])
+    with pytest.raises(DatasetError, match="non-boolean answer 'blue'"):
+        dataset.load_dataset(path)
     # "Yes." normalizes to yes, so it is acceptable.
-    VisualQuestion(
-        id="q", image="i.jpg", question="x?", answers=("Yes.",), qtype="boolean"
-    )
+    write_lines(path, [{**GOOD, "answers": ["Yes."], "qtype": "boolean"}])
+    assert dataset.load_dataset(path)[0].answers == ("Yes.",)
 
 
 def test_roundtrip_is_stable(tmp_path):
