@@ -15,9 +15,9 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from .dataset import CHUNK_LINES, parse_chunk, read_chunks
@@ -67,16 +67,14 @@ ANSWER_PARAMS = SamplingParams(
 )
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     prompt: str
     params: SamplingParams
     request_id: str
     image: Optional[str] = None  # base64 payload or URL, opaque here
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(NamedTuple):
     text: str
     token_logprobs: tuple
     cumulative_logprob: float
@@ -166,7 +164,7 @@ def _with_retries(
     for attempt in itertools.count():
         try:
             result = fn()
-            return replace(result, retries=attempt) if attempt else result
+            return result._replace(retries=attempt) if attempt else result
         except BackendError as exc:
             exc.retries = attempt
             if not isinstance(exc, TransportError) or attempt + 1 >= attempts:
@@ -277,20 +275,11 @@ class HTTPBackend:
                 conn.close()
 
 
-@dataclass(frozen=True)
-class MockEntry:
+class MockEntry(NamedTuple):
     prompt_contains: str
     role: str
     text: str
     token_logprobs: tuple
-
-
-def _interior_words(pattern: str) -> List[str]:
-    """The tokens of ``pattern.split()`` with whitespace on both sides inside
-    ``pattern``. A prompt that holds ``pattern`` holds each of them as a whole
-    token of ``prompt.split()``: split and isspace share one whitespace test."""
-    words = pattern.split()
-    return words[0 if pattern[:1].isspace() else 1 : None if pattern[-1:].isspace() else -1]
 
 
 class MockBackend:
@@ -301,30 +290,40 @@ class MockBackend:
     first-match-wins in file order. ``from_script`` checks each response
     once by an HTTP response's rules (``_responses``) save the sum rule, as
     a line has no cumulative log-probability; entries built directly are
-    taken as they are. ``entries`` is a tuple, indexed once at construction
-    by whole words, so a call costs one lookup per whitespace token of the
-    prompt rather than O(entries); ``complete`` only reads the index, so
-    concurrent calls need no lock.
+    taken as they are. ``entries`` is a tuple of MockEntry tuples, indexed
+    once at construction by whole words, so a call costs one lookup per
+    whitespace token of the prompt rather than O(entries); ``complete`` only
+    reads the index, so concurrent calls need no lock.
+
+    A pattern's interior words are the tokens of ``pattern.split()`` with
+    whitespace on both sides inside the pattern: a prompt that holds the
+    pattern holds each of them as a whole token of ``prompt.split()``, as
+    split and isspace share one whitespace test. Each pattern is filed under
+    the interior word that is rarest among all whitespace tokens of the
+    distinct patterns, end tokens included; a pattern with none is scanned.
     """
 
     def __init__(self, entries: Sequence[MockEntry]) -> None:
         self.entries = tuple(entries)
         # Per role: the indices of patterns with no interior word, scanned in
-        # order, and {word: indices} for the rest, each filed in file order
-        # under its interior word that is rarest among the distinct patterns.
+        # order, and {word: indices} for the rest, each in file order.
         self._unanchored: Dict[str, List[int]] = {}
         self._anchored: Dict[str, Dict[str, List[int]]] = {}
-        counts = Counter(
-            itertools.chain.from_iterable(
-                map(_interior_words, {entry.prompt_contains for entry in self.entries})
-            )
-        )
-        for index, entry in enumerate(self.entries):
-            words = _interior_words(entry.prompt_contains)
+        # One join and split per CHUNK_LINES distinct patterns, so that one
+        # run's tokens are held at a time; the space between two patterns
+        # ends a token as any whitespace does.
+        patterns = [*{entry.prompt_contains for entry in self.entries}]
+        counts = Counter(itertools.chain.from_iterable(
+            " ".join(patterns[start : start + CHUNK_LINES]).split()
+            for start in range(0, len(patterns), CHUNK_LINES)
+        ))
+        for index, (pattern, role, _, _) in enumerate(self.entries):
+            words = pattern.split()
+            words = words[0 if pattern[:1].isspace() else 1 : None if pattern[-1:].isspace() else -1]
             if not words:
-                self._unanchored.setdefault(entry.role, []).append(index)
+                self._unanchored.setdefault(role, []).append(index)
                 continue
-            table = self._anchored.setdefault(entry.role, {})
+            table = self._anchored.setdefault(role, {})
             table.setdefault(min(words, key=counts.__getitem__), []).append(index)
 
     @classmethod

@@ -112,6 +112,11 @@ class AnswerOutcome:
     confidence: float
 
 
+# Writes what json.dumps(obj, ensure_ascii=False, default=vars) writes; an
+# encoder keeps no state between calls, so one serves every record.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
+
+
 @dataclass(kw_only=True)
 class EpisodeRecord:
     id: str
@@ -129,11 +134,7 @@ class EpisodeRecord:
     def to_json(self) -> str:
         """The record's log line: its fields in order, ``failed`` only when
         true, and each AnswerOutcome as its own fields."""
-        return json.dumps(
-            {k: v for k, v in vars(self).items() if k != "failed" or v},
-            ensure_ascii=False,
-            default=vars,
-        )
+        return _LINE_ENCODER.encode({k: v for k, v in vars(self).items() if k != "failed" or v})
 
 
 @dataclass

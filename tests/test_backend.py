@@ -609,6 +609,28 @@ def test_mock_entries_are_immutable():
     assert isinstance(backend.entries, tuple)
 
 
+# Each record a mock run builds per script line or per call: its fields in
+# order, and its defaults.
+PER_CALL_RECORDS = {
+    MockEntry: (("prompt_contains", "role", "text", "token_logprobs"), {}),
+    InferenceRequest: (("prompt", "params", "request_id", "image"), {"image": None}),
+    InferenceResult: (("text", "token_logprobs", "cumulative_logprob", "retries"), {"retries": 0}),
+}
+
+
+def test_per_call_records_are_tuples():
+    """A MockEntry per script line, an InferenceRequest and an
+    InferenceResult per call: each is a named tuple, cheaper to build than
+    a frozen dataclass, and no field or new attribute can be set on one."""
+    for cls, (names, defaults) in PER_CALL_RECORDS.items():
+        assert issubclass(cls, tuple), cls
+        assert cls._fields == names and cls._field_defaults == defaults, cls
+        record = cls(*range(len(names)))
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
 # Alphabets with no whitespace test only the unindexed path of MockBackend;
 # the others put runs of spaces, tabs and the non-ASCII whitespace that
 # str.split also splits on inside, around and at the ends of patterns.

@@ -367,6 +367,37 @@ def test_episode_schema_field_order():
     assert list(obj["initial"]) == ["text", "confidence"]
 
 
+# Text a log line escapes or writes as it is: quotes, backslashes, control
+# characters, U+2028 and U+2029, and characters beyond the BMP.
+LINE_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001f600"]),
+    st.characters(),
+))
+CONFIDENCES = st.one_of(st.sampled_from([sys.float_info.min, 1.0, 0.0]), st.floats(0.0, 1.0))
+OUTCOMES = st.builds(pipeline.AnswerOutcome, LINE_TEXT, CONFIDENCES)
+
+
+@given(st.builds(
+    pipeline.EpisodeRecord,
+    id=LINE_TEXT,
+    initial=OUTCOMES,
+    gate=st.sampled_from(["kept", "second_guessed"]),
+    subquestion=st.none() | LINE_TEXT,
+    subanswer=st.none() | LINE_TEXT,
+    subanswer_provenance=st.sampled_from([None, "oracle", "model"]),
+    final=OUTCOMES,
+    correct_before=st.booleans(),
+    correct_after=st.booleans(),
+    malformed_subquestion=st.booleans(),
+    failed=st.booleans(),
+))
+def test_record_line_is_json_dumps_of_its_fields(record):
+    """One shared encoder writes each log line: the bytes of a json.dumps
+    call of the record's fields, ``failed`` only when true."""
+    obj = {k: v for k, v in vars(record).items() if k != "failed" or v}
+    assert record.to_json() == json.dumps(obj, ensure_ascii=False, default=vars)
+
+
 CHAIN_SPECS = [
     QSpec("q1", "is the sky blue?", "yes", "yes", 0.9, final_text="yes"),
     QSpec("q2", "is it raining?", "no", "yes", 0.2, final_text="no"),
