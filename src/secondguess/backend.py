@@ -8,6 +8,7 @@ normalization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -172,6 +173,12 @@ def _with_retries(
             sleep(base_delay * (2 ** attempt))
 
 
+# The body's dict of a SamplingParams, built once per value (the chain sends
+# only ANSWER_PARAMS and DECOMPOSE_PARAMS): a frozen dataclass is hashable,
+# and json.dumps leaves the dict as it is.
+_params_dict = functools.cache(asdict)
+
+
 class HTTPBackend:
     """Client for the canonical JSON-over-HTTP generation protocol.
 
@@ -250,7 +257,7 @@ class HTTPBackend:
         body = {
             "prompt": request.prompt,
             "image": request.image,
-            "params": asdict(request.params),
+            "params": _params_dict(request.params),
         }
         data = json.dumps(body, allow_nan=False).encode("utf-8")
 

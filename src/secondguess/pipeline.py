@@ -9,9 +9,11 @@ the sub-QAs come from: ``direct`` keeps every answer; ``decompose_all`` and
 ``selective`` (confidence at or below tau) use a model-written subquestion
 answered by the model; the oracle modes second-guess every question with its
 human-written sub-QAs, as given, stripped, scrambled or self-answered. Every
-question yields one auditable EpisodeRecord; ``run`` appends a run's new
-records to the log once, at the end of the run, and returns the whole log's
-columns.
+question yields one auditable episode record, a plain dict with its keys in
+the log's order. ``run`` checks each chunk of new records with
+``_chunk_columns``, the log reader's rule set, before it writes any byte,
+appends them to the log once, at the end of the run, and returns the whole
+log's columns.
 
 ``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``
 through ``dataset.parse_chunk``, the one parse of JSONL input, with
@@ -106,35 +108,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown scoring {self.scoring!r}")
 
 
-@dataclass(frozen=True)
-class AnswerOutcome:
-    text: str
-    confidence: float
-
-
-# Writes what json.dumps(obj, ensure_ascii=False, default=vars) writes; an
-# encoder keeps no state between calls, so one serves every record.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
-
-
-@dataclass(kw_only=True)
-class EpisodeRecord:
-    id: str
-    initial: AnswerOutcome
-    gate: str = "kept"  # "kept" | "second_guessed"
-    subquestion: Optional[str] = None
-    subanswer: Optional[str] = None
-    subanswer_provenance: Optional[str] = None  # "oracle" | "model" | None
-    final: AnswerOutcome
-    correct_before: bool
-    correct_after: bool
-    malformed_subquestion: bool = False
-    failed: bool = False
-
-    def to_json(self) -> str:
-        """The record's log line: its fields in order, ``failed`` only when
-        true, and each AnswerOutcome as its own fields."""
-        return _LINE_ENCODER.encode({k: v for k, v in vars(self).items() if k != "failed" or v})
+# Writes what json.dumps(record, ensure_ascii=False) writes; an encoder keeps
+# no state between calls, so one serves every record. Only records that
+# ``_chunk_columns`` has passed reach it.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 @dataclass
@@ -192,9 +169,10 @@ class Engine:
             self.retries += result.retries
         return result
 
-    def answer(self, question: VisualQuestion, stage: str, prompt: str) -> AnswerOutcome:
-        """One recomposer call about the question's image; ``stage`` is the
-        request-id suffix: initial, suba<i> or recompose."""
+    def answer(self, question: VisualQuestion, stage: str, prompt: str) -> dict:
+        """One recomposer call about the question's image, as the record's
+        ``{"text", "confidence"}`` answer; ``stage`` is the request-id suffix:
+        initial, suba<i> or recompose."""
         request = InferenceRequest(
             prompt=prompt,
             params=ANSWER_PARAMS,
@@ -202,7 +180,7 @@ class Engine:
             image=question.image,
         )
         result = self._call(request, RECOMPOSER)
-        return AnswerOutcome(result.text, confidence_of(result))
+        return {"text": result.text, "confidence": confidence_of(result)}
 
     def generate_subquestion(self, question: VisualQuestion):
         """Returns (subquestion text, malformed flag). The raw
@@ -222,30 +200,42 @@ class Engine:
         return text, malformed
 
 
-def _correct(outcome: AnswerOutcome, question: VisualQuestion, scoring: str) -> bool:
-    return evaluation.is_match(outcome.text, list(question.answers), scoring=scoring)
+def _correct(answer: dict, question: VisualQuestion, scoring: str) -> bool:
+    return evaluation.is_match(answer["text"], list(question.answers), scoring=scoring)
 
 
-def _failed_episode(question: VisualQuestion) -> EpisodeRecord:
-    empty = AnswerOutcome(text="", confidence=0.0)
-    return EpisodeRecord(
-        id=question.id,
-        initial=empty,
-        final=empty,
-        correct_before=False,
-        correct_after=False,
-        failed=True,
-    )
+def _record(question: VisualQuestion, initial: dict, correct_before: bool, **changes) -> dict:
+    """The record of a question that keeps its initial answer, with its keys
+    in the log's order. ``changes`` replace values in place, as a dict keeps
+    a key where it was first set; ``failed``, which only a failed record
+    holds, is the one key they add, last."""
+    return {
+        "id": question.id,
+        "initial": initial,
+        "gate": "kept",  # or "second_guessed"
+        "subquestion": None,
+        "subanswer": None,
+        "subanswer_provenance": None,  # "oracle" | "model" | None
+        "final": initial,
+        "correct_before": correct_before,
+        "correct_after": correct_before,
+        "malformed_subquestion": False,
+        **changes,
+    }
+
+
+def _failed_episode(question: VisualQuestion) -> dict:
+    return _record(question, {"text": "", "confidence": 0.0}, False, failed=True)
 
 
 def _self_answer(engine: Engine, question: VisualQuestion, ctx: DecompositionContext):
     """Answer each subquestion with the recomposer (stage suba<i>)."""
     answered = []
     for index, qa in enumerate(ctx.sub_qas):
-        outcome = engine.answer(
+        answer = engine.answer(
             question, f"suba{index}", prompts.render_direct_qa(qa.question)
         )
-        answered.append(SubQA(qa.question, outcome.text))
+        answered.append(SubQA(qa.question, answer["text"]))
     return DecompositionContext(answered)
 
 
@@ -271,10 +261,10 @@ def _context(engine: Engine, question: VisualQuestion, cfg: PipelineConfig):
 def _episode(
     engine: Engine,
     question: VisualQuestion,
-    initial: Optional[AnswerOutcome],
+    initial: Optional[dict],
     cfg: PipelineConfig,
     tau: Optional[float],
-) -> EpisodeRecord:
+) -> dict:
     """Gate one initial answer and second-guess it if needed. A backend
     failure anywhere in the question's chain yields a failed record."""
     if initial is None:
@@ -282,14 +272,8 @@ def _episode(
     correct_before = _correct(initial, question, cfg.scoring)
     # Gate: keep iff strictly above tau; ties are second-guessed. Oracle
     # modes have no tau and second-guess every question.
-    if cfg.mode == "direct" or (tau is not None and initial.confidence > tau):
-        return EpisodeRecord(
-            id=question.id,
-            initial=initial,
-            final=initial,
-            correct_before=correct_before,
-            correct_after=correct_before,
-        )
+    if cfg.mode == "direct" or (tau is not None and initial["confidence"] > tau):
+        return _record(question, initial, correct_before)
     try:
         ctx, provenance, malformed = _context(engine, question, cfg)
         final = engine.answer(
@@ -298,9 +282,10 @@ def _episode(
     except BackendError:
         return _failed_episode(question)
     answers = [qa.answer for qa in ctx.sub_qas]
-    return EpisodeRecord(
-        id=question.id,
-        initial=initial,
+    return _record(
+        question,
+        initial,
+        correct_before,
         gate="second_guessed",
         subquestion=" | ".join(qa.question for qa in ctx.sub_qas),
         subanswer=None
@@ -308,7 +293,6 @@ def _episode(
         else " | ".join(a or "" for a in answers),
         subanswer_provenance=provenance,
         final=final,
-        correct_before=correct_before,
         correct_after=_correct(final, question, cfg.scoring),
         malformed_subquestion=malformed,
     )
@@ -500,7 +484,7 @@ def read_episode_log(path) -> evaluation.EpisodeColumns:
     return log
 
 
-def _initial(engine: Engine, question: VisualQuestion) -> Optional[AnswerOutcome]:
+def _initial(engine: Engine, question: VisualQuestion) -> Optional[dict]:
     """The question's initial answer, or None if its call failed."""
     try:
         return engine.answer(
@@ -520,60 +504,60 @@ def run(
 
     Questions whose ids the sink already holds are skipped, so the finished
     log holds one episode per question; the summary counts the whole log.
-    Each pending question's chain is one task, and the new episodes are
-    appended in dataset order once the last one is done. Per-episode backend
-    failures are isolated into failed records; only dataset/config problems
-    abort the run. Returns the summary and the whole log's columns: those
-    of the log as the run found it, then the new episodes'.
+    Each pending question's chain is one task. Per-episode backend failures
+    are isolated into failed records; only dataset/config problems abort the
+    run. Each CHUNK_LINES new records, as they come, pass ``_chunk_columns``,
+    the rule set the log is read with, and are kept only as their columns and
+    encoded lines, appended in dataset order after the last episode; a record
+    that breaks a rule is a bug and raises AssertionError before any byte is
+    written. Returns the summary and the whole log's columns: those of the
+    log as the run found it, then the new episodes'.
     """
     sink_path = Path(sink_path)
     # The run appends to the log, so its columns are not cached.
     log = _parse_log(sink_path) if sink_path.exists() else _joined([])
-    summary = RunSummary(episodes=len(log.ids), failures=int(log.failed.sum()))
     done = set(log.ids)
     questions = [q for q in questions if q.id not in done]
+    skipped = 0
     if cfg.mode in ORACLE_MODES:
         usable = [q for q in questions if q.oracle_sub_qas]
-        summary.skipped_missing_oracle = len(questions) - len(usable)
+        skipped = len(questions) - len(usable)
         questions = usable
 
     tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
+    # vars holds a dataclass's fields in their order.
+    chunks, lines = [vars(log).values()], []
     # One pool serves the run: at most `concurrency` worker threads, and an
     # HTTP backend keeps one connection per thread. At concurrency 1 the
     # tasks run inline, cheaper than a thread handoff.
     with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
         map_ = pool.map if cfg.concurrency > 1 else map
         if cfg.tau_percentile is None:
-            episodes = list(
-                map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau), questions)
-            )
+            episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau), questions)
         else:
             # The one barrier: a percentile tau needs every initial confidence.
             # With none, tau stays None and every chain is a failed record.
             initials = list(map_(lambda q: _initial(engine, q), questions))
-            confidences = [o.confidence for o in initials if o is not None]
+            confidences = [a["confidence"] for a in initials if a is not None]
             if confidences:
                 tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-            episodes = list(
-                map_(lambda q, o: _episode(engine, q, o, cfg, tau), questions, initials)
-            )
+            episodes = map_(lambda q, a: _episode(engine, q, a, cfg, tau), questions, initials)
+        for chunk in iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), []):
+            columns = _chunk_columns(chunk, done)
+            if isinstance(columns, str):
+                raise AssertionError(f"run built a record the log reader rejects: {columns}")
+            chunks.append(columns)
+            lines.append("".join(_LINE_ENCODER.encode(record) + "\n" for record in chunk))
 
-    summary.resolved_tau = tau
-    summary.new_episodes = len(episodes)
-    summary.episodes += len(episodes)
-    summary.failures += sum(ep.failed for ep in episodes)
-    summary.backend_calls = engine.recomposer_calls + engine.decomposer_calls
-    summary.retries = engine.retries
     with open(sink_path, "a", encoding="utf-8") as fh:
-        for ep in episodes:
-            fh.write(ep.to_json() + "\n")
-    new = (
-        [ep.id for ep in episodes],
-        np.array([ep.failed for ep in episodes], dtype=bool),
-        np.array([ep.initial.confidence for ep in episodes], dtype=float),
-        np.array([ep.gate == "second_guessed" for ep in episodes], dtype=bool),
-        np.array([ep.correct_before for ep in episodes], dtype=bool),
-        np.array([ep.correct_after for ep in episodes], dtype=bool),
-    )
-    # vars holds a dataclass's fields in their order.
-    return summary, _joined([vars(log).values(), new])
+        fh.writelines(lines)
+    whole = _joined(chunks)
+    return RunSummary(
+        episodes=len(whole.ids),
+        new_episodes=len(whole.ids) - len(log.ids),
+        failures=int(whole.failed.sum()),
+        backend_calls=engine.recomposer_calls + engine.decomposer_calls,
+        retries=engine.retries,
+        skipped_missing_oracle=skipped,
+        resolved_tau=tau,
+    ), whole

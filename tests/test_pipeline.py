@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from conftest import (
     spec_questions,
 )
 from secondguess import evaluation, pipeline
-from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, MockBackend, MockEntry
+from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, InferenceResult, MockBackend, MockEntry
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.pipeline import ConfigError, Engine, PipelineConfig
 from secondguess.prompts import SubQA
@@ -327,6 +328,49 @@ def test_run_resume_no_duplicates(tmp_path):
     assert engine2.recomposer_calls == 2 * 3
 
 
+def test_run_appends_no_record_the_reader_rejects(tmp_path, monkeypatch):
+    """A new record that breaks a rule of the log reader is a bug, which
+    raises before any byte is appended, so the log still reads: here a kept
+    answer of confidence 0, which only a failed record may hold."""
+    sink = tmp_path / "episodes.jsonl"
+    questions = spec_questions(FOUR_EPISODE_SPECS)
+    cfg = PipelineConfig(mode="direct")
+    pipeline.run(questions[:2], cfg, make_engine(FOUR_EPISODE_SPECS)[0], sink)
+    written = sink.read_bytes()
+    monkeypatch.setattr(pipeline, "confidence_of", lambda result: 0.0)
+    with pytest.raises(AssertionError, match="above 0 unless the episode failed"):
+        pipeline.run(questions, cfg, make_engine(FOUR_EPISODE_SPECS)[0], sink)
+    assert sink.read_bytes() == written
+    assert pipeline.read_episode_log(sink).ids == ["q1", "q2"]
+
+
+def test_an_error_that_is_no_backend_error_stops_the_run(tmp_path):
+    """An exception that is no BackendError leaves the pool at once: the
+    chains not yet begun are dropped, so 200 questions at concurrency 4 make
+    few of their 800 calls, and no log is written."""
+    calls = []  # list.append is atomic
+
+    class Failing:
+        def complete(self, request, role):
+            calls.append(request.request_id)
+            time.sleep(0.002)
+            if request.request_id == "q0000#initial":
+                raise RuntimeError("no backend failure")
+            return InferenceResult("yes", (-0.1,), -0.1)
+
+    questions = [
+        VisualQuestion(id=f"q{i:04d}", image=f"{i}.jpg", question="is it?", answers=("yes",))
+        for i in range(200)
+    ]
+    engine = Engine(recomposer=Failing(), decomposer=Failing())
+    sink = tmp_path / "episodes.jsonl"
+    cfg = PipelineConfig(mode="decompose_all", concurrency=4)
+    with pytest.raises(RuntimeError, match="no backend failure"):
+        pipeline.run(questions, cfg, engine, sink)
+    assert len(calls) < 40
+    assert not sink.exists()
+
+
 def test_run_deterministic_bytes(tmp_path):
     questions = spec_questions(FOUR_EPISODE_SPECS)
     cfg = PipelineConfig(mode="selective", tau=0.3, seed=11, concurrency=3)
@@ -374,28 +418,28 @@ LINE_TEXT = st.text(st.one_of(
     st.characters(),
 ))
 CONFIDENCES = st.one_of(st.sampled_from([sys.float_info.min, 1.0, 0.0]), st.floats(0.0, 1.0))
-OUTCOMES = st.builds(pipeline.AnswerOutcome, LINE_TEXT, CONFIDENCES)
+ANSWERS = st.fixed_dictionaries({"text": LINE_TEXT, "confidence": CONFIDENCES})
 
 
-@given(st.builds(
-    pipeline.EpisodeRecord,
-    id=LINE_TEXT,
-    initial=OUTCOMES,
-    gate=st.sampled_from(["kept", "second_guessed"]),
-    subquestion=st.none() | LINE_TEXT,
-    subanswer=st.none() | LINE_TEXT,
-    subanswer_provenance=st.sampled_from([None, "oracle", "model"]),
-    final=OUTCOMES,
-    correct_before=st.booleans(),
-    correct_after=st.booleans(),
-    malformed_subquestion=st.booleans(),
-    failed=st.booleans(),
+@given(st.fixed_dictionaries(
+    {
+        "id": LINE_TEXT,
+        "initial": ANSWERS,
+        "gate": st.sampled_from(["kept", "second_guessed"]),
+        "subquestion": st.none() | LINE_TEXT,
+        "subanswer": st.none() | LINE_TEXT,
+        "subanswer_provenance": st.sampled_from([None, "oracle", "model"]),
+        "final": ANSWERS,
+        "correct_before": st.booleans(),
+        "correct_after": st.booleans(),
+        "malformed_subquestion": st.booleans(),
+    },
+    optional={"failed": st.just(True)},
 ))
 def test_record_line_is_json_dumps_of_its_fields(record):
     """One shared encoder writes each log line: the bytes of a json.dumps
-    call of the record's fields, ``failed`` only when true."""
-    obj = {k: v for k, v in vars(record).items() if k != "failed" or v}
-    assert record.to_json() == json.dumps(obj, ensure_ascii=False, default=vars)
+    call of the record."""
+    assert pipeline._LINE_ENCODER.encode(record) == json.dumps(record, ensure_ascii=False)
 
 
 CHAIN_SPECS = [
@@ -438,27 +482,46 @@ def expected_chain(mode, spec):
     return ["initial", "subq", "suba0", "recompose"]
 
 
-def run_chain(sink, mode, concurrency, drop_recompose_of=None, failures=1, **threshold):
+def run_chain_log(sink, mode, concurrency, drop_recompose_of=None, failures=1, **threshold):
     """Run ``mode`` over the chain fixture into ``sink``, selective at
     CHAIN_TAU unless given a threshold, each request failing with transport
     errors as FlakyBackend's ``failures_before_success`` says (by default
-    once). Returns the RunSummary and the FlakyBackend, whose inner backend
-    is a RecordingBackend."""
+    once). Returns the RunSummary, the log's columns as ``run`` returns
+    them, and the FlakyBackend, whose inner backend is a RecordingBackend."""
     questions, mock = chain_fixture(drop_recompose_of)
     flaky = FlakyBackend(RecordingBackend(mock), failures_before_success=failures)
     if mode == "selective" and not threshold:
         threshold = {"tau": CHAIN_TAU}
     cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
     engine = Engine(recomposer=flaky, decomposer=flaky)
-    summary, _ = pipeline.run(questions, cfg, engine, sink)
+    summary, log = pipeline.run(questions, cfg, engine, sink)
+    return summary, log, flaky
+
+
+def run_chain(*args, **kwargs):
+    """``run_chain_log`` without the log: the RunSummary and FlakyBackend."""
+    summary, _, flaky = run_chain_log(*args, **kwargs)
     return summary, flaky
+
+
+def assert_columns_equal(got, want):
+    """Two EpisodeColumns hold the same ids, and each column the same dtype
+    and values."""
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "ids":
+            assert a == b
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_every_mode_runs_one_chain(tmp_path, mode, concurrency):
     chains = {spec.qid: expected_chain(mode, spec) for spec in CHAIN_SPECS}
-    summary, flaky = run_chain(tmp_path / "all.jsonl", mode, concurrency)
+    summary, log, flaky = run_chain_log(tmp_path / "all.jsonl", mode, concurrency)
+    # run returns the columns the reader reads from what it wrote.
+    assert_columns_equal(log, pipeline.read_episode_log(tmp_path / "all.jsonl"))
     episodes = read_records(tmp_path / "all.jsonl")
     stages = {qid: [] for qid in chains}
     for call in flaky.inner.call_log:
@@ -469,7 +532,8 @@ def test_every_mode_runs_one_chain(tmp_path, mode, concurrency):
     # One injected retry per call: the run's retries count its calls.
     assert summary.retries == summary.backend_calls == sum(map(len, chains.values()))
 
-    run_chain(tmp_path / "dropped.jsonl", mode, concurrency, drop_recompose_of="q2")
+    _, log, _ = run_chain_log(tmp_path / "dropped.jsonl", mode, concurrency, drop_recompose_of="q2")
+    assert_columns_equal(log, pipeline.read_episode_log(tmp_path / "dropped.jsonl"))
     episodes = read_records(tmp_path / "dropped.jsonl")
     failed = {ep["id"] for ep in episodes if ep.get("failed", False)}
     assert failed == ({"q2"} if "recompose" in chains["q2"] else set())
@@ -709,13 +773,7 @@ def assert_reads_like_oracle(path):
         return
     written = None
     for _ in range(2):
-        log = pipeline.read_episode_log(path)
-        for field in fields(log):
-            got, want = getattr(log, field.name), getattr(expected, field.name)
-            if field.name == "ids":
-                assert got == want
-            else:
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_columns_equal(pipeline.read_episode_log(path), expected)
         # A rewrite replaces the file, whose inode then changes.
         stat = cache.stat()
         assert written in (None, (stat.st_ino, stat.st_mtime_ns))
@@ -835,10 +893,7 @@ def test_read_episode_log_loads_deep_nesting_no_check_reads(tmp_path):
             with pytest.raises(DatasetError, match=re.escape(f"episodes.jsonl:2: {problem}") + "$"):
                 pipeline.read_episode_log(path)
             continue
-        log = pipeline.read_episode_log(path)
-        assert log.ids == expected.ids
-        for name in ("failed", "confidence", "second_guessed", "correct_before", "correct_after"):
-            assert np.array_equal(getattr(log, name), getattr(expected, name))
+        assert_columns_equal(pipeline.read_episode_log(path), expected)
 
 
 def test_read_episode_log_serves_no_stale_cache(tmp_path):
@@ -886,19 +941,20 @@ def test_read_episode_log_keeps_no_dict_per_episode(tmp_path):
     path = tmp_path / "episodes.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(20_000):
-            outcome = pipeline.AnswerOutcome(text="yes", confidence=(i + 1) / 20_001)
-            record = pipeline.EpisodeRecord(
-                id=f"q{i:06d}",
-                initial=outcome,
-                gate="second_guessed",
-                subquestion="is there a cat in the picture?",
-                subanswer="yes",
-                subanswer_provenance="model",
-                final=outcome,
-                correct_before=i % 2 == 0,
-                correct_after=i % 3 == 0,
-            )
-            fh.write(record.to_json() + "\n")
+            answer = {"text": "yes", "confidence": (i + 1) / 20_001}
+            record = {
+                "id": f"q{i:06d}",
+                "initial": answer,
+                "gate": "second_guessed",
+                "subquestion": "is there a cat in the picture?",
+                "subanswer": "yes",
+                "subanswer_provenance": "model",
+                "final": answer,
+                "correct_before": i % 2 == 0,
+                "correct_after": i % 3 == 0,
+                "malformed_subquestion": False,
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     tracemalloc.start()
     try:
         log = pipeline.read_episode_log(path)
