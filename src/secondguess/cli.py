@@ -6,10 +6,10 @@ any of the seven modes; `metrics` and `sweep` only read a log, whose columns
 ``pipeline.read_episode_log`` caches next to it. Exit codes: 0 success, 1
 completed with failed episodes in the whole log (no metrics.json if all
 failed), 2 config validation (a ConfigError), 3 dataset error (a
-DatasetError). All outputs go under --out; every run directory gets a
-manifest recording the resolved config, its hash, the seed, timestamps, the
-whole log's episode and failure counts, and this invocation's backend calls
-and transport retries.
+DatasetError, or a tau the log cannot answer). All outputs go under --out;
+every run directory gets a manifest recording the resolved config, its
+hash, the seed, timestamps, the whole log's episode and failure counts, and
+this invocation's backend calls and transport retries.
 """
 
 from __future__ import annotations
@@ -161,9 +161,8 @@ def _load_questions(path):
 
 
 def _from_log(log_path, compute):
-    """``compute`` of the columns of the episode log at ``log_path``, or exit
-    3 when the log is missing or ``compute`` raises ValueError (no episode to
-    count)."""
+    """``compute`` of the columns of the log at ``log_path``; exit 3 if it is
+    missing or ``compute`` raises ValueError (no episode, or an unanswered tau)."""
     if not Path(log_path).exists():
         _fail(EXIT_DATASET, f"episode log not found: {log_path}")
     log = pipeline.read_episode_log(log_path)
@@ -243,8 +242,8 @@ def cmd_run(config_path, **flags) -> None:
         report = evaluation.compute_report(
             log, tau=summary.resolved_tau, qtype_map=qtype_map
         )
-    except ValueError as exc:  # every episode failed
-        _fail(1, str(exc))
+    except ValueError as exc:  # every episode failed, or the log cannot answer tau
+        _fail(1 if summary.failures == summary.episodes else EXIT_DATASET, str(exc))
     _write_json(out_dir / "metrics.json", asdict(report))
     click.echo(
         f"run complete: {summary.episodes} episodes "
@@ -363,7 +362,8 @@ def cmd_fit(run_dirs) -> None:
 @click.option("--tau", type=float, default=None)
 @click.option("--out", type=click.Path(), default="out")
 def cmd_metrics(log_path, dataset_path, tau, out) -> None:
-    """Recompute the metrics report (and sweep CSV) from an episode log."""
+    """Recompute the metrics report (and sweep CSV) from an episode log. With
+    --tau, replay the gate at tau; a log that cannot answer tau exits 3."""
     if tau is not None and not 0.0 <= tau <= 1.0:
         _fail(EXIT_CONFIG, "tau must be in [0, 1]")
     qtype_map = None

@@ -4,8 +4,8 @@ induction rates, threshold sweeps, surprisal, and the scaling regression.
 All functions here are pure post-processing over immutable episode logs;
 nothing issues model calls. A log is read as ``EpisodeColumns``, one entry
 per record; ``compute_report`` and ``sweep`` mask out its failed records and
-count with boolean masks over the rest; ``replay`` gates those columns at
-each threshold.
+count with boolean masks over the rest; ``gated`` is the one gate rule,
+which ``replay`` bins at each threshold.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ def surprisal(tau: float) -> float:
     return math.log2(1.0 / tau)
 
 
+def gated(confidence, tau):
+    """Whether the gate at ``tau`` second-guesses an answer, ties included."""
+    return confidence <= tau
+
+
 def _nearest_rank(ordered: Sequence[float], percentile: float) -> float:
     """Nearest-rank quantile of sorted confidences; 0.0 at percentile 0."""
     if not (0.0 <= percentile <= 100.0):
@@ -126,14 +131,14 @@ def replay(
     """Replay the confidence gate at each tau in [0, 1] over one outcome per
     answer, with zero model calls.
 
-    An answer is second-guessed iff its confidence <= tau and then scores
-    ``correct_after``, else ``correct_before``; eta is the gated share. A
-    point's percentile is the given one, or 100 * eta without percentiles.
+    An answer ``gated`` at tau is second-guessed and scores
+    ``correct_after``, any other ``correct_before``; eta is the gated share.
+    A point's percentile is the given one, or 100 * eta without percentiles.
 
     One pass, BLOCK answers at a time, counts every tau: with the distinct
     taus sorted, an answer's bin is the first tau at or above its
-    confidence, so the answers gated at the j-th tau are those of bins 0 to
-    j; a last bin holds the answers above every tau.
+    confidence, so the answers ``gated`` at the j-th tau are those of bins 0
+    to j; a last bin holds the answers above every tau.
     """
     n = confidence.size
     # sorted(set()) rather than np.unique, which imports numpy.ma.
@@ -228,7 +233,9 @@ def compute_report(
     tau: Optional[float] = None,
     qtype_map: Optional[Dict[str, str]] = None,
 ) -> MetricsReport:
-    """Aggregate one episode log into a MetricsReport.
+    """Aggregate one episode log into a MetricsReport at the log's own gate,
+    or at the gate at ``tau`` replayed as ``replay`` does. A log that kept a
+    valid answer ``gated`` at tau cannot answer it: ValueError names the first.
 
     Failed episodes are excluded from every denominator and reported as a
     count. ``qtype_map`` (question id -> qtype) enables the per-qtype
@@ -240,6 +247,12 @@ def compute_report(
     n = second_guessed.size
     if not n:
         raise ValueError("no scorable episodes")
+    if tau is not None:
+        gate = gated(log.confidence, tau)
+        kept = np.flatnonzero(valid & gate & ~log.second_guessed)
+        if kept.size:  # a kept answer has no answer after it to score
+            raise ValueError(f"tau {tau!r} gates episode {log.ids[kept[0]]!r}, which the log kept")
+        second_guessed, after = gate[valid], np.where(gate[valid], after, before)
     # Decomposed answers that were wrong (E_CR's pool) or right (E_IC's).
     wrong = second_guessed & ~before
     right = second_guessed & before

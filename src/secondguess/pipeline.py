@@ -1,14 +1,14 @@
 """Selective decomposition over a question stream: one chain per question.
 
 Every mode runs the same chain, one task per question: the question is asked
-for an initial answer and its confidence, the gate keeps the answer or
-second-guesses it, and a second-guessed question gets a decomposition and is
-re-answered with it as context. Only a percentile tau waits for every initial
-answer before it gates any. The modes differ only in the gate and in where
-the sub-QAs come from: ``direct`` keeps every answer; ``decompose_all`` and
-``selective`` (confidence at or below tau) use a model-written subquestion
-answered by the model; the oracle modes second-guess every question with its
-human-written sub-QAs, as given, stripped, scrambled or self-answered. Every
+for an initial answer and its confidence, ``evaluation.gated`` at the mode's
+tau keeps the answer or second-guesses it, and a second-guessed question gets
+a decomposition and is re-answered with it as context. Only a percentile tau
+waits for every initial answer before it gates any. The modes differ only in
+tau and in the sub-QAs: ``direct`` gates at 0, which keeps every answer;
+``decompose_all`` (at 1) and ``selective`` answer a model-written subquestion
+with the model; the oracle modes gate at 1 and use the human-written sub-QAs,
+as given, stripped, scrambled or self-answered. Every
 question yields one auditable episode record, a plain dict with its keys in
 the log's order. ``run`` checks each chunk of new records with
 ``_chunk_columns``, the log reader's rule set, before it writes any byte,
@@ -270,9 +270,8 @@ def _episode(
     if initial is None:
         return _failed_episode(question)
     correct_before = _correct(initial, question, cfg.scoring)
-    # Gate: keep iff strictly above tau; ties are second-guessed. Oracle
-    # modes have no tau and second-guess every question.
-    if cfg.mode == "direct" or (tau is not None and initial["confidence"] > tau):
+    # direct's tau = 0 gates no answer: confidence_of floors every one above 0.
+    if not evaluation.gated(initial["confidence"], tau):
         return _record(question, initial, correct_before)
     try:
         ctx, provenance, malformed = _context(engine, question, cfg)
@@ -524,7 +523,7 @@ def run(
         skipped = len(questions) - len(usable)
         questions = usable
 
-    tau = {"decompose_all": 1.0, "selective": cfg.tau}.get(cfg.mode)
+    tau = {"direct": 0.0, "selective": cfg.tau}.get(cfg.mode, 1.0)
     # vars holds a dataclass's fields in their order.
     chunks, lines = [vars(log).values()], []
     # One pool serves the run: at most `concurrency` worker threads, and an
@@ -559,5 +558,5 @@ def run(
         backend_calls=engine.recomposer_calls + engine.decomposer_calls,
         retries=engine.retries,
         skipped_missing_oracle=skipped,
-        resolved_tau=tau,
+        resolved_tau=tau if cfg.mode in ("decompose_all", "selective") else None,
     ), whole

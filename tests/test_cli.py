@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import itertools
@@ -23,6 +24,7 @@ from conftest import (
     Reply,
     raw,
     spec_questions,
+    trials_to_episodes,
     write_script,
 )
 import secondguess
@@ -30,7 +32,7 @@ from secondguess import cli, dataset, pipeline
 from secondguess.backend import HTTPBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
-from secondguess.simulator import SimConfig, closed_form_decompose_all
+from secondguess.simulator import SimConfig, closed_form_decompose_all, generate_trials
 
 
 @pytest.fixture
@@ -839,6 +841,104 @@ def test_run_metrics_are_metrics_of_its_log(runner, workspace):
         assert recount.exit_code == 0, recount.output
         assert (copy / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
     assert json.loads((out / "metrics.json").read_text())["n"] == 8
+
+
+def decompose_all_log(path, trials=400):
+    """A decompose-all episode log of ``trials`` simulated questions."""
+    cfg = SimConfig(0.7, 0.5, 0.1, trials=trials, seed=5)
+    episodes = trials_to_episodes(generate_trials(cfg))
+    path.write_text("".join(json.dumps(ep) + "\n" for ep in episodes))
+    return path
+
+
+def sweep_rows(runner, log, out):
+    """The rows of the sweep.csv that `sweep --log` writes, as dicts of floats."""
+    assert run_cli(runner, ["sweep", "--log", str(log), "--out", str(out)]).exit_code == 0
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+def metrics_at(runner, log, tau, out):
+    """The metrics.json that `metrics --log --tau` writes."""
+    result = run_cli(runner, ["metrics", "--log", str(log), "--tau", repr(tau), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return json.loads((out / "metrics.json").read_text())
+
+
+def test_metrics_at_tau_is_the_sweep_row(runner, tmp_path):
+    """`metrics --tau` replays the gate at tau: on a decompose-all log it
+    reports exactly the eta and accuracy of `sweep`'s row at that tau."""
+    log = decompose_all_log(tmp_path / "episodes.jsonl")
+    rows = sweep_rows(runner, log, tmp_path / "sweep")
+    assert [row["percentile"] for row in rows] == cli.DEFAULT_PERCENTILES
+    for row in rows:
+        report = metrics_at(runner, log, row["tau"], tmp_path / "metrics")
+        assert (report["tau"], report["eta"]) == (row["tau"], row["eta"])
+        assert report["accuracy_after"] == row["accuracy"]
+        assert report["net_gain"] == (row["accuracy"] - report["accuracy_before"]) * 100.0
+    assert rows[0]["eta"] == 0.0 and rows[-1]["eta"] == 1.0
+
+
+def test_fit_regresses_the_net_gain_at_each_tau(runner, tmp_path):
+    log = decompose_all_log(tmp_path / "episodes.jsonl")
+    rows = sweep_rows(runner, log, tmp_path / "sweep")
+    picked = [row for row in rows if row["percentile"] in (25.0, 50.0, 75.0)]
+    run_dirs, points = [], []
+    for number, row in enumerate(picked):
+        run_dirs.append(tmp_path / f"run{number}")
+        before = metrics_at(runner, log, row["tau"], run_dirs[-1])["accuracy_before"]
+        points.append((row["surprisal"], (row["accuracy"] - before) * 100.0))
+    result = run_cli(runner, ["fit", *map(str, run_dirs)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"runs": 3, **linear_fit(points)}
+    assert linear_fit(points)["slope"] != 0.0
+
+
+def test_metrics_refuses_a_tau_the_log_cannot_answer(runner, workspace):
+    """A log answers tau iff it kept no valid answer at or below tau: a
+    direct log only tau = 0, a selective log at 0.3 every tau up to 0.3."""
+    tmp, data, script = workspace
+    logs = {}
+    for mode, flags in (("direct", []), ("selective", ["--tau", "0.3"])):
+        out = tmp / mode
+        run_cli(runner, ["run", "--dataset", str(data), "--mock-script", str(script),
+                         "--mode", mode, *flags, "--out", str(out)])
+        logs[mode] = out / "episodes.jsonl"
+    # q3 (confidence 0.2) is the first answer at or below 0.5, and q8 (0.6)
+    # the first the selective run kept at or below 0.6.
+    for mode, tau, first in (("direct", 0.5, "q3"), ("selective", 0.6, "q8")):
+        out = tmp / f"{mode}-at-{tau}"
+        result = runner.invoke(main, ["metrics", "--log", str(logs[mode]), "--tau", str(tau),
+                                      "--out", str(out)])
+        assert result.exit_code == 3
+        assert result.stderr == f"error: tau {tau} gates episode {first!r}, which the log kept\n"
+        assert not out.exists()
+    assert metrics_at(runner, logs["direct"], 0.0, tmp / "direct-at-0")["eta"] == 0.0
+    for tau in (0.0, 0.15, 0.2, 0.25, 0.3):
+        report = metrics_at(runner, logs["selective"], tau, tmp / f"selective-at-{tau}")
+        assert report["tau"] == tau
+
+
+def test_run_onto_a_log_it_cannot_answer_exits_3(runner, workspace):
+    """`run --mode decompose_all` resumed onto a direct log reports at tau =
+    1, which gates the kept answers of the direct run: it writes the
+    manifest, no metrics.json, and exits 3 naming the first of them."""
+    tmp, data, script = workspace
+    half = tmp / "half.jsonl"
+    dataset.save_dataset(dataset.load_dataset(data)[:4], half)
+    direct, out = tmp / "direct", tmp / "out"
+    run_cli(runner, ["run", "--dataset", str(half), "--mock-script", str(script),
+                     "--mode", "direct", "--out", str(direct)])
+    out.mkdir()
+    shutil.copy(direct / "episodes.jsonl", out)
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mock-script", str(script),
+                                  "--mode", "decompose_all", "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr == "error: tau 1.0 gates episode 'q1', which the log kept\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["mode"] == "decompose_all"
+    assert (manifest["episodes"], manifest["new_episodes"], manifest["resolved_tau"]) == (8, 4, 1.0)
+    assert sorted(os.listdir(out)) == ["episodes.jsonl", "manifest.json"]
 
 
 class Trap:

@@ -316,7 +316,7 @@ def test_sweep_replay_matches_brute_force(rows):
     for point in points:
         assert point.tau == percentile_to_tau(confidences, point.percentile)
         assert point.accuracy == brute_sweep_accuracy(episodes, point.tau)
-        gated = sum(1 for conf in confidences if conf <= point.tau)
+        gated = sum(1 for conf in confidences if evaluation.gated(conf, point.tau))
         assert point.eta == gated / len(valid)
 
 
@@ -344,7 +344,8 @@ def test_linear_fit_degenerate_x():
 
 def test_compute_report_identity_and_eta():
     episodes = rise_fall_log() + [episode("k", 0.99, True, True, gate="kept")]
-    report = compute_report(log_columns(episodes), tau=0.5)
+    log = log_columns(episodes)
+    report = compute_report(log)
     n = report.n
     corrections = sum(
         1 for ep in episodes if not ep["correct_before"] and ep["correct_after"]
@@ -356,9 +357,17 @@ def test_compute_report_identity_and_eta():
         (corrections - inductions) / n * 100.0
     )
     assert report.eta == pytest.approx(40 / 41)
-    assert report.surprisal == surprisal(0.5)
     assert report.e_cr_denominator == 10
     assert report.e_ic_denominator == 30
+    # At tau = 0.5 the gate second-guesses the ten wrong answers only.
+    replayed = compute_report(log, tau=0.5)
+    assert replayed.eta == 10 / 41
+    assert replayed.surprisal == surprisal(0.5)
+    assert (replayed.e_cr_denominator, replayed.e_ic_denominator) == (10, 0)
+    assert replayed.accuracy_after == brute_sweep_accuracy(episodes, 0.5)
+    # At 0.99 it would second-guess "k", which the log kept.
+    with pytest.raises(ValueError, match="tau 0.99 gates episode 'k', which the log kept"):
+        compute_report(log, tau=0.99)
 
 
 def test_compute_report_per_qtype():
@@ -373,3 +382,44 @@ def test_compute_report_per_qtype():
     assert report.per_qtype["overall"]["n"] == 3
     assert report.per_qtype["boolean"]["accuracy_after"] == 1.0
     assert report.per_qtype["other"]["accuracy_after"] == 0.0
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]),
+            st.booleans(),  # correct_before
+            st.booleans(),  # correct_after
+            st.sampled_from([False, False, False, True]),  # failed
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]),
+    st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]),
+)
+def test_selective_log_answers_every_tau_at_or_below_its_own(rows, own, tau):
+    """A log gated at ``own`` answers tau iff it kept no valid answer gated
+    at tau, so every tau <= own; the report then is the replayed gate's."""
+    assume(not all(failed for *_, failed in rows))
+    episodes = [
+        episode(f"e{i}", conf, before, after,
+                "second_guessed" if conf <= own else "kept", failed)
+        for i, (conf, before, after, failed) in enumerate(rows)
+    ]
+    kept = [ep["id"] for ep in episodes if not ep.get("failed")
+            and ep["gate"] == "kept" and ep["initial"]["confidence"] <= tau]
+    log = log_columns(episodes)
+    if kept:
+        assert tau > own
+        with pytest.raises(ValueError, match=f"gates episode '{kept[0]}'"):
+            compute_report(log, tau=tau)
+        return
+    report = compute_report(log, tau=tau)
+    valid = [ep for ep in episodes if not ep.get("failed")]
+    gated = [ep for ep in valid if ep["initial"]["confidence"] <= tau]
+    assert report.eta == len(gated) / len(valid)
+    assert report.accuracy_after == brute_sweep_accuracy(episodes, tau)
+    assert report.e_cr_denominator == sum(1 for ep in gated if not ep["correct_before"])
+    assert report.e_ic_denominator == sum(1 for ep in gated if ep["correct_before"])
