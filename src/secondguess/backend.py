@@ -17,7 +17,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -26,7 +25,6 @@ from .dataset import CHUNK_LINES, parse_chunk, read_chunks
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
 ROLES = ("decomposer", "recomposer")
-_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 class BackendError(Exception):
@@ -189,6 +187,12 @@ class HTTPBackend:
     Each calling thread keeps one connection open and reuses it across
     calls. A reused connection that the server has dropped is reopened
     once, and that is no retry. ``close`` closes every connection opened.
+
+    ``http.client`` (which loads ``ssl`` and ``email``) is imported here
+    rather than with the module, so a process that builds no HTTPBackend
+    never loads it. Its connection opens the socket and its response parser
+    reads the reply; the request goes out in one write, a head that its
+    ``putrequest`` derived once, then Content-Length and the body.
     """
 
     def __init__(
@@ -199,6 +203,8 @@ class HTTPBackend:
         timeout: float = 120.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        import http.client
+
         url = urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"backend URL {base_url!r} needs an http or https scheme and a host")
@@ -210,17 +216,40 @@ class HTTPBackend:
         self.base_delay = base_delay
         self.timeout = timeout
         self._sleep = sleep
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        default_port = self._connection_class.default_port
         try:
-            self._address = (url.hostname, url.port)
+            # The port is always given: without one, http.client reads the
+            # last ':' of an IPv6 host such as ::1 as the start of a port.
+            self._address = (url.hostname, default_port if url.port is None else url.port)
         except ValueError as exc:  # a port that is no number in range
             raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
-        self._connection_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
-        self._path = url.path.rstrip("/") + "/v1/generate"
+        self._response_class = http.client.HTTPResponse
+        self._faults = (OSError, http.client.HTTPException)  # timeouts are OSErrors
+        # The head that http.client's request() sends, built once by a plain
+        # connection that sends into a list: the request line, Host (with
+        # the port unless it is the scheme's default) and Accept-Encoding,
+        # then Content-Type. An HTTPSConnection would load the CA store,
+        # about 30 ms, to build the same head. The CRLF that ends the head is
+        # cut off; _exchange adds Content-Length and the body.
+        probe = http.client.HTTPConnection(*self._address)
+        probe.default_port = default_port
+        sent: List[bytes] = []
+        probe.send = sent.append
+        try:
+            probe.putrequest("POST", url.path.rstrip("/") + "/v1/generate")
+            probe.putheader("Content-Type", "application/json")
+            probe.endheaders()
+        except (http.client.HTTPException, UnicodeError) as exc:  # a path it cannot send
+            raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
+        self._head = sent[0][: -len(b"\r\n")]
         self._local = threading.local()
-        self._opened: List[HTTPConnection] = []
+        self._opened: list = []
         self._lock = threading.Lock()
 
-    def _connection(self) -> HTTPConnection:
+    def _connection(self):
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._connection_class(*self._address, timeout=self.timeout)
@@ -229,10 +258,19 @@ class HTTPBackend:
             self._local.conn = conn
         return conn
 
-    def _exchange(self, conn: HTTPConnection, data: bytes) -> Tuple[int, bytes]:
-        conn.request("POST", self._path, body=data, headers=_JSON_HEADERS)
-        response = conn.getresponse()
-        return response.status, response.read()
+    def _exchange(self, conn, data: bytes) -> Tuple[int, bytes]:
+        if conn.sock is None:
+            conn.connect()
+        conn.sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(data), data))
+        response = self._response_class(conn.sock, method="POST")
+        try:
+            response.begin()
+            body = response.read()
+        finally:
+            response.close()
+        if response.will_close:
+            conn.close()
+        return response.status, body
 
     def _post(self, data: bytes) -> Tuple[int, bytes]:
         """(status, body) of one POST on this thread's connection."""
@@ -248,7 +286,7 @@ class HTTPBackend:
                     raise
                 conn.close()
                 return self._exchange(conn, data)
-        except (OSError, HTTPException) as exc:  # timeouts are OSErrors
+        except self._faults as exc:
             # A half-read exchange leaves the connection unusable.
             conn.close()
             raise TransportError(f"{self.base_url}: {exc!r}") from exc

@@ -257,8 +257,8 @@ def cmd_run(config_path, **flags) -> None:
 @click.option("--percentiles", default=None, help="comma-separated percentiles")
 @click.option("--out", type=click.Path(), default="out")
 def cmd_sweep(log_path, percentiles, out) -> None:
-    """Offline threshold sweep over a decompose-all episode log; no model
-    calls."""
+    """Offline threshold sweep over an episode log; no model calls. Writes
+    the points whose tau the log answers, and exits 3 if none is left."""
     grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
     points = _from_log(log_path, lambda log: evaluation.sweep(log, grid))
     out_dir = Path(out)

@@ -167,11 +167,23 @@ def replay(
     return points
 
 
+def _unanswered(log: EpisodeColumns, tau: float) -> Optional[str]:
+    """Why the log cannot answer ``tau``: it kept a valid answer ``gated``
+    there, which has no answer after it to score. None if it can."""
+    kept = np.flatnonzero(~log.failed & gated(log.confidence, tau) & ~log.second_guessed)
+    if kept.size:
+        return f"tau {tau!r} gates episode {log.ids[kept[0]]!r}, which the log kept"
+    return None
+
+
 def sweep(log: EpisodeColumns, percentiles: Sequence[float]) -> List[SweepPoint]:
-    """Offline threshold sweep over a decompose-all episode log.
+    """Offline threshold sweep over an episode log.
 
     Failed records are left out; each percentile resolves to its
-    nearest-rank tau over the rest, and the gate is replayed there.
+    nearest-rank tau over the rest, and the gate is replayed there. A point
+    whose tau the log cannot answer, as ``compute_report`` refuses it, is
+    left out; a decompose-all log answers every tau. ValueError if no point
+    is left.
     """
     valid = ~log.failed
     confidence = log.confidence[valid]
@@ -179,6 +191,14 @@ def sweep(log: EpisodeColumns, percentiles: Sequence[float]) -> List[SweepPoint]
         raise ValueError("no episodes to sweep")
     ordered = np.sort(confidence)
     taus = [_nearest_rank(ordered, p) for p in percentiles]
+    kept = confidence[~log.second_guessed[valid]]
+    if kept.size:  # a tau below the lowest kept confidence gates none of them
+        lowest = kept.min()
+        answered = [i for i, tau in enumerate(taus) if not gated(lowest, tau)]
+        if not answered:
+            raise ValueError(_unanswered(log, taus[0]))
+        percentiles = [percentiles[i] for i in answered]
+        taus = [taus[i] for i in answered]
     return replay(
         confidence, log.correct_before[valid], log.correct_after[valid], taus, percentiles
     )
@@ -248,11 +268,11 @@ def compute_report(
     if not n:
         raise ValueError("no scorable episodes")
     if tau is not None:
-        gate = gated(log.confidence, tau)
-        kept = np.flatnonzero(valid & gate & ~log.second_guessed)
-        if kept.size:  # a kept answer has no answer after it to score
-            raise ValueError(f"tau {tau!r} gates episode {log.ids[kept[0]]!r}, which the log kept")
-        second_guessed, after = gate[valid], np.where(gate[valid], after, before)
+        problem = _unanswered(log, tau)
+        if problem:
+            raise ValueError(problem)
+        gate = gated(log.confidence[valid], tau)
+        second_guessed, after = gate, np.where(gate, after, before)
     # Decomposed answers that were wrong (E_CR's pool) or right (E_IC's).
     wrong = second_guessed & ~before
     right = second_guessed & before

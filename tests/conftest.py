@@ -273,7 +273,8 @@ class LoopbackServer:
     ``respond(request JSON)``: a Reply, or a payload sent with status 200.
     Each reply goes out in one write on a TCP_NODELAY socket, so Nagle's
     algorithm and delayed ACKs add no latency. ``received`` holds (path,
-    content type, raw body) per POST received; ``connections`` counts
+    content type, raw body) per POST received, and ``fields`` its header
+    fields as (name, value) pairs in the order sent; ``connections`` counts
     accepted connections.
     """
 
@@ -281,6 +282,7 @@ class LoopbackServer:
         self.outcomes = list(outcomes)
         self.respond = respond
         self.received: list = []
+        self.fields: list = []
         self.connections = 0
         self._lock = threading.Lock()
         self._stopped = threading.Event()
@@ -292,9 +294,10 @@ class LoopbackServer:
         )
         self._thread.start()
 
-    def _next(self, path: str, content_type: str, raw: bytes) -> Reply:
+    def _next(self, path: str, headers, raw: bytes) -> Reply:
         with self._lock:
-            self.received.append((path, content_type, raw))
+            self.received.append((path, headers["Content-Type"], raw))
+            self.fields.append(headers.items())
             if self.outcomes:
                 return self.outcomes.pop(0)
         reply = self.respond(json.loads(raw))
@@ -314,7 +317,7 @@ class LoopbackServer:
 
             def do_POST(self) -> None:
                 raw = self.rfile.read(int(self.headers["Content-Length"]))
-                reply = server._next(self.path, self.headers["Content-Type"], raw)
+                reply = server._next(self.path, self.headers, raw)
                 # A stop during the delay ends the exchange unanswered.
                 if server._stopped.wait(reply.delay) or reply.status is None:
                     self.close_connection = True

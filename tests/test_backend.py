@@ -250,6 +250,65 @@ def test_http_backend_wire_bytes_and_path_prefix(loopback):
     assert raw == json.dumps(body, allow_nan=False).encode("utf-8")
 
 
+@pytest.mark.parametrize("suffix", ["", "/api/"])
+def test_http_backend_request_head(loopback, suffix):
+    """The head carries http.client's header fields and values, and no other."""
+    server = loopback([Reply(200, GOOD_PAYLOAD)])
+    with http_backend(server.url + suffix) as backend:
+        backend.complete(request(), RECOMPOSER)
+    (fields,) = server.fields
+    port = server.url.rpartition(":")[2]
+    assert sorted(fields) == [
+        ("Accept-Encoding", "identity"),
+        ("Content-Length", str(len(server.received[0][2]))),
+        ("Content-Type", "application/json"),
+        ("Host", f"127.0.0.1:{port}"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "url, address",
+    [("http://[::1]/x", ("::1", 80)), ("https://[::1]", ("::1", 443)),
+     ("http://[::1]:8080", ("::1", 8080))],
+)
+def test_http_backend_dials_an_ipv6_host_at_its_port(url, address):
+    # Given no port, http.client would take ::1 as host ':' and port 1.
+    with http_backend(url) as backend:
+        conn = backend._connection()
+        assert (conn.host, conn.port) == address
+
+
+class CountingSocket:
+    """A socket that counts the writes made on it."""
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.writes = 0
+
+    def send(self, data) -> int:
+        self.writes += 1
+        return self.sock.send(data)
+
+    def sendall(self, data) -> None:
+        self.writes += 1
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_http_backend_writes_each_request_once(loopback):
+    server = loopback(respond=lambda body: GOOD_PAYLOAD)
+    with http_backend(server.url) as backend:
+        backend.complete(request(), RECOMPOSER)  # opens this thread's connection
+        conn = backend._connection()
+        conn.sock = counting = CountingSocket(conn.sock)
+        for calls in range(1, 4):
+            backend.complete(request(), RECOMPOSER)
+            assert counting.writes == calls
+    assert server.connections == 1
+
+
 def test_http_backend_retries_transport_faults(loopback):
     server = loopback([Reply(None), Reply(503), Reply(200, GOOD_PAYLOAD)])
     with http_backend(server.url) as backend:
@@ -360,6 +419,21 @@ def test_http_backend_read_timeout_is_transport_error(loopback):
         with pytest.raises(TransportError, match="TimeoutError"):
             backend.complete(request(), RECOMPOSER)
     assert time.perf_counter() - start < 5.0
+
+
+def test_https_backend_on_plain_server_is_transport_error(loopback):
+    # The plain-HTTP server answers no TLS handshake: it times out, or fails
+    # on the server's 400 reply to the ClientHello read as a request line.
+    server = loopback()
+    url = server.url.replace("http://", "https://")
+    with http_backend(url, attempts=2, timeout=0.5) as backend:
+        with pytest.raises(TransportError) as failure:
+            backend.complete(request(), RECOMPOSER)
+        opened = list(backend._opened)
+    assert failure.value.retries == 1
+    assert server.received == []
+    assert [type(conn).__name__ for conn in opened] == ["HTTPSConnection"]
+    assert opened[0].sock is None
 
 
 def test_http_backend_keeps_one_connection_per_thread(loopback):

@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import secondguess
+from conftest import FOUR_EPISODE_SPECS, spec_questions, write_script
+from secondguess.dataset import save_dataset
 
 PACKAGE = Path(secondguess.__file__).parent
 
@@ -106,38 +110,61 @@ def test_only_dataset_builds_a_json_parser():
 
 
 # A cold process of each offline command: metrics with no cache, sweep on a
-# cache hit, then simulate. Prints the numpy.ma modules loaded.
+# cache hit, then simulate, then a run on a mock script. Prints the numpy.ma
+# modules loaded, then the HTTP stack's.
 OFFLINE_COMMANDS = """
 import sys
 from secondguess.cli import main
-log, out = sys.argv[1:]
+log, out, data, script = sys.argv[1:]
 for args in (["metrics", "--log", log, "--out", out],
              ["sweep", "--log", log, "--out", out],
              ["simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "3000",
-              "--out", out]):
-    main(args, standalone_mode=False)
+              "--out", out],
+             ["run", "--dataset", data, "--mock-script", script, "--out", out + "/run"]):
+    try:
+        main(args, standalone_mode=False)
+    except SystemExit as exc:  # run ends with sys.exit
+        if exc.code:
+            raise
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+print(sorted({"http.client", "ssl", "email"} & set(sys.modules)))
 """
 
 
-def test_offline_commands_do_not_import_numpy_ma(tmp_path):
-    """``numpy.ma``, which ``np.unique`` and some other numpy functions
-    import on first use, costs a cold process about 15 ms: metrics, sweep
-    and simulate never load it."""
-    log = tmp_path / "episodes.jsonl"
+@pytest.fixture(scope="module")
+def offline_modules(tmp_path_factory) -> list:
+    """The lines OFFLINE_COMMANDS prints, from one cold process."""
+    tmp = tmp_path_factory.mktemp("offline")
+    log = tmp / "episodes.jsonl"
     log.write_text("".join(
         json.dumps({"id": f"e{i}", "initial": {"text": "", "confidence": (i + 1) / 8},
                     "gate": "second_guessed", "correct_before": i % 2 == 0,
                     "correct_after": i % 3 == 0}) + "\n"
         for i in range(8)
     ))
+    save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp / "data.jsonl")
+    write_script(FOUR_EPISODE_SPECS, tmp / "script.jsonl")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    args = [log, tmp / "out", tmp / "data.jsonl", tmp / "script.jsonl"]
     result = subprocess.run(
-        [sys.executable, "-c", OFFLINE_COMMANDS, str(log), str(tmp_path / "out")],
+        [sys.executable, "-c", OFFLINE_COMMANDS, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-2:]
+
+
+def test_offline_commands_do_not_import_numpy_ma(offline_modules):
+    """``numpy.ma``, which ``np.unique`` and some other numpy functions
+    import on first use, costs a cold process about 15 ms: metrics, sweep,
+    simulate and a run on a mock script never load it."""
+    assert offline_modules[0] == "[]"
+
+
+def test_offline_commands_and_mock_run_load_no_http_stack(offline_modules):
+    """``http.client`` brings ``ssl`` and ``email``, about 25 ms and 2.7 MiB
+    in a cold process: only a run that builds an HTTPBackend loads them."""
+    assert offline_modules[1] == "[]"
 
 
 # Messages of rules a backend response must keep, HTTP or mock script alike.

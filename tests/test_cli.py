@@ -28,7 +28,7 @@ from conftest import (
     write_script,
 )
 import secondguess
-from secondguess import cli, dataset, pipeline
+from secondguess import cli, dataset, evaluation, pipeline
 from secondguess.backend import HTTPBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
@@ -704,8 +704,9 @@ def test_tau_percentile_0_keeps_underflowed_confidence(runner, workspace):
     )
     assert result.exit_code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
-    assert rows[1].split(",")[3] == "0.0"  # eta at percentile 0
-    assert rows[2].split(",")[3] == "1.0"
+    # eta at percentile 0; the log kept every answer, so it answers no
+    # percentile-100 point.
+    assert [row.split(",")[3] for row in rows[1:]] == ["0.0"]
 
 
 def test_sweep_percentile_0_gates_nothing(runner, tmp_path):
@@ -722,7 +723,9 @@ def test_sweep_percentile_0_gates_nothing(runner, tmp_path):
     )
     assert result.exit_code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
-    assert [row.split(",")[3] for row in rows[1:]] == ["0.0", "0.5"]
+    # The log kept 5e-324, the tau at percentile 50, so only percentile 0 is
+    # left.
+    assert [row.split(",")[3] for row in rows[1:]] == ["0.0"]
 
 
 def test_run_all_failed_exits_1_without_metrics(runner, workspace):
@@ -851,10 +854,15 @@ def decompose_all_log(path, trials=400):
     return path
 
 
-def sweep_rows(runner, log, out):
+def sweep_rows(runner, log, out, *args):
     """The rows of the sweep.csv that `sweep --log` writes, as dicts of floats."""
-    assert run_cli(runner, ["sweep", "--log", str(log), "--out", str(out)]).exit_code == 0
-    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+    assert run_cli(runner, ["sweep", "--log", str(log), *args, "--out", str(out)]).exit_code == 0
+    return csv_rows(out / "sweep.csv")
+
+
+def csv_rows(path):
+    """The rows of a sweep CSV, as dicts of floats."""
+    with open(path, encoding="utf-8", newline="") as fh:
         return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
@@ -917,6 +925,51 @@ def test_metrics_refuses_a_tau_the_log_cannot_answer(runner, workspace):
     for tau in (0.0, 0.15, 0.2, 0.25, 0.3):
         report = metrics_at(runner, logs["selective"], tau, tmp / f"selective-at-{tau}")
         assert report["tau"] == tau
+
+
+def test_sweep_writes_only_the_points_a_log_answers(runner, tmp_path):
+    """A sweep point is left out where `metrics --tau` refuses its tau. On
+    the direct log of FOUR_EPISODE_SPECS (confidences 0.9, 0.8, 0.2, 0.7)
+    only percentile 0 is left, in `sweep` and in the sweep.csv of `metrics`;
+    a sweep with no point left exits 3 with the message of `metrics --tau`
+    at its first point."""
+    data, script, run = tmp_path / "data.jsonl", tmp_path / "script.jsonl", tmp_path / "run"
+    dataset.save_dataset(spec_questions(FOUR_EPISODE_SPECS), data)
+    write_script(FOUR_EPISODE_SPECS, script)
+    run_cli(runner, ["run", "--dataset", str(data), "--mock-script", str(script),
+                     "--mode", "direct", "--out", str(run)])
+    log = run / "episodes.jsonl"
+    rows = sweep_rows(runner, log, tmp_path / "sweep", "--percentiles", "0,50,100")
+    assert [(row["percentile"], row["tau"], row["eta"]) for row in rows] == [(0.0, 0.0, 0.0)]
+    assert run_cli(runner, ["metrics", "--log", str(log), "--out", str(run)]).exit_code == 0
+    assert [row["percentile"] for row in csv_rows(run / "sweep.csv")] == [0.0]
+    refused = runner.invoke(main, ["metrics", "--log", str(log), "--tau", "0.7",
+                                   "--out", str(tmp_path / "metrics")])
+    out = tmp_path / "none"
+    result = runner.invoke(main, ["sweep", "--log", str(log), "--percentiles", "50,100",
+                                  "--out", str(out)])
+    assert (result.exit_code, refused.exit_code) == (3, 3)
+    assert result.stderr == refused.stderr == "error: tau 0.7 gates episode 'q3', which the log kept\n"
+    assert not out.exists()
+
+
+def test_sweep_of_a_selective_log_stops_below_its_lowest_kept_answer(runner, workspace):
+    """A selective log at tau 0.3 kept q8 (0.6) and every answer above it:
+    its sweep keeps exactly the points whose tau is below 0.6, and each is
+    the row of `metrics --tau` there."""
+    tmp, data, script = workspace
+    run_cli(runner, ["run", "--dataset", str(data), "--mock-script", str(script),
+                     "--mode", "selective", "--tau", "0.3", "--out", str(tmp / "run")])
+    log = tmp / "run" / "episodes.jsonl"
+    rows = sweep_rows(runner, log, tmp / "sweep")
+    confidences = sorted(
+        json.loads(line)["initial"]["confidence"] for line in log.read_text().splitlines()
+    )
+    taus = [evaluation.percentile_to_tau(confidences, p) for p in cli.DEFAULT_PERCENTILES]
+    assert [row["tau"] for row in rows] == [tau for tau in taus if tau < 0.6]
+    for row in rows:
+        report = metrics_at(runner, log, row["tau"], tmp / "metrics")
+        assert (report["eta"], report["accuracy_after"]) == (row["eta"], row["accuracy"])
 
 
 def test_run_onto_a_log_it_cannot_answer_exits_3(runner, workspace):
@@ -1162,7 +1215,9 @@ def test_run_over_an_unreadable_log_exits_3(runner, workspace):
 
 
 @pytest.mark.parametrize(
-    "url", ["notaurl", "ftp://x", "http://", "http://u:pw@host", "http://host:99999"]
+    "url",
+    ["notaurl", "ftp://x", "http://", "http://u:pw@host", "http://host:99999", "http://host/a b",
+     "http://host/café"],
 )
 @pytest.mark.parametrize("flag", ["--recomposer-url", "--decomposer-url"])
 def test_run_malformed_backend_url_exits_2(runner, workspace, flag, url):
@@ -1343,7 +1398,7 @@ def test_import_loads_no_http_stack_or_blas_threads():
     code = (
         "import os, sys\n"
         "import secondguess.cli\n"
-        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n"
+        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', 'email'} & set(sys.modules)))\n"
         "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)\n"
     )
     proc = subprocess.run(

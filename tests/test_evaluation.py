@@ -320,6 +320,38 @@ def test_sweep_replay_matches_brute_force(rows):
         assert point.eta == gated / len(valid)
 
 
+@settings(max_examples=100)
+@given(tied_rows, st.lists(st.booleans(), min_size=60, max_size=60))
+def test_sweep_keeps_exactly_the_points_compute_report_answers(rows, kept):
+    """A point is in the sweep iff ``compute_report`` at its tau raises no
+    ValueError; with none left, ``sweep`` raises the first point's."""
+    assume(not all(failed for *_, failed in rows))
+    episodes = [
+        episode(f"e{i}", conf, before, after, "kept" if keep else "second_guessed", failed)
+        for i, ((conf, before, after, failed), keep) in enumerate(zip(rows, kept))
+    ]
+    log = log_columns(episodes)
+    # No percentile 0, whose tau every log answers, so that none may be left.
+    percentiles = [float(p) for p in range(10, 101, 10)]
+    valid = [ep for ep in episodes if not ep.get("failed")]
+    confidences = [ep["initial"]["confidence"] for ep in valid]
+    answered, problems = [], []
+    for percentile in percentiles:
+        tau = percentile_to_tau(confidences, percentile)
+        try:
+            compute_report(log, tau=tau)
+        except ValueError as exc:
+            problems.append(str(exc))
+        else:
+            answered.append(percentile)
+    if answered:
+        assert [point.percentile for point in sweep(log, percentiles)] == answered
+    else:
+        with pytest.raises(ValueError) as failure:
+            sweep(log, percentiles)
+        assert str(failure.value) == problems[0]
+
+
 # --- regression ----------------------------------------------------------
 
 def test_linear_fit_exact_line():
