@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .dataset import CHUNK_LINES, parse_chunk, read_chunks
 
@@ -177,6 +177,93 @@ def _with_retries(
 _params_dict = functools.cache(asdict)
 
 
+def _line(file) -> bytes:
+    line = file.readline(65537)
+    if len(line) > 65536:  # http.client's limit
+        raise TransportError("reply line longer than 65536 bytes")
+    return line
+
+
+def _read_reply(file) -> Tuple[int, bytes, bool]:
+    """(status, body, will_close) of one HTTP/1.x reply read from ``file``,
+    as http.client.HTTPResponse reads it, save that every 1xx head is
+    skipped; a reply that it would refuse is a TransportError."""
+    status = 0
+    while status < 200:
+        line = _line(file)
+        if not line:  # as http.client's RemoteDisconnected
+            raise ConnectionResetError("remote end closed connection without response")
+        try:
+            version, status = line.split(None, 2)[:2]
+            status = int(status)
+        except ValueError:
+            version = b""
+        if not (version.startswith(b"HTTP/") and 100 <= status <= 999):
+            raise TransportError(f"bad status line {line!r}")
+        fields: Dict[bytes, bytes] = {}
+        for _ in range(100):  # http.client's limit on the lines of a head
+            line = _line(file)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.partition(b":")
+            fields.setdefault(name.lower(), value.strip())
+        else:
+            raise TransportError("more than 100 header lines")
+    connection = fields.get(b"connection", b"").lower()
+    if version in (b"HTTP/1.0", b"HTTP/0.9"):
+        keep_alive = b"%s,%s" % (connection, fields.get(b"proxy-connection", b"").lower())
+        will_close = not (fields.get(b"keep-alive") or b"keep-alive" in keep_alive)
+    elif version.startswith(b"HTTP/1."):
+        will_close = b"close" in connection
+    else:
+        raise TransportError(f"unknown protocol {version!r}")
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        try:  # a chunk cut short ends the stream: the next size is b""
+            while size := int(_line(file).partition(b";")[0], 16):
+                chunks.append(file.read(size + 2)[:-2])  # the chunk and its CRLF
+        except ValueError:
+            raise TransportError("bad or missing chunk size") from None
+        while _line(file) not in (b"\r\n", b"\n", b""):  # the trailer
+            pass
+        return status, b"".join(chunks), will_close
+    try:
+        length = 0 if status in (204, 304) else int(fields.get(b"content-length") or -1)
+    except ValueError:
+        length = -1
+    body = file.read(length)  # to the close if there is no length
+    if len(body) < length:
+        raise TransportError(f"reply ended {length - len(body)} bytes short")
+    return status, body, will_close or length < 0
+
+
+class _Connection:
+    """One thread's connection to a backend: while open, ``sock`` and its
+    buffered reader ``file``; both None while closed."""
+
+    sock = file = None
+
+    def __init__(self, host: str, port: int, timeout: float, context) -> None:
+        # context is the backend's SSL context for https, else None.
+        self.host, self.port, self.timeout, self.context = host, port, timeout, context
+
+    def connect(self) -> None:
+        import socket
+
+        # close() closes the socket if a step below fails.
+        self.sock = socket.create_connection((self.host, self.port), self.timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.context is not None:
+            self.sock = self.context.wrap_socket(self.sock, server_hostname=self.host)
+        self.file = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        for part in (self.file, self.sock):
+            if part is not None:
+                part.close()
+        self.sock = self.file = None
+
+
 class HTTPBackend:
     """Client for the canonical JSON-over-HTTP generation protocol.
 
@@ -188,11 +275,9 @@ class HTTPBackend:
     calls. A reused connection that the server has dropped is reopened
     once, and that is no retry. ``close`` closes every connection opened.
 
-    ``http.client`` (which loads ``ssl`` and ``email``) is imported here
-    rather than with the module, so a process that builds no HTTPBackend
-    never loads it. Its connection opens the socket and its response parser
-    reads the reply; the request goes out in one write, a head that its
-    ``putrequest`` derived once, then Content-Length and the body.
+    It speaks HTTP/1.1 on a socket, ``ssl``-wrapped for https by one context
+    per backend. Each request goes out in one write: the head that
+    ``http.client`` would send, built once, then Content-Length and the body.
     """
 
     def __init__(
@@ -203,8 +288,6 @@ class HTTPBackend:
         timeout: float = 120.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        import http.client
-
         url = urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"backend URL {base_url!r} needs an http or https scheme and a host")
@@ -216,61 +299,58 @@ class HTTPBackend:
         self.base_delay = base_delay
         self.timeout = timeout
         self._sleep = sleep
-        self._connection_class = (
-            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        default_port = 443 if url.scheme == "https" else 80
+        host = unquote(url.hostname)  # an IPv6 zone is written %25 (RFC 6874)
+        target = url.path.rstrip("/") + "/v1/generate"
+        try:
+            port = default_port if url.port is None else url.port
+            if " " in target + host or not (target + host).isprintable():
+                raise ValueError("a control character or space in the path or host")
+            target = target.encode("ascii")
+            name = host.encode("ascii") if host.isascii() else host.encode("idna")
+        except ValueError as exc:  # a bad port, or a path or host it cannot send
+            raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
+        self._address = (host, port)
+        # The Host field as http.client derives it: an IPv6 literal bracketed
+        # without its zone, and the port unless it is the scheme's default.
+        if ":" in host:
+            name = b"[%s]" % name.partition(b"%")[0]
+        if port != default_port:
+            name += b":%d" % port
+        self._head = (
+            b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\n" % (target, name)
         )
-        default_port = self._connection_class.default_port
-        try:
-            # The port is always given: without one, http.client reads the
-            # last ':' of an IPv6 host such as ::1 as the start of a port.
-            self._address = (url.hostname, default_port if url.port is None else url.port)
-        except ValueError as exc:  # a port that is no number in range
-            raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
-        self._response_class = http.client.HTTPResponse
-        self._faults = (OSError, http.client.HTTPException)  # timeouts are OSErrors
-        # The head that http.client's request() sends, built once by a plain
-        # connection that sends into a list: the request line, Host (with
-        # the port unless it is the scheme's default) and Accept-Encoding,
-        # then Content-Type. An HTTPSConnection would load the CA store,
-        # about 30 ms, to build the same head. The CRLF that ends the head is
-        # cut off; _exchange adds Content-Length and the body.
-        probe = http.client.HTTPConnection(*self._address)
-        probe.default_port = default_port
-        sent: List[bytes] = []
-        probe.send = sent.append
-        try:
-            probe.putrequest("POST", url.path.rstrip("/") + "/v1/generate")
-            probe.putheader("Content-Type", "application/json")
-            probe.endheaders()
-        except (http.client.HTTPException, UnicodeError) as exc:  # a path it cannot send
-            raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
-        self._head = sent[0][: -len(b"\r\n")]
+        self._context = None
+        if url.scheme == "https":
+            import ssl
+
+            # Configured as Python 3.11's HTTPSConnection configures its own.
+            self._context = ssl._create_default_https_context()
+            self._context.set_alpn_protocols(["http/1.1"])
+            if self._context.post_handshake_auth is not None:
+                self._context.post_handshake_auth = True
         self._local = threading.local()
-        self._opened: list = []
+        self._opened: List[_Connection] = []
         self._lock = threading.Lock()
 
-    def _connection(self):
+    def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = self._connection_class(*self._address, timeout=self.timeout)
+            conn = _Connection(*self._address, self.timeout, self._context)
             with self._lock:
                 self._opened.append(conn)
             self._local.conn = conn
         return conn
 
-    def _exchange(self, conn, data: bytes) -> Tuple[int, bytes]:
+    def _exchange(self, conn: _Connection, data: bytes) -> Tuple[int, bytes]:
         if conn.sock is None:
             conn.connect()
         conn.sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(data), data))
-        response = self._response_class(conn.sock, method="POST")
-        try:
-            response.begin()
-            body = response.read()
-        finally:
-            response.close()
-        if response.will_close:
+        status, body, will_close = _read_reply(conn.file)
+        if will_close:
             conn.close()
-        return response.status, body
+        return status, body
 
     def _post(self, data: bytes) -> Tuple[int, bytes]:
         """(status, body) of one POST on this thread's connection."""
@@ -279,14 +359,14 @@ class HTTPBackend:
         try:
             try:
                 return self._exchange(conn, data)
-            # RemoteDisconnected is a ConnectionResetError: the server closed
-            # an idle keep-alive socket before or while this request used it.
+            # The server closed an idle keep-alive socket before or while
+            # this request used it.
             except (ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
                 conn.close()
                 return self._exchange(conn, data)
-        except self._faults as exc:
+        except (OSError, TransportError) as exc:  # timeouts are OSErrors
             # A half-read exchange leaves the connection unusable.
             conn.close()
             raise TransportError(f"{self.base_url}: {exc!r}") from exc

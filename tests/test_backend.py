@@ -1,16 +1,19 @@
+import http.client
 import json
 import math
 import random
 import re
 import socket
+import ssl
 import sys
 import tempfile
 import threading
 import time
 import tracemalloc
-from contextlib import closing
+from contextlib import closing, suppress
 from pathlib import Path
 from dataclasses import asdict
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +46,7 @@ from secondguess.backend import (
     ProtocolError,
     ScriptMissError,
     TransportError,
+    _read_reply,
     confidence_of,
 )
 from secondguess.dataset import DatasetError
@@ -269,13 +273,126 @@ def test_http_backend_request_head(loopback, suffix):
 @pytest.mark.parametrize(
     "url, address",
     [("http://[::1]/x", ("::1", 80)), ("https://[::1]", ("::1", 443)),
-     ("http://[::1]:8080", ("::1", 8080))],
+     ("http://[::1]:8080", ("::1", 8080)),
+     ("http://[fe80::1%25eth0]:8080/", ("fe80::1%eth0", 8080))],
 )
 def test_http_backend_dials_an_ipv6_host_at_its_port(url, address):
-    # Given no port, http.client would take ::1 as host ':' and port 1.
+    # Given no port, http.client would take ::1 as host ':' and port 1. A
+    # zone is %25-encoded in a URL (RFC 6874) and dialled decoded.
     with http_backend(url) as backend:
         conn = backend._connection()
         assert (conn.host, conn.port) == address
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://127.0.0.1:8000", "http://127.0.0.1:8000/api/", "http://example.com:80/x",
+     "https://example.com", "http://[::1]:8080", "http://[fe80::1%25eth0]:8080",
+     "http://bücher.example/v2"],
+)
+def test_http_backend_head_is_http_clients(url):
+    """The head up to Content-Length is what http.client's putrequest,
+    putheader("Content-Type", ...) and endheaders send."""
+    split = urlsplit(url)
+    default_port = 443 if split.scheme == "https" else 80
+    conn = http.client.HTTPConnection(split.hostname, split.port or default_port)
+    conn.default_port = default_port
+    sent = []
+    conn.send = sent.append
+    conn.putrequest("POST", split.path.rstrip("/") + "/v1/generate")
+    conn.putheader("Content-Type", "application/json")
+    conn.endheaders()
+    with http_backend(url) as backend:
+        assert backend._head + b"\r\n" == sent[0]
+
+
+def _over_socketpair(raw: bytes, close: bool, read):
+    """``read`` of a socket whose peer sent ``raw``, then shut its side
+    if ``close``; a read that waits for more bytes times out."""
+    peer, sock = socket.socketpair()
+
+    def write():
+        with suppress(BrokenPipeError):  # the reader stopped before the end
+            peer.sendall(raw)
+            if close:
+                peer.shutdown(socket.SHUT_WR)
+
+    with peer, sock:
+        sock.settimeout(2.0)
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return read(sock)
+        finally:
+            sock.shutdown(socket.SHUT_RD)  # ends a sendall left unread
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+
+def _http_client_reply(sock):
+    with closing(http.client.HTTPResponse(sock, method="POST")) as response:
+        response.begin()
+        return response.status, response.read(), response.will_close
+
+
+def _read_reply_of(sock):
+    with sock.makefile("rb") as file:
+        return _read_reply(file)
+
+
+def _fields(count: int) -> bytes:
+    return b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(count))
+
+
+OK_HEAD = b"HTTP/1.1 200 OK\r\n"
+# (raw reply, whether the server closes after it): a row that it does not
+# close must be read without waiting for more bytes.
+RAW_REPLIES = {
+    "content_length": (OK_HEAD + b"Content-Length: 5\r\n\r\nhello", False),
+    "chunked": (
+        OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n"
+        b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n",
+        False,
+    ),
+    "close_delimited": (OK_HEAD + b"Content-Type: application/json\r\n\r\n{}", True),
+    "http10": (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
+    "http10_keep_alive": (
+        b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok", False
+    ),
+    "connection_close": (OK_HEAD + b"Connection: close\r\nContent-Length: 2\r\n\r\nok", False),
+    "continue_then_200": (
+        b"HTTP/1.1 100 Continue\r\n\r\n" + OK_HEAD + b"Content-Length: 2\r\n\r\nok", False
+    ),
+    "no_content": (b"HTTP/1.1 204 No Content\r\n\r\n", False),
+    "not_modified": (b"HTTP/1.1 304 Not Modified\r\n\r\n", False),
+    "truncated_body": (OK_HEAD + b"Content-Length: 10\r\n\r\nhello", True),
+    "truncated_chunk": (OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\na\r\nhello", True),
+    "bad_chunk_size": (OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\nhello", True),
+    "garbage_status": (b"garbage\r\n\r\n", True),
+    "unknown_protocol": (b"HTTP/2.0 200 OK\r\nContent-Length: 2\r\n\r\nok", True),
+    "header_line_65536": (
+        OK_HEAD + b"X-Long: " + b"a" * (65536 - 10) + b"\r\nContent-Length: 2\r\n\r\nok", False
+    ),
+    "header_line_65537": (
+        OK_HEAD + b"X-Long: " + b"a" * (65537 - 10) + b"\r\nContent-Length: 2\r\n\r\nok", True
+    ),
+    "header_fields_99": (OK_HEAD + _fields(98) + b"Content-Length: 2\r\n\r\nok", False),
+    "header_fields_101": (OK_HEAD + _fields(100) + b"Content-Length: 2\r\n\r\nok", True),
+}
+
+
+@pytest.mark.parametrize("name", RAW_REPLIES)
+def test_read_reply_agrees_with_http_client(name):
+    """_read_reply gives http.client.HTTPResponse's (status, body,
+    will_close) for each reply, and a TransportError wherever it raises."""
+    raw, close = RAW_REPLIES[name]
+    try:
+        expected = _over_socketpair(raw, close, _http_client_reply)
+    except http.client.HTTPException:
+        with pytest.raises(TransportError):
+            _over_socketpair(raw, close, _read_reply_of)
+    else:
+        assert _over_socketpair(raw, close, _read_reply_of) == expected
 
 
 class CountingSocket:
@@ -432,8 +549,39 @@ def test_https_backend_on_plain_server_is_transport_error(loopback):
         opened = list(backend._opened)
     assert failure.value.retries == 1
     assert server.received == []
-    assert [type(conn).__name__ for conn in opened] == ["HTTPSConnection"]
-    assert opened[0].sock is None
+    assert len(opened) == 1 and opened[0].sock is None
+    assert opened[0].context is backend._context is not None
+
+
+def test_https_backend_loads_the_ca_store_once(loopback, monkeypatch):
+    """One SSL context per backend: its threads' connections share it, so the
+    system CA store is loaded once, not once per thread (29 ms each)."""
+    loads = []
+    load = ssl.SSLContext.load_default_certs
+    monkeypatch.setattr(
+        ssl.SSLContext, "load_default_certs",
+        lambda self, *args, **kwargs: loads.append(self) or load(self, *args, **kwargs),
+    )
+    server = loopback()
+    errors = []
+    with http_backend(server.url.replace("http://", "https://"), attempts=1, timeout=0.5) as backend:
+
+        def work():
+            try:
+                backend.complete(request(), RECOMPOSER)
+            except TransportError as exc:
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
+        opened = list(backend._opened)
+    assert len(errors) == len(opened) == 4
+    assert all(conn.context is backend._context for conn in opened)
+    assert len(loads) == 1
 
 
 def test_http_backend_keeps_one_connection_per_thread(loopback):

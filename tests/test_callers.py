@@ -127,7 +127,7 @@ for args in (["metrics", "--log", log, "--out", out],
         if exc.code:
             raise
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
-print(sorted({"http.client", "ssl", "email"} & set(sys.modules)))
+print(sorted({"http.client", "ssl", "email", "socket"} & set(sys.modules)))
 """
 
 
@@ -163,8 +163,41 @@ def test_offline_commands_do_not_import_numpy_ma(offline_modules):
 
 def test_offline_commands_and_mock_run_load_no_http_stack(offline_modules):
     """``http.client`` brings ``ssl`` and ``email``, about 25 ms and 2.7 MiB
-    in a cold process: only a run that builds an HTTPBackend loads them."""
+    in a cold process: the package never loads it, and only a run that
+    builds an HTTPBackend loads ``socket``."""
     assert offline_modules[1] == "[]"
+
+
+# A cold process of one run against an HTTP backend, given the run's
+# arguments; prints the HTTP stack's modules loaded.
+HTTP_RUN = """
+import sys
+from secondguess.cli import main
+try:
+    main(["run", *sys.argv[1:]], standalone_mode=False)
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(sorted({"http.client", "ssl", "email", "socket"} & set(sys.modules)))
+"""
+
+
+def test_http_run_loads_socket_and_no_http_client(tmp_path, loopback):
+    """A run over plain HTTP speaks it on a socket: it loads neither
+    ``http.client`` with its ``email`` header parser nor ``ssl``."""
+    payload = {"text": "is it?", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    server = loopback(respond=lambda body: payload)
+    save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")
+    args = ["--dataset", tmp_path / "data.jsonl", "--recomposer-url", server.url,
+            "--mode", "decompose_all", "--out", tmp_path / "out"]
+    result = subprocess.run(
+        [sys.executable, "-c", HTTP_RUN, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(server.received) == 4 * 4
+    assert result.stdout.splitlines()[-1] == "['socket']"
 
 
 # Messages of rules a backend response must keep, HTTP or mock script alike.

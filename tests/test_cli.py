@@ -1217,7 +1217,7 @@ def test_run_over_an_unreadable_log_exits_3(runner, workspace):
 @pytest.mark.parametrize(
     "url",
     ["notaurl", "ftp://x", "http://", "http://u:pw@host", "http://host:99999", "http://host/a b",
-     "http://host/café"],
+     "http://host/café", "http://a b/"],
 )
 @pytest.mark.parametrize("flag", ["--recomposer-url", "--decomposer-url"])
 def test_run_malformed_backend_url_exits_2(runner, workspace, flag, url):
@@ -1398,7 +1398,8 @@ def test_import_loads_no_http_stack_or_blas_threads():
     code = (
         "import os, sys\n"
         "import secondguess.cli\n"
-        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', 'email'} & set(sys.modules)))\n"
+        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', 'email', 'socket'}\n"
+        "             & set(sys.modules)))\n"
         "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)\n"
     )
     proc = subprocess.run(
