@@ -5,11 +5,12 @@ and simulator into reproducible runs.
 any of the seven modes; `metrics` and `sweep` only read a log, whose columns
 ``pipeline.read_episode_log`` caches next to it. Exit codes: 0 success, 1
 completed with failed episodes in the whole log (no metrics.json if all
-failed), 2 config validation (a ConfigError), 3 dataset error (a
-DatasetError, or a tau the log cannot answer). All outputs go under --out;
-every run directory gets a manifest recording the resolved config, its
-hash, the seed, timestamps, the whole log's episode and failure counts, and
-this invocation's backend calls and transport retries.
+failed), 2 config validation (a ConfigError, or an output directory that
+cannot be made), 3 dataset error (a DatasetError, or a tau the log cannot
+answer). All outputs go under --out; every run directory gets a manifest
+recording the resolved config, its hash, the seed, timestamps, the whole
+log's episode and failure counts, and this invocation's backend calls and
+transport retries.
 """
 
 from __future__ import annotations
@@ -64,6 +65,17 @@ DEFAULT_PERCENTILES = [float(p) for p in range(0, 101, 5)]
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _out_dir(path) -> Path:
+    """The directory ``path``, made with its parents if missing; exit 2 if
+    it cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot write {out_dir}: {exc.strerror}")
+    return out_dir
 
 
 def _numbers(text: Optional[str], name: str, high: float, default: list) -> list:
@@ -223,12 +235,11 @@ def cmd_run(config_path, **flags) -> None:
         concurrency=cfg["concurrency"],
         scoring=cfg["scoring"],
     )
-    if pcfg.mode in pipeline.ORACLE_MODES and not any(q.oracle_sub_qas for q in questions):
+    if pcfg.mode in pipeline.ORACLE_MODES and not any(q.sub_qas for q in questions):
         _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
     # Built before out/ exists, so a bad backend config writes nothing.
     engine = _build_engine(cfg)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg["out"])
     episodes_path = out_dir / "episodes.jsonl"
     try:
         summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
@@ -261,8 +272,7 @@ def cmd_sweep(log_path, percentiles, out) -> None:
     the points whose tau the log answers, and exits 3 if none is left."""
     grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
     points = _from_log(log_path, lambda log: evaluation.sweep(log, grid))
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     csv_path = out_dir / "sweep.csv"
     evaluation.write_sweep_csv(points, csv_path)
     click.echo(f"wrote {len(points)} sweep points -> {csv_path}")
@@ -272,16 +282,18 @@ def cmd_sweep(log_path, percentiles, out) -> None:
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--output", "output_path", type=click.Path(), required=True)
 def cmd_convert(input_path, output_path) -> None:
-    """Convert winoground-style records into the canonical VQA schema."""
-    questions, warnings = [], 0
+    """Convert winoground-style records into the canonical VQA schema. The
+    whole input is checked before any caption warning or output."""
+    records, seen = [], set()
     for chunk in dataset.read_chunks(input_path, dataset.CHUNK_LINES):
-        converted, warned = dataset.parse_chunk(input_path, chunk, dataset.winoground_chunk)
-        questions += converted
-        warnings += warned
-    records = len(questions) // 4  # four questions a record
+        records += dataset.parse_chunk(
+            input_path, chunk, lambda values: dataset.winoground_records(values, seen)
+        )
+    _out_dir(Path(output_path).parent)
+    questions, warnings = dataset.convert_winoground(records)
     dataset.save_dataset(questions, output_path)
     click.echo(
-        f"converted {records} records into {len(questions)} questions "
+        f"converted {len(records)} records into {len(questions)} questions "
         f"({warnings} caption warnings) -> {output_path}"
     )
 
@@ -312,8 +324,7 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     except ValueError as exc:
         _fail(EXIT_CONFIG, str(exc))
     curve = simulator.simulate(cfg, taus)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     csv_path = out_dir / "simulated_sweep.csv"
     evaluation.write_sweep_csv(curve.points, csv_path)
     click.echo(
@@ -373,8 +384,7 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
         evaluation.compute_report(log, tau=tau, qtype_map=qtype_map),
         evaluation.sweep(log, DEFAULT_PERCENTILES),
     ))
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     _write_json(out_dir / "metrics.json", asdict(report))
     evaluation.write_sweep_csv(points, out_dir / "sweep.csv")
     click.echo(f"wrote metrics.json and sweep.csv -> {out_dir}")

@@ -1,8 +1,9 @@
 """Dataset ingestion and conversion into the canonical question stream, and
 the one reader and parser of input files.
 
-Canonical format is JSONL, one object per line:
-{"id", "image", "question", "answers", "qtype"?, "sub_qas"?}.
+Canonical format is JSONL, one object per line, the fields of a
+``VisualQuestion`` that are not None: {"id", "image", "question", "answers",
+"qtype"?, "sub_qas"?}, with each ``prompts.SubQA`` a [question, answer] pair.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class VisualQuestion:
     question: str
     answers: tuple
     qtype: str = "other"
-    oracle_sub_qas: Optional[tuple] = None
+    sub_qas: Optional[tuple] = None  # of prompts.SubQA
 
 
 def _is_sub_qa(pair) -> bool:
@@ -68,7 +69,7 @@ def _question_from_obj(obj) -> VisualQuestion:
                 "'sub_qas' must be a list of [question, answer] pairs"
                 " with a non-empty question"
             )
-        sub_qas = tuple(SubQA(question=q, answer=a) for q, a in sub_qas)
+        sub_qas = tuple(SubQA(q, a) for q, a in sub_qas)
     qid, qtype = obj["id"], obj.get("qtype", "other")
     if not answers:
         raise DatasetError(f"question {qid!r} has no ground-truth answers")
@@ -84,7 +85,7 @@ def _question_from_obj(obj) -> VisualQuestion:
         question=obj["question"],
         answers=tuple(answers),
         qtype=qtype,
-        oracle_sub_qas=sub_qas,
+        sub_qas=sub_qas,
     )
 
 
@@ -282,6 +283,16 @@ def _no_unpaired_surrogate(values) -> None:
             raise DatasetError(problem) from exc
 
 
+def repeated_id(ids: list, seen: set) -> Optional[str]:
+    """The problem of ``ids`` if one repeats another or one of ``seen``, else
+    None once ``seen`` takes them: every reader's rule against a repeated id."""
+    fresh = set(ids)
+    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
+        return f"duplicate id {ids[0]!r}"
+    seen |= fresh
+    return None
+
+
 def _questions(values: list, seen: set):
     """The questions of parsed dataset lines, or the problem of the first
     rule one breaks: no unpaired surrogate, a question's fields, no id
@@ -291,18 +302,13 @@ def _questions(values: list, seen: set):
         questions = [_question_from_obj(obj) for obj in values]
     except DatasetError as exc:
         return str(exc)
-    ids = [q.id for q in questions]
-    fresh = set(ids)
-    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
-        return f"duplicate id {ids[0]!r}"
-    seen |= fresh
-    return questions
+    return repeated_id([q.id for q in questions], seen) or questions
 
 
 def load_dataset(path) -> List[VisualQuestion]:
     """Load a canonical JSONL dataset.
 
-    Parse failures name the offending line; duplicate ids and empty answer
+    Parse failures name the offending line; repeated ids and empty answer
     lists are rejected.
     """
     questions: List[VisualQuestion] = []
@@ -312,24 +318,25 @@ def load_dataset(path) -> List[VisualQuestion]:
     return questions
 
 
-def question_to_obj(q: VisualQuestion) -> dict:
-    obj = {
-        "id": q.id,
-        "image": q.image,
-        "question": q.question,
-        "answers": list(q.answers),
-        "qtype": q.qtype,
-    }
-    if q.oracle_sub_qas is not None:
-        obj["sub_qas"] = [[qa.question, qa.answer] for qa in q.oracle_sub_qas]
-    return obj
-
-
 def save_dataset(questions: Iterable[VisualQuestion], path) -> None:
     """Write questions as canonical JSONL, fields in canonical order."""
     with open(path, "w", encoding="utf-8") as fh:
         for q in questions:
-            fh.write(json.dumps(question_to_obj(q), ensure_ascii=False) + "\n")
+            obj = {key: value for key, value in vars(q).items() if value is not None}
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def _check_winoground(records: list) -> None:
+    """Raise DatasetError at the first record that is no caption-matching
+    record: a JSON object whose id, images and captions are strings."""
+    for record in records:
+        if not isinstance(record, dict):
+            raise DatasetError("winoground record must be a JSON object")
+        for key in ("id", "image_0", "image_1", "caption_0", "caption_1"):
+            if key not in record:
+                raise DatasetError(f"winoground record missing field {key!r}")
+            if not isinstance(record[key], str):
+                raise DatasetError(f"winoground field {key!r} must be a string")
 
 
 def convert_winoground(records: list):
@@ -343,14 +350,7 @@ def convert_winoground(records: list):
     before any is converted, so a list that raises DatasetError logs no
     warning.
     """
-    for record in records:
-        if not isinstance(record, dict):
-            raise DatasetError("winoground record must be a JSON object")
-        for key in ("id", "image_0", "image_1", "caption_0", "caption_1"):
-            if key not in record:
-                raise DatasetError(f"winoground record missing field {key!r}")
-            if not isinstance(record[key], str):
-                raise DatasetError(f"winoground field {key!r} must be a string")
+    _check_winoground(records)
     questions: List[VisualQuestion] = []
     warnings = 0
     for record in records:
@@ -375,14 +375,17 @@ def convert_winoground(records: list):
     return questions, warnings
 
 
-def winoground_chunk(values: list):
-    """``convert_winoground`` of parsed caption-matching lines, with no
-    unpaired surrogate, or the problem of the first bad one."""
+def winoground_records(values: list, seen: set):
+    """Parsed caption-matching lines, or the problem of the first rule one
+    breaks: no unpaired surrogate, a record's fields, no id repeated here or
+    from ``seen``, which then takes the new ids. A repeated record id would
+    repeat the ids of its four questions."""
     try:
         _no_unpaired_surrogate(values)
-        return convert_winoground(values)
+        _check_winoground(values)
     except DatasetError as exc:
         return str(exc)
+    return repeated_id([record["id"] for record in values], seen) or values
 
 
 def stats(questions: List[VisualQuestion]) -> dict:

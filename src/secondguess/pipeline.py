@@ -59,8 +59,9 @@ from .dataset import (
     hash_file,
     parse_chunk,
     read_chunks,
+    repeated_id,
 )
-from .prompts import DecompositionContext, SubQA
+from .prompts import SubQA
 
 MODES = (
     "direct",
@@ -228,34 +229,32 @@ def _failed_episode(question: VisualQuestion) -> dict:
     return _record(question, {"text": "", "confidence": 0.0}, False, failed=True)
 
 
-def _self_answer(engine: Engine, question: VisualQuestion, ctx: DecompositionContext):
+def _self_answer(engine: Engine, question: VisualQuestion, sub_qas: tuple) -> tuple:
     """Answer each subquestion with the recomposer (stage suba<i>)."""
     answered = []
-    for index, qa in enumerate(ctx.sub_qas):
-        answer = engine.answer(
-            question, f"suba{index}", prompts.render_direct_qa(qa.question)
-        )
+    for index, qa in enumerate(sub_qas):
+        answer = engine.answer(question, f"suba{index}", prompts.render_direct_qa(qa.question))
         answered.append(SubQA(qa.question, answer["text"]))
-    return DecompositionContext(answered)
+    return tuple(answered)
 
 
 def _context(engine: Engine, question: VisualQuestion, cfg: PipelineConfig):
-    """(ctx, provenance, malformed) to recompose the question from."""
+    """(sub_qas, provenance, malformed) to recompose the question from."""
     if cfg.mode not in ORACLE_MODES:
         subq, malformed = engine.generate_subquestion(question)
-        ctx = DecompositionContext([SubQA(subq, None)])
+        sub_qas = (SubQA(subq),)
         if not subq.strip():
             # Degenerate generation: skip sub-answering, recompose answerless.
-            return ctx, None, malformed
-        return _self_answer(engine, question, ctx), "model", malformed
-    ctx = DecompositionContext(list(question.oracle_sub_qas))
+            return sub_qas, None, malformed
+        return _self_answer(engine, question, sub_qas), "model", malformed
+    sub_qas = question.sub_qas
     if cfg.mode == "oracle_self_answer":
-        return _self_answer(engine, question, ctx), "model", False
+        return _self_answer(engine, question, sub_qas), "model", False
     if cfg.mode == "oracle_no_answer":
-        ctx = prompts.perturb_strip_answers(ctx)
+        sub_qas = prompts.perturb_strip_answers(sub_qas)
     elif cfg.mode == "oracle_scrambled":
-        ctx = prompts.perturb_scramble(ctx, _scramble_seed(cfg.seed, question.id))
-    return ctx, "oracle", False
+        sub_qas = prompts.perturb_scramble(sub_qas, _scramble_seed(cfg.seed, question.id))
+    return sub_qas, "oracle", False
 
 
 def _episode(
@@ -274,19 +273,19 @@ def _episode(
     if not evaluation.gated(initial["confidence"], tau):
         return _record(question, initial, correct_before)
     try:
-        ctx, provenance, malformed = _context(engine, question, cfg)
+        sub_qas, provenance, malformed = _context(engine, question, cfg)
         final = engine.answer(
-            question, "recompose", prompts.render_recompose(question.question, ctx)
+            question, "recompose", prompts.render_recompose(question.question, sub_qas)
         )
     except BackendError:
         return _failed_episode(question)
-    answers = [qa.answer for qa in ctx.sub_qas]
+    answers = [qa.answer for qa in sub_qas]
     return _record(
         question,
         initial,
         correct_before,
         gate="second_guessed",
-        subquestion=" | ".join(qa.question for qa in ctx.sub_qas),
+        subquestion=" | ".join(qa.question for qa in sub_qas),
         subanswer=None
         if all(a is None for a in answers)
         else " | ".join(a or "" for a in answers),
@@ -345,11 +344,7 @@ def _chunk_columns(records: list, seen: set):
     for key, column in (("correct_before", before), ("correct_after", after)):
         if not set(map(type, column)) <= {bool}:
             return f"{key} must be true or false"
-    fresh = set(ids)
-    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
-        return f"duplicate id {ids[0]!r}"
-    seen |= fresh
-    return (
+    return repeated_id(ids, seen) or (
         ids,
         failed,
         confidence,
@@ -519,7 +514,7 @@ def run(
     questions = [q for q in questions if q.id not in done]
     skipped = 0
     if cfg.mode in ORACLE_MODES:
-        usable = [q for q in questions if q.oracle_sub_qas]
+        usable = [q for q in questions if q.sub_qas]
         skipped = len(questions) - len(usable)
         questions = usable
 

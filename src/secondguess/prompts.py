@@ -1,4 +1,5 @@
-"""Prompt templates and the perturbation transforms applied to decompositions.
+"""Prompt templates and the perturbation transforms applied to decompositions:
+tuples of ``SubQA`` named tuples, from the dataset row to the rendered prompt.
 
 The template strings are load-bearing: downstream models were prompted with
 these exact bytes, so rendering is pure string substitution with no
@@ -8,8 +9,7 @@ trimming, re-wrapping, or normalization of the caller's text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 RECOMPOSE_EXEMPLAR = (
     "Context: is the sky blue? no. are there clouds in the sky? yes. "
@@ -46,25 +46,11 @@ _RECOMPOSE_HEAD, _RECOMPOSE_TAIL = TEMPLATES["recompose"].split(
 )
 
 
-@dataclass(frozen=True)
-class SubQA:
+class SubQA(NamedTuple):
     """One decomposition unit: a subquestion and its (optional) answer."""
 
     question: str
     answer: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class DecompositionContext:
-    sub_qas: tuple
-
-    def __init__(self, sub_qas: Sequence[SubQA]) -> None:
-        sub_qas = tuple(sub_qas)
-        if not sub_qas:
-            raise ValueError("decomposition context must contain at least one SubQA")
-        # Empty subquestion text is tolerated so that degenerate model
-        # generations can still flow through recomposition.
-        object.__setattr__(self, "sub_qas", sub_qas)
 
 
 def render_direct_qa(question: str) -> str:
@@ -87,11 +73,11 @@ def _strip_one_question_mark(text: str) -> str:
     return text[:-1] if text.endswith("?") else text
 
 
-def render_recompose(question: str, ctx: DecompositionContext) -> str:
+def render_recompose(question: str, sub_qas: tuple) -> str:
     if not question:
         raise ValueError("question must be non-empty")
     segments = []
-    for qa in ctx.sub_qas:
+    for qa in sub_qas:
         segment = f"{_strip_one_question_mark(qa.question)}?"
         if qa.answer is not None:
             segment += f" {qa.answer}."
@@ -103,14 +89,12 @@ def render_recompose(question: str, ctx: DecompositionContext) -> str:
     )
 
 
-def perturb_strip_answers(ctx: DecompositionContext) -> DecompositionContext:
+def perturb_strip_answers(sub_qas: tuple) -> tuple:
     """No-Answer condition: keep subquestions, drop every answer."""
-    return DecompositionContext(
-        [SubQA(question=qa.question, answer=None) for qa in ctx.sub_qas]
-    )
+    return tuple(SubQA(qa.question) for qa in sub_qas)
 
 
-def perturb_scramble(ctx: DecompositionContext, seed: int) -> DecompositionContext:
+def perturb_scramble(sub_qas: tuple, seed: int) -> tuple:
     """Scrambled condition: uniformly permute all whitespace tokens of the
     concatenated subquestions and answers, re-packed as one answerless SubQA.
 
@@ -118,10 +102,9 @@ def perturb_scramble(ctx: DecompositionContext, seed: int) -> DecompositionConte
     (Mersenne Twister), so any implementation with the same seed agrees.
     """
     tokens = []
-    for qa in ctx.sub_qas:
+    for qa in sub_qas:
         tokens.extend(qa.question.split())
         if qa.answer is not None:
             tokens.extend(qa.answer.split())
     random.Random(seed).shuffle(tokens)
-    return DecompositionContext([SubQA(question=" ".join(tokens), answer=None)])
-
+    return (SubQA(" ".join(tokens)),)

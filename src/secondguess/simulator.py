@@ -2,11 +2,12 @@
 
 Each synthetic trial is one question: correctness is assigned from the base
 accuracy, a confidence is drawn from the matching calibration distribution,
-and a decompose-all flip outcome is drawn once (correction with the
-configured rate if wrong, induction if correct). Gating at any threshold is
-then pure post-processing over the same trials: ``simulate`` replays the
-gate through ``evaluation.replay``, the one replay behind the offline sweep.
-The independent oracles for that replay (a brute-force recount over episode
+Beta(8, 2) if correct and Beta(2, 8) if wrong, and a decompose-all flip
+outcome is drawn once (correction with the configured rate if wrong,
+induction if correct). Gating at any threshold is then pure post-processing
+over the same trials: ``simulate`` replays the gate through
+``evaluation.replay``, the one replay behind the offline sweep. The
+independent oracles for that replay (a brute-force recount over episode
 dicts and a per-threshold reference over the trials) live in the tests.
 """
 
@@ -19,13 +20,17 @@ import numpy as np
 
 from . import evaluation
 
+# The Beta shape pairs of the confidence of a correct trial, concentrated
+# high, and of a wrong one, concentrated low.
+CONF_CORRECT = (8.0, 2.0)
+CONF_INCORRECT = (2.0, 8.0)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     base_accuracy: float
     e_cr: float
     e_ic: float
-    conf_correct: tuple = (8.0, 2.0)  # Beta shape pair, concentrated high
-    conf_incorrect: tuple = (2.0, 8.0)  # concentrated low
     trials: int = 100_000
     seed: int = 0
 
@@ -34,10 +39,6 @@ class SimConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("conf_correct", "conf_incorrect"):
-            a, b = getattr(self, name)
-            if a <= 0 or b <= 0:
-                raise ValueError(f"{name} shape parameters must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -83,9 +84,9 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     # The stream is that of two whole Beta draws of size n and one of n
     # uniforms, whatever the base accuracy; the Generator draws the same
     # values block by block, so only the confidence column is drawn whole.
-    confidence = rng.beta(*cfg.conf_correct, size=n)
+    confidence = rng.beta(*CONF_CORRECT, size=n)
     for start in range(0, n, evaluation.BLOCK):
-        block = rng.beta(*cfg.conf_incorrect, size=min(evaluation.BLOCK, n - start))
+        block = rng.beta(*CONF_INCORRECT, size=min(evaluation.BLOCK, n - start))
         first = max(n_correct, start)
         confidence[first : start + block.size] = block[first - start :]
     # Beta draws live in (0, 1); nudge exact zeros into the open interval.

@@ -233,3 +233,9 @@ def test_one_function_holds_each_response_rule():
     for message in RESPONSE_RULES:
         holders = _literal_holders(message)
         assert len(holders) == 1 and holders[0].startswith("backend.py:"), (message, holders)
+
+
+def test_one_function_holds_the_repeated_id_rule():
+    """Dataset rows, caption-matching records and episode records are
+    refused a repeated id by one rule, ``dataset.repeated_id``."""
+    assert _literal_holders("duplicate id") == ["dataset.py:repeated_id"]

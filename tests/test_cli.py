@@ -236,7 +236,7 @@ def make_oracle_dataset(tmp_path):
                 question=q.question,
                 answers=q.answers,
                 qtype="boolean",
-                oracle_sub_qas=(
+                sub_qas=(
                     dataset.SubQA("is the light on", "yes"),
                     dataset.SubQA("is anyone home", "no"),
                 ),
@@ -322,7 +322,7 @@ def test_convert_and_stats(runner, tmp_path):
         for i in range(2)
     ]
     source.write_text("".join(json.dumps(r) + "\n" for r in records))
-    converted = tmp_path / "converted.jsonl"
+    converted = tmp_path / "new" / "converted.jsonl"  # convert makes the directory
     result = run_cli(
         runner,
         ["convert", "--input", str(source), "--output", str(converted)],
@@ -385,6 +385,26 @@ def test_convert_names_a_field_error_before_later_bad_json(runner, tmp_path, fie
     assert result.stderr == (
         f"error: {source}:{field_at}: winoground field 'image_0' must be a string\n"
     )
+    assert not converted.exists()
+
+
+@pytest.mark.parametrize("again_at", [3, 300], ids=["one_chunk", "two_chunks"])
+def test_convert_repeated_record_id_exits_3(runner, tmp_path, caplog, again_at):
+    """Two records with one id would give questions with one id, which the
+    dataset loader rejects: convert names the second record, before any
+    caption warning or output."""
+    source = tmp_path / "winoground.jsonl"
+    lines = [WINOGROUND_LINE.replace('"w0"', f'"w{i}"') for i in range(again_at)]
+    lines[0] = WINOGROUND_LINE.replace('"y"', '"x"')  # identical captions warn
+    lines[again_at - 1] = WINOGROUND_LINE
+    source.write_text("".join(line + "\n" for line in lines))
+    converted = tmp_path / "converted.jsonl"
+    result = runner.invoke(
+        main, ["convert", "--input", str(source), "--output", str(converted)]
+    )
+    assert result.exit_code == 3
+    assert result.stderr == f"error: {source}:{again_at}: duplicate id 'w0'\n"
+    assert not caplog.records
     assert not converted.exists()
 
 
@@ -1196,6 +1216,37 @@ def test_unreadable_input_exits_3(runner, tmp_path, command):
     errors = [line for line in result.stderr.splitlines() if line]
     assert len(errors) == 1 and errors[0].startswith("error: ")
     assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "metrics", "sweep", "simulate", "convert"])
+def test_unwritable_output_exits_2(runner, workspace, loopback, command):
+    """An output directory that is an existing file, or lies under one, is a
+    config error named by its path, not a traceback; a run then makes no
+    backend call."""
+    tmp, data, _ = workspace
+    server = loopback(respond=lambda body: {"text": "yes", "token_logprobs": [-0.1]})
+    blocker = tmp / "a_file"
+    blocker.write_text("")
+    log = tmp / "episodes.jsonl"
+    log.write_text(json.dumps(GOOD_EPISODE) + "\n")
+    source = tmp / "winoground.jsonl"
+    source.write_text(WINOGROUND_LINE + "\n")
+    out, args = blocker, ["--out", str(blocker)]
+    if command == "run":
+        args = ["run", "--dataset", str(data), "--recomposer-url", server.url, *args]
+    elif command in ("metrics", "sweep"):
+        args = [command, "--log", str(log), *args]
+    elif command == "simulate":
+        args = ["simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "100", *args]
+    else:
+        out = blocker / "sub"
+        args = ["convert", "--input", str(source), "--output", str(out / "converted.jsonl")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert server.received == []
+    assert blocker.read_text() == ""
 
 
 def test_run_over_an_unreadable_log_exits_3(runner, workspace):

@@ -12,6 +12,7 @@ from conftest import NOT_UNPAIRED, NOT_UTF8, UNPAIRED, raw
 from secondguess import dataset
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.evaluation import is_match
+from secondguess.prompts import SubQA
 
 
 def write_lines(path, lines):
@@ -344,6 +345,28 @@ def test_roundtrip_is_stable(tmp_path):
     reloaded = dataset.load_dataset(first)
     dataset.save_dataset(reloaded, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_save_dataset_bytes(tmp_path):
+    """The canonical line of a question: its fields in order, the default
+    qtype written, sub_qas only when given, a missing sub-answer as null and
+    text other than ASCII as itself."""
+    questions = [
+        VisualQuestion("q1", "café.png", "is the café open?", ("yes",)),
+        VisualQuestion(
+            "q2", "b.png", "how many dogs?", ("2", "two"), "number",
+            (SubQA("is there a dog", "yes"), SubQA("is it ☂", None)),
+        ),
+    ]
+    path = tmp_path / "data.jsonl"
+    dataset.save_dataset(questions, path)
+    assert path.read_bytes() == (
+        '{"id": "q1", "image": "café.png", "question": "is the café open?",'
+        ' "answers": ["yes"], "qtype": "other"}\n'
+        '{"id": "q2", "image": "b.png", "question": "how many dogs?",'
+        ' "answers": ["2", "two"], "qtype": "number",'
+        ' "sub_qas": [["is there a dog", "yes"], ["is it ☂", null]]}\n'
+    ).encode("utf-8")
 
 
 WINOGROUND = [

@@ -205,7 +205,7 @@ def oracle_questions():
                 image=q.image,
                 question=q.question,
                 answers=q.answers,
-                oracle_sub_qas=(
+                sub_qas=(
                     SubQA("is the banana yellow", "yes"),
                     SubQA("is the banana bruised", "no"),
                 ),
@@ -457,7 +457,7 @@ def chain_fixture(drop_recompose_of=None):
     questions, entries = [], []
     for spec, q in zip(CHAIN_SPECS, spec_questions(CHAIN_SPECS)):
         sub_qas = (SubQA(f"is {q.id} near", "yes"), SubQA(f"is {q.id} far", "no"))
-        questions.append(replace(q, oracle_sub_qas=sub_qas))
+        questions.append(replace(q, sub_qas=sub_qas))
         if q.id != drop_recompose_of:
             entries.append(
                 MockEntry(f"Question: {q.question} Short answer:", "recomposer",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from secondguess import prompts
 from secondguess.prompts import (
-    DecompositionContext,
     SubQA,
     perturb_scramble,
     perturb_strip_answers,
@@ -73,8 +72,7 @@ def test_render_decompose_rejects_bad_style():
 
 
 def test_render_recompose_single():
-    ctx = DecompositionContext([SubQA("is the sky blue", "no")])
-    rendered = render_recompose("what weather is likely", ctx)
+    rendered = render_recompose("what weather is likely", (SubQA("is the sky blue", "no"),))
     assert rendered == prompts.RECOMPOSE_EXEMPLAR + (
         "Context: is the sky blue? no. "
         "Question: what weather is likely? Short answer:"
@@ -82,8 +80,7 @@ def test_render_recompose_single():
 
 
 def test_render_recompose_answerless():
-    ctx = DecompositionContext([SubQA("is the sky blue", None)])
-    rendered = render_recompose("what weather is likely", ctx)
+    rendered = render_recompose("what weather is likely", (SubQA("is the sky blue"),))
     assert (
         "Context: is the sky blue? Question: what weather is likely? Short answer:"
         in rendered
@@ -93,10 +90,8 @@ def test_render_recompose_answerless():
 
 def test_render_recompose_two_subqas_in_order():
     # Expected string hand-expanded from the single-subquestion template.
-    ctx = DecompositionContext(
-        [SubQA("is the sky blue", "no"), SubQA("are there clouds", "yes")]
-    )
-    rendered = render_recompose("what weather is likely", ctx)
+    sub_qas = (SubQA("is the sky blue", "no"), SubQA("are there clouds", "yes"))
+    rendered = render_recompose("what weather is likely", sub_qas)
     assert rendered == prompts.RECOMPOSE_EXEMPLAR + (
         "Context: is the sky blue? no. are there clouds? yes. "
         "Question: what weather is likely? Short answer:"
@@ -104,22 +99,14 @@ def test_render_recompose_two_subqas_in_order():
 
 
 def test_render_recompose_strips_one_trailing_question_mark():
-    ctx = DecompositionContext([SubQA("is the sky blue?", "no")])
-    rendered = render_recompose("what weather is likely?", ctx)
+    rendered = render_recompose("what weather is likely?", (SubQA("is the sky blue?", "no"),))
     assert "blue?? " not in rendered
     assert "Question: what weather is likely? Short answer:" in rendered
 
 
-def test_render_recompose_rejects_empty_ctx():
-    with pytest.raises(ValueError):
-        DecompositionContext([])
-
-
 def test_strip_answers():
-    ctx = DecompositionContext([SubQA("is the sky blue", "no"), SubQA("is it wet", "yes")])
-    stripped = perturb_strip_answers(ctx)
-    assert [qa.answer for qa in stripped.sub_qas] == [None, None]
-    assert [qa.question for qa in stripped.sub_qas] == ["is the sky blue", "is it wet"]
+    stripped = perturb_strip_answers((SubQA("is the sky blue", "no"), SubQA("is it wet", "yes")))
+    assert stripped == (SubQA("is the sky blue"), SubQA("is it wet"))
 
 
 sub_qa_strategy = st.builds(
@@ -131,35 +118,31 @@ sub_qa_strategy = st.builds(
     ).filter(str.split),
     answer=st.one_of(st.none(), st.sampled_from(["yes", "no", "two dogs"])),
 )
-ctx_strategy = st.builds(
-    DecompositionContext, st.lists(sub_qa_strategy, min_size=1, max_size=3)
-)
+sub_qas_strategy = st.lists(sub_qa_strategy, min_size=1, max_size=3).map(tuple)
 
 
-@given(ctx_strategy)
-def test_strip_answers_idempotent(ctx):
-    once = perturb_strip_answers(ctx)
+@given(sub_qas_strategy)
+def test_strip_answers_idempotent(sub_qas):
+    once = perturb_strip_answers(sub_qas)
     assert perturb_strip_answers(once) == once
 
 
-@given(ctx_strategy, st.integers(min_value=0, max_value=2**32))
-def test_scramble_preserves_token_multiset(ctx, seed):
-    scrambled = perturb_scramble(ctx, seed)
+@given(sub_qas_strategy, st.integers(min_value=0, max_value=2**32))
+def test_scramble_preserves_token_multiset(sub_qas, seed):
+    (scrambled,) = perturb_scramble(sub_qas, seed)
     original_tokens = []
-    for qa in ctx.sub_qas:
+    for qa in sub_qas:
         original_tokens.extend(qa.question.split())
         if qa.answer is not None:
             original_tokens.extend(qa.answer.split())
-    assert len(scrambled.sub_qas) == 1
-    assert scrambled.sub_qas[0].answer is None
-    assert Counter(scrambled.sub_qas[0].question.split()) == Counter(original_tokens)
+    assert scrambled.answer is None
+    assert Counter(scrambled.question.split()) == Counter(original_tokens)
 
 
-@given(ctx_strategy, st.integers(min_value=0, max_value=2**32))
-def test_scramble_deterministic(ctx, seed):
-    assert perturb_scramble(ctx, seed) == perturb_scramble(ctx, seed)
+@given(sub_qas_strategy, st.integers(min_value=0, max_value=2**32))
+def test_scramble_deterministic(sub_qas, seed):
+    assert perturb_scramble(sub_qas, seed) == perturb_scramble(sub_qas, seed)
 
 
 def test_scramble_single_token_identity():
-    ctx = DecompositionContext([SubQA("yes", None)])
-    assert perturb_scramble(ctx, 123).sub_qas[0].question == "yes"
+    assert perturb_scramble((SubQA("yes"),), 123) == (SubQA("yes"),)

@@ -11,6 +11,8 @@ from conftest import accuracy_at_tau, log_columns, trials_to_episodes
 from secondguess import evaluation
 from secondguess.evaluation import BLOCK
 from secondguess.simulator import (
+    CONF_CORRECT,
+    CONF_INCORRECT,
     SimConfig,
     closed_form_decompose_all,
     generate_trials,
@@ -79,17 +81,10 @@ def test_full_gate_optimal_when_decomposition_only_helps():
 
 
 def test_rise_then_fall_with_separated_calibration():
-    # Wrong answers concentrate low, correct high; induction is costly at
-    # the top end, so the argmax sits strictly inside the grid.
-    cfg = SimConfig(
-        0.7,
-        0.6,
-        0.4,
-        conf_correct=(12.0, 2.0),
-        conf_incorrect=(2.0, 12.0),
-        trials=100_000,
-        seed=9,
-    )
+    # Wrong answers concentrate low, correct high, at the simulator's Beta
+    # shapes; induction is costly at the top end, so the argmax sits
+    # strictly inside the grid.
+    cfg = SimConfig(0.7, 0.6, 0.4, trials=100_000, seed=9)
     curve = simulate(cfg, TAU_GRID)
     base = curve.points[0].accuracy
     best = max(p.accuracy for p in curve.points)
@@ -158,8 +153,8 @@ def whole_array_trials(cfg: SimConfig) -> tuple:
     n_correct = int(round(cfg.base_accuracy * n))
     correct_before = np.zeros(n, dtype=bool)
     correct_before[:n_correct] = True
-    confidence = rng.beta(*cfg.conf_correct, size=n)
-    confidence[n_correct:] = rng.beta(*cfg.conf_incorrect, size=n)[n_correct:]
+    confidence = rng.beta(*CONF_CORRECT, size=n)
+    confidence[n_correct:] = rng.beta(*CONF_INCORRECT, size=n)[n_correct:]
     np.maximum(confidence, np.finfo(float).tiny, out=confidence)
     flip = rng.random(n)
     corrected = ~correct_before & (flip < cfg.e_cr)
@@ -169,9 +164,6 @@ def whole_array_trials(cfg: SimConfig) -> tuple:
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
-# numpy draws a Beta by Johnk's method when both shapes are at most 1, else
-# as a ratio of gammas; each shape here falls on either side of 1.
-beta_shape = st.tuples(*[st.one_of(st.floats(0.1, 0.99), st.floats(1.0, 20.0))] * 2)
 
 
 @st.composite
@@ -186,8 +178,6 @@ def block_configs(draw) -> SimConfig:
         acc,
         draw(unit),
         draw(unit),
-        conf_correct=draw(beta_shape),
-        conf_incorrect=draw(beta_shape),
         trials=n,
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
     )
@@ -276,8 +266,6 @@ def test_config_validation():
         SimConfig(1.2, 0.0, 0.0)
     with pytest.raises(ValueError):
         SimConfig(0.5, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        SimConfig(0.5, 0.0, 0.0, conf_correct=(0.0, 1.0))
     with pytest.raises(ValueError):
         SimConfig(0.5, 0.0, 0.0, trials=0)
     with pytest.raises(ValueError):
