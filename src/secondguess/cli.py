@@ -5,12 +5,12 @@ and simulator into reproducible runs.
 any of the seven modes; `metrics` and `sweep` only read a log, whose columns
 ``pipeline.read_episode_log`` caches next to it. Exit codes: 0 success, 1
 completed with failed episodes in the whole log (no metrics.json if all
-failed), 2 config validation (a ConfigError, or an output directory that
-cannot be made), 3 dataset error (a DatasetError, or a tau the log cannot
-answer). All outputs go under --out; every run directory gets a manifest
-recording the resolved config, its hash, the seed, timestamps, the whole
-log's episode and failure counts, and this invocation's backend calls and
-transport retries.
+failed), 2 config validation (a ConfigError, or an output directory or file
+that cannot be written), 3 dataset error (a DatasetError, or a tau the log
+cannot answer). All outputs go under --out; every run directory gets a
+manifest recording the resolved config, its hash, the seed, timestamps, the
+whole log's episode and failure counts, and this invocation's backend calls
+and transport retries.
 """
 
 from __future__ import annotations
@@ -68,13 +68,9 @@ def _fail(code: int, message: str) -> None:
 
 
 def _out_dir(path) -> Path:
-    """The directory ``path``, made with its parents if missing; exit 2 if
-    it cannot be."""
+    """The directory ``path``, made with its parents if missing."""
     out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(EXIT_CONFIG, f"cannot write {out_dir}: {exc.strerror}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -175,7 +171,8 @@ def _load_questions(path):
 def _from_log(log_path, compute):
     """``compute`` of the columns of the log at ``log_path``; exit 3 if it is
     missing or ``compute`` raises ValueError (no episode, or an unanswered tau)."""
-    if not Path(log_path).exists():
+    # False, where Path.exists raises, on a directory that cannot be searched.
+    if not os.path.exists(log_path):
         _fail(EXIT_DATASET, f"episode log not found: {log_path}")
     log = pipeline.read_episode_log(log_path)
     try:
@@ -205,13 +202,18 @@ def _write_json(path: Path, obj) -> None:
 
 
 class _Group(click.Group):
-    """Maps a ConfigError of any command to exit 2, a DatasetError to 3."""
+    """Maps a ConfigError of any command to exit 2, a DatasetError to 3, and
+    an OSError to 2: every input is read through ``dataset``, which raises
+    its OSError as a DatasetError, so one that leaves a command comes from
+    an output that cannot be written."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (ConfigError, DatasetError) as exc:
             _fail(EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATASET, str(exc))
+        except OSError as exc:
+            _fail(EXIT_CONFIG, f"cannot write {exc.filename}: {exc.strerror}")
 
 
 @click.group(cls=_Group)

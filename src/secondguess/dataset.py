@@ -326,19 +326,6 @@ def save_dataset(questions: Iterable[VisualQuestion], path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _check_winoground(records: list) -> None:
-    """Raise DatasetError at the first record that is no caption-matching
-    record: a JSON object whose id, images and captions are strings."""
-    for record in records:
-        if not isinstance(record, dict):
-            raise DatasetError("winoground record must be a JSON object")
-        for key in ("id", "image_0", "image_1", "caption_0", "caption_1"):
-            if key not in record:
-                raise DatasetError(f"winoground record missing field {key!r}")
-            if not isinstance(record[key], str):
-                raise DatasetError(f"winoground field {key!r} must be a string")
-
-
 def convert_winoground(records: list):
     """Reformulate caption-matching records as boolean VQA.
 
@@ -346,11 +333,9 @@ def convert_winoground(records: list):
     is asked 'does "<caption>" describe the image?', labeled "yes" when the
     indices match and "no" otherwise. Records whose two captions are
     identical get contradictory labels; they are kept but counted as
-    warnings so dataset arithmetic stays intact. Every record is checked
-    before any is converted, so a list that raises DatasetError logs no
-    warning.
+    warnings so dataset arithmetic stays intact. The records are those
+    ``winoground_records`` has passed.
     """
-    _check_winoground(records)
     questions: List[VisualQuestion] = []
     warnings = 0
     for record in records:
@@ -377,14 +362,22 @@ def convert_winoground(records: list):
 
 def winoground_records(values: list, seen: set):
     """Parsed caption-matching lines, or the problem of the first rule one
-    breaks: no unpaired surrogate, a record's fields, no id repeated here or
-    from ``seen``, which then takes the new ids. A repeated record id would
-    repeat the ids of its four questions."""
+    breaks: no unpaired surrogate; each a JSON object whose id, images and
+    captions are strings; no id repeated here or from ``seen``, which then
+    takes the new ids. A repeated record id would repeat the ids of its four
+    questions."""
     try:
         _no_unpaired_surrogate(values)
-        _check_winoground(values)
     except DatasetError as exc:
         return str(exc)
+    for record in values:
+        if not isinstance(record, dict):
+            return "winoground record must be a JSON object"
+        for key in ("id", "image_0", "image_1", "caption_0", "caption_1"):
+            if key not in record:
+                return f"winoground record missing field {key!r}"
+            if not isinstance(record[key], str):
+                return f"winoground field {key!r} must be a string"
     return repeated_id([record["id"] for record in values], seen) or values
 
 

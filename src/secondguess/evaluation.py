@@ -50,10 +50,8 @@ def is_match(predicted: str, answers: Sequence[str], scoring: str = "exact") -> 
     Default is normalized exact match against any answer. In
     ``vqa_consensus`` mode, logs with >= 3 annotator answers are scored
     with the soft consensus and thresholded at CONSENSUS_THRESHOLD; smaller
-    answer lists fall back to exact match.
+    answer lists fall back to exact match. ``answers`` is never empty.
     """
-    if not answers:
-        raise ValueError("answers must be non-empty")
     if scoring == "vqa_consensus" and len(answers) >= 3:
         return vqa_consensus_score(predicted, answers) >= CONSENSUS_THRESHOLD
     pred = normalize_answer(predicted)
@@ -78,9 +76,7 @@ class EpisodeColumns:
 
 
 def surprisal(tau: float) -> float:
-    """Surprisal of a confidence threshold, log2(1/tau)."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must be in (0, 1]")
+    """Surprisal of a confidence threshold tau in (0, 1], log2(1/tau)."""
     return math.log2(1.0 / tau)
 
 
@@ -91,8 +87,6 @@ def gated(confidence, tau):
 
 def _nearest_rank(ordered: Sequence[float], percentile: float) -> float:
     """Nearest-rank quantile of sorted confidences; 0.0 at percentile 0."""
-    if not (0.0 <= percentile <= 100.0):
-        raise ValueError("percentile must be in [0, 100]")
     if percentile == 0:
         return 0.0
     rank = math.ceil(percentile / 100.0 * len(ordered))
@@ -100,15 +94,13 @@ def _nearest_rank(ordered: Sequence[float], percentile: float) -> float:
 
 
 def percentile_to_tau(confidences: Sequence[float], percentile: float) -> float:
-    """Nearest-rank empirical quantile of the confidence distribution.
+    """Nearest-rank empirical quantile of a non-empty confidence distribution.
 
     Percentile 0 returns the sentinel 0.0 (strictly below every confidence,
     which ``backend.confidence_of`` floors above 0, so nothing is gated);
     percentile 100 returns the maximum (everything satisfies
     confidence <= tau).
     """
-    if not confidences:
-        raise ValueError("confidences must be non-empty")
     return _nearest_rank(sorted(confidences), percentile)
 
 

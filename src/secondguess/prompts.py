@@ -3,7 +3,8 @@ tuples of ``SubQA`` named tuples, from the dataset row to the rendered prompt.
 
 The template strings are load-bearing: downstream models were prompted with
 these exact bytes, so rendering is pure string substitution with no
-trimming, re-wrapping, or normalization of the caller's text.
+trimming, re-wrapping, or normalization of the caller's text. The inputs
+are checked where they enter: a question by ``dataset``, a style by ``cli``.
 """
 
 from __future__ import annotations
@@ -54,16 +55,10 @@ class SubQA(NamedTuple):
 
 
 def render_direct_qa(question: str) -> str:
-    if not question:
-        raise ValueError("question must be non-empty")
     return TEMPLATES["direct_qa"].replace("{question}", question)
 
 
 def render_decompose(question: str, style: str = "decompose_default") -> str:
-    if not question:
-        raise ValueError("question must be non-empty")
-    if style not in DECOMPOSE_STYLES:
-        raise ValueError(f"not a decompose prompt kind: {style!r}")
     return TEMPLATES[style].replace("{question}", question)
 
 
@@ -74,8 +69,6 @@ def _strip_one_question_mark(text: str) -> str:
 
 
 def render_recompose(question: str, sub_qas: tuple) -> str:
-    if not question:
-        raise ValueError("question must be non-empty")
     segments = []
     for qa in sub_qas:
         segment = f"{_strip_one_question_mark(qa.question)}?"

@@ -107,8 +107,6 @@ def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
     Ties at the maximum accuracy break toward the smaller tau (fewer
     second-guesses).
     """
-    if not taus:
-        raise ValueError("tau grid must be non-empty")
     trials = generate_trials(cfg)
     points = evaluation.replay(
         trials.confidence, trials.correct_before, trials.correct_after, taus

@@ -239,3 +239,31 @@ def test_one_function_holds_the_repeated_id_rule():
     """Dataset rows, caption-matching records and episode records are
     refused a repeated id by one rule, ``dataset.repeated_id``."""
     assert _literal_holders("duplicate id") == ["dataset.py:repeated_id"]
+
+
+# Each rule's message and the functions that hold it: the one that owns the
+# rule, where its input enters or its output is written, or none for a copy
+# of a rule that an earlier layer checks on the same input.
+RULE_HOLDERS = {
+    "cannot write": ["cli.py:invoke"],
+    "must not be empty": ["dataset.py:_question_from_obj"],
+    "winoground record missing field": ["dataset.py:winoground_records"],
+    # tau_percentile's range, which PipelineConfig owns.
+    "percentile must be in [0, 100]": ["pipeline.py:__post_init__"],
+    "question must be non-empty": [],
+    "not a decompose prompt kind": [],
+    "unknown mode": [],
+    "unknown scoring": [],
+    "answers must be non-empty": [],
+    "tau must be in (0, 1]": [],
+    "confidences must be non-empty": [],
+    "tau grid must be non-empty": [],
+}
+
+
+@pytest.mark.parametrize("message", RULE_HOLDERS)
+def test_each_rule_has_one_owner(message):
+    """An input is checked once, where it enters, and an output that cannot
+    be written exits 2 in one handler: a second copy of a rule, which no
+    command can reach, puts its message in a second function."""
+    assert _literal_holders(message) == RULE_HOLDERS[message]

@@ -576,8 +576,10 @@ def test_config_file_out_and_values_apply(runner, workspace, monkeypatch):
         {"concurrency": True},
         {"mode": "bogus"},
         {"retry_budget": 0},
+        {"scoring": "bogus"},
     ],
-    ids=["seed", "tau", "retry_budget", "prompt_style", "bool_int", "mode", "retry_budget_0"],
+    ids=["seed", "tau", "retry_budget", "prompt_style", "bool_int", "mode", "retry_budget_0",
+         "scoring"],
 )
 def test_config_value_type_exits_2(runner, workspace, bad):
     tmp, data, script = workspace
@@ -1218,12 +1220,26 @@ def test_unreadable_input_exits_3(runner, tmp_path, command):
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "metrics", "sweep", "simulate", "convert"])
-def test_unwritable_output_exits_2(runner, workspace, loopback, command):
-    """An output directory that is an existing file, or lies under one, is a
-    config error named by its path, not a traceback; a run then makes no
-    backend call."""
-    tmp, data, _ = workspace
+# (command, output file made a directory, or None for an output directory
+# that is a file): every output each command writes.
+UNWRITABLE = [
+    ("run", None), ("metrics", None), ("sweep", None), ("simulate", None), ("convert", None),
+    ("run", "manifest.json"), ("run", "metrics.json"), ("metrics", "metrics.json"),
+    ("metrics", "sweep.csv"), ("sweep", "sweep.csv"), ("simulate", "simulated_sweep.csv"),
+    ("convert", "converted.jsonl"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, output", UNWRITABLE, ids=["-".join(filter(None, case)) for case in UNWRITABLE]
+)
+def test_unwritable_output_exits_2(runner, workspace, loopback, command, output):
+    """An output directory that is an existing file, or lies under one, or an
+    ``output`` file that is a directory, is a config error named by its
+    path, not a traceback. A run whose directory cannot be made makes no
+    backend call; one whose file cannot be written has made its calls and
+    appended its episodes."""
+    tmp, data, script = workspace
     server = loopback(respond=lambda body: {"text": "yes", "token_logprobs": [-0.1]})
     blocker = tmp / "a_file"
     blocker.write_text("")
@@ -1231,22 +1247,87 @@ def test_unwritable_output_exits_2(runner, workspace, loopback, command):
     log.write_text(json.dumps(GOOD_EPISODE) + "\n")
     source = tmp / "winoground.jsonl"
     source.write_text(WINOGROUND_LINE + "\n")
-    out, args = blocker, ["--out", str(blocker)]
+    out_dir = blocker if output is None else tmp / "out"
+    args = ["--out", str(out_dir)]
     if command == "run":
-        args = ["run", "--dataset", str(data), "--recomposer-url", server.url, *args]
+        backend = ["--mock-script", str(script)] if output else ["--recomposer-url", server.url]
+        args = ["run", "--dataset", str(data), *backend, *args]
     elif command in ("metrics", "sweep"):
         args = [command, "--log", str(log), *args]
     elif command == "simulate":
         args = ["simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "100", *args]
     else:
-        out = blocker / "sub"
-        args = ["convert", "--input", str(source), "--output", str(out / "converted.jsonl")]
+        out_dir = blocker / "sub" if output is None else out_dir
+        args = ["convert", "--input", str(source), "--output", str(out_dir / "converted.jsonl")]
+    out = out_dir if output is None else out_dir / output
+    if output is not None:
+        out.mkdir(parents=True)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: cannot write {out}: ")
-    assert len(result.stderr.splitlines()) == 1
+    assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
     assert server.received == []
     assert blocker.read_text() == ""
+    if command == "run" and output is not None:
+        assert len((out_dir / "episodes.jsonl").read_text().splitlines()) == 8
+
+
+FAILED_EPISODE = {**GOOD_EPISODE, "initial": {"text": "", "confidence": 0.0}, "failed": True}
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["--concurrency", "0"], 2, "concurrency must be positive"),
+        (["--mode", "selective", "--tau-percentile", "150"], 2,
+         "tau_percentile must be in [0, 100]"),
+        (["--config", "{tmp}/list.json"], 2, "config file must hold a JSON object"),
+        (["run", "--dataset", "{data}"], 2, "one of mock_script / recomposer_url is required"),
+        (["run", "--mock-script", "{script}"], 2, "dataset path is required"),
+        (["simulate", "--acc", "1.5", "--ecr", "0.3", "--eic", "0.1"], 2,
+         "base_accuracy must be in [0, 1]"),
+        (["sweep", "--log", "{tmp}/failed.jsonl"], 3, "no episodes to sweep"),
+    ],
+    ids=["concurrency_0", "tau_percentile_150", "config_not_object", "no_backend",
+         "no_dataset", "simulate_acc", "sweep_all_failed"],
+)
+def test_bad_setting_exits_before_out(runner, workspace, args, code, message):
+    """A setting out of range or missing, a config file that is no object,
+    or a log with no episode to sweep exits with its message and makes no
+    out/. Arguments that do not name a command are those of a run on the
+    workspace's dataset and mock script."""
+    tmp, data, script = workspace
+    (tmp / "list.json").write_text("[]")
+    (tmp / "failed.jsonl").write_text(json.dumps(FAILED_EPISODE) + "\n")
+    if args[0] not in ("run", "simulate", "sweep"):
+        args = ["run", "--dataset", "{data}", "--mock-script", "{script}", *args]
+    out = tmp / "out"
+    args = [arg.format(tmp=tmp, data=data, script=script) for arg in args]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == code
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "sweep"])
+def test_log_in_an_unsearchable_directory_exits_3(runner, tmp_path, monkeypatch, command):
+    """A --log whose directory cannot be searched is a log not found, an
+    input's exit 3, not an output that cannot be written. Root searches any
+    directory, so os.stat refuses the log as it would refuse another user."""
+    log = tmp_path / "locked" / "episodes.jsonl"
+    stat = os.stat
+
+    def refuse(path, *args, **kwargs):
+        if os.fspath(path) == str(log):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", refuse)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--log", str(log), "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr.splitlines() == [f"error: episode log not found: {log}"]
+    assert not out.exists()
 
 
 def test_run_over_an_unreadable_log_exits_3(runner, workspace):

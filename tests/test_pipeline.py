@@ -62,8 +62,6 @@ def test_config_validation():
         PipelineConfig(mode="selective", tau=1.5)
     with pytest.raises(ConfigError):
         PipelineConfig(mode="direct", tau=0.5)
-    with pytest.raises(ConfigError):
-        PipelineConfig(mode="warp")
 
 
 def test_tau_zero_everything_kept():

@@ -32,11 +32,6 @@ def test_render_direct_qa_preserves_braces():
     assert render_direct_qa("what is {x}?") == "Question: what is {x}? Short Answer:"
 
 
-def test_render_direct_qa_rejects_empty():
-    with pytest.raises(ValueError):
-        render_direct_qa("")
-
-
 def test_render_decompose_default():
     rendered = render_decompose("is it cold outside?")
     assert rendered == (
@@ -64,11 +59,6 @@ def test_render_decompose_galactica():
 def test_render_decompose_preserves_whitespace():
     rendered = render_decompose("is it wet?  ")
     assert "Reasoning Question: is it wet?   Perception Question:" in rendered
-
-
-def test_render_decompose_rejects_bad_style():
-    with pytest.raises(ValueError):
-        render_decompose("is it wet?", "direct_qa")
 
 
 def test_render_recompose_single():
