@@ -67,13 +67,6 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _out_dir(path) -> Path:
-    """The directory ``path``, made with its parents if missing."""
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _numbers(text: Optional[str], name: str, high: float, default: list) -> list:
     """Comma-separated numbers, each in [0, high], or exit 2; default if unset."""
     if not text:
@@ -196,7 +189,7 @@ def _write_manifest(out_dir: Path, cfg: dict, started: str, extra: dict) -> None
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with dataset.replacing(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 
@@ -205,7 +198,8 @@ class _Group(click.Group):
     """Maps a ConfigError of any command to exit 2, a DatasetError to 3, and
     an OSError to 2: every input is read through ``dataset``, which raises
     its OSError as a DatasetError, so one that leaves a command comes from
-    an output that cannot be written."""
+    an output that cannot be written, named by ``dataset.replacing``, or
+    from standard output, such as a closed pipe, if it names no file."""
 
     def invoke(self, ctx):
         try:
@@ -213,7 +207,7 @@ class _Group(click.Group):
         except (ConfigError, DatasetError) as exc:
             _fail(EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATASET, str(exc))
         except OSError as exc:
-            _fail(EXIT_CONFIG, f"cannot write {exc.filename}: {exc.strerror}")
+            _fail(EXIT_CONFIG, f"cannot write {exc.filename or 'standard output'}: {exc.strerror}")
 
 
 @click.group(cls=_Group)
@@ -241,7 +235,8 @@ def cmd_run(config_path, **flags) -> None:
         _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
     # Built before out/ exists, so a bad backend config writes nothing.
     engine = _build_engine(cfg)
-    out_dir = _out_dir(cfg["out"])
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     episodes_path = out_dir / "episodes.jsonl"
     try:
         summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
@@ -274,9 +269,9 @@ def cmd_sweep(log_path, percentiles, out) -> None:
     the points whose tau the log answers, and exits 3 if none is left."""
     grid = _numbers(percentiles, "percentiles", 100.0, DEFAULT_PERCENTILES)
     points = _from_log(log_path, lambda log: evaluation.sweep(log, grid))
-    out_dir = _out_dir(out)
-    csv_path = out_dir / "sweep.csv"
-    evaluation.write_sweep_csv(points, csv_path)
+    csv_path = Path(out) / "sweep.csv"
+    with dataset.replacing(csv_path) as fh:
+        evaluation.write_sweep_csv(points, fh)
     click.echo(f"wrote {len(points)} sweep points -> {csv_path}")
 
 
@@ -291,7 +286,6 @@ def cmd_convert(input_path, output_path) -> None:
         records += dataset.parse_chunk(
             input_path, chunk, lambda values: dataset.winoground_records(values, seen)
         )
-    _out_dir(Path(output_path).parent)
     questions, warnings = dataset.convert_winoground(records)
     dataset.save_dataset(questions, output_path)
     click.echo(
@@ -326,9 +320,9 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     except ValueError as exc:
         _fail(EXIT_CONFIG, str(exc))
     curve = simulator.simulate(cfg, taus)
-    out_dir = _out_dir(out)
-    csv_path = out_dir / "simulated_sweep.csv"
-    evaluation.write_sweep_csv(curve.points, csv_path)
+    csv_path = Path(out) / "simulated_sweep.csv"
+    with dataset.replacing(csv_path) as fh:
+        evaluation.write_sweep_csv(curve.points, fh)
     click.echo(
         f"decompose-all accuracy {curve.decompose_all_accuracy:.4f} "
         f"(closed form {simulator.closed_form_decompose_all(cfg):.4f}), "
@@ -386,9 +380,10 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
         evaluation.compute_report(log, tau=tau, qtype_map=qtype_map),
         evaluation.sweep(log, DEFAULT_PERCENTILES),
     ))
-    out_dir = _out_dir(out)
+    out_dir = Path(out)
     _write_json(out_dir / "metrics.json", asdict(report))
-    evaluation.write_sweep_csv(points, out_dir / "sweep.csv")
+    with dataset.replacing(out_dir / "sweep.csv") as fh:
+        evaluation.write_sweep_csv(points, fh)
     click.echo(f"wrote metrics.json and sweep.csv -> {out_dir}")
 
 

@@ -1,5 +1,5 @@
-"""Dataset ingestion and conversion into the canonical question stream, and
-the one reader and parser of input files.
+"""Dataset ingestion and conversion into the canonical question stream, the
+one reader and parser of input files, and the one writer of output files.
 
 Canonical format is JSONL, one object per line, the fields of a
 ``VisualQuestion`` that are not None: {"id", "image", "question", "answers",
@@ -9,10 +9,13 @@ Canonical format is JSONL, one object per line, the fields of a
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import json
 import logging
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import orjson
@@ -318,9 +321,33 @@ def load_dataset(path) -> List[VisualQuestion]:
     return questions
 
 
+@contextlib.contextmanager
+def replacing(path, binary: bool = False):
+    """An open file that replaces the file at ``path`` whole when the block
+    ends. It is ``<name>.<pid>.tmp`` in the directory of ``path``, made with
+    its parents, opened as binary or as UTF-8 text with ``newline=""``, and
+    moved onto ``path`` by ``os.replace``. A block that raises leaves ``path``
+    as it was and no temporary file; an OSError past the parents names it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        # A read-only file system refuses even to unlink a missing file.
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        # A write names no file, and an open or os.replace the temporary one.
+        if isinstance(exc, OSError) and exc.filename in (None, str(tmp)):
+            exc.filename, exc.filename2 = str(path), None
+        raise
+
+
 def save_dataset(questions: Iterable[VisualQuestion], path) -> None:
     """Write questions as canonical JSONL, fields in canonical order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for q in questions:
             obj = {key: value for key, value in vars(q).items() if value is not None}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")

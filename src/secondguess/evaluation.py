@@ -299,10 +299,9 @@ def compute_report(
     return report
 
 
-def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    """Emit the shared SweepPoint CSV schema for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(SweepPoint))
-        # vars holds a dataclass's fields in their order.
-        writer.writerows(map(repr, vars(p).values()) for p in points)
+def write_sweep_csv(points: Sequence[SweepPoint], fh) -> None:
+    """Emit the SweepPoint CSV schema for plotting to ``fh``, opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(f.name for f in fields(SweepPoint))
+    # vars holds a dataclass's fields in their order.
+    writer.writerows(map(repr, vars(p).values()) for p in points)

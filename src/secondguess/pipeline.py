@@ -30,7 +30,6 @@ import io
 import itertools
 import json
 import operator
-import os
 import threading
 import zipfile
 import zlib
@@ -60,6 +59,7 @@ from .dataset import (
     parse_chunk,
     read_chunks,
     repeated_id,
+    replacing,
 )
 from .prompts import SubQA
 
@@ -423,25 +423,18 @@ def _cached(cache: Path):
 
 
 def _write_cache(cache: Path, key: bytes, log: evaluation.EpisodeColumns) -> None:
-    """Write the columns to the cache file through a temporary file, or
-    nothing when the directory cannot be written. The ids are stored as the
-    bytes of one json.dumps: a numpy string array would drop an id's
-    trailing NULs and hold four bytes per character."""
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                key=np.frombuffer(key, dtype=np.uint8),
-                ids=np.frombuffer(json.dumps(log.ids).encode("utf-8"), dtype=np.uint8),
-                confidence=log.confidence,
-                **{name: getattr(log, name) for name in _BOOL_COLUMNS},
-            )
-        os.replace(tmp, cache)
-    except OSError:
-        # A read-only file system refuses even to unlink a missing file.
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
+    """Write the columns to the cache file through ``replacing``, or nothing
+    when the directory cannot be written. The ids are stored as the bytes of
+    one json.dumps: a numpy string array would drop an id's trailing NULs
+    and hold four bytes per character."""
+    with contextlib.suppress(OSError), replacing(cache, binary=True) as fh:
+        np.savez(
+            fh,
+            key=np.frombuffer(key, dtype=np.uint8),
+            ids=np.frombuffer(json.dumps(log.ids).encode("utf-8"), dtype=np.uint8),
+            confidence=log.confidence,
+            **{name: getattr(log, name) for name in _BOOL_COLUMNS},
+        )
 
 
 def read_episode_log(path) -> evaluation.EpisodeColumns:

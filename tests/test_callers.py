@@ -93,6 +93,27 @@ def test_only_dataset_opens_files_for_reading():
 PARSER_NAMES = {"JSONDecoder", "scan_once", "raw_decode", "orjson"}
 
 
+def _writes_a_file(node) -> bool:
+    """A call that opens a file for writing, writes one whole
+    (``write_text``, ``write_bytes``) or moves one onto a path
+    (``os.replace``, ``os.rename``)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "open":
+        return not _opens_for_reading(node)
+    on_os = getattr(getattr(func, "value", None), "id", None) == "os"
+    return name in ("write_text", "write_bytes") or (on_os and name in ("replace", "rename"))
+
+
+def test_one_function_replaces_output_files():
+    """Every output is replaced whole through ``dataset.replacing``, so a
+    crash leaves the old file or the new one; the one other opener of a
+    file for writing is ``pipeline.run``'s append to the episode log."""
+    assert _holders(_writes_a_file) == ["dataset.py:replacing", "pipeline.py:run"]
+
+
 def test_only_dataset_builds_a_json_parser():
     """JSONL input is parsed by ``dataset.parse_chunk`` alone, so line
     numbers, the parse and its errors have one place to live. Whole-value
@@ -208,15 +229,15 @@ RESPONSE_RULES = (
 )
 
 
-def _literal_holders(message: str) -> list:
+def _holders(match) -> list:
     """"file:function" of each innermost function in the package, or "file"
-    outside any, that holds a string literal containing ``message``."""
+    outside any, that holds a node for which ``match(node)`` holds."""
     holders = set()
 
     def visit(node, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.partition(':')[0]}:{node.name}"
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value:
+        if match(node):
             holders.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -224,6 +245,12 @@ def _literal_holders(message: str) -> list:
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name)
     return sorted(holders)
+
+
+def _literal_holders(message: str) -> list:
+    """The holders of a string literal containing ``message``."""
+    return _holders(lambda node: isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and message in node.value)
 
 
 def test_one_function_holds_each_response_rule():

@@ -1094,11 +1094,17 @@ def test_metrics_over_a_read_only_directory_writes_no_cache(runner, tmp_path, mo
     log_dir.chmod(0o555)
     try:
         if os.access(log_dir, os.W_OK):
-            # Root writes whatever the mode says: refuse the cache's write.
-            def refuse(path, *args, **kwargs):
-                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            # Root writes whatever the mode says: the writer refuses the
+            # log's directory, as it does a read-only one.
+            replacing = dataset.replacing
 
-            monkeypatch.setattr(pipeline, "open", refuse, raising=False)
+            def refuse(path, *args, **kwargs):
+                if Path(path).parent == log_dir:
+                    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+                return replacing(path, *args, **kwargs)
+
+            for module in (dataset, pipeline):
+                monkeypatch.setattr(module, "replacing", refuse)
         for out in ("out", "again"):
             assert metrics_outputs(runner, log, tmp_path / out) == expected
             assert os.listdir(log_dir) == ["episodes.jsonl"]
@@ -1268,8 +1274,95 @@ def test_unwritable_output_exits_2(runner, workspace, loopback, command, output)
     assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
     assert server.received == []
     assert blocker.read_text() == ""
+    assert sorted(tmp.rglob("*.tmp")) == []
     if command == "run" and output is not None:
         assert len((out_dir / "episodes.jsonl").read_text().splitlines()) == 8
+
+
+class Crash(Exception):
+    """A process that dies while a payload writer is writing."""
+
+
+def crash_writing(fh, **arrays):
+    """Write part of a payload to ``fh``, then die."""
+    fh.write(b"PK\x03\x04" if "b" in fh.mode else '{"partial')
+    raise Crash
+
+
+class CrashingCSVWriter:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def writerow(self, row):
+        crash_writing(self.fh)
+
+
+# (command, output): every output a command replaces. Its payload writer is
+# json.dump, csv.writer, the save_dataset loop or np.savez, by its suffix.
+CRASHES = [
+    ("metrics", "metrics.json"), ("metrics", "sweep.csv"), ("sweep", "sweep.csv"),
+    ("simulate", "simulated_sweep.csv"), ("convert", "converted.jsonl"),
+    ("metrics", "episodes.jsonl.columns.npz"),
+]
+
+
+@pytest.mark.parametrize("command, output", CRASHES, ids=["-".join(case) for case in CRASHES])
+def test_crash_mid_write_keeps_the_old_output(runner, tmp_path, monkeypatch, command, output):
+    """A command that dies while it writes an output leaves the file that
+    was there, byte for byte, and no temporary file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    log = out / "episodes.jsonl"
+    log.write_text(json.dumps(GOOD_EPISODE) + "\n")
+    source = tmp_path / "winoground.jsonl"
+    source.write_text(WINOGROUND_LINE + "\n")
+    target = out / output
+    sentinel = b"the output of an earlier command\n"
+    target.write_bytes(sentinel)
+    if output.endswith(".json"):
+        monkeypatch.setattr(json, "dump", lambda obj, fh, **kwargs: crash_writing(fh))
+    elif output.endswith(".csv"):
+        monkeypatch.setattr(csv, "writer", CrashingCSVWriter)
+    elif output.endswith(".npz"):
+        monkeypatch.setattr(np, "savez", crash_writing)
+    else:
+        convert = dataset.convert_winoground
+
+        def crash_after_one(records):
+            yield convert(records)[0][0]
+            raise Crash
+
+        monkeypatch.setattr(dataset, "convert_winoground", lambda r: (crash_after_one(r), 0))
+    if command == "convert":
+        args = ["convert", "--input", str(source), "--output", str(target)]
+    elif command == "simulate":
+        args = ["simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "100",
+                "--out", str(out)]
+    else:
+        args = [command, "--log", str(log), "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, Crash)
+    assert target.read_bytes() == sentinel
+    assert sorted(tmp_path.rglob("*.tmp")) == []
+
+
+def test_closed_stdout_is_named(tmp_path):
+    """A command whose standard output has lost its reader exits 2 naming
+    standard output, which has no file name."""
+    data = tmp_path / "data.jsonl"
+    dataset.save_dataset(spec_questions(FOUR_EPISODE_SPECS), data)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(secondguess.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "secondguess.cli", "stats", "--dataset", str(data)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
 
 
 FAILED_EPISODE = {**GOOD_EPISODE, "initial": {"text": "", "confidence": 0.0}, "failed": True}
