@@ -17,10 +17,10 @@ import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Tuple
 from urllib.parse import unquote, urlsplit
 
-from .dataset import CHUNK_LINES, parse_chunk, read_chunks
+from .dataset import CHUNK_LINES, read_jsonl
 
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
@@ -428,7 +428,7 @@ class MockBackend:
     distinct patterns, end tokens included; a pattern with none is scanned.
     """
 
-    def __init__(self, entries: Sequence[MockEntry]) -> None:
+    def __init__(self, entries: Iterable[MockEntry]) -> None:
         self.entries = tuple(entries)
         # Per role: the indices of patterns with no interior word, scanned in
         # order, and {word: indices} for the rest, each in file order.
@@ -453,16 +453,14 @@ class MockBackend:
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
-        """The backend of the script at ``path``, read CHUNK_LINES lines at a
-        time, so that memory grows with the entries, not with the file. Each
-        chunk goes through ``dataset.parse_chunk`` with ``_chunk_entries`` as
-        its check, which raises the DatasetError of the first bad
+        """The backend of the script at ``path``, read by
+        ``dataset.read_jsonl`` a chunk at a time, so that memory grows with
+        the entries, not with the file. ``_chunk_entries`` is each chunk's
+        check, and the DatasetError of the first bad line names
         ``path:line``. The lines are parsed stripped, so a line may hold any
         whitespace that str.strip removes around its JSON."""
-        entries: List[MockEntry] = []
-        for chunk in read_chunks(path, CHUNK_LINES):
-            entries += parse_chunk(path, chunk, _chunk_entries, strip=True)
-        return cls(entries)
+        chunks = read_jsonl(path, _chunk_entries, strip=True)
+        return cls(itertools.chain.from_iterable(chunks))
 
     def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
         """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""

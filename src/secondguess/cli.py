@@ -6,17 +6,18 @@ any of the seven modes; `metrics` and `sweep` only read a log, whose columns
 ``pipeline.read_episode_log`` caches next to it. Exit codes: 0 success, 1
 completed with failed episodes in the whole log (no metrics.json if all
 failed), 2 config validation (a ConfigError, or an output directory or file
-that cannot be written), 3 dataset error (a DatasetError, or a tau the log
-cannot answer). All outputs go under --out; every run directory gets a
-manifest recording the resolved config, its hash, the seed, timestamps, the
-whole log's episode and failure counts, and this invocation's backend calls
-and transport retries.
+that cannot be written), 3 dataset error (a DatasetError, a log with no
+episode, or a tau the log cannot answer). All outputs go under --out; every
+run directory gets a manifest recording the resolved config, its hash, the
+seed, timestamps, the whole log's episode and failure counts, and this
+invocation's backend calls and transport retries.
 """
 
 from __future__ import annotations
 
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -250,8 +251,8 @@ def cmd_run(config_path, **flags) -> None:
         report = evaluation.compute_report(
             log, tau=summary.resolved_tau, qtype_map=qtype_map
         )
-    except ValueError as exc:  # every episode failed, or the log cannot answer tau
-        _fail(1 if summary.failures == summary.episodes else EXIT_DATASET, str(exc))
+    except ValueError as exc:  # every episode failed, none ran, or the log cannot answer tau
+        _fail(1 if 0 < summary.failures == summary.episodes else EXIT_DATASET, str(exc))
     _write_json(out_dir / "metrics.json", asdict(report))
     click.echo(
         f"run complete: {summary.episodes} episodes "
@@ -281,11 +282,10 @@ def cmd_sweep(log_path, percentiles, out) -> None:
 def cmd_convert(input_path, output_path) -> None:
     """Convert winoground-style records into the canonical VQA schema. The
     whole input is checked before any caption warning or output."""
-    records, seen = [], set()
-    for chunk in dataset.read_chunks(input_path, dataset.CHUNK_LINES):
-        records += dataset.parse_chunk(
-            input_path, chunk, lambda values: dataset.winoground_records(values, seen)
-        )
+    seen = set()
+    records = list(itertools.chain.from_iterable(
+        dataset.read_jsonl(input_path, lambda values: dataset.winoground_records(values, seen))
+    ))
     questions, warnings = dataset.convert_winoground(records)
     dataset.save_dataset(questions, output_path)
     click.echo(

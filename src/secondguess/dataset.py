@@ -1,5 +1,6 @@
 """Dataset ingestion and conversion into the canonical question stream, the
 one reader and parser of input files, and the one writer of output files.
+JSONL input is read by ``read_jsonl``; how a file is chunked stays here.
 
 Canonical format is JSONL, one object per line, the fields of a
 ``VisualQuestion`` that are not None: {"id", "image", "question", "answers",
@@ -112,11 +113,11 @@ class Chunk(NamedTuple):
     data: bytes
 
 
-def read_chunks(path, size: int, digest=None) -> Iterator[Chunk]:
-    """The Chunk of each run of ``size`` lines of a file, the last run
+def read_chunks(path, digest=None) -> Iterator[Chunk]:
+    """The Chunk of each run of CHUNK_LINES lines of a file, the last run
     partly full: the one reader of input files. The file is read as bytes,
     split into lines as text mode with ``newline=""`` splits them: at LF, CR
-    LF or a lone CR. A run holds ``size`` LF-ended stretches of the file, so
+    LF or a lone CR. A run holds CHUNK_LINES LF-ended stretches of the file, so
     a lone CR adds a line to its run, and a file whose lines all end in a
     lone CR is one run. Each run is checked for UTF-8 once, by ``isascii``
     or a decode. A byte that is not UTF-8 raises DatasetError naming
@@ -129,7 +130,7 @@ def read_chunks(path, size: int, digest=None) -> Iterator[Chunk]:
         with open(path, "rb") as fh:
             start = 1
             # A binary file splits lines at LF alone.
-            while lines := list(itertools.islice(fh, size)):
+            while lines := list(itertools.islice(fh, CHUNK_LINES)):
                 data = b"".join(lines)
                 if b"\r" in data:
                     lines = data.splitlines(keepends=True)
@@ -166,7 +167,7 @@ def read_json(path):
     """The value of a JSON file, read by ``read_chunks``. A file that is no
     JSON, nests too deep or holds an integer past the int-string conversion
     limit raises DatasetError with the decoder's message."""
-    text = b"".join(chunk.data for chunk in read_chunks(path, CHUNK_LINES)).decode("utf-8")
+    text = b"".join(chunk.data for chunk in read_chunks(path)).decode("utf-8")
     try:
         # Line ends as text mode reads them, which the message's positions count.
         return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
@@ -271,6 +272,13 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
 
 
+def read_jsonl(path, check, strip: bool = False, digest=None) -> Iterator:
+    """``parse_chunk(path, chunk, check, strip)`` of each chunk that
+    ``read_chunks(path, digest)`` reads: how all JSONL input is read."""
+    for chunk in read_chunks(path, digest):
+        yield parse_chunk(path, chunk, check, strip)
+
+
 def _no_unpaired_surrogate(values) -> None:
     """JSON may escape an unpaired surrogate, which a UTF-8 file written from
     ``values`` cannot hold: a string that holds one raises DatasetError."""
@@ -314,11 +322,10 @@ def load_dataset(path) -> List[VisualQuestion]:
     Parse failures name the offending line; repeated ids and empty answer
     lists are rejected.
     """
-    questions: List[VisualQuestion] = []
     seen = set()
-    for chunk in read_chunks(path, CHUNK_LINES):
-        questions += parse_chunk(path, chunk, lambda values: _questions(values, seen))
-    return questions
+    return list(itertools.chain.from_iterable(
+        read_jsonl(path, lambda values: _questions(values, seen))
+    ))
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ appends them to the log once, at the end of the run, and returns the whole
 log's columns.
 
 ``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``
-through ``dataset.parse_chunk``, the one parse of JSONL input, with
+through ``dataset.read_jsonl``, the one reader of JSONL input, with
 ``_chunk_columns`` as the check of each chunk, and caches the columns in a
 file next to the log, keyed by the digest of the log's bytes.
 """
@@ -53,11 +53,9 @@ from .backend import (
 )
 from .dataset import (
     CHUNK_LINES,
-    DatasetError,
     VisualQuestion,
     hash_file,
-    parse_chunk,
-    read_chunks,
+    read_jsonl,
     repeated_id,
     replacing,
 )
@@ -362,19 +360,18 @@ def _joined(chunks) -> evaluation.EpisodeColumns:
 
 
 def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
-    """The columns of a JSONL episode log, read CHUNK_LINES lines at a time
-    with no dict kept per episode, each chunk by ``dataset.parse_chunk`` with
-    ``_chunk_columns`` as its check; ``digest`` as in
-    ``dataset.read_chunks``. The cyclic GC is paused meanwhile: the parse
-    makes no reference cycles, and the containers it allocates would set off
-    collections, full ones included, that walk all it has kept so far."""
+    """The columns of a JSONL episode log, read a chunk at a time by
+    ``dataset.read_jsonl`` with no dict kept per episode, ``_chunk_columns``
+    each chunk's check, and the bytes parsed hashed into ``digest``. The
+    cyclic GC is paused meanwhile: the parse makes no reference cycles, and
+    the containers it allocates would set off collections, full ones
+    included, that walk all it has kept so far."""
     seen = set()
     enabled = gc.isenabled()
     gc.disable()
     try:
         return _joined(
-            parse_chunk(path, chunk, lambda records: _chunk_columns(records, seen))
-            for chunk in read_chunks(path, CHUNK_LINES, digest)
+            read_jsonl(path, lambda records: _chunk_columns(records, seen), digest=digest)
         )
     finally:
         if enabled:
@@ -445,24 +442,20 @@ def read_episode_log(path) -> evaluation.EpisodeColumns:
 
     The columns of a log that reads without error are cached next to it, in
     ``<log>.columns.npz``, and a later read of the same bytes returns them.
-    A log without a matching cache is parsed and hashed in one read, with
-    ``read_chunks``; a cache is checked by hashing the log's bytes alone,
-    with ``hash_file``. The two digests are equal, as a cache is only
-    written for a log that reads, which is UTF-8. A missing, stale or
-    broken cache, or a directory that cannot be written, only costs the
+    A log without a matching cache is parsed and hashed in one read, so the
+    key is that of the bytes parsed; a cache is checked by hashing the log's
+    bytes alone, with ``hash_file``. The two digests are equal, as a cache
+    is only written for a log that reads, which is UTF-8. A missing, stale
+    or broken cache, or a directory that cannot be written, only costs the
     parse."""
     cache = Path(f"{path}.columns.npz")
     cached = _cached(cache)
     if cached is not None:
         digest = hashlib.sha256()
-        try:
-            hash_file(path, digest)
-        except DatasetError:  # the parse below raises it again
-            pass
-        else:
-            key, log = cached
-            if key == _cache_key(digest):
-                return log
+        hash_file(path, digest)
+        key, log = cached
+        if key == _cache_key(digest):
+            return log
     digest = hashlib.sha256()
     log = _parse_log(path, digest)
     _write_cache(cache, _cache_key(digest), log)

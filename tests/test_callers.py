@@ -77,8 +77,9 @@ def _opens_for_reading(call) -> bool:
 
 
 def test_only_dataset_opens_files_for_reading():
-    """Every input file is read through ``dataset.read_chunks``, so a check
-    of input bytes has one place to live."""
+    """Every input file is read through ``dataset``, JSONL by
+    ``dataset.read_jsonl``, so a check of input bytes has one place to
+    live."""
     readers = sorted(
         f"{path.name}:{node.lineno}"
         for path in PACKAGE.glob("*.py")
@@ -91,6 +92,21 @@ def test_only_dataset_opens_files_for_reading():
 
 # The names through which json builds a parser of its own, and orjson.
 PARSER_NAMES = {"JSONDecoder", "scan_once", "raw_decode", "orjson"}
+# The names through which a reader sees how a file is chunked.
+CHUNK_NAMES = {"read_chunks", "parse_chunk", "Chunk"}
+
+
+def _named_outside_dataset(names) -> list:
+    """"file:line" of each name or attribute outside ``dataset.py``, read or
+    imported, that is one of ``names``."""
+    return sorted({
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in names
+        or (isinstance(node, ast.alias) and node.name in names)
+    })
 
 
 def _writes_a_file(node) -> bool:
@@ -115,19 +131,20 @@ def test_one_function_replaces_output_files():
 
 
 def test_only_dataset_builds_a_json_parser():
-    """JSONL input is parsed by ``dataset.parse_chunk`` alone, so line
-    numbers, the parse and its errors have one place to live. Whole-value
-    ``json.loads`` calls (a response body, a cache's ids) are no JSONL
-    parse."""
-    parsers = sorted({
-        f"{path.name}:{node.lineno}"
-        for path in PACKAGE.glob("*.py")
-        if path.name != "dataset.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
-        in PARSER_NAMES
-    })
+    """JSONL input is parsed inside ``dataset`` alone, by the
+    ``read_jsonl`` that every reader calls, so line numbers, the parse and
+    its errors have one place to live. Whole-value ``json.loads`` calls (a
+    response body, a cache's ids) are no JSONL parse."""
+    parsers = _named_outside_dataset(PARSER_NAMES)
     assert not parsers, "builds a JSON parser: " + ", ".join(parsers)
+
+
+def test_only_dataset_knows_how_a_file_is_chunked():
+    """Readers outside ``dataset`` take ``read_jsonl``'s per-chunk results
+    and never a chunk, so how a file is split, and into how many lines a
+    chunk, has one place to live."""
+    readers = _named_outside_dataset(CHUNK_NAMES)
+    assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 
 # A cold process of each offline command: metrics with no cache, sweep on a

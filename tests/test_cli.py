@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FOUR_EPISODE_SPECS,
@@ -775,6 +777,29 @@ def test_run_all_failed_exits_1_without_metrics(runner, workspace):
     assert json.loads((out / "manifest.json").read_text())["failures"] == 8
 
 
+def test_run_on_an_empty_dataset_exits_3_as_metrics_does(runner, workspace):
+    """A run with no episode has none that failed: it exits 3, as
+    ``metrics`` and ``sweep`` do on the log it leaves, not 1."""
+    tmp, _, script = workspace
+    data = tmp / "empty.jsonl"
+    data.write_bytes(b"")
+    out = tmp / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--dataset", str(data), "--mock-script", str(script),
+         "--mode", "direct", "--out", str(out)],
+    )
+    assert result.exit_code == 3
+    assert "error: no scorable episodes" in result.output + result.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["episodes"], manifest["failures"]) == (0, 0)
+    log = out / "episodes.jsonl"
+    assert log.read_bytes() == b""
+    for command in ("metrics", "sweep"):
+        result = runner.invoke(main, [command, "--log", str(log), "--out", str(tmp / command)])
+        assert result.exit_code == 3
+
+
 def test_tau_percentile_without_initial_answers_writes_failed_records(runner, workspace):
     tmp, data, _ = workspace
     script = tmp / "decomposer_only.jsonl"
@@ -907,6 +932,49 @@ def test_metrics_at_tau_is_the_sweep_row(runner, tmp_path):
         assert report["accuracy_after"] == row["accuracy"]
         assert report["net_gain"] == (row["accuracy"] - report["accuracy_before"]) * 100.0
     assert rows[0]["eta"] == 0.0 and rows[-1]["eta"] == 1.0
+
+
+@st.composite
+def scripted_specs(draw):
+    """Up to 30 fully scripted questions, each initial confidence one of a
+    few values, which tie across a nearest rank, or any in (0, 1]."""
+    answer = st.sampled_from(["yes", "no"])
+    confidence = st.one_of(st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+                           st.floats(min_value=1e-6, max_value=1.0))
+    return [
+        QSpec(f"q{i}", f"is item {i} red?", draw(answer), draw(answer), draw(confidence),
+              f"is part {i} lit?", draw(answer), draw(answer))
+        for i in range(draw(st.integers(1, 30)))
+    ]
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+@settings(max_examples=25, deadline=None)
+@given(specs=scripted_specs())
+def test_sweep_predicts_the_selective_run(tmp_path_factory, concurrency, specs):
+    """Each row of `sweep` over a decompose-all run is what `run --mode
+    selective --tau-percentile` at its percentile does over the same
+    questions: it resolves the row's tau, and its metrics.json holds the
+    row's eta and accuracy, exactly."""
+    tmp = tmp_path_factory.mktemp("predict")
+    runner = CliRunner()
+    data, script = tmp / "data.jsonl", tmp / "script.jsonl"
+    dataset.save_dataset(spec_questions(specs), data)
+    write_script(specs, script)
+    run = ["run", "--dataset", str(data), "--mock-script", str(script),
+           "--concurrency", str(concurrency)]
+    assert run_cli(runner, [*run, "--mode", "decompose_all", "--out", str(tmp / "all")]).exit_code == 0
+    rows = sweep_rows(runner, tmp / "all" / "episodes.jsonl", tmp / "sweep",
+                      "--percentiles", "0,10,33,50,77,100")
+    assert [row["percentile"] for row in rows] == [0.0, 10.0, 33.0, 50.0, 77.0, 100.0]
+    for row in rows:
+        out = tmp / f"selective{row['percentile']}"
+        result = run_cli(runner, [*run, "--mode", "selective",
+                                  "--tau-percentile", repr(row["percentile"]), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["resolved_tau"] == row["tau"]
+        report = json.loads((out / "metrics.json").read_text())
+        assert (report["eta"], report["accuracy_after"]) == (row["eta"], row["accuracy"])
 
 
 def test_fit_regresses_the_net_gain_at_each_tau(runner, tmp_path):
@@ -1110,6 +1178,25 @@ def test_metrics_over_a_read_only_directory_writes_no_cache(runner, tmp_path, mo
             assert os.listdir(log_dir) == ["episodes.jsonl"]
     finally:
         log_dir.chmod(0o755)
+
+
+def test_a_log_replaced_by_a_directory_exits_3_past_its_cache(runner, tmp_path):
+    """A log that left a cache, then was replaced by a directory of its
+    name, exits 3 with the error of its ``open``: on the cache, as with
+    none, where the parse prints it."""
+    log = tmp_path / "episodes.jsonl"
+    log.write_text(json.dumps(GOOD_EPISODE) + "\n")
+    metrics_outputs(runner, log, tmp_path / "fresh")
+    cache = Path(f"{log}.columns.npz")
+    log.unlink()
+    log.mkdir()
+    expected = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{log}'"
+    for cached in (True, False):
+        assert cache.exists() == cached
+        result = runner.invoke(main, ["metrics", "--log", str(log), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert result.stderr.splitlines() == [expected]
+        cache.unlink(missing_ok=True)
 
 
 GOOD_EPISODE = {

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -278,9 +279,10 @@ def test_read_chunks_splits_and_names_bytes_as_text_mode(tmp_path_factory, data,
     digest = hashlib.sha256()
     got = []
     try:
-        for chunk in dataset.read_chunks(path, size, digest):
-            assert chunk.data == b"".join(chunk.lines)
-            got += enumerate(chunk.lines, chunk.start)
+        with mock.patch.object(dataset, "CHUNK_LINES", size):
+            for chunk in dataset.read_chunks(path, digest):
+                assert chunk.data == b"".join(chunk.lines)
+                got += enumerate(chunk.lines, chunk.start)
     except DatasetError as exc:
         assert str(exc) == problem
     else:

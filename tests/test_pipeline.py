@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from conftest import (
     spec_entries,
     spec_questions,
 )
-from secondguess import evaluation, pipeline
+from secondguess import dataset, evaluation, pipeline
 from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, InferenceResult, MockBackend, MockEntry
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.pipeline import ConfigError, Engine, PipelineConfig
@@ -787,17 +788,23 @@ def assert_reads_like_oracle(path):
 def test_read_episode_log_equals_line_by_line_oracle(tmp_path, monkeypatch, text):
     # Three lines a chunk: a bad line lands first, inside or last in a
     # chunk, and the last chunk is often partly full.
-    monkeypatch.setattr(pipeline, "CHUNK_LINES", 3)
+    monkeypatch.setattr(dataset, "CHUNK_LINES", 3)
     path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
     path.write_bytes(raw(text))
-    assert_reads_like_oracle(path)
+    with mock.patch.object(dataset, "parse_chunk", wraps=dataset.parse_chunk) as parse:
+        assert_reads_like_oracle(path)
+    # A log that reads is parsed once, a chunk of three lines at a time.
+    if Path(f"{path}.columns.npz").exists():
+        assert parse.call_count == -(-len(raw(text).splitlines()) // 3)
 
 
 def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
     """Every bad field and line, at every line of a log of three chunks of
     three, failed and scorable records alternating, the last one in the old
     schema, which kept each record's transport retries."""
-    monkeypatch.setattr(pipeline, "CHUNK_LINES", 3)
+    monkeypatch.setattr(dataset, "CHUNK_LINES", 3)
+    parse = mock.Mock(wraps=dataset.parse_chunk)
+    monkeypatch.setattr(dataset, "parse_chunk", parse)
     records = [
         log_record(f"e{i}", None if i % 2 else 0.5, "kept", True, False) for i in range(7)
     ]
@@ -828,7 +835,12 @@ def test_read_episode_log_names_every_bad_line(tmp_path, monkeypatch):
             lines[at] = bad_line
             path = tmp_path / f"episodes{next(LOG_NUMBERS)}.jsonl"
             path.write_bytes(raw("\n".join(lines) + "\n"))
+            parse.reset_mock()
             assert_reads_like_oracle(path)
+            # A log that reads is parsed once; both reads of one that does
+            # not stop at the end of the bad line's chunk of three.
+            read = Path(f"{path}.columns.npz").exists()
+            assert parse.call_count == (3 if read else 2 * (at // 3 + 1))
 
 
 def test_read_episode_log_names_a_bad_line_before_a_byte_not_utf8(tmp_path):
