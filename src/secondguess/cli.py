@@ -26,7 +26,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
-# numpy's OpenBLAS threads busy-wait after load; no command does BLAS work.
+# numpy, which only `simulate` loads, starts OpenBLAS threads that busy-wait;
+# no command does BLAS work.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click

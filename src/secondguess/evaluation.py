@@ -2,28 +2,32 @@
 induction rates, threshold sweeps, surprisal, and the scaling regression.
 
 All functions here are pure post-processing over immutable episode logs;
-nothing issues model calls. A log is read as ``EpisodeColumns``, one entry
-per record; ``compute_report`` and ``sweep`` mask out its failed records and
-count with boolean masks over the rest; ``gated`` is the one gate rule,
-which ``replay`` bins at each threshold.
+nothing issues model calls, and nothing loads numpy. A log is read as
+``EpisodeColumns``, one entry per record: 0/1 flags, counted as bit sets,
+and confidences, which also come sorted within each (correct_before,
+correct_after) class of the valid records. ``gated`` is the one gate rule;
+the answers of a class gated at a threshold are one ``bisect_right`` of the
+class's sorted confidences, and ``sweep_points`` turns such counts into
+points.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import accumulate, compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 _ARTICLES = ("a", "an", "the")
 _TERMINAL_PUNCT = ".,!?"
 # The soft consensus score at which vqa_consensus scoring counts a match.
 CONSENSUS_THRESHOLD = 0.5
-# Entries per block of the arrays that ``replay`` bins and ``simulator``
-# draws, so that a pass holds one block of temporaries rather than n.
-BLOCK = 2**14
+# The classes of a valid answer by (correct_before, correct_after), in the
+# order that ``EpisodeColumns.by_class`` and every count by class keep.
+CLASSES = ((False, False), (False, True), (True, False), (True, True))
 
 
 def normalize_answer(raw: str) -> str:
@@ -58,21 +62,46 @@ def is_match(predicted: str, answers: Sequence[str], scoring: str = "exact") -> 
     return any(pred == normalize_answer(ans) for ans in answers)
 
 
-def _count(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
+def _bits(flags: bytes) -> int:
+    """A column of 0/1 bytes as a bit set, entry i at bit 8 * i: ``&``, ``|``
+    and ``& ~`` combine such sets as masks, and ``bit_count`` counts one."""
+    return int.from_bytes(flags, "little")
 
 
-@dataclass(eq=False)  # numpy columns have no one truth value to compare
+@dataclass
 class EpisodeColumns:
     """The fields of an episode log that the evaluation reads, one entry per
-    record, failed records included: a list of ids, then numpy columns."""
+    record, failed records included: a list of ids, 0/1 flags a byte each,
+    and confidences as doubles. ``by_class`` holds the confidences of the
+    valid records class by class, in CLASSES order, each class ascending; it
+    is sorted from the columns when not given."""
 
     ids: List[str]
-    failed: np.ndarray
-    confidence: np.ndarray
-    second_guessed: np.ndarray
-    correct_before: np.ndarray
-    correct_after: np.ndarray
+    failed: bytes
+    confidence: array
+    second_guessed: bytes
+    correct_before: bytes
+    correct_after: bytes
+    by_class: Optional[array] = None
+
+    def __post_init__(self) -> None:
+        if self.by_class is None:
+            self.by_class = array("d")
+            for members in _class_members(self):
+                members = members.to_bytes(len(self.ids), "little")
+                self.by_class.fromlist(sorted(compress(self.confidence, members)))
+
+
+def _valid(log: EpisodeColumns) -> int:
+    """The records that did not fail, as a bit set."""
+    return _bits(b"\x01" * len(log.ids)) & ~_bits(log.failed)
+
+
+def _class_members(log: EpisodeColumns) -> List[int]:
+    """The valid records of each class, in CLASSES order, as bit sets."""
+    valid = _valid(log)
+    before, after = _bits(log.correct_before), _bits(log.correct_after)
+    return [valid & (before if b else ~before) & (after if a else ~after) for b, a in CLASSES]
 
 
 def surprisal(tau: float) -> float:
@@ -80,8 +109,10 @@ def surprisal(tau: float) -> float:
     return math.log2(1.0 / tau)
 
 
-def gated(confidence, tau):
-    """Whether the gate at ``tau`` second-guesses an answer, ties included."""
+def gated(confidence: float, tau: float) -> bool:
+    """Whether the gate at ``tau`` second-guesses an answer, ties included:
+    of answers sorted by confidence, it gates the first ``bisect_right`` of
+    tau."""
     return confidence <= tau
 
 
@@ -113,59 +144,61 @@ class SweepPoint:
     accuracy: float
 
 
-def replay(
-    confidence: np.ndarray,
-    correct_before: np.ndarray,
-    correct_after: np.ndarray,
+def gated_counts(log: EpisodeColumns, taus: Sequence[float]) -> List[Tuple[int, ...]]:
+    """For each tau, how many valid answers of each class, in CLASSES order,
+    the gate at tau gates: one ``bisect_right`` per class of ``by_class``."""
+    ends = list(accumulate((m.bit_count() for m in _class_members(log)), initial=0))
+    bounds = list(zip(ends, ends[1:]))
+    return [
+        tuple(bisect_right(log.by_class, tau, lo, hi) - lo for lo, hi in bounds) for tau in taus
+    ]
+
+
+def sweep_points(
+    sizes: Sequence[int],
     taus: Sequence[float],
+    counts: Sequence[Sequence[int]],
     percentiles: Optional[Sequence[float]] = None,
 ) -> List[SweepPoint]:
-    """Replay the confidence gate at each tau in [0, 1] over one outcome per
-    answer, with zero model calls.
-
-    An answer ``gated`` at tau is second-guessed and scores
-    ``correct_after``, any other ``correct_before``; eta is the gated share.
-    A point's percentile is the given one, or 100 * eta without percentiles.
-
-    One pass, BLOCK answers at a time, counts every tau: with the distinct
-    taus sorted, an answer's bin is the first tau at or above its
-    confidence, so the answers ``gated`` at the j-th tau are those of bins 0
-    to j; a last bin holds the answers above every tau.
-    """
-    n = confidence.size
-    # sorted(set()) rather than np.unique, which imports numpy.ma.
-    edges = np.array(sorted(set(taus)), dtype=float)
-    bins = edges.size + 1
-    gated, before, after = (np.zeros(bins, dtype=np.int64) for _ in range(3))
-    for start in range(0, n, BLOCK):
-        block = slice(start, start + BLOCK)
-        where = np.searchsorted(edges, confidence[block], side="left")
-        gated += np.bincount(where, minlength=bins)
-        before += np.bincount(where[correct_before[block]], minlength=bins)
-        after += np.bincount(where[correct_after[block]], minlength=bins)
-    gated, before, after = (np.cumsum(counts).tolist() for counts in (gated, before, after))
+    """The gate replayed at each tau in [0, 1] over answers in classes of
+    ``sizes``, given how many of each class it gates there, as
+    ``gated_counts`` gives them: a gated answer scores correct_after, any
+    other correct_before, and eta is the gated share. A point's percentile
+    is the given one, or 100 * eta without percentiles."""
+    n = sum(sizes)
     points = []
-    for i, (tau, j) in enumerate(zip(taus, np.searchsorted(edges, taus).tolist())):
-        eta = gated[j] / n
+    for i, (tau, gated_n) in enumerate(zip(taus, counts)):
+        eta = sum(gated_n) / n
         points.append(
             SweepPoint(
                 percentile=eta * 100.0 if percentiles is None else percentiles[i],
                 tau=tau,
                 surprisal=surprisal(tau) if tau > 0 else math.inf,
                 eta=eta,
-                accuracy=(before[-1] - before[j] + after[j]) / n,
+                # Correct before, less those gated there, plus those gated
+                # that are correct after: (True, False) leave, (False, True) join.
+                accuracy=(sizes[2] + sizes[3] - gated_n[2] + gated_n[1]) / n,
             )
         )
     return points
 
 
-def _unanswered(log: EpisodeColumns, tau: float) -> Optional[str]:
-    """Why the log cannot answer ``tau``: it kept a valid answer ``gated``
-    there, which has no answer after it to score. None if it can."""
-    kept = np.flatnonzero(~log.failed & gated(log.confidence, tau) & ~log.second_guessed)
-    if kept.size:
-        return f"tau {tau!r} gates episode {log.ids[kept[0]]!r}, which the log kept"
-    return None
+def _answered(log: EpisodeColumns, taus: Sequence[float]) -> List[int]:
+    """The indices of the taus that the log can answer: those that gate no
+    valid answer the log kept, which has no answer after it to score.
+    ValueError names the first such answer of the first tau if none is left."""
+    kept = (_valid(log) & ~_bits(log.second_guessed)).to_bytes(len(log.ids), "little")
+    if 1 not in kept:  # as in a decompose-all log
+        return list(range(len(taus)))
+    # A tau below the lowest kept confidence gates none of them.
+    lowest = min(compress(log.confidence, kept))
+    answered = [i for i, tau in enumerate(taus) if not gated(lowest, tau)]
+    if taus and not answered:
+        first = next(
+            i for i in compress(range(len(kept)), kept) if gated(log.confidence[i], taus[0])
+        )
+        raise ValueError(f"tau {taus[0]!r} gates episode {log.ids[first]!r}, which the log kept")
+    return answered
 
 
 def sweep(log: EpisodeColumns, percentiles: Sequence[float]) -> List[SweepPoint]:
@@ -174,26 +207,20 @@ def sweep(log: EpisodeColumns, percentiles: Sequence[float]) -> List[SweepPoint]
     Failed records are left out; each percentile resolves to its
     nearest-rank tau over the rest, and the gate is replayed there. A point
     whose tau the log cannot answer, as ``compute_report`` refuses it, is
-    left out; a decompose-all log answers every tau. ValueError if no point
-    is left.
+    left out; a decompose-all log answers every tau. ValueError if the log
+    holds no scorable episode, or if no point is left.
     """
-    valid = ~log.failed
-    confidence = log.confidence[valid]
-    if not confidence.size:
-        raise ValueError("no episodes to sweep")
-    ordered = np.sort(confidence)
+    # The classes are ascending runs, which sorted() merges.
+    ordered = sorted(log.by_class)
+    if not ordered:
+        raise ValueError("no scorable episodes")
     taus = [_nearest_rank(ordered, p) for p in percentiles]
-    kept = confidence[~log.second_guessed[valid]]
-    if kept.size:  # a tau below the lowest kept confidence gates none of them
-        lowest = kept.min()
-        answered = [i for i, tau in enumerate(taus) if not gated(lowest, tau)]
-        if not answered:
-            raise ValueError(_unanswered(log, taus[0]))
-        percentiles = [percentiles[i] for i in answered]
-        taus = [taus[i] for i in answered]
-    return replay(
-        confidence, log.correct_before[valid], log.correct_after[valid], taus, percentiles
-    )
+    answered = _answered(log, taus)
+    taus = [taus[i] for i in answered]
+    # Every confidence is at most 1, so tau = 1 gates each: its counts are
+    # the sizes of the classes.
+    *counts, sizes = gated_counts(log, [*taus, 1.0])
+    return sweep_points(sizes, taus, counts, [percentiles[i] for i in answered])
 
 
 def linear_fit(points: Sequence[Tuple[float, float]]) -> dict:
@@ -246,55 +273,65 @@ def compute_report(
     qtype_map: Optional[Dict[str, str]] = None,
 ) -> MetricsReport:
     """Aggregate one episode log into a MetricsReport at the log's own gate,
-    or at the gate at ``tau`` replayed as ``replay`` does. A log that kept a
+    or at the gate at ``tau`` replayed as ``sweep`` does. A log that kept a
     valid answer ``gated`` at tau cannot answer it: ValueError names the first.
 
     Failed episodes are excluded from every denominator and reported as a
     count. ``qtype_map`` (question id -> qtype) enables the per-qtype
     breakdown when the originating dataset is available.
     """
-    valid = ~log.failed
-    second_guessed = log.second_guessed[valid]
-    before, after = log.correct_before[valid], log.correct_after[valid]
-    n = second_guessed.size
+    members = _class_members(log)
+    sizes = [m.bit_count() for m in members]
+    n = sum(sizes)
     if not n:
         raise ValueError("no scorable episodes")
-    if tau is not None:
-        problem = _unanswered(log, tau)
-        if problem:
-            raise ValueError(problem)
-        gate = gated(log.confidence[valid], tau)
-        second_guessed, after = gate, np.where(gate, after, before)
+    if tau is None:
+        second_guessed = _bits(log.second_guessed)
+        gated_n = [(m & second_guessed).bit_count() for m in members]
+    else:
+        _answered(log, [tau])
+        (gated_n,) = gated_counts(log, [tau])
+    kept = [size - g for size, g in zip(sizes, gated_n)]
+    # A gated answer scores correct_after; a kept one scores the
+    # correct_after the log holds at its own gate, and correct_before at tau.
+    correct_after = gated_n[1] + gated_n[3] + (
+        kept[1] + kept[3] if tau is None else kept[2] + kept[3]
+    )
+    acc_before = (sizes[2] + sizes[3]) / n
+    acc_after = correct_after / n
     # Decomposed answers that were wrong (E_CR's pool) or right (E_IC's).
-    wrong = second_guessed & ~before
-    right = second_guessed & before
-    wrong_n, right_n = _count(wrong), _count(right)
-    acc_before = _count(before) / n
-    acc_after = _count(after) / n
+    wrong_n, right_n = gated_n[0] + gated_n[1], gated_n[2] + gated_n[3]
     report = MetricsReport(
         n=n,
         accuracy_before=acc_before,
         accuracy_after=acc_after,
         net_gain=(acc_after - acc_before) * 100.0,
-        e_cr=_count(wrong & after) / wrong_n if wrong_n else None,
+        e_cr=gated_n[1] / wrong_n if wrong_n else None,
         e_cr_denominator=wrong_n,
-        e_ic=_count(right & ~after) / right_n if right_n else None,
+        e_ic=gated_n[2] / right_n if right_n else None,
         e_ic_denominator=right_n,
-        eta=_count(second_guessed) / n,
+        eta=sum(gated_n) / n,
         tau=tau,
         surprisal=surprisal(tau) if tau is not None and tau > 0 else None,
         failures=len(log.ids) - n,
     )
     if qtype_map is not None:
-        qtypes = np.array([qtype_map.get(i, "other") for i in log.ids])[valid]
+        valid = _valid(log)
+        before, after = _bits(log.correct_before), _bits(log.correct_after)
+        if tau is not None:
+            gate = _bits(bytes(map(float(tau).__ge__, log.confidence)))  # gated(c, tau)
+            after = (gate & after) | (before & ~gate)
+        qtypes = list(map(qtype_map.get, log.ids, repeat("other")))
         for qtype in ("overall", "boolean", "number", "other"):
-            mask = np.full(n, True) if qtype == "overall" else qtypes == qtype
-            size = _count(mask)
+            mask = valid
+            if qtype != "overall":
+                mask &= _bits(bytes(map(qtype.__eq__, qtypes)))
+            size = mask.bit_count()
             if size:
                 report.per_qtype[qtype] = {
                     "n": size,
-                    "accuracy_before": _count(before & mask) / size,
-                    "accuracy_after": _count(after & mask) / size,
+                    "accuracy_before": (before & mask).bit_count() / size,
+                    "accuracy_after": (after & mask).bit_count() / size,
                 }
     return report
 

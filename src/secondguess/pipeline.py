@@ -26,19 +26,17 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
-import io
 import itertools
 import json
 import operator
+import sys
 import threading
-import zipfile
 import zlib
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import evaluation, prompts
 from .backend import (
@@ -299,12 +297,13 @@ _required = operator.itemgetter(*_REQUIRED)
 
 
 def _chunk_columns(records: list, seen: set):
-    """The EpisodeColumns fields of a chunk of parsed log records, as a tuple,
-    or the message of the first rule that a record breaks, in the order
-    checked below. The last rule is that no id repeats one of the chunk or
-    of ``seen``; a chunk that passes adds its ids to ``seen``. Each rule is
-    checked over the whole chunk at once, so the message describes a record
-    only when the chunk is that one record."""
+    """The columns of a chunk of parsed log records, a tuple in the order of
+    EpisodeColumns' fields before ``by_class``, or the message of the first
+    rule that a record breaks, in the order checked below. The last rule is
+    that no id repeats one of the chunk or of ``seen``; a chunk that passes
+    adds its ids to ``seen``. Each rule is checked over the whole chunk at
+    once, so the message describes a record only when the chunk is that one
+    record."""
     if not set(map(type, records)) <= {dict}:
         return "expected a JSON object"
     try:
@@ -324,16 +323,14 @@ def _chunk_columns(records: list, seen: set):
     # bool is an int subclass, but true/false is no confidence.
     if not set(map(type, confidence)) <= {int, float}:
         return out_of_range
-    try:
-        confidence = np.array(confidence, dtype=float)
-    except OverflowError:  # an integer beyond any float, so out of range
+    # min and max compare an int with a float exactly, so no integer beyond a
+    # float's range reaches array(); they skip a NaN that is not first, which
+    # makes the sum NaN, and NaN fails every comparison.
+    low = min(confidence, default=1.0)
+    if not (0.0 <= low and max(confidence, default=0.0) <= 1.0 and sum(confidence) >= 0.0):
         return out_of_range
-    # NaN fails both comparisons.
-    if not ((confidence >= 0.0) & (confidence <= 1.0)).all():
-        return out_of_range
-    failed = np.array(failed, dtype=bool)
     # Only a failed record's confidence is 0: tau = 0 must gate no answer.
-    if not ((confidence > 0.0) | failed).all():
+    if low == 0.0 and not all(c or f for c, f in zip(confidence, failed)):
         return "initial.confidence must be above 0 unless the episode failed"
     if not (set(map(type, gates)) <= {str} and set(gates).issubset(_GATES)):
         return "gate must be 'kept' or 'second_guessed'"
@@ -342,11 +339,11 @@ def _chunk_columns(records: list, seen: set):
             return f"{key} must be true or false"
     return repeated_id(ids, seen) or (
         ids,
-        failed,
-        confidence,
-        np.array([gate == "second_guessed" for gate in gates], dtype=bool),
-        np.array(before, dtype=bool),
-        np.array(after, dtype=bool),
+        bytes(failed),
+        array("d", confidence),
+        bytes(map("second_guessed".__eq__, gates)),
+        bytes(before),
+        bytes(after),
     )
 
 
@@ -354,9 +351,12 @@ def _joined(chunks) -> evaluation.EpisodeColumns:
     """One EpisodeColumns of ``_chunk_columns`` tuples, in order."""
     # An empty chunk types the columns of no chunks.
     ids, *columns = zip(_chunk_columns([], set()), *chunks)
-    return evaluation.EpisodeColumns(
-        list(itertools.chain.from_iterable(ids)), *map(np.concatenate, columns)
-    )
+    ids = list(itertools.chain.from_iterable(ids))
+    failed, confidence, *flags = map(b"".join, columns)
+    # Drop the chunks' columns before EpisodeColumns sorts the joined ones.
+    del columns
+    confidence = array("d", confidence)
+    return evaluation.EpisodeColumns(ids, failed, confidence, *flags)
 
 
 def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
@@ -380,58 +380,65 @@ def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
 
 # A log's columns are cached in a file next to it, under a key: this format,
 # then the SHA-256 of the log's bytes. Change the format whenever what the
-# columns hold, or which logs ``_parse_log`` accepts, changes.
-_CACHE_FORMAT = "secondguess-columns-2"
-_BOOL_COLUMNS = ("failed", "second_guessed", "correct_before", "correct_after")
+# columns hold, or which logs ``_parse_log`` accepts, changes. The doubles are
+# stored in this machine's byte order, which the format names.
+_CACHE_FORMAT = f"secondguess-columns-3-{sys.byteorder}"
+_FLAGS = ("failed", "second_guessed", "correct_before", "correct_after")
 
 
 def _cache_key(digest) -> bytes:
     return f"{_CACHE_FORMAT} {digest.hexdigest()}".encode("ascii")
 
 
-def _cached(cache: Path):
-    """(key, EpisodeColumns) from a cache file, or None when there is none or
-    it is no cache ``_write_cache`` wrote: unreadable, not a zip of arrays
-    (a pickle is never loaded), or holding columns of the wrong length or
-    dtype."""
+def _cached(blob: bytes, key: bytes) -> Optional[evaluation.EpisodeColumns]:
+    """The EpisodeColumns in the bytes of a cache file, or None when they are
+    not what ``_write_cache`` wrote under ``key``: another key, a CRC-32 that
+    does not match, ids that are no JSON list of strings, a flag byte other
+    than 0 or 1, or a length that does not fit the ids and flags."""
+    if not blob.startswith(key + b"\n"):
+        return None
+    if zlib.crc32(memoryview(blob)[:-4]).to_bytes(4, "little") != blob[-4:]:
+        return None
+    start = len(key) + 1
+    end = blob.find(b"\n", start)
     try:
-        # Read whole, as np.load leaves a file open when its zip is damaged.
-        with np.load(io.BytesIO(cache.read_bytes()), allow_pickle=False) as npz:
-            # A zip member that is no .npy file loads as bytes.
-            key, ids, confidence, *flags = (
-                np.asarray(npz[name]) for name in ("key", "ids", "confidence", *_BOOL_COLUMNS)
-            )
-        ids = json.loads(ids.tobytes())
-    # What a damaged file raises, from zipfile, zlib, numpy or json: a .npy
-    # file loads as one array, which is no context manager (TypeError); a
-    # damaged zip header can name an unsupported feature (NotImplementedError,
-    # a RuntimeError) and deep JSON nesting raises RecursionError (another).
-    except (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
-            zipfile.BadZipFile, zlib.error):
+        ids = json.loads(blob[start:end]) if end > 0 else None
+    except (ValueError, RecursionError):  # no JSON, or nested past the recursion limit
         return None
     if not (isinstance(ids, list) and set(map(type, ids)) <= {str}):
         return None
-    dtypes = [(confidence, np.float64)] + [(flag, np.bool_) for flag in flags]
-    if not all(a.dtype == dtype and a.shape == (len(ids),) for a, dtype in dtypes):
+    n = len(ids)
+    columns = memoryview(blob)[end + 1 : -4]
+    flags = columns[8 * n : 12 * n].tobytes()
+    if len(flags) != 4 * n or flags.translate(None, b"\x00\x01"):
         return None
-    return key.tobytes(), evaluation.EpisodeColumns(
-        ids=ids, confidence=confidence, **dict(zip(_BOOL_COLUMNS, flags))
-    )
+    failed, *rest = (flags[i * n : (i + 1) * n] for i in range(4))
+    if len(columns) != 12 * n + 8 * failed.count(0):
+        return None
+    confidence, by_class = array("d"), array("d")
+    confidence.frombytes(columns[: 8 * n])
+    by_class.frombytes(columns[12 * n :])
+    return evaluation.EpisodeColumns(ids, failed, confidence, *rest, by_class=by_class)
 
 
 def _write_cache(cache: Path, key: bytes, log: evaluation.EpisodeColumns) -> None:
     """Write the columns to the cache file through ``replacing``, or nothing
-    when the directory cannot be written. The ids are stored as the bytes of
-    one json.dumps: a numpy string array would drop an id's trailing NULs
-    and hold four bytes per character."""
+    when the directory cannot be written: the key and the ids as JSON, a line
+    each (a newline in an id is escaped), the confidences, the flags a byte
+    each in _FLAGS order, ``by_class``, and the CRC-32 of all that."""
+    parts = [
+        key + b"\n",
+        json.dumps(log.ids).encode("ascii") + b"\n",
+        log.confidence,
+        *(getattr(log, name) for name in _FLAGS),
+        log.by_class,
+    ]
     with contextlib.suppress(OSError), replacing(cache, binary=True) as fh:
-        np.savez(
-            fh,
-            key=np.frombuffer(key, dtype=np.uint8),
-            ids=np.frombuffer(json.dumps(log.ids).encode("utf-8"), dtype=np.uint8),
-            confidence=log.confidence,
-            **{name: getattr(log, name) for name in _BOOL_COLUMNS},
-        )
+        crc = 0
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(crc.to_bytes(4, "little"))
 
 
 def read_episode_log(path) -> evaluation.EpisodeColumns:
@@ -441,20 +448,22 @@ def read_episode_log(path) -> evaluation.EpisodeColumns:
     line in the file.
 
     The columns of a log that reads without error are cached next to it, in
-    ``<log>.columns.npz``, and a later read of the same bytes returns them.
-    A log without a matching cache is parsed and hashed in one read, so the
+    ``<log>.columns``, and a later read of the same bytes returns them. A
+    log without a matching cache is parsed and hashed in one read, so the
     key is that of the bytes parsed; a cache is checked by hashing the log's
     bytes alone, with ``hash_file``. The two digests are equal, as a cache
     is only written for a log that reads, which is UTF-8. A missing, stale
     or broken cache, or a directory that cannot be written, only costs the
     parse."""
-    cache = Path(f"{path}.columns.npz")
-    cached = _cached(cache)
-    if cached is not None:
+    cache = Path(f"{path}.columns")
+    blob = b""
+    with contextlib.suppress(OSError):
+        blob = cache.read_bytes()
+    if blob:
         digest = hashlib.sha256()
         hash_file(path, digest)
-        key, log = cached
-        if key == _cache_key(digest):
+        log = _cached(blob, _cache_key(digest))
+        if log is not None:
             return log
     digest = hashlib.sha256()
     log = _parse_log(path, digest)
@@ -503,8 +512,9 @@ def run(
         questions = usable
 
     tau = {"direct": 0.0, "selective": cfg.tau}.get(cfg.mode, 1.0)
-    # vars holds a dataclass's fields in their order.
-    chunks, lines = [vars(log).values()], []
+    chunks = [(log.ids, log.failed, log.confidence, log.second_guessed, log.correct_before,
+               log.correct_after)]
+    lines = []
     # One pool serves the run: at most `concurrency` worker threads, and an
     # HTTP backend keeps one connection per thread. At concurrency 1 the
     # tasks run inline, cheaper than a thread handoff.
@@ -533,7 +543,7 @@ def run(
     return RunSummary(
         episodes=len(whole.ids),
         new_episodes=len(whole.ids) - len(log.ids),
-        failures=int(whole.failed.sum()),
+        failures=whole.failed.count(1),
         backend_calls=engine.recomposer_calls + engine.decomposer_calls,
         retries=engine.retries,
         skipped_missing_oracle=skipped,

@@ -5,18 +5,20 @@ accuracy, a confidence is drawn from the matching calibration distribution,
 Beta(8, 2) if correct and Beta(2, 8) if wrong, and a decompose-all flip
 outcome is drawn once (correction with the configured rate if wrong,
 induction if correct). Gating at any threshold is then pure post-processing
-over the same trials: ``simulate`` replays the gate through
-``evaluation.replay``, the one replay behind the offline sweep. The
-independent oracles for that replay (a brute-force recount over episode
-dicts and a per-threshold reference over the trials) live in the tests.
+over the same trials: ``simulate`` counts the trials of each
+(correct_before, correct_after) class that the gate holds at each threshold
+with numpy, a block of trials at a time, and turns the counts into points
+with ``evaluation.sweep_points``, as the offline sweep does with the counts
+it bisects. numpy is imported inside the functions that draw and count, so
+that only ``simulate`` loads it. The independent oracles for those counts (a
+brute-force recount over episode dicts and a per-threshold reference over
+the trials) live in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from . import evaluation
 
@@ -24,6 +26,10 @@ from . import evaluation
 # high, and of a wrong one, concentrated low.
 CONF_CORRECT = (8.0, 2.0)
 CONF_INCORRECT = (2.0, 8.0)
+# Trials per block of the arrays that ``generate_trials`` draws and
+# ``gated_counts`` bins, so that a pass holds one block of temporaries
+# rather than n.
+BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,8 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     rather than Bernoulli, so the closed-gate endpoint reproduces the base
     accuracy with zero variance.
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trials
     n_correct = int(round(cfg.base_accuracy * n))
@@ -85,8 +93,8 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
     # uniforms, whatever the base accuracy; the Generator draws the same
     # values block by block, so only the confidence column is drawn whole.
     confidence = rng.beta(*CONF_CORRECT, size=n)
-    for start in range(0, n, evaluation.BLOCK):
-        block = rng.beta(*CONF_INCORRECT, size=min(evaluation.BLOCK, n - start))
+    for start in range(0, n, BLOCK):
+        block = rng.beta(*CONF_INCORRECT, size=min(BLOCK, n - start))
         first = max(n_correct, start)
         confidence[first : start + block.size] = block[first - start :]
     # Beta draws live in (0, 1); nudge exact zeros into the open interval.
@@ -94,11 +102,38 @@ def generate_trials(cfg: SimConfig) -> SimTrials:
 
     # A correct trial stays correct unless induced; a wrong one is corrected.
     correct_after = np.empty(n, dtype=bool)
-    for start in range(0, n, evaluation.BLOCK):
-        flip = rng.random(min(evaluation.BLOCK, n - start))
+    for start in range(0, n, BLOCK):
+        flip = rng.random(min(BLOCK, n - start))
         block = slice(start, start + flip.size)
         correct_after[block] = np.where(correct_before[block], flip >= cfg.e_ic, flip < cfg.e_cr)
     return SimTrials(confidence, correct_before, correct_after)
+
+
+def gated_counts(trials: SimTrials, taus: Sequence[float]) -> List[Tuple[int, ...]]:
+    """For each tau, how many trials of each class, in
+    ``evaluation.CLASSES`` order, ``evaluation.gated`` holds at tau.
+
+    One pass, BLOCK trials at a time, counts every tau: with the distinct
+    taus sorted, a trial's bin is the first tau at or above its confidence,
+    so the trials gated at the j-th tau are those of bins 0 to j; a last bin
+    holds the trials above every tau. Bins and classes are counted together,
+    bin * 4 + class.
+    """
+    import numpy as np
+
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    edges = np.array(sorted(set(taus)), dtype=float)
+    bins = edges.size + 1
+    counts = np.zeros(bins * 4, dtype=np.int64)
+    for start in range(0, trials.confidence.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        where = np.searchsorted(edges, trials.confidence[block], side="left")
+        where *= 4
+        where += 2 * trials.correct_before[block]
+        where += trials.correct_after[block]
+        counts += np.bincount(where, minlength=bins * 4)
+    cumulative = np.cumsum(counts.reshape(bins, 4), axis=0).tolist()
+    return [tuple(cumulative[j]) for j in np.searchsorted(edges, taus).tolist()]
 
 
 def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
@@ -108,14 +143,14 @@ def simulate(cfg: SimConfig, taus: Sequence[float]) -> SimCurve:
     second-guesses).
     """
     trials = generate_trials(cfg)
-    points = evaluation.replay(
-        trials.confidence, trials.correct_before, trials.correct_after, taus
-    )
+    # Every confidence is at most 1, so tau = 1 gates every trial: its counts
+    # are the sizes of the classes.
+    *counts, sizes = gated_counts(trials, [*taus, 1.0])
+    points = evaluation.sweep_points(sizes, taus, counts)
     best = max(points, key=lambda p: (p.accuracy, -p.tau))
     return SimCurve(
         points=points,
-        # Every confidence is at most 1, so tau = 1 gates every trial.
-        decompose_all_accuracy=np.count_nonzero(trials.correct_after) / cfg.trials,
+        decompose_all_accuracy=(sizes[1] + sizes[3]) / cfg.trials,
         optimal_tau=best.tau,
         optimal_accuracy=best.accuracy,
     )

@@ -5,14 +5,16 @@ metric recounts."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tempfile
 import threading
+from array import array
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pytest
@@ -258,12 +260,15 @@ def four_specs():
 class Reply:
     """One scripted outcome of a LoopbackServer POST. After waiting ``delay``
     seconds, send ``status`` with ``body`` (a JSON value, or raw bytes) and
-    close the socket if ``close``; a ``status`` of None closes it unanswered."""
+    close the socket if ``close``; a ``status`` of None closes it unanswered.
+    ``fields`` are (name, value) header fields that replace the server's own
+    Content-Type and Content-Length, or join them."""
 
     status: Optional[int] = 200
     body: object = None
     close: bool = False
     delay: float = 0.0
+    fields: Tuple[Tuple[str, str], ...] = ()
 
 
 class LoopbackServer:
@@ -325,10 +330,15 @@ class LoopbackServer:
                 body = reply.body
                 if not isinstance(body, bytes):
                     body = json.dumps(body).encode("utf-8")
+                fields = {
+                    "Content-Type": "application/json",
+                    "Content-Length": str(len(body)),
+                    **dict(reply.fields),
+                }
                 head = (
                     f"HTTP/1.1 {reply.status} {self.responses[reply.status][0]}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n\r\n"
+                    + "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+                    + "\r\n"
                 ).encode("ascii")
                 self.wfile.write(head + body)
                 self.close_connection = reply.close
@@ -439,15 +449,24 @@ def read_log_by_line(path) -> EpisodeColumns:
                 raise DatasetError(f"{path}:{lineno}: {problem}")
             seen.add(ep["id"])
             episodes.append(ep)
+    valid = [ep for ep in episodes if not ep.get("failed", False)]
     return EpisodeColumns(
         ids=[ep["id"] for ep in episodes],
-        failed=np.array([ep.get("failed", False) for ep in episodes], dtype=bool),
-        confidence=np.array([ep["initial"]["confidence"] for ep in episodes], dtype=float),
-        second_guessed=np.array(
-            [ep["gate"] == "second_guessed" for ep in episodes], dtype=bool
-        ),
-        correct_before=np.array([ep["correct_before"] for ep in episodes], dtype=bool),
-        correct_after=np.array([ep["correct_after"] for ep in episodes], dtype=bool),
+        failed=bytes(ep.get("failed", False) for ep in episodes),
+        confidence=array("d", [ep["initial"]["confidence"] for ep in episodes]),
+        second_guessed=bytes(ep["gate"] == "second_guessed" for ep in episodes),
+        correct_before=bytes(ep["correct_before"] for ep in episodes),
+        correct_after=bytes(ep["correct_after"] for ep in episodes),
+        # The valid confidences of each class, (False, False) to (True, True),
+        # each class sorted.
+        by_class=array("d", [
+            confidence
+            for key in itertools.product((False, True), repeat=2)
+            for confidence in sorted(
+                ep["initial"]["confidence"] for ep in valid
+                if (ep["correct_before"], ep["correct_after"]) == key
+            )
+        ]),
     )
 
 

@@ -529,6 +529,36 @@ def test_http_backend_reopens_dropped_keepalive_once(loopback):
     assert len(server.received) == 6
 
 
+def test_http_backend_reads_a_reply_of_no_numeric_length_to_the_close(loopback):
+    """A Content-Length that is no number is no length: the body is read to
+    the close, as http.client reads it, and the next call reconnects."""
+    server = loopback([
+        Reply(200, GOOD_PAYLOAD, close=True, fields=(("Content-Length", "many"),)),
+        Reply(200, GOOD_PAYLOAD),
+    ])
+    with http_backend(server.url) as backend:
+        for connections in (1, 2):
+            result = backend.complete(request(), RECOMPOSER)
+            assert (result.text, result.retries) == ("yes", 0)
+            assert server.connections == connections
+
+
+def test_http_backend_closes_on_connection_close(loopback):
+    """A reply that says ``Connection: close`` closes the client's socket,
+    though the server keeps its end open: the next call reconnects rather
+    than write to it."""
+    server = loopback([
+        Reply(200, GOOD_PAYLOAD, fields=(("Connection", "close"),)),
+        Reply(200, GOOD_PAYLOAD),
+        Reply(200, GOOD_PAYLOAD),
+    ])
+    with http_backend(server.url) as backend:
+        for connections in (1, 2, 2):
+            assert backend.complete(request(), RECOMPOSER).retries == 0
+            assert server.connections == connections
+    assert len(server.received) == 3
+
+
 def test_http_backend_read_timeout_is_transport_error(loopback):
     server = loopback([Reply(200, GOOD_PAYLOAD, delay=10.0)])
     with http_backend(server.url, attempts=1, timeout=0.2) as backend:

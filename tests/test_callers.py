@@ -147,24 +147,40 @@ def test_only_dataset_knows_how_a_file_is_chunked():
     assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 
-# A cold process of each offline command: metrics with no cache, sweep on a
-# cache hit, then simulate, then a run on a mock script. Prints the numpy.ma
-# modules loaded, then the HTTP stack's.
+# A cold process of each command but one over a backend: metrics with no
+# cache, sweep on a cache hit, a run on a mock script, fit, stats and
+# convert, then simulate. Prints whether numpy is loaded before simulate,
+# then whether it is after, with the numpy.ma modules loaded, then the HTTP
+# stack's modules.
 OFFLINE_COMMANDS = """
+import contextlib
+import io
 import sys
 from secondguess.cli import main
-log, out, data, script = sys.argv[1:]
-for args in (["metrics", "--log", log, "--out", out],
-             ["sweep", "--log", log, "--out", out],
-             ["simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "3000",
-              "--out", out],
-             ["run", "--dataset", data, "--mock-script", script, "--out", out + "/run"]):
+log, out, data, script, winoground = sys.argv[1:]
+
+
+def invoke(*args):
     try:
-        main(args, standalone_mode=False)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(list(args), standalone_mode=False)
     except SystemExit as exc:  # run ends with sys.exit
         if exc.code:
             raise
-print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+
+
+invoke("metrics", "--log", log, "--out", out)
+invoke("sweep", "--log", log, "--out", out)
+invoke("run", "--dataset", data, "--mock-script", script, "--mode", "selective", "--tau", "0.5",
+       "--out", out + "/run")
+invoke("fit", out + "/fit0", out + "/fit1")
+invoke("stats", "--dataset", data)
+invoke("convert", "--input", winoground, "--output", out + "/converted.jsonl")
+print("numpy" in sys.modules)
+invoke("simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "3000",
+       "--out", out)
+print("numpy" in sys.modules,
+      sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 print(sorted({"http.client", "ssl", "email", "socket"} & set(sys.modules)))
 """
 
@@ -182,28 +198,38 @@ def offline_modules(tmp_path_factory) -> list:
     ))
     save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp / "data.jsonl")
     write_script(FOUR_EPISODE_SPECS, tmp / "script.jsonl")
+    for i in range(2):
+        (tmp / "out" / f"fit{i}").mkdir(parents=True)
+        (tmp / "out" / f"fit{i}" / "metrics.json").write_text(
+            json.dumps({"surprisal": i + 1.0, "net_gain": 2.0 * i})
+        )
+    (tmp / "winoground.jsonl").write_text(json.dumps(
+        {"id": "w0", "image_0": "a.png", "image_1": "b.png", "caption_0": "x", "caption_1": "y"}
+    ) + "\n")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    args = [log, tmp / "out", tmp / "data.jsonl", tmp / "script.jsonl"]
+    args = [log, tmp / "out", tmp / "data.jsonl", tmp / "script.jsonl", tmp / "winoground.jsonl"]
     result = subprocess.run(
         [sys.executable, "-c", OFFLINE_COMMANDS, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-2:]
+    return result.stdout.splitlines()
 
 
 def test_offline_commands_do_not_import_numpy_ma(offline_modules):
-    """``numpy.ma``, which ``np.unique`` and some other numpy functions
-    import on first use, costs a cold process about 15 ms: metrics, sweep,
-    simulate and a run on a mock script never load it."""
-    assert offline_modules[0] == "[]"
+    """numpy costs a cold process 140-160 ms and 12.5 MiB, and ``numpy.ma``,
+    which ``np.unique`` and some other numpy functions import on first use,
+    about 15 ms more. ``import secondguess.cli``, metrics, sweep, a run on a
+    mock script, fit, stats and convert never load numpy; simulate, the one
+    command that draws with it, loads it, but never ``numpy.ma``."""
+    assert offline_modules[:2] == ["False", "True []"]
 
 
 def test_offline_commands_and_mock_run_load_no_http_stack(offline_modules):
     """``http.client`` brings ``ssl`` and ``email``, about 25 ms and 2.7 MiB
     in a cold process: the package never loads it, and only a run that
     builds an HTTPBackend loads ``socket``."""
-    assert offline_modules[1] == "[]"
+    assert offline_modules[2] == "[]"
 
 
 # A cold process of one run against an HTTP backend, given the run's

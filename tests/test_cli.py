@@ -9,6 +9,8 @@ import shlex
 import shutil
 import subprocess
 import sys
+import zlib
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -798,6 +800,7 @@ def test_run_on_an_empty_dataset_exits_3_as_metrics_does(runner, workspace):
     for command in ("metrics", "sweep"):
         result = runner.invoke(main, [command, "--log", str(log), "--out", str(tmp / command)])
         assert result.exit_code == 3
+        assert result.stderr == "error: no scorable episodes\n"
 
 
 def test_tau_percentile_without_initial_answers_writes_failed_records(runner, workspace):
@@ -1094,60 +1097,81 @@ class Trap:
         return Path.touch, (self.path,)
 
 
+def with_crc(body: bytes) -> bytes:
+    """Cache bytes ending in the CRC-32 of ``body``, as the writer ends them."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
 def damage_cache(cache, kind, trap):
     """Replace a cache written for its log by a damaged one of ``kind``."""
     whole = cache.read_bytes()
-    with np.load(cache) as npz:
-        arrays = dict(npz)
+    # The key line, the ids line, then the columns: 8 bytes a confidence,
+    # four flags a byte each, then 8 bytes a valid confidence.
+    key, ids, columns = whole[:-4].split(b"\n", 2)
+    n = len(json.loads(ids))
     cache.unlink()
     if kind == "truncated":
         cache.write_bytes(whole[:-100])
+    elif kind == "crc":
+        cache.write_bytes(whole[:-5] + bytes([whole[-5] ^ 0x01]) + whole[-4:])
     elif kind == "not_a_zip":
         cache.write_text("not a zip\n")
     elif kind == "pickle":
-        cache.write_bytes(pickle.dumps({"arrays": arrays, "trap": Trap(trap)}))
+        cache.write_bytes(pickle.dumps({"cache": whole, "trap": Trap(trap)}))
     elif kind == "npy_of_objects":
         with open(cache, "wb") as fh:
             np.save(fh, np.array([Trap(trap)], dtype=object), allow_pickle=True)
     elif kind == "directory":
         cache.mkdir()
     else:
-        # The key of the log's text, with one column that is no column of it.
+        # The key of the log's text and a CRC that matches, with ids or a
+        # column that is no column of the log.
         if kind == "objects":
-            arrays["ids"] = np.array([Trap(trap)], dtype=object)
+            ids = json.dumps([{"id": f"q{i}"} for i in range(n)]).encode()
+        elif kind == "ids_not_json":
+            ids = ids[:-1]
+        elif kind == "ids_nested":
+            ids = b"[" * 100_000 + b"]" * 100_000
         elif kind == "short":
-            arrays["correct_after"] = arrays["correct_after"][:-1]
+            columns = columns[:-1]
         elif kind == "float32":
-            arrays["confidence"] = arrays["confidence"].astype(np.float32)
-        else:
-            arrays["failed"] = arrays["failed"].astype(np.int8)
-        with open(cache, "wb") as fh:
-            np.savez(fh, **arrays)
+            floats = array("d")
+            floats.frombytes(columns[: 8 * n])
+            columns = array("f", floats).tobytes() + columns[8 * n :]
+        elif kind == "int8_flags":  # a correct_after flag of -1
+            columns = columns[: 11 * n] + b"\xff" + columns[11 * n + 1 :]
+        rest = ids + b"\n" + columns
+        if kind == "no_ids_line":
+            rest = rest.replace(b"\n", b" ")
+        cache.write_bytes(with_crc(key + b"\n" + rest))
 
 
 @pytest.mark.parametrize(
     "kind",
-    ["truncated", "not_a_zip", "pickle", "npy_of_objects", "directory", "objects", "short",
-     "float32", "int8_flags"],
+    ["truncated", "crc", "not_a_zip", "pickle", "npy_of_objects", "directory", "objects",
+     "ids_not_json", "ids_nested", "no_ids_line", "short", "float32", "int8_flags"],
 )
 def test_metrics_reads_past_a_damaged_cache(runner, tmp_path, kind):
     """`metrics --log` over a log whose cache is damaged writes what it
-    writes over the log alone, loads no pickle, and replaces a cache file."""
+    writes over the log alone, loads no pickle, and replaces a cache file.
+    The cases with a CRC that matches are one each of what the reader
+    checks past it: ids that are no JSON list of strings, a length, and a
+    flag byte other than 0 or 1."""
     log = tmp_path / "episodes.jsonl"
     log.write_text("".join(json.dumps({**GOOD_EPISODE, "id": f"q{i}", "correct_after": i % 2 == 0})
                            + "\n" for i in range(5)))
     expected = metrics_outputs(runner, log, tmp_path / "fresh")
-    cache = Path(f"{log}.columns.npz")
+    cache = Path(f"{log}.columns")
+    written = cache.read_bytes()
     trap = tmp_path / "unpickled"
     damage_cache(cache, kind, trap)
     assert metrics_outputs(runner, log, tmp_path / "out") == expected
     assert not trap.exists()
-    assert sorted(os.listdir(tmp_path)) == ["episodes.jsonl", "episodes.jsonl.columns.npz",
+    assert sorted(os.listdir(tmp_path)) == ["episodes.jsonl", "episodes.jsonl.columns",
                                             "fresh", "out"]
     assert cache.is_dir() == (kind == "directory")
     if kind != "directory":
-        with np.load(cache) as npz:
-            assert npz["ids"].dtype == np.uint8 and npz["confidence"].dtype == np.float64
+        assert cache.read_bytes() == written
 
 
 def test_metrics_over_a_read_only_directory_writes_no_cache(runner, tmp_path, monkeypatch):
@@ -1158,7 +1182,7 @@ def test_metrics_over_a_read_only_directory_writes_no_cache(runner, tmp_path, mo
     log = log_dir / "episodes.jsonl"
     log.write_text("".join(json.dumps({**GOOD_EPISODE, "id": f"q{i}"}) + "\n" for i in range(3)))
     expected = metrics_outputs(runner, log, tmp_path / "fresh")
-    Path(f"{log}.columns.npz").unlink()
+    Path(f"{log}.columns").unlink()
     log_dir.chmod(0o555)
     try:
         if os.access(log_dir, os.W_OK):
@@ -1187,7 +1211,7 @@ def test_a_log_replaced_by_a_directory_exits_3_past_its_cache(runner, tmp_path):
     log = tmp_path / "episodes.jsonl"
     log.write_text(json.dumps(GOOD_EPISODE) + "\n")
     metrics_outputs(runner, log, tmp_path / "fresh")
-    cache = Path(f"{log}.columns.npz")
+    cache = Path(f"{log}.columns")
     log.unlink()
     log.mkdir()
     expected = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{log}'"
@@ -1274,7 +1298,7 @@ def test_malformed_episode_log_exits_3(runner, workspace, command, content):
         assert errors == [errors[0]] and errors[0].startswith("error: ")
         assert f"{log}:2" in errors[0]
         assert not (out / "metrics.json").exists()
-        assert not Path(f"{log}.columns.npz").exists()
+        assert not Path(f"{log}.columns").exists()
 
 
 @pytest.mark.parametrize("command", ["metrics", "sweep", "run"])
@@ -1385,11 +1409,12 @@ class CrashingCSVWriter:
 
 
 # (command, output): every output a command replaces. Its payload writer is
-# json.dump, csv.writer, the save_dataset loop or np.savez, by its suffix.
+# json.dump, csv.writer, the save_dataset loop or the cache writer, which
+# takes a CRC-32 of each part it writes, by its suffix.
 CRASHES = [
     ("metrics", "metrics.json"), ("metrics", "sweep.csv"), ("sweep", "sweep.csv"),
     ("simulate", "simulated_sweep.csv"), ("convert", "converted.jsonl"),
-    ("metrics", "episodes.jsonl.columns.npz"),
+    ("metrics", "episodes.jsonl.columns"),
 ]
 
 
@@ -1410,8 +1435,12 @@ def test_crash_mid_write_keeps_the_old_output(runner, tmp_path, monkeypatch, com
         monkeypatch.setattr(json, "dump", lambda obj, fh, **kwargs: crash_writing(fh))
     elif output.endswith(".csv"):
         monkeypatch.setattr(csv, "writer", CrashingCSVWriter)
-    elif output.endswith(".npz"):
-        monkeypatch.setattr(np, "savez", crash_writing)
+    elif output.endswith(".columns"):
+        # The writer takes each part's CRC after it writes the part.
+        def crash(*args):
+            raise Crash
+
+        monkeypatch.setattr(zlib, "crc32", crash)
     else:
         convert = dataset.convert_winoground
 
@@ -1466,7 +1495,7 @@ FAILED_EPISODE = {**GOOD_EPISODE, "initial": {"text": "", "confidence": 0.0}, "f
         (["run", "--mock-script", "{script}"], 2, "dataset path is required"),
         (["simulate", "--acc", "1.5", "--ecr", "0.3", "--eic", "0.1"], 2,
          "base_accuracy must be in [0, 1]"),
-        (["sweep", "--log", "{tmp}/failed.jsonl"], 3, "no episodes to sweep"),
+        (["sweep", "--log", "{tmp}/failed.jsonl"], 3, "no scorable episodes"),
     ],
     ids=["concurrency_0", "tau_percentile_150", "config_not_object", "no_backend",
          "no_dataset", "simulate_acc", "sweep_all_failed"],

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import accuracy_at_tau, log_columns, trials_to_episodes
-from secondguess import evaluation
-from secondguess.evaluation import BLOCK
+from secondguess import evaluation, simulator
 from secondguess.simulator import (
+    BLOCK,
     CONF_CORRECT,
     CONF_INCORRECT,
     SimConfig,
@@ -234,8 +235,34 @@ def test_simulate_matches_reference(acc, ecr, eic, n, seed, taus):
     assert curve.decompose_all_accuracy == accuracy_at_tau(trials, 1.0)[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(block_configs(), st.data())
+def test_numpy_counts_equal_bisected_counts(cfg, data):
+    """For any trials and taus, the counts that ``simulate`` bins with numpy
+    equal, tau for tau and class for class, those that ``evaluation`` reads
+    by bisection from the same confidences sorted per class: trial counts
+    around the block size, and taus with repeats, 0, 1 and confidences of
+    the trials, which the gate holds as ties."""
+    trials = generate_trials(cfg)
+    conf = trials.confidence
+    drawn = st.integers(0, conf.size - 1).map(lambda i: float(conf[i]))
+    taus = [data.draw(drawn)]
+    taus += data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), unit, drawn), max_size=10))
+    taus += data.draw(st.lists(st.sampled_from(taus), max_size=4))
+    n = conf.size
+    log = evaluation.EpisodeColumns(
+        ids=[f"sim{i}" for i in range(n)],
+        failed=bytes(n),
+        confidence=array("d", conf.tobytes()),
+        second_guessed=b"\x01" * n,
+        correct_before=trials.correct_before.tobytes(),
+        correct_after=trials.correct_after.tobytes(),
+    )
+    assert simulator.gated_counts(trials, taus) == evaluation.gated_counts(log, taus)
+
+
 def test_replay_across_blocks_equals_per_tau_recount():
-    """``replay`` bins the trials BLOCK at a time: past two block
+    """``gated_counts`` bins the trials BLOCK at a time: past two block
     boundaries, an unsorted tau list with repeats, 0, the extreme
     confidences and confidences from the first and a later block gives the
     points of one mask per tau, with percentiles given and omitted."""
@@ -245,9 +272,8 @@ def test_replay_across_blocks_equals_per_tau_recount():
     taus = [0.5, 0.0, float(conf[3]), 1.0, float(conf[BLOCK + 5]), 0.5, float(conf.max()),
             float(conf[3]), float(conf.min()), 0.25, float(conf[-1]), 0.0]
     for percentiles in (None, [float(p) for p in range(50, 50 + len(taus))]):
-        points = evaluation.replay(
-            conf, trials.correct_before, trials.correct_after, taus, percentiles
-        )
+        *counts, sizes = simulator.gated_counts(trials, [*taus, 1.0])
+        points = evaluation.sweep_points(sizes, taus, counts, percentiles)
         expected = []
         for i, tau in enumerate(taus):
             accuracy, eta, _ = accuracy_at_tau(trials, tau)
