@@ -16,13 +16,14 @@ invocation's backend calls and transport retries.
 from __future__ import annotations
 
 import datetime
+import errno
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -42,23 +43,25 @@ EXIT_DATASET = 3
 
 # Every run option, written once: (config key, type, default, whether `run`
 # takes it as --key-with-dashes; if not, it is config-file only). A type is
-# int, float, str, or a tuple of the allowed strings. Flags win over --config
-# file values, which win over the defaults; file values are checked against
-# the same types.
+# int, float, str, or a tuple of the allowed strings; a key the chain reads is
+# a PipelineConfig field and takes its default. Flags win over --config file
+# values, which win over the defaults; file values are checked against the
+# same types.
 OPTIONS = (
     ("dataset", str, None, True),
     ("recomposer_url", str, None, True),
     ("decomposer_url", str, None, True),
     ("mock_script", str, None, True),
     ("mode", pipeline.MODES, "direct", True),
-    ("tau", float, None, True),
-    ("tau_percentile", float, None, True),
-    ("seed", int, 0, True),
-    ("concurrency", int, 1, True),
+    ("tau", float, PipelineConfig.tau, True),
+    ("tau_percentile", float, PipelineConfig.tau_percentile, True),
+    ("seed", int, PipelineConfig.seed, True),
+    ("concurrency", int, PipelineConfig.concurrency, True),
     ("retry_budget", int, DEFAULT_RETRY_ATTEMPTS, False),
     ("out", str, "out", True),
-    ("scoring", pipeline.SCORINGS, "exact", True),
-    ("decomposer_prompt_style", prompts.DECOMPOSE_STYLES, "decompose_default", False),
+    ("scoring", pipeline.SCORINGS, PipelineConfig.scoring, True),
+    ("decomposer_prompt_style", prompts.DECOMPOSE_STYLES,
+     PipelineConfig.decomposer_prompt_style, False),
 )
 
 DEFAULT_PERCENTILES = [float(p) for p in range(0, 101, 5)]
@@ -139,10 +142,9 @@ def _load_config(config_path, flags: dict) -> dict:
 
 
 def _build_engine(cfg: dict) -> Engine:
-    style = cfg["decomposer_prompt_style"]
     if cfg.get("mock_script"):
         mock = _read_setting(MockBackend.from_script, cfg["mock_script"], "mock script")
-        return Engine(recomposer=mock, decomposer=mock, decomposer_prompt_style=style)
+        return Engine(recomposer=mock, decomposer=mock)
     if not cfg.get("recomposer_url"):
         _fail(EXIT_CONFIG, "one of mock_script / recomposer_url is required")
     try:
@@ -152,9 +154,7 @@ def _build_engine(cfg: dict) -> Engine:
             decomposer = HTTPBackend(cfg["decomposer_url"], attempts=cfg["retry_budget"])
     except ValueError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    return Engine(
-        recomposer=recomposer, decomposer=decomposer, decomposer_prompt_style=style
-    )
+    return Engine(recomposer=recomposer, decomposer=decomposer)
 
 
 def _load_questions(path):
@@ -225,20 +225,16 @@ def cmd_run(config_path, **flags) -> None:
     cfg = _load_config(config_path, flags)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     questions = _load_questions(cfg.get("dataset"))
-    pcfg = PipelineConfig(
-        mode=cfg["mode"],
-        tau=cfg.get("tau"),
-        tau_percentile=cfg.get("tau_percentile"),
-        seed=cfg["seed"],
-        concurrency=cfg["concurrency"],
-        scoring=cfg["scoring"],
-    )
+    pcfg = PipelineConfig(**{f.name: cfg.get(f.name) for f in fields(PipelineConfig)})
     if pcfg.mode in pipeline.ORACLE_MODES and not any(q.sub_qas for q in questions):
         _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
     # Built before out/ exists, so a bad backend config writes nothing.
     engine = _build_engine(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    for path in (out_dir / "manifest.json", out_dir / "metrics.json"):
+        if path.is_dir():  # written after the calls, so refused before them
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     episodes_path = out_dir / "episodes.jsonl"
     try:
         summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
@@ -307,8 +303,8 @@ def cmd_stats(dataset_path) -> None:
 @click.option("--acc", type=float, required=True)
 @click.option("--ecr", type=float, required=True)
 @click.option("--eic", type=float, required=True)
-@click.option("--trials", type=int, default=100_000)
-@click.option("--seed", type=int, default=0)
+@click.option("--trials", type=int, default=simulator.SimConfig.trials)
+@click.option("--seed", type=int, default=simulator.SimConfig.seed)
 @click.option("--tau-grid", default=None, help="comma-separated thresholds")
 @click.option("--out", type=click.Path(), default="out")
 def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:

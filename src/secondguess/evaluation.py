@@ -319,7 +319,7 @@ def compute_report(
         valid = _valid(log)
         before, after = _bits(log.correct_before), _bits(log.correct_after)
         if tau is not None:
-            gate = _bits(bytes(map(float(tau).__ge__, log.confidence)))  # gated(c, tau)
+            gate = _bits(bytes(map(gated, log.confidence, repeat(tau))))
             after = (gate & after) | (before & ~gate)
         qtypes = list(map(qtype_map.get, log.ids, repeat("other")))
         for qtype in ("overall", "boolean", "number", "other"):

@@ -78,7 +78,8 @@ class ConfigError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """A run's settings; ``cli`` checks the mode and scoring are known."""
+    """Every setting the chain reads, and the one default of each; ``cli``
+    checks the mode, scoring and prompt style are known."""
 
     mode: str
     tau: Optional[float] = None
@@ -86,6 +87,7 @@ class PipelineConfig:
     seed: int = 0
     concurrency: int = 1
     scoring: str = "exact"
+    decomposer_prompt_style: str = "decompose_default"
 
     def __post_init__(self) -> None:
         if self.tau is not None and not (0.0 <= self.tau <= 1.0):
@@ -130,18 +132,12 @@ DECOMPOSER = BackendRole("decomposer")
 
 
 class Engine:
-    """Binds decomposer/recomposer backends and issues the per-question
-    call chain. Thread-safe; questions may be processed concurrently."""
+    """Binds decomposer/recomposer backends and sends requests whose prompts
+    the chain renders. Thread-safe; questions may be processed concurrently."""
 
-    def __init__(
-        self,
-        recomposer: Backend,
-        decomposer: Backend,
-        decomposer_prompt_style: str = "decompose_default",
-    ) -> None:
+    def __init__(self, recomposer: Backend, decomposer: Backend) -> None:
         self.recomposer = recomposer
         self.decomposer = decomposer
-        self.decomposer_prompt_style = decomposer_prompt_style
         self._lock = threading.Lock()
         self.recomposer_calls = 0
         self.decomposer_calls = 0
@@ -177,15 +173,13 @@ class Engine:
         result = self._call(request, RECOMPOSER)
         return {"text": result.text, "confidence": confidence_of(result)}
 
-    def generate_subquestion(self, question: VisualQuestion):
-        """Returns (subquestion text, malformed flag). The raw
+    def generate_subquestion(self, question: VisualQuestion, prompt: str):
+        """One decomposer call, as (subquestion text, malformed flag). The raw
         generation is truncated at the first newline; empty or
         non-question-shaped output is flagged malformed but still used.
         The decomposer is text-only, so no image is sent."""
         request = InferenceRequest(
-            prompt=prompts.render_decompose(
-                question.question, self.decomposer_prompt_style
-            ),
+            prompt=prompt,
             params=DECOMPOSE_PARAMS,
             request_id=f"{question.id}#subq",
         )
@@ -235,7 +229,8 @@ def _self_answer(engine: Engine, question: VisualQuestion, sub_qas: tuple) -> tu
 def _context(engine: Engine, question: VisualQuestion, cfg: PipelineConfig):
     """(sub_qas, provenance, malformed) to recompose the question from."""
     if cfg.mode not in ORACLE_MODES:
-        subq, malformed = engine.generate_subquestion(question)
+        prompt = prompts.render_decompose(question.question, cfg.decomposer_prompt_style)
+        subq, malformed = engine.generate_subquestion(question, prompt)
         sub_qas = (SubQA(subq),)
         if not subq.strip():
             # Degenerate generation: skip sub-answering, recompose answerless.

@@ -32,7 +32,7 @@ from conftest import (
     write_script,
 )
 import secondguess
-from secondguess import cli, dataset, evaluation, pipeline
+from secondguess import cli, dataset, evaluation, pipeline, prompts
 from secondguess.backend import HTTPBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
@@ -956,9 +956,9 @@ def scripted_specs(draw):
 @given(specs=scripted_specs())
 def test_sweep_predicts_the_selective_run(tmp_path_factory, concurrency, specs):
     """Each row of `sweep` over a decompose-all run is what `run --mode
-    selective --tau-percentile` at its percentile does over the same
-    questions: it resolves the row's tau, and its metrics.json holds the
-    row's eta and accuracy, exactly."""
+    selective` does over the same questions, at the row's percentile
+    (--tau-percentile) or at its tau (--tau): it resolves the row's tau, and
+    its metrics.json holds the row's eta and accuracy, exactly."""
     tmp = tmp_path_factory.mktemp("predict")
     runner = CliRunner()
     data, script = tmp / "data.jsonl", tmp / "script.jsonl"
@@ -970,10 +970,11 @@ def test_sweep_predicts_the_selective_run(tmp_path_factory, concurrency, specs):
     rows = sweep_rows(runner, tmp / "all" / "episodes.jsonl", tmp / "sweep",
                       "--percentiles", "0,10,33,50,77,100")
     assert [row["percentile"] for row in rows] == [0.0, 10.0, 33.0, 50.0, 77.0, 100.0]
-    for row in rows:
-        out = tmp / f"selective{row['percentile']}"
-        result = run_cli(runner, [*run, "--mode", "selective",
-                                  "--tau-percentile", repr(row["percentile"]), "--out", str(out)])
+    thresholds = (("--tau-percentile", "percentile"), ("--tau", "tau"))
+    for index, (row, (flag, key)) in enumerate(itertools.product(rows, thresholds)):
+        out = tmp / f"selective{index}"
+        result = run_cli(runner, [*run, "--mode", "selective", flag, repr(row[key]),
+                                  "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads((out / "manifest.json").read_text())["resolved_tau"] == row["tau"]
         report = json.loads((out / "metrics.json").read_text())
@@ -1353,10 +1354,10 @@ UNWRITABLE = [
 def test_unwritable_output_exits_2(runner, workspace, loopback, command, output):
     """An output directory that is an existing file, or lies under one, or an
     ``output`` file that is a directory, is a config error named by its
-    path, not a traceback. A run whose directory cannot be made makes no
-    backend call; one whose file cannot be written has made its calls and
-    appended its episodes."""
-    tmp, data, script = workspace
+    path, not a traceback. A run whose directory cannot be made, or whose
+    manifest.json or metrics.json is a directory, makes no backend call and
+    writes no episode."""
+    tmp, data, _ = workspace
     server = loopback(respond=lambda body: {"text": "yes", "token_logprobs": [-0.1]})
     blocker = tmp / "a_file"
     blocker.write_text("")
@@ -1367,8 +1368,7 @@ def test_unwritable_output_exits_2(runner, workspace, loopback, command, output)
     out_dir = blocker if output is None else tmp / "out"
     args = ["--out", str(out_dir)]
     if command == "run":
-        backend = ["--mock-script", str(script)] if output else ["--recomposer-url", server.url]
-        args = ["run", "--dataset", str(data), *backend, *args]
+        args = ["run", "--dataset", str(data), "--recomposer-url", server.url, *args]
     elif command in ("metrics", "sweep"):
         args = [command, "--log", str(log), *args]
     elif command == "simulate":
@@ -1386,8 +1386,7 @@ def test_unwritable_output_exits_2(runner, workspace, loopback, command, output)
     assert server.received == []
     assert blocker.read_text() == ""
     assert sorted(tmp.rglob("*.tmp")) == []
-    if command == "run" and output is not None:
-        assert len((out_dir / "episodes.jsonl").read_text().splitlines()) == 8
+    assert not (out_dir / "episodes.jsonl").exists()
 
 
 class Crash(Exception):
@@ -1634,6 +1633,29 @@ def test_run_over_http_keeps_one_connection_per_worker(runner, workspace, loopba
         assert manifest["backend_calls"] == len(server.received) == 8 * 4
         logs.append((out / "episodes.jsonl").read_bytes())
     assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("style", [None, "decompose_galactica_instruct"])
+def test_decomposer_gets_the_configured_prompt_style(runner, workspace, loopback, style):
+    """The decomposer is sent the template of the --config file's
+    decomposer_prompt_style, rendered with each question; without the key,
+    decompose_default's."""
+    tmp, data, _ = workspace
+    recomposer = loopback(respond=answer_from_prompt)
+    decomposer = loopback(respond=lambda req: {
+        "text": "is it red?", "token_logprobs": [-0.1], "cumulative_logprob": -0.1})
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"decomposer_prompt_style": style} if style else {}))
+    result = run_cli(runner, [
+        "run", "--config", str(config), "--dataset", str(data), "--mode", "decompose_all",
+        "--recomposer-url", recomposer.url, "--decomposer-url", decomposer.url,
+        "--out", str(tmp / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    template = prompts.TEMPLATES[style or "decompose_default"]
+    sent = [json.loads(raw)["prompt"] for _, _, raw in decomposer.received]
+    assert sent == [template.replace("{question}", q.question)
+                    for q in dataset.load_dataset(data)]
 
 
 class NoSleepHTTPBackend(HTTPBackend):
