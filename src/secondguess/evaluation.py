@@ -5,10 +5,11 @@ All functions here are pure post-processing over immutable episode logs;
 nothing issues model calls, and nothing loads numpy. A log is read as
 ``EpisodeColumns``, one entry per record: 0/1 flags, counted as bit sets,
 and confidences, which also come sorted within each (correct_before,
-correct_after) class of the valid records. ``gated`` is the one gate rule;
-the answers of a class gated at a threshold are one ``bisect_right`` of the
-class's sorted confidences, and ``sweep_points`` turns such counts into
-points.
+correct_after) class of the valid records. ``gated`` is the one gate rule.
+``compute_report`` counts every figure under one gate bit set, the log's own
+or ``gated`` at a threshold over the confidences; for ``sweep``, the answers
+of a class gated at a threshold are one ``bisect_right`` of the class's
+sorted confidences, and ``sweep_points`` turns such counts into points.
 """
 
 from __future__ import annotations
@@ -273,54 +274,46 @@ def compute_report(
     qtype_map: Optional[Dict[str, str]] = None,
 ) -> MetricsReport:
     """Aggregate one episode log into a MetricsReport at the log's own gate,
-    or at the gate at ``tau`` replayed as ``sweep`` does. A log that kept a
-    valid answer ``gated`` at tau cannot answer it: ValueError names the first.
+    or at the gate at ``tau`` replayed as ``sweep`` does: a gated answer
+    scores correct_after, a kept one correct_before. A log that kept a valid
+    answer ``gated`` at tau cannot answer it: ValueError names the first.
 
     Failed episodes are excluded from every denominator and reported as a
     count. ``qtype_map`` (question id -> qtype) enables the per-qtype
     breakdown when the originating dataset is available.
     """
-    members = _class_members(log)
-    sizes = [m.bit_count() for m in members]
-    n = sum(sizes)
+    valid = _valid(log)
+    n = valid.bit_count()
     if not n:
         raise ValueError("no scorable episodes")
+    before, after = _bits(log.correct_before), _bits(log.correct_after)
     if tau is None:
-        second_guessed = _bits(log.second_guessed)
-        gated_n = [(m & second_guessed).bit_count() for m in members]
+        gate = _bits(log.second_guessed)
     else:
         _answered(log, [tau])
-        (gated_n,) = gated_counts(log, [tau])
-    kept = [size - g for size, g in zip(sizes, gated_n)]
-    # A gated answer scores correct_after; a kept one scores the
-    # correct_after the log holds at its own gate, and correct_before at tau.
-    correct_after = gated_n[1] + gated_n[3] + (
-        kept[1] + kept[3] if tau is None else kept[2] + kept[3]
-    )
-    acc_before = (sizes[2] + sizes[3]) / n
-    acc_after = correct_after / n
+        gate = _bits(bytes(map(gated, log.confidence, repeat(tau))))
+        after = (gate & after) | (before & ~gate)
+    gate &= valid
+    acc_before = (before & valid).bit_count() / n
+    acc_after = (after & valid).bit_count() / n
     # Decomposed answers that were wrong (E_CR's pool) or right (E_IC's).
-    wrong_n, right_n = gated_n[0] + gated_n[1], gated_n[2] + gated_n[3]
+    wrong, right = gate & ~before, gate & before
+    wrong_n, right_n = wrong.bit_count(), right.bit_count()
     report = MetricsReport(
         n=n,
         accuracy_before=acc_before,
         accuracy_after=acc_after,
         net_gain=(acc_after - acc_before) * 100.0,
-        e_cr=gated_n[1] / wrong_n if wrong_n else None,
+        e_cr=(wrong & after).bit_count() / wrong_n if wrong_n else None,
         e_cr_denominator=wrong_n,
-        e_ic=gated_n[2] / right_n if right_n else None,
+        e_ic=(right & ~after).bit_count() / right_n if right_n else None,
         e_ic_denominator=right_n,
-        eta=sum(gated_n) / n,
+        eta=gate.bit_count() / n,
         tau=tau,
         surprisal=surprisal(tau) if tau is not None and tau > 0 else None,
         failures=len(log.ids) - n,
     )
     if qtype_map is not None:
-        valid = _valid(log)
-        before, after = _bits(log.correct_before), _bits(log.correct_after)
-        if tau is not None:
-            gate = _bits(bytes(map(gated, log.confidence, repeat(tau))))
-            after = (gate & after) | (before & ~gate)
         qtypes = list(map(qtype_map.get, log.ids, repeat("other")))
         for qtype in ("overall", "boolean", "number", "other"):
             mask = valid

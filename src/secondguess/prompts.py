@@ -58,7 +58,7 @@ def render_direct_qa(question: str) -> str:
     return TEMPLATES["direct_qa"].replace("{question}", question)
 
 
-def render_decompose(question: str, style: str = "decompose_default") -> str:
+def render_decompose(question: str, style: str) -> str:
     return TEMPLATES[style].replace("{question}", question)
 
 

@@ -47,6 +47,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

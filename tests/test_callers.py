@@ -4,6 +4,7 @@ package: code only tests reach does not belong in ``src/``."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from conftest import FOUR_EPISODE_SPECS, spec_questions, write_script
 from secondguess.dataset import save_dataset
 
 PACKAGE = Path(secondguess.__file__).parent
+REPO = Path(__file__).parents[1]
 
 
 def _is_command(node) -> bool:
@@ -60,6 +62,19 @@ def test_every_private_name_has_a_caller():
         lambda node: node.name.startswith("_") and not node.name.startswith("__")
     )
     assert not uncalled, "no caller in the package: " + ", ".join(uncalled)
+
+
+def test_every_python_file_parses_at_the_oldest_supported_version():
+    """Every ``.py`` file of the package, the tests and the benchmark parses
+    with the grammar of pyproject's ``requires-python`` floor, so that a CI
+    leg on that version meets no newer syntax, such as ``except*``."""
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    version = (int(floor[1]), int(floor[2]))
+    paths = [path for top in ("src", "tests", "perfbench") for path in (REPO / top).rglob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def _opens_for_reading(call) -> bool:

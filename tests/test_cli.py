@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import hashlib
@@ -5,6 +6,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 import shlex
 import shutil
 import subprocess
@@ -1494,10 +1496,12 @@ FAILED_EPISODE = {**GOOD_EPISODE, "initial": {"text": "", "confidence": 0.0}, "f
         (["run", "--mock-script", "{script}"], 2, "dataset path is required"),
         (["simulate", "--acc", "1.5", "--ecr", "0.3", "--eic", "0.1"], 2,
          "base_accuracy must be in [0, 1]"),
+        (["simulate", "--acc", "0.5", "--ecr", "0.3", "--eic", "0.1", "--seed", "-1"], 2,
+         "seed must be >= 0"),
         (["sweep", "--log", "{tmp}/failed.jsonl"], 3, "no scorable episodes"),
     ],
     ids=["concurrency_0", "tau_percentile_150", "config_not_object", "no_backend",
-         "no_dataset", "simulate_acc", "sweep_all_failed"],
+         "no_dataset", "simulate_acc", "simulate_seed_negative", "sweep_all_failed"],
 )
 def test_bad_setting_exits_before_out(runner, workspace, args, code, message):
     """A setting out of range or missing, a config file that is no object,
@@ -1933,6 +1937,38 @@ def readme_cli_examples() -> list:
     block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("secondguess ")]
+
+
+def cli_exit_codes() -> set:
+    """The codes of every ``sys.exit`` and ``_fail`` call in ``cli``: a
+    literal, a module constant such as ``EXIT_CONFIG``, or either branch of
+    a conditional. The ``sys.exit`` in ``_fail`` forwards ``_fail``'s own."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    fail = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_fail")
+    forwarding = set(map(id, ast.walk(fail)))
+
+    def values(node) -> set:
+        if isinstance(node, ast.IfExp):
+            return values(node.body) | values(node.orelse)
+        if isinstance(node, ast.Name):
+            return {getattr(cli, node.id)}
+        return {ast.literal_eval(node)}
+
+    return {
+        code
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in forwarding
+        and ast.unparse(node.func) in ("sys.exit", "_fail")
+        for code in values(node.args[0])
+    }
+
+
+def test_readme_lists_exactly_the_exit_codes_cli_returns():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [int(code) for code in re.findall(r"^- (\d+): ", block, re.M)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == cli_exit_codes() == {0, 1, cli.EXIT_CONFIG, cli.EXIT_DATASET}
 
 
 def test_readme_cli_examples_use_real_options():

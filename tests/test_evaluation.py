@@ -159,18 +159,38 @@ EPISODE_ROWS = st.tuples(
 
 
 @settings(max_examples=200)
-@given(st.lists(EPISODE_ROWS, min_size=1, max_size=60))
-def test_compute_report_matches_plain_loop_recount(rows):
+@given(st.lists(EPISODE_ROWS, min_size=1, max_size=60), st.data())
+def test_compute_report_matches_plain_loop_recount(rows, data):
+    """Every field at the log's own gate (tau None) or at a replayed tau,
+    one of the log's confidences included, so that ties are gated."""
     assume(not all(row[0] for row in rows))
+    confidences = [row[1] for row in rows]
+    tau = data.draw(st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from(confidences)))
     # Failed rows keep arbitrary gates and outcomes, so counting one
-    # anywhere changes a field.
+    # anywhere changes a field. A valid row at or below tau is
+    # second-guessed, as at any own gate at or above tau, so that the log
+    # answers tau.
     episodes = [
-        episode(f"e{i}", conf, before, after, gate, failed=failed)
+        episode(f"e{i}", conf, before, after,
+                "second_guessed" if not failed and tau is not None and conf <= tau else gate,
+                failed=failed)
         for i, (failed, conf, gate, before, after, _) in enumerate(rows)
     ]
     qtype_map = {f"e{i}": row[5] for i, row in enumerate(rows) if row[5] is not None}
-    fields = asdict(compute_report(log_columns(episodes), qtype_map=qtype_map))
-    assert fields.pop("tau") is None and fields.pop("surprisal") is None
+    fields = asdict(compute_report(log_columns(episodes), tau, qtype_map))
+    assert fields.pop("tau") == tau
+    assert fields.pop("surprisal") == (surprisal(tau) if tau else None)
+    if tau is not None:
+        # The log rewritten as the gate at tau would have written it: a
+        # gated answer keeps its correct_after, a kept one scores
+        # correct_before.
+        episodes = [
+            ep if ep.get("failed") else episode(
+                ep["id"], ep["initial"]["confidence"], ep["correct_before"], ep["correct_after"],
+                "second_guessed" if ep["initial"]["confidence"] <= tau else "kept",
+            )
+            for ep in episodes
+        ]
     assert fields == brute_report(episodes, qtype_map)
 
 

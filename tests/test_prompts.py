@@ -33,7 +33,7 @@ def test_render_direct_qa_preserves_braces():
 
 
 def test_render_decompose_default():
-    rendered = render_decompose("is it cold outside?")
+    rendered = render_decompose("is it cold outside?", "decompose_default")
     assert rendered == (
         "Reasoning Question: is the banana ripe enough to eat? "
         "Perception Question: is the banana yellow?\n"
@@ -57,7 +57,7 @@ def test_render_decompose_galactica():
 
 
 def test_render_decompose_preserves_whitespace():
-    rendered = render_decompose("is it wet?  ")
+    rendered = render_decompose("is it wet?  ", "decompose_default")
     assert "Reasoning Question: is it wet?   Perception Question:" in rendered
 
 
