@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import gc
 import itertools
 import json
 import logging
@@ -113,7 +114,7 @@ class Chunk(NamedTuple):
     data: bytes
 
 
-def read_chunks(path, digest=None) -> Iterator[Chunk]:
+def read_chunks(path, digest=None, torn=None) -> Iterator[Chunk]:
     """The Chunk of each run of CHUNK_LINES lines of a file, the last run
     partly full: the one reader of input files. The file is read as bytes,
     split into lines as text mode with ``newline=""`` splits them: at LF, CR
@@ -124,16 +125,24 @@ def read_chunks(path, digest=None) -> Iterator[Chunk]:
     ``path:line`` once the lines before it are yielded, for a reader to name
     an earlier bad line first. A ``digest`` (a hashlib object) is updated
     with each run's bytes before the run is yielded: at the end of a file it
-    holds the digest of the file's bytes, as ``hash_file`` does. An OSError
-    from opening or reading is raised as a DatasetError."""
+    holds the digest of the file's bytes, as ``hash_file`` does. Given a list
+    ``torn``, a last line with no line end, as a write cut short leaves it,
+    is not checked, hashed or yielded: ``torn`` takes its offset in the file.
+    An OSError from opening or reading is raised as a DatasetError."""
     try:
         with open(path, "rb") as fh:
-            start = 1
+            start, offset = 1, 0
             # A binary file splits lines at LF alone.
             while lines := list(itertools.islice(fh, CHUNK_LINES)):
                 data = b"".join(lines)
                 if b"\r" in data:
                     lines = data.splitlines(keepends=True)
+                # Only the file's last line can end in neither.
+                if torn is not None and not lines[-1].endswith((b"\n", b"\r")):
+                    data = data[: -len(lines.pop())]
+                    torn.append(offset + len(data))
+                    if not lines:
+                        return
                 if not data.isascii():
                     try:
                         data.decode("utf-8")
@@ -147,6 +156,7 @@ def read_chunks(path, digest=None) -> Iterator[Chunk]:
                     digest.update(data)
                 yield Chunk(start, lines, data)
                 start += len(lines)
+                offset += len(data)
     except OSError as exc:
         raise DatasetError(str(exc)) from exc
 
@@ -272,11 +282,27 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
 
 
-def read_jsonl(path, check, strip: bool = False, digest=None) -> Iterator:
+def read_jsonl(path, check, strip: bool = False, digest=None, torn=None) -> Iterator:
     """``parse_chunk(path, chunk, check, strip)`` of each chunk that
-    ``read_chunks(path, digest)`` reads: how all JSONL input is read."""
-    for chunk in read_chunks(path, digest):
+    ``read_chunks(path, digest, torn)`` reads: how all JSONL input is read."""
+    for chunk in read_chunks(path, digest, torn):
         yield parse_chunk(path, chunk, check, strip)
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """A block run with the cyclic garbage collector paused, and restored as
+    it was when the block ends, whatever the exit. For reading input: a
+    parse makes no reference cycles, but the containers it allocates would
+    set off collections, full ones included, that walk all it has kept so
+    far."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _no_unpaired_surrogate(values) -> None:
@@ -323,9 +349,10 @@ def load_dataset(path) -> List[VisualQuestion]:
     lists are rejected.
     """
     seen = set()
-    return list(itertools.chain.from_iterable(
-        read_jsonl(path, lambda values: _questions(values, seen))
-    ))
+    with collector_paused():
+        return list(itertools.chain.from_iterable(
+            read_jsonl(path, lambda values: _questions(values, seen))
+        ))
 
 
 @contextlib.contextmanager

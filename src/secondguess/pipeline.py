@@ -1,10 +1,12 @@
 """Selective decomposition over a question stream: one chain per question.
 
-Every mode runs the same chain, one task per question: the question is asked
+Every mode runs the same chain on each question: the question is asked
 for an initial answer and its confidence, ``evaluation.gated`` at the mode's
 tau keeps the answer or second-guesses it, and a second-guessed question gets
 a decomposition and is re-answered with it as context. Only a percentile tau
-waits for every initial answer before it gates any. The modes differ only in
+waits for every initial answer before it gates any. ``run`` keeps at most
+``concurrency`` backend calls and 4 * ``concurrency`` questions in flight,
+and takes their episodes in dataset order. The modes differ only in
 tau and in the sub-QAs: ``direct`` gates at 0, which keeps every answer;
 ``decompose_all`` (at 1) and ``selective`` answer a model-written subquestion
 with the model; the oracle modes gate at 1 and use the human-written sub-QAs,
@@ -13,7 +15,8 @@ question yields one auditable episode record, a plain dict with its keys in
 the log's order. ``run`` checks each chunk of new records with
 ``_chunk_columns``, the log reader's rule set, before it writes any byte,
 appends them to the log once, at the end of the run, and returns the whole
-log's columns.
+log's columns. A last log line with no line end, which a crash mid-write
+leaves, is cut off before the append, and its question runs again.
 
 ``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``
 through ``dataset.read_jsonl``, the one reader of JSONL input, with
@@ -23,7 +26,9 @@ file next to the log, keyed by the digest of the log's bytes.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import gc
 import hashlib
 import itertools
@@ -52,6 +57,7 @@ from .backend import (
 from .dataset import (
     CHUNK_LINES,
     VisualQuestion,
+    collector_paused,
     hash_file,
     read_jsonl,
     repeated_id,
@@ -107,8 +113,10 @@ class PipelineConfig:
 
 # Writes what json.dumps(record, ensure_ascii=False) writes; an encoder keeps
 # no state between calls, so one serves every record. Only records that
-# ``_chunk_columns`` has passed reach it.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# ``_chunk_columns`` has passed reach it. A record holds no container within
+# itself (``_record`` builds it of the chain's answer dicts and strings), so
+# the check for one would only cost time.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 @dataclass
@@ -144,20 +152,22 @@ class Engine:
         self.retries = 0  # transport retries of every call, failed or not
 
     def _call(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
-        with self._lock:
-            if role is RECOMPOSER:
-                self.recomposer_calls += 1
-            else:
-                self.decomposer_calls += 1
+        """One backend call, counted once it ends, whatever the exit."""
         backend = self.recomposer if role is RECOMPOSER else self.decomposer
+        retries = 0
         try:
             result = backend.complete(request, role)
+            retries = result.retries
         except BackendError as exc:
-            with self._lock:
-                self.retries += exc.retries
+            retries = exc.retries
             raise
-        with self._lock:
-            self.retries += result.retries
+        finally:
+            with self._lock:
+                if role is RECOMPOSER:
+                    self.recomposer_calls += 1
+                else:
+                    self.decomposer_calls += 1
+                self.retries += retries
         return result
 
     def answer(self, question: VisualQuestion, stage: str, prompt: str) -> dict:
@@ -190,7 +200,7 @@ class Engine:
 
 
 def _correct(answer: dict, question: VisualQuestion, scoring: str) -> bool:
-    return evaluation.is_match(answer["text"], list(question.answers), scoring=scoring)
+    return evaluation.is_match(answer["text"], question.answers, scoring=scoring)
 
 
 def _record(question: VisualQuestion, initial: dict, correct_before: bool, **changes) -> dict:
@@ -354,23 +364,17 @@ def _joined(chunks) -> evaluation.EpisodeColumns:
     return evaluation.EpisodeColumns(ids, failed, confidence, *flags)
 
 
-def _parse_log(path, digest=None) -> evaluation.EpisodeColumns:
+def _parse_log(path, digest=None, torn=None) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read a chunk at a time by
     ``dataset.read_jsonl`` with no dict kept per episode, ``_chunk_columns``
-    each chunk's check, and the bytes parsed hashed into ``digest``. The
-    cyclic GC is paused meanwhile: the parse makes no reference cycles, and
-    the containers it allocates would set off collections, full ones
-    included, that walk all it has kept so far."""
+    each chunk's check, and the bytes parsed hashed into ``digest``; a list
+    ``torn`` takes a torn last line's offset instead of its record. The
+    cyclic GC is paused meanwhile, by ``dataset.collector_paused``."""
     seen = set()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _joined(
-            read_jsonl(path, lambda records: _chunk_columns(records, seen), digest=digest)
-        )
-    finally:
-        if enabled:
-            gc.enable()
+    with collector_paused():
+        return _joined(read_jsonl(
+            path, lambda records: _chunk_columns(records, seen), digest=digest, torn=torn
+        ))
 
 
 # A log's columns are cached in a file next to it, under a key: this format,
@@ -476,6 +480,23 @@ def _initial(engine: Engine, question: VisualQuestion) -> Optional[dict]:
         return None
 
 
+def _windowed(pool, fn, items, window: int):
+    """``fn`` of each item, in order, run by ``pool`` with at most ``window``
+    items submitted and not yet yielded. The tasks not yet begun are
+    cancelled when the generator ends before the items do: by an exception
+    from ``fn``, or when it is closed."""
+    items = iter(items)
+    pending = collections.deque(pool.submit(fn, item) for item in itertools.islice(items, window))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run(
     questions: Sequence[VisualQuestion],
     cfg: PipelineConfig,
@@ -485,19 +506,23 @@ def run(
     """Run one pipeline mode over the questions into a resumable JSONL sink.
 
     Questions whose ids the sink already holds are skipped, so the finished
-    log holds one episode per question; the summary counts the whole log.
-    Each pending question's chain is one task. Per-episode backend failures
-    are isolated into failed records; only dataset/config problems abort the
-    run. Each CHUNK_LINES new records, as they come, pass ``_chunk_columns``,
-    the rule set the log is read with, and are kept only as their columns and
-    encoded lines, appended in dataset order after the last episode; a record
-    that breaks a rule is a bug and raises AssertionError before any byte is
-    written. Returns the summary and the whole log's columns: those of the
-    log as the run found it, then the new episodes'.
+    log holds one episode per question; the summary counts the whole log. A
+    last sink line with no line end is a record that a crash cut short: it
+    is left out of the log and cut off before the append, and its question
+    runs again. At most ``concurrency`` backend calls and 4 * ``concurrency``
+    questions are in flight at once. Per-episode backend failures are
+    isolated into failed records; only dataset/config problems abort the
+    run. Each CHUNK_LINES new records, in dataset order, pass
+    ``_chunk_columns``, the rule set the log is read with, and are kept only
+    as their columns and encoded lines, appended after the last episode; a
+    record that breaks a rule is a bug and raises AssertionError before any
+    byte is written. Returns the summary and the whole log's columns: those
+    of the log as the run found it, then the new episodes'.
     """
     sink_path = Path(sink_path)
+    torn = []
     # The run appends to the log, so its columns are not cached.
-    log = _parse_log(sink_path) if sink_path.exists() else _joined([])
+    log = _parse_log(sink_path, torn=torn) if sink_path.exists() else _joined([])
     done = set(log.ids)
     questions = [q for q in questions if q.id not in done]
     skipped = 0
@@ -510,30 +535,50 @@ def run(
     chunks = [(log.ids, log.failed, log.confidence, log.second_guessed, log.correct_before,
                log.correct_after)]
     lines = []
-    # One pool serves the run: at most `concurrency` worker threads, and an
-    # HTTP backend keeps one connection per thread. At concurrency 1 the
-    # tasks run inline, cheaper than a thread handoff.
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        map_ = pool.map if cfg.concurrency > 1 else map
-        if cfg.tau_percentile is None:
-            episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau), questions)
-        else:
-            # The one barrier: a percentile tau needs every initial confidence.
-            # With none, tau stays None and every chain is a failed record.
-            initials = list(map_(lambda q: _initial(engine, q), questions))
-            confidences = [a["confidence"] for a in initials if a is not None]
-            if confidences:
-                tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-            episodes = map_(lambda q, a: _episode(engine, q, a, cfg, tau), questions, initials)
-        for chunk in iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), []):
-            columns = _chunk_columns(chunk, done)
-            if isinstance(columns, str):
-                raise AssertionError(f"run built a record the log reader rejects: {columns}")
-            chunks.append(columns)
-            lines.append("".join(_LINE_ENCODER.encode(record) + "\n" for record in chunk))
+    # What is loaded lives to the end of the run (the questions, a mock
+    # script and its index, the log's columns): frozen, it is left out of
+    # the collections that the chains' allocations set off. A freeze the
+    # process already holds is left alone, as unfreezing would end it.
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        # One pool serves the run: at most `concurrency` worker threads, and
+        # an HTTP backend keeps one connection per thread. The window of
+        # 4 * concurrency questions keeps every worker busy while the
+        # episodes are taken in order, and bounds what is held in flight;
+        # at concurrency 1 the tasks run inline, cheaper than a thread handoff.
+        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+            map_ = map
+            if cfg.concurrency > 1:
+                map_ = functools.partial(_windowed, pool, window=4 * cfg.concurrency)
+            if cfg.tau_percentile is None:
+                episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau),
+                                questions)
+            else:
+                # The one barrier: a percentile tau needs every initial
+                # confidence. With none, tau stays None and every chain is a
+                # failed record.
+                initials = list(map_(lambda q: _initial(engine, q), questions))
+                confidences = [a["confidence"] for a in initials if a is not None]
+                if confidences:
+                    tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
+                episodes = map_(lambda qa: _episode(engine, *qa, cfg, tau),
+                                zip(questions, initials))
+            for chunk in iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), []):
+                columns = _chunk_columns(chunk, done)
+                if isinstance(columns, str):
+                    raise AssertionError(f"run built a record the log reader rejects: {columns}")
+                chunks.append(columns)
+                lines.append("".join(_LINE_ENCODER.encode(record) + "\n" for record in chunk))
 
-    with open(sink_path, "a", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        with open(sink_path, "a", encoding="utf-8") as fh:
+            if torn:
+                fh.truncate(torn[0])
+            fh.writelines(lines)
+    finally:
+        if freeze:
+            gc.unfreeze()
     whole = _joined(chunks)
     return RunSummary(
         episodes=len(whole.ids),

@@ -1,10 +1,11 @@
 """Shared fixtures: scripted mock backends, test-only backend wrappers, a
 pipeline run that returns its records, a loopback generation server,
-line-by-line readers of episode logs and mock scripts, and brute-force
-metric recounts."""
+line-by-line readers of episode logs and mock scripts, brute-force metric
+recounts, and a guard on the cyclic collector's state around every test."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -53,6 +54,20 @@ def raw(text: str) -> bytes:
     """The file bytes of JSON ``text`` that holds the inputs above: a quoted
     LONG_INTEGER loses its quotes, and NOT_UTF8 becomes the byte 0xff."""
     return text.replace(f'"{LONG_INTEGER}"', LONG_INTEGER).encode("utf-8", "surrogateescape")
+
+
+@pytest.fixture(autouse=True)
+def collector_state_guard():
+    """Fail a test that leaves the cyclic collector disabled or objects
+    frozen, as a pause or freeze in ``dataset`` or ``pipeline`` that an exit
+    skipped would; the state is restored first, so the next test starts
+    clean."""
+    yield
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    gc.unfreeze()
+    assert enabled, "the test left the cyclic collector disabled"
+    assert frozen == 0, f"the test left {frozen} objects frozen"
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import ast
 import csv
 import errno
+import gc
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import zlib
 from array import array
 from pathlib import Path
@@ -35,7 +37,7 @@ from conftest import (
 )
 import secondguess
 from secondguess import cli, dataset, evaluation, pipeline, prompts
-from secondguess.backend import HTTPBackend
+from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, HTTPBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
 from secondguess.simulator import SimConfig, closed_form_decompose_all, generate_trials
@@ -1708,6 +1710,60 @@ def test_retried_transport_faults_leave_the_log_unchanged(
         assert manifest["retries"] == len(replies)
         runs.append([(out / f).read_bytes() for f in ("episodes.jsonl", "metrics.json")])
     assert runs[0] == runs[1]
+
+
+def test_manifest_counts_alike_at_every_concurrency(runner, workspace, loopback, monkeypatch):
+    """Transport faults keyed by request, some that spend the whole retry
+    budget: the manifest's backend_calls, retries and failures at
+    concurrency 4 equal those at concurrency 1."""
+    monkeypatch.setattr(cli, "HTTPBackend", NoSleepHTTPBackend)
+    tmp, data, _ = workspace
+    counts = []
+    for concurrency in (1, 4):
+        attempts, lock = {}, threading.Lock()
+
+        def respond(req):
+            # A question's calls are sequential, so the faults of each
+            # (prompt, image) fall on the same attempts in any order.
+            key = json.dumps([req["prompt"], req["image"]])
+            with lock:
+                attempts[key] = attempts.get(key, 0) + 1
+            faults = hashlib.sha256(key.encode("utf-8")).digest()[0] % (DEFAULT_RETRY_ATTEMPTS + 1)
+            return Reply(503) if attempts[key] <= faults else answer_from_prompt(req)
+
+        server = loopback(respond=respond)
+        out = tmp / f"c{concurrency}"
+        run_cli(runner, [
+            "run", "--dataset", str(data), "--recomposer-url", server.url,
+            "--mode", "decompose_all", "--concurrency", str(concurrency), "--out", str(out),
+        ])
+        manifest = json.loads((out / "manifest.json").read_text())
+        counts.append((manifest["backend_calls"], manifest["retries"], manifest["failures"]))
+        assert manifest["backend_calls"] + manifest["retries"] == len(server.received)
+    assert counts[0] == counts[1]
+    assert counts[0][1] > 0 and counts[0][2] > 0
+
+
+@pytest.mark.parametrize("code", [2, 3])
+def test_run_restores_the_collector_when_it_exits(runner, workspace, monkeypatch, code):
+    """A run that exits 2, as its log cannot be appended to, or 3, as the
+    log it resumes holds a bad line, leaves the collector enabled and
+    nothing frozen."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    out.mkdir()
+    if code == 2:
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(pipeline, "open", refuse, raising=False)
+    else:
+        (out / "episodes.jsonl").write_text("{\n")
+    result = runner.invoke(main, [
+        "run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out),
+    ])
+    assert result.exit_code == code, result.output
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_run_over_http_unpaired_surrogate_reply_fails_its_question(

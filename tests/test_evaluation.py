@@ -214,19 +214,31 @@ def test_streaming_recount_agrees(seed, n):
     assert report.e_ic == (ic_num / ic_den if ic_den else None)
 
 
-@settings(max_examples=50)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=200))
-def test_accounting_identity(seed, n):
-    episodes = random_log(random.Random(seed), n)
-    corrections = sum(
-        1 for ep in episodes if not ep["correct_before"] and ep["correct_after"]
-    )
-    inductions = sum(
-        1 for ep in episodes if ep["correct_before"] and not ep["correct_after"]
-    )
-    sum_after = sum(ep["correct_after"] for ep in episodes)
-    sum_before = sum(ep["correct_before"] for ep in episodes)
-    assert sum_after - sum_before == corrections - inductions
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=1, max_value=200),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_accounting_identity(seed, n, tau):
+    """n * (accuracy_after - accuracy_before) = corrections - inductions,
+    every term read from compute_report, at the log's own gate and at a
+    replayed tau: E_CR times its denominator counts the corrections, E_IC
+    times its the inductions."""
+    rng = random.Random(seed)
+    episodes = random_log(rng, n)
+    if tau is not None:  # every answer at or below tau second-guessed
+        episodes = [
+            ep if ep["initial"]["confidence"] > tau else episode(
+                ep["id"], ep["initial"]["confidence"], ep["correct_before"], rng.random() < 0.6
+            )
+            for ep in episodes
+        ]
+    report = compute_report(log_columns(episodes), tau)
+    gain = round(report.n * report.accuracy_after) - round(report.n * report.accuracy_before)
+    corrections = round((report.e_cr or 0.0) * report.e_cr_denominator)
+    inductions = round((report.e_ic or 0.0) * report.e_ic_denominator)
+    assert gain == corrections - inductions
 
 
 # --- surprisal and thresholds -------------------------------------------

@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import gc
 import hashlib
 import itertools
 import json
@@ -38,7 +40,13 @@ from conftest import (
     spec_questions,
 )
 from secondguess import dataset, evaluation, pipeline
-from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, InferenceResult, MockBackend, MockEntry
+from secondguess.backend import (
+    DEFAULT_RETRY_ATTEMPTS,
+    InferenceResult,
+    MockBackend,
+    MockEntry,
+    TransportError,
+)
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.pipeline import ConfigError, Engine, PipelineConfig
 from secondguess.prompts import SubQA
@@ -368,6 +376,156 @@ def test_an_error_that_is_no_backend_error_stops_the_run(tmp_path):
         pipeline.run(questions, cfg, engine, sink)
     assert len(calls) < 40
     assert not sink.exists()
+
+
+# The last record holds a non-ASCII answer, so that some cuts fall inside a
+# character.
+TORN_SPECS = FOUR_EPISODE_SPECS[:3] + [
+    QSpec("q4", "is the door open?", "no", "nö, sie ist zu", 0.7),
+]
+
+
+def test_resume_cuts_off_a_torn_last_line(tmp_path):
+    """A log cut at any byte of its last record, or just before the newline
+    that ends the record before it, resumes to the uninterrupted run's
+    bytes: the torn line is cut off and its question runs again. A bad line
+    before a torn one is still named, and the log is left as it was."""
+    questions = spec_questions(TORN_SPECS)
+    cfg = PipelineConfig(mode="selective", tau=0.5)
+    sink = tmp_path / "episodes.jsonl"
+    pipeline.run(questions, cfg, make_engine(TORN_SPECS)[0], sink)
+    whole = sink.read_bytes()
+    last = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+    for cut in range(last - 1, len(whole)):
+        sink.write_bytes(whole[:cut])
+        engine, backend = make_engine(TORN_SPECS)
+        summary, log = pipeline.run(questions, cfg, engine, sink)
+        assert sink.read_bytes() == whole, f"cut at byte {cut}"
+        assert log.ids == ["q1", "q2", "q3", "q4"]
+        assert summary.new_episodes == (2 if cut < last else 1)
+    lines = whole.splitlines(keepends=True)
+    damaged = lines[0] + b'{"id": \n' + b"".join(lines[2:])[:-5]
+    sink.write_bytes(damaged)
+    with pytest.raises(DatasetError, match=r"episodes\.jsonl:2: invalid JSON"):
+        pipeline.run(questions, cfg, make_engine(TORN_SPECS)[0], sink)
+    assert sink.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("concurrency", [2, 4])
+def test_window_bounds_the_questions_in_flight(tmp_path, concurrency):
+    """While question 0's initial call is blocked, the other workers begin
+    the initial calls of at most 4 * concurrency - 1 other questions: the
+    window's, less question 0's."""
+    n = 60
+    begun = []  # list.append is atomic
+    during = []
+
+    class Blocking:
+        def complete(self, request, role):
+            if request.request_id == "q00#initial":
+                # Released once no other question has begun for 0.3 s, or
+                # every other one has.
+                seen = -1
+                while seen != len(begun) < n - 1:
+                    seen = len(begun)
+                    time.sleep(0.3)
+                during.append(len(begun))
+            else:
+                begun.append(request.request_id)
+            return InferenceResult("yes", (-0.1,), -0.1)
+
+    questions = [
+        VisualQuestion(id=f"q{i:02d}", image=f"{i}.jpg", question="is it?", answers=("yes",))
+        for i in range(n)
+    ]
+    engine = Engine(recomposer=Blocking(), decomposer=Blocking())
+    cfg = PipelineConfig(mode="direct", concurrency=concurrency)
+    summary, log = pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
+    assert during and during[0] <= 4 * concurrency - 1
+    assert log.ids == [q.id for q in questions] and summary.failures == 0
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_run_restores_the_collector_when_it_raises(tmp_path, concurrency, held):
+    """A run freezes what is loaded while its chains run, and an exception
+    that is no BackendError leaves the collector enabled and nothing frozen;
+    a freeze the process already held is left as it was."""
+    states = []
+
+    class Failing:
+        def complete(self, request, role):
+            states.append((gc.isenabled(), gc.get_freeze_count() > 0))
+            if request.request_id == "q0005#initial":
+                raise RuntimeError("no backend failure")
+            return InferenceResult("yes", (-0.1,), -0.1)
+
+    questions = [
+        VisualQuestion(id=f"q{i:04d}", image=f"{i}.jpg", question="is it?", answers=("yes",))
+        for i in range(20)
+    ]
+    engine = Engine(recomposer=Failing(), decomposer=Failing())
+    cfg = PipelineConfig(mode="direct", concurrency=concurrency)
+    if held:
+        gc.freeze()
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(RuntimeError, match="no backend failure"):
+            pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert states and set(states) == {(True, True)}
+
+
+def test_engine_counts_a_call_that_raises_no_backend_error():
+    class Broken:
+        def complete(self, request, role):
+            raise RuntimeError("no backend failure")
+
+    engine = Engine(recomposer=Broken(), decomposer=Broken())
+    question = spec_questions(FOUR_EPISODE_SPECS)[0]
+    with pytest.raises(RuntimeError):
+        engine.answer(question, "initial", "Question: is it? Short Answer:")
+    with pytest.raises(RuntimeError):
+        engine.generate_subquestion(question, "Perception Question:")
+    assert (engine.recomposer_calls, engine.decomposer_calls, engine.retries) == (1, 1, 0)
+
+
+def test_engine_counts_every_call_from_many_threads():
+    """Eight threads call one Engine at a short switch interval: no count is
+    lost, failed calls and their retries included."""
+
+    class Retried:
+        def complete(self, request, role):
+            if request.request_id.endswith("#subq"):
+                error = TransportError("spent")
+                error.retries = 2
+                raise error
+            return InferenceResult("yes", (-0.1,), -0.1, retries=1)
+
+    engine = Engine(recomposer=Retried(), decomposer=Retried())
+    question = spec_questions(FOUR_EPISODE_SPECS)[0]
+
+    def calls():
+        for _ in range(500):
+            engine.answer(question, "initial", "Question: is it? Short Answer:")
+            with contextlib.suppress(TransportError):
+                engine.generate_subquestion(question, "Perception Question:")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (engine.recomposer_calls, engine.decomposer_calls) == (4000, 4000)
+    assert engine.retries == 4000 * 1 + 4000 * 2
 
 
 def test_run_deterministic_bytes(tmp_path):
