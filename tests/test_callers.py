@@ -107,17 +107,19 @@ def test_only_dataset_opens_files_for_reading():
 
 # The names through which json builds a parser of its own, and orjson.
 PARSER_NAMES = {"JSONDecoder", "scan_once", "raw_decode", "orjson"}
+# The names through which json builds an encoder of its own.
+ENCODER_NAMES = {"JSONEncoder", "c_make_encoder"}
 # The names through which a reader sees how a file is chunked.
 CHUNK_NAMES = {"read_chunks", "parse_chunk", "Chunk"}
 
 
-def _named_outside_dataset(names) -> list:
-    """"file:line" of each name or attribute outside ``dataset.py``, read or
-    imported, that is one of ``names``."""
+def _named_outside(names, exempt="dataset.py") -> list:
+    """"file:line" of each name or attribute outside the module ``exempt``,
+    read or imported, that is one of ``names``."""
     return sorted({
         f"{path.name}:{node.lineno}"
         for path in PACKAGE.glob("*.py")
-        if path.name != "dataset.py"
+        if path.name != exempt
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in names
         or (isinstance(node, ast.alias) and node.name in names)
@@ -150,15 +152,24 @@ def test_only_dataset_builds_a_json_parser():
     ``read_jsonl`` that every reader calls, so line numbers, the parse and
     its errors have one place to live. Whole-value ``json.loads`` calls (a
     response body, a cache's ids) are no JSONL parse."""
-    parsers = _named_outside_dataset(PARSER_NAMES)
+    parsers = _named_outside(PARSER_NAMES)
     assert not parsers, "builds a JSON parser: " + ", ".join(parsers)
+
+
+def test_no_module_builds_a_json_encoder():
+    """Episode log lines are written by ``pipeline._line`` alone, from the
+    record's fixed layout, so no second line encoder, with its own idea of
+    the line's bytes, can come back. A whole-value ``json.dumps`` call (a
+    request body, a report) builds no encoder of its own."""
+    encoders = _named_outside(ENCODER_NAMES, exempt=None)
+    assert not encoders, "builds a JSON encoder: " + ", ".join(encoders)
 
 
 def test_only_dataset_knows_how_a_file_is_chunked():
     """Readers outside ``dataset`` take ``read_jsonl``'s per-chunk results
     and never a chunk, so how a file is split, and into how many lines a
     chunk, has one place to live."""
-    readers = _named_outside_dataset(CHUNK_NAMES)
+    readers = _named_outside(CHUNK_NAMES)
     assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 

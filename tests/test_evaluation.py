@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from dataclasses import asdict
@@ -80,6 +81,47 @@ def test_vqa_consensus():
     assert not is_match("blue", answers, scoring="vqa_consensus")
     # Fewer than 3 answers falls back to exact match.
     assert is_match("blue", ["blue"], scoring="vqa_consensus")
+
+
+# Answer text built of what the rules act on: case, leading articles,
+# terminal punctuation and runs of whitespace, around a few words and any
+# text at all.
+ANSWER_TEXT = st.lists(
+    st.sampled_from(["a", "An", "THE", "the", "yes", "Yes", "red", "RED", "two", "2",
+                     ".", ",", "!", "?", " ", "  ", "\t", "\n", "\u3000"])
+    | st.text(max_size=4),
+    max_size=8,
+).map("".join)
+
+
+def reference_normalize(raw):
+    """The normalization rules restated: lowercase, trim, strip terminal
+    punctuation, split on whitespace, drop leading articles."""
+    words = raw.lower().strip().rstrip(".,!?").split()
+    return " ".join(itertools.dropwhile({"a", "an", "the"}.__contains__, words))
+
+
+@given(ANSWER_TEXT, st.lists(ANSWER_TEXT, min_size=1, max_size=5))
+def test_scoring_equals_the_rules_without_the_memo(predicted, answers):
+    """The memoised scoring gives what the rules give, on a first call and
+    on repeats that the memo answers."""
+    pred = reference_normalize(predicted)
+    matches = [reference_normalize(a) for a in answers].count(pred)
+    consensus = min(matches / 3.0, 1.0)
+    for _ in range(2):
+        assert normalize_answer(predicted) == pred
+        assert is_match(predicted, answers) == (matches > 0)
+        assert vqa_consensus_score(predicted, answers) == consensus
+        assert is_match(predicted, answers, scoring="vqa_consensus") == (
+            consensus >= evaluation.CONSENSUS_THRESHOLD if len(answers) >= 3 else matches > 0
+        )
+
+
+def test_the_scoring_memo_is_bounded():
+    """A run whose answers never repeat holds at most a fixed number of
+    them."""
+    maxsize = normalize_answer.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 # --- rates -------------------------------------------------------------

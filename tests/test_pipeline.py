@@ -574,29 +574,83 @@ LINE_TEXT = st.text(st.one_of(
     st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001f600"]),
     st.characters(),
 ))
-CONFIDENCES = st.one_of(st.sampled_from([sys.float_info.min, 1.0, 0.0]), st.floats(0.0, 1.0))
-ANSWERS = st.fixed_dictionaries({"text": LINE_TEXT, "confidence": CONFIDENCES})
+# The smallest normal and subnormal floats, and confidences that repr writes
+# with an exponent.
+CONFIDENCES = st.one_of(
+    st.sampled_from([sys.float_info.min, 1.0, 0.0, 1e-05, 9.900000000000001e-05, 5e-324]),
+    st.floats(0.0, 1.0),
+)
+# Built key by key: fixed_dictionaries does not keep its keys' order.
+ANSWERS = st.builds(lambda text, confidence: {"text": text, "confidence": confidence},
+                    LINE_TEXT, CONFIDENCES)
+RECORD_FIELDS = (
+    ("id", LINE_TEXT),
+    ("initial", ANSWERS),
+    ("gate", st.sampled_from(["kept", "second_guessed"])),
+    ("subquestion", st.none() | LINE_TEXT),
+    ("subanswer", st.none() | LINE_TEXT),
+    ("subanswer_provenance", st.sampled_from([None, "oracle", "model"])),
+    ("final", st.none() | ANSWERS),  # None: the initial answer itself, as a kept record holds
+    ("correct_before", st.booleans()),
+    ("correct_after", st.booleans()),
+    ("malformed_subquestion", st.booleans()),
+)
 
 
-@given(st.fixed_dictionaries(
-    {
-        "id": LINE_TEXT,
-        "initial": ANSWERS,
-        "gate": st.sampled_from(["kept", "second_guessed"]),
-        "subquestion": st.none() | LINE_TEXT,
-        "subanswer": st.none() | LINE_TEXT,
-        "subanswer_provenance": st.sampled_from([None, "oracle", "model"]),
-        "final": ANSWERS,
-        "correct_before": st.booleans(),
-        "correct_after": st.booleans(),
-        "malformed_subquestion": st.booleans(),
-    },
-    optional={"failed": st.just(True)},
-))
+def _as_record(values, failed):
+    record = dict(zip((key for key, _ in RECORD_FIELDS), values))
+    if record["final"] is None:
+        record["final"] = record["initial"]
+    if failed is not None:
+        record["failed"] = failed
+    return record
+
+
+RECORDS = st.builds(_as_record, st.tuples(*(field for _, field in RECORD_FIELDS)),
+                    st.none() | st.booleans())
+
+
+@given(RECORDS)
 def test_record_line_is_json_dumps_of_its_fields(record):
-    """One shared encoder writes each log line: the bytes of a json.dumps
-    call of the record."""
-    assert pipeline._LINE_ENCODER.encode(record) == json.dumps(record, ensure_ascii=False)
+    """The line writer writes each log line: the bytes of a json.dumps call
+    of the record, then a line end."""
+    assert pipeline._line(record) == json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _reordered(record):
+    record = dict(record)
+    record["correct_after"] = record.pop("correct_after")
+    return record
+
+
+def _without_gate(record):
+    record = dict(record)
+    del record["gate"]
+    return record
+
+
+@pytest.mark.parametrize("broken, raised", [
+    (_reordered, ValueError),
+    # The run's check of the chunk rejects it before the writer sees it.
+    (_without_gate, AssertionError),
+    (lambda record: {**record, "error": "TransportError"}, ValueError),
+])
+def test_a_record_off_the_layout_writes_no_line(tmp_path, broken, raised):
+    """A record whose keys are not ``_record``'s, in its order, raises in
+    the writer, and a run that built one appends nothing to its log."""
+    [q] = spec_questions(FOUR_EPISODE_SPECS[:1])
+    record = pipeline._record(q, {"text": "yes", "confidence": 0.5}, True)
+    with pytest.raises(ValueError, match="layout"):
+        pipeline._line(broken(record))
+    sink = tmp_path / "episodes.jsonl"
+    sink.write_bytes(b"")
+    engine, _ = make_engine(FOUR_EPISODE_SPECS)
+    original = pipeline._record
+    with mock.patch.object(pipeline, "_record", lambda *a, **k: broken(original(*a, **k))), \
+            pytest.raises(raised):
+        pipeline.run(spec_questions(FOUR_EPISODE_SPECS), PipelineConfig(mode="direct"), engine,
+                     sink)
+    assert sink.read_bytes() == b""
 
 
 CHAIN_SPECS = [
