@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Tuple
 from urllib.parse import unquote, urlsplit
 
-from .dataset import CHUNK_LINES, collector_paused, read_jsonl
+from .dataset import CHUNK_LINES, read_jsonl
 
 LOGPROB_SUM_TOLERANCE = 1e-6
 DEFAULT_RETRY_ATTEMPTS = 3
@@ -458,11 +458,9 @@ class MockBackend:
         the entries, not with the file. ``_chunk_entries`` is each chunk's
         check, and the DatasetError of the first bad line names
         ``path:line``. The lines are parsed stripped, so a line may hold any
-        whitespace that str.strip removes around its JSON. The parse and the
-        index build run with the cyclic collector paused."""
-        with collector_paused():
-            chunks = read_jsonl(path, _chunk_entries, strip=True)
-            return cls(itertools.chain.from_iterable(chunks))
+        whitespace that str.strip removes around its JSON."""
+        chunks = read_jsonl(path, _chunk_entries, strip=True)
+        return cls(itertools.chain.from_iterable(chunks))
 
     def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
         """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime
 import errno
+import gc
 import hashlib
 import itertools
 import json
@@ -201,15 +202,32 @@ class _Group(click.Group):
     an OSError to 2: every input is read through ``dataset``, which raises
     its OSError as a DatasetError, so one that leaves a command comes from
     an output that cannot be written, named by ``dataset.replacing``, or
-    from standard output, such as a closed pipe, if it names no file."""
+    from standard output, such as a closed pipe, if it names no file.
+
+    It also owns the cyclic garbage collector: a command runs with it
+    disabled, and it is enabled again on the way out, whatever the exit,
+    only if it was enabled on entry. A command makes a fixed number of
+    reference cycles, none per item (``test_a_command_makes_no_cycles_per_item``
+    pins this), but reading its input allocates dicts and tuples by the
+    million at 10^6 episodes, and each full collection would walk every
+    object the command has kept so far: at 10^6 episodes (a 327 MB log,
+    2-vCPU VM, Python 3.11, 4 alternating child processes) a cold
+    ``metrics`` took a median 4.8 s with the collector paused and 5.8 s
+    without it. Only the command knows that what it loads lives to its end;
+    a library caller keeps Python's own collector behaviour."""
 
     def invoke(self, ctx):
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except (ConfigError, DatasetError) as exc:
             _fail(EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATASET, str(exc))
         except OSError as exc:
             _fail(EXIT_CONFIG, f"cannot write {exc.filename or 'standard output'}: {exc.strerror}")
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @click.group(cls=_Group)

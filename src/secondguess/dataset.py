@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import gc
 import itertools
 import json
 import logging
@@ -96,11 +95,10 @@ def _question_from_obj(obj) -> VisualQuestion:
 
 # Lines per chunk of every JSONL reader: a chunk's bytes and parsed lines,
 # about three dicts per episode-log line, are freed before the next chunk
-# is read. ``pipeline._parse_log`` pauses the cyclic GC, so a larger chunk
-# no longer sets off more collections, but it holds more memory. On the
-# offline-eval benchmark (2-vCPU VM, Python 3.11, 6 alternating pairs),
-# 1,024 lines read a median 1.7 % fewer episodes a second than 256, within
-# the runs' spread, at a 0.8 MiB higher peak RSS in every pair.
+# is read, so a larger chunk holds more memory. On the offline-eval
+# benchmark (2-vCPU VM, Python 3.11, 6 alternating pairs), 1,024 lines read
+# a median 1.7 % fewer episodes a second than 256, within the runs' spread,
+# at a 0.8 MiB higher peak RSS in every pair.
 CHUNK_LINES = 256
 
 
@@ -121,14 +119,15 @@ def read_chunks(path, digest=None, torn=None) -> Iterator[Chunk]:
     LF or a lone CR. A run holds CHUNK_LINES LF-ended stretches of the file, so
     a lone CR adds a line to its run, and a file whose lines all end in a
     lone CR is one run. Each run is checked for UTF-8 once, by ``isascii``
-    or a decode. A byte that is not UTF-8 raises DatasetError naming
-    ``path:line`` once the lines before it are yielded, for a reader to name
-    an earlier bad line first. A ``digest`` (a hashlib object) is updated
-    with each run's bytes before the run is yielded: at the end of a file it
-    holds the digest of the file's bytes, as ``hash_file`` does. Given a list
-    ``torn``, a last line with no line end, as a write cut short leaves it,
-    is not checked, hashed or yielded: ``torn`` takes its offset in the file.
-    An OSError from opening or reading is raised as a DatasetError."""
+    or a decode, and yielded as bytes, which the parser takes undecoded. A
+    byte that is not UTF-8 raises DatasetError naming ``path:line`` once the
+    lines before it are yielded, for a reader to name an earlier bad line
+    first. A ``digest`` (a hashlib object) is updated with each run's bytes
+    before the run is yielded: at the end of a file it holds the digest of
+    the file's bytes, as ``hash_file`` does. Given a list ``torn``, a last
+    line with no line end, as a write cut short leaves it, is not checked,
+    hashed or yielded: ``torn`` takes its offset in the file. An OSError
+    from opening or reading is raised as a DatasetError."""
     try:
         with open(path, "rb") as fh:
             start, offset = 1, 0
@@ -218,7 +217,10 @@ def _orjson_agrees(lines: List[bytes], data: bytes) -> bool:
 
 
 def _load(line: str):
-    """json.loads(line), by orjson where it agrees."""
+    """json.loads(line), by orjson where it agrees. json.loads takes what
+    orjson rejects, such as NaN, Infinity, a number beyond float range and an
+    unpaired-surrogate escape, and gives the error of a line that is no
+    JSON."""
     data = line.encode("utf-8")
     if _orjson_agrees([data], data):
         try:
@@ -238,11 +240,12 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     checked alone, in order, and the first bad one raises DatasetError
     naming ``path:line``.
 
-    orjson parses the lines' bytes, JSON whitespace around a value and all.
+    orjson parses the lines' bytes, JSON whitespace (space, tab, CR, LF)
+    around a value and all, and takes a line only if it holds one value.
     A chunk it cannot take goes to the text of its lines, each parsed by
     ``_load``: one where it rejects a line, ``_orjson_agrees`` does not
-    hold, a line is blank only by str.isspace, or the check returns a
-    problem."""
+    hold, a line is blank only by str.isspace (such as "\x1c" or U+3000),
+    or the check returns a problem."""
     values = [line for line in chunk.lines if not line.isspace()]
     if _orjson_agrees(values, chunk.data):
         # Bad JSON raises orjson.JSONDecodeError, a ValueError, and deep
@@ -284,25 +287,11 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
 
 def read_jsonl(path, check, strip: bool = False, digest=None, torn=None) -> Iterator:
     """``parse_chunk(path, chunk, check, strip)`` of each chunk that
-    ``read_chunks(path, digest, torn)`` reads: how all JSONL input is read."""
+    ``read_chunks(path, digest, torn)`` reads: how all JSONL input is read.
+    A caller flattens or joins the results as they come, so memory holds
+    one chunk's bytes and values at a time."""
     for chunk in read_chunks(path, digest, torn):
         yield parse_chunk(path, chunk, check, strip)
-
-
-@contextlib.contextmanager
-def collector_paused():
-    """A block run with the cyclic garbage collector paused, and restored as
-    it was when the block ends, whatever the exit. For reading input: a
-    parse makes no reference cycles, but the containers it allocates would
-    set off collections, full ones included, that walk all it has kept so
-    far."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _no_unpaired_surrogate(values) -> None:
@@ -349,10 +338,9 @@ def load_dataset(path) -> List[VisualQuestion]:
     lists are rejected.
     """
     seen = set()
-    with collector_paused():
-        return list(itertools.chain.from_iterable(
-            read_jsonl(path, lambda values: _questions(values, seen))
-        ))
+    return list(itertools.chain.from_iterable(
+        read_jsonl(path, lambda values: _questions(values, seen))
+    ))
 
 
 @contextlib.contextmanager

@@ -36,14 +36,6 @@ them with ``dict.get``, so that each rule still fails in its order. It
 gives a chunk's flags as ``bytes`` and its confidences as an
 ``array('d')``; ``EpisodeColumns`` sorts the valid confidences by class
 once the chunks are joined.
-
-The cyclic garbage collector is paused by ``dataset.collector_paused``
-while a log is read, and ``run`` freezes what is loaded (``gc.freeze``)
-while its chains run. A parse makes no reference cycles, but it allocates
-dicts and tuples by the million at 10^6 episodes, and each full collection
-would walk every object the read has kept so far: at 10^6 episodes (a
-327 MB log, 2-vCPU VM, Python 3.11, 4 alternating child processes) a cold
-``metrics`` took a median 4.8 s with the pause and 5.8 s without it.
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import gc
 import hashlib
 import itertools
 import json
@@ -80,7 +71,6 @@ from .backend import (
 from .dataset import (
     CHUNK_LINES,
     VisualQuestion,
-    collector_paused,
     hash_file,
     read_jsonl,
     repeated_id,
@@ -442,13 +432,11 @@ def _parse_log(path, digest=None, torn=None) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read a chunk at a time by
     ``dataset.read_jsonl`` with no dict kept per episode, ``_chunk_columns``
     each chunk's check, and the bytes parsed hashed into ``digest``; a list
-    ``torn`` takes a torn last line's offset instead of its record. The
-    cyclic GC is paused meanwhile, by ``dataset.collector_paused``."""
+    ``torn`` takes a torn last line's offset instead of its record."""
     seen = set()
-    with collector_paused():
-        return _joined(read_jsonl(
-            path, lambda records: _chunk_columns(records, seen), digest=digest, torn=torn
-        ))
+    return _joined(read_jsonl(
+        path, lambda records: _chunk_columns(records, seen), digest=digest, torn=torn
+    ))
 
 
 # A log's columns are cached in a file next to it, under a key: this format,
@@ -609,50 +597,39 @@ def run(
     chunks = [(log.ids, log.failed, log.confidence, log.second_guessed, log.correct_before,
                log.correct_after)]
     lines = []
-    # What is loaded lives to the end of the run (the questions, a mock
-    # script and its index, the log's columns): frozen, it is left out of
-    # the collections that the chains' allocations set off. A freeze the
-    # process already holds is left alone, as unfreezing would end it.
-    freeze = not gc.get_freeze_count()
-    if freeze:
-        gc.freeze()
-    try:
-        # One pool serves the run: at most `concurrency` worker threads, and
-        # an HTTP backend keeps one connection per thread. The window of
-        # 4 * concurrency questions keeps every worker busy while the
-        # episodes are taken in order, and bounds what is held in flight;
-        # at concurrency 1 the tasks run inline, cheaper than a thread handoff.
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            map_ = map
-            if cfg.concurrency > 1:
-                map_ = functools.partial(_windowed, pool, window=4 * cfg.concurrency)
-            if cfg.tau_percentile is None:
-                episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau),
-                                questions)
-            else:
-                # The one barrier: a percentile tau needs every initial
-                # confidence. With none, tau stays None and every chain is a
-                # failed record.
-                initials = list(map_(lambda q: _initial(engine, q), questions))
-                confidences = [a["confidence"] for a in initials if a is not None]
-                if confidences:
-                    tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-                episodes = map_(lambda qa: _episode(engine, *qa, cfg, tau),
-                                zip(questions, initials))
-            for chunk in iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), []):
-                columns = _chunk_columns(chunk, done)
-                if isinstance(columns, str):
-                    raise AssertionError(f"run built a record the log reader rejects: {columns}")
-                chunks.append(columns)
-                lines.append("".join(map(_line, chunk)))
+    # One pool serves the run: at most `concurrency` worker threads, and
+    # an HTTP backend keeps one connection per thread. The window of
+    # 4 * concurrency questions keeps every worker busy while the
+    # episodes are taken in order, and bounds what is held in flight;
+    # at concurrency 1 the tasks run inline, cheaper than a thread handoff.
+    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+        map_ = map
+        if cfg.concurrency > 1:
+            map_ = functools.partial(_windowed, pool, window=4 * cfg.concurrency)
+        if cfg.tau_percentile is None:
+            episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau),
+                            questions)
+        else:
+            # The one barrier: a percentile tau needs every initial
+            # confidence. With none, tau stays None and every chain is a
+            # failed record.
+            initials = list(map_(lambda q: _initial(engine, q), questions))
+            confidences = [a["confidence"] for a in initials if a is not None]
+            if confidences:
+                tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
+            episodes = map_(lambda qa: _episode(engine, *qa, cfg, tau),
+                            zip(questions, initials))
+        for chunk in iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), []):
+            columns = _chunk_columns(chunk, done)
+            if isinstance(columns, str):
+                raise AssertionError(f"run built a record the log reader rejects: {columns}")
+            chunks.append(columns)
+            lines.append("".join(map(_line, chunk)))
 
-        with open(sink_path, "a", encoding="utf-8") as fh:
-            if torn:
-                fh.truncate(torn[0])
-            fh.writelines(lines)
-    finally:
-        if freeze:
-            gc.unfreeze()
+    with open(sink_path, "a", encoding="utf-8") as fh:
+        if torn:
+            fh.truncate(torn[0])
+        fh.writelines(lines)
     whole = _joined(chunks)
     return RunSummary(
         episodes=len(whole.ids),

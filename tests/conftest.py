@@ -59,8 +59,8 @@ def raw(text: str) -> bytes:
 @pytest.fixture(autouse=True)
 def collector_state_guard():
     """Fail a test that leaves the cyclic collector disabled or objects
-    frozen, as a pause or freeze in ``dataset`` or ``pipeline`` that an exit
-    skipped would; the state is restored first, so the next test starts
+    frozen, as a command whose exit skipped ``cli``'s restore of the
+    collector would; the state is restored first, so the next test starts
     clean."""
     yield
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()

@@ -173,6 +173,14 @@ def test_only_dataset_knows_how_a_file_is_chunked():
     assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 
+def test_only_cli_touches_the_collector():
+    """The command group alone sets the cyclic garbage collector's policy,
+    as only a command knows that what it loads lives to its end; the
+    library leaves the collector as Python runs it."""
+    users = _named_outside({"gc"}, exempt="cli.py")
+    assert not users, "names gc: " + ", ".join(users)
+
+
 # A cold process of each command but one over a backend: metrics with no
 # cache, sweep on a cache hit, a run on a mock script, fit, stats and
 # convert, then simulate. Prints whether numpy is loaded before simulate,

@@ -37,7 +37,7 @@ from conftest import (
 )
 import secondguess
 from secondguess import cli, dataset, evaluation, pipeline, prompts
-from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, HTTPBackend
+from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, BackendError, HTTPBackend, MockBackend
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
 from secondguess.simulator import SimConfig, closed_form_decompose_all, generate_trials
@@ -1744,26 +1744,128 @@ def test_manifest_counts_alike_at_every_concurrency(runner, workspace, loopback,
     assert counts[0][1] > 0 and counts[0][2] > 0
 
 
-@pytest.mark.parametrize("code", [2, 3])
+@pytest.mark.parametrize("code", [0, 1, 2, 3, "raises", "held"])
 def test_run_restores_the_collector_when_it_exits(runner, workspace, monkeypatch, code):
-    """A run that exits 2, as its log cannot be appended to, or 3, as the
-    log it resumes holds a bad line, leaves the collector enabled and
-    nothing frozen."""
+    """A command runs with the cyclic collector disabled, as a backend's
+    ``complete`` in ``run`` and ``read_episode_log`` in ``metrics`` see it,
+    and enables it again whatever the exit: 0; 1, as a question fails; 2,
+    as the run's log cannot be appended to; 3, as the log it resumes holds
+    a bad line; or a RuntimeError from a backend ("raises"). A caller that
+    had disabled it ("held") finds it still disabled."""
     tmp, data, script = workspace
     out = tmp / "out"
     out.mkdir()
+    seen = []
+    complete, read_episode_log = MockBackend.complete, pipeline.read_episode_log
+
+    def watched_complete(self, request, role):
+        seen.append(("complete", gc.isenabled()))
+        if code == 1 and request.request_id == "q2#initial":
+            raise BackendError("refused")
+        if code == "raises":
+            raise RuntimeError("no backend failure")
+        return complete(self, request, role)
+
+    def watched_read(path):
+        seen.append(("read_episode_log", gc.isenabled()))
+        return read_episode_log(path)
+
+    monkeypatch.setattr(MockBackend, "complete", watched_complete)
+    monkeypatch.setattr(pipeline, "read_episode_log", watched_read)
     if code == 2:
         def refuse(path, *args, **kwargs):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
         monkeypatch.setattr(pipeline, "open", refuse, raising=False)
-    else:
+    elif code == 3:
         (out / "episodes.jsonl").write_text("{\n")
-    result = runner.invoke(main, [
-        "run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out),
-    ])
-    assert result.exit_code == code, result.output
-    assert gc.isenabled() and gc.get_freeze_count() == 0
+    if code == "held":
+        gc.disable()
+    try:
+        result = runner.invoke(main, [
+            "run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out),
+        ])
+        if code in (0, 1, "held"):
+            metrics = runner.invoke(main, [
+                "metrics", "--log", str(out / "episodes.jsonl"), "--out", str(out),
+            ])
+            assert metrics.exit_code == 0, metrics.output
+        enabled = gc.isenabled()
+    finally:
+        gc.enable()
+    if code == "raises":
+        assert isinstance(result.exception, RuntimeError)
+    else:
+        assert result.exit_code == (0 if code == "held" else code), result.output
+    # A resumed log with a bad line stops the run before any backend call.
+    watched = {2: {"complete"}, 3: set(), "raises": {"complete"}}.get(
+        code, {"complete", "read_episode_log"})
+    assert {where for where, _ in seen} == watched
+    assert not any(enabled for _, enabled in seen)
+    assert enabled is (code != "held") and gc.get_freeze_count() == 0
+
+
+def _cycles_of(args) -> int:
+    """How many objects one ``gc.collect()`` finds unreachable, under
+    ``gc.DEBUG_SAVEALL``, after the command ``args`` ran as the console
+    script runs it: those in reference cycles and those only they hold. A
+    ``CliRunner`` result would hold the exit's traceback, whose frames hold
+    all the command loaded."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            main.main(args=args, prog_name="secondguess")
+        except SystemExit:
+            pass
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_a_command_makes_no_cycles_per_item(tmp_path, loopback):
+    """A command runs with the cyclic collector disabled, which is safe only
+    while it makes a fixed number of reference cycles, none per item. The
+    count is the same at n and at 10 n items for a run over a mock script,
+    one question in five a script miss, at concurrency 1 and 4; a run over
+    HTTP whose first request meets a 503 that a retry absorbs; a cold
+    ``metrics``; and a ``sweep`` that hits the column cache."""
+
+    def cycles(n: int) -> dict:
+        specs = [
+            QSpec(f"q{i}", f"is thing {i} red?", "yes", ("yes", "no")[i % 2],
+                  (i % 10 + 0.5) / 10, f"is part {i} seen?", "yes", ("yes", "no")[i % 3 == 0])
+            for i in range(n)
+        ]
+        top = tmp_path / str(n)
+        top.mkdir()
+        data, script = top / "dataset.jsonl", top / "script.jsonl"
+        dataset.save_dataset(spec_questions(specs), data)
+        write_script([s for i, s in enumerate(specs) if i % 5], script)
+        found = {}
+        for concurrency in (1, 4):
+            out = top / f"mock{concurrency}"
+            found[f"run mock c{concurrency}"] = _cycles_of([
+                "run", "--dataset", str(data), "--mock-script", str(script), "--mode",
+                "selective", "--tau", "0.5", "--concurrency", str(concurrency), "--out", str(out),
+            ])
+            assert json.loads((out / "manifest.json").read_text())["failures"] == n // 5
+        server = loopback([Reply(503)], answer_from_prompt)
+        found["run http"] = _cycles_of([
+            "run", "--dataset", str(data), "--recomposer-url", server.url, "--mode",
+            "decompose_all", "--concurrency", "2", "--out", str(top / "http"),
+        ])
+        manifest = json.loads((top / "http" / "manifest.json").read_text())
+        assert (manifest["retries"], manifest["failures"]) == (1, 0)
+        log = str(top / "mock1" / "episodes.jsonl")
+        for command in ("metrics", "sweep"):
+            found[command] = _cycles_of([command, "--log", log, "--out", str(top / command)])
+            assert (top / command / "sweep.csv").exists()
+        return found
+
+    assert cycles(20) == cycles(200)
 
 
 def test_run_over_http_unpaired_surrogate_reply_fails_its_question(

@@ -1,6 +1,5 @@
 import collections
 import contextlib
-import gc
 import hashlib
 import itertools
 import json
@@ -443,39 +442,6 @@ def test_window_bounds_the_questions_in_flight(tmp_path, concurrency):
     summary, log = pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
     assert during and during[0] <= 4 * concurrency - 1
     assert log.ids == [q.id for q in questions] and summary.failures == 0
-
-
-@pytest.mark.parametrize("held", [False, True])
-@pytest.mark.parametrize("concurrency", [1, 4])
-def test_run_restores_the_collector_when_it_raises(tmp_path, concurrency, held):
-    """A run freezes what is loaded while its chains run, and an exception
-    that is no BackendError leaves the collector enabled and nothing frozen;
-    a freeze the process already held is left as it was."""
-    states = []
-
-    class Failing:
-        def complete(self, request, role):
-            states.append((gc.isenabled(), gc.get_freeze_count() > 0))
-            if request.request_id == "q0005#initial":
-                raise RuntimeError("no backend failure")
-            return InferenceResult("yes", (-0.1,), -0.1)
-
-    questions = [
-        VisualQuestion(id=f"q{i:04d}", image=f"{i}.jpg", question="is it?", answers=("yes",))
-        for i in range(20)
-    ]
-    engine = Engine(recomposer=Failing(), decomposer=Failing())
-    cfg = PipelineConfig(mode="direct", concurrency=concurrency)
-    if held:
-        gc.freeze()
-    frozen = gc.get_freeze_count()
-    try:
-        with pytest.raises(RuntimeError, match="no backend failure"):
-            pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
-        assert gc.isenabled() and gc.get_freeze_count() == frozen
-    finally:
-        gc.unfreeze()
-    assert states and set(states) == {(True, True)}
 
 
 def test_engine_counts_a_call_that_raises_no_backend_error():
