@@ -4,6 +4,12 @@ Both backends return generated text plus token-level log-probabilities of
 the selected beam. The confidence used by the selective gate is the raw
 joint sequence probability exp(sum of token log-probs), with no length
 normalization.
+
+``HTTPBackend`` speaks HTTP/1.1 on a socket, not through ``http.client``,
+which would bring its ``email`` header parser. ``socket`` is imported when
+an ``HTTPBackend`` opens its first connection, and ``ssl`` when one is built
+for an https URL, so a process that builds none, as the offline commands
+and a run on a mock script, loads neither.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Tuple
 from urllib.parse import unquote, urlsplit
 
@@ -45,8 +50,7 @@ class ScriptMissError(BackendError):
     """No mock script entry matched the request; a test misconfiguration."""
 
 
-@dataclass(frozen=True)
-class SamplingParams:
+class SamplingParams(NamedTuple):
     mode: str  # "multinomial_beam" | "deterministic_beam"
     num_beams: int = 5
     top_p: float = 1.0
@@ -71,6 +75,7 @@ class InferenceRequest(NamedTuple):
     params: SamplingParams
     request_id: str
     image: Optional[str] = None  # base64 payload or URL, opaque here
+    seed: Optional[int] = None  # a multinomial call's sampling seed, sent if set
 
 
 class InferenceResult(NamedTuple):
@@ -144,8 +149,7 @@ def confidence_of(result: InferenceResult) -> float:
     return max(math.exp(result.cumulative_logprob), sys.float_info.min)
 
 
-@dataclass(frozen=True)
-class BackendRole:
+class BackendRole(NamedTuple):
     role: str  # "decomposer" | "recomposer"
 
 
@@ -172,9 +176,9 @@ def _with_retries(
 
 
 # The body's dict of a SamplingParams, built once per value (the chain sends
-# only ANSWER_PARAMS and DECOMPOSE_PARAMS): a frozen dataclass is hashable,
-# and json.dumps leaves the dict as it is.
-_params_dict = functools.cache(asdict)
+# only ANSWER_PARAMS and DECOMPOSE_PARAMS): a named tuple is hashable, and
+# json.dumps leaves the dict as it is.
+_params_dict = functools.cache(SamplingParams._asdict)
 
 
 def _line(file) -> bytes:
@@ -267,7 +271,8 @@ class _Connection:
 class HTTPBackend:
     """Client for the canonical JSON-over-HTTP generation protocol.
 
-    POST {base_url}/v1/generate with {"prompt", "image", "params"};
+    POST {base_url}/v1/generate with {"prompt", "image", "params"}, and
+    "seed" when the request has one;
     transport faults are retried with bounded exponential backoff,
     protocol violations are surfaced immediately.
 
@@ -377,6 +382,8 @@ class HTTPBackend:
             "image": request.image,
             "params": _params_dict(request.params),
         }
+        if request.seed is not None:
+            body["seed"] = request.seed
         data = json.dumps(body, allow_nan=False).encode("utf-8")
 
         def attempt() -> InferenceResult:

@@ -13,9 +13,7 @@ import bisect
 import contextlib
 import itertools
 import json
-import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
@@ -24,8 +22,6 @@ import orjson
 from .evaluation import normalize_answer
 from .prompts import SubQA
 
-logger = logging.getLogger(__name__)
-
 QTYPES = ("boolean", "number", "other")
 
 
@@ -33,8 +29,7 @@ class DatasetError(Exception):
     """Raised for malformed or inconsistent dataset files."""
 
 
-@dataclass(frozen=True)
-class VisualQuestion:
+class VisualQuestion(NamedTuple):
     id: str
     image: str
     question: str
@@ -371,7 +366,7 @@ def save_dataset(questions: Iterable[VisualQuestion], path) -> None:
     """Write questions as canonical JSONL, fields in canonical order."""
     with replacing(path) as fh:
         for q in questions:
-            obj = {key: value for key, value in vars(q).items() if value is not None}
+            obj = {key: value for key, value in q._asdict().items() if value is not None}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
@@ -389,8 +384,10 @@ def convert_winoground(records: list):
     warnings = 0
     for record in records:
         if record["caption_0"] == record["caption_1"]:
+            import logging  # its only use, so that no other command loads it
+
             warnings += 1
-            logger.warning(
+            logging.getLogger(__name__).warning(
                 "winoground record %s has identical captions; labels conflict",
                 record["id"],
             )

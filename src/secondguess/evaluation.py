@@ -19,9 +19,8 @@ import functools
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
 from itertools import accumulate, compress, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 _ARTICLES = ("a", "an", "the")
 _TERMINAL_PUNCT = ".,!?"
@@ -73,14 +72,7 @@ def _bits(flags: bytes) -> int:
     return int.from_bytes(flags, "little")
 
 
-@dataclass
-class EpisodeColumns:
-    """The fields of an episode log that the evaluation reads, one entry per
-    record, failed records included: a list of ids, 0/1 flags a byte each,
-    and confidences as doubles. ``by_class`` holds the confidences of the
-    valid records class by class, in CLASSES order, each class ascending; it
-    is sorted from the columns when not given."""
-
+class _Columns(NamedTuple):
     ids: List[str]
     failed: bytes
     confidence: array
@@ -89,12 +81,25 @@ class EpisodeColumns:
     correct_after: bytes
     by_class: Optional[array] = None
 
-    def __post_init__(self) -> None:
-        if self.by_class is None:
-            self.by_class = array("d")
-            for members in _class_members(self):
-                members = members.to_bytes(len(self.ids), "little")
-                self.by_class.fromlist(sorted(compress(self.confidence, members)))
+
+class EpisodeColumns(_Columns):
+    """The fields of an episode log that the evaluation reads, one entry per
+    record, failed records included: a list of ids, 0/1 flags a byte each,
+    and confidences as doubles. ``by_class`` holds the confidences of the
+    valid records class by class, in CLASSES order, each class ascending; it
+    is sorted from the columns when not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "EpisodeColumns":
+        self = super().__new__(cls, *args, **kwargs)
+        if self.by_class is not None:
+            return self
+        by_class = array("d")
+        for members in _class_members(self):
+            members = members.to_bytes(len(self.ids), "little")
+            by_class.fromlist(sorted(compress(self.confidence, members)))
+        return self._replace(by_class=by_class)
 
 
 def _valid(log: EpisodeColumns) -> int:
@@ -140,8 +145,7 @@ def percentile_to_tau(confidences: Sequence[float], percentile: float) -> float:
     return _nearest_rank(sorted(confidences), percentile)
 
 
-@dataclass
-class SweepPoint:
+class SweepPoint(NamedTuple):
     percentile: float
     tau: float
     surprisal: float  # inf at the percentile-0 sentinel
@@ -255,8 +259,7 @@ def linear_fit(points: Sequence[Tuple[float, float]]) -> dict:
     return {"slope": slope, "intercept": intercept, "r_squared": r_squared}
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     n: int
     accuracy_before: float
     accuracy_after: float
@@ -266,10 +269,10 @@ class MetricsReport:
     e_ic: Optional[float]
     e_ic_denominator: int
     eta: float
-    tau: Optional[float] = None
-    surprisal: Optional[float] = None
-    failures: int = 0
-    per_qtype: Dict[str, dict] = field(default_factory=dict)
+    tau: Optional[float]
+    surprisal: Optional[float]
+    failures: int
+    per_qtype: Dict[str, dict]  # empty without a qtype map
 
 
 def compute_report(
@@ -316,6 +319,7 @@ def compute_report(
         tau=tau,
         surprisal=surprisal(tau) if tau is not None and tau > 0 else None,
         failures=len(log.ids) - n,
+        per_qtype={},
     )
     if qtype_map is not None:
         qtypes = list(map(qtype_map.get, log.ids, repeat("other")))
@@ -336,6 +340,5 @@ def compute_report(
 def write_sweep_csv(points: Sequence[SweepPoint], fh) -> None:
     """Emit the SweepPoint CSV schema for plotting to ``fh``, opened with newline=""."""
     writer = csv.writer(fh)
-    writer.writerow(f.name for f in fields(SweepPoint))
-    # vars holds a dataclass's fields in their order.
-    writer.writerows(map(repr, vars(p).values()) for p in points)
+    writer.writerow(SweepPoint._fields)
+    writer.writerows(map(repr, p) for p in points)

@@ -51,11 +51,9 @@ import sys
 import threading
 import zlib
 from array import array
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import evaluation, prompts
 from .backend import (
@@ -95,11 +93,7 @@ class ConfigError(Exception):
     """Invalid pipeline configuration."""
 
 
-@dataclass
-class PipelineConfig:
-    """Every setting the chain reads, and the one default of each; ``cli``
-    checks the mode, scoring and prompt style are known."""
-
+class _Settings(NamedTuple):
     mode: str
     tau: Optional[float] = None
     tau_percentile: Optional[float] = None
@@ -108,7 +102,16 @@ class PipelineConfig:
     scoring: str = "exact"
     decomposer_prompt_style: str = "decompose_default"
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig(_Settings):
+    """Every setting the chain reads, and the one default of each; ``cli``
+    checks the mode, scoring and prompt style are known, and construction
+    checks the rest."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "PipelineConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.tau is not None and not (0.0 <= self.tau <= 1.0):
             raise ConfigError("tau must be in [0, 1]")
         if self.tau_percentile is not None and not (0.0 <= self.tau_percentile <= 100.0):
@@ -122,21 +125,22 @@ class PipelineConfig:
             raise ConfigError(f"mode {self.mode!r} does not take a threshold")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be positive")
+        return self
 
 
-@dataclass
-class RunSummary:
-    episodes: int = 0
-    new_episodes: int = 0
-    failures: int = 0
-    backend_calls: int = 0
-    retries: int = 0
-    skipped_missing_oracle: int = 0
-    resolved_tau: Optional[float] = None
+class RunSummary(NamedTuple):
+    episodes: int
+    new_episodes: int
+    failures: int
+    backend_calls: int
+    retries: int
+    skipped_missing_oracle: int
+    resolved_tau: Optional[float]
 
 
-def _scramble_seed(root_seed: int, question_id: str) -> int:
-    digest = hashlib.sha256(f"{root_seed}:{question_id}".encode("utf-8")).digest()
+def _scramble_seed(root_seed: int, key: str) -> int:
+    """A 64-bit seed of the run's seed and a question or request id."""
+    digest = hashlib.sha256(f"{root_seed}:{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -188,15 +192,19 @@ class Engine:
         result = self._call(request, RECOMPOSER)
         return {"text": result.text, "confidence": confidence_of(result)}
 
-    def generate_subquestion(self, question: VisualQuestion, prompt: str):
+    def generate_subquestion(self, question: VisualQuestion, prompt: str, seed: int):
         """One decomposer call, as (subquestion text, malformed flag). The raw
         generation is truncated at the first newline; empty or
         non-question-shaped output is flagged malformed but still used.
-        The decomposer is text-only, so no image is sent."""
+        The decomposer is text-only, so no image is sent. Its sampling is
+        multinomial, so the request carries the seed
+        ``_scramble_seed(seed, request_id)`` of the run's ``seed``."""
+        request_id = f"{question.id}#subq"
         request = InferenceRequest(
             prompt=prompt,
             params=DECOMPOSE_PARAMS,
-            request_id=f"{question.id}#subq",
+            request_id=request_id,
+            seed=_scramble_seed(seed, request_id),
         )
         result = self._call(request, DECOMPOSER)
         text = result.text.split("\n", 1)[0]
@@ -304,7 +312,7 @@ def _context(engine: Engine, question: VisualQuestion, cfg: PipelineConfig):
     """(sub_qas, provenance, malformed) to recompose the question from."""
     if cfg.mode not in ORACLE_MODES:
         prompt = prompts.render_decompose(question.question, cfg.decomposer_prompt_style)
-        subq, malformed = engine.generate_subquestion(question, prompt)
+        subq, malformed = engine.generate_subquestion(question, prompt, cfg.seed)
         sub_qas = (SubQA(subq),)
         if not subq.strip():
             # Degenerate generation: skip sub-answering, recompose answerless.
@@ -597,15 +605,19 @@ def run(
     chunks = [(log.ids, log.failed, log.confidence, log.second_guessed, log.correct_before,
                log.correct_after)]
     lines = []
-    # One pool serves the run: at most `concurrency` worker threads, and
-    # an HTTP backend keeps one connection per thread. The window of
-    # 4 * concurrency questions keeps every worker busy while the
-    # episodes are taken in order, and bounds what is held in flight;
-    # at concurrency 1 the tasks run inline, cheaper than a thread handoff.
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        map_ = map
-        if cfg.concurrency > 1:
-            map_ = functools.partial(_windowed, pool, window=4 * cfg.concurrency)
+    # At concurrency 1 the tasks run inline, cheaper than a thread handoff,
+    # and no pool is built or imported. Above it, one pool serves the run:
+    # at most `concurrency` worker threads, and an HTTP backend keeps one
+    # connection per thread. The window of 4 * concurrency questions keeps
+    # every worker busy while the episodes are taken in order, and bounds
+    # what is held in flight.
+    map_, pool = map, contextlib.nullcontext()
+    if cfg.concurrency > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=cfg.concurrency)
+        map_ = functools.partial(_windowed, pool, window=4 * cfg.concurrency)
+    with pool:
         if cfg.tau_percentile is None:
             episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau),
                             questions)

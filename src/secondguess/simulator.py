@@ -17,8 +17,7 @@ the trials) live in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import evaluation
 
@@ -32,15 +31,19 @@ CONF_INCORRECT = (2.0, 8.0)
 BLOCK = 2**14
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _Settings(NamedTuple):
     base_accuracy: float
     e_cr: float
     e_ic: float
     trials: int = 100_000
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SimConfig(_Settings):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SimConfig":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("base_accuracy", "e_cr", "e_ic"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -49,10 +52,10 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        return self
 
 
-@dataclass
-class SimTrials:
+class SimTrials(NamedTuple):
     """Frozen per-trial draws: confidence, initial correctness, and the
     decompose-all (post-flip) correctness."""
 
@@ -61,8 +64,7 @@ class SimTrials:
     correct_after: np.ndarray
 
 
-@dataclass
-class SimCurve:
+class SimCurve(NamedTuple):
     points: List[evaluation.SweepPoint]  # percentile = 100 * eta
     decompose_all_accuracy: float
     optimal_tau: float
@@ -116,10 +118,14 @@ def gated_counts(trials: SimTrials, taus: Sequence[float]) -> List[Tuple[int, ..
     ``evaluation.CLASSES`` order, ``evaluation.gated`` holds at tau.
 
     One pass, BLOCK trials at a time, counts every tau: with the distinct
-    taus sorted, a trial's bin is the first tau at or above its confidence,
-    so the trials gated at the j-th tau are those of bins 0 to j; a last bin
-    holds the trials above every tau. Bins and classes are counted together,
-    bin * 4 + class.
+    taus sorted, a trial's bin is the first tau at or above its confidence
+    (``searchsorted(side="left")``), so the trials gated at the j-th tau are
+    those of bins 0 to j, ties included; a last bin holds the trials above
+    every tau. Bins and classes are counted together, bin * 4 + class, by
+    one ``bincount`` per block, and each tau's counts are read from the
+    cumulative sums over the bins. A rank form over all n trials at once
+    (an argsort and cumulative sums) raised offline-eval's peak RSS from
+    46.7 to 66.1 MiB through ``simulate``'s 500,000 trials.
     """
     import numpy as np
 

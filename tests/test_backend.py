@@ -12,7 +12,6 @@ import time
 import tracemalloc
 from contextlib import closing, suppress
 from pathlib import Path
-from dataclasses import asdict
 from urllib.parse import urlsplit
 
 import pytest
@@ -20,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FOUR_EPISODE_SPECS,
     FlakyBackend,
     NESTED_TOO_DEEP,
     NOT_UTF8,
@@ -33,6 +33,7 @@ from conftest import (
     spec_entries,
     spec_questions,
 )
+from secondguess import pipeline, prompts
 from secondguess.backend import (
     ANSWER_PARAMS,
     DECOMPOSE_PARAMS,
@@ -250,8 +251,39 @@ def test_http_backend_wire_bytes_and_path_prefix(loopback):
         backend.complete(req, RECOMPOSER)
     path, _, raw = server.received[0]
     assert path == "/api/v1/generate"
-    body = {"prompt": req.prompt, "image": req.image, "params": asdict(req.params)}
+    body = {"prompt": req.prompt, "image": req.image, "params": req.params._asdict()}
     assert raw == json.dumps(body, allow_nan=False).encode("utf-8")
+
+
+def test_a_decompose_request_carries_its_seed(loopback, tmp_path):
+    """A live decomposer samples (multinomial beam search), so each
+    decompose call sends the seed of the run's seed and its request id, and
+    one config sends the same bodies on every run; an answer call sends
+    none."""
+    payload = {"text": "is it?", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    server = loopback(respond=lambda body: payload)
+    runs = []
+    for i in range(2):
+        with http_backend(server.url) as backend:
+            engine = Engine(recomposer=backend, decomposer=backend)
+            cfg = PipelineConfig(mode="decompose_all", seed=11)
+            pipeline.run(spec_questions(FOUR_EPISODE_SPECS), cfg, engine, tmp_path / f"{i}.jsonl")
+        runs.append([raw for _, _, raw in server.received])
+        server.received.clear()
+    assert runs[0] == runs[1]
+    # At concurrency 1, q1's calls come first: initial, subq, suba0, recompose.
+    q1 = {
+        "prompt": prompts.render_decompose("is the sky blue?", "decompose_default"),
+        "image": None,
+        "params": DECOMPOSE_PARAMS._asdict(),
+        "seed": 10878247613124875259,
+    }
+    assert runs[0][1] == json.dumps(q1).encode("utf-8")
+    bodies = [json.loads(raw) for raw in runs[0]]
+    seeds = {b["seed"] for b in bodies if b["params"] == DECOMPOSE_PARAMS._asdict()}
+    assert seeds == {pipeline._scramble_seed(11, f"q{i}#subq") for i in range(1, 5)}
+    answers = [b for b in bodies if b["params"] == ANSWER_PARAMS._asdict()]
+    assert len(answers) == 12 and all(set(b) == {"prompt", "image", "params"} for b in answers)
 
 
 @pytest.mark.parametrize("suffix", ["", "/api/"])
@@ -865,7 +897,8 @@ def test_mock_entries_are_immutable():
 # order, and its defaults.
 PER_CALL_RECORDS = {
     MockEntry: (("prompt_contains", "role", "text", "token_logprobs"), {}),
-    InferenceRequest: (("prompt", "params", "request_id", "image"), {"image": None}),
+    InferenceRequest: (("prompt", "params", "request_id", "image", "seed"),
+                       {"image": None, "seed": None}),
     InferenceResult: (("text", "token_logprobs", "cumulative_logprob", "retries"), {"retries": 0}),
 }
 

@@ -115,7 +115,7 @@ CHUNK_NAMES = {"read_chunks", "parse_chunk", "Chunk"}
 
 def _named_outside(names, exempt="dataset.py") -> list:
     """"file:line" of each name or attribute outside the module ``exempt``,
-    read or imported, that is one of ``names``."""
+    read or imported, or module imported from, that is one of ``names``."""
     return sorted({
         f"{path.name}:{node.lineno}"
         for path in PACKAGE.glob("*.py")
@@ -123,6 +123,7 @@ def _named_outside(names, exempt="dataset.py") -> list:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in names
         or (isinstance(node, ast.alias) and node.name in names)
+        or (isinstance(node, ast.ImportFrom) and node.module in names)
     })
 
 
@@ -179,6 +180,80 @@ def test_only_cli_touches_the_collector():
     library leaves the collector as Python runs it."""
     users = _named_outside({"gc"}, exempt="cli.py")
     assert not users, "names gc: " + ", ".join(users)
+
+
+def test_no_module_names_dataclasses():
+    """Every record type is a named tuple: ``dataclasses`` and the build of
+    each decorated class cost every command's start-up, and no record needs
+    more than a named tuple gives."""
+    users = _named_outside({"dataclasses"}, exempt=None)
+    assert not users, "names dataclasses: " + ", ".join(users)
+
+
+# Prints the modules that ``import secondguess.cli`` adds to a process.
+IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import secondguess.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_module_only_some_commands_use():
+    """Every command pays the package import before it does any work, so
+    the import loads only what the timed commands use: no ``dataclasses``,
+    no ``logging``, which only ``convert``'s caption warning uses, no
+    ``concurrent.futures``, which only a run at concurrency above 1 uses,
+    and no numpy, which only ``simulate`` uses."""
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_CLI],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "secondguess.cli" in added
+    loaded = {"dataclasses", "logging", "concurrent.futures", "numpy"} & added
+    assert not loaded, f"import secondguess.cli loads {sorted(loaded)}"
+
+
+def _absolute_imports(path: Path):
+    """(line, module) of each absolute ``import`` and ``from`` in a file;
+    ``from a import b`` gives ``a.b`` as well as ``a``, as ``b`` may be a
+    module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+            yield from ((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+
+
+# The standard library's modules that are new in Python 3.11.
+NEW_IN_3_11 = ("tomllib", "wsgiref.types")
+
+
+def test_every_import_exists_at_the_oldest_supported_version():
+    """Every module that the package or the benchmark imports is in the
+    standard library of pyproject's ``requires-python`` floor (3.10, which
+    lacks 3.11's ``tomllib`` and ``wsgiref.types``), a dependency that
+    pyproject declares, the package itself, or a file beside the importer."""
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'requires-python = ">=3\.10"', pyproject)
+    declared = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.M | re.S)[1]
+    dependencies = set(re.findall(r'^\s*"([A-Za-z0-9_.-]+)', declared, re.M))
+    assert {"click", "numpy", "orjson"} <= dependencies
+    stdlib = set(sys.stdlib_module_names)
+    wrong = []
+    for path in [*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py")]:
+        siblings = {p.stem for p in path.parent.glob("*.py")}
+        for line, module in _absolute_imports(path):
+            top = module.partition(".")[0]
+            new = any(module == m or module.startswith(m + ".") for m in NEW_IN_3_11)
+            if new or not (top in stdlib or top in dependencies
+                           or top == "secondguess" or top in siblings):
+                wrong.append(f"{path.relative_to(REPO)}:{line} {module}")
+    assert not wrong, "imports what Python 3.10 lacks: " + ", ".join(wrong)
 
 
 # A cold process of each command but one over a backend: metrics with no
@@ -353,7 +428,7 @@ RULE_HOLDERS = {
     "must not be empty": ["dataset.py:_question_from_obj"],
     "winoground record missing field": ["dataset.py:winoground_records"],
     # tau_percentile's range, which PipelineConfig owns.
-    "percentile must be in [0, 100]": ["pipeline.py:__post_init__"],
+    "percentile must be in [0, 100]": ["pipeline.py:__new__"],
     "question must be non-empty": [],
     "not a decompose prompt kind": [],
     "unknown mode": [],

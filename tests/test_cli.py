@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import json
+import logging
 import os
 import pickle
 import re
@@ -414,6 +415,30 @@ def test_convert_repeated_record_id_exits_3(runner, tmp_path, caplog, again_at):
     assert result.stderr == f"error: {source}:{again_at}: duplicate id 'w0'\n"
     assert not caplog.records
     assert not converted.exists()
+
+
+def test_convert_warns_once_per_record_with_identical_captions(runner, tmp_path, caplog):
+    """A record whose two captions are one caption labels a pair both yes
+    and no: it is converted all the same, and logged once as a WARNING of
+    ``secondguess.dataset``."""
+    source = tmp_path / "winoground.jsonl"
+    lines = [WINOGROUND_LINE.replace('"w0"', f'"w{i}"') for i in range(5)]
+    for i in (1, 3, 4):
+        lines[i] = lines[i].replace('"y"', '"x"')
+    source.write_text("".join(line + "\n" for line in lines))
+    converted = tmp_path / "converted.jsonl"
+    with caplog.at_level(logging.WARNING):
+        result = runner.invoke(
+            main, ["convert", "--input", str(source), "--output", str(converted)]
+        )
+    assert result.exit_code == 0, result.output
+    assert "into 20 questions (3 caption warnings)" in result.stdout
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("secondguess.dataset", logging.WARNING,
+         f"winoground record w{i} has identical captions; labels conflict")
+        for i in (1, 3, 4)
+    ]
+    assert len(converted.read_text().splitlines()) == 20
 
 
 def test_simulate_prints_closed_form(runner, tmp_path):

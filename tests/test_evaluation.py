@@ -1,7 +1,6 @@
 import itertools
 import random
 import sys
-from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -219,7 +218,7 @@ def test_compute_report_matches_plain_loop_recount(rows, data):
         for i, (failed, conf, gate, before, after, _) in enumerate(rows)
     ]
     qtype_map = {f"e{i}": row[5] for i, row in enumerate(rows) if row[5] is not None}
-    fields = asdict(compute_report(log_columns(episodes), tau, qtype_map))
+    fields = compute_report(log_columns(episodes), tau, qtype_map)._asdict()
     assert fields.pop("tau") == tau
     assert fields.pop("surprisal") == (surprisal(tau) if tau else None)
     if tau is not None:

@@ -11,7 +11,6 @@ import threading
 import time
 import tracemalloc
 from array import array
-from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -454,7 +453,7 @@ def test_engine_counts_a_call_that_raises_no_backend_error():
     with pytest.raises(RuntimeError):
         engine.answer(question, "initial", "Question: is it? Short Answer:")
     with pytest.raises(RuntimeError):
-        engine.generate_subquestion(question, "Perception Question:")
+        engine.generate_subquestion(question, "Perception Question:", 0)
     assert (engine.recomposer_calls, engine.decomposer_calls, engine.retries) == (1, 1, 0)
 
 
@@ -477,7 +476,7 @@ def test_engine_counts_every_call_from_many_threads():
         for _ in range(500):
             engine.answer(question, "initial", "Question: is it? Short Answer:")
             with contextlib.suppress(TransportError):
-                engine.generate_subquestion(question, "Perception Question:")
+                engine.generate_subquestion(question, "Perception Question:", 0)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -634,7 +633,7 @@ def chain_fixture(drop_recompose_of=None):
     questions, entries = [], []
     for spec, q in zip(CHAIN_SPECS, spec_questions(CHAIN_SPECS)):
         sub_qas = (SubQA(f"is {q.id} near", "yes"), SubQA(f"is {q.id} far", "no"))
-        questions.append(replace(q, sub_qas=sub_qas))
+        questions.append(q._replace(sub_qas=sub_qas))
         if q.id != drop_recompose_of:
             entries.append(
                 MockEntry(f"Question: {q.question} Short answer:", "recomposer",
@@ -684,8 +683,7 @@ def run_chain(*args, **kwargs):
 def assert_columns_equal(got, want):
     """Two EpisodeColumns hold the same ids, and each column the same type
     (bytes flags, arrays of doubles) and values."""
-    for field in fields(got):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    for a, b in zip(got, want, strict=True):
         assert type(a) is type(b) and a == b
         if isinstance(a, array):
             assert a.typecode == b.typecode == "d"
