@@ -5,38 +5,40 @@ and simulator into reproducible runs.
 any of the seven modes; `metrics` and `sweep` only read a log, whose columns
 ``pipeline.read_episode_log`` caches next to it. Exit codes: 0 success, 1
 completed with failed episodes in the whole log (no metrics.json if all
-failed), 2 config validation (a ConfigError, or an output directory or file
-that cannot be written), 3 dataset error (a DatasetError, a log with no
-episode, or a tau the log cannot answer). All outputs go under --out; every
-run directory gets a manifest recording the resolved config, its hash, the
-seed, timestamps, the whole log's episode and failure counts, and this
-invocation's backend calls and transport retries.
+failed) or stopped by Ctrl-C, 2 a usage error or config validation (a
+ConfigError, or an output directory or file that cannot be written), 3
+dataset error (a DatasetError, a log with no episode, or a tau the log
+cannot answer). All outputs go under --out; every run directory gets a
+manifest recording the resolved config, its hash, the seed, timestamps, the
+whole log's episode and failure counts, and this invocation's backend calls
+and transport retries.
 
 Start-up: every command pays the package import before it does any work,
-and a reproduction runs many short commands. ``import secondguess.cli``
-loads click, orjson and the modules that the timed commands (``run``,
-``metrics``, ``sweep``) use, such as hashlib, csv and json. What only some
-commands use is imported where it is used: numpy by ``simulate``, ``socket``
-and ``ssl`` by an HTTP backend, ``concurrent.futures`` by a run at
-concurrency above 1, and ``logging`` by ``convert``'s caption warning. The
-record types are named tuples, not dataclasses, whose module every command
-would load and whose decorator builds each class at import. No import that
-a timed command uses is made lazy: that would only move its cost from
-start-up into the command. Under ``python -X importtime`` (2-vCPU VM,
-Python 3.11, bytecode compiled, json, statistics and traceback already
-loaded, median of 12 processes) ``secondguess.cli`` took 37.3 ms with
-dataclasses, logging and concurrent.futures loaded at import, and 28.7 ms
-without them.
+and a reproduction runs many short commands, so ``import secondguess.cli``
+loads only the standard library's ``argparse``, orjson and the modules that
+the timed commands (``run``, ``metrics``, ``sweep``) use, and a command
+builds the parser of that command alone (CHANGES.md's "Cold start without
+click" line holds the times). What only some commands use is imported where
+it is used: numpy by ``simulate``, ``socket`` and ``ssl`` by an HTTP
+backend, ``concurrent.futures`` by a run at concurrency above 1, and
+``logging`` by ``convert``'s caption warning. The record types are named
+tuples, not dataclasses, whose module every command would load and whose
+decorator builds each class at import. No import that a timed command uses
+is made lazy: that would only move its cost from start-up into the command.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import errno
 import gc
 import hashlib
 import itertools
 import json
+# gettext imports it for argparse's first message, which every command's
+# parser builds: imported here, at start-up, as the rule above asks.
+import locale  # noqa: F401
 import math
 import os
 import sys
@@ -46,8 +48,6 @@ from typing import Optional
 # numpy, which only `simulate` loads, starts OpenBLAS threads that busy-wait;
 # no command does BLAS work.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import click
 
 from . import __version__, dataset, evaluation, pipeline, prompts, simulator
 from .backend import DEFAULT_RETRY_ATTEMPTS, HTTPBackend, MockBackend
@@ -85,7 +85,7 @@ DEFAULT_PERCENTILES = [float(p) for p in range(0, 101, 5)]
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr, flush=True)
     sys.exit(code)
 
 
@@ -102,14 +102,22 @@ def _numbers(text: Optional[str], name: str, high: float, default: list) -> list
     return values
 
 
-def _run_options(fn):
-    """Decorate `run` with --config and its flags from OPTIONS."""
-    for key, kind, _, is_flag in reversed(OPTIONS):
-        if is_flag:
-            click_type = click.Choice(kind) if isinstance(kind, tuple) else kind
-            flag = "--" + key.replace("_", "-")
-            fn = click.option(flag, key, type=click_type, default=None)(fn)
-    return click.option("--config", "config_path", type=click.Path(exists=True))(fn)
+def _existing(path: str) -> str:
+    """An option's path, which must exist and be readable: a usage error if not."""
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist or cannot be read")
+    return path
+
+
+def _joined(argv: list, options) -> list:
+    """``argv`` with each flag of ``options`` joined to the word after it, as
+    ``--flag=word``: an option's value may start with a dash (``-0.1,0.5``)."""
+    flags = {flag for flag, _ in options if flag.startswith("-")}
+    joined, words = [], iter(argv)
+    for word in words:
+        value = next(words, None) if word in flags else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
 
 
 def _checked(key: str, kind, value):
@@ -213,47 +221,82 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-class _Group(click.Group):
-    """Maps a ConfigError of any command to exit 2, a DatasetError to 3, and
-    an OSError to 2: every input is read through ``dataset``, which raises
-    its OSError as a DatasetError, so one that leaves a command comes from
-    an output that cannot be written, named by ``dataset.replacing``, or
-    from standard output, such as a closed pipe, if it names no file.
+class _Main:
+    """The ``secondguess`` command, called as click's command objects are:
+    ``main(args, prog_name)`` or ``main.main(args=..., prog_name=...)``."""
 
-    It also owns the cyclic garbage collector: a command runs with it
-    disabled, and it is enabled again on the way out, whatever the exit,
-    only if it was enabled on entry. A command makes a fixed number of
-    reference cycles, none per item (``test_a_command_makes_no_cycles_per_item``
-    pins this), but reading its input allocates dicts and tuples by the
-    million at 10^6 episodes, and each full collection would walk every
-    object the command has kept so far: at 10^6 episodes (a 327 MB log,
-    2-vCPU VM, Python 3.11, 4 alternating child processes) a cold
-    ``metrics`` took a median 4.8 s with the collector paused and 5.8 s
-    without it. Only the command knows that what it loads lives to its end;
-    a library caller keeps Python's own collector behaviour."""
+    name = "secondguess"
+    commands = {}  # name -> (function, its (flag, add_argument keywords) pairs)
 
-    def invoke(self, ctx):
+    def command(self, name: str, *options):
+        def register(fn):
+            self.commands[name] = (fn, options)
+            return fn
+        return register
+
+    def main(self, args=None, prog_name: Optional[str] = None) -> None:
+        """Parses ``args`` (default ``sys.argv[1:]``) with the parser of the
+        command they name, the only one built, runs it through ``invoke`` and
+        exits 0 when it returns. A usage error exits 2, ``--help`` 0."""
+        argv = sys.argv[1:] if args is None else list(args)
+        prog = prog_name or self.name
+        if not argv or argv[0] not in self.commands:
+            parser = argparse.ArgumentParser(prog=prog, description=__doc__.partition("\n\n")[0],
+                                             allow_abbrev=False)
+            parser.add_argument("--version", action="version",
+                                version=f"%(prog)s, version {__version__}")
+            commands = parser.add_subparsers(metavar="COMMAND", required=True)
+            for name, (fn, _) in self.commands.items():
+                commands.add_parser(name, help=" ".join(fn.__doc__.split()).partition(". ")[0])
+            parser.parse_args(argv[:1])  # help, the version or a usage error: each exits
+        name, *words = argv
+        fn, options = self.commands[name]
+        parser = argparse.ArgumentParser(prog=f"{prog} {name}", description=fn.__doc__,
+                                         allow_abbrev=False)
+        for flag, keywords in options:
+            parser.add_argument(flag, **keywords)
+        self.invoke(fn, vars(parser.parse_args(_joined(words, options))))
+        sys.exit(0)
+
+    __call__ = main
+
+    def invoke(self, command, kwargs: dict) -> None:
+        """Runs ``command(**kwargs)``. A ConfigError exits 2, a DatasetError
+        3, and an OSError 2: every input is read through ``dataset``, which
+        raises its OSError as a DatasetError, so an OSError comes from an
+        output, named by ``dataset.replacing``, or from standard output,
+        such as a closed pipe, if it names no file. Ctrl-C exits 1.
+
+        The command runs with the cyclic garbage collector disabled, enabled
+        again on the way out, whatever the exit, only if it was on entry: a
+        command makes a fixed number of reference cycles, none per item
+        (``test_a_command_makes_no_cycles_per_item``), while each full
+        collection would walk all it has loaded, which lives to its end
+        (CHANGES.md's "One owner of the garbage collector" line has the
+        times). A library caller keeps Python's own collector behaviour."""
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return super().invoke(ctx)
+            command(**kwargs)
         except (ConfigError, DatasetError) as exc:
             _fail(EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATASET, str(exc))
         except OSError as exc:
             _fail(EXIT_CONFIG, f"cannot write {exc.filename or 'standard output'}: {exc.strerror}")
+        except KeyboardInterrupt:
+            print("\nAborted!", file=sys.stderr, flush=True)
+            sys.exit(1)
         finally:
             if enabled:
                 gc.enable()
 
 
-@click.group(cls=_Group)
-@click.version_option(version=__version__)
-def main() -> None:
-    """Selective question decomposition runner and evaluation harness."""
+main = _Main()
 
 
-@main.command("run")
-@_run_options
+@main.command("run", ("--config", dict(dest="config_path", type=_existing)), *(
+    ("--" + key.replace("_", "-"),
+     {"dest": key, "choices" if isinstance(kind, tuple) else "type": kind})
+    for key, kind, _, is_flag in OPTIONS if is_flag))
 def cmd_run(config_path, **flags) -> None:
     """Execute a pipeline run and write episodes, metrics, and a manifest."""
     cfg = _load_config(config_path, flags)
@@ -285,17 +328,17 @@ def cmd_run(config_path, **flags) -> None:
     except ValueError as exc:  # every episode failed, none ran, or the log cannot answer tau
         _fail(1 if 0 < summary.failures == summary.episodes else EXIT_DATASET, str(exc))
     _write_json(out_dir / "metrics.json", report._asdict())
-    click.echo(
+    print(
         f"run complete: {summary.episodes} episodes "
-        f"({summary.failures} failures) -> {episodes_path}"
+        f"({summary.failures} failures) -> {episodes_path}",
+        flush=True,
     )
     sys.exit(0 if summary.failures == 0 else 1)
 
 
-@main.command("sweep")
-@click.option("--log", "log_path", type=click.Path(), required=True)
-@click.option("--percentiles", default=None, help="comma-separated percentiles")
-@click.option("--out", type=click.Path(), default="out")
+@main.command("sweep", ("--log", dict(dest="log_path", required=True)),
+              ("--percentiles", dict(help="comma-separated percentiles")),
+              ("--out", dict(default="out")))
 def cmd_sweep(log_path, percentiles, out) -> None:
     """Offline threshold sweep over an episode log; no model calls. Writes
     the points whose tau the log answers, and exits 3 if none is left."""
@@ -304,12 +347,11 @@ def cmd_sweep(log_path, percentiles, out) -> None:
     csv_path = Path(out) / "sweep.csv"
     with dataset.replacing(csv_path) as fh:
         evaluation.write_sweep_csv(points, fh)
-    click.echo(f"wrote {len(points)} sweep points -> {csv_path}")
+    print(f"wrote {len(points)} sweep points -> {csv_path}", flush=True)
 
 
-@main.command("convert")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--output", "output_path", type=click.Path(), required=True)
+@main.command("convert", ("--input", dict(dest="input_path", type=_existing, required=True)),
+              ("--output", dict(dest="output_path", required=True)))
 def cmd_convert(input_path, output_path) -> None:
     """Convert winoground-style records into the canonical VQA schema. The
     whole input is checked before any caption warning or output."""
@@ -319,28 +361,27 @@ def cmd_convert(input_path, output_path) -> None:
     ))
     questions, warnings = dataset.convert_winoground(records)
     dataset.save_dataset(questions, output_path)
-    click.echo(
+    print(
         f"converted {len(records)} records into {len(questions)} questions "
-        f"({warnings} caption warnings) -> {output_path}"
+        f"({warnings} caption warnings) -> {output_path}",
+        flush=True,
     )
 
 
-@main.command("stats")
-@click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
+@main.command("stats", ("--dataset", dict(dest="dataset_path", type=_existing, required=True)))
 def cmd_stats(dataset_path) -> None:
     """Print item count and average question length for a dataset."""
     stats = dataset.stats(_load_questions(dataset_path))
-    click.echo(json.dumps({"name": dataset_path, **stats}, indent=2))
+    print(json.dumps({"name": dataset_path, **stats}, indent=2), flush=True)
 
 
-@main.command("simulate")
-@click.option("--acc", type=float, required=True)
-@click.option("--ecr", type=float, required=True)
-@click.option("--eic", type=float, required=True)
-@click.option("--trials", type=int, default=simulator.SimConfig._field_defaults["trials"])
-@click.option("--seed", type=int, default=simulator.SimConfig._field_defaults["seed"])
-@click.option("--tau-grid", default=None, help="comma-separated thresholds")
-@click.option("--out", type=click.Path(), default="out")
+@main.command("simulate", ("--acc", dict(type=float, required=True)),
+              ("--ecr", dict(type=float, required=True)),
+              ("--eic", dict(type=float, required=True)),
+              ("--trials", dict(type=int, default=simulator.SimConfig._field_defaults["trials"])),
+              ("--seed", dict(type=int, default=simulator.SimConfig._field_defaults["seed"])),
+              ("--tau-grid", dict(help="comma-separated thresholds")),
+              ("--out", dict(default="out")))
 def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     """Simulate the accuracy-vs-threshold curve and write the sweep CSV."""
     taus = _numbers(tau_grid, "tau-grid", 1.0, [i / 20 for i in range(21)])
@@ -354,16 +395,16 @@ def cmd_simulate(acc, ecr, eic, trials, seed, tau_grid, out) -> None:
     csv_path = Path(out) / "simulated_sweep.csv"
     with dataset.replacing(csv_path) as fh:
         evaluation.write_sweep_csv(curve.points, fh)
-    click.echo(
+    print(
         f"decompose-all accuracy {curve.decompose_all_accuracy:.4f} "
         f"(closed form {simulator.closed_form_decompose_all(cfg):.4f}), "
         f"optimal tau {curve.optimal_tau} "
-        f"(accuracy {curve.optimal_accuracy:.4f}) -> {csv_path}"
+        f"(accuracy {curve.optimal_accuracy:.4f}) -> {csv_path}",
+        flush=True,
     )
 
 
-@main.command("fit")
-@click.argument("run_dirs", nargs=-1, required=True, type=click.Path())
+@main.command("fit", ("run_dirs", dict(nargs="+")))
 def cmd_fit(run_dirs) -> None:
     """Regress net gain on threshold surprisal across runs' metrics.json.
 
@@ -391,14 +432,13 @@ def cmd_fit(run_dirs) -> None:
         fit = evaluation.linear_fit(points)
     except ValueError as exc:
         _fail(EXIT_DATASET, f"{len(points)} runs with a surprisal: {exc}")
-    click.echo(json.dumps({"runs": len(points), **fit}, indent=2))
+    print(json.dumps({"runs": len(points), **fit}, indent=2), flush=True)
 
 
-@main.command("metrics")
-@click.option("--log", "log_path", type=click.Path(), required=True)
-@click.option("--dataset", "dataset_path", type=click.Path(exists=True), default=None)
-@click.option("--tau", type=float, default=None)
-@click.option("--out", type=click.Path(), default="out")
+@main.command("metrics", ("--log", dict(dest="log_path", required=True)),
+              ("--dataset", dict(dest="dataset_path", type=_existing)),
+              ("--tau", dict(type=float)),
+              ("--out", dict(default="out")))
 def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     """Recompute the metrics report (and sweep CSV) from an episode log. With
     --tau, replay the gate at tau; a log that cannot answer tau exits 3."""
@@ -415,7 +455,7 @@ def cmd_metrics(log_path, dataset_path, tau, out) -> None:
     _write_json(out_dir / "metrics.json", report._asdict())
     with dataset.replacing(out_dir / "sweep.csv") as fh:
         evaluation.write_sweep_csv(points, fh)
-    click.echo(f"wrote metrics.json and sweep.csv -> {out_dir}")
+    print(f"wrote metrics.json and sweep.csv -> {out_dir}", flush=True)
 
 
 if __name__ == "__main__":

@@ -204,7 +204,8 @@ def test_cli_import_loads_no_module_only_some_commands_use():
     the import loads only what the timed commands use: no ``dataclasses``,
     no ``logging``, which only ``convert``'s caption warning uses, no
     ``concurrent.futures``, which only a run at concurrency above 1 uses,
-    and no numpy, which only ``simulate`` uses."""
+    no numpy, which only ``simulate`` uses, and no ``click`` or
+    ``inspect``, which no command uses."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_CLI],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -213,8 +214,54 @@ def test_cli_import_loads_no_module_only_some_commands_use():
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "secondguess.cli" in added
-    loaded = {"dataclasses", "logging", "concurrent.futures", "numpy"} & added
+    forbidden = {"dataclasses", "logging", "concurrent.futures", "numpy", "click", "inspect"}
+    loaded = forbidden & added
     assert not loaded, f"import secondguess.cli loads {sorted(loaded)}"
+
+
+# Prints the modules, ``encodings.*`` aside, that one mock run at the given
+# concurrency adds to a process that has imported secondguess.cli.
+RUN_MODULES = """
+import contextlib
+import io
+import sys
+from secondguess.cli import main
+data, script, out, concurrency = sys.argv[1:]
+before = set(sys.modules)
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", "--dataset", data, "--mock-script", script, "--mode", "selective",
+              "--tau-percentile", "50", "--concurrency", concurrency, "--out", out])
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(" ".join(sorted(m for m in set(sys.modules) - before if not m.startswith("encodings."))))
+"""
+
+# What ``concurrent.futures``' thread pool loads, as a run above concurrency
+# 1 builds one: a scheduler on plain threads would load none of it.
+POOL_MODULES = {
+    "_heapq", "_queue", "_string", "concurrent", "concurrent.futures",
+    "concurrent.futures._base", "concurrent.futures.thread", "heapq", "linecache", "logging",
+    "queue", "string", "textwrap", "token", "tokenize", "traceback",
+}
+
+
+@pytest.mark.parametrize("concurrency, added", [(1, set()), (4, POOL_MODULES)])
+def test_a_mock_run_loads_no_module_but_its_thread_pool(tmp_path, concurrency, added):
+    """Whatever a command runs, ``import secondguess.cli`` has loaded it,
+    so a cold run pays no import inside the command: a mock run at
+    concurrency 1 loads no module, and one at 4 only its thread pool's."""
+    save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")
+    write_script(FOUR_EPISODE_SPECS, tmp_path / "script.jsonl")
+    args = [tmp_path / "data.jsonl", tmp_path / "script.jsonl", tmp_path / "out", concurrency]
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_MODULES, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) == added
 
 
 def _absolute_imports(path: Path):
@@ -242,7 +289,7 @@ def test_every_import_exists_at_the_oldest_supported_version():
     assert re.search(r'requires-python = ">=3\.10"', pyproject)
     declared = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.M | re.S)[1]
     dependencies = set(re.findall(r'^\s*"([A-Za-z0-9_.-]+)', declared, re.M))
-    assert {"click", "numpy", "orjson"} <= dependencies
+    assert {"numpy", "orjson"} <= dependencies
     stdlib = set(sys.stdlib_module_names)
     wrong = []
     for path in [*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py")]:
@@ -272,7 +319,7 @@ log, out, data, script, winoground = sys.argv[1:]
 def invoke(*args):
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            main(list(args), standalone_mode=False)
+            main(list(args))
     except SystemExit as exc:  # run ends with sys.exit
         if exc.code:
             raise
@@ -347,7 +394,7 @@ HTTP_RUN = """
 import sys
 from secondguess.cli import main
 try:
-    main(["run", *sys.argv[1:]], standalone_mode=False)
+    main(["run", *sys.argv[1:]])
 except SystemExit as exc:
     if exc.code:
         raise

@@ -1509,6 +1509,66 @@ def test_closed_stdout_is_named(tmp_path):
     assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
 
 
+def test_ctrl_c_exits_1_with_no_traceback(runner, tmp_path, monkeypatch):
+    """A command stopped by Ctrl-C exits 1 with ``Aborted!`` and no
+    traceback, and leaves the collector as it found it."""
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "read_episode_log", interrupt)
+    log = tmp_path / "episodes.jsonl"
+    log.write_text(json.dumps(GOOD_EPISODE) + "\n")
+    result = runner.invoke(main, ["metrics", "--log", str(log), "--out", str(tmp_path / "out")])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+    assert gc.isenabled()
+
+
+# A selective run at concurrency 4, then a sweep over its log, in one
+# process; given the dataset, the mock script and the output directory.
+RUN_AND_SWEEP = """
+import sys
+from secondguess.cli import main
+data, script, out = sys.argv[1:]
+for args in (["run", "--dataset", data, "--mock-script", script, "--mode", "selective",
+              "--tau-percentile", "50", "--concurrency", "4", "--out", out],
+             ["sweep", "--log", out + "/episodes.jsonl", "--out", out]):
+    try:
+        main(args)
+    except SystemExit as exc:  # 1: a run with failed episodes
+        if exc.code not in (0, 1):
+            raise
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``PYTHONHASHSEED`` sets how a string hashes, and so the order of a set
+    of strings: a run over questions of three qtypes, one in five a script
+    miss, and a sweep over its log write the same bytes under two seeds."""
+    specs = [
+        QSpec(f"q{i}", f"is thing {i} red?", "yes", ("yes", "no")[i % 2], (i % 10 + 0.5) / 10,
+              f"is part {i} seen?", "yes", ("yes", "no")[i % 3 == 0])
+        for i in range(40)
+    ]
+    questions = [q._replace(qtype=dataset.QTYPES[i % 3])
+                 for i, q in enumerate(spec_questions(specs))]
+    data, script = tmp_path / "dataset.jsonl", tmp_path / "script.jsonl"
+    dataset.save_dataset(questions, data)
+    write_script([s for i, s in enumerate(specs) if i % 5], script)
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}"
+        result = subprocess.run(
+            [sys.executable, "-c", RUN_AND_SWEEP, str(data), str(script), str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(secondguess.__file__).parents[1]),
+                 "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("episodes.jsonl", "metrics.json", "sweep.csv")])
+    assert outputs[0] == outputs[1]
+
+
 FAILED_EPISODE = {**GOOD_EPISODE, "initial": {"text": "", "confidence": 0.0}, "failed": True}
 
 
@@ -2094,8 +2154,10 @@ CLI_SURFACE = {
 
 
 def command_options(name) -> list:
-    return sorted(o for p in main.commands[name].params if p.param_type_name == "option"
-                  for o in p.opts)
+    """The options, ``--help`` aside, that ``secondguess NAME --help`` lists."""
+    result = CliRunner().invoke(main, [name, "--help"])
+    assert result.exit_code == 0, result.output
+    return sorted(set(re.findall(r"^  (--[a-z-]+)", result.stdout, re.M)) - {"--help"})
 
 
 def test_cli_surface(runner, tmp_path):

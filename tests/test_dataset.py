@@ -291,6 +291,21 @@ def test_read_chunks_splits_and_names_bytes_as_text_mode(tmp_path_factory, data,
     assert got == expected
 
 
+@pytest.mark.parametrize("whole", [0, 3])
+def test_a_torn_line_alone_in_its_chunk_yields_nothing(tmp_path, whole):
+    """A torn last line that a chunk holds alone, as in a file of one torn
+    line or of whole chunks and then one, is yielded in no chunk, and
+    ``torn`` takes its offset: 0 for a file whose only bytes it is."""
+    path = tmp_path / "episodes.jsonl"
+    path.write_bytes(b'{"a": 1}\n' * whole + b'{"id": "q')
+    torn = []
+    with mock.patch.object(dataset, "CHUNK_LINES", 3):
+        chunks = list(dataset.read_chunks(path, torn=torn))
+    # One chunk of the whole lines, and no chunk for the torn one.
+    assert [chunk.lines for chunk in chunks] == ([[b'{"a": 1}\n'] * whole] if whole else [])
+    assert torn == [9 * whole]
+
+
 def test_read_json_counts_positions_as_text_mode_reads_line_ends(tmp_path):
     path = tmp_path / "config.json"
     for end in ("\r\n", "\r"):

@@ -594,15 +594,21 @@ def _without_gate(record):
     return record
 
 
+def _answer_reordered(record):
+    return {**record, "initial": dict(reversed(record["initial"].items()))}
+
+
 @pytest.mark.parametrize("broken, raised", [
     (_reordered, ValueError),
     # The run's check of the chunk rejects it before the writer sees it.
     (_without_gate, AssertionError),
     (lambda record: {**record, "error": "TransportError"}, ValueError),
+    (_answer_reordered, ValueError),
 ])
 def test_a_record_off_the_layout_writes_no_line(tmp_path, broken, raised):
-    """A record whose keys are not ``_record``'s, in its order, raises in
-    the writer, and a run that built one appends nothing to its log."""
+    """A record whose keys, or whose answer's keys, are not ``_record``'s, in
+    its order, raises in the writer, and a run that built one appends
+    nothing to its log."""
     [q] = spec_questions(FOUR_EPISODE_SPECS[:1])
     record = pipeline._record(q, {"text": "yes", "confidence": 0.5}, True)
     with pytest.raises(ValueError, match="layout"):
@@ -616,6 +622,17 @@ def test_a_record_off_the_layout_writes_no_line(tmp_path, broken, raised):
         pipeline.run(spec_questions(FOUR_EPISODE_SPECS), PipelineConfig(mode="direct"), engine,
                      sink)
     assert sink.read_bytes() == b""
+
+
+def test_a_flag_that_is_no_bool_writes_no_line():
+    """The writer spells a flag from ``_BOOLS`` by its truth: a flag of any
+    other type, such as 1, raises TypeError rather than being written as
+    ``true``."""
+    [q] = spec_questions(FOUR_EPISODE_SPECS[:1])
+    record = pipeline._record(q, {"text": "yes", "confidence": 0.5}, True)
+    for key, value in [("correct_before", 1), ("malformed_subquestion", None), ("failed", 0)]:
+        with pytest.raises(TypeError, match="true or false"):
+            pipeline._line({**record, key: value})
 
 
 CHAIN_SPECS = [
