@@ -430,33 +430,39 @@ class MockBackend:
     A pattern's interior words are the tokens of ``pattern.split()`` with
     whitespace on both sides inside the pattern: a prompt that holds the
     pattern holds each of them as a whole token of ``prompt.split()``, as
-    split and isspace share one whitespace test. Each pattern is filed under
-    the interior word that is rarest among all whitespace tokens of the
-    distinct patterns, end tokens included; a pattern with none is scanned.
+    split and isspace share one whitespace test. The entries are indexed
+    CHUNK_LINES at a time, in file order, each pattern split once. A pattern
+    is filed under its interior word that is rarest among the interior
+    words of the patterns of every entry so far, its own chunk included,
+    ties to the earlier word; a pattern with none is scanned.
     """
 
     def __init__(self, entries: Iterable[MockEntry]) -> None:
         self.entries = tuple(entries)
         # Per role: the indices of patterns with no interior word, scanned in
         # order, and {word: indices} for the rest, each in file order.
-        self._unanchored: Dict[str, List[int]] = {}
-        self._anchored: Dict[str, Dict[str, List[int]]] = {}
-        # One join and split per CHUNK_LINES distinct patterns, so that one
-        # run's tokens are held at a time; the space between two patterns
-        # ends a token as any whitespace does.
-        patterns = [*{entry.prompt_contains for entry in self.entries}]
-        counts = Counter(itertools.chain.from_iterable(
-            " ".join(patterns[start : start + CHUNK_LINES]).split()
-            for start in range(0, len(patterns), CHUNK_LINES)
-        ))
-        for index, (pattern, role, _, _) in enumerate(self.entries):
-            words = pattern.split()
-            words = words[0 if pattern[:1].isspace() else 1 : None if pattern[-1:].isspace() else -1]
-            if not words:
-                self._unanchored.setdefault(role, []).append(index)
-                continue
-            table = self._anchored.setdefault(role, {})
-            table.setdefault(min(words, key=counts.__getitem__), []).append(index)
+        self._by_role: Dict[str, Tuple[List[int], Dict[str, List[int]]]] = {}
+        by_role = self._by_role
+        counts: Counter = Counter()
+        for start in range(0, len(self.entries), CHUNK_LINES):
+            chunk = self.entries[start : start + CHUNK_LINES]
+            # A non-space character at each end joins the first and last
+            # tokens to it, so the slice drops exactly the tokens that a
+            # prompt may hold inside longer ones.
+            words = [f"\0{entry.prompt_contains}\0".split()[1:-1] for entry in chunk]
+            # Counting hashes each word once; the lookups below reuse it.
+            counts.update(itertools.chain.from_iterable(words))
+            rarity = counts.__getitem__
+            for index, (_, role, _, _), interior in zip(itertools.count(start), chunk, words):
+                unanchored, table = by_role.get(role) or by_role.setdefault(role, ([], {}))
+                if not interior:
+                    unanchored.append(index)
+                    continue
+                anchor = min(interior, key=rarity)
+                if anchor in table:
+                    table[anchor].append(index)
+                else:
+                    table[anchor] = [index]
 
     @classmethod
     def from_script(cls, path) -> "MockBackend":
@@ -469,34 +475,36 @@ class MockBackend:
         chunks = read_jsonl(path, _chunk_entries, strip=True)
         return cls(itertools.chain.from_iterable(chunks))
 
-    def _first_match(self, prompt: str, role: str) -> Optional[MockEntry]:
-        """The lowest-indexed entry of ``role`` whose pattern is in ``prompt``."""
+    def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
+        """The response of the lowest-indexed entry of the role whose
+        pattern is in the prompt."""
+        prompt = request.prompt
+        unanchored, table = self._by_role.get(role.role, _NO_ENTRIES)
         entries = self.entries
         best = len(entries)
-        for index in self._unanchored.get(role, ()):
+        for index in unanchored:
             if entries[index].prompt_contains in prompt:
                 best = index
                 break
-        table = self._anchored.get(role)
-        if table:
-            # Buckets are in file order, so the first verified entry is the
-            # lowest in its bucket; the words come in no particular order.
-            for word in table.keys() & prompt.split():
-                for index in table[word]:
-                    if index >= best:
-                        break
-                    if entries[index].prompt_contains in prompt:
-                        best = index
-                        break
-        return entries[best] if best < len(entries) else None
-
-    def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:
-        entry = self._first_match(request.prompt, role.role)
-        if entry is None:
+        # Buckets are in file order, so the first verified entry is the
+        # lowest in its bucket; the words come in no particular order.
+        for word in table.keys() & prompt.split():
+            for index in table[word]:
+                if index >= best:
+                    break
+                if entries[index].prompt_contains in prompt:
+                    best = index
+                    break
+        if best == len(entries):
             raise ScriptMissError(
                 f"no mock entry for role={role.role!r} request_id={request.request_id!r}"
             )
-        return InferenceResult(entry.text, entry.token_logprobs, sum(entry.token_logprobs))
+        _, _, text, logprobs = entries[best]
+        # Every field given, so the named tuple's Python-level __new__ is skipped.
+        return tuple.__new__(InferenceResult, (text, logprobs, sum(logprobs), 0))
+
+
+_NO_ENTRIES: Tuple[tuple, dict] = ((), {})
 
 
 def _chunk_entries(objs: list):
@@ -522,4 +530,4 @@ def _chunk_entries(objs: list):
     rows = _responses(texts, logprobs)
     if isinstance(rows, str):
         return rows
-    return list(map(MockEntry, patterns, roles, texts, rows))
+    return [*map(tuple.__new__, itertools.repeat(MockEntry), zip(patterns, roles, texts, rows))]

@@ -48,52 +48,61 @@ def _is_sub_qa(pair) -> bool:
     )
 
 
-def _question_from_obj(obj) -> VisualQuestion:
-    if not isinstance(obj, dict):
-        raise DatasetError("expected a JSON object")
-    for key in ("id", "image", "question", "answers"):
-        if key not in obj:
-            raise DatasetError(f"missing field {key!r}")
-        if key != "answers" and not isinstance(obj[key], str):
-            raise DatasetError(f"field {key!r} must be a string")
-    if not obj["question"]:
-        raise DatasetError("field 'question' must not be empty")
-    answers = obj["answers"]
-    if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
-        raise DatasetError("'answers' must be a list of strings")
-    sub_qas = obj.get("sub_qas")
-    if sub_qas is not None:
-        if not (isinstance(sub_qas, list) and all(map(_is_sub_qa, sub_qas))):
-            raise DatasetError(
-                "'sub_qas' must be a list of [question, answer] pairs"
-                " with a non-empty question"
-            )
-        sub_qas = tuple(SubQA(q, a) for q, a in sub_qas)
-    qid, qtype = obj["id"], obj.get("qtype", "other")
-    if not answers:
-        raise DatasetError(f"question {qid!r} has no ground-truth answers")
-    if qtype not in QTYPES:
-        raise DatasetError(f"question {qid!r} has unknown qtype {qtype!r}")
-    if qtype == "boolean":
-        for ans in answers:
-            if normalize_answer(ans) not in ("yes", "no"):
-                raise DatasetError(f"boolean question {qid!r} has non-boolean answer {ans!r}")
-    return VisualQuestion(
-        id=qid,
-        image=obj["image"],
-        question=obj["question"],
-        answers=tuple(answers),
-        qtype=qtype,
-        sub_qas=sub_qas,
-    )
+# The fields every dataset line holds, each checked in this order.
+_FIELDS = ("id", "image", "question", "answers")
+
+
+def _question_columns(values: list):
+    """The questions of parsed dataset lines, or the problem of the first
+    rule that a line breaks, each rule checked over all the lines at once in
+    the order below, so the message describes a line only when the lines are
+    that one line."""
+    if not set(map(type, values)) <= {dict}:
+        return "expected a JSON object"
+    columns = []
+    for key in _FIELDS:
+        try:
+            column = [obj[key] for obj in values]
+        except KeyError:
+            return f"missing field {key!r}"
+        if key != "answers" and not set(map(type, column)) <= {str}:
+            return f"field {key!r} must be a string"
+        columns.append(column)
+    ids, images, texts, answers = columns
+    if not all(texts):
+        return "field 'question' must not be empty"
+    if not (
+        set(map(type, answers)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(answers))) <= {str}
+    ):
+        return "'answers' must be a list of strings"
+    sub_qas = [obj.get("sub_qas") for obj in values]
+    for index, pairs in enumerate(sub_qas):
+        if pairs is None:
+            continue
+        if not (isinstance(pairs, list) and all(map(_is_sub_qa, pairs))):
+            return "'sub_qas' must be a list of [question, answer] pairs with a non-empty question"
+        sub_qas[index] = tuple(SubQA(q, a) for q, a in pairs)
+    if not all(answers):
+        return f"question {ids[answers.index([])]!r} has no ground-truth answers"
+    qtypes = [obj.get("qtype", "other") for obj in values]
+    # list.count compares with ==, as `in QTYPES` does, and hashes nothing.
+    if sum(map(qtypes.count, QTYPES)) != len(qtypes):
+        qid, qtype = next((i, t) for i, t in zip(ids, qtypes) if t not in QTYPES)
+        return f"question {qid!r} has unknown qtype {qtype!r}"
+    if "boolean" in qtypes:
+        for qid, qtype, row in zip(ids, qtypes, answers):
+            for ans in row if qtype == "boolean" else ():
+                if normalize_answer(ans) not in ("yes", "no"):
+                    return f"boolean question {qid!r} has non-boolean answer {ans!r}"
+    return [*map(tuple.__new__, itertools.repeat(VisualQuestion),
+                 zip(ids, images, texts, map(tuple, answers), qtypes, sub_qas))]
 
 
 # Lines per chunk of every JSONL reader: a chunk's bytes and parsed lines,
 # about three dicts per episode-log line, are freed before the next chunk
-# is read, so a larger chunk holds more memory. On the offline-eval
-# benchmark (2-vCPU VM, Python 3.11, 6 alternating pairs), 1,024 lines read
-# a median 1.7 % fewer episodes a second than 256, within the runs' spread,
-# at a 0.8 MiB higher peak RSS in every pair.
+# is read, so a larger chunk holds more memory. A larger chunk read no
+# faster and peaked higher (CHANGES.md, "Offline evaluation in one pass").
 CHUNK_LINES = 256
 
 
@@ -316,13 +325,16 @@ def repeated_id(ids: list, seen: set) -> Optional[str]:
 
 def _questions(values: list, seen: set):
     """The questions of parsed dataset lines, or the problem of the first
-    rule one breaks: no unpaired surrogate, a question's fields, no id
-    repeated here or from ``seen``, which then takes the new ids."""
+    rule one breaks: no unpaired surrogate, a question's fields
+    (``_question_columns``), no id repeated here or from ``seen``, which
+    then takes the new ids."""
     try:
         _no_unpaired_surrogate(values)
-        questions = [_question_from_obj(obj) for obj in values]
     except DatasetError as exc:
         return str(exc)
+    questions = _question_columns(values)
+    if isinstance(questions, str):
+        return questions
     return repeated_id([q.id for q in questions], seen) or questions
 
 

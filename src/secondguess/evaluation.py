@@ -36,9 +36,9 @@ def normalize_answer(raw: str) -> str:
     """Lowercase, trim, strip terminal punctuation, collapse whitespace,
     and drop leading articles. Memoised: a run scores the same few answer
     strings over and over, and the bound keeps a run whose answers never
-    repeat from holding them all. On a 2-vCPU VM with Python 3.11 a hit
-    took 60 ns against 200 ns for the rules, and a miss 0.2 us more than
-    them (10^4 distinct strings: 6.8 ms against 4.9 ms)."""
+    repeat from holding them all. A hit costs a fraction of the rules and a
+    miss a little more than them (CHANGES.md, "Each episode line written
+    from its fixed layout")."""
     text = raw.lower().strip()
     text = text.rstrip(_TERMINAL_PUNCT)
     tokens = text.split()

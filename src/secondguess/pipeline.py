@@ -20,11 +20,11 @@ leaves, is cut off before the append, and its question runs again.
 
 Each line is written by ``_line`` from ``_record``'s fixed layout, the
 bytes of ``json.dumps(record, ensure_ascii=False)``; a record off that
-layout raises rather than being written. On a 2-vCPU VM with Python 3.11
-(best of 3 x 200,000 calls) a kept record's line took 1.8 us and a
-second-guessed one's 2.6 us, against 4.2-4.3 us through json's generic
-encoder, which spends 1 us setting up even an empty dict; a kept record's
-final answer is its initial one, so its text is written once.
+layout raises rather than being written. It is faster than json's
+generic encoder, much of whose cost is set-up that even an empty dict
+pays (CHANGES.md, "Each episode line written from its fixed layout"); a
+kept record's final answer is its initial one, so its text is written
+once.
 
 ``read_episode_log`` reads a log back as ``evaluation.EpisodeColumns``
 through ``dataset.read_jsonl``, the one reader of JSONL input, with
@@ -183,11 +183,11 @@ class Engine:
         """One recomposer call about the question's image, as the record's
         ``{"text", "confidence"}`` answer; ``stage`` is the request-id suffix:
         initial, suba<i> or recompose."""
-        request = InferenceRequest(
-            prompt=prompt,
-            params=ANSWER_PARAMS,
-            request_id=f"{question.id}#{stage}",
-            image=question.image,
+        # Every field given in order, so the named tuple's Python-level
+        # __new__, a frame per call, is not run.
+        request = tuple.__new__(
+            InferenceRequest,
+            (prompt, ANSWER_PARAMS, f"{question.id}#{stage}", question.image, None),
         )
         result = self._call(request, RECOMPOSER)
         return {"text": result.text, "confidence": confidence_of(result)}
@@ -200,11 +200,9 @@ class Engine:
         multinomial, so the request carries the seed
         ``_scramble_seed(seed, request_id)`` of the run's ``seed``."""
         request_id = f"{question.id}#subq"
-        request = InferenceRequest(
-            prompt=prompt,
-            params=DECOMPOSE_PARAMS,
-            request_id=request_id,
-            seed=_scramble_seed(seed, request_id),
+        request = tuple.__new__(
+            InferenceRequest,
+            (prompt, DECOMPOSE_PARAMS, request_id, None, _scramble_seed(seed, request_id)),
         )
         result = self._call(request, DECOMPOSER)
         text = result.text.split("\n", 1)[0]

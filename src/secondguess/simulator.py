@@ -124,8 +124,9 @@ def gated_counts(trials: SimTrials, taus: Sequence[float]) -> List[Tuple[int, ..
     every tau. Bins and classes are counted together, bin * 4 + class, by
     one ``bincount`` per block, and each tau's counts are read from the
     cumulative sums over the bins. A rank form over all n trials at once
-    (an argsort and cumulative sums) raised offline-eval's peak RSS from
-    46.7 to 66.1 MiB through ``simulate``'s 500,000 trials.
+    (an argsort and cumulative sums) holds arrays of all n trials, which
+    raised offline-eval's peak RSS (CHANGES.md, "Offline evaluation in one
+    pass").
     """
     import numpy as np
 

@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from contextlib import closing, suppress
 from pathlib import Path
+from unittest import mock
 from urllib.parse import urlsplit
 
 import pytest
@@ -969,6 +970,28 @@ def test_mock_index_matches_linear_scan(script):
             remaining = [entry for entry in remaining if entry is not expected]
 
 
+@settings(max_examples=300, deadline=None)
+@given(mock_scripts())
+def test_mock_index_matches_linear_scan_across_chunks(script):
+    """The index files CHUNK_LINES entries at a time with the counts of every
+    chunk so far; at 2 a chunk, the drawn scripts cross chunk boundaries
+    and their patterns are filed under counts that grow between chunks.
+    ``backend`` imports the name, so it is patched there."""
+    entries, calls = script
+    with mock.patch("secondguess.backend.CHUNK_LINES", 2):
+        for prompt, role in calls:
+            remaining = entries
+            while True:
+                backend = MockBackend(remaining)
+                expected = linear_first_match(remaining, prompt, role)
+                if expected is None:
+                    with pytest.raises(ScriptMissError):
+                        backend.complete(request(prompt), BackendRole(role))
+                    break
+                assert backend.complete(request(prompt), BackendRole(role)).text == expected.text
+                remaining = [entry for entry in remaining if entry is not expected]
+
+
 @pytest.mark.parametrize(
     "patterns, prompt, expected",
     [
@@ -1035,3 +1058,28 @@ def test_mock_call_cost_does_not_grow_with_script_size():
     small_s = min(t for t, _ in timings)
     large_s = min(t for _, t in timings)
     assert large_s < 3 * small_s, (small_s, large_s)
+
+
+def test_mock_buckets_stay_small_on_templated_scripts():
+    """4,000 entries shaped as the benchmark's mock script: four template
+    patterns per question, in its order, which share "Question:", "Short
+    Answer:" and the decompose exemplar. Each pattern is filed under a word
+    of its own question, so no bucket holds more than a question's
+    entries, and a call checks at most that many patterns."""
+    colors = ("red", "blue", "green", "white", "black", "yellow", "brown", "grey")
+    nouns = ("cup", "dog", "car", "sign", "chair", "kite", "boat", "lamp", "bird", "door")
+    entries = []
+    for i in range(1_000):
+        question = f"is the {colors[i % 8]} {nouns[i % 10]} number {i} on the left?"
+        sub_q = f"can you see the thing number {i} there?"
+        entries += [
+            MockEntry(f"Context: {sub_q} yes. Question: {question}", "recomposer", "yes", (-0.2,)),
+            MockEntry(prompts.render_direct_qa(sub_q), "recomposer", "yes", (-0.3,)),
+            MockEntry(prompts.render_direct_qa(question), "recomposer", "no", (-0.1,)),
+            MockEntry(prompts.render_decompose(question, "decompose_default"), "decomposer",
+                      sub_q, (-0.4,)),
+        ]
+    backend = MockBackend(entries)
+    buckets = [bucket for _, table in backend._by_role.values() for bucket in table.values()]
+    assert sum(map(len, buckets)) == len(entries)
+    assert max(map(len, buckets)) <= 4

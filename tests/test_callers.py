@@ -472,7 +472,7 @@ def test_one_function_holds_the_repeated_id_rule():
 # of a rule that an earlier layer checks on the same input.
 RULE_HOLDERS = {
     "cannot write": ["cli.py:invoke"],
-    "must not be empty": ["dataset.py:_question_from_obj"],
+    "must not be empty": ["dataset.py:_question_columns"],
     "winoground record missing field": ["dataset.py:winoground_records"],
     # tau_percentile's range, which PipelineConfig owns.
     "percentile must be in [0, 100]": ["pipeline.py:__new__"],

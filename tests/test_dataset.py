@@ -455,3 +455,97 @@ def test_stats_mean_question_length():
 
 def test_stats_empty_stream():
     assert dataset.stats([]) == {"items": 0, "images": 0, "avg_question_length": None}
+
+
+def question_of_row(obj) -> VisualQuestion:
+    """The question of one parsed dataset line: the reference reader's own
+    rules, written apart from the package's and checked in its order. A
+    broken rule raises ValueError with the package's message."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("id", "image", "question", "answers"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        if key != "answers" and not isinstance(obj[key], str):
+            raise ValueError(f"field {key!r} must be a string")
+    if obj["question"] == "":
+        raise ValueError("field 'question' must not be empty")
+    answers = obj["answers"]
+    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+        raise ValueError("'answers' must be a list of strings")
+    sub_qas = obj.get("sub_qas")
+    if sub_qas is not None:
+        if not isinstance(sub_qas, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+            and pair[0] != "" and (pair[1] is None or isinstance(pair[1], str))
+            for pair in sub_qas
+        ):
+            raise ValueError("'sub_qas' must be a list of [question, answer] pairs"
+                             " with a non-empty question")
+        sub_qas = tuple(SubQA(q, a) for q, a in sub_qas)
+    qid, qtype = obj["id"], obj.get("qtype", "other")
+    if not answers:
+        raise ValueError(f"question {qid!r} has no ground-truth answers")
+    if qtype not in ("boolean", "number", "other"):
+        raise ValueError(f"question {qid!r} has unknown qtype {qtype!r}")
+    for ans in answers if qtype == "boolean" else ():
+        if not is_match(ans, ("yes", "no")):
+            raise ValueError(f"boolean question {qid!r} has non-boolean answer {ans!r}")
+    return VisualQuestion(qid, obj["image"], obj["question"], tuple(answers), qtype, sub_qas)
+
+
+ROW_VALUES = st.one_of(
+    st.sampled_from(["", "q1", "yes", "No.", "maybe", "other", "boolean", "number", "colour"]),
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.lists(st.sampled_from(["yes", "no", "", "blue"]), max_size=3),
+    st.lists(st.one_of(st.sampled_from(["yes", "no"]), st.integers(0, 1)), max_size=2),
+    st.lists(st.lists(st.sampled_from(["is it?", "", "yes"]) | st.none(), max_size=3), max_size=2),
+    st.dictionaries(st.just("k"), st.integers(0, 1), max_size=1),
+)
+
+
+@st.composite
+def dataset_rows(draw):
+    """A dataset line's value: mostly a valid question, then a field
+    dropped, replaced or added, or no object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(ROW_VALUES)
+    row = {
+        "id": draw(st.sampled_from(["q1", "q2", "q3"])),
+        "image": "i.jpg",
+        "question": draw(st.sampled_from(["is it red?", "how many?", ""])),
+        "answers": draw(st.sampled_from([["yes"], ["no", "No."], ["2", "two"]])),
+    }
+    if draw(st.booleans()):
+        row["qtype"] = draw(st.sampled_from(["boolean", "number", "other"]))
+    if draw(st.booleans()):
+        row["sub_qas"] = draw(st.sampled_from([[["is it lit?", "yes"]], [["is it?", None]], []]))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["id", "image", "question", "answers", "qtype", "sub_qas"]))
+        if draw(st.booleans()):
+            row.pop(key, None)
+        else:
+            row[key] = draw(ROW_VALUES)
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(dataset_rows(), min_size=1, max_size=6))
+def test_question_columns_follow_the_rules_of_each_line(rows):
+    """A chunk's questions are checked column by column: the chunk passes
+    iff each line passes alone, to the reference's questions, and a line
+    alone gives the reference's message."""
+    expected = []
+    for row in rows:
+        try:
+            expected.append(question_of_row(row))
+        except ValueError as exc:
+            expected.append(str(exc))
+        one = dataset._question_columns([row])
+        assert one == (expected[-1] if isinstance(expected[-1], str) else [expected[-1]])
+    whole = dataset._question_columns(rows)
+    if any(isinstance(e, str) for e in expected):
+        assert isinstance(whole, str)
+    else:
+        assert whole == expected
+        assert all(type(q) is VisualQuestion for q in whole)
