@@ -247,15 +247,18 @@ class _Connection:
 
     sock = file = None
 
-    def __init__(self, host: str, port: int, timeout: float, context) -> None:
-        # context is the backend's SSL context for https, else None.
+    def __init__(self, host: str, port: int, timeout: float, context, name: bytes) -> None:
+        # context is the backend's SSL context for https, else None. name is
+        # the host as ASCII or IDNA bytes, which getaddrinfo takes without
+        # loading the idna codec that a str host costs; TLS checks the str.
         self.host, self.port, self.timeout, self.context = host, port, timeout, context
+        self.name = name
 
     def connect(self) -> None:
         import socket
 
         # close() closes the socket if a step below fails.
-        self.sock = socket.create_connection((self.host, self.port), self.timeout)
+        self.sock = socket.create_connection((self.name, self.port), self.timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self.context is not None:
             self.sock = self.context.wrap_socket(self.sock, server_hostname=self.host)
@@ -313,9 +316,14 @@ class HTTPBackend:
                 raise ValueError("a control character or space in the path or host")
             target = target.encode("ascii")
             name = host.encode("ascii") if host.isascii() else host.encode("idna")
+            # The idna codec's rule, which a host dialled as bytes skips.
+            *labels, last = name.split(b".")
+            if not all(0 < len(label) < 64 for label in labels) or len(last) > 63:
+                raise ValueError("a host label is empty or too long")
         except ValueError as exc:  # a bad port, or a path or host it cannot send
             raise ValueError(f"backend URL {base_url!r}: {exc}") from exc
         self._address = (host, port)
+        self._name = name
         # The Host field as http.client derives it: an IPv6 literal bracketed
         # without its zone, and the port unless it is the scheme's default.
         if ":" in host:
@@ -342,7 +350,7 @@ class HTTPBackend:
     def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = _Connection(*self._address, self.timeout, self._context)
+            conn = _Connection(*self._address, self.timeout, self._context, self._name)
             with self._lock:
                 self._opened.append(conn)
             self._local.conn = conn

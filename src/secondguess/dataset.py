@@ -197,7 +197,9 @@ def read_json(path):
 #   levels of objects overflow an 8 MiB stack and kill the process. A line
 #   of at most _ORJSON_LINE characters nests deep enough for under 0.3 MiB.
 # Balanced nesting past the recursion limit, where json.loads raises
-# RecursionError, parses.
+# RecursionError, parses. The episode log's reader skips the digit scan, as
+# its check accepts no number outside [0, 1] and names no value, so either
+# reading of such an integer gives it one result.
 _ORJSON_LINE = 8192
 _DIGIT_RUN = b"0" * 19
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
@@ -206,7 +208,7 @@ _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 def _orjson_agrees(lines: List[bytes], data: bytes) -> bool:
     """Whether orjson parses each of ``lines`` to json.loads's value or
     rejects it: no line is long, and no integer in ``data``, the lines'
-    bytes, has 19 digits."""
+    bytes or none to skip that scan, has 19 digits."""
     # The limit counts characters, which a line's bytes never fall short of.
     if max(map(len, lines), default=0) > _ORJSON_LINE and any(
         len(line.decode("utf-8")) > _ORJSON_LINE for line in lines
@@ -234,7 +236,7 @@ def _load(line: str):
     return json.loads(line)
 
 
-def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
+def parse_chunk(path, chunk: Chunk, check, strip: bool = False, *, exact_integers: bool = True):
     """``check(values)`` of the values of the non-blank JSONL lines of a
     chunk read from ``path``, each line parsed on its own to the value
     json.loads gives its text, with the whitespace that str.strip removes
@@ -242,7 +244,10 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     as a string; it raises only RecursionError, on a value nested too deep
     for it. On a problem, as when a line is no JSON, each line is parsed and
     checked alone, in order, and the first bad one raises DatasetError
-    naming ``path:line``.
+    naming ``path:line``. Without ``exact_integers``, a check may be given
+    an integer of 19 digits or more as orjson's float and its result kept:
+    only the episode log's reader skips that scan, as its check accepts no
+    number outside [0, 1] and names no value.
 
     orjson parses the lines' bytes, JSON whitespace (space, tab, CR, LF)
     around a value and all, and takes a line only if it holds one value.
@@ -251,7 +256,7 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     hold, a line is blank only by str.isspace (such as "\x1c" or U+3000),
     or the check returns a problem."""
     values = [line for line in chunk.lines if not line.isspace()]
-    if _orjson_agrees(values, chunk.data):
+    if _orjson_agrees(values, chunk.data if exact_integers else b""):
         # Bad JSON raises orjson.JSONDecodeError, a ValueError, and deep
         # nesting RecursionError, from a check that walks the value.
         try:
@@ -289,13 +294,15 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
 
 
-def read_jsonl(path, check, strip: bool = False, digest=None, torn=None) -> Iterator:
-    """``parse_chunk(path, chunk, check, strip)`` of each chunk that
-    ``read_chunks(path, digest, torn)`` reads: how all JSONL input is read.
-    A caller flattens or joins the results as they come, so memory holds
-    one chunk's bytes and values at a time."""
+def read_jsonl(
+    path, check, strip: bool = False, digest=None, torn=None, *, exact_integers: bool = True
+) -> Iterator:
+    """``parse_chunk(path, chunk, check, strip, exact_integers=...)`` of
+    each chunk that ``read_chunks(path, digest, torn)`` reads: how all JSONL
+    input is read. A caller flattens or joins the results as they come, so
+    memory holds one chunk's bytes and values at a time."""
     for chunk in read_chunks(path, digest, torn):
-        yield parse_chunk(path, chunk, check, strip)
+        yield parse_chunk(path, chunk, check, strip, exact_integers=exact_integers)
 
 
 def _no_unpaired_surrogate(values) -> None:

@@ -174,6 +174,22 @@ def test_only_dataset_knows_how_a_file_is_chunked():
     assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 
+def test_only_the_episode_log_reader_skips_the_digit_scan():
+    """``exact_integers=False`` lets an integer of 19 digits or more reach a
+    check as orjson's float, which only a check that accepts no such number
+    and names no value may take: ``pipeline._parse_log`` is the one caller
+    that passes it, and ``read_jsonl`` hands it on to ``parse_chunk``."""
+    passed = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    for keyword in getattr(call, "keywords", ()):
+                        if keyword.arg == "exact_integers":
+                            passed[f"{path.name}:{node.name}"] = ast.unparse(keyword.value)
+    assert passed == {"dataset.py:read_jsonl": "exact_integers", "pipeline.py:_parse_log": "False"}
+
+
 def test_only_cli_touches_the_collector():
     """The command group alone sets the cyclic garbage collector's policy,
     as only a command knows that what it loads lives to its end; the
@@ -219,24 +235,37 @@ def test_cli_import_loads_no_module_only_some_commands_use():
     assert not loaded, f"import secondguess.cli loads {sorted(loaded)}"
 
 
-# Prints the modules, ``encodings.*`` aside, that one mock run at the given
-# concurrency adds to a process that has imported secondguess.cli.
-RUN_MODULES = """
+# Prints the modules that the command given by its arguments adds to a
+# process that has imported secondguess.cli, ``encodings.*`` aside but for
+# the idna codec.
+COMMAND_MODULES = """
 import contextlib
 import io
 import sys
 from secondguess.cli import main
-data, script, out, concurrency = sys.argv[1:]
 before = set(sys.modules)
 try:
     with contextlib.redirect_stdout(io.StringIO()):
-        main(["run", "--dataset", data, "--mock-script", script, "--mode", "selective",
-              "--tau-percentile", "50", "--concurrency", concurrency, "--out", out])
+        main(sys.argv[1:])
 except SystemExit as exc:
     if exc.code:
         raise
-print(" ".join(sorted(m for m in set(sys.modules) - before if not m.startswith("encodings."))))
+added = set(sys.modules) - before
+print(" ".join(sorted(m for m in added if not m.startswith("encodings.") or m == "encodings.idna")))
 """
+
+
+def _modules_added(args) -> set:
+    """The modules, as COMMAND_MODULES prints them, that the command of
+    ``args`` adds in a cold process."""
+    result = subprocess.run(
+        [sys.executable, "-c", COMMAND_MODULES, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
 
 # What ``concurrent.futures``' thread pool loads, as a run above concurrency
 # 1 builds one: a scheduler on plain threads would load none of it.
@@ -254,14 +283,33 @@ def test_a_mock_run_loads_no_module_but_its_thread_pool(tmp_path, concurrency, a
     concurrency 1 loads no module, and one at 4 only its thread pool's."""
     save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")
     write_script(FOUR_EPISODE_SPECS, tmp_path / "script.jsonl")
-    args = [tmp_path / "data.jsonl", tmp_path / "script.jsonl", tmp_path / "out", concurrency]
-    result = subprocess.run(
-        [sys.executable, "-c", RUN_MODULES, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert set(result.stdout.split()) == added
+    assert _modules_added([
+        "run", "--dataset", tmp_path / "data.jsonl", "--mock-script", tmp_path / "script.jsonl",
+        "--mode", "selective", "--tau-percentile", "50", "--concurrency", concurrency,
+        "--out", tmp_path / "out",
+    ]) == added
+
+
+# What a run over HTTP loads for its socket: a host dialled as bytes loads
+# no idna codec (``encodings.idna`` with ``stringprep`` and ``unicodedata``).
+SOCKET_MODULES = {"_socket", "select", "selectors", "socket"}
+
+
+@pytest.mark.parametrize(
+    "concurrency, added", [(1, SOCKET_MODULES), (2, SOCKET_MODULES | POOL_MODULES)]
+)
+def test_an_http_run_loads_its_socket_and_no_idna_codec(tmp_path, loopback, concurrency, added):
+    """A run over plain HTTP speaks it on a socket: it loads the socket
+    modules, and its thread pool's above concurrency 1, and nothing else,
+    neither ``http.client`` with its ``email`` header parser nor ``ssl``."""
+    payload = {"text": "is it?", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
+    server = loopback(respond=lambda body: payload)
+    save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")
+    assert _modules_added([
+        "run", "--dataset", tmp_path / "data.jsonl", "--recomposer-url", server.url,
+        "--mode", "decompose_all", "--concurrency", concurrency, "--out", tmp_path / "out",
+    ]) == added
+    assert len(server.received) == 4 * 4
 
 
 def _absolute_imports(path: Path):
@@ -307,7 +355,8 @@ def test_every_import_exists_at_the_oldest_supported_version():
 # cache, sweep on a cache hit, a run on a mock script, fit, stats and
 # convert, then simulate. Prints whether numpy is loaded before simulate,
 # then whether it is after, with the numpy.ma modules loaded, then the HTTP
-# stack's modules.
+# stack's modules, then the modules, ``encodings.*`` aside, that metrics and
+# sweep added.
 OFFLINE_COMMANDS = """
 import contextlib
 import io
@@ -325,8 +374,10 @@ def invoke(*args):
             raise
 
 
+before = set(sys.modules)
 invoke("metrics", "--log", log, "--out", out)
 invoke("sweep", "--log", log, "--out", out)
+offline = sorted(m for m in set(sys.modules) - before if not m.startswith("encodings."))
 invoke("run", "--dataset", data, "--mock-script", script, "--mode", "selective", "--tau", "0.5",
        "--out", out + "/run")
 invoke("fit", out + "/fit0", out + "/fit1")
@@ -338,6 +389,7 @@ invoke("simulate", "--acc", "0.6", "--ecr", "0.3", "--eic", "0.1", "--trials", "
 print("numpy" in sys.modules,
       sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 print(sorted({"http.client", "ssl", "email", "socket"} & set(sys.modules)))
+print(offline)
 """
 
 
@@ -388,36 +440,11 @@ def test_offline_commands_and_mock_run_load_no_http_stack(offline_modules):
     assert offline_modules[2] == "[]"
 
 
-# A cold process of one run against an HTTP backend, given the run's
-# arguments; prints the HTTP stack's modules loaded.
-HTTP_RUN = """
-import sys
-from secondguess.cli import main
-try:
-    main(["run", *sys.argv[1:]])
-except SystemExit as exc:
-    if exc.code:
-        raise
-print(sorted({"http.client", "ssl", "email", "socket"} & set(sys.modules)))
-"""
-
-
-def test_http_run_loads_socket_and_no_http_client(tmp_path, loopback):
-    """A run over plain HTTP speaks it on a socket: it loads neither
-    ``http.client`` with its ``email`` header parser nor ``ssl``."""
-    payload = {"text": "is it?", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
-    server = loopback(respond=lambda body: payload)
-    save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")
-    args = ["--dataset", tmp_path / "data.jsonl", "--recomposer-url", server.url,
-            "--mode", "decompose_all", "--out", tmp_path / "out"]
-    result = subprocess.run(
-        [sys.executable, "-c", HTTP_RUN, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert len(server.received) == 4 * 4
-    assert result.stdout.splitlines()[-1] == "['socket']"
+def test_offline_commands_load_no_module(offline_modules):
+    """``metrics`` on a cold read and ``sweep`` on the cache it wrote, the
+    commands offline evaluation times, load no module that ``import
+    secondguess.cli`` has not."""
+    assert offline_modules[3] == "[]"
 
 
 # Messages of rules a backend response must keep, HTTP or mock script alike.

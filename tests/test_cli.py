@@ -1648,7 +1648,7 @@ def test_run_over_an_unreadable_log_exits_3(runner, workspace):
 @pytest.mark.parametrize(
     "url",
     ["notaurl", "ftp://x", "http://", "http://u:pw@host", "http://host:99999", "http://host/a b",
-     "http://host/café", "http://a b/"],
+     "http://host/café", "http://a b/", "http://a..b/", f"http://{'x' * 64}.example/"],
 )
 @pytest.mark.parametrize("flag", ["--recomposer-url", "--decomposer-url"])
 def test_run_malformed_backend_url_exits_2(runner, workspace, flag, url):

@@ -897,6 +897,10 @@ def log_record(eid, confidence, gate, before, after) -> dict:
 ID_ENDINGS = ["", "\x00", "\n", "\ud800"]
 # Characters str.strip takes from a line but json.loads rejects around a value.
 NOT_JSON_WHITESPACE = ["\x1f", "\x0b", "\u3000"]
+# The fields _chunk_columns reads, where an integer of 19 digits or more
+# breaks a rule, and one it ignores, where the line still reads.
+LONG_INTEGER_FIELDS = ["confidence", "id", "failed", "gate", "correct_before", "correct_after",
+                       "retries"]
 
 
 @st.composite
@@ -906,15 +910,18 @@ def episode_logs(draw):
     two wrong types or values, a repeated id, a NaN confidence, a \\ud
     escape in a string, which may leave an unpaired surrogate (a log's
     strings are not checked for one), a character that is no JSON whitespace
-    before the value, or a crafted pair of lines that are no JSON alone but
-    join, comma-separated, into two valid records."""
+    before the value, a crafted pair of lines that are no JSON alone but
+    join, comma-separated, into two valid records, or an integer of 19 to 45
+    digits, either sign, in a field the reader checks or in ``retries``,
+    which it ignores. orjson reads such an integer past 64 bits as a float,
+    and the log reader does not look for one."""
     rows = draw(st.lists(LOG_ROWS, max_size=12))
     ids = [f"e{i}" + draw(st.sampled_from(ID_ENDINGS)) for i in range(len(rows))]
     records = [log_record(eid, *row) for eid, row in zip(ids, rows)]
     lines = [json.dumps(record) for record in records]
     kind = draw(st.sampled_from(
         [None, "torn", "two_values", "field", "non_record", "duplicate", "nan", "surrogate",
-         "padded", "crafted_pair"]
+         "padded", "crafted_pair", "long_integer"]
     ))
     if kind and lines:
         at = draw(st.integers(0, len(lines) - 1))
@@ -942,6 +949,16 @@ def episode_logs(draw):
                 first = min(at, len(lines) - 2)
                 lines[first] = lines[first][:-1] + ', "y": [1'
                 lines[first + 1] = "2]}, " + lines[first + 1]
+        elif kind == "long_integer":
+            field = draw(st.sampled_from(LONG_INTEGER_FIELDS))
+            digits = draw(st.integers(19, 45))
+            number = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+            number *= draw(st.sampled_from([1, -1]))
+            if field == "confidence":
+                record = {**record, "initial": {**record["initial"], "confidence": number}}
+            else:
+                record = {**record, field: number}
+            lines[at] = json.dumps(record)
         else:
             lines[at] = json.dumps({**record, "initial": {"text": "", "confidence": math.nan}})
     text = "".join(draw(st.sampled_from(["", "\n", "  \n"])) + line + "\n" for line in lines)
