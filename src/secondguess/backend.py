@@ -433,7 +433,7 @@ class MockBackend:
     taken as they are. ``entries`` is a tuple of MockEntry tuples, indexed
     once at construction by whole words, so a call costs one lookup per
     whitespace token of the prompt rather than O(entries); ``complete`` only
-    reads the index, so concurrent calls need no lock.
+    reads the index, so calls from many threads need no lock.
 
     A pattern's interior words are the tokens of ``pattern.split()`` with
     whitespace on both sides inside the pattern: a prompt that holds the
@@ -479,8 +479,20 @@ class MockBackend:
         the entries, not with the file. ``_chunk_entries`` is each chunk's
         check, and the DatasetError of the first bad line names
         ``path:line``. The lines are parsed stripped, so a line may hold any
-        whitespace that str.strip removes around its JSON."""
-        chunks = read_jsonl(path, _chunk_entries, strip=True)
+        whitespace that str.strip removes around its JSON.
+
+        A chunk's bytes are not scanned for integers of 19 digits or more
+        (``exact_integers=False``), as the entries do not depend on the
+        scan: orjson reads such an integer as the same int within 64 bits
+        and as a float beyond, rounded to nearest, ties to even, as
+        ``float()`` rounds an int, and ``_responses`` converts every integer
+        log-probability with ``float()``; orjson rejects an integer past
+        float range, which sends its chunk to the text path, where
+        ``float()`` rejects it too. The check reads no other number, and a
+        problem it returns is named from the text path's parse.
+        ``test_long_integers_read_alike_with_and_without_the_digit_scan``
+        holds the rounding to this."""
+        chunks = read_jsonl(path, _chunk_entries, strip=True, exact_integers=False)
         return cls(itertools.chain.from_iterable(chunks))
 
     def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:

@@ -9,9 +9,10 @@ failed) or stopped by Ctrl-C, 2 a usage error or config validation (a
 ConfigError, or an output directory or file that cannot be written), 3
 dataset error (a DatasetError, a log with no episode, or a tau the log
 cannot answer). All outputs go under --out; every run directory gets a
-manifest recording the resolved config, its hash, the seed, timestamps, the
-whole log's episode and failure counts, and this invocation's backend calls
-and transport retries.
+manifest recording the resolved config, its hash, the seed and the start
+time, written before the first backend call, then rewritten whole at the
+end with the finish time, the whole log's episode and failure counts, and
+this invocation's backend calls and transport retries.
 
 Start-up: every command pays the package import before it does any work,
 and a reproduction runs many short commands, so ``import secondguess.cli``
@@ -20,10 +21,9 @@ the timed commands (``run``, ``metrics``, ``sweep``) use, and a command
 builds the parser of that command alone (CHANGES.md's "Cold start without
 click" line holds the times). What only some commands use is imported where
 it is used: numpy by ``simulate``, ``socket`` and ``ssl`` by an HTTP
-backend, ``concurrent.futures`` by a run at concurrency above 1, and
-``logging`` by ``convert``'s caption warning. The record types are named
-tuples, not dataclasses, whose module every command would load and whose
-decorator builds each class at import. No import that a timed command uses
+backend, and ``logging`` by ``convert``'s caption warning. The record types
+are named tuples, not dataclasses, whose module every command would load
+and whose decorator builds each class at import. No import that a timed command uses
 is made lazy: that would only move its cost from start-up into the command.
 """
 
@@ -90,8 +90,9 @@ def _fail(code: int, message: str) -> None:
 
 
 def _numbers(text: Optional[str], name: str, high: float, default: list) -> list:
-    """Comma-separated numbers, each in [0, high], or exit 2; default if unset."""
-    if not text:
+    """Comma-separated numbers, each in [0, high], or exit 2; default if the
+    flag is absent."""
+    if text is None:
         return default
     try:
         values = [float(v) for v in text.split(",")]
@@ -201,7 +202,9 @@ def _from_log(log_path, compute):
         _fail(EXIT_DATASET, str(exc))
 
 
-def _write_manifest(out_dir: Path, cfg: dict, started: str, extra: dict) -> None:
+def _write_manifest(out_dir: Path, cfg: dict, started: str, summary=None) -> None:
+    """The run's manifest; given the run's summary, with when it finished
+    and its counts."""
     canonical = json.dumps(cfg, sort_keys=True)
     manifest = {
         "tool_version": __version__,
@@ -209,9 +212,10 @@ def _write_manifest(out_dir: Path, cfg: dict, started: str, extra: dict) -> None
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": cfg["seed"],
         "started_at": started,
-        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    manifest.update(extra)
+    if summary is not None:
+        manifest["finished_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        manifest.update(summary._asdict())
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -309,17 +313,20 @@ def cmd_run(config_path, **flags) -> None:
     engine = _build_engine(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in (out_dir / "manifest.json", out_dir / "metrics.json"):
-        if path.is_dir():  # written after the calls, so refused before them
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    metrics_path = out_dir / "metrics.json"
+    if metrics_path.is_dir():  # written after the calls, so refused before them
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(metrics_path))
     episodes_path = out_dir / "episodes.jsonl"
     try:
-        summary, log = pipeline.run(questions, pcfg, engine, episodes_path)
+        # The manifest, written once the log has been read and before the
+        # first call, finds an out/ that cannot be written at no call's cost.
+        summary, log = pipeline.run(questions, pcfg, engine, episodes_path,
+                                    before_calls=lambda: _write_manifest(out_dir, cfg, started))
     finally:
         for backend in (engine.recomposer, engine.decomposer):
             if isinstance(backend, HTTPBackend):
                 backend.close()
-    _write_manifest(out_dir, cfg, started, summary._asdict())
+    _write_manifest(out_dir, cfg, started, summary)
     qtype_map = {q.id: q.qtype for q in questions}
     try:
         report = evaluation.compute_report(
@@ -327,7 +334,7 @@ def cmd_run(config_path, **flags) -> None:
         )
     except ValueError as exc:  # every episode failed, none ran, or the log cannot answer tau
         _fail(1 if 0 < summary.failures == summary.episodes else EXIT_DATASET, str(exc))
-    _write_json(out_dir / "metrics.json", report._asdict())
+    _write_json(metrics_path, report._asdict())
     print(
         f"run complete: {summary.episodes} episodes "
         f"({summary.failures} failures) -> {episodes_path}",

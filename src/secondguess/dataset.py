@@ -246,8 +246,9 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False, *, exact_integer
     checked alone, in order, and the first bad one raises DatasetError
     naming ``path:line``. Without ``exact_integers``, a check may be given
     an integer of 19 digits or more as orjson's float and its result kept:
-    only the episode log's reader skips that scan, as its check accepts no
-    number outside [0, 1] and names no value.
+    only the episode log's reader, whose check accepts no number outside
+    [0, 1] and names no value, and the mock script's, whose check takes a
+    log-probability as its ``float()``, skip that scan.
 
     orjson parses the lines' bytes, JSON whitespace (space, tab, CR, LF)
     around a value and all, and takes a line only if it holds one value.

@@ -4,19 +4,27 @@ Every mode runs the same chain on each question: the question is asked
 for an initial answer and its confidence, ``evaluation.gated`` at the mode's
 tau keeps the answer or second-guesses it, and a second-guessed question gets
 a decomposition and is re-answered with it as context. Only a percentile tau
-waits for every initial answer before it gates any. ``run`` keeps at most
-``concurrency`` backend calls and 4 * ``concurrency`` questions in flight,
-and takes their episodes in dataset order. The modes differ only in
-tau and in the sub-QAs: ``direct`` gates at 0, which keeps every answer;
-``decompose_all`` (at 1) and ``selective`` answer a model-written subquestion
-with the model; the oracle modes gate at 1 and use the human-written sub-QAs,
-as given, stripped, scrambled or self-answered. Every
-question yields one auditable episode record, a plain dict with its keys in
-the log's order. ``run`` checks each chunk of new records with
-``_chunk_columns``, the log reader's rule set, before it writes any byte,
-appends them to the log once, at the end of the run, and returns the whole
-log's columns. A last log line with no line end, which a crash mid-write
-leaves, is cut off before the append, and its question runs again.
+waits for every initial answer before it gates any. ``run`` has one
+scheduler, ``_Scheduler``: inline at concurrency 1, on ``concurrency``
+plain threads above it, it keeps at most ``concurrency`` backend calls
+and 4 * ``concurrency`` questions in flight, and takes their episodes in
+dataset order. The modes differ only in tau and in the sub-QAs:
+``direct`` gates at 0, which keeps every answer; ``decompose_all`` (at 1)
+and ``selective`` answer a model-written subquestion with the model; the
+oracle modes gate at 1 and use the human-written sub-QAs, as given,
+stripped, scrambled or self-answered. Every question yields one auditable
+episode record, a plain dict with its keys in the log's order. ``run``
+checks each chunk of CHUNK_LINES new records with ``_chunk_columns``, the
+log reader's rule set, then appends the chunk to the log and flushes it, so
+a crash keeps every chunk before the one it stopped; it returns the whole
+log's columns. A last log line with no line end, which
+a crash mid-write leaves, is cut off just before the first append, and its
+question runs again. A percentile tau run refuses a log that holds
+episodes while questions are still to run, as a crash leaves it, since it
+would resolve tau over those questions alone. ``run`` calls
+``before_calls`` once it has read the log, before the first backend call:
+there ``cli`` writes the run's manifest, so an output directory that
+cannot be written costs no call.
 
 Each line is written by ``_line`` from ``_record``'s fixed layout, the
 bytes of ``json.dumps(record, ensure_ascii=False)``; a record off that
@@ -40,9 +48,7 @@ once the chunks are joined.
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import functools
 import hashlib
 import itertools
 import json
@@ -53,7 +59,7 @@ import zlib
 from array import array
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from . import evaluation, prompts
 from .backend import (
@@ -150,7 +156,7 @@ DECOMPOSER = BackendRole("decomposer")
 
 class Engine:
     """Binds decomposer/recomposer backends and sends requests whose prompts
-    the chain renders. Thread-safe; questions may be processed concurrently."""
+    the chain renders. Thread-safe; many threads may run questions at once."""
 
     def __init__(self, recomposer: Backend, decomposer: Backend) -> None:
         self.recomposer = recomposer
@@ -440,11 +446,11 @@ def _parse_log(path, digest=None, torn=None) -> evaluation.EpisodeColumns:
     each chunk's check, and the bytes parsed hashed into ``digest``; a list
     ``torn`` takes a torn last line's offset instead of its record.
 
-    The one reader without ``exact_integers``: a chunk's bytes are not
-    scanned for integers of 19 digits or more, which orjson reads as floats
-    of magnitude 2**63 or more, or rejects. ``parse_chunk`` keeps orjson's
-    values only when the check accepts them, and parses the text with
-    json.loads for every problem it names. ``_chunk_columns`` accepts no
+    A reader without ``exact_integers``, as the mock script's is: a chunk's
+    bytes are not scanned for integers of 19 digits or more, which orjson
+    reads as floats of magnitude 2**63 or more, or rejects. ``parse_chunk``
+    keeps orjson's values only when the check accepts them, and parses the
+    text with json.loads for every problem it names. ``_chunk_columns`` accepts no
     number outside [0, 1], names no value in its problems and ignores the
     fields it does not read, so the columns it accepts are the same under
     either parse."""
@@ -558,21 +564,95 @@ def _initial(engine: Engine, question: VisualQuestion) -> Optional[dict]:
         return None
 
 
-def _windowed(pool, fn, items, window: int):
-    """``fn`` of each item, in order, run by ``pool`` with at most ``window``
-    items submitted and not yet yielded. The tasks not yet begun are
-    cancelled when the generator ends before the items do: by an exception
-    from ``fn``, or when it is closed."""
-    items = iter(items)
-    pending = collections.deque(pool.submit(fn, item) for item in itertools.islice(items, window))
-    try:
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
-            yield result
-    finally:
-        for future in pending:
-            future.cancel()
+class _Scheduler:
+    """Maps a function over a list in order. At concurrency 1 the calling
+    thread runs each item inline and no thread is started; above it,
+    ``concurrency`` threads, which the first ``ordered`` starts, run the
+    items while the calling thread waits for each result in turn. The
+    threads serve every ``ordered`` of the scheduler, so an HTTP backend
+    keeps one connection per thread across the percentile barrier. Leaving
+    the ``with`` block, however it is left, stops the threads' intake and
+    joins them once their items end."""
+
+    def __init__(self, concurrency: int) -> None:
+        self._concurrency = concurrency
+        self._cond = threading.Condition(threading.Lock())
+        self._threads = []
+        self._closed = False
+        # The current ``ordered``: its function and items, the outcomes not
+        # yet given, the next item to begin, the end of its intake and the
+        # next item to give.
+        self._fn = None
+        self._items = []
+        self._results = {}
+        self._begun = self._stop = self._given = 0
+
+    def __enter__(self) -> "_Scheduler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def _work(self) -> None:
+        """Run items until the scheduler closes, and file each outcome. An
+        item may begin before the end of intake and within 4 * concurrency
+        of the next item to give; one that raises, whatever it raises, ends
+        the intake after it."""
+        cond = self._cond
+        while True:
+            with cond:
+                while not self._closed and self._begun >= min(
+                    self._stop, self._given + 4 * self._concurrency
+                ):
+                    cond.wait()
+                if self._closed:
+                    return
+                index = self._begun
+                self._begun = index + 1
+                fn, item = self._fn, self._items[index]
+            try:
+                outcome = (True, fn(item))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with cond:
+                self._results[index] = outcome
+                if not outcome[0]:
+                    self._stop = min(self._stop, index + 1)
+                cond.notify_all()
+
+    def ordered(self, fn, items: list):
+        """``fn`` of each item, in order, with at most 4 * concurrency items
+        begun and not yet given. An exception from ``fn`` is raised in its
+        item's place, after the results before it; no later item begins."""
+        if self._concurrency == 1:
+            # Inline, which is that order and bound, without the lock's
+            # cost per item.
+            yield from map(fn, items)
+            return
+        with self._cond:
+            self._fn, self._items, self._results = fn, items, {}
+            self._begun = self._given = 0
+            self._stop = len(items)
+            self._cond.notify_all()
+        while len(self._threads) < self._concurrency:
+            thread = threading.Thread(target=self._work)
+            thread.start()
+            self._threads.append(thread)
+        results = self._results
+        for index in range(len(items)):
+            with self._cond:
+                while index not in results:
+                    self._cond.wait()
+                ok, value = results.pop(index)
+                self._given = index + 1
+                self._cond.notify_all()
+            if not ok:
+                raise value
+            yield value
 
 
 def run(
@@ -580,22 +660,31 @@ def run(
     cfg: PipelineConfig,
     engine: Engine,
     sink_path,
+    before_calls: Callable[[], None] = lambda: None,
 ) -> Tuple[RunSummary, evaluation.EpisodeColumns]:
     """Run one pipeline mode over the questions into a resumable JSONL sink.
 
     Questions whose ids the sink already holds are skipped, so the finished
     log holds one episode per question; the summary counts the whole log. A
     last sink line with no line end is a record that a crash cut short: it
-    is left out of the log and cut off before the append, and its question
-    runs again. At most ``concurrency`` backend calls and 4 * ``concurrency``
-    questions are in flight at once. Per-episode backend failures are
-    isolated into failed records; only dataset/config problems abort the
-    run. Each CHUNK_LINES new records, in dataset order, pass
-    ``_chunk_columns``, the rule set the log is read with, and are kept only
-    as their columns and encoded lines, appended after the last episode; a
-    record that breaks a rule is a bug and raises AssertionError before any
-    byte is written. Returns the summary and the whole log's columns: those
-    of the log as the run found it, then the new episodes'.
+    is left out of the log and cut off just before the first append, and
+    its question runs again. A ``tau_percentile`` run resumes only a log
+    that holds no episode or every question, and raises ConfigError,
+    before any call, on one that holds some of them. ``before_calls()`` is called once the sink has
+    been read, before the first backend call. At most ``concurrency``
+    backend calls and 4 * ``concurrency`` questions are in flight at once.
+    Per-episode backend failures are isolated into failed records; only
+    dataset/config problems abort the run. Each CHUNK_LINES new records, in
+    dataset order, pass ``_chunk_columns``, the rule set the log is read
+    with, and are then appended after the last episode and flushed, and
+    kept only as their columns; a record that breaks a rule is a bug and
+    raises AssertionError before its chunk is written. Any other exception,
+    or a KeyboardInterrupt, stops the intake of questions: the run raises it
+    once the calls in flight have ended, and the log keeps every chunk
+    appended before. A run that ends with no new episode still leaves a
+    log, empty if there was none; one stopped before its first chunk
+    creates none. Returns the summary and the whole log's columns: those of
+    the log as the run found it, then the new episodes'.
     """
     sink_path = Path(sink_path)
     torn = []
@@ -608,48 +697,46 @@ def run(
         usable = [q for q in questions if q.sub_qas]
         skipped = len(questions) - len(usable)
         questions = usable
+    if cfg.tau_percentile is not None and log.ids and questions:
+        # Its tau would come from the new initial answers alone, not from
+        # every question's, and the log would hold records gated at two taus.
+        raise ConfigError(
+            f"{sink_path} holds {len(log.ids)} episodes: a tau_percentile run cannot resume "
+            f"it with {len(questions)} questions still to run; remove it to run them all again"
+        )
 
+    before_calls()
     tau = {"direct": 0.0, "selective": cfg.tau}.get(cfg.mode, 1.0)
     chunks = [(log.ids, log.failed, log.confidence, log.second_guessed, log.correct_before,
                log.correct_after)]
-    lines = []
-    # At concurrency 1 the tasks run inline, cheaper than a thread handoff,
-    # and no pool is built or imported. Above it, one pool serves the run:
-    # at most `concurrency` worker threads, and an HTTP backend keeps one
-    # connection per thread. The window of 4 * concurrency questions keeps
-    # every worker busy while the episodes are taken in order, and bounds
-    # what is held in flight.
-    map_, pool = map, contextlib.nullcontext()
-    if cfg.concurrency > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=cfg.concurrency)
-        map_ = functools.partial(_windowed, pool, window=4 * cfg.concurrency)
-    with pool:
+    with _Scheduler(cfg.concurrency) as scheduler:
         if cfg.tau_percentile is None:
-            episodes = map_(lambda q: _episode(engine, q, _initial(engine, q), cfg, tau),
-                            questions)
+            episodes = scheduler.ordered(
+                lambda q: _episode(engine, q, _initial(engine, q), cfg, tau), questions)
         else:
             # The one barrier: a percentile tau needs every initial
             # confidence. With none, tau stays None and every chain is a
             # failed record.
-            initials = list(map_(lambda q: _initial(engine, q), questions))
+            initials = list(scheduler.ordered(lambda q: _initial(engine, q), questions))
             confidences = [a["confidence"] for a in initials if a is not None]
             if confidences:
                 tau = evaluation.percentile_to_tau(confidences, cfg.tau_percentile)
-            episodes = map_(lambda qa: _episode(engine, *qa, cfg, tau),
-                            zip(questions, initials))
-        for chunk in iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), []):
+            episodes = scheduler.ordered(lambda qa: _episode(engine, *qa, cfg, tau),
+                                         list(zip(questions, initials)))
+        # A last, empty chunk leaves a log, with no torn line, when no
+        # episode is new.
+        new_chunks = iter(lambda: list(itertools.islice(episodes, CHUNK_LINES)), [])
+        for chunk in itertools.chain(new_chunks, [[]]):
             columns = _chunk_columns(chunk, done)
             if isinstance(columns, str):
                 raise AssertionError(f"run built a record the log reader rejects: {columns}")
             chunks.append(columns)
-            lines.append("".join(map(_line, chunk)))
-
-    with open(sink_path, "a", encoding="utf-8") as fh:
-        if torn:
-            fh.truncate(torn[0])
-        fh.writelines(lines)
+            # Closing the file flushes the chunk; the first append cuts off
+            # a torn last line.
+            with open(sink_path, "a", encoding="utf-8") as fh:
+                if torn:
+                    fh.truncate(torn.pop())
+                fh.write("".join(map(_line, chunk)))
     whole = _joined(chunks)
     return RunSummary(
         episodes=len(whole.ids),

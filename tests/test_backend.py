@@ -1,4 +1,5 @@
 import http.client
+import itertools
 import json
 import math
 import random
@@ -34,7 +35,7 @@ from conftest import (
     spec_entries,
     spec_questions,
 )
-from secondguess import pipeline, prompts
+from secondguess import dataset, pipeline, prompts
 from secondguess.backend import (
     ANSWER_PARAMS,
     DECOMPOSE_PARAMS,
@@ -48,6 +49,7 @@ from secondguess.backend import (
     ProtocolError,
     ScriptMissError,
     TransportError,
+    _chunk_entries,
     _read_reply,
     confidence_of,
 )
@@ -818,6 +820,55 @@ def test_mock_script_reads_as_by_line(n, seed, ints, data):
         lines[position - 1] = data.draw(st.sampled_from(list(SCRIPT_LINE_EDGES.values())))
     chunked, by_line = read_both(lines)
     assert chunked == by_line
+
+
+def _near_halfway(mantissa: int, exponent: int, nudge: int) -> int:
+    """An integer at, or 1 off, the midpoint of two neighbouring floats in
+    the binade of 2**exponent."""
+    return mantissa * 2 ** (exponent - 52) + 2 ** (exponent - 53) + nudge
+
+
+# Integers of 19 to 46 digits, where orjson's reading is no int, half of
+# them at or next to the midpoint of two floats, where rounding can differ.
+LONG_INTEGERS = st.one_of(
+    st.integers(10 ** 18, 10 ** 45),
+    st.builds(_near_halfway, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(63, 152),
+              st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.lists(st.one_of(LONG_INTEGERS.map(lambda n: -n), st.just(-0.105)), max_size=3),
+        st.integers(-1, 1).flatmap(lambda sign: LONG_INTEGERS.map(lambda n: sign * n)),
+    ),
+    min_size=1, max_size=6,
+))
+def test_long_integers_read_alike_with_and_without_the_digit_scan(rows):
+    """``from_script`` skips the scan for integers of 19 digits or more, so
+    orjson reads them: long integers among the log-probabilities, and in
+    keys the check does not read, give the entries that a read with the
+    scan gives, and the line-by-line reference, to the last bit."""
+    lines = [
+        json.dumps({
+            "id": ignored,
+            "match": {"prompt_contains": f"pattern {i}", "role": ROLES[i % 2], "note": ignored},
+            "response": {"text": "yes", "token_logprobs": logprobs,
+                         "cumulative_logprob": ignored},
+        })
+        for i, (logprobs, ignored) in enumerate(rows)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "script.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        scanned = [*itertools.chain.from_iterable(
+            dataset.read_jsonl(path, _chunk_entries, strip=True, exact_integers=True)
+        )]
+        reads = [MockBackend.from_script(path).entries, scanned, read_script_by_line(path)]
+    reprs = [[(e, repr(e.token_logprobs)) for e in entries] for entries in reads]
+    assert reprs[0] == reprs[1] == reprs[2]
+    assert [len(e.token_logprobs) for e in reads[0]] == [len(logprobs) for logprobs, _ in rows]
 
 
 def line_payload(line: str):

@@ -174,11 +174,13 @@ def test_only_dataset_knows_how_a_file_is_chunked():
     assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 
-def test_only_the_episode_log_reader_skips_the_digit_scan():
+def test_only_the_log_and_mock_script_readers_skip_the_digit_scan():
     """``exact_integers=False`` lets an integer of 19 digits or more reach a
-    check as orjson's float, which only a check that accepts no such number
-    and names no value may take: ``pipeline._parse_log`` is the one caller
-    that passes it, and ``read_jsonl`` hands it on to ``parse_chunk``."""
+    check as orjson's float, which only a check whose result cannot tell it
+    from the int may take: ``pipeline._parse_log``, whose check accepts no
+    such number and names no value, and ``MockBackend.from_script``, whose
+    check takes a log-probability as its ``float()``, are the callers that
+    pass it, and ``read_jsonl`` hands it on to ``parse_chunk``."""
     passed = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -187,7 +189,8 @@ def test_only_the_episode_log_reader_skips_the_digit_scan():
                     for keyword in getattr(call, "keywords", ()):
                         if keyword.arg == "exact_integers":
                             passed[f"{path.name}:{node.name}"] = ast.unparse(keyword.value)
-    assert passed == {"dataset.py:read_jsonl": "exact_integers", "pipeline.py:_parse_log": "False"}
+    assert passed == {"backend.py:from_script": "False", "dataset.py:read_jsonl": "exact_integers",
+                      "pipeline.py:_parse_log": "False"}
 
 
 def test_only_cli_touches_the_collector():
@@ -219,9 +222,8 @@ def test_cli_import_loads_no_module_only_some_commands_use():
     """Every command pays the package import before it does any work, so
     the import loads only what the timed commands use: no ``dataclasses``,
     no ``logging``, which only ``convert``'s caption warning uses, no
-    ``concurrent.futures``, which only a run at concurrency above 1 uses,
-    no numpy, which only ``simulate`` uses, and no ``click`` or
-    ``inspect``, which no command uses."""
+    numpy, which only ``simulate`` uses, and no ``concurrent.futures``,
+    ``click`` or ``inspect``, which no command uses."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_CLI],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -267,20 +269,12 @@ def _modules_added(args) -> set:
     return set(result.stdout.split())
 
 
-# What ``concurrent.futures``' thread pool loads, as a run above concurrency
-# 1 builds one: a scheduler on plain threads would load none of it.
-POOL_MODULES = {
-    "_heapq", "_queue", "_string", "concurrent", "concurrent.futures",
-    "concurrent.futures._base", "concurrent.futures.thread", "heapq", "linecache", "logging",
-    "queue", "string", "textwrap", "token", "tokenize", "traceback",
-}
-
-
-@pytest.mark.parametrize("concurrency, added", [(1, set()), (4, POOL_MODULES)])
+@pytest.mark.parametrize("concurrency, added", [(1, set()), (4, set())])
 def test_a_mock_run_loads_no_module_but_its_thread_pool(tmp_path, concurrency, added):
     """Whatever a command runs, ``import secondguess.cli`` has loaded it,
-    so a cold run pays no import inside the command: a mock run at
-    concurrency 1 loads no module, and one at 4 only its thread pool's."""
+    so a cold run pays no import inside the command: a mock run loads no
+    module, and at concurrency 4 its scheduler runs on ``threading``, which
+    the import has loaded, with no ``concurrent.futures`` pool."""
     save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")
     write_script(FOUR_EPISODE_SPECS, tmp_path / "script.jsonl")
     assert _modules_added([
@@ -295,13 +289,11 @@ def test_a_mock_run_loads_no_module_but_its_thread_pool(tmp_path, concurrency, a
 SOCKET_MODULES = {"_socket", "select", "selectors", "socket"}
 
 
-@pytest.mark.parametrize(
-    "concurrency, added", [(1, SOCKET_MODULES), (2, SOCKET_MODULES | POOL_MODULES)]
-)
+@pytest.mark.parametrize("concurrency, added", [(1, SOCKET_MODULES), (2, SOCKET_MODULES)])
 def test_an_http_run_loads_its_socket_and_no_idna_codec(tmp_path, loopback, concurrency, added):
     """A run over plain HTTP speaks it on a socket: it loads the socket
-    modules, and its thread pool's above concurrency 1, and nothing else,
-    neither ``http.client`` with its ``email`` header parser nor ``ssl``."""
+    modules and nothing else at any concurrency, neither ``http.client``
+    with its ``email`` header parser nor ``ssl``."""
     payload = {"text": "is it?", "token_logprobs": [-0.1], "cumulative_logprob": -0.1}
     server = loopback(respond=lambda body: payload)
     save_dataset(spec_questions(FOUR_EPISODE_SPECS), tmp_path / "data.jsonl")

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import csv
 import errno
 import gc
@@ -671,7 +672,7 @@ def test_metrics_malformed_dataset_exits_3(runner, workspace):
     assert result.exit_code == 3
 
 
-@pytest.mark.parametrize("grid", ["0.5,1.5", "-0.1,0.5", "0.5,nan"])
+@pytest.mark.parametrize("grid", ["0.5,1.5", "-0.1,0.5", "0.5,nan", ""])
 def test_simulate_tau_grid_out_of_range_exits_2(runner, tmp_path, grid):
     result = runner.invoke(
         main,
@@ -874,6 +875,30 @@ def test_tau_percentile_onto_complete_log_makes_no_call(runner, workspace):
     assert manifest["backend_calls"] == manifest["new_episodes"] == 0
     assert manifest["episodes"] == 8
     assert json.loads((out / "metrics.json").read_text())["tau"] is None
+
+
+def test_tau_percentile_onto_a_partial_log_exits_2_with_no_call(runner, workspace, monkeypatch):
+    """A percentile tau run onto a log that holds some of its questions, as
+    a crash leaves it, would resolve tau over the rest alone: it exits 2
+    before any call, with the log and the manifest as they were."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    args = ["run", "--dataset", str(data), "--mock-script", str(script),
+            "--mode", "selective", "--tau-percentile", "50", "--out", str(out)]
+    assert runner.invoke(main, args).exit_code == 0
+    log = out / "episodes.jsonl"
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:3]))
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, request, role: calls.append(1))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: {log} holds 3 episodes: a tau_percentile run cannot resume it with 5 "
+        "questions still to run; remove it to run them all again\n"
+    )
+    assert calls == []
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 def test_resumed_run_counts_failures_of_the_whole_log(runner, tmp_path):
@@ -1608,6 +1633,39 @@ def test_bad_setting_exits_before_out(runner, workspace, args, code, message):
     assert not out.exists()
 
 
+def test_an_out_that_cannot_be_written_costs_no_call(runner, workspace, monkeypatch):
+    """A run writes its manifest before its first backend call, so an out/
+    whose files cannot be opened exits 2 naming the manifest, with no call
+    made and no log. Root may write any directory, so ``open`` refuses
+    every file under out/ as it would refuse another user."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    real_open = open
+
+    def refuse(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == out:
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    calls = []
+    complete = MockBackend.complete
+
+    def counted(self, request, role):
+        calls.append(request)
+        return complete(self, request, role)
+
+    monkeypatch.setattr(MockBackend, "complete", counted)
+    monkeypatch.setattr(builtins, "open", refuse)
+    result = runner.invoke(main, [
+        "run", "--dataset", str(data), "--mock-script", str(script), "--mode", "selective",
+        "--tau-percentile", "50", "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot write {out / 'manifest.json'}: Permission denied\n"
+    assert calls == []
+    assert sorted(os.listdir(out)) == []
+
+
 @pytest.mark.parametrize("command", ["metrics", "sweep"])
 def test_log_in_an_unsearchable_directory_exits_3(runner, tmp_path, monkeypatch, command):
     """A --log whose directory cannot be searched is a log not found, an
@@ -2022,8 +2080,10 @@ def test_import_loads_no_http_stack_or_blas_threads():
     "args, code",
     [
         (["--log", "{tmp}/missing.jsonl"], 3),
+        # The grid is checked first: an empty one is no default grid.
+        (["--log", "{tmp}/missing.jsonl", "--percentiles", ""], 2),
     ],
-    ids=["missing_log"],
+    ids=["missing_log", "empty_percentiles"],
 )
 def test_sweep_failing_early_leaves_no_out(runner, workspace, args, code):
     tmp, data, _ = workspace

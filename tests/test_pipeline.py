@@ -644,11 +644,12 @@ CHAIN_SPECS = [
 CHAIN_TAU = 0.5
 
 
-def chain_fixture(drop_recompose_of=None):
-    """Questions with two oracle sub-QAs each, and a mock whose recompose
-    entry for a question matches only that question's recompose prompt."""
+def chain_fixture(drop_recompose_of=None, specs=CHAIN_SPECS):
+    """Questions of ``specs`` with two oracle sub-QAs each, and a mock whose
+    recompose entry for a question matches only that question's recompose
+    prompt."""
     questions, entries = [], []
-    for spec, q in zip(CHAIN_SPECS, spec_questions(CHAIN_SPECS)):
+    for spec, q in zip(specs, spec_questions(specs)):
         sub_qas = (SubQA(f"is {q.id} near", "yes"), SubQA(f"is {q.id} far", "no"))
         questions.append(q._replace(sub_qas=sub_qas))
         if q.id != drop_recompose_of:
@@ -841,6 +842,139 @@ def test_no_barrier_without_percentile_tau():
     episodes = run_records(questions[:2], cfg, engine)
     assert waits == [True]
     assert not any(ep.get("failed", False) for ep in episodes)
+
+
+# Nine questions of the chain fixture's shape, their initial confidences on
+# both sides of CHAIN_TAU.
+CRASH_SPECS = [
+    QSpec(f"c{i}", f"is thing {i} red?", "yes", ("yes", "no")[i % 2], (i % 4 + 0.5) / 4,
+          final_text=("no", "yes")[i % 3 == 0])
+    for i in range(9)
+]
+CRASH_CONFIGS = [("direct", {}), ("decompose_all", {}), ("selective", {"tau": CHAIN_TAU}),
+                 ("selective", {"tau_percentile": 50.0}), ("oracle_self_answer", {})]
+
+
+class Aborting:
+    """Passes each call on to ``inner``, but for call number ``k`` (from 0),
+    which raises an error that is no BackendError; ``aborted`` is the id of
+    that call's question and ``stage`` its stage."""
+
+    def __init__(self, inner, k: int) -> None:
+        self.inner = inner
+        self.k = k
+        self.calls = itertools.count()  # next() on a count is atomic
+        self.aborted = self.stage = None
+
+    def complete(self, request, role):
+        if next(self.calls) == self.k:
+            self.aborted, self.stage = request.request_id.split("#")
+            raise RuntimeError("aborted")
+        return self.inner.complete(request, role)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.sampled_from(CRASH_CONFIGS), concurrency=st.sampled_from([1, 4]),
+       chunk_lines=st.integers(1, 4), data=st.data())
+def test_a_crash_keeps_every_chunk_before_it_and_resumes_to_the_same_bytes(
+    tmp_path, config, concurrency, chunk_lines, data
+):
+    """An error that is no BackendError at any call stops the run with the
+    log a prefix of the uninterrupted one: every whole chunk before the
+    aborted question's chunk, and no line of it or after; no log at all if
+    that is the first chunk, or if a percentile tau run stops before its
+    barrier. A resume then writes the uninterrupted bytes. A percentile tau
+    run refuses to resume a log that holds some episodes, with no call and
+    no byte changed, and a rerun with the log removed writes those bytes."""
+    mode, threshold = config
+    questions, backend = chain_fixture(specs=CRASH_SPECS)
+    cfg = PipelineConfig(mode=mode, concurrency=concurrency, **threshold)
+    whole_sink, sink = tmp_path / "whole.jsonl", tmp_path / "episodes.jsonl"
+    for path in (whole_sink, sink):
+        path.unlink(missing_ok=True)
+    with mock.patch.object(pipeline, "CHUNK_LINES", chunk_lines):
+        summary, _ = pipeline.run(questions, cfg, Engine(backend, backend), whole_sink)
+        whole = whole_sink.read_bytes().splitlines(keepends=True)
+        aborting = Aborting(backend, data.draw(st.integers(0, summary.backend_calls - 1)))
+        with pytest.raises(RuntimeError, match="aborted"):
+            pipeline.run(questions, cfg, Engine(aborting, aborting), sink)
+        kept = [q.id for q in questions].index(aborting.aborted) // chunk_lines * chunk_lines
+        if "tau_percentile" in threshold and aborting.stage == "initial":
+            kept = 0
+        assert sink.exists() == (kept > 0)
+        if kept:
+            assert sink.read_bytes() == b"".join(whole[:kept])
+        if kept and "tau_percentile" in threshold:
+            refusing = Aborting(backend, 0)  # any call raises RuntimeError
+            with pytest.raises(ConfigError, match="cannot resume"):
+                pipeline.run(questions, cfg, Engine(refusing, refusing), sink)
+            assert sink.read_bytes() == b"".join(whole[:kept])
+            sink.unlink()
+        pipeline.run(questions, cfg, Engine(backend, backend), sink)
+    assert sink.read_bytes() == b"".join(whole)
+
+
+def test_a_failure_stops_the_intake_after_it(tmp_path):
+    """At concurrency 2, q01's initial call fails while q00's is held until
+    the failure and 0.1 s more: no question after q01 begins, though the
+    window would let six more in."""
+    begun = []  # list.append is atomic
+    failed = threading.Event()
+
+    class Failing:
+        def complete(self, request, role):
+            begun.append(request.request_id)
+            if request.request_id == "q01#initial":
+                failed.set()
+                raise RuntimeError("no backend failure")
+            if request.request_id == "q00#initial":
+                failed.wait(timeout=10)
+                time.sleep(0.1)
+            return InferenceResult("yes", (-0.1,), -0.1)
+
+    questions = [
+        VisualQuestion(id=f"q{i:02d}", image=f"{i}.jpg", question="is it?", answers=("yes",))
+        for i in range(20)
+    ]
+    engine = Engine(recomposer=Failing(), decomposer=Failing())
+    cfg = PipelineConfig(mode="direct", concurrency=2)
+    with pytest.raises(RuntimeError, match="no backend failure"):
+        pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
+    assert sorted(begun) == ["q00#initial", "q01#initial"]
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_no_thread_outlives_a_stopped_run(tmp_path, error):
+    """A run at concurrency 4 stopped by an error that is no BackendError,
+    or by a KeyboardInterrupt, from a backend call raises it with its
+    threads joined: as many threads are alive as before the run, and no
+    backend call begins after it has raised."""
+    begun = []  # list.append is atomic
+    raised = threading.Event()
+
+    class Stopping:
+        def complete(self, request, role):
+            begun.append(raised.is_set())
+            time.sleep(0.001)
+            if request.request_id == "q0010#recompose":
+                raise error("stopped")
+            return InferenceResult("yes", (-0.1,), -0.1)
+
+    questions = [
+        VisualQuestion(id=f"q{i:04d}", image=f"{i}.jpg", question="is it?", answers=("yes",))
+        for i in range(100)
+    ]
+    engine = Engine(recomposer=Stopping(), decomposer=Stopping())
+    cfg = PipelineConfig(mode="decompose_all", concurrency=4)
+    threads = threading.active_count()
+    with pytest.raises(error, match="stopped"):
+        pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
+    raised.set()
+    assert threading.active_count() == threads
+    calls = len(begun)
+    time.sleep(0.05)
+    assert len(begun) == calls and not any(begun)
 
 
 # --- episode log reader ---------------------------------------------------
