@@ -12,7 +12,9 @@ cannot answer). All outputs go under --out; every run directory gets a
 manifest recording the resolved config, its hash, the seed and the start
 time, written before the first backend call, then rewritten whole at the
 end with the finish time, the whole log's episode and failure counts, and
-this invocation's backend calls and transport retries.
+this invocation's backend calls and transport retries. A run onto a log
+that is not empty resumes it only under the config its manifest records,
+its place, concurrency, retry budget and dataset file aside.
 
 Start-up: every command pays the package import before it does any work,
 and a reproduction runs many short commands, so ``import secondguess.cli``
@@ -20,11 +22,12 @@ loads only the standard library's ``argparse``, orjson and the modules that
 the timed commands (``run``, ``metrics``, ``sweep``) use, and a command
 builds the parser of that command alone (CHANGES.md's "Cold start without
 click" line holds the times). What only some commands use is imported where
-it is used: numpy by ``simulate``, ``socket`` and ``ssl`` by an HTTP
-backend, and ``logging`` by ``convert``'s caption warning. The record types
-are named tuples, not dataclasses, whose module every command would load
-and whose decorator builds each class at import. No import that a timed command uses
-is made lazy: that would only move its cost from start-up into the command.
+it is used: numpy by ``simulate``, ``statistics`` by ``fit``, ``socket``
+and ``ssl`` by an HTTP backend, and ``logging`` by ``convert``'s caption
+warning. The record types are named tuples, not dataclasses, whose module
+every command would load and whose decorator builds each class at import.
+No import that a timed command uses is made lazy: that would only move its
+cost from start-up into the command.
 """
 
 from __future__ import annotations
@@ -202,6 +205,38 @@ def _from_log(log_path, compute):
         _fail(EXIT_DATASET, str(exc))
 
 
+# The config keys a resume may change: where the log is, the calls in flight
+# (no byte of a log depends on them), the retry budget, which only decides
+# whether a transient fault fails a call, and the dataset file, which a
+# resume may grow.
+_RESUME_FREE_KEYS = {"out", "concurrency", "retry_budget", "dataset"}
+
+
+def _check_resume(out_dir: Path, cfg: dict) -> None:
+    """One log holds the records of one config: a run onto a log that is not
+    empty raises ConfigError, naming the keys, when the config its manifest
+    records differs from ``cfg`` in a key a resume may not change, and when
+    that manifest cannot be read or holds no config object. A log with no
+    manifest resumes."""
+    log, manifest_path = out_dir / "episodes.jsonl", out_dir / "manifest.json"
+    try:
+        if not log.stat().st_size or not manifest_path.exists():
+            return
+    except OSError:  # no log, or one the run's own read reports on
+        return
+    manifest = _read_setting(dataset.read_json, manifest_path, f"the manifest {manifest_path}")
+    recorded = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{manifest_path} holds no config object")
+    changed = sorted(key for key in (recorded.keys() | cfg.keys()) - _RESUME_FREE_KEYS
+                     if recorded.get(key) != cfg.get(key))
+    if changed:
+        raise ConfigError(
+            f"{log} holds episodes of another config: {', '.join(changed)} differ from "
+            f"{manifest_path}; use another --out, or remove the log to run every question again"
+        )
+
+
 def _write_manifest(out_dir: Path, cfg: dict, started: str, summary=None) -> None:
     """The run's manifest; given the run's summary, with when it finished
     and its counts."""
@@ -309,9 +344,10 @@ def cmd_run(config_path, **flags) -> None:
     pcfg = PipelineConfig(**{key: cfg.get(key) for key in PipelineConfig._fields})
     if pcfg.mode in pipeline.ORACLE_MODES and not any(q.sub_qas for q in questions):
         _fail(EXIT_DATASET, "dataset carries no sub_qas; oracle modes need them")
+    out_dir = Path(cfg["out"])
+    _check_resume(out_dir, cfg)
     # Built before out/ exists, so a bad backend config writes nothing.
     engine = _build_engine(cfg)
-    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.json"
     if metrics_path.is_dir():  # written after the calls, so refused before them

@@ -233,30 +233,25 @@ def sweep(log: EpisodeColumns, percentiles: Sequence[float]) -> List[SweepPoint]
 
 
 def linear_fit(points: Sequence[Tuple[float, float]]) -> dict:
-    """Ordinary least squares y = slope*x + intercept with R^2.
+    """Ordinary least squares y = slope*x + intercept with R^2, which for a
+    line with an intercept is the squared Pearson correlation.
 
-    Constant y yields slope 0 and R^2 = 0 (no variance explained).
+    Constant y yields slope 0 and R^2 = 0 (no variance explained), however
+    its mean rounds.
     """
+    import statistics  # only `fit` regresses, so no other command loads it
+
     if len(points) < 2:
         raise ValueError("need at least two points")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    n = len(points)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("x values are degenerate")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    if ss_tot == 0:
-        r_squared = 0.0
-    else:
-        ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in points)
-        r_squared = 1.0 - ss_res / ss_tot
-    return {"slope": slope, "intercept": intercept, "r_squared": r_squared}
+    xs, ys = zip(*points)
+    try:
+        slope, intercept = statistics.linear_regression(xs, ys)
+    except statistics.StatisticsError:
+        raise ValueError("x values are degenerate") from None
+    if min(ys) == max(ys):
+        return {"slope": 0.0, "intercept": float(ys[0]), "r_squared": 0.0}
+    return {"slope": slope, "intercept": intercept,
+            "r_squared": statistics.correlation(xs, ys) ** 2}
 
 
 class MetricsReport(NamedTuple):

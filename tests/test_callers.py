@@ -222,8 +222,9 @@ def test_cli_import_loads_no_module_only_some_commands_use():
     """Every command pays the package import before it does any work, so
     the import loads only what the timed commands use: no ``dataclasses``,
     no ``logging``, which only ``convert``'s caption warning uses, no
-    numpy, which only ``simulate`` uses, and no ``concurrent.futures``,
-    ``click`` or ``inspect``, which no command uses."""
+    numpy, which only ``simulate`` uses, no ``statistics``, which only
+    ``fit`` uses, and no ``concurrent.futures``, ``click`` or ``inspect``,
+    which no command uses."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_CLI],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -232,7 +233,8 @@ def test_cli_import_loads_no_module_only_some_commands_use():
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "secondguess.cli" in added
-    forbidden = {"dataclasses", "logging", "concurrent.futures", "numpy", "click", "inspect"}
+    forbidden = {"dataclasses", "logging", "concurrent.futures", "numpy", "click", "inspect",
+                 "statistics"}
     loaded = forbidden & added
     assert not loaded, f"import secondguess.cli loads {sorted(loaded)}"
 

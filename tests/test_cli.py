@@ -901,6 +901,92 @@ def test_tau_percentile_onto_a_partial_log_exits_2_with_no_call(runner, workspac
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
+def test_run_onto_a_log_of_another_config_exits_2_with_no_call(runner, workspace, monkeypatch):
+    """`run --mode direct` onto the first 5 records of a selective log would
+    append 3 records gated at 0 to 5 gated at the 50th percentile: it exits
+    2 naming the keys that differ, before any call, with every file in out/
+    as it was."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    common = ["run", "--dataset", str(data), "--mock-script", str(script), "--out", str(out)]
+    assert runner.invoke(main, [*common, "--mode", "selective", "--tau-percentile", "50"]
+                         ).exit_code == 0
+    log = out / "episodes.jsonl"
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:5]))
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, request, role: calls.append(1))
+    result = runner.invoke(main, [*common, "--mode", "direct"])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: {log} holds episodes of another config: mode, tau_percentile differ from "
+        f"{out / 'manifest.json'}; use another --out, or remove the log to run every "
+        "question again\n"
+    )
+    assert calls == []
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_a_resume_may_change_out_concurrency_retry_budget_and_dataset(runner, workspace):
+    """A log moved to another out/ and resumed over a larger dataset file,
+    on four threads and with another retry budget, ends as the log of one
+    run over the whole dataset."""
+    tmp, data, script = workspace
+    half = tmp / "half.jsonl"
+    dataset.save_dataset(dataset.load_dataset(data)[:4], half)
+    settings = ["--mock-script", str(script), "--mode", "selective", "--tau", "0.3"]
+    for name, questions in (("whole", data), ("half", half)):
+        run_cli(runner, ["run", "--dataset", str(questions), *settings, "--out", str(tmp / name)])
+    shutil.copytree(tmp / "half", tmp / "moved")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"retry_budget": DEFAULT_RETRY_ATTEMPTS + 1}))
+    result = runner.invoke(main, ["run", "--config", str(config), "--dataset", str(data),
+                                  *settings, "--concurrency", "4", "--out", str(tmp / "moved")])
+    assert result.exit_code == 0, result.stderr
+    assert ((tmp / "moved" / "episodes.jsonl").read_bytes()
+            == (tmp / "whole" / "episodes.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("manifest, problem", [
+    ("{", "cannot read the manifest {manifest}: Expecting property name"),
+    ("[]", "{manifest} holds no config object"),
+    ('{"config": "direct"}', "{manifest} holds no config object"),
+], ids=["not_json", "no_object", "config_no_object"])
+def test_run_onto_a_log_whose_manifest_is_unreadable_exits_2(runner, workspace, monkeypatch,
+                                                            manifest, problem):
+    tmp, data, script = workspace
+    out = tmp / "out"
+    args = ["run", "--dataset", str(data), "--mock-script", str(script), "--mode", "direct",
+            "--out", str(out)]
+    assert runner.invoke(main, args).exit_code == 0
+    (out / "manifest.json").write_text(manifest)
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, request, role: calls.append(1))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: " + problem.format(manifest=out / "manifest.json"))
+    assert calls == []
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_an_empty_log_binds_no_config(runner, workspace):
+    """A log that holds nothing, as a run over an empty dataset leaves it,
+    is resumed under any config, and the manifest records the new one."""
+    tmp, data, script = workspace
+    out = tmp / "out"
+    empty = tmp / "empty.jsonl"
+    empty.write_text("")
+    result = runner.invoke(main, ["run", "--dataset", str(empty), "--mock-script", str(script),
+                                  "--mode", "direct", "--out", str(out)])
+    assert result.exit_code == 3
+    assert (out / "episodes.jsonl").read_bytes() == b""
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mock-script", str(script),
+                                  "--mode", "decompose_all", "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads((out / "manifest.json").read_text())["config"]["mode"] == "decompose_all"
+
+
 def test_resumed_run_counts_failures_of_the_whole_log(runner, tmp_path):
     specs = FOUR_EPISODE_SPECS[:2]
     data = tmp_path / "dataset.jsonl"

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -432,6 +434,51 @@ def test_linear_fit_constant_y():
 def test_linear_fit_degenerate_x():
     with pytest.raises(ValueError):
         linear_fit([(1, 2), (1, 3)])
+
+
+# Multiples of 1/64 in [-100, 100]: exact floats whose spread, when not 0,
+# is at least 1/6,400 of their size, so a fit's rounding stays far below
+# the tolerances below.
+GRID_VALUES = st.integers(-6400, 6400).map(lambda k: k / 64)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(GRID_VALUES, GRID_VALUES), min_size=2, max_size=12))
+def test_linear_fit_matches_exact_least_squares(points):
+    """Slope and intercept within 1e-9 of the exact least-squares line's,
+    relative to the larger of each and its scale, the figure a fit's
+    rounding grows with; R^2 within 1e-9, and 0 for a constant y."""
+    assume(len({x for x, _ in points}) > 1)
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    syy = sum((y - mean_y) ** 2 for y in ys)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    r_squared = sxy ** 2 / (sxx * syy) if syy else 0
+    slope_scale = math.sqrt(syy / sxx)
+    intercept_scale = slope_scale * abs(mean_x) + abs(mean_y)
+    fit = linear_fit(points)
+    assert set(fit) == {"slope", "intercept", "r_squared"}
+    assert math.isclose(fit["slope"], slope, rel_tol=1e-9, abs_tol=1e-9 * slope_scale)
+    assert math.isclose(fit["intercept"], intercept, rel_tol=1e-9,
+                        abs_tol=1e-9 * float(intercept_scale))
+    assert abs(fit["r_squared"] - r_squared) <= 1e-9
+    if not syy:
+        assert (fit["slope"], fit["r_squared"]) == (0.0, 0.0)
+
+
+@settings(max_examples=200)
+@given(st.lists(GRID_VALUES, min_size=2, max_size=12, unique=True),
+       st.floats(-1e3, 1e3, allow_nan=False))
+def test_linear_fit_constant_y_whatever_its_mean_rounds_to(xs, y):
+    """A constant y of any bounded float, whose mean the float sum and
+    division need not return exactly, explains no variance: slope 0 and
+    R^2 0, exactly."""
+    fit = linear_fit([(x, y) for x in xs])
+    assert (fit["slope"], fit["intercept"], fit["r_squared"]) == (0.0, y, 0.0)
 
 
 # --- report --------------------------------------------------------------
