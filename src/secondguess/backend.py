@@ -191,7 +191,9 @@ def _line(file) -> bytes:
 def _read_reply(file) -> Tuple[int, bytes, bool]:
     """(status, body, will_close) of one HTTP/1.x reply read from ``file``,
     as http.client.HTTPResponse reads it, save that every 1xx head is
-    skipped; a reply that it would refuse is a TransportError."""
+    skipped and that a field value is read as RFC 9110 §5.5 and RFC 9112
+    §5.2 give it: each fold a space, no whitespace at its ends. A reply that
+    http.client would refuse is a TransportError."""
     status = 0
     while status < 200:
         line = _line(file)
@@ -205,12 +207,19 @@ def _read_reply(file) -> Tuple[int, bytes, bool]:
         if not (version.startswith(b"HTTP/") and 100 <= status <= 999):
             raise TransportError(f"bad status line {line!r}")
         fields: Dict[bytes, bytes] = {}
+        last = None  # the field of the line before, if that line set it
         for _ in range(100):  # http.client's limit on the lines of a head
             line = _line(file)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if line[0] in b" \t":  # obs-fold: the line before goes on, after one space
+                if last is not None:
+                    fields[last] = (fields[last] + b" " + line.strip()).strip()
+                continue
             name, _, value = line.partition(b":")
-            fields.setdefault(name.lower(), value.strip())
+            name = name.lower()
+            last = None if name in fields else name  # the first of a repeated field holds
+            fields.setdefault(name, value.strip())
         else:
             raise TransportError("more than 100 header lines")
     connection = fields.get(b"connection", b"").lower()
@@ -479,20 +488,8 @@ class MockBackend:
         the entries, not with the file. ``_chunk_entries`` is each chunk's
         check, and the DatasetError of the first bad line names
         ``path:line``. The lines are parsed stripped, so a line may hold any
-        whitespace that str.strip removes around its JSON.
-
-        A chunk's bytes are not scanned for integers of 19 digits or more
-        (``exact_integers=False``), as the entries do not depend on the
-        scan: orjson reads such an integer as the same int within 64 bits
-        and as a float beyond, rounded to nearest, ties to even, as
-        ``float()`` rounds an int, and ``_responses`` converts every integer
-        log-probability with ``float()``; orjson rejects an integer past
-        float range, which sends its chunk to the text path, where
-        ``float()`` rejects it too. The check reads no other number, and a
-        problem it returns is named from the text path's parse.
-        ``test_long_integers_read_alike_with_and_without_the_digit_scan``
-        holds the rounding to this."""
-        chunks = read_jsonl(path, _chunk_entries, strip=True, exact_integers=False)
+        whitespace that str.strip removes around its JSON."""
+        chunks = read_jsonl(path, _chunk_entries, strip=True)
         return cls(itertools.chain.from_iterable(chunks))
 
     def complete(self, request: InferenceRequest, role: BackendRole) -> InferenceResult:

@@ -261,8 +261,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 class _Main:
-    """The ``secondguess`` command, called as click's command objects are:
-    ``main(args, prog_name)`` or ``main.main(args=..., prog_name=...)``."""
+    """The ``secondguess`` command: ``main(args, prog_name)`` or
+    ``main.main(args=..., prog_name=...)``."""
 
     name = "secondguess"
     commands = {}  # name -> (function, its (flag, add_argument keywords) pairs)

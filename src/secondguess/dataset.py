@@ -188,47 +188,29 @@ def read_json(path):
         raise DatasetError(str(exc)) from exc
 
 
-# orjson parses a JSON line to the value json.loads gives, or rejects it,
-# except in two cases, whose lines go to json.loads instead:
-# - It reads an integer past 64 bits as a float, and every such integer has
-#   19 digits or more. A run of digits after a "." is a fraction, which
-#   orjson reads as json.loads does, however long.
-# - It parses nesting on the C stack, up to 164 bytes a level: some 51,000
-#   levels of objects overflow an 8 MiB stack and kill the process. A line
-#   of at most _ORJSON_LINE characters nests deep enough for under 0.3 MiB.
-# Balanced nesting past the recursion limit, where json.loads raises
-# RecursionError, parses. The episode log's reader skips the digit scan, as
-# its check accepts no number outside [0, 1] and names no value, so either
-# reading of such an integer gives it one result.
+# orjson parses nesting on the C stack, up to 164 bytes a level: some 51,000
+# levels of objects overflow an 8 MiB stack and kill the process. A line of
+# at most _ORJSON_LINE characters nests deep enough for under 0.3 MiB, so
+# only such a line goes to orjson; json.loads reads every other line, and
+# each line orjson rejects.
 _ORJSON_LINE = 8192
-_DIGIT_RUN = b"0" * 19
-_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 
 
-def _orjson_agrees(lines: List[bytes], data: bytes) -> bool:
-    """Whether orjson parses each of ``lines`` to json.loads's value or
-    rejects it: no line is long, and no integer in ``data``, the lines'
-    bytes or none to skip that scan, has 19 digits."""
+def _orjson_takes(lines: List[bytes]) -> bool:
+    """Whether each of ``lines`` is short enough for orjson."""
     # The limit counts characters, which a line's bytes never fall short of.
-    if max(map(len, lines), default=0) > _ORJSON_LINE and any(
-        len(line.decode("utf-8")) > _ORJSON_LINE for line in lines
-    ):
-        return False
-    digits = data.translate(_DIGITS_TO_ZERO)
-    at = digits.find(_DIGIT_RUN)
-    # A run found after a digit is the end of one found before.
-    while at > 0 and digits[at - 1] in b".0":
-        at = digits.find(_DIGIT_RUN, at + 1)
-    return at == -1
+    return max(map(len, lines), default=0) <= _ORJSON_LINE or all(
+        len(line.decode("utf-8")) <= _ORJSON_LINE for line in lines
+    )
 
 
 def _load(line: str):
-    """json.loads(line), by orjson where it agrees. json.loads takes what
-    orjson rejects, such as NaN, Infinity, a number beyond float range and an
-    unpaired-surrogate escape, and gives the error of a line that is no
-    JSON."""
+    """The value of a JSON line: orjson's, if it takes the line, else
+    json.loads's, which takes NaN, Infinity, a number beyond float range
+    and an unpaired-surrogate escape, and gives the error of a line that is
+    no JSON."""
     data = line.encode("utf-8")
-    if _orjson_agrees([data], data):
+    if _orjson_takes([data]):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:  # so the error, or the value, is json's
@@ -236,28 +218,26 @@ def _load(line: str):
     return json.loads(line)
 
 
-def parse_chunk(path, chunk: Chunk, check, strip: bool = False, *, exact_integers: bool = True):
+def parse_chunk(path, chunk: Chunk, check, strip: bool = False):
     """``check(values)`` of the values of the non-blank JSONL lines of a
-    chunk read from ``path``, each line parsed on its own to the value
-    json.loads gives its text, with the whitespace that str.strip removes
-    taken off first if ``strip``. ``check`` returns a result, or a problem
-    as a string; it raises only RecursionError, on a value nested too deep
-    for it. On a problem, as when a line is no JSON, each line is parsed and
-    checked alone, in order, and the first bad one raises DatasetError
-    naming ``path:line``. Without ``exact_integers``, a check may be given
-    an integer of 19 digits or more as orjson's float and its result kept:
-    only the episode log's reader, whose check accepts no number outside
-    [0, 1] and names no value, and the mock script's, whose check takes a
-    log-probability as its ``float()``, skip that scan.
+    chunk read from ``path``, each line parsed on its own, with the
+    whitespace that str.strip removes taken off first if ``strip``.
+    ``check`` returns a result, or a problem as a string; it raises only
+    RecursionError, on a value nested too deep for it. On a problem, as when
+    a line is no JSON, each line is parsed and checked alone, in order, and
+    the first bad one raises DatasetError naming ``path:line``. A line has
+    the value orjson gives it, where orjson takes it, or else json.loads's,
+    so an integer outside [-2**63, 2**64) that orjson reads arrives as its
+    ``float()`` (``test_parse_chunk_gives_json_loads_values_and_errors``).
 
     orjson parses the lines' bytes, JSON whitespace (space, tab, CR, LF)
     around a value and all, and takes a line only if it holds one value.
     A chunk it cannot take goes to the text of its lines, each parsed by
-    ``_load``: one where it rejects a line, ``_orjson_agrees`` does not
-    hold, a line is blank only by str.isspace (such as "\x1c" or U+3000),
-    or the check returns a problem."""
+    ``_load``: one where it rejects a line, a line is too long for it or
+    blank only by str.isspace (such as "\x1c" or U+3000), or the check
+    returns a problem."""
     values = [line for line in chunk.lines if not line.isspace()]
-    if _orjson_agrees(values, chunk.data if exact_integers else b""):
+    if _orjson_takes(values):
         # Bad JSON raises orjson.JSONDecodeError, a ValueError, and deep
         # nesting RecursionError, from a check that walks the value.
         try:
@@ -295,15 +275,13 @@ def parse_chunk(path, chunk: Chunk, check, strip: bool = False, *, exact_integer
     raise AssertionError(f"{path}: a chunk failed its check but none of its lines did")
 
 
-def read_jsonl(
-    path, check, strip: bool = False, digest=None, torn=None, *, exact_integers: bool = True
-) -> Iterator:
-    """``parse_chunk(path, chunk, check, strip, exact_integers=...)`` of
-    each chunk that ``read_chunks(path, digest, torn)`` reads: how all JSONL
-    input is read. A caller flattens or joins the results as they come, so
-    memory holds one chunk's bytes and values at a time."""
+def read_jsonl(path, check, strip: bool = False, digest=None, torn=None) -> Iterator:
+    """``parse_chunk(path, chunk, check, strip)`` of each chunk that
+    ``read_chunks(path, digest, torn)`` reads: how all JSONL input is read.
+    A caller flattens or joins the results as they come, so memory holds
+    one chunk's bytes and values at a time."""
     for chunk in read_chunks(path, digest, torn):
-        yield parse_chunk(path, chunk, check, strip, exact_integers=exact_integers)
+        yield parse_chunk(path, chunk, check, strip)
 
 
 def _no_unpaired_surrogate(values) -> None:

@@ -444,20 +444,10 @@ def _parse_log(path, digest=None, torn=None) -> evaluation.EpisodeColumns:
     """The columns of a JSONL episode log, read a chunk at a time by
     ``dataset.read_jsonl`` with no dict kept per episode, ``_chunk_columns``
     each chunk's check, and the bytes parsed hashed into ``digest``; a list
-    ``torn`` takes a torn last line's offset instead of its record.
-
-    A reader without ``exact_integers``, as the mock script's is: a chunk's
-    bytes are not scanned for integers of 19 digits or more, which orjson
-    reads as floats of magnitude 2**63 or more, or rejects. ``parse_chunk``
-    keeps orjson's values only when the check accepts them, and parses the
-    text with json.loads for every problem it names. ``_chunk_columns`` accepts no
-    number outside [0, 1], names no value in its problems and ignores the
-    fields it does not read, so the columns it accepts are the same under
-    either parse."""
+    ``torn`` takes a torn last line's offset instead of its record."""
     seen = set()
     return _joined(read_jsonl(
-        path, lambda records: _chunk_columns(records, seen), digest=digest, torn=torn,
-        exact_integers=False,
+        path, lambda records: _chunk_columns(records, seen), digest=digest, torn=torn
     ))
 
 

@@ -1,14 +1,19 @@
-"""Shared fixtures: scripted mock backends, test-only backend wrappers, a
-pipeline run that returns its records, a loopback generation server,
-line-by-line readers of episode logs and mock scripts, brute-force metric
-recounts, and a guard on the cyclic collector's state around every test."""
+"""Shared fixtures: a runner of ``secondguess`` commands, scripted mock
+backends, test-only backend wrappers, a pipeline run that returns its
+records, a loopback generation server, line-by-line readers of episode logs
+and mock scripts, brute-force metric recounts, and around every test a
+watchdog and a guard on the cyclic collector's state."""
 
 from __future__ import annotations
 
+import contextlib
+import faulthandler
 import gc
+import io
 import itertools
 import json
 import math
+import os
 import tempfile
 import threading
 from array import array
@@ -48,12 +53,80 @@ NESTED_TOO_DEEP = "[" * 20_000
 # the interpreter's 4,300-digit int-string conversion limit.
 NOT_UTF8 = "\udcff"
 LONG_INTEGER = "1" * 5_000
+# The fields of an episode log record that its reader checks, where an
+# integer of 19 digits or more breaks a rule, and one it ignores.
+LONG_INTEGER_FIELDS = ["confidence", "id", "failed", "gate", "correct_before", "correct_after",
+                       "retries"]
 
 
 def raw(text: str) -> bytes:
     """The file bytes of JSON ``text`` that holds the inputs above: a quoted
     LONG_INTEGER loses its quotes, and NOT_UTF8 becomes the byte 0xff."""
     return text.replace(f'"{LONG_INTEGER}"', LONG_INTEGER).encode("utf-8", "surrogateescape")
+
+
+# Seconds a test may run before every thread's stack is printed and the
+# session exits non-zero, so that a test that hangs fails tier-1 instead of
+# stalling it. The slowest test takes a few seconds.
+TEST_BOUND_S = 300
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Taken before output capture starts, so that the stacks reach the terminal.
+    config.stash[_STDERR] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    faulthandler.dump_traceback_later(TEST_BOUND_S, exit=True, file=request.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+class CommandResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # both streams, interleaved as written
+    exception: Optional[BaseException]  # raised by the command, SystemExit aside
+
+
+class _Captured(io.StringIO):
+    """A captured stream that also copies what it takes into ``both``."""
+
+    def __init__(self, both: io.StringIO) -> None:
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+class CommandRunner:
+    """Runs a ``secondguess`` command in this process, as its console script
+    does, with standard output and error captured."""
+
+    def invoke(self, main, args, catch_exceptions: bool = True) -> CommandResult:
+        both = io.StringIO()
+        out, err = _Captured(both), _Captured(both)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=args, prog_name="secondguess")
+            except SystemExit as exc:
+                code = exc.code or 0
+            except Exception as exc:
+                if not catch_exceptions:
+                    raise
+                code, exception = 1, exc
+        return CommandResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
+@pytest.fixture
+def runner():
+    return CommandRunner()
 
 
 @pytest.fixture(autouse=True)

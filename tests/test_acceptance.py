@@ -11,10 +11,10 @@ import random
 import time
 from pathlib import Path
 
-from click.testing import CliRunner
 
 from conftest import (
     FOUR_EPISODE_SPECS,
+    CommandRunner,
     QSpec,
     RecordingBackend,
     accuracy_at_tau,
@@ -283,7 +283,7 @@ def test_c10_determinism(tmp_path):
     dataset.save_dataset(spec_questions(EIGHT_SPECS), data)
     script = tmp_path / "script.jsonl"
     write_script(EIGHT_SPECS, script)
-    runner = CliRunner()
+    runner = CommandRunner()
     blobs = []
     for name in ("run1", "run2"):
         out = tmp_path / name

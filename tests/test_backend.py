@@ -1,5 +1,4 @@
 import http.client
-import itertools
 import json
 import math
 import random
@@ -35,7 +34,7 @@ from conftest import (
     spec_entries,
     spec_questions,
 )
-from secondguess import dataset, pipeline, prompts
+from secondguess import pipeline, prompts
 from secondguess.backend import (
     ANSWER_PARAMS,
     DECOMPOSE_PARAMS,
@@ -49,7 +48,6 @@ from secondguess.backend import (
     ProtocolError,
     ScriptMissError,
     TransportError,
-    _chunk_entries,
     _read_reply,
     confidence_of,
 )
@@ -413,14 +411,27 @@ RAW_REPLIES = {
     ),
     "header_fields_99": (OK_HEAD + _fields(98) + b"Content-Length: 2\r\n\r\nok", False),
     "header_fields_101": (OK_HEAD + _fields(100) + b"Content-Length: 2\r\n\r\nok", True),
+    "folded_content_length": (OK_HEAD + b"Content-Length:\r\n 2\r\n\r\nok", False),
+    "chunked_trailing_whitespace": (
+        OK_HEAD + b"Transfer-Encoding: chunked \r\n\r\n5\r\nhello\r\n0\r\n\r\n", True
+    ),
 }
+# Where _read_reply differs from http.client on purpose, its reading: RFC
+# 9110 §5.5 leaves the whitespace around a field value out of the value,
+# which http.client keeps, and so reads the body to the close.
+DIFFERENCES = {"chunked_trailing_whitespace": (200, b"hello", False)}
 
 
 @pytest.mark.parametrize("name", RAW_REPLIES)
 def test_read_reply_agrees_with_http_client(name):
     """_read_reply gives http.client.HTTPResponse's (status, body,
-    will_close) for each reply, and a TransportError wherever it raises."""
+    will_close) for each reply, and a TransportError wherever it raises,
+    but for the named differences."""
     raw, close = RAW_REPLIES[name]
+    if name in DIFFERENCES:
+        assert _over_socketpair(raw, close, _http_client_reply) != DIFFERENCES[name]
+        assert _over_socketpair(raw, close, _read_reply_of) == DIFFERENCES[name]
+        return
     try:
         expected = _over_socketpair(raw, close, _http_client_reply)
     except http.client.HTTPException:
@@ -820,55 +831,6 @@ def test_mock_script_reads_as_by_line(n, seed, ints, data):
         lines[position - 1] = data.draw(st.sampled_from(list(SCRIPT_LINE_EDGES.values())))
     chunked, by_line = read_both(lines)
     assert chunked == by_line
-
-
-def _near_halfway(mantissa: int, exponent: int, nudge: int) -> int:
-    """An integer at, or 1 off, the midpoint of two neighbouring floats in
-    the binade of 2**exponent."""
-    return mantissa * 2 ** (exponent - 52) + 2 ** (exponent - 53) + nudge
-
-
-# Integers of 19 to 46 digits, where orjson's reading is no int, half of
-# them at or next to the midpoint of two floats, where rounding can differ.
-LONG_INTEGERS = st.one_of(
-    st.integers(10 ** 18, 10 ** 45),
-    st.builds(_near_halfway, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(63, 152),
-              st.integers(-1, 1)),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.tuples(
-        st.lists(st.one_of(LONG_INTEGERS.map(lambda n: -n), st.just(-0.105)), max_size=3),
-        st.integers(-1, 1).flatmap(lambda sign: LONG_INTEGERS.map(lambda n: sign * n)),
-    ),
-    min_size=1, max_size=6,
-))
-def test_long_integers_read_alike_with_and_without_the_digit_scan(rows):
-    """``from_script`` skips the scan for integers of 19 digits or more, so
-    orjson reads them: long integers among the log-probabilities, and in
-    keys the check does not read, give the entries that a read with the
-    scan gives, and the line-by-line reference, to the last bit."""
-    lines = [
-        json.dumps({
-            "id": ignored,
-            "match": {"prompt_contains": f"pattern {i}", "role": ROLES[i % 2], "note": ignored},
-            "response": {"text": "yes", "token_logprobs": logprobs,
-                         "cumulative_logprob": ignored},
-        })
-        for i, (logprobs, ignored) in enumerate(rows)
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "script.jsonl"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        scanned = [*itertools.chain.from_iterable(
-            dataset.read_jsonl(path, _chunk_entries, strip=True, exact_integers=True)
-        )]
-        reads = [MockBackend.from_script(path).entries, scanned, read_script_by_line(path)]
-    reprs = [[(e, repr(e.token_logprobs)) for e in entries] for entries in reads]
-    assert reprs[0] == reprs[1] == reprs[2]
-    assert [len(e.token_logprobs) for e in reads[0]] == [len(logprobs) for logprobs, _ in rows]
 
 
 def line_payload(line: str):

@@ -174,25 +174,6 @@ def test_only_dataset_knows_how_a_file_is_chunked():
     assert not readers, "sees a file's chunks: " + ", ".join(readers)
 
 
-def test_only_the_log_and_mock_script_readers_skip_the_digit_scan():
-    """``exact_integers=False`` lets an integer of 19 digits or more reach a
-    check as orjson's float, which only a check whose result cannot tell it
-    from the int may take: ``pipeline._parse_log``, whose check accepts no
-    such number and names no value, and ``MockBackend.from_script``, whose
-    check takes a log-probability as its ``float()``, are the callers that
-    pass it, and ``read_jsonl`` hands it on to ``parse_chunk``."""
-    passed = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef):
-                for call in ast.walk(node):
-                    for keyword in getattr(call, "keywords", ()):
-                        if keyword.arg == "exact_integers":
-                            passed[f"{path.name}:{node.name}"] = ast.unparse(keyword.value)
-    assert passed == {"backend.py:from_script": "False", "dataset.py:read_jsonl": "exact_integers",
-                      "pipeline.py:_parse_log": "False"}
-
-
 def test_only_cli_touches_the_collector():
     """The command group alone sets the cyclic garbage collector's policy,
     as only a command knows that what it loads lives to its end; the
@@ -237,6 +218,19 @@ def test_cli_import_loads_no_module_only_some_commands_use():
                  "statistics"}
     loaded = forbidden & added
     assert not loaded, f"import secondguess.cli loads {sorted(loaded)}"
+
+
+def test_no_test_imports_click():
+    """The tests drive commands through ``conftest.CommandRunner``, so the
+    test extra holds no click."""
+    importers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in (REPO / "tests").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "click" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "click"
+    )
+    assert not importers, "imports click: " + ", ".join(importers)
 
 
 # Prints the modules that the command given by its arguments adds to a

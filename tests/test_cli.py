@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,7 @@ from conftest import (
     LONG_INTEGER,
     NESTED_TOO_DEEP,
     NOT_UTF8,
+    CommandRunner,
     QSpec,
     Reply,
     raw,
@@ -43,11 +43,6 @@ from secondguess.backend import DEFAULT_RETRY_ATTEMPTS, BackendError, HTTPBacken
 from secondguess.cli import main
 from secondguess.evaluation import linear_fit
 from secondguess.simulator import SimConfig, closed_form_decompose_all, generate_trials
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture
@@ -98,6 +93,7 @@ def test_run_end_to_end(runner, workspace):
     assert manifest["config_hash"]
     assert manifest["seed"] == 0
     assert manifest["backend_calls"] > 0
+    assert manifest["skipped_missing_oracle"] == 0  # no oracle mode skips a question
 
 
 def test_run_invalid_tau_exits_2(runner, workspace):
@@ -1100,7 +1096,7 @@ def test_sweep_predicts_the_selective_run(tmp_path_factory, concurrency, specs):
     (--tau-percentile) or at its tau (--tau): it resolves the row's tau, and
     its metrics.json holds the row's eta and accuracy, exactly."""
     tmp = tmp_path_factory.mktemp("predict")
-    runner = CliRunner()
+    runner = CommandRunner()
     data, script = tmp / "data.jsonl", tmp / "script.jsonl"
     dataset.save_dataset(spec_questions(specs), data)
     write_script(specs, script)
@@ -2037,9 +2033,7 @@ def test_run_restores_the_collector_when_it_exits(runner, workspace, monkeypatch
 def _cycles_of(args) -> int:
     """How many objects one ``gc.collect()`` finds unreachable, under
     ``gc.DEBUG_SAVEALL``, after the command ``args`` ran as the console
-    script runs it: those in reference cycles and those only they hold. A
-    ``CliRunner`` result would hold the exit's traceback, whose frames hold
-    all the command loaded."""
+    script runs it: those in reference cycles and those only they hold."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -2301,7 +2295,7 @@ CLI_SURFACE = {
 
 def command_options(name) -> list:
     """The options, ``--help`` aside, that ``secondguess NAME --help`` lists."""
-    result = CliRunner().invoke(main, [name, "--help"])
+    result = CommandRunner().invoke(main, [name, "--help"])
     assert result.exit_code == 0, result.output
     return sorted(set(re.findall(r"^  (--[a-z-]+)", result.stdout, re.M)) - {"--help"})
 

@@ -1,16 +1,28 @@
+import contextlib
 import hashlib
 import json
 import re
 import struct
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NOT_UNPAIRED, NOT_UTF8, UNPAIRED, raw
-from secondguess import dataset
+from conftest import (
+    LONG_INTEGER_FIELDS,
+    NOT_UNPAIRED,
+    NOT_UTF8,
+    UNPAIRED,
+    raw,
+    read_log_by_line,
+    read_script_by_line,
+)
+from secondguess import cli, dataset, pipeline
+from secondguess.backend import ROLES, MockBackend
 from secondguess.dataset import DatasetError, VisualQuestion
 from secondguess.evaluation import is_match
 from secondguess.prompts import SubQA
@@ -165,7 +177,8 @@ VALUES = st.recursive(
     max_leaves=10,
 )
 # A good line, a value with JSON whitespace around it, and an odd one: one
-# with a byte order mark or other text around its value, torn, or blank.
+# with a byte order mark or other text around its value, torn, blank, or a
+# balanced nest too long for orjson and too deep for json.loads.
 GOOD_LINES = st.tuples(
     st.sampled_from(["", " ", "\t", "\r"]), VALUES, st.sampled_from(["", " \t"])
 ).map("".join)
@@ -176,6 +189,9 @@ ODD_LINES = st.one_of(
         lambda text: st.integers(1, len(text) - 1).map(lambda cut: text[:cut])
     ),
     st.sampled_from(["", " ", "\u3000\x1f"]),
+    st.integers(dataset._ORJSON_LINE // 2 + 1, dataset._ORJSON_LINE // 2 + 50).map(
+        lambda depth: "[" * depth + "]" * depth
+    ),
 )
 
 
@@ -203,23 +219,50 @@ def same(a, b) -> bool:
     return a == b
 
 
+def _orjson_int(text: str):
+    """A JSON integer as orjson reads it: its float() outside [-2**63, 2**64)."""
+    number = int(text)
+    return number if -(2 ** 63) <= number < 2 ** 64 else float(number)
+
+
+def readings(line: str) -> list:
+    """The values a JSON line may read as: json.loads's, and that with each
+    integer as orjson reads it, unless one is past float range, where
+    orjson rejects the line."""
+    values = [json.loads(line)]
+    with contextlib.suppress(OverflowError):
+        values.append(json.loads(line, parse_int=_orjson_int))
+    return values
+
+
+def load_as_orjson(line: str):
+    """The value the one parse rule gives a JSON line: orjson's integers,
+    unless one is past float range, where json.loads's value."""
+    return readings(line)[-1]
+
+
 def json_loads_lines(path, lines) -> list:
-    """json.loads of each non-blank line, or the DatasetError that
+    """The ``readings`` of each non-blank line, or the DatasetError that
     ``parse_chunk`` names the first bad one with."""
     values = []
     for lineno, line in enumerate(lines, 1):
         if not line or line.isspace():
             continue
         try:
-            values.append(json.loads(line))
+            values.append(readings(line))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
     return values
 
 
 @settings(max_examples=300, deadline=None)
 @given(jsonl_chunks())
 def test_parse_chunk_gives_json_loads_values_and_errors(lines):
+    """Each line reads as json.loads reads it, or with every integer as
+    orjson reads it, compared to the bit, and a chunk that does not read
+    raises json.loads's error for its first bad line."""
     encoded = [line.encode("utf-8") for line in lines]
     chunk = dataset.Chunk(1, encoded, b"".join(encoded))
     try:
@@ -229,7 +272,10 @@ def test_parse_chunk_gives_json_loads_values_and_errors(lines):
             dataset.parse_chunk("chunk", chunk, lambda values: values)
         assert str(raised.value) == str(exc)
     else:
-        assert same(dataset.parse_chunk("chunk", chunk, lambda values: values), expected)
+        values = dataset.parse_chunk("chunk", chunk, lambda values: values)
+        assert len(values) == len(expected)
+        for value, candidates in zip(values, expected):
+            assert any(same(value, candidate) for candidate in candidates), (value, candidates)
 
 
 # Line ends, and line texts: JSON, text with blanks that only str.isspace
@@ -549,3 +595,119 @@ def test_question_columns_follow_the_rules_of_each_line(rows):
     else:
         assert whole == expected
         assert all(type(q) is VisualQuestion for q in whole)
+
+
+def _near_halfway(mantissa: int, exponent: int, nudge: int) -> int:
+    """An integer at, or 1 off, the midpoint of two neighbouring floats in
+    the binade of 2**exponent."""
+    return mantissa * 2 ** (exponent - 52) + 2 ** (exponent - 53) + nudge
+
+
+# Integers of 19 to 309 digits, of either sign, where orjson's reading is no
+# int past 64 bits, half of them at or next to the midpoint of two floats,
+# where rounding can differ, up to the last below float range.
+LONG_INTEGERS = st.one_of(
+    st.integers(19, 309).flatmap(lambda digits: st.integers(10 ** (digits - 1), 10 ** digits - 1)),
+    st.builds(_near_halfway, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(60, 1023),
+              st.integers(-1, 1)),
+).flatmap(lambda n: st.sampled_from([n, -n]))
+# Where a long integer goes in a line of each reader: a field, or a key no
+# check reads.
+QUESTION_FIELDS = ["id", "image", "question", "answers", "qtype", "sub_qas", "extra"]
+RECORD_FIELDS = ["id", "image_0", "image_1", "caption_0", "caption_1", "extra"]
+
+
+def _outcome(read, path):
+    """``read(path)`` by repr, or the message of its DatasetError."""
+    try:
+        return repr(read(path))
+    except DatasetError as exc:
+        return str(exc)
+
+
+def _by_line(check):
+    """A reference reader: each line of a file parsed by the one rule and
+    checked alone, in order, the first bad one named as ``parse_chunk``
+    names it."""
+    def read(path):
+        values, seen = [], set()
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            result = check([load_as_orjson(line)], seen)
+            if isinstance(result, str):
+                raise DatasetError(f"{path}:{lineno}: {result}")
+            values.extend(result)
+        return values
+    return read
+
+
+def _converted(path):
+    out = Path(path).with_suffix(".out")
+    cli.cmd_convert(path, out)
+    return out.read_bytes()
+
+
+def _converted_by_line(path):
+    out = Path(path).with_suffix(".ref")
+    dataset.save_dataset(dataset.convert_winoground(
+        _by_line(dataset.winoground_records)(path))[0], out)
+    return out.read_bytes()
+
+
+def _question_line(i, field, n):
+    row = {"id": f"q{i}", "image": "i.jpg", "question": "is it red?", "answers": ["yes"],
+           "qtype": "boolean", "sub_qas": [["is it lit?", "yes"]]}
+    row[field] = {"answers": [n], "sub_qas": [["is it lit?", n]]}.get(field, n)
+    return row
+
+
+def _record_line(i, field, n):
+    record = {"id": f"w{i}", "image_0": "a.jpg", "image_1": "b.jpg",
+              "caption_0": "a cup", "caption_1": "a mug"}
+    return {**record, field: n}
+
+
+def _log_line(i, field, n):
+    record = {"id": f"e{i}", "initial": {"text": "", "confidence": 0.5}, "gate": "kept",
+              "correct_before": True, "correct_after": False}
+    if field == "confidence":
+        return {**record, "initial": {"text": "", "confidence": n}}
+    return {**record, field: n}
+
+
+def _script_line(i, logprobs, n):
+    return {"id": n, "match": {"prompt_contains": f"pattern {i}", "role": ROLES[i % 2], "note": n},
+            "response": {"text": "yes", "token_logprobs": logprobs, "cumulative_logprob": n}}
+
+
+# Each reader's lines, its read and its line-by-line reference.
+READERS = {
+    "dataset": (st.sampled_from(QUESTION_FIELDS), _question_line, dataset.load_dataset,
+                _by_line(dataset._questions)),
+    "winoground": (st.sampled_from(RECORD_FIELDS), _record_line, _converted, _converted_by_line),
+    "episode_log": (st.sampled_from(LONG_INTEGER_FIELDS), _log_line, pipeline.read_episode_log,
+                    read_log_by_line),
+    "mock_script": (
+        st.lists(st.one_of(LONG_INTEGERS.map(lambda n: -abs(n)), st.just(-0.105)), max_size=3),
+        _script_line, lambda path: [(e, repr(e.token_logprobs))
+                                    for e in MockBackend.from_script(path).entries],
+        lambda path: [(e, repr(e.token_logprobs)) for e in read_script_by_line(path)],
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(READERS)).flatmap(lambda name: st.tuples(
+    st.just(name), st.lists(st.tuples(READERS[name][0], LONG_INTEGERS), min_size=1, max_size=6),
+)))
+def test_long_integers_read_as_line_by_line(drawn):
+    """Integers of 19 to 309 digits in any field of a dataset line, a
+    caption-matching record, an episode log record or a mock script line,
+    or in a key the reader ignores, give each reader the result, by repr,
+    or the error, of its line-by-line reference."""
+    name, rows = drawn
+    _, line, read, reference = READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.jsonl"
+        path.write_text("".join(json.dumps(line(i, *row)) + "\n" for i, row in enumerate(rows)),
+                        encoding="utf-8")
+        assert _outcome(read, path) == _outcome(reference, path)

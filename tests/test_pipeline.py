@@ -22,6 +22,7 @@ from conftest import (
     FOUR_EPISODE_SPECS,
     FlakyBackend,
     LONG_INTEGER,
+    LONG_INTEGER_FIELDS,
     NESTED_TOO_DEEP,
     NOT_UNPAIRED,
     NOT_UTF8,
@@ -413,14 +414,18 @@ def test_resume_cuts_off_a_torn_last_line(tmp_path):
 def test_window_bounds_the_questions_in_flight(tmp_path, concurrency):
     """While question 0's initial call is blocked, the other workers begin
     the initial calls of at most 4 * concurrency - 1 other questions: the
-    window's, less question 0's."""
+    window's, less question 0's. While question 20's is blocked, once the
+    20 before it are given, the window has moved by 20: at most 20 + 4 *
+    concurrency - 2 questions have begun, less questions 0 and 20."""
     n = 60
     begun = []  # list.append is atomic
     during = []
 
     class Blocking:
         def complete(self, request, role):
-            if request.request_id == "q00#initial":
+            # Question 20 begins only once question 0 is given, as 20 is past
+            # the window while question 0 is blocked.
+            if request.request_id in ("q00#initial", "q20#initial"):
                 # Released once no other question has begun for 0.3 s, or
                 # every other one has.
                 seen = -1
@@ -439,7 +444,8 @@ def test_window_bounds_the_questions_in_flight(tmp_path, concurrency):
     engine = Engine(recomposer=Blocking(), decomposer=Blocking())
     cfg = PipelineConfig(mode="direct", concurrency=concurrency)
     summary, log = pipeline.run(questions, cfg, engine, tmp_path / "episodes.jsonl")
-    assert during and during[0] <= 4 * concurrency - 1
+    assert len(during) == 2 and during[0] <= 4 * concurrency - 1
+    assert during[1] <= 20 + 4 * concurrency - 2
     assert log.ids == [q.id for q in questions] and summary.failures == 0
 
 
@@ -1031,10 +1037,6 @@ def log_record(eid, confidence, gate, before, after) -> dict:
 ID_ENDINGS = ["", "\x00", "\n", "\ud800"]
 # Characters str.strip takes from a line but json.loads rejects around a value.
 NOT_JSON_WHITESPACE = ["\x1f", "\x0b", "\u3000"]
-# The fields _chunk_columns reads, where an integer of 19 digits or more
-# breaks a rule, and one it ignores, where the line still reads.
-LONG_INTEGER_FIELDS = ["confidence", "id", "failed", "gate", "correct_before", "correct_after",
-                       "retries"]
 
 
 @st.composite
